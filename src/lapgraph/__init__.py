@@ -38,6 +38,7 @@ from .planar import (
 from .colorings import (
     based_vertex_basis,
     bicycle_basis,
+    bicycle_basis_meet,
     conservative_vertex_basis,
     edge_from_vertex,
     is_conservative_edge,

@@ -139,7 +139,12 @@ def cmd_medial(args) -> int:
             }
         )
     if not obj.is_voltage:
-        basis = shank_basis(obj, args.base_component)
+        try:
+            basis = shank_basis(obj, args.base_component)
+        except AssertionError as exc:
+            raise ValueError(
+                f"{exc} (the Shank basis needs a connected planar rotation system)"
+            ) from None
         payload["shank_basis"] = basis
         payload["base_component"] = args.base_component
     if args.json:
@@ -391,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--max", type=int, default=64, help="largest cover in the growth check")
     sp.add_argument("--fibers", type=int, default=512)
-    sp.add_argument("--base-component", type=int, default=0)
-    sp.add_argument("--base-face", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 
     return p

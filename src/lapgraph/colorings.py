@@ -8,7 +8,13 @@ deterministic reduced-echelon form.
 from __future__ import annotations
 
 from .fields import Domain
-from .graphs import FiniteGraph, connected_components, incidence_matrix, laplacian_finite
+from .graphs import (
+    FiniteGraph,
+    bfs_potentials,
+    connected_components,
+    incidence_matrix,
+    laplacian_finite,
+)
 from .linalg import nullspace, row_space_canonical, transpose
 
 YES = "yes"
@@ -54,34 +60,6 @@ def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
     ]
 
 
-def _spanning_forest_potentials(g: FiniteGraph, beta: list, fld: Domain):
-    """Potentials integrating beta along a BFS forest; also the non-forest edges."""
-    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.vertices}
-    for j, e in enumerate(g.edges):
-        if e.tail != e.head:
-            adj[e.tail].append((j, e.head))
-            adj[e.head].append((j, e.tail))
-    pot: dict[str, object] = {}
-    tree_edges: set[int] = set()
-    for root in g.vertices:
-        if root in pot:
-            continue
-        pot[root] = fld.zero
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for j, w in adj[u]:
-                if w in pot or j in tree_edges:
-                    continue
-                e = g.edges[j]
-                # crossing tail -> head adds beta, head -> tail subtracts
-                delta = beta[j] if e.tail == u else fld.neg(beta[j])
-                pot[w] = fld.add(pot[u], delta)
-                tree_edges.add(j)
-                queue.append(w)
-    return pot, tree_edges
-
-
 def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     """Classify an edge coloring: conservative, or which condition fails.
 
@@ -90,7 +68,7 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     Kirchhoff condition is the vanishing of Q beta at every vertex.
     """
     beta = [fld.of(b) for b in beta]
-    pot, tree_edges = _spanning_forest_potentials(g, beta, fld)
+    pot, tree_edges, _ = bfs_potentials(g.vertices, [(e.tail, e.head) for e in g.edges], beta, fld)
     for j, e in enumerate(g.edges):
         if j in tree_edges:
             continue
@@ -110,22 +88,24 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
 def bicycle_basis(g: FiniteGraph, fld: Domain) -> list[list]:
     """Basis of the bicycle space, the cut space intersected with the cycle space.
 
-    Computed two independent ways and cross-checked: the image under Q^T of
-    the Laplacian kernel, and the direct intersection of the row space of Q
-    with the kernel of Q.  Returns the canonical echelon basis.
+    Computed as the image under Q^T of the Laplacian kernel (the conservative
+    vertex colorings).  Returns the canonical echelon basis;
+    :func:`bicycle_basis_meet` computes the same space independently.
+    """
+    kerL = conservative_vertex_basis(g, fld)
+    return row_space_canonical([edge_from_vertex(g, v, fld) for v in kerL], fld)
+
+
+def bicycle_basis_meet(g: FiniteGraph, fld: Domain) -> list[list]:
+    """The bicycle space as the row space of Q meet the kernel of Q.
+
+    An independent computation of :func:`bicycle_basis`, kept as its oracle;
+    returns the same canonical echelon basis.
     """
     Q = incidence_matrix(g)
-    # (i) image of ker L under Q^T
-    kerL = conservative_vertex_basis(g, fld)
-    images = [edge_from_vertex(g, v, fld) for v in kerL]
-    via_kernel = row_space_canonical(images, fld)
-    # (ii) row space of Q meet kernel of Q
     cut = row_space_canonical([[fld.of(v) for v in row] for row in Q], fld)
     cyc = nullspace(Q, fld)
-    meet = _intersect_spans(cut, cyc, fld)
-    if via_kernel != meet:
-        raise AssertionError("bicycle space methods disagree")
-    return via_kernel
+    return _intersect_spans(cut, cyc, fld)
 
 
 def _intersect_spans(A: list[list], B: list[list], fld: Domain) -> list[list]:

@@ -20,7 +20,7 @@ be omitted for d = 0.  Rotation lines promote the result to a PlaneGraph.
 from __future__ import annotations
 
 from .graphs import Edge, FiniteGraph, VoltageGraph
-from .planar import PlaneGraph
+from .planar import PlaneGraph, parse_dart
 
 
 class GraphParseError(ValueError):
@@ -128,12 +128,13 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
         for v, text_rot in rotations.items():
             darts = []
             for tok in text_rot.split():
-                name, _, end = tok.rpartition(".")
-                if end not in ("t", "h") or not name:
-                    raise GraphParseError(rot_lines[v], f"bad edge-end token {tok!r} in rot {v!r}")
-                if name not in eseen:
-                    raise GraphParseError(rot_lines[v], f"unknown edge {name!r} in rot {v!r}")
-                darts.append((name, end))
+                try:
+                    dart = parse_dart(tok)
+                except ValueError as exc:
+                    raise GraphParseError(rot_lines[v], f"{exc} in rot {v!r}") from None
+                if dart[0] not in eseen:
+                    raise GraphParseError(rot_lines[v], f"unknown edge {dart[0]!r} in rot {v!r}")
+                darts.append(dart)
             rot[v] = tuple(darts)
         for v in vertices:
             rot.setdefault(v, ())

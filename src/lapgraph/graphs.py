@@ -7,10 +7,12 @@ construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
+from .fields import Domain
 from .laurent import LaurentPoly
 
 
@@ -97,12 +99,6 @@ class VoltageGraph:
             es.append(Edge(name, tail, head))
             volts.append(tuple(s))
         return cls(FiniteGraph(tuple(vertices), tuple(es)), rank, tuple(volts))
-
-    def voltage_of(self, edge_name: str) -> tuple[int, ...]:
-        for e, s in zip(self.base.edges, self.voltages):
-            if e.name == edge_name:
-                return s
-        raise KeyError(edge_name)
 
     def with_reversed_edge(self, edge_name: str) -> "VoltageGraph":
         """Same graph with one edge's orientation flipped and voltage negated."""
@@ -352,6 +348,46 @@ def connected_components(g: FiniteGraph) -> list[list[str]]:
         comp.sort(key=g.vertex_index)
         comps.append(comp)
     return comps
+
+
+def bfs_potentials(
+    vertices: Sequence[Hashable],
+    ends: Sequence[tuple[Hashable, Hashable]],
+    values: Sequence,
+    dom: Domain,
+) -> tuple[dict, set[int], dict]:
+    """Integrate edge values along a breadth-first spanning forest.
+
+    Edge j runs from ends[j][0] to ends[j][1]; crossing it that way adds
+    values[j] and crossing it backwards subtracts it.  Roots are taken in the
+    order of vertices and sit at dom.zero, each vertex's edges are walked in
+    edge order, and loops are skipped.  Returns (potential, tree, root): the
+    potential of each vertex, the indices of the forest's edges, and the root
+    of each vertex's tree.
+    """
+    adj: dict = {v: [] for v in vertices}
+    for j, (tail, head) in enumerate(ends):
+        if tail != head:
+            adj[tail].append((j, head, values[j]))
+            adj[head].append((j, tail, dom.neg(values[j])))
+    pot: dict = {}
+    root: dict = {}
+    tree: set[int] = set()
+    for r in vertices:
+        if r in pot:
+            continue
+        pot[r] = dom.zero
+        root[r] = r
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            for j, w, step in adj[u]:
+                if w not in pot:
+                    pot[w] = dom.add(pot[u], step)
+                    root[w] = r
+                    tree.add(j)
+                    queue.append(w)
+    return pot, tree, root
 
 
 def subgraph_on(g: FiniteGraph, vertices: list[str]) -> FiniteGraph:

@@ -91,13 +91,6 @@ def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
     return [R[i] for i in range(len(pivots))]
 
 
-def solve_in_span(vectors: list[list], target: list, field: Domain) -> bool:
-    """Whether target lies in the span of the given vectors."""
-    base = row_space_canonical(vectors, field)
-    ext = row_space_canonical(base + [target], field)
-    return len(ext) == len(base)
-
-
 # -- integer determinants ------------------------------------------------------
 
 
@@ -128,22 +121,6 @@ def int_det(M: Matrix) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def int_det_cofactor(M: Matrix) -> int:
-    """Cofactor-expansion determinant; the independent oracle for int_det."""
-    n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    total = 0
-    rest = M[1:]
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rest]
-        term = M[0][j] * int_det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------

@@ -28,7 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fields import GF2, Domain
-from .graphs import FiniteGraph, SublatticeSpec, VoltageGraph, cover_graph, laplacian_finite
+from .graphs import (
+    FiniteGraph,
+    SublatticeSpec,
+    VoltageGraph,
+    bfs_potentials,
+    cover_graph,
+    laplacian_finite,
+)
 
 Dart = tuple[str, str]  # (edge name, "t" | "h")
 
@@ -91,17 +98,17 @@ class PlaneGraph:
         return nxt, prv, opp
 
 
+def parse_dart(tok: str) -> Dart:
+    """Parse one edge-end token such as 'a.t' or 'r.h'."""
+    name, _, end = tok.rpartition(".")
+    if end not in ("t", "h") or not name:
+        raise ValueError(f"bad edge-end token {tok!r}")
+    return (name, end)
+
+
 def parse_rotations(g: FiniteGraph, spec: dict[str, str]) -> dict[str, tuple[Dart, ...]]:
     """Build a rotation dict from strings like 'a.t r.t a.h' per vertex."""
-    out: dict[str, tuple[Dart, ...]] = {}
-    for v, text in spec.items():
-        darts = []
-        for tok in text.split():
-            name, _, end = tok.rpartition(".")
-            if end not in ("t", "h") or not name:
-                raise ValueError(f"bad edge-end token {tok!r}")
-            darts.append((name, end))
-        out[v] = tuple(darts)
+    out = {v: tuple(parse_dart(tok) for tok in text.split()) for v, text in spec.items()}
     for v in g.vertices:
         out.setdefault(v, ())
     return out
@@ -189,30 +196,17 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
         raise ValueError(f"base face {base_face} out of range (have {len(fl)} faces)")
     fidx = face_index_of_darts(fl)
     vidx = g.vertex_index
-    colors: list = [None] * len(fl)
-    colors[base_face] = fld.zero
-    queue = [base_face]
-    # dual adjacency: edge e joins face of (e, h) to face of (e, t);
-    # gamma(left of tail->head) = gamma(right) + alpha(head) - alpha(tail).
-    incident: dict[int, list] = {i: [] for i in range(len(fl))}
-    for e in g.edges:
-        ft = fidx[(e.name, "t")]  # face left of tail -> head
-        fh = fidx[(e.name, "h")]  # face right of tail -> head
-        inc = fld.sub(alpha[vidx(e.tail)], alpha[vidx(e.head)])
-        incident[fh].append((ft, inc))  # crossing right -> left adds tail - head
-        incident[ft].append((fh, fld.neg(inc)))
-    while queue:
-        f = queue.pop(0)
-        for f2, inc in incident[f]:
-            c = fld.add(colors[f], inc)
-            if colors[f2] is None:
-                colors[f2] = c
-                queue.append(f2)
-            elif colors[f2] != c:
-                raise ValueError("face coloring is path dependent")
-    for i, c in enumerate(colors):
-        if c is None:
-            colors[i] = fld.zero  # face in an unreachable dual component
+    # Dual edge e runs from the face right of tail -> head to the face on its
+    # left; crossing it that way adds alpha(tail) - alpha(head).
+    ends = [(fidx[(e.name, "h")], fidx[(e.name, "t")]) for e in g.edges]
+    incs = [fld.sub(alpha[vidx(e.tail)], alpha[vidx(e.head)]) for e in g.edges]
+    order = [base_face] + [f for f in range(len(fl)) if f != base_face]
+    pot, _, root = bfs_potentials(order, ends, incs, fld)
+    for (right, left), inc in zip(ends, incs):
+        if root[right] == base_face and pot[left] != fld.add(pot[right], inc):
+            raise ValueError("face coloring is path dependent")
+    # a face in another dual component than the base face is colored zero
+    colors = [pot[f] if root[f] == base_face else fld.zero for f in range(len(fl))]
     dc = DehnColoring(tuple(alpha), tuple(colors), base_face)
     verify_dehn(pg, dc, fld)
     return dc

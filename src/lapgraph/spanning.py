@@ -14,6 +14,7 @@ from .graphs import (
     RectangleSpec,
     SublatticeSpec,
     VoltageGraph,
+    bfs_potentials,
     connected_components,
     cover_graph,
     laplacian_finite,
@@ -79,42 +80,6 @@ class CrsfReport:
     max_winding: int
 
 
-def _component_cycle_winding(edges, volts, vertices) -> int | None:
-    """Winding of the unique cycle of a connected subgraph with #edges == #vertices.
-
-    Returns None if the edge count is wrong (no unique cycle).
-    """
-    if len(edges) != len(vertices):
-        return None
-    pot: dict[str, int] = {}
-    root = vertices[0]
-    pot[root] = 0
-    adj: dict[str, list[int]] = {v: [] for v in vertices}
-    for idx, e in enumerate(edges):
-        if e.tail != e.head:
-            adj[e.tail].append(idx)
-            adj[e.head].append(idx)
-    tree: set[int] = set()
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for idx in adj[u]:
-            e = edges[idx]
-            w = e.head if e.tail == u else e.tail
-            if w in pot or idx in tree:
-                continue
-            s = volts[idx] if e.tail == u else -volts[idx]
-            pot[w] = pot[u] + s
-            tree.add(idx)
-            queue.append(w)
-    extras = [i for i in range(len(edges)) if i not in tree]
-    if len(extras) != 1:
-        return None
-    e = edges[extras[0]]
-    s = volts[extras[0]]
-    return s + pot[e.tail] - pot[e.head]
-
-
 def crsf_coefficients(vg: VoltageGraph, max_edges: int = 16) -> CrsfReport:
     """Brute-force enumeration of essential CRSFs of a rank-1 quotient.
 
@@ -133,22 +98,18 @@ def crsf_coefficients(vg: VoltageGraph, max_edges: int = 16) -> CrsfReport:
     general = LaurentPoly.zero(1)
     max_w = 0
     for subset in combinations(range(m), n):
-        chosen = [g.edges[i] for i in subset]
-        sub = FiniteGraph(g.vertices, tuple(chosen))
-        comps = connected_components(sub)
-        windings = []
-        for comp in comps:
-            members = set(comp)
-            comp_idx = [i for i, e in zip(subset, chosen) if e.tail in members]
-            comp_edges = [g.edges[i] for i in comp_idx]
-            w = _component_cycle_winding(comp_edges, [volts[i] for i in comp_idx], comp)
-            if w is None or w == 0:
-                windings = None
-                break
-            windings.append(abs(w))
-        if windings is None:
+        ends = [(g.edges[i].tail, g.edges[i].head) for i in subset]
+        sub_volts = [volts[i] for i in subset]
+        pot, tree, root = bfs_potentials(g.vertices, ends, sub_volts, ZZ)
+        # n edges on n vertices leave one non-forest edge per tree; each tree
+        # must get its own, closing that component's unique cycle.
+        extras = [j for j in range(n) if j not in tree]
+        if len({root[ends[j][0]] for j in extras}) != len(extras):
             continue
-        counts[len(comps)] = counts.get(len(comps), 0) + 1
+        windings = [abs(sub_volts[j] + pot[ends[j][0]] - pot[ends[j][1]]) for j in extras]
+        if 0 in windings:
+            continue
+        counts[len(extras)] = counts.get(len(extras), 0) + 1
         max_w = max(max_w, *windings)
         term = LaurentPoly.constant(1, 1)
         for w in windings:
@@ -165,40 +126,20 @@ def crsf_coefficients(vg: VoltageGraph, max_edges: int = 16) -> CrsfReport:
 
 
 def _has_essential_cycle(vg: VoltageGraph, removed: set[str]) -> bool:
-    g = vg.base
-    volts = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)}
-    kept = [v for v in g.vertices if v not in removed]
-    edges = [e for e in g.edges if e.tail not in removed and e.head not in removed]
-    pot: dict[str, int] = {}
-    adj: dict[str, list] = {v: [] for v in kept}
-    for e in edges:
-        if e.tail != e.head:
-            adj[e.tail].append(e)
-            adj[e.head].append(e)
-        elif volts[e.name] != 0:
-            return True  # essential loop
-    tree: set[str] = set()
-    for root in kept:
-        if root in pot:
-            continue
-        pot[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for e in adj[u]:
-                w = e.head if e.tail == u else e.tail
-                if w in pot or e.name in tree:
-                    continue
-                s = volts[e.name] if e.tail == u else -volts[e.name]
-                pot[w] = pot[u] + s
-                tree.add(e.name)
-                queue.append(w)
-    for e in edges:
-        if e.name in tree or e.tail == e.head:
-            continue
-        if volts[e.name] + pot[e.tail] - pot[e.head] != 0:
-            return True
-    return False
+    """Whether some cycle avoiding the removed vertices has nonzero voltage.
+
+    Tree edges close no cycle and a loop closes its own, so an edge is
+    essential exactly when its voltage differs from its endpoints' potential
+    difference.
+    """
+    kept = [v for v in vg.base.vertices if v not in removed]
+    ends, volts = [], []
+    for e, s in zip(vg.base.edges, vg.voltages):
+        if e.tail not in removed and e.head not in removed:
+            ends.append((e.tail, e.head))
+            volts.append(s[0])
+    pot, _, _ = bfs_potentials(kept, ends, volts, ZZ)
+    return any(s + pot[t] - pot[h] != 0 for (t, h), s in zip(ends, volts))
 
 
 def minimum_annular_cut(vg: VoltageGraph) -> list[str]:
@@ -239,34 +180,13 @@ def split_at_annular_cut(vg: VoltageGraph, cut_vertex: str | None = None) -> Fin
     v = cut_vertex
     volts = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)}
     others = [u for u in g.vertices if u != v]
-    # BFS potentials per component of the quotient minus v
-    pot: dict[str, int] = {}
-    adj: dict[str, list] = {u: [] for u in others}
-    for e in g.edges:
-        if e.tail != v and e.head != v and e.tail != e.head:
-            adj[e.tail].append(e)
-            adj[e.head].append(e)
-    comp_of: dict[str, int] = {}
-    ncomp = 0
-    for root in others:
-        if root in pot:
-            continue
-        pot[root] = 0
-        comp_of[root] = ncomp
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for e in adj[u]:
-                w = e.head if e.tail == u else e.tail
-                if w in pot:
-                    continue
-                s = volts[e.name] if e.tail == u else -volts[e.name]
-                pot[w] = pot[u] + s
-                comp_of[w] = ncomp
-                queue.append(w)
-        ncomp += 1
+    # potentials per component of the quotient minus v, keyed by tree root
+    inner = [e for e in g.edges if e.tail != v and e.head != v]
+    pot, _, comp_of = bfs_potentials(
+        others, [(e.tail, e.head) for e in inner], [volts[e.name] for e in inner], ZZ
+    )
     # attachment levels of each component at v
-    levels: dict[int, set[int]] = {c: set() for c in range(ncomp)}
+    levels: dict[str, set[int]] = {c: set() for c in comp_of.values()}
     for e in g.edges:
         if e.tail == v and e.head == v:
             if abs(volts[e.name]) > 1:
@@ -283,7 +203,7 @@ def split_at_annular_cut(vg: VoltageGraph, cut_vertex: str | None = None) -> Fin
         else:
             if volts[e.name] + pot[e.tail] - pot[e.head] != 0:
                 raise ValueError("essential cycle avoids the cut vertex; kappa > 1")
-    base_level: dict[int, int] = {}
+    base_level: dict[str, int] = {}
     for c, ls in levels.items():
         if not ls:
             base_level[c] = 0
@@ -339,10 +259,8 @@ def _mahler_reference(vg: VoltageGraph, fibers: int) -> float:
     return mahler_2var(d0, fibers).value
 
 
-def growth_covers(
-    vg: VoltageGraph, schedule: list[int], fibers: int = 512
-) -> GrowthReport:
-    """Complexity of finite covers along a schedule of indices.
+def cover_rows(vg: VoltageGraph, schedule: list[int]) -> tuple[tuple[int, int, float], ...]:
+    """Rows (r, complexity, (1/r) log complexity) of finite covers along a schedule.
 
     For rank 1 the index n gives the cyclic cover nZ; for rank 2 it gives the
     square sublattice nZ x nZ (r = n^2 sheets).
@@ -357,7 +275,15 @@ def growth_covers(
         t = complexity(cov)
         r = lam.index
         rows.append((r, t, math.log(t) / r))
-    return GrowthReport("covers", tuple(rows), _mahler_reference(vg, fibers))
+    return tuple(rows)
+
+
+def growth_covers(
+    vg: VoltageGraph, schedule: list[int], fibers: int = 512
+) -> GrowthReport:
+    """Complexity of finite covers along a schedule (see :func:`cover_rows`),
+    with m(Delta_0) as the reference."""
+    return GrowthReport("covers", cover_rows(vg, schedule), _mahler_reference(vg, fibers))
 
 
 def growth_restrictions(

@@ -18,7 +18,13 @@ import time
 import pytest
 
 from conftest import brute_force_tree_count, random_annulus_quotient, random_multigraph, random_plane_graph, random_voltage_graph
-from lapgraph.colorings import YES, bicycle_basis, conservative_vertex_basis, is_conservative_edge
+from lapgraph.colorings import (
+    YES,
+    bicycle_basis,
+    bicycle_basis_meet,
+    conservative_vertex_basis,
+    is_conservative_edge,
+)
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
 from lapgraph.graphs import voltage_laplacian
 from lapgraph.laurent import divides, normalize, parse_poly
@@ -318,9 +324,7 @@ def test_criterion_10b_bicycle_two_method_agreement():
     for _ in range(500):
         g = random_multigraph(rng, 6, 12)
         for fld in (GF2, GF3, QQ):
-            try:
-                bicycle_basis(g, fld)  # raises on two-method disagreement
-            except AssertionError:
+            if bicycle_basis(g, fld) != bicycle_basis_meet(g, fld):
                 failures += 1
     assert report(10, failures == 0, f"bicycle two-method: 500 graphs x 3 fields, {failures} failures")
 

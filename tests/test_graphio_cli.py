@@ -174,6 +174,26 @@ def test_cli_medial_needs_rotations(graph_dir, capsys):
         main(["medial", str(graph_dir / "grid.lapgraph")])
 
 
+def test_cli_medial_on_a_nonplanar_rotation_is_an_error(tmp_path, capsys):
+    # Two loops interleaved at one vertex: a torus embedding, not a plane one.
+    path = tmp_path / "torus.lapgraph"
+    path.write_text("lapgraph v1\nvertex v\nedge a v v\nedge b v v\nrot v: a.t b.t a.h b.h\n")
+    assert main(["medial", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: medial residues do not form a basis of the bicycle space")
+
+
+def test_bad_rotation_tokens_name_their_line():
+    for rot, message in (
+        ("rot v1: a.x r.t a.h", "bad edge-end token 'a.x' in rot 'v1'"),
+        ("rot v1: .t r.t a.h", "bad edge-end token '.t' in rot 'v1'"),
+        ("rot v1: a.t q.t a.h", "unknown edge 'q' in rot 'v1'"),
+    ):
+        with pytest.raises(GraphParseError) as err:
+            parse_graph_file(LADDER_TEXT + rot + "\nrot v2: b.t b.h r.h\n")
+        assert str(err.value) == f"line 8: {message}"
+
+
 def test_cli_trees(graph_dir, capsys):
     code, out = run_cli(
         capsys, "trees", "--cover", "3", str(graph_dir / "ladder.lapgraph"), "--json"

@@ -11,6 +11,7 @@ from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
     VoltageGraph,
+    bfs_potentials,
     connected_components,
     cover_graph,
     degree_certificate,
@@ -20,6 +21,7 @@ from lapgraph.graphs import (
     voltage_laplacian,
     wrapping_edge_count,
 )
+from lapgraph.fields import ZZ
 from lapgraph.laurent import LaurentPoly, parse_poly
 from lapgraph.library import (
     circulant_quotient,
@@ -339,3 +341,26 @@ def test_graph_validation_errors():
         FiniteGraph.build(["v"], [("e", "v", "v"), ("e", "v", "v")])
     with pytest.raises(ValueError):
         VoltageGraph.build(["v"], [("e", "v", "v", (1, 0))], rank=1)
+
+
+def test_bfs_potentials_forest_roots_and_loops():
+    # a -> b (2), b -> c (3), c -> a (7) closes a cycle; the loop on c and the
+    # isolated d are skipped and rooted on their own.
+    ends = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")]
+    pot, tree, root = bfs_potentials(["a", "b", "c", "d"], ends, [2, 3, 7, 5], ZZ)
+    # BFS from a takes a -> b and c -> a (crossed backwards), not b -> c
+    assert pot == {"a": 0, "b": 2, "c": -7, "d": 0}
+    assert tree == {0, 2}
+    assert root == {"a": "a", "b": "a", "c": "a", "d": "d"}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bfs_potentials_roots_match_components(seed):
+    rng = random.Random(8000 + seed)
+    g = random_multigraph(rng, 7, 8)
+    pot, tree, root = bfs_potentials(g.vertices, [(e.tail, e.head) for e in g.edges], [1] * len(g.edges), ZZ)
+    comps = connected_components(g)
+    assert sorted(set(root.values())) == sorted(c[0] for c in comps)
+    assert len(tree) == len(g.vertices) - len(comps)
+    for comp in comps:
+        assert {root[v] for v in comp} == {comp[0]}

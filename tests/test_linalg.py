@@ -14,7 +14,6 @@ from lapgraph.linalg import (
     elementary_divisor,
     first_nonzero_divisor,
     int_det,
-    int_det_cofactor,
     int_matrix_to_poly,
     nullspace,
     rank,
@@ -29,7 +28,7 @@ def test_int_det_against_cofactor_thousand_cases():
     for _ in range(1000):
         n = rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert int_det(M) == int_det_cofactor(M)
+        assert cofactor_det_poly(int_matrix_to_poly(M)) == int_det(M)
 
 
 def test_int_det_examples():

@@ -1,0 +1,129 @@
+"""The verify suite: every check can FAIL, and each invariant is computed once."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from conftest import random_annulus_quotient, random_voltage_graph
+from lapgraph import linalg, spanning, verify
+from lapgraph.cli import main
+from lapgraph.fields import QQ, ZZ
+from lapgraph.graphio import format_graph_file
+from lapgraph.graphs import voltage_laplacian
+from lapgraph.laurent import LaurentPoly, normalize, parse_poly
+from lapgraph.library import k4_plane, ladder_plane_quotient, mitsubishi_quotient
+
+
+def _not_a_basis(*args):
+    raise AssertionError("medial residues do not form a basis of the bicycle space")
+
+
+# check -> (input, the function of verify's namespace the check reads, a wrong stand-in)
+BREAKERS = {
+    "laplacian-transpose": ("ladder", "transpose", lambda M: []),
+    "reciprocity": ("ladder", "first_nonzero_divisor", lambda L, dom: (0, parse_poly("1 + 2*x", 1))),
+    "count-divisibility": ("ladder", "divides", lambda f, g, dom: False),
+    "delta-chain": ("ladder", "divides", lambda f, g, dom: False),
+    "forman-reconstruction": ("ladder", "det_laurent", lambda M, dom: LaurentPoly.zero(1)),
+    "grimmett-bound": ("ladder", "grimmett_bound", lambda vg: -1.0),
+    "growth-vs-mahler": ("ladder", "cover_rows", lambda vg, schedule: ((8, 1, 100.0),)),
+    "medial-crossings": ("ladder", "medial_components_voltage", lambda pg: []),
+    "medial-gf2-degree": ("ladder", "noncompact_count", lambda comps: -1),
+    "degree-connectivity": ("ladder", "annular_connectivity", lambda vg: 99),
+    "medial-component-count": ("k4", "conservative_vertex_basis", lambda g, fld: []),
+    "shank-basis": ("k4", "shank_basis", _not_a_basis),
+    "dehn-roundtrip": ("k4", "dehn_restrict", lambda dc: []),
+    "bicycle-two-method": ("k4", "bicycle_basis_meet", lambda g, fld: []),
+}
+# gf2-vanishing is recorded only when it holds, so no input can make it FAIL.
+CANNOT_FAIL = {"gf2-vanishing"}
+
+INPUTS = {"ladder": ladder_plane_quotient, "k4": k4_plane, "mitsubishi": mitsubishi_quotient}
+
+
+@pytest.fixture
+def graph_file(tmp_path):
+    def write(name):
+        path = tmp_path / f"{name}.lapgraph"
+        path.write_text(format_graph_file(INPUTS[name]()))
+        return str(path)
+
+    return write
+
+
+def test_every_check_is_either_breakable_or_a_known_exception():
+    names = {r.name for make in INPUTS.values() for r in verify.run_verify(make(), 8, 64)}
+    assert names == set(BREAKERS) | CANNOT_FAIL
+
+
+@pytest.mark.parametrize("check", sorted(BREAKERS))
+def test_each_check_reports_fail_through_the_cli(check, graph_file, monkeypatch, capsys):
+    name, attr, fake = BREAKERS[check]
+    path = graph_file(name)
+    assert main(["verify", path, "--max", "8", "--fibers", "64"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, attr, fake)
+    assert main(["verify", path, "--max", "8", "--fibers", "64"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check}:" in out
+    assert out.rstrip().endswith("FAILED")
+
+
+def test_bicycle_disagreement_names_the_field(monkeypatch):
+    monkeypatch.setattr(verify, "bicycle_basis_meet", lambda g, fld: [])
+    (res,) = [r for r in verify.run_verify(k4_plane(), 8, 64) if r.name == "bicycle-two-method"]
+    assert res.status == "FAIL"
+    # K4 has a 2-dimensional bicycle space over GF(2) and none over Q.
+    assert res.detail == "over GF(2) the image of ker L has dim 2, row(Q) meet ker Q has dim 0"
+
+
+def test_verify_computes_each_invariant_once(monkeypatch):
+    calls = Counter()
+
+    def count(module, attr, key):
+        orig = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for module in (linalg, spanning, verify):
+        count(module, "elementary_divisor", lambda M, k, dom: ("delta", k, repr(dom)))
+    for module in (spanning, verify):
+        count(module, "mahler_1var", lambda *a: "mahler")
+        count(module, "mahler_2var", lambda *a: "mahler")
+    count(verify, "first_nonzero_divisor", lambda *a: "gf2-scan")
+
+    verify.run_verify(ladder_plane_quotient(), max_cover=8, fibers=64)
+    assert calls["mahler"] == 1
+    assert calls["gf2-scan"] == 1
+    delta0 = {key[2]: n for key, n in calls.items() if key[:2] == ("delta", 0)}
+    # Delta_0 over GF(2) comes from the scan; over Q it is normalized from ZZ.
+    assert delta0 == {"ZZ": 1, "GF(2)": 1}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_delta0_over_q_is_the_normalized_integer_delta0(seed):
+    rng = random.Random(7000 + seed)
+    vgs = [random_voltage_graph(rng, 1, 4, 7), random_voltage_graph(rng, 2, 3, 5)]
+    vgs.append(random_annulus_quotient(rng, 8).graph)
+    for vg in vgs:
+        L = voltage_laplacian(vg)
+        d0 = linalg.elementary_divisor(L, 0, ZZ)
+        d0q = linalg.elementary_divisor(L, 0, QQ)
+        assert d0q == (d0 if d0.is_zero() else normalize(d0, QQ))
+
+
+def test_growth_check_skips_when_no_cover_fits(graph_file, capsys):
+    assert main(["verify", graph_file("ladder"), "--max", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIP growth-vs-mahler: no scheduled cover of index <= 2" in out
+    assert "PASS grimmett-bound" in out
+
+
+def test_verify_has_no_base_options(graph_file):
+    with pytest.raises(SystemExit):
+        main(["verify", graph_file("k4"), "--base-face", "0"])
