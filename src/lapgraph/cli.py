@@ -29,7 +29,7 @@ from .graphs import (
 from .laurent import format_poly, parse_poly
 from .linalg import elementary_divisor, int_matrix_to_poly
 from .mahler import mahler_1var, mahler_2var
-from .planar import PlaneGraph, faces, medial_components, medial_components_voltage, shank_basis
+from .planar import PlaneGraph, medial_components, medial_components_voltage, shank_basis
 from .spanning import (
     annular_connectivity,
     complexity,
@@ -60,6 +60,23 @@ def _base_of(obj) -> FiniteGraph:
     if isinstance(obj, VoltageGraph):
         return obj.base
     return obj
+
+
+def _digits(t: int) -> str:
+    """Decimal text of an integer of any size.
+
+    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    digits (4300 by default), and tree counts of large covers are longer; the
+    limit is lifted for this one conversion.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        return str(t)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(t)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _check_threads_env():
@@ -121,10 +138,6 @@ def cmd_medial(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, PlaneGraph):
         raise SystemExit("error: medial needs rotation lines in the graph file")
-    if args.base_face is not None:
-        nfaces = len(faces(obj))
-        if not 0 <= args.base_face < nfaces:
-            raise SystemExit(f"error: base face {args.base_face} out of range ({nfaces} faces)")
     payload = {"components": []}
     if obj.is_voltage:
         comps = medial_components_voltage(obj)
@@ -143,7 +156,7 @@ def cmd_medial(args) -> int:
             basis = shank_basis(obj, args.base_component)
         except AssertionError as exc:
             raise ValueError(
-                f"{exc} (the Shank basis needs a connected planar rotation system)"
+                f"{exc} (the Shank basis needs a planar rotation system)"
             ) from None
         payload["shank_basis"] = basis
         payload["base_component"] = args.base_component
@@ -178,16 +191,16 @@ def cmd_trees(args) -> int:
     obj = _load(args.file)
     if args.cover is None:
         base = _base_of(obj)
-        t = complexity(base)
+        t = _digits(complexity(base))
         if args.json:
-            print(json.dumps({"complexity": str(t)}))
+            print(json.dumps({"complexity": t}))
         else:
             print(f"complexity T = {t}")
         return 0
     vg = _voltage_of(obj)
     lam = _parse_cover(args.cover, vg.rank)
     cov = cover_graph(vg, lam)
-    t = complexity(cov)
+    t = _digits(complexity(cov))
     if args.json:
         print(
             json.dumps(
@@ -195,7 +208,7 @@ def cmd_trees(args) -> int:
                     "index": lam.index,
                     "vertices": len(cov.vertices),
                     "edges": len(cov.edges),
-                    "complexity": str(t),
+                    "complexity": t,
                 }
             )
         )
@@ -233,7 +246,7 @@ def cmd_growth(args) -> int:
                     "mode": report.mode,
                     "reference": report.reference,
                     "rows": [
-                        {"scale": r, "complexity": str(t), "normalized_log": lg}
+                        {"scale": r, "complexity": _digits(t), "normalized_log": lg}
                         for r, t, lg in report.rows
                     ],
                 }
@@ -243,7 +256,8 @@ def cmd_growth(args) -> int:
         label = "r" if args.mode == "covers" else "s"
         print(f"{label:>6s} {'T':>24s} {'(1/' + label + ') log T':>14s}")
         for r, t, lg in report.rows:
-            tstr = str(t) if len(str(t)) <= 24 else str(t)[:21] + "..."
+            tstr = _digits(t)
+            tstr = tstr if len(tstr) <= 24 else tstr[:21] + "..."
             print(f"{r:6d} {tstr:>24s} {lg:14.6f}")
         print(f"reference m = {report.reference:.6f}")
     return 0
@@ -362,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("medial", help="medial components, residues, windings")
     add_common(sp)
     sp.add_argument("--base-component", type=int, default=0)
-    sp.add_argument("--base-face", type=int, default=None)
     sp.set_defaults(func=cmd_medial)
 
     sp = sub.add_parser("trees", help="spanning-tree complexity, optionally of a cover")

@@ -8,7 +8,7 @@ hold :class:`~lapgraph.laurent.LaurentPoly` entries.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 
 from .fields import Domain, IntegerRing
 from .laurent import LaurentPoly, divexact, gcd_many
@@ -94,33 +94,119 @@ def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
 # -- integer determinants ------------------------------------------------------
 
 
+def _cuthill_mckee(adj: list[set[int]]) -> list[int]:
+    """Cuthill–McKee order of a symmetric nonzero pattern.
+
+    Breadth-first search from a least-degree index of each component, visiting
+    unseen neighbours by increasing degree (ties by index).  A graph-like
+    matrix, such as a cover's or a box's Laplacian, gets a small bandwidth.
+    """
+    deg = [len(a) for a in adj]
+    seen = [False] * len(adj)
+    order: list[int] = []
+    for start in sorted(range(len(adj)), key=deg.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=lambda w: (deg[w], w)):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
+
+
 def int_det(M: Matrix) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
+    """Exact determinant of a square integer matrix.
+
+    Fraction-free (Bareiss) elimination on sparse rows in Cuthill–McKee order.
+    The reordering is a symmetric permutation, so it keeps the determinant,
+    and on a banded pattern the fill stays inside the band.  Step k updates
+    only the rows with a nonzero in column k.  Every other row owes the factor
+    p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the telescoped
+    product, when it is next touched.  Every Bareiss entry is a minor of the
+    matrix, so each division is exact.  A zero pivot is swapped with the first
+    lower row that has a nonzero in its column.
+    """
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [[int(v) for v in row] for row in M]
+    cols = range(n)
+    sparse = [{j: int(row[j]) for j in compress(cols, row)} for row in M]
+    adj: list[set[int]] = [set() for _ in cols]
+    for i, row in enumerate(sparse):
+        for j in row:
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+    order = _cuthill_mckee(adj)
+    where = [0] * n
+    for new, old in enumerate(order):
+        where[old] = new
+    rows = [{where[j]: v for j, v in sparse[i].items()} for i in order]
+    # below[j]: rows not yet pivoted with a nonzero in column j
+    below: list[set[int]] = [set() for _ in cols]
+    for i, row in enumerate(rows):
+        for j in row:
+            below[j].add(i)
+    # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
+    # entries of the Bareiss matrix after t steps
+    p = [1]
+    level = [0] * n
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            sel = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if sel is None:
+
+    def catch_up(i: int, k: int) -> dict[int, int]:
+        row = rows[i]
+        if p[level[i]] != p[k]:
+            num, den = p[k], p[level[i]]
+            for j, v in row.items():
+                row[j] = v * num // den
+        level[i] = k
+        return row
+
+    for k in cols:
+        if k not in rows[k]:
+            if not below[k]:
                 return 0
-            a[k], a[sel] = a[sel], a[k]
+            sel = min(below[k])
+            for i in (k, sel):
+                for j in rows[i]:
+                    below[j].discard(i)
+            rows[k], rows[sel] = rows[sel], rows[k]
+            level[k], level[sel] = level[sel], level[k]
+            for i in (k, sel):
+                for j in rows[i]:
+                    below[j].add(i)
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+        row_k = catch_up(k, k)
+        pivot = row_k.pop(k)
+        for j in row_k:
+            below[j].discard(k)
+        below[k].discard(k)
+        prev = p[k]
+        p.append(pivot)
+        for i in below[k]:
+            row_i = catch_up(i, k)
+            a = row_i.pop(k)
+            for j, v in row_i.items():
+                row_i[j] = pivot * v
+            for j, v in row_k.items():
+                w = row_i.get(j, 0) - a * v
+                if w:
+                    if j not in row_i:
+                        below[j].add(i)
+                    row_i[j] = w
+                else:
+                    del row_i[j]
+                    below[j].discard(i)
+            if prev != 1:
+                for j, v in row_i.items():
+                    row_i[j] = v // prev
+            level[i] = k + 1
+    return sign * p[n]
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------

@@ -33,6 +33,7 @@ from .graphs import (
     SublatticeSpec,
     VoltageGraph,
     bfs_potentials,
+    connected_components,
     cover_graph,
     laplacian_finite,
 )
@@ -183,9 +184,10 @@ def is_conservative_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> bool:
 def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> DehnColoring:
     """Integrate a conservative vertex coloring to face colors from a base face.
 
-    Crossing an edge from the face on its right to the face on its left adds
-    color(head) - color(tail); conservativity makes the result independent of
-    the traversal order.
+    The face on the left of an edge is the face of its dart (e, "t"), the face
+    on its right that of (e, "h").  Crossing an edge from the face on its
+    right to the face on its left adds color(tail) - color(head);
+    conservativity makes the result independent of the traversal order.
     """
     g = pg.base
     alpha = [fld.of(a) for a in alpha]
@@ -213,7 +215,8 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
 
 
 def verify_dehn(pg: PlaneGraph, dc: DehnColoring, fld: Domain):
-    """Check the edge condition color(tail) + gamma(left) = color(head) + gamma(right)."""
+    """Check the edge condition color(tail) + gamma(right) = color(head) + gamma(left),
+    with left and right the faces of the darts (e, "t") and (e, "h")."""
     g = pg.base
     fl = faces(pg)
     fidx = face_index_of_darts(fl)
@@ -334,10 +337,13 @@ def residue_vector(g: FiniteGraph, comp: MedialComponent) -> list[int]:
 
 
 def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
-    """Residues of all medial components but one: a GF(2) basis of the bicycles.
+    """Residues of all medial components but one per connected component of
+    the graph: a GF(2) basis of the bicycles.
 
-    Raises if the residues fail to be a basis of the bicycle space, which for
-    a connected plane graph would contradict the rotation system being planar.
+    The dropped strand is ``base_component`` in its own graph component and
+    the first strand in every other one.  Raises if the residues fail to be a
+    basis of the bicycle space, which would contradict the rotation system
+    being planar.
     """
     from .colorings import bicycle_basis
     from .linalg import row_space_canonical
@@ -346,8 +352,14 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
     comps = medial_components(pg)
     if not 0 <= base_component < len(comps):
         raise ValueError(f"base component {base_component} out of range")
+    part = {v: i for i, vs in enumerate(connected_components(g)) for v in vs}
+    tail = {e.name: e.tail for e in g.edges}
+    home = [part[tail[c.crossings[0]]] for c in comps]
+    dropped = {home[base_component]: base_component}
+    for i, h in enumerate(home):
+        dropped.setdefault(h, i)
     vectors = [
-        residue_vector(g, c) for i, c in enumerate(comps) if i != base_component
+        residue_vector(g, c) for i, c in enumerate(comps) if dropped[home[i]] != i
     ]
     bicycles = bicycle_basis(g, GF2)
     want = row_space_canonical(bicycles, GF2)

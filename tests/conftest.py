@@ -2,7 +2,7 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
-expansion only, connectivity by union-find.
+expansion or dense Bareiss elimination, connectivity by union-find.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -80,6 +80,33 @@ def cofactor_det_poly(M):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def bareiss_det(M) -> int:
+    """Dense fraction-free (Bareiss) determinant of an integer matrix (test oracle)."""
+    n = len(M)
+    if n == 0:
+        return 1
+    a = [[int(v) for v in row] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            sel = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if sel is None:
+                return 0
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def all_minor_dets(M, size):

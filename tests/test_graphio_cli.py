@@ -1,9 +1,11 @@
 """The lapgraph v1 format and the command-line front end."""
 
 import json
+import sys
 
 import pytest
 
+from lapgraph import cli
 from lapgraph.cli import main
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
 from lapgraph.graphs import FiniteGraph, VoltageGraph
@@ -15,6 +17,7 @@ from lapgraph.library import (
     mitsubishi_quotient,
 )
 from lapgraph.planar import PlaneGraph, faces
+from lapgraph.spanning import GrowthReport
 
 LADDER_TEXT = """\
 lapgraph v1
@@ -183,6 +186,27 @@ def test_cli_medial_on_a_nonplanar_rotation_is_an_error(tmp_path, capsys):
     assert err.startswith("error: medial residues do not form a basis of the bicycle space")
 
 
+def test_cli_medial_on_disjoint_triangles(tmp_path, capsys):
+    lines = ["lapgraph v1"]
+    for c in "ab":
+        lines += [f"vertex {c}{i}" for i in (1, 2, 3)]
+        lines += [f"edge {c}e{i} {c}{i} {c}{i % 3 + 1}" for i in (1, 2, 3)]
+        lines += [f"rot {c}{i}: {c}e{i}.t {c}e{(i + 1) % 3 + 1}.h" for i in (1, 2, 3)]
+    path = tmp_path / "two_triangles.lapgraph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "medial", str(path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["components"]) == 2
+    assert data["shank_basis"] == []
+
+
+def test_cli_medial_has_no_base_face_option(graph_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["medial", str(graph_dir / "k4.lapgraph"), "--base-face", "0"])
+    assert exc.value.code == 2
+
+
 def test_bad_rotation_tokens_name_their_line():
     for rot, message in (
         ("rot v1: a.x r.t a.h", "bad edge-end token 'a.x' in rot 'v1'"),
@@ -234,6 +258,32 @@ def test_cli_growth(graph_dir, capsys):
         str(graph_dir / "ladder.lapgraph"),
     )
     assert code == 0 and "reference" in out
+
+
+HUGE = 10**5000 + 7  # more digits than str() converts by default (4300)
+HUGE_TEXT = "1" + "0" * 4999 + "7"
+
+
+def test_cli_prints_tree_counts_of_any_size(graph_dir, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    monkeypatch.setattr(cli, "complexity", lambda g: HUGE)
+    report = GrowthReport("covers", ((2, HUGE, 1.0),), 1.0)
+    monkeypatch.setattr(cli, "growth_covers", lambda vg, schedule, fibers: report)
+    ladder = str(graph_dir / "ladder.lapgraph")
+    code, out = run_cli(capsys, "trees", str(graph_dir / "k4.lapgraph"), "--json")
+    assert code == 0 and json.loads(out) == {"complexity": HUGE_TEXT}
+    code, out = run_cli(capsys, "trees", str(graph_dir / "k4.lapgraph"))
+    assert code == 0 and out == f"complexity T = {HUGE_TEXT}\n"
+    code, out = run_cli(capsys, "trees", "--cover", "3", ladder, "--json")
+    assert code == 0 and json.loads(out)["complexity"] == HUGE_TEXT
+    code, out = run_cli(capsys, "trees", "--cover", "3", ladder)
+    assert code == 0 and out.endswith(f"complexity T = {HUGE_TEXT}\n")
+    code, out = run_cli(capsys, "growth", "--max", "2", ladder, "--json")
+    assert code == 0 and json.loads(out)["rows"][0]["complexity"] == HUGE_TEXT
+    code, out = run_cli(capsys, "growth", "--max", "2", ladder)
+    assert code == 0 and f"{HUGE_TEXT[:21]}..." in out
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_cli_crsf_and_kappa(graph_dir, capsys):

@@ -4,9 +4,16 @@ import random
 
 import pytest
 
-from conftest import all_minor_dets, cofactor_det_poly
+from conftest import all_minor_dets, bareiss_det, cofactor_det_poly, random_voltage_graph
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
-from lapgraph.graphs import laplacian_finite, voltage_laplacian
+from lapgraph.graphs import (
+    RectangleSpec,
+    SublatticeSpec,
+    cover_graph,
+    laplacian_finite,
+    restriction_subgraph,
+    voltage_laplacian,
+)
 from lapgraph.laurent import LaurentPoly, divides, normalize, parse_poly
 from lapgraph.library import girder_quotient, k4_graph, ladder_quotient, mitsubishi_quotient
 from lapgraph.linalg import (
@@ -29,6 +36,69 @@ def test_int_det_against_cofactor_thousand_cases():
         n = rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert cofactor_det_poly(int_matrix_to_poly(M)) == int_det(M)
+
+
+def _random_int_matrix(rng, n, density):
+    M = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    if n >= 3 and rng.random() < 0.25:  # singular: one row a combination of two others
+        a, b, c = rng.sample(range(n), 3)
+        M[a] = [x - 2 * y for x, y in zip(M[b], M[c])]
+    if n and rng.random() < 0.3:
+        M[0][0] = 0
+    return M
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4, 0.7, 1.0])
+def test_int_det_matches_dense_bareiss(density):
+    rng = random.Random(int(density * 100))
+    zeros = 0
+    for _ in range(600):
+        M = _random_int_matrix(rng, rng.randint(0, 8), density)
+        d = int_det(M)
+        assert d == bareiss_det(M), M
+        zeros += d == 0
+    assert 0 < zeros < 600
+
+
+def test_int_det_sign_of_permutation_matrices():
+    # most pivots of a permutation matrix are zero, so most steps swap rows
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        P = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        assert int_det(P) == bareiss_det(P)
+
+
+def test_int_det_invariant_under_symmetric_permutation():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        M = _random_int_matrix(rng, n, rng.choice((0.2, 0.5, 0.9)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        PMPt = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        assert int_det(PMPt) == int_det(M) == bareiss_det(M)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_det_on_reduced_laplacians_of_covers_and_restrictions(seed):
+    rng = random.Random(700 + seed)
+    graphs = []
+    for _ in range(4):
+        vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9)
+        graphs.append(cover_graph(vg, SublatticeSpec.cyclic(rng.randint(2, 24))))
+        graphs.append(restriction_subgraph(vg, RectangleSpec((rng.randint(2, 24),))))
+        vg = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
+        a, d = rng.randint(1, 5), rng.randint(1, 5)
+        graphs.append(cover_graph(vg, SublatticeSpec.lattice2(((a, rng.randint(-2, 2)), (0, d)))))
+        graphs.append(restriction_subgraph(vg, RectangleSpec((rng.randint(1, 6), rng.randint(1, 6)))))
+    vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9)
+    graphs.append(cover_graph(vg, SublatticeSpec.cyclic(150 // len(vg.base.vertices))))
+    for g in graphs:
+        R = [row[:-1] for row in laplacian_finite(g)[:-1]]
+        assert int_det(R) == bareiss_det(R)
 
 
 def test_int_det_examples():

@@ -12,7 +12,7 @@ from lapgraph.colorings import (
     is_conservative_edge,
 )
 from lapgraph.fields import GF2, QQ, PrimeField
-from lapgraph.graphs import FiniteGraph, voltage_laplacian
+from lapgraph.graphs import FiniteGraph, connected_components, voltage_laplacian
 from lapgraph.library import (
     girder_plane_quotient,
     k4_plane,
@@ -138,6 +138,14 @@ def test_dehn_roundtrip_on_random_plane_graphs_gf5(batch):
         base_face = rng.randrange(len(faces(pg)))
         dc = dehn_extend(pg, alpha, base_face, GF5)
         assert dehn_restrict(dc) == alpha
+        # the documented sign: gamma(left) - gamma(right) = color(tail) - color(head)
+        fidx = face_index_of_darts(faces(pg))
+        g = pg.base
+        for e in g.edges:
+            left = dc.face_colors[fidx[(e.name, "t")]]
+            right = dc.face_colors[fidx[(e.name, "h")]]
+            step = (alpha[g.vertex_index(e.tail)] - alpha[g.vertex_index(e.head)]) % 5
+            assert (left - right) % 5 == step
         done += 1
 
 
@@ -263,6 +271,32 @@ def test_tree_has_empty_shank_basis():
     comps = medial_components(pg)
     assert len(comps) == 1
     assert shank_basis(pg, 0) == []
+
+
+def _two_triangles() -> PlaneGraph:
+    names = [f"{c}{i}" for c in "ab" for i in (1, 2, 3)]
+    edges = [(f"{c}e{i}", f"{c}{i}", f"{c}{i % 3 + 1}") for c in "ab" for i in (1, 2, 3)]
+    g = FiniteGraph.build(names, edges)
+    rot = {f"{c}{i}": f"{c}e{i}.t {c}e{(i + 1) % 3 + 1}.h" for c in "ab" for i in (1, 2, 3)}
+    return PlaneGraph(g, parse_rotations(g, rot))
+
+
+def test_shank_basis_drops_one_strand_per_graph_component():
+    pg = _two_triangles()
+    assert len(medial_components(pg)) == 2  # one strand around each triangle
+    assert shank_basis(pg, 0) == shank_basis(pg, 1) == []
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_shank_basis_on_random_disconnected_plane_graphs(seed):
+    rng = random.Random(20000 + seed)
+    while True:  # at least two graph components with edges, so with strands
+        pg = random_plane_graph(rng, max_edges=12, connected=False)
+        tails = {e.tail for e in pg.base.edges}
+        if sum(1 for c in connected_components(pg.base) if tails & set(c)) >= 2:
+            break
+    for base in range(len(medial_components(pg))):
+        shank_basis(pg, base)  # raises if the residues fail to be a basis
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -73,6 +73,40 @@ def test_tree_count_against_brute_force(batch):
         assert tree_count(g) == brute_force_tree_count(g)
 
 
+def _fourth_order(a: int, b: int, n: int) -> int:
+    """n-th term of x_{k+1} = 4 x_k - x_{k-1} with x_0 = a, x_1 = b."""
+    for _ in range(n):
+        a, b = b, 4 * b - a
+    return a
+
+
+# Closed forms at sizes where a dense O(N^3) elimination takes minutes.
+
+
+def test_ladder_cover_closed_form_at_512_sheets():
+    # C_n x K2: n L_n / 2 - n with L_n = (2 + sqrt 3)^n + (2 - sqrt 3)^n
+    n = 512
+    cover = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(n))
+    assert complexity(cover) == n * _fourth_order(2, 4, n) // 2 - n
+
+
+def test_circulant_cover_closed_form_at_1000_sheets():
+    # C_n(1, 2): n F_n^2 (Boesch-Prodinger)
+    n = 1000
+    f0, f1 = 0, 1
+    for _ in range(n):
+        f0, f1 = f1, f0 + f1
+    assert complexity(cover_graph(circulant_quotient((1, 2)), SublatticeSpec.cyclic(n))) == n * f0 * f0
+
+
+def test_ladder_strip_closed_form_at_512_vertices():
+    # P_n x K2: ((2 + sqrt 3)^n - (2 - sqrt 3)^n) / (2 sqrt 3)
+    assert [_fourth_order(0, 1, n) for n in range(1, 5)] == [1, 4, 15, 56]
+    strip = restriction_subgraph(ladder_quotient(), RectangleSpec((256,)))
+    assert len(strip.vertices) == 512
+    assert tree_count(strip) == _fourth_order(0, 1, 256)
+
+
 def test_complexity_examples():
     two_triangles = FiniteGraph.build(
         ["a", "b", "c", "d", "e", "f"],
