@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .laurent import format_poly, parse_poly
 from .linalg import elementary_divisor, int_matrix_to_poly
-from .mahler import mahler_1var, mahler_2var
+from .mahler import mahler
 from .planar import PlaneGraph, medial_components, medial_components_voltage, shank_basis
 from .spanning import (
     annular_connectivity,
@@ -314,7 +314,7 @@ def cmd_mahler(args) -> int:
         f = laplacian_determinant_polynomial(vg)
         if f.is_zero():
             raise SystemExit("error: Delta_0 is zero; Mahler measure undefined")
-    result = mahler_1var(f) if f.nvars == 1 else mahler_2var(f, args.fibers)
+    result = mahler(f, args.fibers)
     if args.json:
         print(
             json.dumps(

@@ -8,6 +8,20 @@ coefficients; the domain-aware operations (``normalize``, ``laurent_gcd``,
 ``divexact``, ``divides``) take an explicit coefficient domain from
 :mod:`lapgraph.fields` and keep prime-field coefficients reduced.
 
+The constructor is the one place zero coefficients are dropped: operations
+build their coefficient maps freely and let the constructor discard zeros
+(long division also pops them from its working remainder, whose leading term
+it reads).
+
+Division has one rule.  Both polynomials are shifted to ordinary
+polynomials, and f is divided by g's leading term in lex order (the largest
+exponent tuple) until the leading term of the remainder is not divisible by
+it (over the integers, also when the leading coefficients do not divide).  A
+single polynomial is a Groebner basis of the ideal it generates, so the
+remainder is zero exactly when g divides f (in the Laurent ring too, whose
+units are monomials); in one variable over a field it is the Euclidean
+remainder.
+
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
 
@@ -107,11 +121,7 @@ class LaurentPoly:
         self._check_compat(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -129,19 +139,13 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly.zero(self.nvars)
             return LaurentPoly(self.nvars, {e: c * other for e, c in self.coeffs.items()})
         self._check_compat(other)
         out: dict[Exponent, object] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -191,20 +195,11 @@ class LaurentPoly:
         out: dict[Exponent, object] = {}
         for (a, b), c in self.coeffs.items():
             e = (a + s * b,)
-            v = out.get(e, 0) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(1, out)
 
     def map_coefficients(self, fn) -> "LaurentPoly":
-        out = {}
-        for e, c in self.coeffs.items():
-            v = fn(c)
-            if v != 0:
-                out[e] = v
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.coeffs.items()})
 
     def reduce_to(self, dom: Domain) -> "LaurentPoly":
         """Map every coefficient into the given domain (reduces mod p for GF(p))."""
@@ -273,54 +268,41 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     return g
 
 
-# -- domain-aware internal arithmetic -----------------------------------------
+# -- division -----------------------------------------------------------------
 
 
-def _dmul(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    out: dict[Exponent, object] = {}
-    for e1, c1 in f.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = dom.add(out.get(e, dom.zero), dom.mul(c1, c2))
-            if dom.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return LaurentPoly(f.nvars, out)
+def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, LaurentPoly]:
+    """Long division of ordinary polynomials: (q, r) with f = q*g + r.
 
-def _dsub(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    out = dict(f.coeffs)
-    for e, c in g.coeffs.items():
-        s = dom.sub(out.get(e, dom.zero), c)
-        if dom.is_zero(s):
-            out.pop(e, None)
+    Divides by g's lex-leading term and stops at the first leading term of the
+    remainder that it does not divide; over the integers also when the
+    coefficient quotient is inexact.  If g divides f, every step divides, so
+    r is zero exactly when g divides f.  Coefficients must lie in the domain.
+    """
+    lead = max(g.coeffs)
+    lc = g.coeffs[lead]
+    rem = dict(f.coeffs)
+    quot: dict[Exponent, object] = {}
+    while rem:
+        top = max(rem)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            break
+        if dom.is_field:
+            qc = dom.div(rem[top], lc)
         else:
-            out[e] = s
-    return LaurentPoly(f.nvars, out)
-
-
-def _scale(f: LaurentPoly, c, dom: Domain) -> LaurentPoly:
-    if dom.is_zero(c):
-        return LaurentPoly.zero(f.nvars)
-    return f.map_coefficients(lambda a: dom.mul(a, c))
-
-
-# -- exact division -----------------------------------------------------------
-
-
-def _x_slices(f: LaurentPoly) -> dict[int, LaurentPoly]:
-    """Decompose a 2-variable polynomial as sum of x^a * (poly in y)."""
-    slices: dict[int, dict[Exponent, object]] = {}
-    for (a, b), c in f.coeffs.items():
-        slices.setdefault(a, {})[(b,)] = c
-    return {a: LaurentPoly(1, d) for a, d in sorted(slices.items())}
-
-def _from_x_slices(slices: dict[int, LaurentPoly]) -> LaurentPoly:
-    out: dict[Exponent, object] = {}
-    for a, p in slices.items():
-        for (b,), c in p.coeffs.items():
-            out[(a, b)] = c
-    return LaurentPoly(2, out)
+            qc, r = divmod(rem[top], lc)
+            if r:
+                break
+        quot[shift] = qc
+        for e, c in g.coeffs.items():
+            t = tuple(a + b for a, b in zip(e, shift))
+            s = dom.sub(rem.get(t, dom.zero), dom.mul(c, qc))
+            if dom.is_zero(s):
+                rem.pop(t, None)  # the loop reads max(rem)
+            else:
+                rem[t] = s
+    return LaurentPoly(f.nvars, quot), LaurentPoly(f.nvars, rem)
 
 
 def try_divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
@@ -337,8 +319,8 @@ def try_divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | N
     goffs = tuple(g.min_exp(v) for v in range(g.nvars))
     fo = f.shift(tuple(-a for a in foffs))
     go = g.shift(tuple(-a for a in goffs))
-    q = _divexact_ordinary(fo, go, dom)
-    if q is None:
+    q, r = _divmod(fo, go, dom)
+    if not r.is_zero():
         return None
     return q.shift(tuple(a - b for a, b in zip(foffs, goffs)))
 
@@ -359,76 +341,23 @@ def divides(g: LaurentPoly, f: LaurentPoly, dom: Domain) -> bool:
     return try_divexact(f, g, dom) is not None
 
 
-def _divexact_ordinary(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
-    if f.nvars == 1:
-        return _divexact_1(f, g, dom)
-    fs = _x_slices(f)
-    gs = _x_slices(g)
-    gdeg = max(gs)
-    glc = gs[gdeg]
-    quot: dict[int, LaurentPoly] = {}
-    rem = fs
-    while rem:
-        rdeg = max(rem)
-        if rdeg < gdeg:
-            return None
-        qc = _divexact_1(rem[rdeg], glc, dom)
-        if qc is None:
-            return None
-        quot[rdeg - gdeg] = qc
-        new_rem: dict[int, LaurentPoly] = dict(rem)
-        for a, gc in gs.items():
-            t = _dmul(gc, qc, dom)
-            cur = new_rem.get(a + rdeg - gdeg, LaurentPoly.zero(1))
-            diff = _dsub(cur, t, dom)
-            if diff.is_zero():
-                new_rem.pop(a + rdeg - gdeg, None)
-            else:
-                new_rem[a + rdeg - gdeg] = diff
-        rem = new_rem
-    return _from_x_slices(quot)
-
-
-def _divexact_1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
-    """Exact division of one-variable polynomials over the domain (Laurent ok).
-
-    Standard long division from the top; if f = g*q exactly then every leading
-    coefficient division is exact, so any failed step means g does not divide f.
-    """
-    if f.is_zero():
-        return LaurentPoly.zero(1)
-    if g.is_zero():
-        return None
-    gtop = g.max_exp(0)
-    gspan = gtop - g.min_exp(0)
-    glc = g.coeffs[(gtop,)]
-    rem = dict(f.coeffs)
-    quot: dict[Exponent, object] = {}
-    while rem:
-        rdeg = max(e[0] for e in rem)
-        rlo = min(e[0] for e in rem)
-        if rdeg - rlo < gspan:
-            return None
-        lc = rem[(rdeg,)]
-        if isinstance(dom, IntegerRing):
-            qc, r = divmod(lc, glc)
-            if r:
-                return None
-        else:
-            qc = dom.div(lc, glc)
-        shift = rdeg - gtop
-        quot[(shift,)] = qc
-        for (b,), c in g.coeffs.items():
-            e = (b + shift,)
-            s = dom.sub(rem.get(e, dom.zero), dom.mul(c, qc))
-            if dom.is_zero(s):
-                rem.pop(e, None)
-            else:
-                rem[e] = s
-    return LaurentPoly(1, quot)
-
-
 # -- greatest common divisors --------------------------------------------------
+
+
+def _x_slices(f: LaurentPoly) -> dict[int, LaurentPoly]:
+    """Decompose a 2-variable polynomial as sum of x^a * (poly in y)."""
+    slices: dict[int, dict[Exponent, object]] = {}
+    for (a, b), c in f.coeffs.items():
+        slices.setdefault(a, {})[(b,)] = c
+    return {a: LaurentPoly(1, d) for a, d in sorted(slices.items())}
+
+
+def _from_x_slices(slices: dict[int, LaurentPoly]) -> LaurentPoly:
+    out: dict[Exponent, object] = {}
+    for a, p in slices.items():
+        for (b,), c in p.coeffs.items():
+            out[(a, b)] = c
+    return LaurentPoly(2, out)
 
 
 def _content_int(f: LaurentPoly) -> int:
@@ -463,19 +392,8 @@ def _gcd1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 def _euclid1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     a, b = f, g
     while not b.is_zero():
-        a, b = b, _rem1(a, b, dom)
+        a, b = b, _divmod(a, b, dom)[1]
     return a
-
-def _rem1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    gdeg = g.max_exp(0)
-    glc = g.coeffs[(gdeg,)]
-    rem = LaurentPoly(1, dict(f.coeffs))
-    while not rem.is_zero() and rem.max_exp(0) >= gdeg:
-        rdeg = rem.max_exp(0)
-        qc = dom.div(rem.coeffs[(rdeg,)], glc)
-        t = _scale(g.shift((rdeg - gdeg,)), qc, dom)
-        rem = _dsub(rem, t, dom)
-    return rem
 
 
 def _content_x(f: LaurentPoly, dom: Domain) -> LaurentPoly:
@@ -511,7 +429,7 @@ def _pseudo_rem_x(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         # rem <- glc*rem - rlc*x^(rdeg-gdeg)*g
         glc2 = _from_x_slices({0: glc})
         rlc2 = _from_x_slices({rdeg - gdeg: rlc})
-        rem = _dsub(_dmul(glc2, rem, dom), _dmul(rlc2, g, dom), dom)
+        rem = (glc2 * rem - rlc2 * g).reduce_to(dom)
     return rem
 
 
@@ -548,8 +466,7 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
             _, rp = _primitive_x(r, dom)
             a, b = b, rp
     _, a = _primitive_x(a, dom)
-    result = _dmul(a, _from_x_slices({0: c}), dom)
-    return normalize(result, dom)
+    return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
 
 
 def gcd_many(polys, dom: Domain) -> LaurentPoly:
@@ -644,11 +561,7 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     for sgn, term in terms:
         c, exps = _parse_term(term, nvars)
         e = tuple(exps)
-        v = coeffs.get(e, 0) + sgn * c
-        if v == 0:
-            coeffs.pop(e, None)
-        else:
-            coeffs[e] = v
+        coeffs[e] = coeffs.get(e, 0) + sgn * c
     return LaurentPoly(nvars, coeffs)
 
 

@@ -78,10 +78,6 @@ class PlaneGraph:
     def is_voltage(self) -> bool:
         return isinstance(self.graph, VoltageGraph) and self.graph.rank == 1
 
-    def dart_vertex(self, d: Dart) -> str:
-        e = next(e for e in self.base.edges if e.name == d[0])
-        return e.tail if d[1] == "t" else e.head
-
     def _maps(self):
         """next/prev in rotation, and the opposite-end involution."""
         nxt: dict[Dart, Dart] = {}

@@ -24,7 +24,7 @@ from .graphs import (
 )
 from .laurent import LaurentPoly
 from .linalg import elementary_divisor, int_det
-from .mahler import mahler_1var, mahler_2var
+from .mahler import mahler
 
 
 def tree_count(g: FiniteGraph, delete_index: int | None = None) -> int:
@@ -40,12 +40,10 @@ def tree_count(g: FiniteGraph, delete_index: int | None = None) -> int:
         return 1
     k = n - 1 if delete_index is None else delete_index
     L = laplacian_finite(g)
-    reduced = [
-        [L[i][j] for j in range(n) if j != k]
-        for i in range(n)
-        if i != k
-    ]
-    return abs(int_det(reduced))
+    del L[k]
+    for row in L:
+        del row[k]
+    return abs(int_det(L))
 
 
 def complexity(g: FiniteGraph) -> int:
@@ -254,9 +252,7 @@ def _mahler_reference(vg: VoltageGraph, fibers: int) -> float:
     d0 = laplacian_determinant_polynomial(vg)
     if d0.is_zero():
         raise ValueError("Delta_0 vanishes; no growth reference")
-    if vg.rank == 1:
-        return mahler_1var(d0).value
-    return mahler_2var(d0, fibers).value
+    return mahler(d0, fibers).value
 
 
 def cover_rows(vg: VoltageGraph, schedule: list[int]) -> tuple[tuple[int, int, float], ...]:

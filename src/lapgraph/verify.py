@@ -3,8 +3,8 @@
 Each check reports PASS, FAIL, or SKIP.  The suite is the CLI's ``verify``
 subcommand; any FAIL gives exit status 1.  L is the voltage Laplacian,
 Delta_k its k-th elementary divisor, and s the first k with Delta_k nonzero
-over GF(2).  L, Delta_0 over the integers and (s, Delta_s) are computed once
-per input and shared by the checks below.
+over GF(2).  L, det L (whose normalized form is Delta_0 over the integers)
+and (s, Delta_s) are computed once per input and shared by the checks below.
 
 Voltage graphs of rank 1 or 2, plain or with a rotation system:
 
@@ -59,7 +59,7 @@ from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import LaurentPoly, divides, normalize
 from .linalg import det_laurent, elementary_divisor, first_nonzero_divisor, transpose
-from .mahler import mahler_1var, mahler_2var
+from .mahler import mahler
 from .planar import (
     PlaneGraph,
     compact_orbit_count,
@@ -121,7 +121,8 @@ def run_verify(
         lt = [[e.reciprocal() for e in row] for row in transpose(L)]
         record("laplacian-transpose", lt == L, "L(1/x) equals L(x)^T")
 
-        d0 = elementary_divisor(L, 0, ZZ)
+        det = det_laurent(L, ZZ)
+        d0 = det if det.is_zero() else normalize(det, ZZ)  # Delta_0 over the integers
         d0q = d0 if d0.is_zero() else normalize(d0, QQ)  # Delta_0 over the rationals
         s, ds = first_nonzero_divisor(L, GF2)
         if d0.is_zero():
@@ -173,7 +174,6 @@ def run_verify(
 
         if vg.rank == 1 and len(vg.base.edges) <= 16:
             rep = crsf_coefficients(vg)
-            det = det_laurent(L, ZZ)
             ok = rep.general_reconstruction == det
             detail = f"C_k = {rep.coefficients}"
             if rep.max_winding <= 1:
@@ -190,11 +190,7 @@ def run_verify(
 
         if len(connected_components(vg.base)) == 1 and not d0.is_zero():
             bound = grimmett_bound(vg)
-            m0 = (
-                mahler_1var(d0).value
-                if vg.rank == 1
-                else mahler_2var(d0, fibers).value
-            )
+            m0 = mahler(d0, fibers).value
             record(
                 "grimmett-bound",
                 bound >= m0 - 1e-9,

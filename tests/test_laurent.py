@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic, normalization, gcd, and the text syntax."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from lapgraph.fields import GF2, QQ, ZZ, PrimeField
 from lapgraph.laurent import (
     LaurentPoly,
     PolyParseError,
+    _divmod,
     divexact,
     divides,
     format_poly,
@@ -182,18 +184,64 @@ def test_divides_examples():
     assert q * (X - 1) ** 2 == lad
 
 
+GF5 = PrimeField(5)
+DOMAINS = (ZZ, QQ, GF5)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_divexact_inverts_multiplication(seed):
     rng = random.Random(seed)
-    for nvars in (1, 2):
-        f = _random_poly(rng, nvars)
-        g = _random_poly(rng, nvars)
-        if f.is_zero() or g.is_zero():
-            continue
-        assert divexact(f * g, g, ZZ) == f
-        # a perturbed product must never report a bogus quotient
-        q = try_divexact(f * g + 1, g, ZZ)
-        assert q is None or q * g == f * g + 1
+    for dom in DOMAINS:
+        for nvars in (1, 2):
+            f = _random_poly(rng, nvars).reduce_to(dom)
+            g = _random_poly(rng, nvars).reduce_to(dom)
+            if dom is QQ:
+                g = g * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            if f.is_zero() or g.is_zero():
+                continue
+            assert divexact(f * g, g, dom) == f
+            # a perturbed product must never report a bogus quotient
+            q = try_divexact(f * g + 1, g, dom)
+            assert q is None or (q * g).reduce_to(dom) == (f * g + 1).reduce_to(dom)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_divexact_rejects_remainders_narrower_than_the_divisor(seed):
+    # If g divided f*g + r it would divide r, and spans add under
+    # multiplication; so r != 0 narrower than g in some variable forbids it.
+    rng = random.Random(3000 + seed)
+    for dom in DOMAINS:
+        for nvars in (1, 2):
+            f = _random_poly(rng, nvars)
+            g = _random_poly(rng, nvars, max_terms=5).reduce_to(dom)
+            span = (0,) if g.is_zero() else g.degree_span()
+            v = span.index(max(span))
+            if span[v] == 0:
+                continue
+            # fold r's exponents in variable v into span[v] consecutive values
+            lo = rng.randint(-3, 3)
+            terms = _random_poly(rng, nvars, max_exp=3).coeffs.items()
+            r = LaurentPoly(
+                nvars, {e[:v] + (lo + e[v] % span[v],) + e[v + 1 :]: c for e, c in terms}
+            ).reduce_to(dom)
+            if r.is_zero():
+                continue
+            assert r.degree_span()[v] < span[v]
+            assert try_divexact(f * g + r, g, dom) is None
+            assert not divides(g, f * g + r, dom)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_divmod_gives_the_euclidean_remainder(seed):
+    # Build f = q*g + r with deg r < deg g over a field; (q, r) is unique.
+    rng = random.Random(5000 + seed)
+    for dom in (QQ, GF5):
+        deg = rng.randint(0, 4)
+        lead = {(deg,): rng.randint(1, 4)}  # nonzero mod 5
+        g = LaurentPoly(1, {(i,): rng.randint(-4, 4) for i in range(deg)} | lead).reduce_to(dom)
+        q = LaurentPoly(1, {(i,): rng.randint(-4, 4) for i in range(rng.randint(0, 4))}).reduce_to(dom)
+        r = LaurentPoly(1, {(i,): rng.randint(-4, 4) for i in range(deg)}).reduce_to(dom)
+        assert _divmod((q * g + r).reduce_to(dom), g, dom) == (q, r)
 
 
 def _random_poly(rng, nvars, max_terms=4, max_exp=2):
@@ -232,6 +280,31 @@ def test_gcd_two_variables():
     f = (core + 1) * (core - 3)
     g = (core + 1) * poly2("x*y - 2")
     assert laurent_gcd(f, g, ZZ) == normalize(core + 1, ZZ)
+
+
+def _stores_no_zero(f, dom=None):
+    return not any(c == 0 if dom is None else dom.is_zero(c) for c in f.coeffs.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys(nvars=2), laurent_polys(nvars=2), st.integers(min_value=-2, max_value=2))
+def test_no_operation_stores_a_zero_coefficient(f, g, s):
+    for h in (f + g, f - g, f - f, f * g, f * 0, (f * g).substitute_power(s)):
+        assert _stores_no_zero(h)
+    for dom in DOMAINS:
+        for h in (f + g, f - g, f * g):
+            assert _stores_no_zero(h.reduce_to(dom), dom)
+        if not g.reduce_to(dom).is_zero():
+            assert _stores_no_zero(divexact(f * g, g, dom), dom)
+
+
+def test_cancellations_leave_no_zero_coefficient():
+    assert parse_poly("x - x").coeffs == {}
+    assert poly2("x*y^-1 - 1").substitute_power(1).coeffs == {}
+    assert (poly1("3x + 1") + poly1("2x")).reduce_to(GF5).coeffs == {(0,): 1}
+    # (x + 1)(x + 4) = x^2 + 5x + 4, whose middle term vanishes mod 5
+    assert divexact(poly1("x^2 + 5x + 4"), poly1("x + 1"), GF5).coeffs == {(0,): 4, (1,): 1}
+    assert divexact(poly1("x^2 + 4"), poly1("x + 4"), GF5).coeffs == {(0,): 1, (1,): 1}
 
 
 # -- evaluation and substitution ----------------------------------------------------

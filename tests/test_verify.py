@@ -1,5 +1,6 @@
 """The verify suite: every check can FAIL, and each invariant is computed once."""
 
+import importlib
 import random
 from collections import Counter
 
@@ -13,6 +14,8 @@ from lapgraph.graphio import format_graph_file
 from lapgraph.graphs import voltage_laplacian
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.library import k4_plane, ladder_plane_quotient, mitsubishi_quotient
+
+mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is the function
 
 
 def _not_a_basis(*args):
@@ -92,17 +95,23 @@ def test_verify_computes_each_invariant_once(monkeypatch):
 
     for module in (linalg, spanning, verify):
         count(module, "elementary_divisor", lambda M, k, dom: ("delta", k, repr(dom)))
-    for module in (spanning, verify):
-        count(module, "mahler_1var", lambda *a: "mahler")
-        count(module, "mahler_2var", lambda *a: "mahler")
+    for module in (linalg, verify):
+        count(module, "det_laurent", lambda M, dom=ZZ: ("det", len(M), repr(dom)))
+    # mahler() dispatches through the mahler module's own bindings.
+    count(mahler_module, "mahler_1var", lambda *a: "mahler")
+    count(mahler_module, "mahler_2var", lambda *a: "mahler")
     count(verify, "first_nonzero_divisor", lambda *a: "gf2-scan")
 
-    verify.run_verify(ladder_plane_quotient(), max_cover=8, fibers=64)
+    pg = ladder_plane_quotient()
+    verify.run_verify(pg, max_cover=8, fibers=64)
     assert calls["mahler"] == 1
     assert calls["gf2-scan"] == 1
     delta0 = {key[2]: n for key, n in calls.items() if key[:2] == ("delta", 0)}
-    # Delta_0 over GF(2) comes from the scan; over Q it is normalized from ZZ.
-    assert delta0 == {"ZZ": 1, "GF(2)": 1}
+    # Delta_0 over GF(2) comes from the scan; over ZZ and Q it is normalized from det L.
+    assert delta0 == {"GF(2)": 1}
+    # The full-L determinant over the integers is computed once, for Delta_0
+    # and the Forman reconstruction alike.
+    assert calls[("det", len(voltage_laplacian(pg.graph)), "ZZ")] == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
