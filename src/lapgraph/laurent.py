@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from .fields import Domain, IntegerRing, PrimeField, RationalField
+from .fields import QQ, ZZ, Domain, IntegerRing, PrimeField, RationalField
 
 Exponent = tuple[int, ...]
 
@@ -380,8 +380,6 @@ def _gcd1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         c = int_gcd(cf, cg)
         pf = f.map_coefficients(lambda a: a // cf)
         pg = g.map_coefficients(lambda a: a // cg)
-        from .fields import QQ
-
         h = _euclid1(pf.map_coefficients(Fraction), pg.map_coefficients(Fraction), QQ)
         h = normalize(h, QQ)  # primitive integer coefficients
         return h * c
@@ -438,7 +436,10 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 
     One variable: Euclidean over fields, content/primitive-part over the
     integers.  Two variables: recursive content computation in (dom[y])[x]
-    with a primitive pseudo-remainder sequence.
+    with a primitive pseudo-remainder sequence; over the rationals the inputs
+    are first cleared to primitive integer polynomials, whose gcd over the
+    integers has the same primitive part (Gauss's lemma) and avoids Fraction
+    pseudo-remainders.
     """
     if f.is_zero() and g.is_zero():
         return LaurentPoly.zero(f.nvars)
@@ -450,6 +451,8 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         return normalize(f, dom)
     if f.nvars == 1:
         return normalize(_gcd1(f, g, dom), dom)
+    if isinstance(dom, RationalField):
+        return normalize(laurent_gcd(normalize(f, dom), normalize(g, dom), ZZ), dom)
     # two variables: shift to ordinary, strip content
     f = f.shift(tuple(-f.min_exp(v) for v in range(2)))
     g = g.shift(tuple(-g.min_exp(v) for v in range(2)))

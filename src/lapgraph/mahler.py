@@ -5,7 +5,10 @@ roots outside the unit circle.  Roots come from an Aberth simultaneous
 iteration started on a perturbed circle, with a Newton refinement pass and
 residual/coefficient-identity validation.  Factors of (x - 1) and (x + 1) are
 deflated exactly first, so the cyclotomic part common to graph polynomials
-contributes an exact zero.
+contributes an exact zero.  The refinement evaluates the integer polynomial
+exactly at each float iterate: a float is a dyadic rational (a + b*i)/2^e, so
+a Horner pass that scales by powers of 2^e stays in Gaussian integers, and
+each new float is one correctly rounded int/int division of exact values.
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
@@ -54,49 +57,68 @@ def _poly_deriv(coeffs: list[complex]) -> list[complex]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
+def _horner_dyadic(cs: list[int], a: int, b: int, e: int) -> tuple[int, int]:
+    """2^(e*deg) * p((a + b*i) / 2^e) as a Gaussian integer (re, im), deg = len(cs) - 1.
+
+    Homogeneous Horner: the coefficient met after j steps is scaled by 2^(e*j),
+    so every partial sum is an integer and no gcd is ever taken.
+    """
+    re = im = 0
+    shift = 0
+    for c in reversed(cs):
+        re, im = re * a - im * b + (c << shift), re * b + im * a
+        shift += e
+    return re, im
+
+
 def _refine_exact(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
-    """Sharpen roots by Newton on u = p/p' with exact rational evaluation.
+    """Sharpen roots by Newton on u = p/p' with exact dyadic evaluation.
 
     u has only simple roots, so multiple roots of p are refined at the same
-    quadratic rate.  Exact Gaussian-rational Horner evaluation sidesteps the
-    cancellation that defeats double-precision refinement near multiple roots;
-    iterates are rounded back to floats to keep the fractions small.
+    quadratic rate.  Exact evaluation sidesteps the cancellation that defeats
+    double-precision refinement near multiple roots; iterates are rounded back
+    to floats to keep the integers small.
+
+    A float iterate is exactly z = (a + b*i)/2^e, so with n = deg p the
+    Gaussian integers P = 2^(en) p(z), P' = 2^(e(n-1)) p'(z) and
+    P'' = 2^(e(n-2)) p''(z) are exact, and the Newton step on u is
+    t = p p' / (p'^2 - p p'') = P P' / (2^e (P'^2 - P P'')).  The step and the
+    new iterate a/2^e - t are each one int/int true division, which Python
+    rounds correctly, so they are the floats nearest the exact rationals:
+    the same floats a rational (Fraction) evaluation rounds to.
     """
     d1 = [k * c for k, c in enumerate(int_coeffs)][1:]
     d2 = [k * c for k, c in enumerate(d1)][1:]
-
-    def horner(cs, zr, zi):
-        ar = Fraction(0)
-        ai = Fraction(0)
-        for c in reversed(cs):
-            ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-        return ar, ai
-
-    def cdiv(ar, ai, br, bi):
-        den = br * br + bi * bi
-        return (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
-
     out = []
     for z in roots:
         for _ in range(3):
-            zr, zi = Fraction(z.real), Fraction(z.imag)
-            pr, pi = horner(int_coeffs, zr, zi)
+            xn, xd = z.real.as_integer_ratio()
+            yn, yd = z.imag.as_integer_ratio()
+            e = max(xd, yd).bit_length() - 1  # both denominators are powers of 2
+            a = xn << (e - xd.bit_length() + 1)
+            b = yn << (e - yd.bit_length() + 1)
+            pr, pi = _horner_dyadic(int_coeffs, a, b, e)
             if pr == 0 and pi == 0:
                 break
-            dr, di = horner(d1, zr, zi)
+            dr, di = _horner_dyadic(d1, a, b, e)
             if dr == 0 and di == 0:
                 break
-            ur, ui = cdiv(pr, pi, dr, di)
-            sr, si = horner(d2, zr, zi)
-            qr, qi = cdiv(pr * sr - pi * si, pr * si + pi * sr, dr * dr - di * di, 2 * dr * di)
-            den_r, den_i = 1 - qr, -qi
+            sr, si = _horner_dyadic(d2, a, b, e)
+            # D = P'^2 - P P'', N = P P'; t = N conj(D) / (2^e |D|^2)
+            den_r = dr * dr - di * di - (pr * sr - pi * si)
+            den_i = 2 * dr * di - (pr * si + pi * sr)
             if den_r == 0 and den_i == 0:
                 break
-            tr, ti = cdiv(ur, ui, den_r, den_i)
-            step = complex(float(tr), float(ti))
+            nr = pr * dr - pi * di
+            ni = pr * di + pi * dr
+            norm = den_r * den_r + den_i * den_i
+            tr = nr * den_r + ni * den_i
+            ti = ni * den_r - nr * den_i
+            scale = norm << e
+            step = complex(tr / scale, ti / scale)
             if abs(step) > 0.5 * max(1.0, abs(z)):
                 break
-            z = complex(float(zr - tr), float(zi - ti))
+            z = complex((a * norm - tr) / scale, (b * norm - ti) / scale)
             if abs(step) < 1e-16 * max(1.0, abs(z)):
                 break
         out.append(z)
@@ -109,7 +131,8 @@ def _aberth_roots(
     """All roots of a polynomial with nonzero first and last coefficient.
 
     When the integer coefficient list is supplied the final refinement runs in
-    exact rational arithmetic, which keeps multiple roots at full precision.
+    exact (dyadic integer) arithmetic, which keeps multiple roots at full
+    precision.
     """
     s = len(coeffs) - 1
     if s < 1:

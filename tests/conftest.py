@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
-expansion or dense Bareiss elimination, connectivity by union-find.
+expansion or dense Bareiss elimination, connectivity by union-find, Newton
+root refinement in exact rationals (Fraction), two-variable gcds by a
+pseudo-remainder sequence over the coefficient domain itself.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -14,9 +16,11 @@ reversal.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from lapgraph.graphs import FiniteGraph, VoltageGraph
+from lapgraph.laurent import _from_x_slices, _gcd1, _primitive_x, _pseudo_rem_x, normalize
 from lapgraph.planar import PlaneGraph
 
 
@@ -109,6 +113,54 @@ def bareiss_det(M) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
+    """Newton on u = p/p' with Gaussian-rational Horner evaluation (test oracle).
+
+    The rational form of ``mahler._refine_exact``: same steps, same early
+    exits, every quantity an exact Fraction rounded to float only for the step
+    and the new iterate.
+    """
+    d1 = [k * c for k, c in enumerate(int_coeffs)][1:]
+    d2 = [k * c for k, c in enumerate(d1)][1:]
+
+    def horner(cs, zr, zi):
+        ar = Fraction(0)
+        ai = Fraction(0)
+        for c in reversed(cs):
+            ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+        return ar, ai
+
+    def cdiv(ar, ai, br, bi):
+        den = br * br + bi * bi
+        return (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
+
+    out = []
+    for z in roots:
+        for _ in range(3):
+            zr, zi = Fraction(z.real), Fraction(z.imag)
+            pr, pi = horner(int_coeffs, zr, zi)
+            if pr == 0 and pi == 0:
+                break
+            dr, di = horner(d1, zr, zi)
+            if dr == 0 and di == 0:
+                break
+            ur, ui = cdiv(pr, pi, dr, di)
+            sr, si = horner(d2, zr, zi)
+            qr, qi = cdiv(pr * sr - pi * si, pr * si + pi * sr, dr * dr - di * di, 2 * dr * di)
+            den_r, den_i = 1 - qr, -qi
+            if den_r == 0 and den_i == 0:
+                break
+            tr, ti = cdiv(ur, ui, den_r, den_i)
+            step = complex(float(tr), float(ti))
+            if abs(step) > 0.5 * max(1.0, abs(z)):
+                break
+            z = complex(float(zr - tr), float(zi - ti))
+            if abs(step) < 1e-16 * max(1.0, abs(z)):
+                break
+        out.append(z)
+    return out
+
+
 def all_minor_dets(M, size):
     """Cofactor determinants of every size x size submatrix (test oracle)."""
     n = len(M)
@@ -117,6 +169,32 @@ def all_minor_dets(M, size):
         for cols in combinations(range(n), size):
             out.append(cofactor_det_poly([[M[i][j] for j in cols] for i in rows]))
     return out
+
+
+def laurent_gcd_pseudo_rem(f, g, dom):
+    """gcd of nonzero two-variable Laurent polynomials, computed over dom itself (test oracle).
+
+    Content in y and a primitive pseudo-remainder sequence in (dom[y])[x], with
+    every coefficient in dom: over QQ this is the Fraction loop that
+    ``laurent_gcd`` replaces by the integer one.
+    """
+    f = f.reduce_to(dom)
+    g = g.reduce_to(dom)
+    f = f.shift(tuple(-f.min_exp(v) for v in range(2)))
+    g = g.shift(tuple(-g.min_exp(v) for v in range(2)))
+    cf, pf = _primitive_x(f, dom)
+    cg, pg = _primitive_x(g, dom)
+    c = _gcd1(cf, cg, dom)
+    a, b = pf, pg
+    while not b.is_zero():
+        r = _pseudo_rem_x(a, b, dom)
+        if r.is_zero():
+            a, b = b, r
+        else:
+            _, rp = _primitive_x(r, dom)
+            a, b = b, rp
+    _, a = _primitive_x(a, dom)
+    return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
 
 
 # -- random multigraphs ------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Laurent polynomial arithmetic, normalization, gcd, and the text syntax."""
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import laurent_gcd_pseudo_rem
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
 from lapgraph.laurent import (
     LaurentPoly,
@@ -280,6 +283,45 @@ def test_gcd_two_variables():
     f = (core + 1) * (core - 3)
     g = (core + 1) * poly2("x*y - 2")
     assert laurent_gcd(f, g, ZZ) == normalize(core + 1, ZZ)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rational_gcd_two_variables_matches_pseudo_remainder_oracle(seed):
+    rng = random.Random(7000 + seed)
+
+    def rational(**sizes):
+        while True:
+            f = _random_poly(rng, 2, **sizes)
+            if not f.is_zero():
+                return f.map_coefficients(lambda c: Fraction(c, rng.randint(1, 4)))
+
+    h = rational(max_terms=3, max_exp=1)
+    f = rational()
+    g = rational()
+    got = laurent_gcd(f * h, g * h, QQ)
+    want = laurent_gcd_pseudo_rem(f * h, g * h, QQ)
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+    assert divides(normalize(h, QQ), got, QQ)
+
+
+def test_rational_gcd_of_a_coprime_pair_is_one():
+    # over QQ the Fraction pseudo-remainder sequence took 25 s on this pair
+    f = poly2("3x^-3 + x^-1y^-2 - 3xy^-3 + 6x^3 - 5x^2y^2")
+    g = poly2("-6x^-3y^-2 + 3x^-2y^-3 - 5y^-3 - 3x^-3y^2 - 3x^2y^-1")
+    assert laurent_gcd(f, g, QQ) == LaurentPoly.constant(1, 2)
+
+
+def test_gcd_keeps_its_own_domains_after_a_reimport(monkeypatch):
+    # a re-import puts a second lapgraph.fields in sys.modules (as a benchmark
+    # that imports afresh does); the gcd must not pick up its QQ at call time
+    laurent = importlib.import_module("lapgraph.laurent")
+    for name in [m for m in sys.modules if m.split(".")[0] == "lapgraph"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("lapgraph.fields")
+    common = poly1("2x + 1")
+    got = laurent.laurent_gcd(common * poly1("x - 3"), common * poly1("x + 5"), ZZ)
+    assert got == common and all(type(c) is int for c in got.coeffs.values())
 
 
 def _stores_no_zero(f, dom=None):

@@ -1,18 +1,23 @@
 """Mahler measures: Jensen roots in one variable, fiberwise Jensen in two."""
 
+import importlib
 import math
 import random
 
 import pytest
 
+from conftest import refine_exact_fraction
 from lapgraph.laurent import LaurentPoly, parse_poly
 from lapgraph.mahler import (
+    RootFindingError,
     _fiber_measure,
     mahler,
     mahler_1var,
     mahler_2var,
     mahler_limit_check,
 )
+
+mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is also a function
 
 LOG_2_PLUS_SQRT3 = math.log(2 + math.sqrt(3))
 LOG_GOLDEN_SQ = math.log((3 + math.sqrt(5)) / 2)
@@ -80,6 +85,66 @@ def test_reciprocal_invariance(seed):
     rng = random.Random(1000 + seed)
     f = _random_int_poly(rng, rng.randint(1, 5))
     assert abs(mahler_1var(f).value - mahler_1var(f.reciprocal()).value) < 1e-12
+
+
+def _refinement_inputs(monkeypatch, f):
+    """The (integer coefficients, Aberth roots) pairs mahler_1var(f) refines."""
+    seen = []
+
+    def record(int_coeffs, roots):
+        seen.append((list(int_coeffs), list(roots)))
+        return roots
+
+    with monkeypatch.context() as m:
+        m.setattr(mahler_module, "_refine_exact", record)
+        try:
+            mahler_1var(f)
+        except RootFindingError:
+            pass  # unrefined roots may miss the residual gate
+    return seen
+
+
+def _assert_refinements_agree(monkeypatch, f):
+    inputs = _refinement_inputs(monkeypatch, f)
+    for int_coeffs, roots in inputs:
+        got = mahler_module._refine_exact(int_coeffs, roots)
+        want = refine_exact_fraction(int_coeffs, roots)
+        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
+    return inputs
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_dyadic_refinement_matches_fraction_oracle_on_random_polys(monkeypatch, seed):
+    # a third are squares, so they have repeated roots; degree at most 14 either way
+    rng = random.Random(3000 + seed)
+    squared = seed % 3 == 0
+    f = _random_int_poly(rng, rng.randint(1, 7 if squared else 14))
+    _assert_refinements_agree(monkeypatch, f * f if squared else f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [poly2("4 - x - x^-1 - y - y^-1").substitute_power(s) for s in (8, 16, 24, 32)]
+    + [poly1("x^2-4x+1") ** k for k in range(1, 9)]
+    + [poly1("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1")],
+    ids=[f"grid-x^{s}" for s in (8, 16, 24, 32)] + [f"power-{k}" for k in range(1, 9)] + ["lehmer"],
+)
+def test_dyadic_refinement_matches_fraction_oracle(monkeypatch, f):
+    assert _assert_refinements_agree(monkeypatch, f)
+
+
+def test_closed_forms_at_degree_256_and_128():
+    assert abs(mahler_1var(poly1("x^256 - 2")).value - math.log(2)) < 1e-12
+    # roots x^64 = phi^2 or phi^-2, so 64 roots of modulus phi^(1/32) lie outside
+    phi = (1 + math.sqrt(5)) / 2
+    assert abs(mahler_1var(poly1("x^128 - 3x^64 + 1")).value - 2 * math.log(phi)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, RootFindingError))
+def test_high_multiplicity_power_matches_closed_form():
+    # Aberth stalls on 16-fold roots: k = 12 is already 6.6e-8 off and k = 16
+    # fails the root-sum identity; removing repeated roots first should fix it
+    assert abs(mahler_1var(poly1("x^2-4x+1") ** 16).value - 16 * LOG_2_PLUS_SQRT3) < 1e-9
 
 
 def test_grid_polynomial_two_variables():
