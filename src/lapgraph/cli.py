@@ -2,16 +2,15 @@
 
 Subcommands: delta, bicycle, medial, trees, growth, crsf, kappa, mahler,
 verify.  Every subcommand reads the lapgraph v1 file format and offers a
---json twin of its table output.  The LAPGRAPH_THREADS environment variable
-is accepted for compatibility; this implementation computes sequentially, and
-all outputs are deterministic for a given input.
+--json twin of its table output; all outputs are deterministic for a given
+input.  Bad input or usage exits 2; a failed check (verify's FAIL, crsf's
+MISMATCH) exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .graphs import (
     laplacian_finite,
     voltage_laplacian,
 )
-from .laurent import format_poly, parse_poly
-from .linalg import elementary_divisor, int_matrix_to_poly
+from .laurent import format_poly, normalize, parse_poly
+from .linalg import det_laurent, elementary_divisor, int_matrix_to_poly
 from .mahler import mahler
 from .planar import PlaneGraph, medial_components, medial_components_voltage, shank_basis
 from .spanning import (
@@ -51,7 +50,7 @@ def _voltage_of(obj) -> VoltageGraph:
         return obj.graph
     if isinstance(obj, VoltageGraph):
         return obj
-    raise SystemExit("error: this command needs a voltage graph (d >= 1)")
+    raise ValueError("this command needs a voltage graph (d >= 1)")
 
 
 def _base_of(obj) -> FiniteGraph:
@@ -79,18 +78,6 @@ def _digits(t: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _check_threads_env():
-    raw = os.environ.get("LAPGRAPH_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: LAPGRAPH_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit("error: LAPGRAPH_THREADS must be at least 1")
-
-
 def cmd_delta(args) -> int:
     obj = _load(args.file)
     dom = domain_from_spec(args.field)
@@ -114,7 +101,7 @@ def cmd_bicycle(args) -> int:
     base = _base_of(obj)
     fld = domain_from_spec(args.field)
     if not getattr(fld, "is_field", False):
-        raise SystemExit("error: bicycle needs a field (q or gf:P)")
+        raise ValueError("bicycle needs a field (q or gf:P)")
     basis = bicycle_basis(base, fld)
     if args.json:
         print(
@@ -137,7 +124,7 @@ def cmd_bicycle(args) -> int:
 def cmd_medial(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, PlaneGraph):
-        raise SystemExit("error: medial needs rotation lines in the graph file")
+        raise ValueError("medial needs rotation lines in the graph file")
     payload = {"components": []}
     if obj.is_voltage:
         comps = medial_components_voltage(obj)
@@ -184,7 +171,7 @@ def _parse_cover(spec: str, rank: int) -> SublatticeSpec:
     if len(parts) == 4:
         a, b, c, d = (int(p) for p in parts)
         return SublatticeSpec.lattice2(((a, b), (c, d)))
-    raise SystemExit("error: --cover needs n or a,b,c,d (2x2 row-major)")
+    raise ValueError("--cover needs n or a,b,c,d (2x2 row-major)")
 
 
 def cmd_trees(args) -> int:
@@ -267,12 +254,9 @@ def cmd_crsf(args) -> int:
     obj = _load(args.file)
     vg = _voltage_of(obj)
     rep = crsf_coefficients(vg)
-    d0 = laplacian_determinant_polynomial(vg)
-    from .laurent import normalize as _norm
-
-    matches = (
-        rep.reconstruction.is_zero() if d0.is_zero() else _norm(rep.reconstruction, ZZ) == d0
-    )
+    det = det_laurent(voltage_laplacian(vg))
+    d0 = det if det.is_zero() else normalize(det, ZZ)
+    matches = rep.matches(det)
     if args.json:
         print(
             json.dumps(
@@ -288,7 +272,10 @@ def cmd_crsf(args) -> int:
         for k, c in rep.coefficients.items():
             print(f"C_{k} = {c}")
         print(f"sum C_k (2 - x - x^-1)^k = {format_poly(rep.reconstruction)}")
-        print(f"Delta_0 = {format_poly(d0)}  ({'match' if matches else 'MISMATCH'})")
+        status = "match" if matches else "MISMATCH"
+        if rep.max_winding > 1:
+            status += f"; windings up to {rep.max_winding}: product form only"
+        print(f"Delta_0 = {format_poly(d0)}  ({status})")
     return 0 if matches else 1
 
 
@@ -305,7 +292,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_mahler(args) -> int:
     if (args.poly is None) == (args.from_graph is None):
-        raise SystemExit("error: give exactly one of --poly or --from-graph")
+        raise ValueError("give exactly one of --poly or --from-graph")
     if args.poly is not None:
         f = parse_poly(args.poly)
     else:
@@ -313,7 +300,7 @@ def cmd_mahler(args) -> int:
         vg = _voltage_of(obj)
         f = laplacian_determinant_polynomial(vg)
         if f.is_zero():
-            raise SystemExit("error: Delta_0 is zero; Mahler measure undefined")
+            raise ValueError("Delta_0 is zero; Mahler measure undefined")
     result = mahler(f, args.fibers)
     if args.json:
         print(
@@ -415,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _check_threads_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -100,19 +100,6 @@ class VoltageGraph:
             volts.append(tuple(s))
         return cls(FiniteGraph(tuple(vertices), tuple(es)), rank, tuple(volts))
 
-    def with_reversed_edge(self, edge_name: str) -> "VoltageGraph":
-        """Same graph with one edge's orientation flipped and voltage negated."""
-        es = []
-        volts = []
-        for e, s in zip(self.base.edges, self.voltages):
-            if e.name == edge_name:
-                es.append(Edge(e.name, e.head, e.tail))
-                volts.append(tuple(-a for a in s))
-            else:
-                es.append(e)
-                volts.append(s)
-        return VoltageGraph(FiniteGraph(self.base.vertices, tuple(es)), self.rank, tuple(volts))
-
 
 @dataclass(frozen=True)
 class SublatticeSpec:
@@ -310,17 +297,6 @@ def restriction_subgraph(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
     return FiniteGraph(tuple(vertices), tuple(edges))
 
 
-def wrapping_edge_count(vg: VoltageGraph, rect: RectangleSpec) -> int:
-    """Number of (edge, translate) pairs leaving the box; complements the restriction."""
-    count = 0
-    for s in vg.voltages:
-        for c in rect.points():
-            c2 = tuple(a + b for a, b in zip(c, s))
-            if c2 not in rect:
-                count += 1
-    return count
-
-
 # -- components ------------------------------------------------------------------
 
 
@@ -396,20 +372,3 @@ def subgraph_on(g: FiniteGraph, vertices: list[str]) -> FiniteGraph:
     vs = tuple(v for v in g.vertices if v in keep)
     es = tuple(e for e in g.edges if e.tail in keep and e.head in keep)
     return FiniteGraph(vs, es)
-
-
-def degree_certificate(g: FiniteGraph):
-    """A cheap isomorphism certificate: size data plus sorted local degree views."""
-    degs = {v: g.degree(v) for v in g.vertices}
-    local = []
-    for v in g.vertices:
-        nbrs = []
-        for e in g.edges:
-            if e.tail == v and e.head != v:
-                nbrs.append(degs[e.head])
-            elif e.head == v and e.tail != v:
-                nbrs.append(degs[e.tail])
-            elif e.tail == v and e.head == v:
-                nbrs.append(-1)  # loop marker
-        local.append((degs[v], tuple(sorted(nbrs))))
-    return (len(g.vertices), len(g.edges), tuple(sorted(local)))

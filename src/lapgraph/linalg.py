@@ -3,14 +3,17 @@ and elementary divisors of Laurent-polynomial matrices.
 
 Matrices are plain lists of row lists.  Field entries are whatever the domain
 object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
-hold :class:`~lapgraph.laurent.LaurentPoly` entries.
+hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
+coefficients.  Every determinant is taken over the integers; a coefficient
+domain enters only at the gcd of the elementary divisors, where each integer
+minor is reduced into it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
 
-from .fields import Domain, IntegerRing
+from .fields import ZZ, Domain
 from .laurent import LaurentPoly, divexact, gcd_many
 
 Matrix = list[list]
@@ -23,10 +26,6 @@ def _check_rect(M: Matrix):
 
 def transpose(M: Matrix) -> Matrix:
     return [list(col) for col in zip(*M)] if M else []
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
@@ -212,7 +211,7 @@ def int_det(M: Matrix) -> int:
 # -- Laurent-polynomial determinants and elementary divisors --------------------
 
 
-def _det_cofactor_poly(M: Matrix, dom: Domain) -> LaurentPoly:
+def _det_cofactor_poly(M: Matrix) -> LaurentPoly:
     n = len(M)
     if n == 0:
         raise ValueError("empty matrix in polynomial cofactor determinant")
@@ -226,26 +225,33 @@ def _det_cofactor_poly(M: Matrix, dom: Domain) -> LaurentPoly:
         if M[0][j].is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in rest]
-        term = M[0][j] * _det_cofactor_poly(minor, dom)
+        term = M[0][j] * _det_cofactor_poly(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
 
-def det_laurent(M: Matrix, dom: Domain = IntegerRing()) -> LaurentPoly:
-    """Exact determinant of a square matrix of Laurent polynomials.
+def det_laurent(M: Matrix) -> LaurentPoly:
+    """Exact determinant of a square matrix of integer Laurent polynomials.
 
     Cofactor expansion for orders up to 4; fraction-free Bareiss elimination
-    with exact polynomial division above that.  The domain governs coefficient
-    arithmetic in the division steps (integers for integer-coefficient input).
+    above that.  Every Bareiss entry is a minor of the matrix, so each
+    polynomial division is exact over the integers.  A coefficient that is
+    not an int raises ValueError: reduce the integer determinant into a
+    domain instead of reducing the matrix.
     """
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
+    for row in M:
+        for e in row:
+            for c in e.coeffs.values():
+                if not isinstance(c, int):
+                    raise ValueError(f"determinant needs integer coefficients, got {c!r}")
     if n == 0:
         return LaurentPoly.constant(1, 1)
     nvars = M[0][0].nvars
     if n <= 4:
-        return _det_cofactor_poly(M, dom)
+        return _det_cofactor_poly(M)
     a = [row[:] for row in M]
     sign = 1
     prev = LaurentPoly.constant(1, nvars)
@@ -260,7 +266,7 @@ def det_laurent(M: Matrix, dom: Domain = IntegerRing()) -> LaurentPoly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev, dom)
+                a[i][j] = divexact(num, prev, ZZ)
             a[i][k] = LaurentPoly.zero(nvars)
         prev = pivot
     det = a[n - 1][n - 1]
@@ -270,9 +276,11 @@ def det_laurent(M: Matrix, dom: Domain = IntegerRing()) -> LaurentPoly:
 def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     """k-th elementary divisor: gcd over the domain of all (n-k) x (n-k) minors.
 
-    Entries are reduced into the domain before the determinants are taken, so
-    prime-field divisors see the matrix mod p.  Returns the zero polynomial if
-    every minor vanishes; k = n is allowed and yields 1 (empty minor).
+    M has integer coefficients.  Each minor is an integer determinant
+    (:func:`det_laurent`) reduced into the domain, and the gcd is taken there;
+    since reduction mod p is a ring map, a prime-field divisor is the gcd of
+    the minors of M mod p.  Returns the zero polynomial if every minor
+    vanishes; k = n is allowed and yields 1 (empty minor).
     """
     n = len(M)
     if any(len(r) != n for r in M):
@@ -283,12 +291,10 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     if k == n:
         return LaurentPoly.constant(dom.one, nvars)
     size = n - k
-    R = [[e.reduce_to(dom) for e in row] for row in M]
     dets = []
     for rows in combinations(range(n), size):
         for cols in combinations(range(n), size):
-            sub = [[R[i][j] for j in cols] for i in rows]
-            d = det_laurent(sub, dom).reduce_to(dom)
+            d = det_laurent([[M[i][j] for j in cols] for i in rows]).reduce_to(dom)
             if not d.is_zero():
                 dets.append(d)
     if not dets:

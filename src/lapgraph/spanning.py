@@ -22,27 +22,25 @@ from .graphs import (
     subgraph_on,
     voltage_laplacian,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, normalize
 from .linalg import elementary_divisor, int_det
 from .mahler import mahler
 
 
-def tree_count(g: FiniteGraph, delete_index: int | None = None) -> int:
+def tree_count(g: FiniteGraph) -> int:
     """Number of spanning trees by the matrix-tree theorem (exact).
 
-    Deletes one row and column of the Laplacian (the last by default) and
-    takes the absolute determinant.  Requires a connected graph.
+    Deletes the last row and column of the Laplacian and takes the absolute
+    determinant.  Requires a connected graph.
     """
     if len(connected_components(g)) != 1:
         raise ValueError("tree count needs a connected graph")
-    n = len(g.vertices)
-    if n == 1:
+    if len(g.vertices) == 1:
         return 1
-    k = n - 1 if delete_index is None else delete_index
     L = laplacian_finite(g)
-    del L[k]
+    del L[-1]
     for row in L:
-        del row[k]
+        del row[-1]
     return abs(int_det(L))
 
 
@@ -77,20 +75,39 @@ class CrsfReport:
     general_reconstruction: LaurentPoly
     max_winding: int
 
+    def matches(self, det: LaurentPoly) -> bool:
+        """Whether the sums reconstruct det L (det L, not yet normalized).
 
-def crsf_coefficients(vg: VoltageGraph, max_edges: int = 16) -> CrsfReport:
+        The product form must equal det L.  The annulus sum must equal
+        Delta_0, the normalized det L, only when every winding is at most 1.
+        """
+        if self.general_reconstruction != det:
+            return False
+        if self.max_winding > 1:
+            return True
+        if det.is_zero():
+            return self.reconstruction.is_zero()
+        return normalize(self.reconstruction, ZZ) == normalize(det, ZZ)
+
+
+# Largest quotient crsf_coefficients enumerates: C(16, n) edge subsets.
+CRSF_MAX_EDGES = 16
+
+
+def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
     """Brute-force enumeration of essential CRSFs of a rank-1 quotient.
 
     A qualifying edge subset covers every vertex, gives each component exactly
     one independent cycle, and every component cycle has nonzero net voltage.
+    Quotients with more than ``CRSF_MAX_EDGES`` edges raise ValueError.
     """
     if vg.rank != 1:
         raise ValueError("CRSF coefficients are defined for rank-1 quotients")
     g = vg.base
     m = len(g.edges)
     n = len(g.vertices)
-    if m > max_edges:
-        raise ValueError(f"quotient too large for brute force ({m} > {max_edges} edges)")
+    if m > CRSF_MAX_EDGES:
+        raise ValueError(f"quotient too large for brute force ({m} > {CRSF_MAX_EDGES} edges)")
     volts = [s[0] for s in vg.voltages]
     counts: dict[int, int] = {}
     general = LaurentPoly.zero(1)

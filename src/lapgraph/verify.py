@@ -3,8 +3,11 @@
 Each check reports PASS, FAIL, or SKIP.  The suite is the CLI's ``verify``
 subcommand; any FAIL gives exit status 1.  L is the voltage Laplacian,
 Delta_k its k-th elementary divisor, and s the first k with Delta_k nonzero
-over GF(2).  L, det L (whose normalized form is Delta_0 over the integers)
-and (s, Delta_s) are computed once per input and shared by the checks below.
+over GF(2).  L and det L are computed once per input and shared by the checks
+below.  det L is taken over the integers; its normalized form is Delta_0 over
+the integers and the rationals, and reduced mod 2 it gives Delta_0 over GF(2).
+Delta_k over GF(2) for k >= 1 is computed only while the divisors before it
+vanish, so s and Delta_s cost no second determinant of L.
 
 Voltage graphs of rank 1 or 2, plain or with a rotation system:
 
@@ -19,7 +22,8 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   k <= n (n <= 5 vertices) or k <= 3.
 - ``forman-reconstruction`` (rank 1): the CRSF product-form sum equals
   det L, and sum C_k (2 - x - 1/x)^k equals Delta_0 when every CRSF cycle
-  winds at most once.  SKIP above 16 edges.
+  winds at most once (:meth:`CrsfReport.matches`).  SKIP above
+  ``CRSF_MAX_EDGES`` (16) edges.
 - ``grimmett-bound``: |V| log(2|E|/|V|) >= m(Delta_0).
 - ``growth-vs-mahler``: |(1/r) log T(G_r) - m(Delta_0)| at the largest
   cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).
@@ -58,7 +62,7 @@ from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_ba
 from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import LaurentPoly, divides, normalize
-from .linalg import det_laurent, elementary_divisor, first_nonzero_divisor, transpose
+from .linalg import det_laurent, elementary_divisor, transpose
 from .mahler import mahler
 from .planar import (
     PlaneGraph,
@@ -71,6 +75,7 @@ from .planar import (
     shank_basis,
 )
 from .spanning import (
+    CRSF_MAX_EDGES,
     annular_connectivity,
     cover_rows,
     crsf_coefficients,
@@ -121,10 +126,15 @@ def run_verify(
         lt = [[e.reciprocal() for e in row] for row in transpose(L)]
         record("laplacian-transpose", lt == L, "L(1/x) equals L(x)^T")
 
-        det = det_laurent(L, ZZ)
+        det = det_laurent(L)
         d0 = det if det.is_zero() else normalize(det, ZZ)  # Delta_0 over the integers
         d0q = d0 if d0.is_zero() else normalize(d0, QQ)  # Delta_0 over the rationals
-        s, ds = first_nonzero_divisor(L, GF2)
+        s, ds = 0, det.reduce_to(GF2)
+        if not ds.is_zero():
+            ds = normalize(ds, GF2)  # Delta_0 over GF(2)
+        while ds.is_zero():
+            s += 1
+            ds = elementary_divisor(L, s, GF2)
         if d0.is_zero():
             record("gf2-vanishing", True, "Delta_0 = 0 over the integers")
         elif s > 0:
@@ -172,19 +182,12 @@ def run_verify(
             prev = cur
         record("delta-chain", chain_ok, "; ".join(details) or f"checked k <= {max_k}")
 
-        if vg.rank == 1 and len(vg.base.edges) <= 16:
+        if vg.rank == 1 and len(vg.base.edges) <= CRSF_MAX_EDGES:
             rep = crsf_coefficients(vg)
-            ok = rep.general_reconstruction == det
             detail = f"C_k = {rep.coefficients}"
-            if rep.max_winding <= 1:
-                ok = ok and (
-                    rep.reconstruction.is_zero()
-                    if d0.is_zero()
-                    else normalize(rep.reconstruction, ZZ) == d0
-                )
-            else:
+            if rep.max_winding > 1:
                 detail += f" (windings up to {rep.max_winding}: product form only)"
-            record("forman-reconstruction", ok, detail)
+            record("forman-reconstruction", rep.matches(det), detail)
         elif vg.rank == 1:
             skip("forman-reconstruction", "quotient too large for brute force")
 

@@ -2,9 +2,12 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
-expansion or dense Bareiss elimination, connectivity by union-find, Newton
+expansion or dense Bareiss elimination, elementary divisors from minors
+taken in the coefficient domain itself, connectivity by union-find, Newton
 root refinement in exact rationals (Fraction), two-variable gcds by a
-pseudo-remainder sequence over the coefficient domain itself.
+pseudo-remainder sequence over the coefficient domain itself.  Small helpers
+that only tests need (matrix product, edge reversal, wrapping-edge count,
+degree certificate) live here too.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -19,8 +22,17 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lapgraph.graphs import FiniteGraph, VoltageGraph
-from lapgraph.laurent import _from_x_slices, _gcd1, _primitive_x, _pseudo_rem_x, normalize
+from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
+from lapgraph.laurent import (
+    LaurentPoly,
+    _from_x_slices,
+    _gcd1,
+    _primitive_x,
+    _pseudo_rem_x,
+    divexact,
+    gcd_many,
+    normalize,
+)
 from lapgraph.planar import PlaneGraph
 
 
@@ -113,6 +125,44 @@ def bareiss_det(M) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def bareiss_det_laurent(M, dom):
+    """Dense fraction-free determinant of a Laurent-polynomial matrix with
+    every division taken over dom (test oracle)."""
+    n = len(M)
+    nvars = M[0][0].nvars
+    a = [row[:] for row in M]
+    sign = 1
+    prev = LaurentPoly.constant(dom.one, nvars)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            sel = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if sel is None:
+                return LaurentPoly.zero(nvars)
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = divexact(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev, dom)
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def elementary_divisor_reduce_first(M, k, dom):
+    """gcd of the (n-k)-minors of M with the entries reduced into dom first
+    and each minor taken by Bareiss over dom (test oracle)."""
+    n = len(M)
+    if k == n:
+        return LaurentPoly.constant(dom.one, M[0][0].nvars if n else 1)
+    R = [[e.reduce_to(dom) for e in row] for row in M]
+    dets = []
+    for rows in combinations(range(n), n - k):
+        for cols in combinations(range(n), n - k):
+            d = bareiss_det_laurent([[R[i][j] for j in cols] for i in rows], dom).reduce_to(dom)
+            if not d.is_zero():
+                dets.append(d)
+    return gcd_many(dets, dom) if dets else LaurentPoly.zero(M[0][0].nvars)
+
+
 def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
     """Newton on u = p/p' with Gaussian-rational Horner evaluation (test oracle).
 
@@ -195,6 +245,55 @@ def laurent_gcd_pseudo_rem(f, g, dom):
             a, b = b, rp
     _, a = _primitive_x(a, dom)
     return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
+
+
+# -- helpers only tests need --------------------------------------------------------
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def with_reversed_edge(vg: VoltageGraph, edge_name: str) -> VoltageGraph:
+    """Same graph with one edge's orientation flipped and voltage negated."""
+    es = []
+    volts = []
+    for e, s in zip(vg.base.edges, vg.voltages):
+        if e.name == edge_name:
+            es.append(Edge(e.name, e.head, e.tail))
+            volts.append(tuple(-a for a in s))
+        else:
+            es.append(e)
+            volts.append(s)
+    return VoltageGraph(FiniteGraph(vg.base.vertices, tuple(es)), vg.rank, tuple(volts))
+
+
+def wrapping_edge_count(vg: VoltageGraph, rect: RectangleSpec) -> int:
+    """Number of (edge, translate) pairs leaving the box; complements the restriction."""
+    count = 0
+    for s in vg.voltages:
+        for c in rect.points():
+            c2 = tuple(a + b for a, b in zip(c, s))
+            if c2 not in rect:
+                count += 1
+    return count
+
+
+def degree_certificate(g: FiniteGraph):
+    """A cheap isomorphism certificate: size data plus sorted local degree views."""
+    degs = {v: g.degree(v) for v in g.vertices}
+    local = []
+    for v in g.vertices:
+        nbrs = []
+        for e in g.edges:
+            if e.tail == v and e.head != v:
+                nbrs.append(degs[e.head])
+            elif e.head == v and e.tail != v:
+                nbrs.append(degs[e.tail])
+            elif e.tail == v and e.head == v:
+                nbrs.append(-1)  # loop marker
+        local.append((degs[v], tuple(sorted(nbrs))))
+    return (len(g.vertices), len(g.edges), tuple(sorted(local)))
 
 
 # -- random multigraphs ------------------------------------------------------------

@@ -10,6 +10,7 @@ from lapgraph.cli import main
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
 from lapgraph.graphs import FiniteGraph, VoltageGraph
 from lapgraph.library import (
+    circulant_quotient,
     girder_plane_quotient,
     grid_quotient,
     k4_plane,
@@ -108,6 +109,7 @@ def graph_dir(tmp_path):
         "grid": grid_quotient(),
         "mitsubishi": mitsubishi_quotient(),
         "k4": k4_plane(),
+        "circulant12": circulant_quotient((1, 2)),
     }
     for name, obj in files.items():
         (tmp_path / f"{name}.lapgraph").write_text(format_graph_file(obj))
@@ -173,8 +175,8 @@ def test_cli_medial(graph_dir, capsys):
 
 
 def test_cli_medial_needs_rotations(graph_dir, capsys):
-    with pytest.raises(SystemExit):
-        main(["medial", str(graph_dir / "grid.lapgraph")])
+    assert main(["medial", str(graph_dir / "grid.lapgraph")]) == 2
+    assert "error: medial needs rotation lines" in capsys.readouterr().err
 
 
 def test_cli_medial_on_a_nonplanar_rotation_is_an_error(tmp_path, capsys):
@@ -296,6 +298,19 @@ def test_cli_crsf_and_kappa(graph_dir, capsys):
     assert json.loads(out) == {"kappa": 2}
 
 
+def test_cli_crsf_compares_only_the_product_form_past_winding_one(graph_dir, capsys):
+    # circulant(1, 2) has a CRSF cycle winding twice, so the annulus sum is
+    # not Delta_0; verify passes it on the product form, and so must crsf.
+    path = str(graph_dir / "circulant12.lapgraph")
+    code, out = run_cli(capsys, "crsf", path)
+    assert code == 0
+    assert "(match; windings up to 2: product form only)" in out
+    code, out = run_cli(capsys, "crsf", path, "--json")
+    assert code == 0 and json.loads(out)["matches_delta0"] is True
+    code, out = run_cli(capsys, "verify", path, "--max", "8", "--fibers", "64")
+    assert code == 0 and "PASS forman-reconstruction" in out
+
+
 def test_cli_mahler(graph_dir, capsys):
     code, out = run_cli(
         capsys, "mahler", "--poly", "x^2-4x+1", "--json"
@@ -318,10 +333,22 @@ def test_cli_mahler(graph_dir, capsys):
 
 
 def test_cli_mahler_needs_exactly_one_source(capsys):
-    with pytest.raises(SystemExit):
-        main(["mahler"])
-    with pytest.raises(SystemExit):
-        main(["mahler", "--poly", "x", "--from-graph", "nope"])
+    assert main(["mahler"]) == 2
+    assert main(["mahler", "--poly", "x", "--from-graph", "nope"]) == 2
+    assert capsys.readouterr().err.count("error: give exactly one of --poly or --from-graph") == 2
+
+
+def test_cli_usage_errors_exit_2_not_the_fail_code(graph_dir, tmp_path, capsys):
+    zero_delta = tmp_path / "zero.lapgraph"
+    zero_delta.write_text("lapgraph v1\nd 1\nvertex a\nvertex b\nedge l a a 1\n")
+    for argv, message in (
+        (["crsf", str(graph_dir / "k4.lapgraph")], "needs a voltage graph"),
+        (["bicycle", str(graph_dir / "k4.lapgraph"), "--field", "z"], "bicycle needs a field"),
+        (["trees", str(graph_dir / "ladder.lapgraph"), "--cover", "1,2"], "--cover needs n or a,b,c,d"),
+        (["mahler", "--from-graph", str(zero_delta)], "Delta_0 is zero"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
 
 
 def test_cli_verify(graph_dir, capsys):
@@ -349,11 +376,3 @@ def test_cli_unknown_flag_rejected(graph_dir):
 def test_cli_bad_field_is_reported(graph_dir, capsys):
     code = main(["delta", str(graph_dir / "ladder.lapgraph"), "--field", "gf:6"])
     assert code == 2
-
-
-def test_cli_threads_env_validated(graph_dir, monkeypatch):
-    monkeypatch.setenv("LAPGRAPH_THREADS", "potato")
-    with pytest.raises(SystemExit):
-        main(["kappa", str(graph_dir / "ladder.lapgraph")])
-    monkeypatch.setenv("LAPGRAPH_THREADS", "4")
-    assert main(["kappa", str(graph_dir / "ladder.lapgraph"), "--json"]) == 0

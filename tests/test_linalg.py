@@ -1,10 +1,17 @@
 """Determinants, nullspaces, and elementary divisors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import all_minor_dets, bareiss_det, cofactor_det_poly, random_voltage_graph
+from conftest import (
+    all_minor_dets,
+    bareiss_det,
+    cofactor_det_poly,
+    elementary_divisor_reduce_first,
+    random_voltage_graph,
+)
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
 from lapgraph.graphs import (
     RectangleSpec,
@@ -28,6 +35,7 @@ from lapgraph.linalg import (
 )
 
 GF3 = PrimeField(3)
+GF5 = PrimeField(5)
 
 
 def test_int_det_against_cofactor_thousand_cases():
@@ -158,7 +166,18 @@ def test_det_laurent_matches_cofactor_on_large_matrices():
             ]
             for _ in range(n)
         ]
-        assert det_laurent(M, ZZ) == cofactor_det_poly(M)
+        assert det_laurent(M) == cofactor_det_poly(M)
+
+
+def test_det_laurent_rejects_fraction_coefficients():
+    one = LaurentPoly.constant(1, 1)
+    for n in (1, 3, 5):  # cofactor and Bareiss orders alike
+        M = [[one if i == j else LaurentPoly.zero(1) for j in range(n)] for i in range(n)]
+        M[n - 1][0] = LaurentPoly(1, {(1,): Fraction(1, 2)})
+        with pytest.raises(ValueError, match="integer coefficients"):
+            det_laurent(M)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            elementary_divisor(M, 0, QQ)
 
 
 def test_delta0_examples_from_quotients():
@@ -230,6 +249,29 @@ def test_divisor_chain_against_brute_force_minors(seed):
         if divisors[k].is_zero():
             continue
         assert divides(divisors[k + 1], divisors[k], QQ)
+
+
+def _coefficient_types(f):
+    return sorted((e, type(c).__name__) for e, c in f.coeffs.items())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_elementary_divisor_equals_reduce_first_oracle(seed):
+    """Integer minors reduced into the domain give the divisors of the matrix
+    reduced first, in every domain, for every k, down to coefficient types."""
+    rng = random.Random(1300 + seed)
+    vgs = [
+        random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9),
+        random_voltage_graph(rng, rank=2, max_vertices=4, max_edges=7),
+    ]
+    for vg in vgs:
+        L = voltage_laplacian(vg)
+        for dom in (ZZ, QQ, GF2, GF3, GF5):
+            for k in range(len(L) + 1):
+                mine = elementary_divisor(L, k, dom)
+                want = elementary_divisor_reduce_first(L, k, dom)
+                assert mine == want, (vg, dom, k)
+                assert _coefficient_types(mine) == _coefficient_types(want)
 
 
 @pytest.mark.parametrize("seed", range(15))
