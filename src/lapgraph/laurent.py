@@ -19,8 +19,13 @@ exponent tuple) until the leading term of the remainder is not divisible by
 it (over the integers, also when the leading coefficients do not divide).  A
 single polynomial is a Groebner basis of the ideal it generates, so the
 remainder is zero exactly when g divides f (in the Laurent ring too, whose
-units are monomials); in one variable over a field it is the Euclidean
-remainder.
+units are monomials).
+
+The gcd has one algorithm, for one and two variables over the integers and
+GF(p): the gcd of the contents in x times the last term of a primitive
+pseudo-remainder sequence in x, whose pseudo-remainders come from the same
+long division.  Over the rationals the inputs are cleared to primitive
+integer polynomials and the gcd is taken over the integers (Gauss's lemma).
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -31,7 +36,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from .fields import QQ, ZZ, Domain, IntegerRing, PrimeField, RationalField
+from .fields import ZZ, Domain, PrimeField, RationalField
 
 Exponent = tuple[int, ...]
 
@@ -253,12 +258,9 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
         inv = dom.inv(dom.of(c0))
         return g.map_coefficients(lambda c: dom.mul(dom.of(c), inv))
     if isinstance(dom, RationalField):
-        fracs = {e: Fraction(c) for e, c in g.coeffs.items()}
-        denom_lcm = int_lcm(*(c.denominator for c in fracs.values()))
-        ints = {e: c.numerator * (denom_lcm // c.denominator) for e, c in fracs.items()}
-        content = 0
-        for c in ints.values():
-            content = int_gcd(content, c)
+        denom_lcm = int_lcm(*(c.denominator for c in g.coeffs.values()))
+        ints = {e: c.numerator * (denom_lcm // c.denominator) for e, c in g.coeffs.items()}
+        content = int_gcd(*ints.values())
         if ints[least] < 0:
             content = -content
         return LaurentPoly(g.nvars, {e: c // content for e, c in ints.items()})
@@ -344,147 +346,106 @@ def divides(g: LaurentPoly, f: LaurentPoly, dom: Domain) -> bool:
 # -- greatest common divisors --------------------------------------------------
 
 
-def _x_slices(f: LaurentPoly) -> dict[int, LaurentPoly]:
-    """Decompose a 2-variable polynomial as sum of x^a * (poly in y)."""
-    slices: dict[int, dict[Exponent, object]] = {}
-    for (a, b), c in f.coeffs.items():
-        slices.setdefault(a, {})[(b,)] = c
-    return {a: LaurentPoly(1, d) for a, d in sorted(slices.items())}
+def _x_lead(f: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """x-degree of a nonzero polynomial and its x-leading coefficient, free of x."""
+    d = max(f.coeffs)[0]
+    return d, LaurentPoly(f.nvars, {(0,) + e[1:]: c for e, c in f.coeffs.items() if e[0] == d})
 
 
-def _from_x_slices(slices: dict[int, LaurentPoly]) -> LaurentPoly:
-    out: dict[Exponent, object] = {}
-    for a, p in slices.items():
-        for (b,), c in p.coeffs.items():
-            out[(a, b)] = c
-    return LaurentPoly(2, out)
+def _content(dom: Domain, *polys: LaurentPoly) -> LaurentPoly:
+    """gcd of the coefficients in x of nonzero polynomials, free of x.
 
-
-def _content_int(f: LaurentPoly) -> int:
-    c = 0
-    for v in f.coeffs.values():
-        c = int_gcd(c, v if isinstance(v, int) else int(v))
-    return c
-
-
-def _gcd1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd of one-variable polynomials over the domain, up to units."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    f = f.shift((-f.min_exp(0),))
-    g = g.shift((-g.min_exp(0),))
-    if isinstance(dom, IntegerRing):
-        cf, cg = _content_int(f), _content_int(g)
-        c = int_gcd(cf, cg)
-        pf = f.map_coefficients(lambda a: a // cf)
-        pg = g.map_coefficients(lambda a: a // cg)
-        h = _euclid1(pf.map_coefficients(Fraction), pg.map_coefficients(Fraction), QQ)
-        h = normalize(h, QQ)  # primitive integer coefficients
-        return h * c
-    h = _euclid1(f, g, dom)
-    return h
-
-
-def _euclid1(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, _divmod(a, b, dom)[1]
-    return a
-
-
-def _content_x(f: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd (a 1-variable poly in y) of the x-slices of a 2-variable poly."""
-    c = LaurentPoly.zero(1)
-    for p in _x_slices(f).values():
-        c = _gcd1(c, p, dom)
-        if dom.is_field and not c.is_zero() and c.max_exp(0) == c.min_exp(0):
-            break  # unit content over a field
-    return c
-
-
-def _primitive_x(f: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, LaurentPoly]:
-    """Split a 2-variable poly into (content in y, primitive part)."""
-    cont = _content_x(f, dom)
-    slices = _x_slices(f)
-    prim = {a: divexact(p, cont, dom) for a, p in slices.items()}
-    return cont, _from_x_slices(prim)
-
-
-def _pseudo_rem_x(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """Pseudo-remainder of 2-variable polys viewed in (dom[y])[x]."""
-    gs = _x_slices(g)
-    gdeg = max(gs)
-    glc = gs[gdeg]
-    rem = f
-    while not rem.is_zero():
-        rs = _x_slices(rem)
-        rdeg = max(rs)
-        if rdeg < gdeg:
+    In one variable it is the integer gcd over ZZ and 1 over a field; in two it
+    is ``_gcd`` in one variable of the x-slices, a polynomial in y.
+    """
+    if polys[0].nvars == 1:
+        coeffs = (c for f in polys for c in f.coeffs.values())
+        return LaurentPoly.constant(1 if dom.is_field else int_gcd(*coeffs), 1)
+    slices: dict[tuple[int, int], dict[Exponent, object]] = {}
+    for i, f in enumerate(polys):
+        for (a, b), c in f.coeffs.items():
+            slices.setdefault((i, a), {})[(b,)] = c
+    cont: LaurentPoly | None = None
+    for s in slices.values():
+        cont = LaurentPoly(1, s) if cont is None else _gcd(cont, LaurentPoly(1, s), dom)
+        if cont == 1:
             break
-        rlc = rs[rdeg]
-        # rem <- glc*rem - rlc*x^(rdeg-gdeg)*g
-        glc2 = _from_x_slices({0: glc})
-        rlc2 = _from_x_slices({rdeg - gdeg: rlc})
-        rem = (glc2 * rem - rlc2 * g).reduce_to(dom)
-    return rem
+    return LaurentPoly(2, {(0, b): c for (b,), c in cont.coeffs.items()})
+
+
+def _primitive(f: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, LaurentPoly]:
+    """(content, primitive part) of a nonzero ordinary polynomial."""
+    cont = _content(dom, f)
+    return cont, f if cont == 1 else _divmod(f, cont, dom)[0]
+
+
+def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
+    """gcd of nonzero polynomials over ZZ or GF(p), normalized.
+
+    The content gcd times the last term of the primitive pseudo-remainder
+    sequence in x.  The pseudo-remainder r of a by b is the remainder of
+    lc(b)^k * a = q*b + r in the long division, lc(b) being b's x-leading
+    coefficient and k = deg_x a - deg_x b + 1.  While the quotient is
+    unfinished, the remainder's lex-leading term is that of (what is left of
+    q) * b, whose x-degree is at least deg_x b > deg_x r and which b's leading
+    term divides exactly; so the division recovers q and stops at r.
+    """
+    f = f.shift(tuple(-f.min_exp(v) for v in range(f.nvars)))
+    g = g.shift(tuple(-g.min_exp(v) for v in range(g.nvars)))
+    cf, a = _primitive(f, dom)
+    cg, b = _primitive(g, dom)
+    cont = _content(dom, cf, cg)
+    if max(a.coeffs)[0] < max(b.coeffs)[0]:
+        a, b = b, a
+    while True:
+        d, lc = _x_lead(b)
+        if d == 0:  # a primitive b free of x is a unit
+            return normalize(cont, dom)
+        if lc != 1:
+            a = (lc ** (max(a.coeffs)[0] - d + 1) * a).reduce_to(dom)
+        r = _divmod(a, b, dom)[1]
+        if r.is_zero():
+            return normalize(b if cont == 1 else (cont * b).reduce_to(dom), dom)
+        a, b = b, _primitive(r, dom)[1]
 
 
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd in the Laurent ring over the domain, returned in normalized form.
+    """gcd in the Laurent ring over the domain, in normalized form (zero if both vanish in it).
 
-    One variable: Euclidean over fields, content/primitive-part over the
-    integers.  Two variables: recursive content computation in (dom[y])[x]
-    with a primitive pseudo-remainder sequence; over the rationals the inputs
-    are first cleared to primitive integer polynomials, whose gcd over the
-    integers has the same primitive part (Gauss's lemma) and avoids Fraction
-    pseudo-remainders.
+    Over ZZ and GF(p), in one or two variables: the gcd of the contents in x
+    times the primitive pseudo-remainder sequence in x, with contents in y in
+    two variables.  Over QQ it goes through ``gcd_many``, which takes it over
+    ZZ (Gauss's lemma).
     """
-    if f.is_zero() and g.is_zero():
-        return LaurentPoly.zero(f.nvars)
+    if isinstance(dom, RationalField):
+        return gcd_many((f, g), dom)
     f = f.reduce_to(dom)
     g = g.reduce_to(dom)
     if f.is_zero():
-        return normalize(g, dom)
+        f, g = g, f
     if g.is_zero():
-        return normalize(f, dom)
-    if f.nvars == 1:
-        return normalize(_gcd1(f, g, dom), dom)
-    if isinstance(dom, RationalField):
-        return normalize(laurent_gcd(normalize(f, dom), normalize(g, dom), ZZ), dom)
-    # two variables: shift to ordinary, strip content
-    f = f.shift(tuple(-f.min_exp(v) for v in range(2)))
-    g = g.shift(tuple(-g.min_exp(v) for v in range(2)))
-    cf, pf = _primitive_x(f, dom)
-    cg, pg = _primitive_x(g, dom)
-    c = _gcd1(cf, cg, dom)
-    a, b = pf, pg
-    while not b.is_zero():
-        r = _pseudo_rem_x(a, b, dom)
-        if r.is_zero():
-            a = b
-            b = r
-        else:
-            _, rp = _primitive_x(r, dom)
-            a, b = b, rp
-    _, a = _primitive_x(a, dom)
-    return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
+        return normalize(f, dom) if f else f
+    return _gcd(f, g, dom)
 
 
 def gcd_many(polys, dom: Domain) -> LaurentPoly:
-    """gcd of an iterable of Laurent polynomials (zero if all are zero)."""
-    acc: LaurentPoly | None = None
-    for p in polys:
-        if acc is None:
-            acc = p
-        else:
-            acc = laurent_gcd(acc, p, dom)
-    if acc is None:
+    """gcd of an iterable of Laurent polynomials (zero if all vanish in the domain).
+
+    Over QQ each nonzero input is cleared once to a primitive integer
+    polynomial (``normalize``); by Gauss's lemma their gcd over ZZ is the gcd
+    over QQ, so no rational arithmetic runs.  Over ZZ and GF(p) it folds
+    ``laurent_gcd``.
+    """
+    polys = list(polys)
+    if not polys:
         raise ValueError("gcd of an empty collection")
-    if acc.is_zero():
-        return acc
-    return normalize(acc, dom)
+    if isinstance(dom, RationalField):
+        ints = [normalize(p, dom) for p in polys if p]
+        return normalize(gcd_many(ints, ZZ), dom) if ints else LaurentPoly.zero(polys[0].nvars)
+    acc = LaurentPoly.zero(polys[0].nvars)
+    for p in polys:
+        acc = laurent_gcd(acc, p, dom)
+    return acc
 
 
 # -- text form ----------------------------------------------------------------

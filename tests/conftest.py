@@ -4,10 +4,11 @@ The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
 expansion or dense Bareiss elimination, elementary divisors from minors
 taken in the coefficient domain itself, connectivity by union-find, Newton
-root refinement in exact rationals (Fraction), two-variable gcds by a
-pseudo-remainder sequence over the coefficient domain itself.  Small helpers
-that only tests need (matrix product, edge reversal, wrapping-edge count,
-degree certificate) live here too.
+root refinement in exact rationals (Fraction), one-variable gcds by Euclid
+and two-variable gcds by a pseudo-remainder sequence, both over the
+coefficient domain itself.  Small helpers that only tests need (matrix
+product, edge reversal, wrapping-edge count, degree certificate) live here
+too.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -21,18 +22,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd as int_gcd
 
 from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
-from lapgraph.laurent import (
-    LaurentPoly,
-    _from_x_slices,
-    _gcd1,
-    _primitive_x,
-    _pseudo_rem_x,
-    divexact,
-    gcd_many,
-    normalize,
-)
+from lapgraph.fields import QQ, ZZ
+from lapgraph.laurent import LaurentPoly, divexact, gcd_many, normalize
 from lapgraph.planar import PlaneGraph
 
 
@@ -221,12 +215,86 @@ def all_minor_dets(M, size):
     return out
 
 
+def _euclid_dense(a, b, dom):
+    """gcd of dense coefficient lists (lowest first) over a field, by Euclid."""
+    while b:
+        while len(a) >= len(b):
+            q = dom.div(a[-1], b[-1])
+            s = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[s + i] = dom.sub(a[s + i], dom.mul(q, c))
+            while a and dom.is_zero(a[-1]):
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def laurent_gcd_euclid(f, g, dom):
+    """gcd of one-variable Laurent polynomials by Euclid over dom itself (test oracle).
+
+    Over a field, Euclid on dense coefficient lists in the field's own
+    arithmetic (Fractions over QQ); over ZZ, the gcd of the integer contents
+    times the gcd over QQ, which is primitive once normalized (Gauss's lemma).
+    """
+    f = f.reduce_to(dom)
+    g = g.reduce_to(dom)
+    if f.is_zero() and g.is_zero():
+        return f
+    if not dom.is_field:
+        cont = int_gcd(*f.coeffs.values(), *g.coeffs.values())
+        return normalize(laurent_gcd_euclid(f, g, QQ) * cont, ZZ)
+    h = _euclid_dense(
+        [dom.of(c) for c in f.coefficient_list()], [dom.of(c) for c in g.coefficient_list()], dom
+    )
+    return normalize(LaurentPoly(1, {(i,): c for i, c in enumerate(h)}), dom)
+
+
+def _x_slices(f):
+    """A two-variable polynomial as {a: the one-variable polynomial in y of x^a}."""
+    slices = {}
+    for (a, b), c in f.coeffs.items():
+        slices.setdefault(a, {})[(b,)] = c
+    return {a: LaurentPoly(1, d) for a, d in sorted(slices.items())}
+
+
+def _from_x_slices(slices):
+    return LaurentPoly(2, {(a, b): c for a, p in slices.items() for (b,), c in p.coeffs.items()})
+
+
+def _primitive_x(f, dom):
+    """(content in y, primitive part) of a two-variable polynomial."""
+    cont = LaurentPoly.zero(1)
+    for p in _x_slices(f).values():
+        cont = laurent_gcd_euclid(cont, p, dom)
+        if dom.is_field and cont.max_exp(0) == cont.min_exp(0):
+            break  # unit content over a field
+    prim = {a: divexact(p, cont, dom) for a, p in _x_slices(f).items()}
+    return cont, _from_x_slices(prim)
+
+
+def _pseudo_rem_x(f, g, dom):
+    """Pseudo-remainder of two-variable polynomials in (dom[y])[x], term by term."""
+    gs = _x_slices(g)
+    gdeg = max(gs)
+    glc = _from_x_slices({0: gs[gdeg]})
+    rem = f
+    while not rem.is_zero():
+        rs = _x_slices(rem)
+        rdeg = max(rs)
+        if rdeg < gdeg:
+            break
+        # rem <- glc*rem - rlc*x^(rdeg-gdeg)*g
+        rem = (glc * rem - _from_x_slices({rdeg - gdeg: rs[rdeg]}) * g).reduce_to(dom)
+    return rem
+
+
 def laurent_gcd_pseudo_rem(f, g, dom):
     """gcd of nonzero two-variable Laurent polynomials, computed over dom itself (test oracle).
 
-    Content in y and a primitive pseudo-remainder sequence in (dom[y])[x], with
-    every coefficient in dom: over QQ this is the Fraction loop that
-    ``laurent_gcd`` replaces by the integer one.
+    Content in y by one-variable Euclid and a primitive pseudo-remainder
+    sequence in (dom[y])[x] that eliminates one x-leading term at a time, with
+    every coefficient in dom: over QQ a Fraction loop, where ``laurent_gcd``
+    works over the integers.
     """
     f = f.reduce_to(dom)
     g = g.reduce_to(dom)
@@ -234,7 +302,7 @@ def laurent_gcd_pseudo_rem(f, g, dom):
     g = g.shift(tuple(-g.min_exp(v) for v in range(2)))
     cf, pf = _primitive_x(f, dom)
     cg, pg = _primitive_x(g, dom)
-    c = _gcd1(cf, cg, dom)
+    c = laurent_gcd_euclid(cf, cg, dom)
     a, b = pf, pg
     while not b.is_zero():
         r = _pseudo_rem_x(a, b, dom)

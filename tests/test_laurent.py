@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import laurent_gcd_pseudo_rem
-from lapgraph.fields import GF2, QQ, ZZ, PrimeField
+from conftest import laurent_gcd_euclid, laurent_gcd_pseudo_rem
+from lapgraph import laurent as laurent_module
+from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.laurent import (
     LaurentPoly,
     PolyParseError,
@@ -18,6 +19,7 @@ from lapgraph.laurent import (
     divexact,
     divides,
     format_poly,
+    gcd_many,
     laurent_gcd,
     normalize,
     parse_poly,
@@ -310,6 +312,68 @@ def test_rational_gcd_of_a_coprime_pair_is_one():
     f = poly2("3x^-3 + x^-1y^-2 - 3xy^-3 + 6x^3 - 5x^2y^2")
     g = poly2("-6x^-3y^-2 + 3x^-2y^-3 - 5y^-3 - 3x^-3y^2 - 3x^2y^-1")
     assert laurent_gcd(f, g, QQ) == LaurentPoly.constant(1, 2)
+
+
+def _gcd_case(rng, nvars, dom, kind):
+    """Random f*h and g*h; kind picks what h, f or g is made of."""
+    frac = isinstance(dom, RationalField)
+
+    def rand(nv=nvars, **sizes):
+        while True:
+            p = _random_poly(rng, nv, **sizes)
+            if not p.is_zero():
+                return p.map_coefficients(lambda c: Fraction(c, rng.randint(1, 4))) if frac else p
+
+    h, f, g = rand(max_terms=3, max_exp=1), rand(), rand()
+    if kind == "integer content":
+        h = h * rng.choice([2, 3, 6, 10])
+    elif kind == "content in y" and nvars == 2:
+        h = LaurentPoly(2, {(0, b): c for (b,), c in rand(1).coeffs.items()})
+    elif kind == "free of x":
+        f = LaurentPoly(nvars, {(0,) + e[1:]: c for e, c in f.coeffs.items()})
+    elif kind == "unit":
+        f = LaurentPoly.monomial(rng.choice([1, -1]), tuple(rng.randint(-2, 2) for _ in range(nvars)))
+    return f * h, g * h
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, PrimeField(3), GF5], ids=repr)
+def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
+    rng = random.Random(9000 + seed)
+    for nvars, oracle in ((1, laurent_gcd_euclid), (2, laurent_gcd_pseudo_rem)):
+        for kind in ("plain", "integer content", "content in y", "free of x", "unit"):
+            a, b = _gcd_case(rng, nvars, dom, kind)
+            if a.reduce_to(dom).is_zero() or b.reduce_to(dom).is_zero():
+                continue
+            got = laurent_gcd(a, b, dom)
+            want = oracle(a, b, dom)
+            assert got.coeffs == want.coeffs, (dom, kind, a, b)
+            assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+
+
+def test_gcd_of_inputs_that_vanish_in_the_domain_is_zero():
+    f, g = poly1("2x + 4"), poly1("6")
+    assert laurent_gcd(f, g, GF2).is_zero()
+    assert gcd_many([f, g], GF2).is_zero()
+    assert gcd_many([poly2("3x*y - 6"), poly2("9y^-1")], PrimeField(3)) == LaurentPoly.zero(2)
+
+
+def test_rational_gcd_runs_no_rational_division(monkeypatch):
+    domains = []
+
+    def spy(f, g, dom):
+        domains.append(dom)
+        return _divmod(f, g, dom)
+
+    monkeypatch.setattr(laurent_module, "_divmod", spy)
+    h = poly1("2x - 1").map_coefficients(lambda c: Fraction(c, 3))
+    for f, g in (
+        (h * poly1("3x + 1"), h * poly1("x^2 + 5")),
+        (poly2("x*y + 2").map_coefficients(lambda c: Fraction(c, 3)), poly2("x^2 - y^2 + 1")),
+    ):
+        laurent_gcd(f, g, QQ)
+        gcd_many([f, g, f * g], QQ)
+    assert domains and not any(isinstance(d, RationalField) for d in domains)
 
 
 def test_gcd_keeps_its_own_domains_after_a_reimport(monkeypatch):
