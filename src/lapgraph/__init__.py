@@ -21,7 +21,7 @@ from .graphs import (
     voltage_laplacian,
 )
 from .laurent import LaurentPoly, format_poly, laurent_gcd, normalize, parse_poly
-from .linalg import det_laurent, elementary_divisor, first_nonzero_divisor, int_det, nullspace
+from .linalg import det_laurent, elementary_divisor, int_det, nullspace
 from .mahler import MahlerResult, mahler, mahler_1var, mahler_2var, mahler_limit_check
 from .planar import (
     DehnColoring,

@@ -82,7 +82,7 @@ def cmd_delta(args) -> int:
     obj = _load(args.file)
     dom = domain_from_spec(args.field)
     vg = obj.graph if isinstance(obj, PlaneGraph) else obj
-    if isinstance(vg, VoltageGraph) and vg.rank >= 1:
+    if isinstance(vg, VoltageGraph):
         L = voltage_laplacian(vg)
     else:
         base = _base_of(obj)

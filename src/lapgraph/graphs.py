@@ -66,11 +66,12 @@ class FiniteGraph:
 
 @dataclass(frozen=True)
 class VoltageGraph:
-    """A finite quotient graph with Z^d voltages on its oriented edges.
+    """A finite quotient graph with Z^d voltages (d = 1 or 2) on its
+    oriented edges.
 
     The voltage s on an edge v_i -> v_j says that the lift starting at the
-    level-0 copy of v_i ends at the level-s copy of v_j.  Rank 0 reduces to
-    plain finite-graph semantics.
+    level-0 copy of v_i ends at the level-s copy of v_j.  A graph without
+    voltages is a :class:`FiniteGraph`.
     """
 
     base: FiniteGraph
@@ -78,8 +79,8 @@ class VoltageGraph:
     voltages: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rank not in (0, 1, 2):
-            raise ValueError("voltage rank must be 0, 1 or 2")
+        if self.rank not in (1, 2):
+            raise ValueError("voltage rank must be 1 or 2")
         if len(self.voltages) != len(self.base.edges):
             raise ValueError("one voltage vector per edge required")
         for s in self.voltages:
@@ -230,8 +231,6 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
     a self-loop with voltage s contributes x^s + x^-s to its diagonal entry.
     Satisfies L(1/x) = L(x)^T.
     """
-    if vg.rank == 0:
-        raise ValueError("rank-0 voltage graph: use laplacian_finite on the base")
     g = vg.base
     n = len(g.vertices)
     d = vg.rank
@@ -262,8 +261,6 @@ def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
     edge with voltage s yields one edge per coset, from (tail, c) to
     (head, c + s).  Vertex order is base-vertex major, coset minor.
     """
-    if vg.rank == 0:
-        raise ValueError("cover of a rank-0 voltage graph is undefined")
     if lam.rank != vg.rank:
         raise ValueError("sublattice rank does not match voltage rank")
     reps = lam.coset_reps()
@@ -280,8 +277,6 @@ def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
 
 def restriction_subgraph(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
     """Full subgraph of the periodic lift on the box of translates in rect."""
-    if vg.rank == 0:
-        raise ValueError("restriction of a rank-0 voltage graph is undefined")
     if len(rect.sizes) != vg.rank:
         raise ValueError("rectangle rank does not match voltage rank")
     pts = rect.points()

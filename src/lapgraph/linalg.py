@@ -6,12 +6,15 @@ object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  Every determinant is taken over the integers; a coefficient
 domain enters only at the gcd of the elementary divisors, where each integer
-minor is reduced into it.
+minor is reduced into it.  One fraction-free elimination on sparse rows
+serves both determinant rings: Z for :func:`int_det`, and Z[x^±1] or
+Z[x^±1, y^±1] for :func:`det_laurent` above order 4.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
+from operator import floordiv
 
 from .fields import ZZ, Domain
 from .laurent import LaurentPoly, divexact, gcd_many
@@ -90,7 +93,7 @@ def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
     return [R[i] for i in range(len(pivots))]
 
 
-# -- integer determinants ------------------------------------------------------
+# -- sparse fraction-free determinants -----------------------------------------
 
 
 def _cuthill_mckee(adj: list[set[int]]) -> list[int]:
@@ -118,10 +121,12 @@ def _cuthill_mckee(adj: list[set[int]]) -> list[int]:
     return order
 
 
-def int_det(M: Matrix) -> int:
-    """Exact determinant of a square integer matrix.
+def _bareiss(rows: list[dict], one, div):
+    """Determinant of a square matrix over an integral domain, given as sparse
+    rows {column: nonzero entry}; ``one`` is the ring's 1 and ``div(a, b)``
+    its exact division.
 
-    Fraction-free (Bareiss) elimination on sparse rows in Cuthill–McKee order.
+    Fraction-free (Bareiss) elimination on the rows in Cuthill–McKee order.
     The reordering is a symmetric permutation, so it keeps the determinant,
     and on a banded pattern the fill stays inside the band.  Step k updates
     only the rows with a nonzero in column k.  Every other row owes the factor
@@ -130,13 +135,10 @@ def int_det(M: Matrix) -> int:
     matrix, so each division is exact.  A zero pivot is swapped with the first
     lower row that has a nonzero in its column.
     """
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ValueError("determinant needs a square matrix")
+    n = len(rows)
     cols = range(n)
-    sparse = [{j: int(row[j]) for j in compress(cols, row)} for row in M]
     adj: list[set[int]] = [set() for _ in cols]
-    for i, row in enumerate(sparse):
+    for i, row in enumerate(rows):
         for j in row:
             if j != i:
                 adj[i].add(j)
@@ -145,31 +147,31 @@ def int_det(M: Matrix) -> int:
     where = [0] * n
     for new, old in enumerate(order):
         where[old] = new
-    rows = [{where[j]: v for j, v in sparse[i].items()} for i in order]
+    rows = [{where[j]: v for j, v in rows[i].items()} for i in order]
     # below[j]: rows not yet pivoted with a nonzero in column j
     below: list[set[int]] = [set() for _ in cols]
     for i, row in enumerate(rows):
         for j in row:
             below[j].add(i)
-    # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
+    # p[t] is the pivot of step t - 1 (p[0] = one); a row at level t holds the
     # entries of the Bareiss matrix after t steps
-    p = [1]
+    p = [one]
     level = [0] * n
     sign = 1
 
-    def catch_up(i: int, k: int) -> dict[int, int]:
+    def catch_up(i: int, k: int) -> dict:
         row = rows[i]
         if p[level[i]] != p[k]:
             num, den = p[k], p[level[i]]
             for j, v in row.items():
-                row[j] = v * num // den
+                row[j] = div(v * num, den)
         level[i] = k
         return row
 
     for k in cols:
         if k not in rows[k]:
             if not below[k]:
-                return 0
+                return one * 0
             sel = min(below[k])
             for i in (k, sel):
                 for j in rows[i]:
@@ -201,11 +203,21 @@ def int_det(M: Matrix) -> int:
                 else:
                     del row_i[j]
                     below[j].discard(i)
-            if prev != 1:
+            if prev != one:
                 for j, v in row_i.items():
-                    row_i[j] = v // prev
+                    row_i[j] = div(v, prev)
             level[i] = k + 1
     return sign * p[n]
+
+
+def int_det(M: Matrix) -> int:
+    """Exact determinant of a square integer matrix, by :func:`_bareiss` over
+    the integers."""
+    n = len(M)
+    if any(len(r) != n for r in M):
+        raise ValueError("determinant needs a square matrix")
+    cols = range(n)
+    return _bareiss([{j: int(row[j]) for j in compress(cols, row)} for row in M], 1, floordiv)
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------
@@ -233,11 +245,12 @@ def _det_cofactor_poly(M: Matrix) -> LaurentPoly:
 def det_laurent(M: Matrix) -> LaurentPoly:
     """Exact determinant of a square matrix of integer Laurent polynomials.
 
-    Cofactor expansion for orders up to 4; fraction-free Bareiss elimination
-    above that.  Every Bareiss entry is a minor of the matrix, so each
-    polynomial division is exact over the integers.  A coefficient that is
-    not an int raises ValueError: reduce the integer determinant into a
-    domain instead of reducing the matrix.
+    Cofactor expansion for orders up to 4, where it is the faster; above that
+    the elimination of :func:`int_det` (:func:`_bareiss`) over Z[x^±1] or
+    Z[x^±1, y^±1], with :func:`~lapgraph.laurent.divexact` over ZZ as its
+    exact division.  A coefficient that is not an int raises ValueError:
+    reduce the integer determinant into a domain instead of reducing the
+    matrix.
     """
     n = len(M)
     if any(len(r) != n for r in M):
@@ -249,28 +262,11 @@ def det_laurent(M: Matrix) -> LaurentPoly:
                     raise ValueError(f"determinant needs integer coefficients, got {c!r}")
     if n == 0:
         return LaurentPoly.constant(1, 1)
-    nvars = M[0][0].nvars
     if n <= 4:
         return _det_cofactor_poly(M)
-    a = [row[:] for row in M]
-    sign = 1
-    prev = LaurentPoly.constant(1, nvars)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            sel = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if sel is None:
-                return LaurentPoly.zero(nvars)
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev, ZZ)
-            a[i][k] = LaurentPoly.zero(nvars)
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    cols = range(n)
+    rows = [{j: row[j] for j in compress(cols, row)} for row in M]
+    return _bareiss(rows, LaurentPoly.constant(1, M[0][0].nvars), lambda f, g: divexact(f, g, ZZ))
 
 
 def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
@@ -300,16 +296,6 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     if not dets:
         return LaurentPoly.zero(nvars)
     return gcd_many(dets, dom)
-
-
-def first_nonzero_divisor(M: Matrix, dom: Domain) -> tuple[int, LaurentPoly]:
-    """Scan k = 0, 1, ... for the first nonzero elementary divisor."""
-    n = len(M)
-    for k in range(n + 1):
-        d = elementary_divisor(M, k, dom)
-        if not d.is_zero():
-            return k, d
-    raise AssertionError("unreachable: the empty minor is 1")
 
 
 def int_matrix_to_poly(M: Matrix, nvars: int = 1) -> Matrix:

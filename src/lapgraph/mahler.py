@@ -29,6 +29,8 @@ from .laurent import LaurentPoly
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
+ABERTH_MAX_ITER = 400
+STRIP_REL_TOL = 1e-13  # fiber coefficients this small next to the largest are zero
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,7 @@ def _refine_exact(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
     return out
 
 
-def _aberth_roots(
-    coeffs: list[complex], max_iter: int = 400, exact_coeffs: list[int] | None = None
-) -> list[complex]:
+def _aberth_roots(coeffs: list[complex], exact_coeffs: list[int] | None = None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
     When the integer coefficient list is supplied the final refinement runs in
@@ -145,7 +145,7 @@ def _aberth_roots(
         radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
         for k in range(s)
     ]
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         shift = 0.0
         new_roots = list(roots)
         for k, z in enumerate(roots):
@@ -235,11 +235,11 @@ def _jensen_from_coeffs(coeffs: list[complex], exact_coeffs: list[int] | None = 
     return value
 
 
-def _strip_complex(coeffs: list[complex], rel_tol: float = 1e-13) -> list[complex]:
+def _strip_complex(coeffs: list[complex]) -> list[complex]:
     big = max(abs(c) for c in coeffs) if coeffs else 0.0
     if big == 0.0:
         return []
-    out = [0 if abs(c) <= rel_tol * big else c for c in coeffs]
+    out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
     lo = 0
     while lo < len(out) and out[lo] == 0:
         lo += 1

@@ -43,7 +43,7 @@ Dart = tuple[str, str]  # (edge name, "t" | "h")
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """A finite or voltage graph (rank <= 1) with a rotation system."""
+    """A finite graph or a rank-1 voltage graph with a rotation system."""
 
     graph: FiniteGraph | VoltageGraph
     rotations: dict[str, tuple[Dart, ...]] = field(compare=False)
@@ -76,7 +76,7 @@ class PlaneGraph:
 
     @property
     def is_voltage(self) -> bool:
-        return isinstance(self.graph, VoltageGraph) and self.graph.rank == 1
+        return isinstance(self.graph, VoltageGraph)
 
     def _maps(self):
         """next/prev in rotation, and the opposite-end involution."""

@@ -108,8 +108,6 @@ def run_verify(
     elif plane is not None and isinstance(plane.graph, VoltageGraph):
         vg = plane.graph
     base = obj.base if plane is not None else (vg.base if vg is not None else obj)
-    if vg is not None and vg.rank == 0:
-        vg = None
 
     out: list[CheckResult] = []
 

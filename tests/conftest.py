@@ -7,8 +7,8 @@ taken in the coefficient domain itself, connectivity by union-find, Newton
 root refinement in exact rationals (Fraction), one-variable gcds by Euclid
 and two-variable gcds by a pseudo-remainder sequence, both over the
 coefficient domain itself.  Small helpers that only tests need (matrix
-product, edge reversal, wrapping-edge count, degree certificate) live here
-too.
+product, edge reversal, wrapping-edge count, degree certificate, the scan
+for the first nonzero elementary divisor) live here too.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -27,6 +27,7 @@ from math import gcd as int_gcd
 from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, gcd_many, normalize
+from lapgraph.linalg import elementary_divisor
 from lapgraph.planar import PlaneGraph
 
 
@@ -155,6 +156,15 @@ def elementary_divisor_reduce_first(M, k, dom):
             if not d.is_zero():
                 dets.append(d)
     return gcd_many(dets, dom) if dets else LaurentPoly.zero(M[0][0].nvars)
+
+
+def first_nonzero_divisor(M, dom):
+    """Scan k = 0, 1, ... for the first nonzero elementary divisor."""
+    for k in range(len(M) + 1):
+        d = elementary_divisor(M, k, dom)
+        if not d.is_zero():
+            return k, d
+    raise AssertionError("unreachable: the empty minor is 1")
 
 
 def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[complex]:

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import brute_force_tree_count, random_annulus_quotient, random_multigraph, random_plane_graph, random_voltage_graph
+from conftest import brute_force_tree_count, first_nonzero_divisor, random_annulus_quotient, random_multigraph, random_plane_graph, random_voltage_graph
 from lapgraph.colorings import (
     YES,
     bicycle_basis,
@@ -40,7 +40,7 @@ from lapgraph.library import (
     mitsubishi_quotient,
     single_loop_quotient,
 )
-from lapgraph.linalg import elementary_divisor, first_nonzero_divisor
+from lapgraph.linalg import elementary_divisor
 from lapgraph.mahler import mahler_1var, mahler_2var
 from lapgraph.planar import (
     compact_orbit_count,

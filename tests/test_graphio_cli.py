@@ -2,13 +2,17 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import elementary_divisor_reduce_first
 from lapgraph import cli
 from lapgraph.cli import main
+from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
-from lapgraph.graphs import FiniteGraph, VoltageGraph
+from lapgraph.graphs import FiniteGraph, VoltageGraph, voltage_laplacian
+from lapgraph.laurent import format_poly
 from lapgraph.library import (
     circulant_quotient,
     girder_plane_quotient,
@@ -141,6 +145,18 @@ def test_cli_delta_fields_and_json(graph_dir, capsys):
         capsys, "delta", str(graph_dir / "mitsubishi.lapgraph"), "--json"
     )
     assert json.loads(out)["delta"].startswith("6*")
+
+
+@pytest.mark.parametrize("name", ["hexagon_chord", "pentagon_torus"])
+@pytest.mark.parametrize("field", ["z", "q", "gf:2"])
+def test_cli_delta_of_order_five_and_six_quotients(name, field, capsys):
+    path = Path(__file__).with_name("data") / f"{name}.lapgraph"
+    L = voltage_laplacian(parse_graph_file(path.read_text()))
+    for k in (0, 1, 2):
+        code, out = run_cli(capsys, "delta", str(path), "--field", field, "--k", str(k), "--json")
+        assert code == 0
+        want = elementary_divisor_reduce_first(L, k, domain_from_spec(field))
+        assert json.loads(out)["delta"] == format_poly(want)
 
 
 def test_cli_delta_k4_finite(graph_dir, capsys):

@@ -8,8 +8,10 @@ import pytest
 from conftest import (
     all_minor_dets,
     bareiss_det,
+    bareiss_det_laurent,
     cofactor_det_poly,
     elementary_divisor_reduce_first,
+    first_nonzero_divisor,
     random_voltage_graph,
 )
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
@@ -26,7 +28,6 @@ from lapgraph.library import girder_quotient, k4_graph, ladder_quotient, mitsubi
 from lapgraph.linalg import (
     det_laurent,
     elementary_divisor,
-    first_nonzero_divisor,
     int_det,
     int_matrix_to_poly,
     nullspace,
@@ -149,24 +150,60 @@ def test_nullspace_vectors_lie_in_kernel(fld):
                 assert fld.is_zero(s)
 
 
+def _random_entry(rng, nvars, density):
+    if rng.random() >= density:
+        return LaurentPoly.zero(nvars)
+    return LaurentPoly(
+        nvars,
+        {
+            tuple(rng.randint(-1, 1) for _ in range(nvars)): rng.randint(-2, 2)
+            for _ in range(rng.randint(1, 2))
+        },
+    )
+
+
+def _large_laurent_matrices(rng):
+    """Orders 5-8 in one and two variables.  Random matrices, some sparse,
+    some with a zero diagonal (a symmetric reordering keeps it, so the first
+    pivot is zero and a row swap follows), some singular; then voltage
+    Laplacians of random rank-1 and rank-2 quotients and non-principal
+    minors of them."""
+    for _ in range(60):
+        nvars = rng.choice((1, 2))
+        n = rng.randint(5, 8 if nvars == 1 else 7)
+        density = rng.choice((0.3, 0.6, 1.0))
+        M = [[_random_entry(rng, nvars, density) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            for i in range(n):
+                M[i][i] = LaurentPoly.zero(nvars)
+        if rng.random() < 0.25:  # singular: one row x_t times a second minus a third
+            a, b, c = rng.sample(range(n), 3)
+            t = LaurentPoly.variable(rng.randrange(nvars), nvars)
+            M[a] = [t * u - v for u, v in zip(M[b], M[c])]
+        yield M
+    for rank, count in ((1, 12), (2, 8)):
+        while count:
+            L = voltage_laplacian(random_voltage_graph(rng, rank, max_vertices=8, max_edges=14))
+            n = len(L)
+            if n < 5:
+                continue
+            count -= 1
+            yield L
+            if n >= 6:
+                i, j = rng.sample(range(n), 2)
+                yield [row[:j] + row[j + 1 :] for r, row in enumerate(L) if r != i]
+
+
 def test_det_laurent_matches_cofactor_on_large_matrices():
     rng = random.Random(9)
-    for _ in range(15):
-        n = rng.randint(5, 6)
-        M = [
-            [
-                LaurentPoly(
-                    1,
-                    {
-                        (rng.randint(-1, 1),): rng.randint(-2, 2)
-                        for _ in range(rng.randint(0, 2))
-                    },
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        assert det_laurent(M) == cofactor_det_poly(M)
+    singular = 0
+    for M in _large_laurent_matrices(rng):
+        d = det_laurent(M)
+        assert d == bareiss_det_laurent(M, ZZ)
+        if len(M) <= 6:
+            assert d == cofactor_det_poly(M)
+        singular += d.is_zero()
+    assert singular >= 5
 
 
 def test_det_laurent_rejects_fraction_coefficients():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_annulus_quotient, random_plane_graph
+from conftest import first_nonzero_divisor, random_annulus_quotient, random_plane_graph
 from lapgraph.colorings import (
     YES,
     bicycle_basis,
@@ -20,7 +20,7 @@ from lapgraph.library import (
     single_loop_plane_quotient,
     triangle_plane,
 )
-from lapgraph.linalg import first_nonzero_divisor, row_space_canonical
+from lapgraph.linalg import row_space_canonical
 from lapgraph.planar import (
     PlaneGraph,
     compact_orbit_count,
