@@ -255,7 +255,7 @@ def cmd_crsf(args) -> int:
     vg = _voltage_of(obj)
     rep = crsf_coefficients(vg)
     det = det_laurent(voltage_laplacian(vg))
-    d0 = det if det.is_zero() else normalize(det, ZZ)
+    d0 = normalize(det, ZZ)
     matches = rep.matches(det)
     if args.json:
         print(

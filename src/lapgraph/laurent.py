@@ -24,8 +24,10 @@ units are monomials).
 The gcd has one algorithm, for one and two variables over the integers and
 GF(p): the gcd of the contents in x times the last term of a primitive
 pseudo-remainder sequence in x, whose pseudo-remainders come from the same
-long division.  Over the rationals the inputs are cleared to primitive
-integer polynomials and the gcd is taken over the integers (Gauss's lemma).
+long division; ``gcd_many`` folds it lazily over any iterable.  Over the
+rationals the inputs are cleared to primitive integer polynomials and the gcd
+is taken over the integers (Gauss's lemma).  Zero is its own unit class:
+``normalize`` returns it unchanged, so it needs no guard.
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -33,6 +35,7 @@ Polynomials are immutable by convention: no public method mutates ``coeffs``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
@@ -241,15 +244,16 @@ class LaurentPoly:
 def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     """Canonical representative of f's unit class in the Laurent ring.
 
-    Shifts so each variable's minimal exponent is 0, then fixes the scale:
-    over the integers the sign is chosen so the coefficient of the
+    Zero is its own unit class, so the zero polynomial is returned as it is.
+    Otherwise shifts so each variable's minimal exponent is 0, then fixes the
+    scale: over the integers the sign is chosen so the coefficient of the
     lexicographically least exponent is positive (content preserved); over the
     rationals denominators are cleared and content divided out, giving a
     primitive integer polynomial with that coefficient positive; over GF(p)
     that coefficient is scaled to 1.
     """
     if f.is_zero():
-        raise ValueError("cannot normalize the zero polynomial")
+        return f
     offs = tuple(-f.min_exp(v) for v in range(f.nvars))
     g = f.shift(offs)
     least = min(g.coeffs)
@@ -421,28 +425,28 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         return gcd_many((f, g), dom)
     f = f.reduce_to(dom)
     g = g.reduce_to(dom)
-    if f.is_zero():
-        f, g = g, f
-    if g.is_zero():
-        return normalize(f, dom) if f else f
+    if not (f and g):
+        return normalize(f or g, dom)
     return _gcd(f, g, dom)
 
 
 def gcd_many(polys, dom: Domain) -> LaurentPoly:
     """gcd of an iterable of Laurent polynomials (zero if all vanish in the domain).
 
-    Over QQ each nonzero input is cleared once to a primitive integer
-    polynomial (``normalize``); by Gauss's lemma their gcd over ZZ is the gcd
-    over QQ, so no rational arithmetic runs.  Over ZZ and GF(p) it folds
-    ``laurent_gcd``.
+    One lazy fold that reads the iterable once and stores none of it.  Over
+    ZZ and GF(p) it folds ``laurent_gcd``, which reduces each input into the
+    domain.  Over QQ each input is cleared to a primitive integer polynomial
+    (``normalize``); by Gauss's lemma their gcd over ZZ is the gcd over QQ, so
+    no rational arithmetic runs.  An empty iterable raises ValueError.
     """
-    polys = list(polys)
-    if not polys:
+    polys = iter(polys)
+    first = next(polys, None)
+    if first is None:
         raise ValueError("gcd of an empty collection")
+    polys = chain((first,), polys)
     if isinstance(dom, RationalField):
-        ints = [normalize(p, dom) for p in polys if p]
-        return normalize(gcd_many(ints, ZZ), dom) if ints else LaurentPoly.zero(polys[0].nvars)
-    acc = LaurentPoly.zero(polys[0].nvars)
+        return normalize(gcd_many((normalize(p, dom) for p in polys), ZZ), dom)
+    acc = LaurentPoly.zero(first.nvars)
     for p in polys:
         acc = laurent_gcd(acc, p, dom)
     return acc

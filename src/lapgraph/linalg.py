@@ -5,8 +5,10 @@ Matrices are plain lists of row lists.  Field entries are whatever the domain
 object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  Every determinant is taken over the integers; a coefficient
-domain enters only at the gcd of the elementary divisors, where each integer
-minor is reduced into it.  One fraction-free elimination on sparse rows
+domain enters only at the gcd of the elementary divisors: the integer minors
+stream, without being listed, into one lazy gcd fold that reduces each into
+the domain (over the rationals, clears it to a primitive integer polynomial
+and stays over the integers).  One fraction-free elimination on sparse rows
 serves both determinant rings: Z for :func:`int_det`, and Z[x^±1] or
 Z[x^±1, y^±1] for :func:`det_laurent` above order 4.
 """
@@ -272,8 +274,9 @@ def det_laurent(M: Matrix) -> LaurentPoly:
 def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     """k-th elementary divisor: gcd over the domain of all (n-k) x (n-k) minors.
 
-    M has integer coefficients.  Each minor is an integer determinant
-    (:func:`det_laurent`) reduced into the domain, and the gcd is taken there;
+    M has integer coefficients.  The minors are integer determinants
+    (:func:`det_laurent`), streamed one at a time into a single fold,
+    :func:`~lapgraph.laurent.gcd_many`, which reduces each into the domain;
     since reduction mod p is a ring map, a prime-field divisor is the gcd of
     the minors of M mod p.  Returns the zero polynomial if every minor
     vanishes; k = n is allowed and yields 1 (empty minor).
@@ -283,21 +286,17 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
         raise ValueError("elementary divisors need a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"divisor index {k} out of range for a {n} x {n} matrix")
-    nvars = M[0][0].nvars if n else 1
     if k == n:
-        return LaurentPoly.constant(dom.one, nvars)
+        return LaurentPoly.constant(dom.one, M[0][0].nvars if n else 1)
     size = n - k
-    dets = []
-    for rows in combinations(range(n), size):
-        for cols in combinations(range(n), size):
-            d = det_laurent([[M[i][j] for j in cols] for i in rows]).reduce_to(dom)
-            if not d.is_zero():
-                dets.append(d)
-    if not dets:
-        return LaurentPoly.zero(nvars)
-    return gcd_many(dets, dom)
+    minors = (
+        det_laurent([[M[i][j] for j in cols] for i in rows])
+        for rows in combinations(range(n), size)
+        for cols in combinations(range(n), size)
+    )
+    return gcd_many(minors, dom)
 
 
-def int_matrix_to_poly(M: Matrix, nvars: int = 1) -> Matrix:
-    """Wrap an integer matrix as constant Laurent polynomials."""
-    return [[LaurentPoly.constant(v, nvars) for v in row] for row in M]
+def int_matrix_to_poly(M: Matrix) -> Matrix:
+    """Wrap an integer matrix as constant one-variable Laurent polynomials."""
+    return [[LaurentPoly.constant(v, 1) for v in row] for row in M]

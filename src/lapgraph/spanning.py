@@ -85,8 +85,6 @@ class CrsfReport:
             return False
         if self.max_winding > 1:
             return True
-        if det.is_zero():
-            return self.reconstruction.is_zero()
         return normalize(self.reconstruction, ZZ) == normalize(det, ZZ)
 
 
@@ -176,23 +174,21 @@ def annular_connectivity(vg: VoltageGraph) -> int:
 # -- the kappa = 1 vertex split ---------------------------------------------------
 
 
-def split_at_annular_cut(vg: VoltageGraph, cut_vertex: str | None = None) -> FiniteGraph:
+def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
     """Split a kappa = 1 quotient at its cut vertex into the finite graph H.
 
-    Gauges all voltages off the cut vertex to zero, then opens the vertex into
-    two copies v@0 and v@1 so each former edge into v lands on the copy its
-    lift meets.  Spanning trees of H biject with essential one-component
-    CRSFs of the quotient.
+    The cut vertex v is the minimum annular cut.  Gauges all voltages off v
+    to zero, then opens v into two copies v@0 and v@1 so each former edge
+    into v lands on the copy its lift meets.  Spanning trees of H biject with
+    essential one-component CRSFs of the quotient.
     """
     if vg.rank != 1:
         raise ValueError("the vertex split applies to rank-1 quotients")
-    if cut_vertex is None:
-        cut = minimum_annular_cut(vg)
-        if len(cut) != 1:
-            raise ValueError(f"annular connectivity is {len(cut)}, not 1")
-        cut_vertex = cut[0]
+    cut = minimum_annular_cut(vg)
+    if len(cut) != 1:
+        raise ValueError(f"annular connectivity is {len(cut)}, not 1")
+    (v,) = cut
     g = vg.base
-    v = cut_vertex
     volts = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)}
     others = [u for u in g.vertices if u != v]
     # potentials per component of the quotient minus v, keyed by tree root

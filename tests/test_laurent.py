@@ -109,9 +109,12 @@ def test_normalize_examples():
     assert normalize(shifted, ZZ) == normalize(f, ZZ)
 
 
-def test_normalize_zero_rejected():
-    with pytest.raises(ValueError):
-        normalize(LaurentPoly.zero(1), ZZ)
+def test_normalize_zero_is_zero():
+    # zero is its own unit class, in every domain
+    for dom in (ZZ, QQ, GF2, GF5):
+        for nvars in (1, 2):
+            got = normalize(LaurentPoly.zero(nvars), dom)
+            assert got.is_zero() and got.nvars == nvars
 
 
 def test_normalize_rationals_gives_primitive_integers():
@@ -349,6 +352,71 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
             want = oracle(a, b, dom)
             assert got.coeffs == want.coeffs, (dom, kind, a, b)
             assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+
+
+def _fold_cases(rng):
+    """Lists of Laurent polynomials for gcd_many: all zero, zero first,
+    inputs that vanish mod 2, 3 or 5, and random ones with a common factor."""
+    z1, z2 = LaurentPoly.zero(1), LaurentPoly.zero(2)
+    cases = [
+        [z1],
+        [z1, z1, z1],
+        [z2, z2],
+        [z1, poly1("2x - 2"), poly1("x^2 - 1")],
+        [z2, poly2("2x*y - 2"), z2, poly2("x^2*y^2 - 1")],
+        [poly1("10x + 20"), poly1("6x - 3"), poly1("x^2 - 1")],
+        [poly1("10"), poly1("5x - 15x^-1"), z1],
+        [poly2("2x*y - 4"), z2, poly2("6y + 10x")],
+        [poly2("15x - 30y"), poly2("5y^-1")],
+    ]
+    coeffs = (-10, -6, -5, -2, -1, 1, 2, 3, 5, 6, 10)
+    for _ in range(12):
+        nvars = rng.choice((1, 2))
+
+        def rand_poly():
+            return LaurentPoly(
+                nvars,
+                {
+                    tuple(rng.randint(-2, 2) for _ in range(nvars)): rng.choice(coeffs)
+                    for _ in range(rng.randint(1, 3))
+                },
+            )
+
+        common = rand_poly()
+        cases.append(
+            [
+                LaurentPoly.zero(nvars) if rng.random() < 0.3 else common * rand_poly()
+                for _ in range(rng.randint(1, 5))
+            ]
+        )
+    return cases
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, GF5], ids=repr)
+def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
+    """A generator gives the list's gcd, coefficient types included, and each
+    input is folded before the next one is read (no list of inputs)."""
+    for polys in _fold_cases(random.Random(2024)):
+        want = gcd_many(polys, dom)
+        nonzero = [p for p in polys if p.reduce_to(dom)]
+        assert want == (gcd_many(nonzero, dom) if nonzero else LaurentPoly.zero(polys[0].nvars))
+
+        folds, reads = [], []
+        fold = laurent_module.laurent_gcd
+        monkeypatch.setattr(laurent_module, "laurent_gcd", lambda f, g, d: folds.append(g) or fold(f, g, d))
+
+        def one_shot():
+            for p in polys:
+                reads.append(len(folds))
+                yield p
+
+        got = gcd_many(one_shot(), dom)
+        monkeypatch.undo()
+        assert got == want, (dom, polys)
+        assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+        assert reads == list(range(len(polys))), (dom, polys)
+    with pytest.raises(ValueError):
+        gcd_many(iter(()), dom)
 
 
 def test_gcd_of_inputs_that_vanish_in_the_domain_is_zero():

@@ -14,7 +14,7 @@ from conftest import (
     first_nonzero_divisor,
     random_voltage_graph,
 )
-from lapgraph.fields import GF2, QQ, ZZ, PrimeField
+from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
@@ -309,6 +309,32 @@ def test_elementary_divisor_equals_reduce_first_oracle(seed):
                 want = elementary_divisor_reduce_first(L, k, dom)
                 assert mine == want, (vg, dom, k)
                 assert _coefficient_types(mine) == _coefficient_types(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_divisors_build_no_fraction(seed, monkeypatch):
+    """Over QQ the minors stay integer polynomials: each is cleared by
+    normalize and the gcd taken over ZZ, so RationalField.of never runs."""
+    rng = random.Random(1400 + seed)
+    vgs = [
+        random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9),
+        random_voltage_graph(rng, rank=2, max_vertices=4, max_edges=7),
+    ]
+    of_calls = []
+    rational_of = RationalField.of
+
+    def spy(self, n):
+        of_calls.append(n)
+        return rational_of(self, n)
+
+    for vg in vgs:
+        L = voltage_laplacian(vg)
+        for k in range(len(L) + 1):
+            monkeypatch.setattr(RationalField, "of", spy)
+            got = elementary_divisor(L, k, QQ)
+            monkeypatch.undo()
+            assert of_calls == [], (vg, k)
+            assert got == elementary_divisor_reduce_first(L, k, QQ), (vg, k)
 
 
 @pytest.mark.parametrize("seed", range(15))

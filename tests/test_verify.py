@@ -6,15 +6,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_annulus_quotient, random_voltage_graph
-from lapgraph import linalg, spanning, verify
+from conftest import random_annulus_quotient, random_multigraph, random_voltage_graph
+from lapgraph import laurent, linalg, spanning, verify
 from lapgraph.cli import main
-from lapgraph.fields import QQ, ZZ
-from lapgraph.graphio import format_graph_file
+from lapgraph.fields import QQ, ZZ, RationalField
+from lapgraph.graphio import format_graph_file, parse_graph_file
 from lapgraph.graphs import voltage_laplacian
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.library import k4_plane, ladder_plane_quotient, mitsubishi_quotient
-from lapgraph.planar import PlaneGraph
+from lapgraph.planar import PlaneGraph, euler_characteristic
 
 mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is the function
 
@@ -140,3 +140,93 @@ def test_growth_check_skips_when_no_cover_fits(graph_file, capsys):
 def test_verify_has_no_base_options(graph_file):
     with pytest.raises(SystemExit):
         main(["verify", graph_file("k4"), "--base-face", "0"])
+
+
+def test_verify_divides_no_rational_polynomial(monkeypatch):
+    # Delta_k over QQ comes from a gcd over ZZ, and both divisibility checks
+    # divide primitive integer polynomials over ZZ (Gauss's lemma)
+    domains = []
+    divmod_ = laurent._divmod
+
+    def spy(f, g, dom):
+        domains.append(dom)
+        return divmod_(f, g, dom)
+
+    monkeypatch.setattr(laurent, "_divmod", spy)
+    rng = random.Random(7100)
+    objs = [ladder_plane_quotient(), mitsubishi_quotient(), random_annulus_quotient(rng, 8)]
+    objs += [random_voltage_graph(rng, 1, 5, 8) for _ in range(4)]
+    objs += [random_voltage_graph(rng, 2, 3, 5) for _ in range(2)]
+    for obj in objs:
+        verify.run_verify(obj, max_cover=8, fibers=64)
+    assert domains and not any(isinstance(d, RationalField) for d in domains)
+
+
+# A rotation system of Euler characteristic 0 (a torus embedding).
+TORUS_ROTATIONS = """lapgraph v1
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+edge e0 v3 v3
+edge e1 v0 v1
+edge e2 v1 v2
+edge e3 v0 v3
+edge e4 v1 v3
+edge e5 v1 v0
+edge e6 v2 v2
+rot v0: e1.t e3.t e5.h
+rot v1: e4.t e5.t e2.t e1.h
+rot v2: e2.h e6.t e6.h
+rot v3: e4.h e0.h e3.h e0.t
+"""
+
+
+def test_verify_reports_a_rotation_system_that_is_not_planar(tmp_path, capsys):
+    assert euler_characteristic(parse_graph_file(TORUS_ROTATIONS)) == 0
+    path = tmp_path / "torus.lapgraph"
+    path.write_text(TORUS_ROTATIONS)
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS medial-crossings",
+        "FAIL medial-component-count",
+        "FAIL shank-basis",
+        "FAIL dehn-roundtrip",
+        "PASS bicycle-two-method",
+        "FAILED",
+    ]
+    assert "FAIL dehn-roundtrip: face coloring is path dependent" in lines
+
+
+def test_dehn_roundtrip_reports_a_failed_edge_check(monkeypatch):
+    def fails_its_edge_check(*args):
+        raise AssertionError("Dehn condition fails at edge e1")
+
+    monkeypatch.setattr(verify, "dehn_extend", fails_its_edge_check)
+    (res,) = [r for r in verify.run_verify(k4_plane(), 8, 64) if r.name == "dehn-roundtrip"]
+    assert (res.status, res.detail) == ("FAIL", "Dehn condition fails at edge e1")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_reports_on_every_random_rotation_system(seed):
+    # planar ones (Euler characteristic 2) pass every check; the others
+    # report, and none raises
+    rng = random.Random(7200 + seed)
+    kinds = Counter()
+    for _ in range(50):
+        g = random_multigraph(rng, 4, 7, connected=True)
+        if not g.edges:
+            continue
+        rot = {v: [] for v in g.vertices}
+        for e in g.edges:
+            rot[e.tail].append((e.name, "t"))
+            rot[e.head].append((e.name, "h"))
+        for darts in rot.values():
+            rng.shuffle(darts)
+        pg = PlaneGraph(g, {v: tuple(d) for v, d in rot.items()})
+        results = verify.run_verify(pg, 8, 64)
+        planar = euler_characteristic(pg) == 2
+        kinds[planar] += 1
+        assert verify.verify_ok(results) or not planar, [r for r in results if r.status == "FAIL"]
+    assert kinds[True] and kinds[False]
