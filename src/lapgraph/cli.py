@@ -100,7 +100,7 @@ def cmd_bicycle(args) -> int:
     obj = _load(args.file)
     base = _base_of(obj)
     fld = domain_from_spec(args.field)
-    if not getattr(fld, "is_field", False):
+    if not fld.is_field:
         raise ValueError("bicycle needs a field (q or gf:P)")
     basis = bicycle_basis(base, fld)
     if args.json:
@@ -152,7 +152,7 @@ def cmd_medial(args) -> int:
     else:
         for i, c in enumerate(comps):
             wind = "" if c.winding is None else f" winding {c.winding}"
-            print(f"component {i}: crossings {' '.join(c.crossings)}{wind}")
+            print(f"component {i}: crossings {' '.join(c.crossings) or '(empty)'}{wind}")
             print(f"  residue: {' '.join(c.residue) if c.residue else '(empty)'}")
         if "shank_basis" in payload:
             print(f"shank basis (base component {args.base_component}):")

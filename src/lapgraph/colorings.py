@@ -55,7 +55,7 @@ def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
     """The cut-space edge coloring Q^T alpha: each edge gets head minus tail color."""
     alpha = [fld.of(a) for a in alpha]
     return [
-        fld.sub(alpha[g.vertex_index(e.head)], alpha[g.vertex_index(e.tail)])
+        fld.of(alpha[g.vertex_index(e.head)] - alpha[g.vertex_index(e.tail)])
         for e in g.edges
     ]
 
@@ -72,15 +72,10 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     for j, e in enumerate(g.edges):
         if j in tree_edges:
             continue
-        circ = fld.add(beta[j], fld.sub(pot[e.tail], pot[e.head]))
-        if not fld.is_zero(circ):
+        if fld.of(beta[j] + pot[e.tail] - pot[e.head]):
             return FAILS_CYCLE
-    Q = incidence_matrix(g)
-    for row in Q:
-        s = fld.zero
-        for qij, b in zip(row, beta):
-            s = fld.add(s, fld.mul(fld.of(qij), b))
-        if not fld.is_zero(s):
+    for row in incidence_matrix(g):
+        if fld.of(sum(qij * b for qij, b in zip(row, beta))):
             return FAILS_KIRCHHOFF
     return YES
 
@@ -111,15 +106,14 @@ def bicycle_basis_meet(g: FiniteGraph, fld: Domain) -> list[list]:
 def _intersect_spans(A: list[list], B: list[list], fld: Domain) -> list[list]:
     if not A or not B:
         return []
-    cols = [list(v) for v in A] + [[fld.neg(x) for x in v] for v in B]
+    cols = [list(v) for v in A] + [[fld.of(-x) for x in v] for v in B]
     stacked = transpose(cols)
     combos = nullspace(stacked, fld)
     vectors = []
     for c in combos:
         vec = [fld.zero] * len(A[0])
         for coeff, basis_vec in zip(c[: len(A)], A):
-            if fld.is_zero(coeff):
-                continue
-            vec = [fld.add(x, fld.mul(coeff, b)) for x, b in zip(vec, basis_vec)]
+            if coeff:
+                vec = [fld.of(x + coeff * b) for x, b in zip(vec, basis_vec)]
         vectors.append(vec)
     return row_space_canonical(vectors, fld)

@@ -1,9 +1,12 @@
 """Exact coefficient domains: rationals, prime fields GF(p), and the integers.
 
-A domain object bundles the arithmetic needed by the generic linear algebra
-and polynomial code.  Elements are plain Python values: ints in range(p) for
-GF(p), Fraction for the rationals, int for the integers.  Domains are
-stateless and hashable, so they can be shared freely between threads.
+A domain is a reduction map, not an arithmetic: elements are plain Python
+values (ints in range(p) for GF(p), Fraction for the rationals, int for the
+integers), callers compute with Python's operators, and ``of`` brings an int
+or Fraction result back into the domain.  Over GF(p) that is the one
+reduction mod p; every reduced element is zero exactly when it is falsy.
+The fields add ``inv``, which raises ZeroDivisionError on zero.  Domains are
+stateless and hashable.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ class PrimeField:
     """The field GF(p).  Elements are ints reduced to range(p)."""
 
     is_field = True
-    char: int
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.char = p
         self.zero = 0
         self.one = 1
 
@@ -45,31 +46,13 @@ class PrimeField:
         if isinstance(n, Fraction):
             if n.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
-            return self.div(n.numerator % self.p, n.denominator % self.p)
+            return n.numerator * pow(n.denominator, -1, self.p) % self.p
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -85,7 +68,6 @@ class RationalField:
     """The field of rationals; elements are Fraction (ints are accepted)."""
 
     is_field = True
-    char = 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -93,26 +75,8 @@ class RationalField:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    def add(self, a, b):
-        return Fraction(a) + b
-
-    def sub(self, a, b):
-        return Fraction(a) - b
-
-    def mul(self, a, b):
-        return Fraction(a) * b
-
-    def neg(self, a):
-        return -Fraction(a)
-
     def inv(self, a):
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -125,10 +89,9 @@ class RationalField:
 
 
 class IntegerRing:
-    """The ring of integers (not a field; division is not provided)."""
+    """The ring of integers (not a field; it has no ``inv``)."""
 
     is_field = False
-    char = 0
 
     zero = 0
     one = 1
@@ -139,21 +102,6 @@ class IntegerRing:
                 raise ValueError(f"{n} is not an integer")
             return n.numerator
         return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)

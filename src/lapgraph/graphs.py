@@ -330,17 +330,17 @@ def bfs_potentials(
     """Integrate edge values along a breadth-first spanning forest.
 
     Edge j runs from ends[j][0] to ends[j][1]; crossing it that way adds
-    values[j] and crossing it backwards subtracts it.  Roots are taken in the
-    order of vertices and sit at dom.zero, each vertex's edges are walked in
-    edge order, and loops are skipped.  Returns (potential, tree, root): the
-    potential of each vertex, the indices of the forest's edges, and the root
-    of each vertex's tree.
+    values[j] and crossing it backwards subtracts it, each sum reduced with
+    dom.of.  Roots are taken in the order of vertices and sit at dom.zero,
+    each vertex's edges are walked in edge order, and loops are skipped.
+    Returns (potential, tree, root): the potential of each vertex, the indices
+    of the forest's edges, and the root of each vertex's tree.
     """
     adj: dict = {v: [] for v in vertices}
     for j, (tail, head) in enumerate(ends):
         if tail != head:
             adj[tail].append((j, head, values[j]))
-            adj[head].append((j, tail, dom.neg(values[j])))
+            adj[head].append((j, tail, dom.of(-values[j])))
     pot: dict = {}
     root: dict = {}
     tree: set[int] = set()
@@ -354,7 +354,7 @@ def bfs_potentials(
             u = queue.popleft()
             for j, w, step in adj[u]:
                 if w not in pot:
-                    pot[w] = dom.add(pot[u], step)
+                    pot[w] = dom.of(pot[u] + step)
                     root[w] = r
                     tree.add(j)
                     queue.append(w)

@@ -260,7 +260,7 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     c0 = g.coeffs[least]
     if isinstance(dom, PrimeField):
         inv = dom.inv(dom.of(c0))
-        return g.map_coefficients(lambda c: dom.mul(dom.of(c), inv))
+        return g.map_coefficients(lambda c: dom.of(c * inv))
     if isinstance(dom, RationalField):
         denom_lcm = int_lcm(*(c.denominator for c in g.coeffs.values()))
         ints = {e: c.numerator * (denom_lcm // c.denominator) for e, c in g.coeffs.items()}
@@ -295,7 +295,7 @@ def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, L
         if min(shift) < 0:
             break
         if dom.is_field:
-            qc = dom.div(rem[top], lc)
+            qc = dom.of(rem[top] * dom.inv(lc))
         else:
             qc, r = divmod(rem[top], lc)
             if r:
@@ -303,11 +303,11 @@ def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, L
         quot[shift] = qc
         for e, c in g.coeffs.items():
             t = tuple(a + b for a, b in zip(e, shift))
-            s = dom.sub(rem.get(t, dom.zero), dom.mul(c, qc))
-            if dom.is_zero(s):
-                rem.pop(t, None)  # the loop reads max(rem)
-            else:
+            s = dom.of(rem.get(t, 0) - c * qc)
+            if s:
                 rem[t] = s
+            else:
+                rem.pop(t, None)  # the loop reads max(rem)
     return LaurentPoly(f.nvars, quot), LaurentPoly(f.nvars, rem)
 
 

@@ -36,25 +36,29 @@ def transpose(M: Matrix) -> Matrix:
 def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over a field; leftmost-nonzero pivot rule.
 
-    Returns (R, pivot_columns).  The input is not modified.
+    Entries are reduced into the field with ``field.of`` on the way in and
+    after every row operation, which is computed with Python's operators, so
+    an entry is zero exactly when it is falsy; pivots are inverted with
+    ``field.inv``.  Returns (R, pivot_columns).  The input is not modified.
     """
     _check_rect(M)
-    R = [[field.of(v) for v in row] for row in M]
+    of = field.of
+    R = [[of(v) for v in row] for row in M]
     nrows = len(R)
     ncols = len(R[0]) if R else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if not field.is_zero(R[i][c])), None)
+        sel = next((i for i in range(r, nrows) if R[i][c]), None)
         if sel is None:
             continue
         R[r], R[sel] = R[sel], R[r]
         inv = field.inv(R[r][c])
-        R[r] = [field.mul(v, inv) for v in R[r]]
+        R[r] = [of(v * inv) for v in R[r]]
         for i in range(nrows):
-            if i != r and not field.is_zero(R[i][c]):
+            if i != r and R[i][c]:
                 factor = R[i][c]
-                R[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(R[i], R[r])]
+                R[i] = [of(a - factor * b) for a, b in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -82,7 +86,7 @@ def nullspace(M: Matrix, field: Domain) -> list[list]:
         v = [field.zero] * ncols
         v[fc] = field.one
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(R[i][fc])
+            v[pc] = field.of(-R[i][fc])
         basis.append(v)
     return basis
 

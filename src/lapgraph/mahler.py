@@ -320,21 +320,10 @@ def _fiber_measure(f: LaurentPoly, theta: float, step: float) -> float:
     return _jensen_from_coeffs(coeffs)
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """Summation over a fixed binary tree; order independent of chunking."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return _pairwise_sum(values[:mid]) + _pairwise_sum(values[mid:])
-
-
 def _grid_average(f: LaurentPoly, n: int) -> float:
     step = 1.0 / n
     vals = [_fiber_measure(f, (j + 0.5) * step, step) for j in range(n)]
-    return _pairwise_sum(vals) / n
+    return math.fsum(vals) / n
 
 
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:

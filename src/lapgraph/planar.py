@@ -124,8 +124,17 @@ class Face:
         return len(self.darts)
 
 
+def _isolated(pg: PlaneGraph) -> list[str]:
+    """Vertices with an empty rotation, in vertex order."""
+    return [v for v in pg.base.vertices if not pg.rotations.get(v)]
+
+
 def faces(pg: PlaneGraph) -> list[Face]:
-    """Face orbits of the rotation system, in deterministic order."""
+    """Face orbits of the rotation system, in deterministic order.
+
+    The orbits come in edge order, then one empty face for each isolated
+    vertex (the sphere around it), so a lone vertex has Euler characteristic 2.
+    """
     nxt, _, opp = pg._maps()
     order = [(e.name, end) for e in pg.base.edges for end in ("t", "h")]
     seen: set[Dart] = set()
@@ -142,6 +151,7 @@ def faces(pg: PlaneGraph) -> list[Face]:
             if d == start:
                 break
         out.append(Face(tuple(walk)))
+    out.extend(Face(()) for _ in _isolated(pg))
     return out
 
 
@@ -167,14 +177,9 @@ class DehnColoring:
 
 
 def is_conservative_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> bool:
-    L = laplacian_finite(g)
-    for row in L:
-        s = fld.zero
-        for lij, a in zip(row, alpha):
-            s = fld.add(s, fld.mul(fld.of(lij), a))
-        if not fld.is_zero(s):
-            return False
-    return True
+    return not any(
+        fld.of(sum(lij * a for lij, a in zip(row, alpha))) for row in laplacian_finite(g)
+    )
 
 
 def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> DehnColoring:
@@ -199,7 +204,7 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     # Dual edge e runs from the face right of tail -> head to the face on its
     # left; crossing it that way adds alpha(tail) - alpha(head).
     ends = [(fidx[(e.name, "h")], fidx[(e.name, "t")]) for e in g.edges]
-    incs = [fld.sub(alpha[vidx(e.tail)], alpha[vidx(e.head)]) for e in g.edges]
+    incs = [fld.of(alpha[vidx(e.tail)] - alpha[vidx(e.head)]) for e in g.edges]
     order = [base_face] + [f for f in range(len(fl)) if f != base_face]
     pot, _, root = bfs_potentials(order, ends, incs, fld)
     # a face in another dual component than the base face is colored zero
@@ -207,7 +212,7 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     # the edge condition color(tail) + gamma(right) = color(head) + gamma(left);
     # it can fail inside the base face's dual component only off the plane
     for e, (right, left), inc in zip(g.edges, ends, incs):
-        if colors[left] != fld.add(colors[right], inc):
+        if colors[left] != fld.of(colors[right] + inc):
             if root[right] == base_face:
                 raise ValueError("face coloring is path dependent")
             raise AssertionError(f"Dehn condition fails at edge {e.name}")
@@ -282,6 +287,8 @@ def _trace_components(pg: PlaneGraph, with_winding: bool) -> list[MedialComponen
         out.append(
             MedialComponent(tuple(crossings), residue, winding if with_winding else None)
         )
+    # an isolated vertex is circled by one strand that crosses nothing
+    out.extend(MedialComponent((), (), 0 if with_winding else None) for _ in _isolated(pg))
     return out
 
 
@@ -326,7 +333,8 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
     the graph: a GF(2) basis of the bicycles.
 
     The dropped strand is ``base_component`` in its own graph component and
-    the first strand in every other one.  Raises if the residues fail to be a
+    the first strand in every other one; an isolated vertex's empty strand is
+    the only one of its component, so it is always dropped.  Raises if the residues fail to be a
     basis of the bicycle space, which would contradict the rotation system
     being planar.
     """
@@ -339,7 +347,8 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
         raise ValueError(f"base component {base_component} out of range")
     part = {v: i for i, vs in enumerate(connected_components(g)) for v in vs}
     tail = {e.name: e.tail for e in g.edges}
-    home = [part[tail[c.crossings[0]]] for c in comps]
+    lone = iter(_isolated(pg))  # the empty strands come last, in vertex order
+    home = [part[tail[c.crossings[0]] if c.crossings else next(lone)] for c in comps]
     dropped = {home[base_component]: base_component}
     for i, h in enumerate(home):
         dropped.setdefault(h, i)

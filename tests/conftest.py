@@ -229,11 +229,11 @@ def _euclid_dense(a, b, dom):
     """gcd of dense coefficient lists (lowest first) over a field, by Euclid."""
     while b:
         while len(a) >= len(b):
-            q = dom.div(a[-1], b[-1])
+            q = dom.of(a[-1] * dom.inv(b[-1]))
             s = len(a) - len(b)
             for i, c in enumerate(b):
-                a[s + i] = dom.sub(a[s + i], dom.mul(q, c))
-            while a and dom.is_zero(a[-1]):
+                a[s + i] = dom.of(a[s + i] - q * c)
+            while a and not a[-1]:
                 a.pop()
         a, b = b, a
     return a

@@ -1,0 +1,120 @@
+"""Coefficient domains: the reduction map ``of``, ``inv``, and domain specs."""
+
+from fractions import Fraction
+
+import pytest
+
+from lapgraph.fields import GF2, QQ, ZZ, IntegerRing, PrimeField, RationalField, domain_from_spec
+
+GF5 = PrimeField(5)
+GF7 = PrimeField(7)
+
+
+@pytest.mark.parametrize(
+    "dom, n, want",
+    [
+        (GF2, 3, 1),
+        (GF2, -4, 0),
+        (GF5, -1, 4),
+        (GF5, 12, 2),
+        (GF7, Fraction(1, 3), 5),
+        (GF7, Fraction(-2, 5), 1),
+        (GF5, Fraction(10, 3), 0),
+        (GF5, Fraction(6, 2), 3),
+    ],
+)
+def test_prime_field_of_reduces_into_range_p(dom, n, want):
+    got = dom.of(n)
+    assert got == want and type(got) is int
+    assert 0 <= got < dom.p
+
+
+@pytest.mark.parametrize("n", [-3, 0, 7, Fraction(-5, 6), Fraction(4, 2)])
+def test_rationals_of_is_a_fraction(n):
+    got = QQ.of(n)
+    assert got == n and type(got) is Fraction
+
+
+@pytest.mark.parametrize("n", [-3, 0, 7, Fraction(6, 3), Fraction(-4, 1)])
+def test_integers_of_is_an_int(n):
+    got = ZZ.of(n)
+    assert got == n and type(got) is int
+
+
+def test_prime_field_of_rejects_a_denominator_divisible_by_p():
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by p"):
+        GF5.of(Fraction(1, 10))
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by p"):
+        GF2.of(Fraction(3, 4))
+
+
+def test_integers_of_rejects_a_proper_fraction():
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        ZZ.of(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("dom", [GF2, GF5, GF7])
+def test_prime_field_inv(dom):
+    for a in range(1, dom.p):
+        assert dom.of(a * dom.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        dom.inv(0)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        dom.inv(dom.p)
+
+
+def test_rational_inv():
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(QQ.inv(4)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_only_the_fields_invert():
+    assert GF5.is_field and QQ.is_field and not ZZ.is_field
+    assert not hasattr(ZZ, "inv")
+
+
+@pytest.mark.parametrize("dom", [GF2, GF5, QQ, ZZ])
+def test_zero_and_one_are_elements(dom):
+    assert dom.of(dom.zero) == dom.zero and not dom.zero
+    assert dom.of(dom.one) == dom.one == 1
+    assert type(dom.of(0)) is type(dom.zero)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, -3])
+def test_prime_field_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(p)
+
+
+def test_domains_compare_and_hash_by_value():
+    assert PrimeField(5) == GF5 and hash(PrimeField(5)) == hash(GF5)
+    assert GF5 != GF7 and GF5 != QQ and QQ != ZZ
+    assert RationalField() == QQ and IntegerRing() == ZZ
+    assert len({GF2, PrimeField(2), GF5, QQ, RationalField(), ZZ}) == 4
+    assert [repr(d) for d in (GF5, QQ, ZZ)] == ["GF(5)", "QQ", "ZZ"]
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [("q", QQ), ("z", ZZ), ("gf:2", GF2), (" GF:7 ", GF7), ("Q", QQ)],
+)
+def test_domain_from_spec(spec, want):
+    assert domain_from_spec(spec) == want
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ("r", "expected q, z, or gf:P"),
+        ("", "expected q, z, or gf:P"),
+        ("gf:", "bad field spec"),
+        ("gf:x", "bad field spec"),
+        ("gf:4", "4 is not prime"),
+        ("gf:1", "1 is not prime"),
+    ],
+)
+def test_domain_from_spec_rejects(spec, match):
+    with pytest.raises(ValueError, match=match):
+        domain_from_spec(spec)

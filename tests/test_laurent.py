@@ -153,7 +153,7 @@ def test_normalize_constant_on_gf7_unit_classes(f, shift, scale):
     f = f.reduce_to(fld)
     if f.is_zero():
         return
-    u = f.shift((shift,)).map_coefficients(lambda c: fld.mul(c, scale))
+    u = f.shift((shift,)).map_coefficients(lambda c: fld.of(c * scale))
     assert normalize(u, fld) == normalize(f, fld)
 
 
@@ -457,7 +457,7 @@ def test_gcd_keeps_its_own_domains_after_a_reimport(monkeypatch):
 
 
 def _stores_no_zero(f, dom=None):
-    return not any(c == 0 if dom is None else dom.is_zero(c) for c in f.coeffs.values())
+    return all(c if dom is None else dom.of(c) for c in f.coeffs.values())
 
 
 @settings(max_examples=150, deadline=None)

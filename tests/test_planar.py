@@ -1,6 +1,7 @@
 """Faces, Dehn colorings, medial components, residues, Shank basis."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from lapgraph.colorings import (
     is_conservative_edge,
 )
 from lapgraph.fields import GF2, QQ, PrimeField
+from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import FiniteGraph, connected_components, voltage_laplacian
 from lapgraph.library import (
     girder_plane_quotient,
@@ -22,6 +24,8 @@ from lapgraph.library import (
 )
 from lapgraph.linalg import row_space_canonical
 from lapgraph.planar import (
+    Face,
+    MedialComponent,
     PlaneGraph,
     compact_orbit_count,
     cover_plane_graph,
@@ -56,6 +60,51 @@ def test_face_counts():
 def test_euler_formula_on_random_plane_graphs(seed):
     pg = random_plane_graph(random.Random(seed))
     assert euler_characteristic(pg) == 2
+
+
+def _data_graph(name):
+    return parse_graph_file((Path(__file__).with_name("data") / f"{name}.lapgraph").read_text())
+
+
+def test_lone_vertex_has_one_face_and_one_strand():
+    pg = _data_graph("lone_vertex")
+    assert faces(pg) == [Face(())]
+    assert euler_characteristic(pg) == 2
+    assert medial_components(pg) == [MedialComponent((), (), None)]
+    assert shank_basis(pg) == []
+    dc = dehn_extend(pg, [3], 0, GF5)
+    assert dc.face_colors == (0,) and dehn_restrict(dc) == [3]
+
+
+def test_each_isolated_vertex_adds_one_face_and_one_strand():
+    two = _data_graph("two_lone_vertices")
+    assert faces(two) == [Face(()), Face(())]
+    assert euler_characteristic(two) == 4
+    comps = medial_components(two)
+    assert len(comps) == 2 == len(conservative_vertex_basis(two.base, GF2))
+    assert shank_basis(two, 1) == []
+    pg, ladder = _data_graph("ladder_lone_vertex"), ladder_plane_quotient()
+    assert faces(pg) == faces(ladder) + [Face(())]
+    assert euler_characteristic(pg) == euler_characteristic(ladder) + 2
+    comps = medial_components_voltage(pg)
+    assert comps == medial_components_voltage(ladder) + [MedialComponent((), (), 0)]
+    assert compact_orbit_count(comps) == 1
+    assert noncompact_count(comps) == noncompact_count(medial_components_voltage(ladder))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_isolated_vertices_leave_the_rest_of_a_plane_graph_alone(seed):
+    rng = random.Random(seed)
+    pg = random_plane_graph(rng)
+    lone = tuple(f"lone{i}" for i in range(rng.randint(1, 3)))
+    g = FiniteGraph(pg.base.vertices + lone, pg.base.edges)
+    pg2 = PlaneGraph(g, {**pg.rotations, **{v: () for v in lone}})
+    assert faces(pg2) == faces(pg) + [Face(())] * len(lone)
+    assert euler_characteristic(pg2) == 2 * (1 + len(lone))
+    comps = medial_components(pg2)
+    assert comps == medial_components(pg) + [MedialComponent((), (), None)] * len(lone)
+    assert len(comps) == len(conservative_vertex_basis(g, GF2))
+    assert shank_basis(pg2) == shank_basis(pg)
 
 
 def test_face_walks_partition_the_darts():
@@ -98,7 +147,7 @@ def test_k4_dehn_extension_satisfies_edge_condition_everywhere():
             right = dc.face_colors[fidx[(e.name, "h")]]
             a1 = dc.vertex_colors[g.vertex_index(e.tail)]
             a2 = dc.vertex_colors[g.vertex_index(e.head)]
-            assert GF2.add(a1, right) == GF2.add(a2, left)
+            assert GF2.of(a1 + right) == GF2.of(a2 + left)
 
 
 def test_triangle_conservative_over_q_is_constant():

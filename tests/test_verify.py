@@ -3,6 +3,7 @@
 import importlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_verify_reports_a_rotation_system_that_is_not_planar(tmp_path, capsys):
         "FAILED",
     ]
     assert "FAIL dehn-roundtrip: face coloring is path dependent" in lines
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("lone_vertex", "PASS medial-component-count: 1 components, GF(2) nullity 1"),
+        ("two_lone_vertices", "PASS medial-component-count: 2 components, GF(2) nullity 2"),
+        (
+            "ladder_lone_vertex",
+            "PASS medial-gf2-degree: deg Delta_1 = 4, noncompact = 4, zero-winding orbits = 1",
+        ),
+    ],
+)
+def test_verify_passes_plane_graphs_with_isolated_vertices(name, line, capsys):
+    path = Path(__file__).with_name("data") / f"{name}.lapgraph"
+    assert main(["verify", str(path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_dehn_roundtrip_reports_a_failed_edge_check(monkeypatch):
