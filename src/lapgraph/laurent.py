@@ -24,7 +24,8 @@ units are monomials).
 The gcd has one algorithm, for one and two variables over the integers and
 GF(p): the gcd of the contents in x times the last term of a primitive
 pseudo-remainder sequence in x, whose pseudo-remainders come from the same
-long division; ``gcd_many`` folds it lazily over any iterable.  Over the
+long division; ``gcd_many`` folds it lazily over any iterable and stops
+reading at the first input after which the gcd is the unit 1.  Over the
 rationals the inputs are cleared to primitive integer polynomials and the gcd
 is taken over the integers (Gauss's lemma).  Zero is its own unit class:
 ``normalize`` returns it unchanged, so it needs no guard.
@@ -433,11 +434,13 @@ def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 def gcd_many(polys, dom: Domain) -> LaurentPoly:
     """gcd of an iterable of Laurent polynomials (zero if all vanish in the domain).
 
-    One lazy fold that reads the iterable once and stores none of it.  Over
-    ZZ and GF(p) it folds ``laurent_gcd``, which reduces each input into the
-    domain.  Over QQ each input is cleared to a primitive integer polynomial
-    (``normalize``); by Gauss's lemma their gcd over ZZ is the gcd over QQ, so
-    no rational arithmetic runs.  An empty iterable raises ValueError.
+    One lazy fold that reads the iterable in order and stores none of it; it
+    stops reading at the first input after which the running gcd is the unit
+    1, since no later input can change it.  Over ZZ and GF(p) it folds
+    ``laurent_gcd``, which reduces each input into the domain.  Over QQ each
+    input is cleared to a primitive integer polynomial (``normalize``); by
+    Gauss's lemma their gcd over ZZ is the gcd over QQ, so no rational
+    arithmetic runs.  An empty iterable raises ValueError.
     """
     polys = iter(polys)
     first = next(polys, None)
@@ -446,9 +449,11 @@ def gcd_many(polys, dom: Domain) -> LaurentPoly:
     polys = chain((first,), polys)
     if isinstance(dom, RationalField):
         return normalize(gcd_many((normalize(p, dom) for p in polys), ZZ), dom)
-    acc = LaurentPoly.zero(first.nvars)
+    acc, one = LaurentPoly.zero(first.nvars), LaurentPoly.constant(1, first.nvars)
     for p in polys:
         acc = laurent_gcd(acc, p, dom)
+        if acc == one:
+            break
     return acc
 
 

@@ -8,7 +8,8 @@ coefficients.  Every determinant is taken over the integers; a coefficient
 domain enters only at the gcd of the elementary divisors: the integer minors
 stream, without being listed, into one lazy gcd fold that reduces each into
 the domain (over the rationals, clears it to a primitive integer polynomial
-and stays over the integers).  One fraction-free elimination on sparse rows
+and stays over the integers) and stops at the first unit gcd, so the later
+minors are never computed.  One fraction-free elimination on sparse rows
 serves both determinant rings: Z for :func:`int_det`, and Z[x^±1] or
 Z[x^±1, y^±1] for :func:`det_laurent` above order 4.
 """
@@ -282,8 +283,10 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     (:func:`det_laurent`), streamed one at a time into a single fold,
     :func:`~lapgraph.laurent.gcd_many`, which reduces each into the domain;
     since reduction mod p is a ring map, a prime-field divisor is the gcd of
-    the minors of M mod p.  Returns the zero polynomial if every minor
-    vanishes; k = n is allowed and yields 1 (empty minor).
+    the minors of M mod p.  The fold stops at the first minor after which
+    the gcd is 1, and no later minor is computed.  Returns the zero
+    polynomial if every minor vanishes; k = n is allowed and yields 1 (empty
+    minor).
     """
     n = len(M)
     if any(len(r) != n for r in M):

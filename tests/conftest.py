@@ -3,10 +3,10 @@
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
 expansion or dense Bareiss elimination, elementary divisors from minors
-taken in the coefficient domain itself, connectivity by union-find, Newton
-root refinement in exact rationals (Fraction), one-variable gcds by Euclid
-and two-variable gcds by a pseudo-remainder sequence, both over the
-coefficient domain itself.  Small helpers that only tests need (matrix
+taken in the coefficient domain itself and a gcd fold over every one of them
+(no stop at a unit), connectivity by union-find, Newton root refinement in
+exact rationals (Fraction), one-variable gcds by Euclid and two-variable gcds
+by a pseudo-remainder sequence, both over the coefficient domain itself.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
 for the first nonzero elementary divisor) live here too.
 
@@ -26,7 +26,7 @@ from math import gcd as int_gcd
 
 from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
 from lapgraph.fields import QQ, ZZ
-from lapgraph.laurent import LaurentPoly, divexact, gcd_many, normalize
+from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor
 from lapgraph.planar import PlaneGraph
 
@@ -142,6 +142,24 @@ def bareiss_det_laurent(M, dom):
     return sign * a[n - 1][n - 1]
 
 
+def gcd_fold_prefixes(polys, dom):
+    """The running gcds of ``laurent_gcd`` folded over every input, with no
+    stop at a unit (test oracle).  Over QQ the inputs are cleared by
+    ``normalize`` and folded over ZZ, and each running gcd is normalized back."""
+    if dom == QQ:
+        return [normalize(g, QQ) for g in gcd_fold_prefixes([normalize(p, QQ) for p in polys], ZZ)]
+    acc, out = LaurentPoly.zero(polys[0].nvars), []
+    for p in polys:
+        acc = laurent_gcd(acc, p, dom)
+        out.append(acc)
+    return out
+
+
+def gcd_fold_all(polys, dom):
+    """gcd of every input by the full fold of ``laurent_gcd`` (test oracle)."""
+    return gcd_fold_prefixes(list(polys), dom)[-1]
+
+
 def elementary_divisor_reduce_first(M, k, dom):
     """gcd of the (n-k)-minors of M with the entries reduced into dom first
     and each minor taken by Bareiss over dom (test oracle)."""
@@ -155,7 +173,7 @@ def elementary_divisor_reduce_first(M, k, dom):
             d = bareiss_det_laurent([[R[i][j] for j in cols] for i in rows], dom).reduce_to(dom)
             if not d.is_zero():
                 dets.append(d)
-    return gcd_many(dets, dom) if dets else LaurentPoly.zero(M[0][0].nvars)
+    return gcd_fold_all(dets, dom) if dets else LaurentPoly.zero(M[0][0].nvars)
 
 
 def first_nonzero_divisor(M, dom):

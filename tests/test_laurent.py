@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import laurent_gcd_euclid, laurent_gcd_pseudo_rem
+from conftest import gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_pseudo_rem
 from lapgraph import laurent as laurent_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.laurent import (
@@ -356,8 +356,11 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
 
 def _fold_cases(rng):
     """Lists of Laurent polynomials for gcd_many: all zero, zero first,
-    inputs that vanish mod 2, 3 or 5, and random ones with a common factor."""
+    inputs that vanish mod 2, 3 or 5, units first, mid-list and after zeros
+    (-1 and +-x^a over ZZ, 3 over GF(5), 1/3 over QQ), a gcd that stays 2
+    over ZZ, and random ones with a common factor."""
     z1, z2 = LaurentPoly.zero(1), LaurentPoly.zero(2)
+    third = LaurentPoly.constant(Fraction(1, 3), 1)
     cases = [
         [z1],
         [z1, z1, z1],
@@ -368,6 +371,19 @@ def _fold_cases(rng):
         [poly1("10"), poly1("5x - 15x^-1"), z1],
         [poly2("2x*y - 4"), z2, poly2("6y + 10x")],
         [poly2("15x - 30y"), poly2("5y^-1")],
+        [poly1("1"), poly1("x^2 - 1"), poly1("2x")],
+        [poly1("x^2 - 1"), poly1("x^2 + x"), poly1("x + 2"), poly1("x^3 - 5")],
+        [poly1("-1"), poly1("x - 1")],
+        [poly1("2x + 2"), poly1("-x^3"), poly1("x + 1")],
+        [poly2("x*y - 1"), poly2("x^-2*y"), z2],
+        [poly2("6x - 6y"), poly2("-x*y^-1"), poly2("2")],
+        [poly1("5x - 5"), poly1("3"), poly1("x - 1")],
+        [poly1("6x^2 - 6"), third, poly1("x + 1")],
+        [third * poly1("x - 1"), third * poly1("x^2 - 1")],
+        [poly1("2"), poly1("2x + 4"), poly1("-2x^3"), poly1("6")],
+        [poly2("2x - 2y"), poly2("4x^2*y^-1"), poly2("-2")],
+        [z1, z1, poly1("x^-4"), poly1("x + 1")],
+        [z2, poly2("-y^3"), poly2("x - y")],
     ]
     coeffs = (-10, -6, -5, -2, -1, 1, 2, 3, 5, 6, 10)
     for _ in range(12):
@@ -394,12 +410,20 @@ def _fold_cases(rng):
 
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF2, GF5], ids=repr)
 def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
-    """A generator gives the list's gcd, coefficient types included, and each
-    input is folded before the next one is read (no list of inputs)."""
+    """A generator gives the list's gcd, coefficient types included; the
+    inputs are read in order, each is folded before the next one is read (no
+    list of inputs), and reading stops right after the first input that
+    brings the full fold's gcd to 1."""
     for polys in _fold_cases(random.Random(2024)):
+        if dom == ZZ and any(isinstance(c, Fraction) for p in polys for c in p.coeffs.values()):
+            continue
         want = gcd_many(polys, dom)
         nonzero = [p for p in polys if p.reduce_to(dom)]
         assert want == (gcd_many(nonzero, dom) if nonzero else LaurentPoly.zero(polys[0].nvars))
+        prefixes = gcd_fold_prefixes(polys, dom)
+        assert want == prefixes[-1], (dom, polys)
+        assert [type(c) for c in want.coeffs.values()] == [type(c) for c in prefixes[-1].coeffs.values()]
+        stop = prefixes.index(1) + 1 if want == 1 else len(polys)
 
         folds, reads = [], []
         fold = laurent_module.laurent_gcd
@@ -414,7 +438,7 @@ def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
         monkeypatch.undo()
         assert got == want, (dom, polys)
         assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
-        assert reads == list(range(len(polys))), (dom, polys)
+        assert reads == list(range(stop)) and len(folds) == stop, (dom, polys)
     with pytest.raises(ValueError):
         gcd_many(iter(()), dom)
 

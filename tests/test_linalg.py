@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,13 @@ from conftest import (
     cofactor_det_poly,
     elementary_divisor_reduce_first,
     first_nonzero_divisor,
+    gcd_fold_all,
+    gcd_fold_prefixes,
     random_voltage_graph,
 )
+from lapgraph import linalg as linalg_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
+from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
@@ -308,6 +314,61 @@ def test_elementary_divisor_equals_reduce_first_oracle(seed):
                 assert _coefficient_types(mine) == _coefficient_types(want)
 
 
+def _count_minors(L, k, dom, monkeypatch):
+    """(Delta_k, the submatrices whose determinants elementary_divisor took)."""
+    computed = []
+    monkeypatch.setattr(linalg_module, "det_laurent", lambda M: computed.append(M) or det_laurent(M))
+    got = elementary_divisor(L, k, dom)
+    monkeypatch.undo()
+    return got, computed
+
+
+def _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch):
+    n = len(L)
+    assert _count_minors(L, n, ZZ, monkeypatch)[1] == []
+    for k in range(n):
+        subs = [
+            [[L[i][j] for j in cols] for i in rows]
+            for rows in combinations(range(n), n - k)
+            for cols in combinations(range(n), n - k)
+        ]
+        minors = [cofactor_det_poly(S) for S in subs]
+        for dom in (ZZ, QQ, GF2, GF3, GF5):
+            got, computed = _count_minors(L, k, dom, monkeypatch)
+            prefixes = gcd_fold_prefixes(minors, dom)
+            assert got == prefixes[-1], (dom, k)
+            assert _coefficient_types(got) == _coefficient_types(prefixes[-1])
+            stop = prefixes.index(1) + 1 if got == 1 else len(subs)
+            assert computed == subs[:stop], (dom, k)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_elementary_divisor_computes_minors_up_to_the_first_unit_gcd(seed, monkeypatch):
+    """The minors are computed in order, up to the first one after which the
+    all-minors gcd is 1 when Delta_k = 1, and every one of them otherwise."""
+    rng = random.Random(1500 + seed)
+    for vg in (
+        random_voltage_graph(rng, rank=1, max_vertices=6, max_edges=10),
+        random_voltage_graph(rng, rank=2, max_vertices=4, max_edges=7),
+    ):
+        _assert_minors_stop_at_the_first_unit_gcd(voltage_laplacian(vg), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["hexagon_chord", "pentagon_torus"])
+def test_order_five_and_six_quotients_compute_minors_up_to_the_first_unit_gcd(name, monkeypatch):
+    path = Path(__file__).with_name("data") / f"{name}.lapgraph"
+    L = voltage_laplacian(parse_graph_file(path.read_text()))
+    _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch)
+
+
+def test_girder_delta1_over_gf2_computes_every_minor(monkeypatch):
+    L = voltage_laplacian(girder_quotient())
+    got, computed = _count_minors(L, 1, GF2, monkeypatch)
+    assert got == parse_poly("1 + x") and len(computed) == 4
+    got, computed = _count_minors(L, 1, ZZ, monkeypatch)
+    assert got == 1 and len(computed) < 4
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rational_divisors_build_no_fraction(seed, monkeypatch):
     """Over QQ the minors stay integer polynomials: each is cleared by
@@ -336,8 +397,6 @@ def test_rational_divisors_build_no_fraction(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_gf2_divisors_match_brute_force_gcd(seed):
-    from lapgraph.laurent import gcd_many
-
     rng = random.Random(400 + seed)
     M = _random_laurent_matrix(rng, 3)
     for k in range(3):
@@ -347,4 +406,4 @@ def test_gf2_divisors_match_brute_force_gcd(seed):
         if not dets:
             assert mine.is_zero()
         else:
-            assert mine == gcd_many(dets, GF2)
+            assert mine == gcd_fold_all(dets, GF2)
