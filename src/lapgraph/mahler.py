@@ -14,7 +14,13 @@ Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
 measure in y (complex coefficients) is taken; the node average converges to
 the torus integral, with the inner log-singularities absorbed exactly.  The
-error estimate compares the N- and N/2-point grids.
+error estimate compares the N- and N/2-point grids.  The coefficients are
+real, so the fiber at 1 - theta is the conjugate of the one at theta: each
+mirror pair is solved once.  Nodes are walked in increasing theta, Aberth
+starting from the previous fiber's roots.  x is rounded, so a fiber that
+vanishes keeps coefficients of rounding size; it counts as zero below
+STRIP_REL_TOL times the sum of |c| over f, and is replaced by the mean of
+the fibers half a step to either side.
 """
 
 from __future__ import annotations
@@ -127,12 +133,38 @@ def _refine_exact(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
     return out
 
 
-def _aberth_roots(coeffs: list[complex], exact_coeffs: list[int] | None = None) -> list[complex]:
+def _refine_float(monic: list[complex], roots: list[complex]) -> list[complex]:
+    """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point."""
+    deriv = _poly_deriv(monic)
+    second = _poly_deriv(deriv)
+    for k, z in enumerate(roots):
+        for _ in range(4):
+            pv = _poly_eval(monic, z)
+            if pv == 0:
+                break
+            dv = _poly_eval(deriv, z)
+            if dv == 0:
+                break
+            u = pv / dv
+            du = 1 - pv * _poly_eval(second, z) / (dv * dv)
+            if du == 0:
+                break
+            step = u / du
+            if abs(step) > 0.5 * max(1.0, abs(z)) or z - step == z:
+                break
+            z = z - step
+        roots[k] = z
+    return roots
+
+
+def _aberth_roots(
+    coeffs: list[complex], start: list[complex] | None = None, exact_coeffs: list[int] | None = None
+) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    When the integer coefficient list is supplied the final refinement runs in
-    exact (dyadic integer) arithmetic, which keeps multiple roots at full
-    precision.
+    Aberth starts from start, by default a perturbed circle.  Given the integer
+    coefficients, the final refinement runs in exact (dyadic integer)
+    arithmetic, which keeps multiple roots at full precision.
     """
     s = len(coeffs) - 1
     if s < 1:
@@ -141,7 +173,7 @@ def _aberth_roots(coeffs: list[complex], exact_coeffs: list[int] | None = None) 
     monic = [c / lead for c in coeffs]
     deriv = _poly_deriv(monic)
     radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
-    roots = [
+    roots = list(start) if start else [
         radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
         for k in range(s)
     ]
@@ -173,27 +205,7 @@ def _aberth_roots(coeffs: list[complex], exact_coeffs: list[int] | None = None) 
     if exact_coeffs is not None:
         roots = _refine_exact(exact_coeffs, roots)
     else:
-        # double-precision refinement: Newton on u = p/p' (simple roots only
-        # limits the attainable accuracy near multiple roots, which the
-        # complex-coefficient fiber path tolerates)
-        second = _poly_deriv(deriv)
-        for k, z in enumerate(roots):
-            for _ in range(4):
-                pv = _poly_eval(monic, z)
-                if pv == 0:
-                    break
-                dv = _poly_eval(deriv, z)
-                if dv == 0:
-                    break
-                u = pv / dv
-                du = 1 - pv * _poly_eval(second, z) / (dv * dv)
-                if du == 0:
-                    break
-                step = u / du
-                if abs(step) > 0.5 * max(1.0, abs(z)):
-                    break
-                z = z - step
-            roots[k] = z
+        roots = _refine_float(monic, roots)
     _validate_roots(coeffs, roots)
     return roots
 
@@ -218,26 +230,24 @@ def _validate_roots(coeffs: list[complex], roots: list[complex]):
         raise RootFindingError("root product disagrees with coefficients")
 
 
-def _jensen_from_coeffs(coeffs: list[complex], exact_coeffs: list[int] | None = None) -> float:
-    """log|lead| plus log|root| over roots outside the unit circle.
+def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
+    """log|lead| plus log|root| over the roots outside the unit circle.
 
     Expects a dense list with nonzero ends (monomial factors already stripped;
     they do not move the measure).
     """
-    s = len(coeffs) - 1
-    if s == 0:
-        return math.log(abs(coeffs[0]))
     value = math.log(abs(coeffs[-1]))
-    for z in _aberth_roots(coeffs, exact_coeffs=exact_coeffs):
+    for z in roots:
         r = abs(z)
         if r > 1 + UNIT_CIRCLE_TOL:
             value += math.log(r)
     return value
 
 
-def _strip_complex(coeffs: list[complex]) -> list[complex]:
-    big = max(abs(c) for c in coeffs) if coeffs else 0.0
-    if big == 0.0:
+def _strip_complex(coeffs: list[complex], scale) -> list[complex]:
+    """Trim negligible coefficients and zero ends; [] when none exceeds STRIP_REL_TOL * scale."""
+    big = max(abs(c) for c in coeffs)
+    if big <= STRIP_REL_TOL * scale:
         return []
     out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
     lo = 0
@@ -293,7 +303,8 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
             if reduced is None:
                 break
             coeffs = reduced
-    value = _jensen_from_coeffs([complex(c) for c in coeffs], exact_coeffs=coeffs) - offset
+    cs = [complex(c) for c in coeffs]
+    value = _jensen(cs, _aberth_roots(cs, exact_coeffs=coeffs)) - offset
     return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
 
 
@@ -311,25 +322,43 @@ def _fiber_coeffs(f: LaurentPoly, theta: float) -> list[complex]:
     return out
 
 
-def _fiber_measure(f: LaurentPoly, theta: float, step: float) -> float:
-    coeffs = _strip_complex(_fiber_coeffs(f, theta))
+def _fiber_measure(f: LaurentPoly, theta: float, step: float, warm: list | None = None) -> float:
+    """m(f(exp(2 pi i theta), y)); a zero fiber takes the mean at theta -+ step/2 (step 0 raises).
+
+    Aberth starts from warm, the roots solved last, when the degree matches, and leaves these.
+    """
+    coeffs = _strip_complex(_fiber_coeffs(f, theta), sum(abs(c) for c in f.coeffs.values()))
     if not coeffs:
-        coeffs = _strip_complex(_fiber_coeffs(f, theta + 0.5 * step))
-        if not coeffs:
+        if not step:
             raise ArithmeticError(f"fiber polynomial vanished at node {theta}")
-    return _jensen_from_coeffs(coeffs)
+        below = _fiber_measure(f, theta - step / 2, 0, warm)
+        return (below + _fiber_measure(f, theta + step / 2, 0, warm)) / 2
+    start = warm if warm is not None and len(warm) == len(coeffs) - 1 else None
+    try:
+        roots = _aberth_roots(coeffs, start)
+    except RootFindingError:  # a warm start can stall on a symmetric configuration
+        if start is None:
+            raise
+        roots = _aberth_roots(coeffs)
+    if warm is not None:
+        warm[:] = roots
+    return _jensen(coeffs, roots)
 
 
 def _grid_average(f: LaurentPoly, n: int) -> float:
+    """Mean fiber measure over the nodes (j + 1/2)/n; nodes j < n//2 stand for 1 - theta too."""
     step = 1.0 / n
-    vals = [_fiber_measure(f, (j + 0.5) * step, step) for j in range(n)]
-    return math.fsum(vals) / n
+    warm: list[complex] = []
+    vals = [_fiber_measure(f, (j + 0.5) * step, step, warm) for j in range((n + 1) // 2)]
+    return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
     The error estimate is the difference against the half-resolution grid.
+    Each grid solves a conjugate fiber pair once, warm-starts each fiber from
+    the last, and replaces a vanishing fiber by its two neighbours' mean.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")

@@ -5,8 +5,10 @@ check: spanning trees by edge-subset enumeration, determinants by cofactor
 expansion or dense Bareiss elimination, elementary divisors from minors
 taken in the coefficient domain itself and a gcd fold over every one of them
 (no stop at a unit), connectivity by union-find, Newton root refinement in
-exact rationals (Fraction), one-variable gcds by Euclid and two-variable gcds
-by a pseudo-remainder sequence, both over the coefficient domain itself.  Small helpers that only tests need (matrix
+exact rationals (Fraction) and in floats with every step taken, the
+two-variable Mahler grid solved at every node from a cold start, one-variable
+gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
+the coefficient domain itself.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
 for the first nonzero elementary divisor) live here too.
 
@@ -19,6 +21,7 @@ reversal.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +31,7 @@ from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor
+from lapgraph.mahler import _fiber_measure, _poly_deriv, _poly_eval
 from lapgraph.planar import PlaneGraph
 
 
@@ -231,6 +235,45 @@ def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[c
                 break
         out.append(z)
     return out
+
+
+def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[complex]:
+    """Double-precision Newton on u = p/p', 4 steps per root (test oracle).
+
+    ``mahler._refine_float`` without its fixed-point exit: only the other
+    early exits stop a root before its fourth step.
+    """
+    deriv = _poly_deriv(monic)
+    second = _poly_deriv(deriv)
+    out = []
+    for z in roots:
+        for _ in range(4):
+            pv = _poly_eval(monic, z)
+            if pv == 0:
+                break
+            dv = _poly_eval(deriv, z)
+            if dv == 0:
+                break
+            u = pv / dv
+            du = 1 - pv * _poly_eval(second, z) / (dv * dv)
+            if du == 0:
+                break
+            step = u / du
+            if abs(step) > 0.5 * max(1.0, abs(z)):
+                break
+            z = z - step
+        out.append(z)
+    return out
+
+
+def grid_average_full(f: LaurentPoly, n: int) -> float:
+    """The n-node midpoint grid of ``mahler._grid_average`` fiber by fiber (test oracle).
+
+    Every node is solved, each from Aberth's circle start: no conjugate
+    mirror and no warm start.
+    """
+    step = 1.0 / n
+    return math.fsum(_fiber_measure(f, (j + 0.5) * step, step) for j in range(n)) / n
 
 
 def all_minor_dets(M, size):

@@ -1,13 +1,17 @@
 """Mahler measures: Jensen roots in one variable, fiberwise Jensen in two."""
 
+import cmath
 import importlib
 import math
 import random
 
 import pytest
 
-from conftest import refine_exact_fraction
-from lapgraph.laurent import LaurentPoly, parse_poly
+from conftest import grid_average_full, refine_exact_fraction, refine_float_four_steps
+from lapgraph.fields import ZZ
+from lapgraph.laurent import LaurentPoly, laurent_gcd, parse_poly
+from lapgraph.library import grid_quotient, mitsubishi_quotient
+from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
     RootFindingError,
     _fiber_measure,
@@ -16,6 +20,7 @@ from lapgraph.mahler import (
     mahler_2var,
     mahler_limit_check,
 )
+from lapgraph.spanning import laplacian_determinant_polynomial
 
 mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is also a function
 
@@ -192,12 +197,29 @@ def test_limit_check_cyclotomic_product_is_zero():
 
 
 def test_singular_fiber_is_perturbed():
-    # all y-coefficients vanish at x = -1; the node moves half a step
+    # all y-coefficients vanish at x = -1; the node takes the mean of the
+    # fibers half a step to either side, which are conjugate
     f = poly2("y + x*y + y^-1 + x*y^-1")
-    val = _fiber_measure(f, 0.5, 0.125)
-    assert math.isfinite(val)
+    h = 0.125
+    val = _fiber_measure(f, 0.5, h)
+    assert abs(val - math.log(abs(1 + cmath.exp(1j * math.pi * (1 + h))))) < 1e-12
     res = mahler_2var(f, fibers=64)
     assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize(
+    "f, fibers, exact",
+    [
+        (poly2("1 + x") * poly2("y + y^-1"), 7, 0.0),
+        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6, LOG_GOLDEN_SQ),
+    ],
+    ids=["(1+x)(y+1/y)-at-7", "(1+x^2)(y^2-3y+1)-at-6"],
+)
+def test_rounded_vanishing_fiber_counts_as_zero(f, fibers, exact):
+    # the nodes at x = -1 and x = i vanish exactly, but x is rounded, so their
+    # coefficients are about 1e-16; measured as they stand they gave the grid
+    # -4.96 and -10.7
+    assert abs(mahler_2var(f, fibers).value - exact) < 0.5
 
 
 def test_dispatch_helper():
@@ -216,3 +238,130 @@ def test_growth_matches_mahler_for_ladder_at_64():
     assert gap < 0.06
     report128 = growth_covers(ladder_quotient(), [128])
     assert abs(report128.rows[-1][2] - report.reference) < gap
+
+
+# -- the mirrored, warm-started grid against the full cold grid -------------------
+
+
+def _random_poly2(rng):
+    coeffs = {}
+    for _ in range(rng.randint(2, 5)):
+        e = (rng.randint(-2, 2), rng.randint(-2, 2))
+        coeffs[e] = coeffs.get(e, 0) + rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+    f = LaurentPoly(2, coeffs)
+    return f if not f.is_zero() else _random_poly2(rng)
+
+
+def _fibers_simple(f, fibers):
+    """No fiber at an x with x^(2N) = 1, N = fibers or fibers // 2, has a repeated root.
+
+    Those x hold every node of both grids and the fibers a zero fiber moves
+    to.  A repeated root there, or a drop in degree, is a common root of
+    x^(2N) - 1 and Res_y(f, df/dy), the Sylvester determinant.
+    """
+    g = f.shift((0, -f.min_exp(1)))
+    d = g.max_exp(1)
+    col = [
+        LaurentPoly(1, {(a,): c for (a, b), c in g.coeffs.items() if b == k})
+        for k in range(d, -1, -1)
+    ]
+    der = [(d - i) * c for i, c in enumerate(col[:-1])]
+    zero = LaurentPoly.zero(1)
+    rows = [[zero] * i + col + [zero] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[zero] * i + der + [zero] * (d - 1 - i) for i in range(d)]
+    disc = det_laurent(rows) if d else LaurentPoly.constant(1, 1)
+    return all(
+        laurent_gcd(disc, parse_poly(f"x^{2 * n} - 1", 1), ZZ) == LaurentPoly.constant(1, 1)
+        for n in (fibers, fibers // 2)
+    )
+
+
+def _assert_equals_full_grid(f, fibers, rel):
+    value = grid_average_full(f, fibers)
+    error = abs(value - grid_average_full(f, fibers // 2))
+    res = mahler_2var(f, fibers)
+    tol = rel * max(1.0, abs(value))
+    assert abs(res.value - value) <= tol
+    assert abs(res.error_estimate - error) <= tol
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_grid_matches_full_grid_on_random_polys(seed):
+    # every fourth is a square: float Aberth is only about sqrt(eps) accurate
+    # at its double roots, so those may differ by about 1e-6
+    rng = random.Random(6000 + seed)
+    f = _random_poly2(rng)
+    if seed % 4 == 3:
+        f = f * f
+    fibers = rng.choice((4, 5, 6, 7, 8, 16, 32))
+    simple = seed % 4 != 3 and _fibers_simple(f, fibers)
+    _assert_equals_full_grid(f, fibers, 1e-13 if simple else 1e-6)
+
+
+@pytest.mark.parametrize("fibers", [64, 1024, 4096])
+@pytest.mark.parametrize("quotient", [grid_quotient, mitsubishi_quotient], ids=["grid", "mitsubishi"])
+def test_grid_matches_full_grid_on_delta0(quotient, fibers):
+    _assert_equals_full_grid(laplacian_determinant_polynomial(quotient()), fibers, 1e-13)
+
+
+@pytest.mark.parametrize(
+    "f, fibers",
+    [
+        (poly2("-4x^-2 + 3x^2y^2"), 8),  # a warm start stalls on these two
+        (poly2("2x^-2 - 5y^2"), 8),
+        (poly2("4 - x - x^-1 - y - y^-1"), 5),
+        (poly2("4 - x - x^-1 - y - y^-1"), 7),
+        (poly2("2 + x + y"), 5),
+        (poly2("2 + x + y"), 7),
+        (poly2("1 + x") * poly2("y + y^-1"), 7),  # the middle node vanishes
+        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6),  # node 1/4 vanishes
+    ],
+)
+def test_grid_matches_full_grid_on_stalls_odd_grids_and_zero_fibers(f, fibers):
+    _assert_equals_full_grid(f, fibers, 1e-13)
+
+
+def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
+    built = []
+    warm_starts = []
+    fiber_coeffs = mahler_module._fiber_coeffs
+    aberth_roots = mahler_module._aberth_roots
+
+    def count_fiber(f, theta):
+        built.append(theta)
+        return fiber_coeffs(f, theta)
+
+    def count_start(coeffs, start=None, exact_coeffs=None):
+        warm_starts.append(start is not None)
+        return aberth_roots(coeffs, start, exact_coeffs)
+
+    monkeypatch.setattr(mahler_module, "_fiber_coeffs", count_fiber)
+    monkeypatch.setattr(mahler_module, "_aberth_roots", count_start)
+    mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 4096)
+    assert len(built) == 2048 + 1024
+    assert len(warm_starts) == 2048 + 1024 and sum(warm_starts) == 2047 + 1023
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
+    rng = random.Random(7000 + seed)
+    f = _random_poly2(rng)
+    if seed % 4 == 3:
+        f = f * f
+    refine = mahler_module._refine_float
+    seen = []
+
+    def record(monic, roots):
+        seen.append((list(monic), list(roots)))
+        return refine(monic, roots)
+
+    monkeypatch.setattr(mahler_module, "_refine_float", record)
+    try:
+        mahler_2var(f, 8)
+    except RootFindingError:
+        pass  # the roots were refined before validation failed
+    assert seen or f.max_exp(1) == f.min_exp(1)  # constant in y: nothing to refine
+    for monic, roots in seen:
+        got = refine(monic, list(roots))
+        want = refine_float_four_steps(monic, roots)
+        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
