@@ -14,12 +14,10 @@ Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
 measure in y (complex coefficients) is taken; the node average converges to
 the torus integral, with the inner log-singularities absorbed exactly.  The
-error estimate compares the N- and N/2-point grids.  The coefficients are
-real, so the fiber at 1 - theta is the conjugate of the one at theta: each
-mirror pair is solved once.  Nodes are walked in increasing theta, Aberth
-starting from the previous fiber's roots.  x is rounded, so a fiber that
-vanishes keeps coefficients of rounding size; it counts as zero below
-STRIP_REL_TOL times the sum of |c| over f, and is replaced by the mean of
+error estimate compares the N- and N/2-point grids.  The conjugate fibers at
+theta and 1 - theta are solved once, walking theta up with Aberth started from
+the last fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides
+f, decided exactly (rounding leaves it tiny, not zero); it takes the mean of
 the fibers half a step to either side.
 """
 
@@ -31,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .laurent import LaurentPoly
+from .fields import QQ
+from .laurent import LaurentPoly, divexact, divides
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
@@ -133,9 +132,8 @@ def _refine_exact(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
     return out
 
 
-def _refine_float(monic: list[complex], roots: list[complex]) -> list[complex]:
+def _refine_float(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
     """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point."""
-    deriv = _poly_deriv(monic)
     second = _poly_deriv(deriv)
     for k, z in enumerate(roots):
         for _ in range(4):
@@ -154,12 +152,9 @@ def _refine_float(monic: list[complex], roots: list[complex]) -> list[complex]:
                 break
             z = z - step
         roots[k] = z
-    return roots
 
 
-def _aberth_roots(
-    coeffs: list[complex], start: list[complex] | None = None, exact_coeffs: list[int] | None = None
-) -> list[complex]:
+def _aberth_roots(coeffs: list[complex], start=None, exact_coeffs: list[int] | None = None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
     Aberth starts from start, by default a perturbed circle.  Given the integer
@@ -205,7 +200,7 @@ def _aberth_roots(
     if exact_coeffs is not None:
         roots = _refine_exact(exact_coeffs, roots)
     else:
-        roots = _refine_float(monic, roots)
+        _refine_float(monic, deriv, roots)
     _validate_roots(coeffs, roots)
     return roots
 
@@ -244,10 +239,9 @@ def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
     return value
 
 
-def _strip_complex(coeffs: list[complex], scale) -> list[complex]:
-    """Trim negligible coefficients and zero ends; [] when none exceeds STRIP_REL_TOL * scale."""
-    big = max(abs(c) for c in coeffs)
-    if big <= STRIP_REL_TOL * scale:
+def _strip_complex(coeffs: list[complex]) -> list[complex]:
+    big = max(abs(c) for c in coeffs) if coeffs else 0.0
+    if big == 0.0:
         return []
     out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
     lo = 0
@@ -303,8 +297,7 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
             if reduced is None:
                 break
             coeffs = reduced
-    cs = [complex(c) for c in coeffs]
-    value = _jensen(cs, _aberth_roots(cs, exact_coeffs=coeffs)) - offset
+    value = _jensen(coeffs, _aberth_roots([complex(c) for c in coeffs], exact_coeffs=coeffs)) - offset
     return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
 
 
@@ -322,34 +315,43 @@ def _fiber_coeffs(f: LaurentPoly, theta: float) -> list[complex]:
     return out
 
 
-def _fiber_measure(f: LaurentPoly, theta: float, step: float, warm: list | None = None) -> float:
-    """m(f(exp(2 pi i theta), y)); a zero fiber takes the mean at theta -+ step/2 (step 0 raises).
+def _cyclotomic(q: int) -> LaurentPoly:
+    """Phi_q(x) in two variables, by Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for the primes p of q."""
+    def up(g, k):
+        return LaurentPoly(2, {(a * k, b): c for (a, b), c in g.coeffs.items()})
+    phi, m = LaurentPoly(2, {(0, 0): -1, (1, 0): 1}), 1
+    for p in range(2, q + 1):
+        if q % p == 0 and math.gcd(p, m) == 1:  # a composite p shares a prime with m
+            phi, m = divexact(up(phi, p), phi, QQ), m * p
+    return up(phi, q // m)
 
-    Aberth starts from warm, the roots solved last, when the degree matches, and leaves these.
-    """
-    coeffs = _strip_complex(_fiber_coeffs(f, theta), sum(abs(c) for c in f.coeffs.values()))
-    if not coeffs:
+
+def _fiber_measure(f: LaurentPoly, num: int, den: int, warm: list, step: int = 1) -> float:
+    """m(f(exp(2 pi i num/den), y)); a zero fiber takes the mean at (num -+ step)/den (step 0 raises).
+    Phi_q | f is tested only below RESIDUAL_GATE, far above the rounding a common root leaves.
+    Aberth starts from warm, the roots solved last, when the degree matches, and leaves these."""
+    fiber = _fiber_coeffs(f, num / den)
+    coeffs = _strip_complex(fiber)
+    small = max(map(abs, fiber)) <= RESIDUAL_GATE * sum(map(abs, f.coeffs.values()))
+    if not coeffs or small and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
         if not step:
-            raise ArithmeticError(f"fiber polynomial vanished at node {theta}")
-        below = _fiber_measure(f, theta - step / 2, 0, warm)
-        return (below + _fiber_measure(f, theta + step / 2, 0, warm)) / 2
-    start = warm if warm is not None and len(warm) == len(coeffs) - 1 else None
+            raise ArithmeticError(f"fiber polynomial vanished at node {num / den}")
+        return math.fsum(_fiber_measure(f, num + s, den, warm, 0) for s in (-step, step)) / 2
+    start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = _aberth_roots(coeffs, start)
     except RootFindingError:  # a warm start can stall on a symmetric configuration
         if start is None:
             raise
         roots = _aberth_roots(coeffs)
-    if warm is not None:
-        warm[:] = roots
+    warm[:] = roots
     return _jensen(coeffs, roots)
 
 
 def _grid_average(f: LaurentPoly, n: int) -> float:
-    """Mean fiber measure over the nodes (j + 1/2)/n; nodes j < n//2 stand for 1 - theta too."""
-    step = 1.0 / n
+    """Mean fiber measure over the nodes (2j + 1)/2n; nodes j < n//2 stand for 1 - theta too."""
     warm: list[complex] = []
-    vals = [_fiber_measure(f, (j + 0.5) * step, step, warm) for j in range((n + 1) // 2)]
+    vals = [_fiber_measure(f, 2 * j + 1, 2 * n, warm) for j in range((n + 1) // 2)]
     return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
@@ -357,8 +359,7 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
     The error estimate is the difference against the half-resolution grid.
-    Each grid solves a conjugate fiber pair once, warm-starts each fiber from
-    the last, and replaces a vanishing fiber by its two neighbours' mean.
+    Conjugate fibers are solved once, warm-started; the module docstring has the zero rule.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")

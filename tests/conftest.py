@@ -6,7 +6,8 @@ expansion or dense Bareiss elimination, elementary divisors from minors
 taken in the coefficient domain itself and a gcd fold over every one of them
 (no stop at a unit), connectivity by union-find, Newton root refinement in
 exact rationals (Fraction) and in floats with every step taken, the
-two-variable Mahler grid solved at every node from a cold start, one-variable
+two-variable Mahler grid solved at every node from a cold start with its own
+strip and zero-fiber rule, one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
 the coefficient domain itself.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
@@ -31,7 +32,14 @@ from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor
-from lapgraph.mahler import _fiber_measure, _poly_deriv, _poly_eval
+from lapgraph.mahler import (
+    STRIP_REL_TOL,
+    UNIT_CIRCLE_TOL,
+    _aberth_roots,
+    _fiber_coeffs,
+    _poly_deriv,
+    _poly_eval,
+)
 from lapgraph.planar import PlaneGraph
 
 
@@ -266,14 +274,44 @@ def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[
     return out
 
 
+def fiber_measure_cold(f: LaurentPoly, theta: float) -> float | None:
+    """m(f(exp(2 pi i theta), y)) from Aberth's circle start (test oracle).
+
+    None when every rounded coefficient is exactly 0.  A fiber that vanishes
+    exactly but keeps rounding-size coefficients is measured as it stands.
+    """
+    coeffs = _fiber_coeffs(f, theta)
+    big = max(abs(c) for c in coeffs)
+    if big == 0:
+        return None
+    coeffs = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    roots = _aberth_roots(coeffs)
+    return math.log(abs(coeffs[-1])) + sum(math.log(abs(z)) for z in roots if abs(z) > 1 + UNIT_CIRCLE_TOL)
+
+
 def grid_average_full(f: LaurentPoly, n: int) -> float:
     """The n-node midpoint grid of ``mahler._grid_average`` fiber by fiber (test oracle).
 
-    Every node is solved, each from Aberth's circle start: no conjugate
-    mirror and no warm start.
+    Every node (j + 1/2)/n is solved by ``fiber_measure_cold``: no conjugate
+    mirror and no warm start.  A node whose rounded coefficients are all 0
+    moves half a step forward.  So this agrees with the library only where no
+    node is a common root of the y-coefficients.
     """
     step = 1.0 / n
-    return math.fsum(_fiber_measure(f, (j + 0.5) * step, step) for j in range(n)) / n
+    vals = []
+    for j in range(n):
+        theta = (j + 0.5) * step
+        value = fiber_measure_cold(f, theta)
+        if value is None:
+            value = fiber_measure_cold(f, theta + 0.5 * step)
+        if value is None:
+            raise ArithmeticError(f"fiber polynomial vanished at node {theta}")
+        vals.append(value)
+    return math.fsum(vals) / n
 
 
 def all_minor_dets(M, size):

@@ -1,15 +1,17 @@
 """Mahler measures: Jensen roots in one variable, fiberwise Jensen in two."""
 
 import cmath
+import functools
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import grid_average_full, refine_exact_fraction, refine_float_four_steps
+from conftest import fiber_measure_cold, grid_average_full, refine_exact_fraction, refine_float_four_steps
 from lapgraph.fields import ZZ
-from lapgraph.laurent import LaurentPoly, laurent_gcd, parse_poly
+from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
 from lapgraph.library import grid_quotient, mitsubishi_quotient
 from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
@@ -201,25 +203,71 @@ def test_singular_fiber_is_perturbed():
     # fibers half a step to either side, which are conjugate
     f = poly2("y + x*y + y^-1 + x*y^-1")
     h = 0.125
-    val = _fiber_measure(f, 0.5, h)
+    val = _fiber_measure(f, 8, 16, [])  # theta = 1/2, neighbours at 1/2 -+ h/2
     assert abs(val - math.log(abs(1 + cmath.exp(1j * math.pi * (1 + h))))) < 1e-12
     res = mahler_2var(f, fibers=64)
     assert math.isfinite(res.value)
 
 
+def _log_cos_grid(k, power, n, zeros):
+    """Midpoint-grid mean of power * log|1 + x^k| = power * log|2 cos(k pi theta)|.
+
+    A node in zeros takes the mean of the two points half a step away.
+    """
+    def at(t):
+        return power * math.log(abs(2 * math.cos(k * math.pi * t)))
+
+    h = Fraction(1, 2 * n)
+    nodes = (Fraction(2 * j + 1, 2 * n) for j in range(n))
+    return math.fsum((at(t - h) + at(t + h)) / 2 if t in zeros else at(t) for t in nodes) / n
+
+
 @pytest.mark.parametrize(
-    "f, fibers, exact",
+    "f, fibers, k, inner, zeros, coarse_zeros",
     [
-        (poly2("1 + x") * poly2("y + y^-1"), 7, 0.0),
-        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6, LOG_GOLDEN_SQ),
+        (poly2("1 + x") * poly2("y + y^-1"), 7, 1, 0.0, {Fraction(1, 2)}, {Fraction(1, 2)}),
+        (
+            poly2("1 + x^2") * poly2("y^2 - 3y + 1"),
+            6,
+            2,
+            LOG_GOLDEN_SQ,
+            {Fraction(1, 4), Fraction(3, 4)},
+            set(),
+        ),
     ],
     ids=["(1+x)(y+1/y)-at-7", "(1+x^2)(y^2-3y+1)-at-6"],
 )
-def test_rounded_vanishing_fiber_counts_as_zero(f, fibers, exact):
-    # the nodes at x = -1 and x = i vanish exactly, but x is rounded, so their
-    # coefficients are about 1e-16; measured as they stand they gave the grid
-    # -4.96 and -10.7
-    assert abs(mahler_2var(f, fibers).value - exact) < 0.5
+def test_rounded_vanishing_fiber_counts_as_zero(f, fibers, k, inner, zeros, coarse_zeros):
+    # the nodes at x = -1 and x = -+i vanish exactly, but x is rounded, so
+    # their coefficients are about 1e-16; measured as they stand they gave
+    # the grid -4.96 and -10.7.  Each fiber is log|1 + x^k| + m(inner).
+    value = inner + _log_cos_grid(k, 1, fibers, zeros)
+    coarse = inner + _log_cos_grid(k, 1, fibers // 2, coarse_zeros)
+    res = mahler_2var(f, fibers)
+    assert abs(res.value - value) < 1e-12
+    assert abs(res.error_estimate - abs(value - coarse)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "power, fibers, tol",
+    [(4, 4096, 1e-5), (5, 1024, 1e-5), (6, 1024, 1e-3), (4, 7, 1e-12), (5, 9, 1e-12)],
+)
+def test_high_power_of_an_x_factor_is_not_a_zero_fiber(power, fibers, tol):
+    # next to x = -1 the fibers of (1+x)^k (y - 3) are nonzero but tiny
+    # (|1+x|^4 is about 3.5e-13 at 4096 fibers); they are measured, not
+    # replaced, and the grid is log 3 + k log 2 / N for even N.  Rounding of
+    # the expanded (1+x)^k is a few percent of those tiny coefficients, so
+    # the nearest nodes are off by about that much in log (1e-6 of the grid
+    # at 4096); at (1+x)^6 and 1024 fibers the nearest node's coefficients
+    # (about 1e-15) are below their rounding, about 0.1 for that node.  At
+    # odd N the node 1/2 vanishes exactly and takes its neighbours' mean.
+    f = poly2("1 + x") ** power * poly2("y - 3")
+    res = mahler_2var(f, fibers)
+    half = Fraction(1, 2)
+    value = math.log(3) + _log_cos_grid(1, power, fibers, {half})
+    coarse = math.log(3) + _log_cos_grid(1, power, fibers // 2, {half})
+    assert abs(res.value - value) < tol
+    assert abs(res.error_estimate - abs(value - coarse)) < 2 * tol
 
 
 def test_dispatch_helper():
@@ -295,7 +343,12 @@ def test_grid_matches_full_grid_on_random_polys(seed):
         f = f * f
     fibers = rng.choice((4, 5, 6, 7, 8, 16, 32))
     simple = seed % 4 != 3 and _fibers_simple(f, fibers)
-    _assert_equals_full_grid(f, fibers, 1e-13 if simple else 1e-6)
+    rel = 1e-13 if simple else 1e-6
+    if _zero_nodes(f, fibers) or _zero_nodes(f, fibers // 2):
+        # the cold grid measures such a node's rounding noise
+        _assert_equals_content_oracle(f, fibers, rel)
+    else:
+        _assert_equals_full_grid(f, fibers, rel)
 
 
 @pytest.mark.parametrize("fibers", [64, 1024, 4096])
@@ -313,12 +366,80 @@ def test_grid_matches_full_grid_on_delta0(quotient, fibers):
         (poly2("4 - x - x^-1 - y - y^-1"), 7),
         (poly2("2 + x + y"), 5),
         (poly2("2 + x + y"), 7),
-        (poly2("1 + x") * poly2("y + y^-1"), 7),  # the middle node vanishes
-        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6),  # node 1/4 vanishes
     ],
 )
-def test_grid_matches_full_grid_on_stalls_odd_grids_and_zero_fibers(f, fibers):
+def test_grid_matches_full_grid_on_stalls_and_odd_grids(f, fibers):
     _assert_equals_full_grid(f, fibers, 1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(q):
+    """Phi_q(x) = (x^q - 1) / the product of Phi_d over the proper divisors d of q."""
+    phi = parse_poly(f"x^{q} - 1", 1)
+    for d in range(1, q):
+        if q % d == 0:
+            phi = divexact(phi, _cyclotomic_by_division(d), ZZ)
+    return phi
+
+
+def _x_content(f):
+    """The gcd c(x) of f's y-coefficients over the integers, so f = c g with g free of zero fibers."""
+    cols = {}
+    for (a, b), v in f.coeffs.items():
+        cols.setdefault(b, {})[(a,)] = v
+    return gcd_many((LaurentPoly(1, col) for col in cols.values()), ZZ)
+
+
+def _zero_nodes(f, n):
+    """Nodes (2j + 1)/2n where every y-coefficient of f vanishes, i.e. Phi_q | c for x of order q."""
+    c = _x_content(f)
+    nodes = (Fraction(2 * j + 1, 2 * n) for j in range(n))
+    return {t for t in nodes if divides(_cyclotomic_by_division(t.denominator), c, ZZ)}
+
+
+def _grid_by_content(f, n):
+    """The n-node grid of f = c(x) g(x, y) from log|c(x)| and g's cold fibers (test oracle).
+
+    A node where c vanishes takes the mean of the fibers half a step to
+    either side; a fiber there that vanishes too raises, as in the library.
+    """
+    c = _x_content(f)
+    g = divexact(f, LaurentPoly(2, {(a, 0): v for (a,), v in c.coeffs.items()}), ZZ)
+
+    def fiber(t):
+        if divides(_cyclotomic_by_division(t.denominator), c, ZZ):
+            raise ArithmeticError(f"fiber polynomial vanished at node {t}")
+        x = cmath.exp(2j * math.pi * float(t))
+        return math.log(abs(sum(v * x**a for (a,), v in c.coeffs.items()))) + fiber_measure_cold(g, float(t))
+
+    h = Fraction(1, 2 * n)
+    zeros = _zero_nodes(f, n)
+    nodes = (Fraction(2 * j + 1, 2 * n) for j in range(n))
+    return math.fsum((fiber(t - h) + fiber(t + h)) / 2 if t in zeros else fiber(t) for t in nodes) / n
+
+
+def _assert_equals_content_oracle(f, fibers, rel):
+    value = _grid_by_content(f, fibers)
+    error = abs(value - _grid_by_content(f, fibers // 2))
+    res = mahler_2var(f, fibers)
+    tol = rel * max(1.0, abs(value))
+    assert abs(res.value - value) <= tol
+    assert abs(res.error_estimate - error) <= tol
+
+
+@pytest.mark.parametrize(
+    "f, fibers",
+    [
+        (poly2("1 + x") * poly2("y + y^-1"), 7),  # the middle node vanishes, at 7 and at 3
+        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6),  # nodes 1/4 and 3/4 vanish
+        (poly2("1 + x") * poly2("4 - y - y^-1"), 5),
+        (poly2("1 + x^2") * poly2("2 + x + y"), 10),
+        (poly2("1 - x + x^2") * poly2("3 + x + y"), 9),  # nodes 1/6 and 5/6 vanish
+    ],
+)
+def test_zero_fibers_match_content_oracle(f, fibers):
+    assert _zero_nodes(f, fibers)
+    _assert_equals_content_oracle(f, fibers, 1e-13)
 
 
 def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
@@ -351,9 +472,9 @@ def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
     refine = mahler_module._refine_float
     seen = []
 
-    def record(monic, roots):
-        seen.append((list(monic), list(roots)))
-        return refine(monic, roots)
+    def record(monic, deriv, roots):
+        seen.append((list(monic), list(deriv), list(roots)))
+        refine(monic, deriv, roots)
 
     monkeypatch.setattr(mahler_module, "_refine_float", record)
     try:
@@ -361,7 +482,8 @@ def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
     except RootFindingError:
         pass  # the roots were refined before validation failed
     assert seen or f.max_exp(1) == f.min_exp(1)  # constant in y: nothing to refine
-    for monic, roots in seen:
-        got = refine(monic, list(roots))
+    for monic, deriv, roots in seen:
+        got = list(roots)
+        refine(monic, deriv, got)
         want = refine_float_four_steps(monic, roots)
         assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
