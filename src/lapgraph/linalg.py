@@ -9,18 +9,17 @@ domain enters only at the gcd of the elementary divisors: the integer minors
 stream, without being listed, into one lazy gcd fold that reduces each into
 the domain (over the rationals, clears it to a primitive integer polynomial
 and stays over the integers) and stops at the first unit gcd, so the later
-minors are never computed.  One fraction-free elimination on sparse rows
-serves both determinant rings: Z for :func:`int_det`, and Z[x^±1] or
-Z[x^±1, y^±1] for :func:`det_laurent` above order 4.
+minors are never computed.  There is one determinant method, fraction-free
+elimination on sparse integer rows, and :func:`det_laurent` reads a Laurent
+determinant off it by Kronecker substitution.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import floordiv
 
-from .fields import ZZ, Domain
-from .laurent import LaurentPoly, divexact, gcd_many
+from .fields import Domain
+from .laurent import LaurentPoly, gcd_many
 
 Matrix = list[list]
 
@@ -128,10 +127,8 @@ def _cuthill_mckee(adj: list[set[int]]) -> list[int]:
     return order
 
 
-def _bareiss(rows: list[dict], one, div):
-    """Determinant of a square matrix over an integral domain, given as sparse
-    rows {column: nonzero entry}; ``one`` is the ring's 1 and ``div(a, b)``
-    its exact division.
+def _bareiss(rows: list[dict]) -> int:
+    """Determinant of a square integer matrix as sparse rows {column: nonzero entry}.
 
     Fraction-free (Bareiss) elimination on the rows in Cuthill–McKee order.
     The reordering is a symmetric permutation, so it keeps the determinant,
@@ -160,9 +157,9 @@ def _bareiss(rows: list[dict], one, div):
     for i, row in enumerate(rows):
         for j in row:
             below[j].add(i)
-    # p[t] is the pivot of step t - 1 (p[0] = one); a row at level t holds the
+    # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
     # entries of the Bareiss matrix after t steps
-    p = [one]
+    p = [1]
     level = [0] * n
     sign = 1
 
@@ -171,14 +168,14 @@ def _bareiss(rows: list[dict], one, div):
         if p[level[i]] != p[k]:
             num, den = p[k], p[level[i]]
             for j, v in row.items():
-                row[j] = div(v * num, den)
+                row[j] = v * num // den
         level[i] = k
         return row
 
     for k in cols:
         if k not in rows[k]:
             if not below[k]:
-                return one * 0
+                return 0
             sel = min(below[k])
             for i in (k, sel):
                 for j in rows[i]:
@@ -210,70 +207,73 @@ def _bareiss(rows: list[dict], one, div):
                 else:
                     del row_i[j]
                     below[j].discard(i)
-            if prev != one:
+            if prev != 1:
                 for j, v in row_i.items():
-                    row_i[j] = div(v, prev)
+                    row_i[j] = v // prev
             level[i] = k + 1
     return sign * p[n]
 
 
 def int_det(M: Matrix) -> int:
-    """Exact determinant of a square integer matrix, by :func:`_bareiss` over
-    the integers."""
+    """Exact determinant of a square integer matrix, by :func:`_bareiss` on
+    its nonzero entries."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
     cols = range(n)
-    return _bareiss([{j: int(row[j]) for j in compress(cols, row)} for row in M], 1, floordiv)
+    return _bareiss([{j: int(row[j]) for j in compress(cols, row)} for row in M])
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------
 
 
-def _det_cofactor_poly(M: Matrix) -> LaurentPoly:
-    n = len(M)
-    if n == 0:
-        raise ValueError("empty matrix in polynomial cofactor determinant")
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    total = LaurentPoly.zero(M[0][0].nvars)
-    rest = M[1:]
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rest]
-        term = M[0][j] * _det_cofactor_poly(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def det_laurent(M: Matrix) -> LaurentPoly:
-    """Exact determinant of a square matrix of integer Laurent polynomials.
+    """Exact determinant of a square matrix of integer Laurent polynomials in
+    one or two variables, read off one integer determinant.
 
-    Cofactor expansion for orders up to 4, where it is the faster; above that
-    the elimination of :func:`int_det` (:func:`_bareiss`) over Z[x^±1] or
-    Z[x^±1, y^±1], with :func:`~lapgraph.laurent.divexact` over ZZ as its
-    exact division.  A coefficient that is not an int raises ValueError:
-    reduce the integer determinant into a domain instead of reducing the
-    matrix.
+    Kronecker substitution: row i times x^-a_i y^-c_i (its least exponents)
+    has polynomial entries of x-degree at most s_i, y = x^K with K = 1 + sum
+    s_i keeps the determinant's monomials apart, and x = 2^b gives an integer
+    matrix for :func:`_bareiss`.  The decoder relies on one bound: every
+    coefficient is at most B, the product of the rows' coefficient 1-norms,
+    in absolute value, since each permutation term is bounded by the product
+    of its entries' 1-norms.  With 2^(b-1) > B the coefficients are the
+    balanced base-2^b digits of the integer determinant.  A coefficient that
+    is not an int raises ValueError: reduce the integer determinant into a
+    domain instead of reducing the matrix.
     """
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
+    nvars = M[0][0].nvars if n else 1
+    lows, K, bound = [], 1, 1
     for row in M:
-        for e in row:
-            for c in e.coeffs.values():
-                if not isinstance(c, int):
-                    raise ValueError(f"determinant needs integer coefficients, got {c!r}")
-    if n == 0:
-        return LaurentPoly.constant(1, 1)
-    if n <= 4:
-        return _det_cofactor_poly(M)
-    cols = range(n)
-    rows = [{j: row[j] for j in compress(cols, row)} for row in M]
-    return _bareiss(rows, LaurentPoly.constant(1, M[0][0].nvars), lambda f, g: divexact(f, g, ZZ))
+        terms = [t for f in row for t in f.coeffs.items()]
+        for _, c in terms:
+            if not isinstance(c, int):
+                raise ValueError(f"determinant needs integer coefficients, got {c!r}")
+        lows.append([min((e[v] for e, _ in terms), default=0) for v in range(nvars)])
+        K += max((e[0] for e, _ in terms), default=0) - lows[-1][0]
+        bound *= sum(abs(c) for _, c in terms)
+    if not bound:  # a zero row; the encoding below needs every |c| <= bound
+        return LaurentPoly.zero(nvars)
+    b = bound.bit_length() + 1
+
+    def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
+        return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
+
+    rows = [
+        {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
+        for row, low in zip(M, lows)
+    ]
+    det, mask, half = _bareiss(rows), (1 << b) - 1, 1 << (b - 1)
+    shift = [sum(low[v] for low in lows) for v in range(nvars)]
+    coeffs, digit = {}, 0
+    while det:
+        c = ((det + half) & mask) - half  # the lowest balanced digit
+        coeffs[tuple(d + s for d, s in zip((digit % K, digit // K), shift))] = c
+        det, digit = (det - c) >> b, digit + 1
+    return LaurentPoly(nvars, coeffs)
 
 
 def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:

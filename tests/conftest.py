@@ -2,10 +2,11 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
-expansion or dense Bareiss elimination, elementary divisors from minors
-taken in the coefficient domain itself and a gcd fold over every one of them
-(no stop at a unit), connectivity by union-find, Newton root refinement in
-exact rationals (Fraction) and in floats with every step taken, the
+expansion, dense Bareiss elimination or Gaussian elimination over the
+rationals, elementary divisors from minors taken in the coefficient domain
+itself and a gcd fold over every one of them (no stop at a unit),
+connectivity by union-find, Newton root refinement in exact rationals
+(Fraction) and in floats with every step taken, the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
@@ -130,6 +131,26 @@ def bareiss_det(M) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def fraction_det(M) -> Fraction:
+    """Determinant of a matrix of rationals by Gaussian elimination over
+    Fraction (test oracle)."""
+    a = [[Fraction(v) for v in row] for row in M]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        sel = next((i for i in range(k, n) if a[i][k]), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != k:
+            a[k], a[sel] = a[sel], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            t = a[i][k] / a[k][k]
+            a[i] = [u - t * v for u, v in zip(a[i], a[k])]
+    return det
 
 
 def bareiss_det_laurent(M, dom):
@@ -527,6 +548,17 @@ def random_voltage_graph(
         tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in g.edges
     )
     return VoltageGraph(g, rank, volts)
+
+
+def sized_voltage_graph(rng: random.Random, rank: int, vertices: int, edges: int) -> VoltageGraph:
+    """A connected quotient with exactly the given numbers of vertices and
+    edges: a random spanning tree plus random edges (loops allowed), with
+    voltages in [-2, 2]."""
+    vs = [f"v{i}" for i in range(vertices)]
+    es = [(f"t{i}", vs[rng.randrange(i)], vs[i]) for i in range(1, vertices)]
+    es += [(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(edges - len(es))]
+    volts = tuple(tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in es)
+    return VoltageGraph(FiniteGraph.build(vs, es), rank, volts)
 
 
 # -- plane graphs with known embeddings -----------------------------------------------

@@ -1,5 +1,6 @@
 """Determinants, nullspaces, and elementary divisors."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,9 +15,11 @@ from conftest import (
     cofactor_det_poly,
     elementary_divisor_reduce_first,
     first_nonzero_divisor,
+    fraction_det,
     gcd_fold_all,
     gcd_fold_prefixes,
     random_voltage_graph,
+    sized_voltage_graph,
 )
 from lapgraph import linalg as linalg_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
@@ -209,9 +212,83 @@ def test_det_laurent_matches_cofactor_on_large_matrices():
     assert singular >= 5
 
 
+def _coeff_types(f):
+    return {e: (c, type(c)) for e, c in f.coeffs.items()}
+
+
+@pytest.mark.parametrize("rank, vertices", [(1, 12), (1, 16), (1, 20), (2, 6), (2, 8), (2, 10)])
+def test_det_laurent_matches_dense_oracle_on_large_quotients(rank, vertices):
+    rng = random.Random(100 * rank + vertices)
+    for _ in range(2):
+        L = voltage_laplacian(sized_voltage_graph(rng, rank, vertices, 2 * vertices))
+        d = det_laurent(L)
+        assert _coeff_types(d) == _coeff_types(bareiss_det_laurent(L, ZZ))
+        assert all(type(c) is int for c in d.coeffs.values())
+
+
+def test_det_laurent_of_a_forty_vertex_quotient_at_two_points():
+    L = voltage_laplacian(sized_voltage_graph(random.Random(40), 1, 40, 80))
+    d = det_laurent(L)
+    assert not d.is_zero()
+    for x in (2, -3):
+        assert d.evaluate(x) == fraction_det([[f.evaluate(x) for f in row] for row in L])
+
+
+def _random_laurent(rng, nvars, terms, size):
+    return LaurentPoly(
+        nvars,
+        {tuple(rng.randint(-5, 5) for _ in range(nvars)): rng.randint(-size, size) for _ in range(terms)},
+    )
+
+
+def test_det_laurent_matches_cofactor_on_wide_exponents_and_large_coefficients():
+    rng = random.Random(13)
+    for _ in range(150):
+        nvars, n = rng.choice((1, 2)), rng.randint(1, 4)
+        size = rng.choice((1, 9, 10**30))
+        M = [[_random_laurent(rng, nvars, rng.randint(0, 3), size) for _ in range(n)] for _ in range(n)]
+        assert _coeff_types(det_laurent(M)) == _coeff_types(cofactor_det_poly(M))
+
+
+def test_det_laurent_top_digit_equals_the_coefficient_bound():
+    # The determinant of a diagonal of monomials with positive coefficients
+    # is +(product of the rows' 1-norms), the largest coefficient the
+    # encoding must decode.
+    for nvars, diag in (
+        (1, [((3,), 7)]),
+        (1, [((2,), 3), ((-4,), 5), ((0,), 7)]),
+        (2, [((1, -2), 2**40 + 1), ((-5, 3), 3), ((0, 0), 10**30)]),
+        (2, [((5, 5), 1), ((-5, -5), 1), ((0, 1), 2)]),
+    ):
+        n = len(diag)
+        M = [[LaurentPoly.zero(nvars) for _ in range(n)] for _ in range(n)]
+        for i, (e, c) in enumerate(diag):
+            M[i][i] = LaurentPoly.monomial(c, e)
+        exps = tuple(map(sum, zip(*(e for e, _ in diag))))
+        want = LaurentPoly.monomial(math.prod(c for _, c in diag), exps)
+        assert det_laurent(M) == cofactor_det_poly(M) == want
+
+
+def test_det_laurent_of_singular_and_empty_matrices():
+    rng = random.Random(3)
+    for nvars in (1, 2):
+        zero = LaurentPoly.zero(nvars)
+        for n in (1, 2, 4):
+            M = [[_random_laurent(rng, nvars, 2, 100) for _ in range(n)] for _ in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            zero_row = [row if r != i else [zero] * n for r, row in enumerate(M)]
+            zero_col = [[zero if c == j else f for c, f in enumerate(row)] for row in M]
+            cases = [zero_row, zero_col]
+            if n > 1:
+                cases.append([M[0]] + M[:-1])
+            for S in cases:
+                assert det_laurent(S) == cofactor_det_poly(S) == zero
+    assert det_laurent([]) == LaurentPoly.constant(1, 1)
+
+
 def test_det_laurent_rejects_fraction_coefficients():
     one = LaurentPoly.constant(1, 1)
-    for n in (1, 3, 5):  # cofactor and Bareiss orders alike
+    for n in (1, 3, 5):  # every order: the check reads every entry
         M = [[one if i == j else LaurentPoly.zero(1) for j in range(n)] for i in range(n)]
         M[n - 1][0] = LaurentPoly(1, {(1,): Fraction(1, 2)})
         with pytest.raises(ValueError, match="integer coefficients"):
