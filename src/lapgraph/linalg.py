@@ -4,14 +4,10 @@ and elementary divisors of Laurent-polynomial matrices.
 Matrices are plain lists of row lists.  Field entries are whatever the domain
 object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
-coefficients.  Every determinant is taken over the integers; a coefficient
-domain enters only at the gcd of the elementary divisors: the integer minors
-stream, without being listed, into one lazy gcd fold that reduces each into
-the domain (over the rationals, clears it to a primitive integer polynomial
-and stays over the integers) and stops at the first unit gcd, so the later
-minors are never computed.  There is one determinant method, fraction-free
-elimination on sparse integer rows, and :func:`det_laurent` reads a Laurent
-determinant off it by Kronecker substitution.
+coefficients.  Every determinant is one fraction-free elimination on sparse
+integer rows, and :func:`det_laurent` reads a Laurent determinant off it by
+Kronecker substitution.  A coefficient domain enters only at the gcd fold of
+:func:`elementary_divisor`, which stops at the first unit gcd.
 """
 
 from __future__ import annotations
@@ -238,9 +234,10 @@ def det_laurent(M: Matrix) -> LaurentPoly:
     coefficient is at most B, the product of the rows' coefficient 1-norms,
     in absolute value, since each permutation term is bounded by the product
     of its entries' 1-norms.  With 2^(b-1) > B the coefficients are the
-    balanced base-2^b digits of the integer determinant.  A coefficient that
-    is not an int raises ValueError: reduce the integer determinant into a
-    domain instead of reducing the matrix.
+    balanced base-2^b digits of the integer determinant, which has about
+    b K (1 + sum of the rows' y-spans) bits: the cost grows with the exponent
+    spans.  A coefficient that is not an int raises ValueError: reduce the
+    integer determinant into a domain instead of reducing the matrix.
     """
     n = len(M)
     if any(len(r) != n for r in M):
@@ -266,13 +263,16 @@ def det_laurent(M: Matrix) -> LaurentPoly:
         {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
         for row, low in zip(M, lows)
     ]
-    det, mask, half = _bareiss(rows), (1 << b) - 1, 1 << (b - 1)
-    shift = [sum(low[v] for low in lows) for v in range(nvars)]
-    coeffs, digit = {}, 0
-    while det:
-        c = ((det + half) & mask) - half  # the lowest balanced digit
-        coeffs[tuple(d + s for d, s in zip((digit % K, digit // K), shift))] = c
-        det, digit = (det - c) >> b, digit + 1
+    det, shift = _bareiss(rows), [sum(low[v] for low in lows) for v in range(nvars)]
+    coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
+    while todo:  # halve blocks of digits, from the lowest, down to single digits
+        v, first, count = todo.pop()
+        m = count // 2
+        if v and not m:
+            coeffs[tuple(d + s for d, s in zip((first % K, first // K), shift))] = v
+        elif v:
+            hi = (v + (1 << (b * m - 1))) >> (b * m)  # v - hi 2^(bm): the m low digits
+            todo += [(hi, first + m, count - m), (v - (hi << (b * m)), first, m)]
     return LaurentPoly(nvars, coeffs)
 
 

@@ -550,14 +550,16 @@ def random_voltage_graph(
     return VoltageGraph(g, rank, volts)
 
 
-def sized_voltage_graph(rng: random.Random, rank: int, vertices: int, edges: int) -> VoltageGraph:
+def sized_voltage_graph(
+    rng: random.Random, rank: int, vertices: int, edges: int, span: int = 2
+) -> VoltageGraph:
     """A connected quotient with exactly the given numbers of vertices and
     edges: a random spanning tree plus random edges (loops allowed), with
-    voltages in [-2, 2]."""
+    voltages in [-span, span]."""
     vs = [f"v{i}" for i in range(vertices)]
     es = [(f"t{i}", vs[rng.randrange(i)], vs[i]) for i in range(1, vertices)]
     es += [(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(edges - len(es))]
-    volts = tuple(tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in es)
+    volts = tuple(tuple(rng.randint(-span, span) for _ in range(rank)) for _ in es)
     return VoltageGraph(FiniteGraph.build(vs, es), rank, volts)
 
 

@@ -234,6 +234,18 @@ def test_det_laurent_of_a_forty_vertex_quotient_at_two_points():
         assert d.evaluate(x) == fraction_det([[f.evaluate(x) for f in row] for row in L])
 
 
+def test_det_laurent_of_wide_voltages():
+    # A loop with a huge voltage encodes as one integer of millions of bits
+    # whose digits are almost all zero; the decoder skips zero blocks.
+    for e in ((10**6,), (1000, -1000)):
+        loop = LaurentPoly(len(e), {(0,) * len(e): 2, e: -1, tuple(-v for v in e): -1})
+        assert det_laurent([[loop]]) == loop
+    for rank, vertices, span in ((1, 6, 1000), (2, 4, 20)):
+        g = sized_voltage_graph(random.Random(span), rank, vertices, 2 * vertices, span)
+        L = voltage_laplacian(g)
+        assert _coeff_types(det_laurent(L)) == _coeff_types(bareiss_det_laurent(L, ZZ))
+
+
 def _random_laurent(rng, nvars, terms, size):
     return LaurentPoly(
         nvars,
