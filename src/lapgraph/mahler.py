@@ -5,10 +5,12 @@ roots outside the unit circle.  Roots come from an Aberth simultaneous
 iteration started on a perturbed circle, with a Newton refinement pass and
 residual/coefficient-identity validation.  Factors of (x - 1) and (x + 1) are
 deflated exactly first, so the cyclotomic part common to graph polynomials
-contributes an exact zero.  The refinement evaluates the integer polynomial
-exactly at each float iterate: a float is a dyadic rational (a + b*i)/2^e, so
-a Horner pass that scales by powers of 2^e stays in Gaussian integers, and
-each new float is one correctly rounded int/int division of exact values.
+contributes an exact zero.  Float Aberth meets a k-fold root only to about
+eps^(1/k), so repeated roots are split off exactly first (the repeated-gcd
+squarefree split, see Yun 1976): g_(i+1) = gcd(g_i, g_i') over the integers
+until g is constant, and each part g_i / g_(i+1) has simple roots.  A root
+of multiplicity k lies in k of the parts, so m(g_0) is the sum of their
+measures plus log|the final constant|.
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .fields import QQ
-from .laurent import LaurentPoly, divexact, divides
+from .fields import QQ, ZZ
+from .laurent import LaurentPoly, divexact, divides, laurent_gcd
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
@@ -64,74 +66,6 @@ def _poly_deriv(coeffs: list[complex]) -> list[complex]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _horner_dyadic(cs: list[int], a: int, b: int, e: int) -> tuple[int, int]:
-    """2^(e*deg) * p((a + b*i) / 2^e) as a Gaussian integer (re, im), deg = len(cs) - 1.
-
-    Homogeneous Horner: the coefficient met after j steps is scaled by 2^(e*j),
-    so every partial sum is an integer and no gcd is ever taken.
-    """
-    re = im = 0
-    shift = 0
-    for c in reversed(cs):
-        re, im = re * a - im * b + (c << shift), re * b + im * a
-        shift += e
-    return re, im
-
-
-def _refine_exact(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
-    """Sharpen roots by Newton on u = p/p' with exact dyadic evaluation.
-
-    u has only simple roots, so multiple roots of p are refined at the same
-    quadratic rate.  Exact evaluation sidesteps the cancellation that defeats
-    double-precision refinement near multiple roots; iterates are rounded back
-    to floats to keep the integers small.
-
-    A float iterate is exactly z = (a + b*i)/2^e, so with n = deg p the
-    Gaussian integers P = 2^(en) p(z), P' = 2^(e(n-1)) p'(z) and
-    P'' = 2^(e(n-2)) p''(z) are exact, and the Newton step on u is
-    t = p p' / (p'^2 - p p'') = P P' / (2^e (P'^2 - P P'')).  The step and the
-    new iterate a/2^e - t are each one int/int true division, which Python
-    rounds correctly, so they are the floats nearest the exact rationals:
-    the same floats a rational (Fraction) evaluation rounds to.
-    """
-    d1 = [k * c for k, c in enumerate(int_coeffs)][1:]
-    d2 = [k * c for k, c in enumerate(d1)][1:]
-    out = []
-    for z in roots:
-        for _ in range(3):
-            xn, xd = z.real.as_integer_ratio()
-            yn, yd = z.imag.as_integer_ratio()
-            e = max(xd, yd).bit_length() - 1  # both denominators are powers of 2
-            a = xn << (e - xd.bit_length() + 1)
-            b = yn << (e - yd.bit_length() + 1)
-            pr, pi = _horner_dyadic(int_coeffs, a, b, e)
-            if pr == 0 and pi == 0:
-                break
-            dr, di = _horner_dyadic(d1, a, b, e)
-            if dr == 0 and di == 0:
-                break
-            sr, si = _horner_dyadic(d2, a, b, e)
-            # D = P'^2 - P P'', N = P P'; t = N conj(D) / (2^e |D|^2)
-            den_r = dr * dr - di * di - (pr * sr - pi * si)
-            den_i = 2 * dr * di - (pr * si + pi * sr)
-            if den_r == 0 and den_i == 0:
-                break
-            nr = pr * dr - pi * di
-            ni = pr * di + pi * dr
-            norm = den_r * den_r + den_i * den_i
-            tr = nr * den_r + ni * den_i
-            ti = ni * den_r - nr * den_i
-            scale = norm << e
-            step = complex(tr / scale, ti / scale)
-            if abs(step) > 0.5 * max(1.0, abs(z)):
-                break
-            z = complex((a * norm - tr) / scale, (b * norm - ti) / scale)
-            if abs(step) < 1e-16 * max(1.0, abs(z)):
-                break
-        out.append(z)
-    return out
-
-
 def _refine_float(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
     """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point."""
     second = _poly_deriv(deriv)
@@ -154,12 +88,12 @@ def _refine_float(monic: list[complex], deriv: list[complex], roots: list[comple
         roots[k] = z
 
 
-def _aberth_roots(coeffs: list[complex], start=None, exact_coeffs: list[int] | None = None) -> list[complex]:
+def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    Aberth starts from start, by default a perturbed circle.  Given the integer
-    coefficients, the final refinement runs in exact (dyadic integer)
-    arithmetic, which keeps multiple roots at full precision.
+    Aberth starts from start, by default a perturbed circle; a float Newton pass
+    refines the result.  A k-fold root comes out only to about eps^(1/k), so
+    ``mahler_1var`` hands it squarefree parts.
     """
     s = len(coeffs) - 1
     if s < 1:
@@ -197,10 +131,7 @@ def _aberth_roots(coeffs: list[complex], start=None, exact_coeffs: list[int] | N
         roots = new_roots
         if shift < 1e-14:
             break
-    if exact_coeffs is not None:
-        roots = _refine_exact(exact_coeffs, roots)
-    else:
-        _refine_float(monic, deriv, roots)
+    _refine_float(monic, deriv, roots)
     _validate_roots(coeffs, roots)
     return roots
 
@@ -297,7 +228,15 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
             if reduced is None:
                 break
             coeffs = reduced
-    value = _jensen(coeffs, _aberth_roots([complex(c) for c in coeffs], exact_coeffs=coeffs)) - offset
+    # the squarefree split of the module docstring
+    g = LaurentPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+    value = -offset
+    while g.max_exp(0) > 0:
+        h = laurent_gcd(g, LaurentPoly(1, {(a - 1,): a * c for (a,), c in g.coeffs.items()}), ZZ)
+        s = divexact(g, h, ZZ).coefficient_list()
+        value += _jensen(s, _aberth_roots([complex(c) for c in s]))
+        g = h
+    value += math.log(abs(g.coeffs[(0,)]))
     return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
 
 

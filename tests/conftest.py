@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
+from unittest import mock
 
 from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
 from lapgraph.fields import QQ, ZZ
@@ -221,9 +223,10 @@ def first_nonzero_divisor(M, dom):
 def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[complex]:
     """Newton on u = p/p' with Gaussian-rational Horner evaluation (test oracle).
 
-    The rational form of ``mahler._refine_exact``: same steps, same early
-    exits, every quantity an exact Fraction rounded to float only for the step
-    and the new iterate.
+    Up to 3 steps per root.  A float iterate is a dyadic rational, so p, p'
+    and p'' are exact there; every quantity is an exact Fraction rounded to
+    float only for the step and the new iterate.  u has simple roots, so the
+    steps converge quadratically at multiple roots of p too.
     """
     d1 = [k * c for k, c in enumerate(int_coeffs)][1:]
     d2 = [k * c for k, c in enumerate(d1)][1:]
@@ -264,6 +267,27 @@ def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[c
                 break
         out.append(z)
     return out
+
+
+def mahler_1var_exact_refined(f: LaurentPoly) -> float:
+    """m(f) of a one-variable integer polynomial from all of its roots at once (test oracle).
+
+    No squarefree split: the factors x -+ 1 are divided out, the Aberth roots
+    of what is left are sharpened by ``refine_exact_fraction`` in place of the
+    float refinement (which stalls at multiple roots) before they are
+    validated, and Jensen's formula sums them.
+    """
+    for r in (1, -1):
+        while f.max_exp(0) > f.min_exp(0) and f.evaluate(r) == 0:
+            f = divexact(f, LaurentPoly(1, {(1,): 1, (0,): -r}), ZZ)
+    cs = f.coefficient_list()
+
+    def refine(monic, deriv, roots):
+        roots[:] = refine_exact_fraction(cs, roots)
+
+    with mock.patch.object(sys.modules["lapgraph.mahler"], "_refine_float", refine):
+        roots = _aberth_roots([complex(c) for c in cs])
+    return math.log(abs(cs[-1])) + sum(math.log(abs(z)) for z in roots if abs(z) > 1 + UNIT_CIRCLE_TOL)
 
 
 def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[complex]:

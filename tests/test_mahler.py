@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_measure_cold, grid_average_full, refine_exact_fraction, refine_float_four_steps
+from conftest import fiber_measure_cold, grid_average_full, mahler_1var_exact_refined, refine_float_four_steps
 from lapgraph.fields import ZZ
 from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
 from lapgraph.library import grid_quotient, mitsubishi_quotient
@@ -94,50 +94,65 @@ def test_reciprocal_invariance(seed):
     assert abs(mahler_1var(f).value - mahler_1var(f.reciprocal()).value) < 1e-12
 
 
-def _refinement_inputs(monkeypatch, f):
-    """The (integer coefficients, Aberth roots) pairs mahler_1var(f) refines."""
-    seen = []
-
-    def record(int_coeffs, roots):
-        seen.append((list(int_coeffs), list(roots)))
-        return roots
-
-    with monkeypatch.context() as m:
-        m.setattr(mahler_module, "_refine_exact", record)
-        try:
-            mahler_1var(f)
-        except RootFindingError:
-            pass  # unrefined roots may miss the residual gate
-    return seen
-
-
-def _assert_refinements_agree(monkeypatch, f):
-    inputs = _refinement_inputs(monkeypatch, f)
-    for int_coeffs, roots in inputs:
-        got = mahler_module._refine_exact(int_coeffs, roots)
-        want = refine_exact_fraction(int_coeffs, roots)
-        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
-    return inputs
-
-
 @pytest.mark.parametrize("seed", range(300))
-def test_dyadic_refinement_matches_fraction_oracle_on_random_polys(monkeypatch, seed):
-    # a third are squares, so they have repeated roots; degree at most 14 either way
+def test_dyadic_refinement_matches_fraction_oracle_on_random_polys(seed):
+    # the oracle refines every root of f at once, exactly at each dyadic
+    # float iterate; a third are squares, so they have repeated roots, which
+    # the library splits off instead; degree at most 14 either way
     rng = random.Random(3000 + seed)
     squared = seed % 3 == 0
     f = _random_int_poly(rng, rng.randint(1, 7 if squared else 14))
-    _assert_refinements_agree(monkeypatch, f * f if squared else f)
+    g = f * f if squared else f
+    assert abs(mahler_1var(g).value - mahler_1var_exact_refined(g)) < 1e-12
+    if squared:
+        assert abs(mahler_1var(g).value - 2 * mahler_1var(f).value) < 1e-12
+
+
+# m(4 - x - 1/x - y - 1/y) at y = x^s, from 60-digit mpmath roots
+SUBSTITUTED_GRID = {
+    8: 1.1500596448090800759,
+    16: 1.1621638201682342849,
+    24: 1.1644276911782260383,
+    32: 1.1652216338851918420,
+}
+LEHMER = 0.16235761200773813943  # log of Lehmer's number
 
 
 @pytest.mark.parametrize(
-    "f",
-    [poly2("4 - x - x^-1 - y - y^-1").substitute_power(s) for s in (8, 16, 24, 32)]
-    + [poly1("x^2-4x+1") ** k for k in range(1, 9)]
-    + [poly1("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1")],
-    ids=[f"grid-x^{s}" for s in (8, 16, 24, 32)] + [f"power-{k}" for k in range(1, 9)] + ["lehmer"],
+    "f, value",
+    [(poly2("4 - x - x^-1 - y - y^-1").substitute_power(s), v) for s, v in SUBSTITUTED_GRID.items()]
+    + [(poly1("x^2-4x+1") ** k, k * LOG_2_PLUS_SQRT3) for k in range(1, 17)]
+    + [(poly1("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"), LEHMER)],
+    ids=[f"grid-x^{s}" for s in SUBSTITUTED_GRID] + [f"power-{k}" for k in range(1, 17)] + ["lehmer"],
 )
-def test_dyadic_refinement_matches_fraction_oracle(monkeypatch, f):
-    assert _assert_refinements_agree(monkeypatch, f)
+def test_dyadic_refinement_matches_fraction_oracle(f, value):
+    # reference constants and closed forms, up to 16-fold roots, within the reported bound
+    res = mahler_1var(f)
+    assert abs(res.value - value) <= res.error_estimate
+
+
+def _frac_poly(*coeffs):
+    return LaurentPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize(
+    "f, value",
+    [
+        (
+            6 * poly1("x-2") ** 3 * poly1("x+1") ** 2 * poly1("x^2+x+1") ** 2,
+            math.log(6) + 3 * math.log(2),
+        ),
+        (poly1("x-1") ** 9 * poly1("x+1") ** 4 * poly1("x-3") ** 2, 2 * math.log(3)),
+        (  # (2/9) (x^2 - 4x + 1)^2 (x - 1/10)
+            _frac_poly("1/3", "-4/3", "1/3") ** 2 * _frac_poly("-1/5", 2),
+            math.log(Fraction(2, 9)) + 2 * LOG_2_PLUS_SQRT3,
+        ),
+        (poly1("3x^5"), math.log(3)),
+    ],
+    ids=["content-and-sign", "powers-at-plus-minus-one", "fraction-coefficients", "monomial"],
+)
+def test_squarefree_split_keeps_content_and_multiplicity(f, value):
+    assert abs(mahler_1var(f).value - value) < 1e-12
 
 
 def test_closed_forms_at_degree_256_and_128():
@@ -147,10 +162,9 @@ def test_closed_forms_at_degree_256_and_128():
     assert abs(mahler_1var(poly1("x^128 - 3x^64 + 1")).value - 2 * math.log(phi)) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, RootFindingError))
 def test_high_multiplicity_power_matches_closed_form():
-    # Aberth stalls on 16-fold roots: k = 12 is already 6.6e-8 off and k = 16
-    # fails the root-sum identity; removing repeated roots first should fix it
+    # 16-fold roots: float Aberth meets them to about eps^(1/16), but the
+    # squarefree split hands it sixteen copies of x^2 - 4x + 1 instead
     assert abs(mahler_1var(poly1("x^2-4x+1") ** 16).value - 16 * LOG_2_PLUS_SQRT3) < 1e-9
 
 
@@ -452,9 +466,9 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
         built.append(theta)
         return fiber_coeffs(f, theta)
 
-    def count_start(coeffs, start=None, exact_coeffs=None):
+    def count_start(coeffs, start=None):
         warm_starts.append(start is not None)
-        return aberth_roots(coeffs, start, exact_coeffs)
+        return aberth_roots(coeffs, start)
 
     monkeypatch.setattr(mahler_module, "_fiber_coeffs", count_fiber)
     monkeypatch.setattr(mahler_module, "_aberth_roots", count_start)
