@@ -48,7 +48,9 @@ from .spanning import (
     GrowthReport,
     annular_connectivity,
     complexity,
+    cover_complexity,
     crsf_coefficients,
+    cyclic_cover_complexity,
     grimmett_bound,
     growth_covers,
     growth_restrictions,

@@ -21,7 +21,6 @@ from .graphs import (
     FiniteGraph,
     SublatticeSpec,
     VoltageGraph,
-    cover_graph,
     laplacian_finite,
     voltage_laplacian,
 )
@@ -32,6 +31,7 @@ from .planar import PlaneGraph, medial_components, medial_components_voltage, sh
 from .spanning import (
     annular_connectivity,
     complexity,
+    cover_complexity,
     crsf_coefficients,
     growth_covers,
     growth_restrictions,
@@ -186,21 +186,22 @@ def cmd_trees(args) -> int:
         return 0
     vg = _voltage_of(obj)
     lam = _parse_cover(args.cover, vg.rank)
-    cov = cover_graph(vg, lam)
-    t = _digits(complexity(cov))
+    t = _digits(cover_complexity(vg, lam))
+    # every base vertex and edge has one lift per sheet
+    vertices, edges = len(vg.base.vertices) * lam.index, len(vg.base.edges) * lam.index
     if args.json:
         print(
             json.dumps(
                 {
                     "index": lam.index,
-                    "vertices": len(cov.vertices),
-                    "edges": len(cov.edges),
+                    "vertices": vertices,
+                    "edges": edges,
                     "complexity": t,
                 }
             )
         )
     else:
-        print(f"cover index {lam.index}: {len(cov.vertices)} vertices, {len(cov.edges)} edges")
+        print(f"cover index {lam.index}: {vertices} vertices, {edges} edges")
         print(f"complexity T = {t}")
     return 0
 

@@ -62,10 +62,6 @@ def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
     return R, pivots
 
 
-def rank(M: Matrix, field: Domain) -> int:
-    return len(rref(M, field)[1])
-
-
 def nullspace(M: Matrix, field: Domain) -> list[list]:
     """Basis of the right kernel of M over a field.
 

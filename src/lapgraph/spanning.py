@@ -1,5 +1,12 @@
 """Spanning-tree counts, complexity, CRSF coefficients, annular connectivity,
 and growth-rate experiments over covers and restrictions.
+
+The complexity of a rank-1 cyclic cover is read off Delta_0 by one integer
+resultant (:func:`cyclic_cover_complexity`), so T(G_r) in the growth
+experiments and in ``verify`` never builds the cover.  Torus covers, general
+sublattices and box restrictions are built and counted by the matrix-tree
+theorem (:func:`tree_count`, a sparse Bareiss elimination), which is also
+the test oracle for the resultant count.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .graphs import (
     subgraph_on,
     voltage_laplacian,
 )
-from .laurent import LaurentPoly, normalize
+from .laurent import LaurentPoly, _divmod, divexact, normalize
 from .linalg import elementary_divisor, int_det
 from .mahler import mahler
 
@@ -244,6 +251,107 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
     return FiniteGraph.build(vertices, edges)
 
 
+# -- cyclic covers from Delta_0 ------------------------------------------------------
+
+X_MINUS_1_SQ = LaurentPoly(1, {(0,): 1, (1,): -2, (2,): 1})
+
+
+def _root_of_unity_norm(h: list[int], m: int) -> int:
+    """|prod over zeta^m = 1 of h(zeta)| for h in Z[x], coefficients lowest first.
+
+    With lc the leading coefficient and d the degree, H(x) = lc^(d-1) h(x/lc)
+    is monic in Z[x] and its roots are lc times those of h, alpha_i.  The
+    product is |lc^m prod_i (alpha_i^m - 1)| = |N(x^m - lc^m)| / |lc|^(m(d-1)),
+    where N(q) is the determinant of multiplication by q on Z[x]/(H): one
+    d x d integer determinant of the remainders of q x^j mod H, with x^m mod H
+    taken by repeated squaring.
+    """
+    d = len(h) - 1
+    lc = h[d]
+    if d == 0:
+        return abs(lc) ** m
+    H = LaurentPoly(1, {(i,): c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])} | {(d,): 1})
+
+    def mod(f: LaurentPoly) -> LaurentPoly:
+        return _divmod(f, H, ZZ)[1]
+
+    r = LaurentPoly.constant(1, 1)
+    for bit in bin(m)[2:]:
+        r = mod(r * r)
+        if bit == "1":
+            r = mod(r.shift((1,)))
+    r = r - lc**m
+    rows = []
+    for _ in range(d):
+        rows.append([r.coeffs.get((i,), 0) for i in range(d)])
+        r = mod(r.shift((1,)))
+    norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
+    assert rem == 0, "lc^(m(d-1)) does not divide the norm"
+    return abs(norm)
+
+
+def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = None) -> int:
+    """Complexity of the n-fold cyclic cover of a rank-1 quotient, read off
+    Delta_0 in integer arithmetic without building the cover.
+
+    Let C be a connected component of the quotient and g the gcd of its cycle
+    voltages.  With c = gcd(n, g) (c = n when g = 0), C lifts to c copies of
+    the connected m = n/c-fold cover of C with every voltage divided by c,
+    whose Delta_0 is Delta_0 of C with every exponent divided by c (det L lies
+    in Z[x^(+-g)]).  Writing that as (x - 1)^2 h, the copy has
+    tau(C) m |prod_{zeta^m = 1} h(zeta)| / |h(1)| spanning trees
+    (Boesch-Prodinger 1986, Lyons 2005), and tau(C) when m = 1.  h(1) is
+    nonzero: every one-cycle CRSF adds -w^2 (x - 1)^2 to det L near x = 1,
+    all with the same sign.  The complexity is the product over C of the
+    copies' counts to the power c.
+
+    d0, the normalized Delta_0 of vg, is used when vg is connected, so a
+    caller that holds it takes no second determinant of L.
+    """
+    if vg.rank != 1:
+        raise ValueError("cyclic covers need a rank-1 quotient")
+    g = vg.base
+    ends = [(e.tail, e.head) for e in g.edges]
+    volts = [s[0] for s in vg.voltages]
+    pot, _, root = bfs_potentials(g.vertices, ends, volts, ZZ)
+    parts: dict = {}  # root -> [vertices, edge indices, gcd of cycle voltages]
+    for v in g.vertices:
+        parts.setdefault(root[v], [[], [], 0])[0].append(v)
+    for j, (t, h) in enumerate(ends):
+        part = parts[root[t]]
+        part[1].append(j)
+        part[2] = math.gcd(part[2], volts[j] + pot[t] - pot[h])  # 0 on tree edges
+    total = 1
+    for vs, js, cycle_gcd in parts.values():
+        comp = VoltageGraph(
+            FiniteGraph(tuple(vs), tuple(g.edges[j] for j in js)), 1, tuple(vg.voltages[j] for j in js)
+        )
+        c = math.gcd(n, cycle_gcd)
+        m = n // c
+        t = tree_count(comp.base)
+        if m > 1:
+            dc = d0 if d0 is not None and len(parts) == 1 else laplacian_determinant_polynomial(comp)
+            assert all(e % c == 0 for (e,) in dc.coeffs), "Delta_0 is not a polynomial in x^c"
+            dc = LaurentPoly(1, {(e // c,): a for (e,), a in dc.coeffs.items()})
+            h = divexact(dc, X_MINUS_1_SQ, ZZ).coefficient_list()
+            t, rem = divmod(t * m * _root_of_unity_norm(h, m), abs(sum(h)))
+            assert rem == 0, "h(1) does not divide the cover's tree count"
+        total *= t**c
+    return total
+
+
+def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec, d0: LaurentPoly | None = None) -> int:
+    """Complexity of the cover of vg for the sublattice lam.
+
+    A rank-1 cyclic cover is counted from Delta_0
+    (:func:`cyclic_cover_complexity`, which takes d0 as it does); every other
+    cover is built and counted by :func:`complexity`.
+    """
+    if lam.rank == 1 == vg.rank:
+        return cyclic_cover_complexity(vg, lam.n, d0)
+    return complexity(cover_graph(vg, lam))
+
+
 # -- growth experiments --------------------------------------------------------------
 
 
@@ -261,18 +369,20 @@ def laplacian_determinant_polynomial(vg: VoltageGraph) -> LaurentPoly:
     return elementary_divisor(voltage_laplacian(vg), 0, ZZ)
 
 
-def _mahler_reference(vg: VoltageGraph, fibers: int) -> float:
-    d0 = laplacian_determinant_polynomial(vg)
+def _mahler_reference(d0: LaurentPoly, fibers: int) -> float:
     if d0.is_zero():
         raise ValueError("Delta_0 vanishes; no growth reference")
     return mahler(d0, fibers).value
 
 
-def cover_rows(vg: VoltageGraph, schedule: list[int]) -> tuple[tuple[int, int, float], ...]:
+def cover_rows(
+    vg: VoltageGraph, schedule: list[int], d0: LaurentPoly | None = None
+) -> tuple[tuple[int, int, float], ...]:
     """Rows (r, complexity, (1/r) log complexity) of finite covers along a schedule.
 
-    For rank 1 the index n gives the cyclic cover nZ; for rank 2 it gives the
-    square sublattice nZ x nZ (r = n^2 sheets).
+    For rank 1 the index n gives the cyclic cover nZ, counted from Delta_0
+    (d0 if given); for rank 2 it gives the square sublattice nZ x nZ
+    (r = n^2 sheets), built and counted by elimination.
     """
     rows = []
     for n in schedule:
@@ -280,8 +390,7 @@ def cover_rows(vg: VoltageGraph, schedule: list[int]) -> tuple[tuple[int, int, f
             lam = SublatticeSpec.cyclic(n)
         else:
             lam = SublatticeSpec.lattice2(((n, 0), (0, n)))
-        cov = cover_graph(vg, lam)
-        t = complexity(cov)
+        t = cover_complexity(vg, lam, d0)
         r = lam.index
         rows.append((r, t, math.log(t) / r))
     return tuple(rows)
@@ -292,7 +401,8 @@ def growth_covers(
 ) -> GrowthReport:
     """Complexity of finite covers along a schedule (see :func:`cover_rows`),
     with m(Delta_0) as the reference."""
-    return GrowthReport("covers", cover_rows(vg, schedule), _mahler_reference(vg, fibers))
+    d0 = laplacian_determinant_polynomial(vg)
+    return GrowthReport("covers", cover_rows(vg, schedule, d0), _mahler_reference(d0, fibers))
 
 
 def growth_restrictions(
@@ -313,7 +423,7 @@ def growth_restrictions(
         s = len(sub.vertices)
         rows.append((s, tau, math.log(tau) / s))
     return GrowthReport(
-        "restrictions", tuple(rows), _mahler_reference(vg, fibers) / k
+        "restrictions", tuple(rows), _mahler_reference(laplacian_determinant_polynomial(vg), fibers) / k
     )
 
 

@@ -29,7 +29,11 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   ``CRSF_MAX_EDGES`` (16) edges.
 - ``grimmett-bound``: |V| log(2|E|/|V|) >= m(Delta_0).
 - ``growth-vs-mahler``: |(1/r) log T(G_r) - m(Delta_0)| at the largest
-  cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).
+  cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).  For
+  rank 1, T(G_r) is read off Delta_0 by one integer resultant
+  (:func:`cyclic_cover_complexity`), and FAIL with the error's text when
+  Delta_0 gives no exact count; the Bareiss count of the built cover is its
+  test oracle.  A rank-2 cover is built and counted by elimination.
   Both SKIP unless the quotient is connected with Delta_0 nonzero, and the
   growth check also when no cover index fits ``max_cover``; they share one
   Mahler measure.
@@ -210,14 +214,18 @@ def run_verify(
                 # The gap behaves like (log r + c)/r, so it need not shrink
                 # monotonically from the first cover; gate the gap at the
                 # largest scheduled index against that rate.
-                ((r_last, _, lg_last),) = cover_rows(vg, schedule[-1:])
-                gap = abs(lg_last - m0)
-                limit = max(0.1, 2.0 * math.log(max(r_last, 3)) / r_last)
-                record(
-                    "growth-vs-mahler",
-                    gap < limit,
-                    f"gap {gap:.4f} at cover index {r_last} (limit {limit:.4f})",
-                )
+                try:
+                    ((r_last, _, lg_last),) = cover_rows(vg, schedule[-1:], d0)
+                except (ArithmeticError, AssertionError) as exc:
+                    record("growth-vs-mahler", False, f"no exact cover count from Delta_0: {exc}")
+                else:
+                    gap = abs(lg_last - m0)
+                    limit = max(0.1, 2.0 * math.log(max(r_last, 3)) / r_last)
+                    record(
+                        "growth-vs-mahler",
+                        gap < limit,
+                        f"gap {gap:.4f} at cover index {r_last} (limit {limit:.4f})",
+                    )
         else:
             skip("grimmett-bound", "needs a connected quotient with nonzero Delta_0")
             skip("growth-vs-mahler", "needs a connected quotient with nonzero Delta_0")

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import elementary_divisor_reduce_first
-from lapgraph import cli
+from lapgraph import cli, graphs, spanning
 from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
-from lapgraph.graphs import FiniteGraph, VoltageGraph, voltage_laplacian
+from lapgraph.graphs import FiniteGraph, SublatticeSpec, VoltageGraph, voltage_laplacian
 from lapgraph.laurent import format_poly
 from lapgraph.library import (
     circulant_quotient,
@@ -19,6 +19,7 @@ from lapgraph.library import (
     grid_quotient,
     k4_plane,
     ladder_plane_quotient,
+    ladder_quotient,
     mitsubishi_quotient,
 )
 from lapgraph.planar import PlaneGraph, faces
@@ -251,6 +252,28 @@ def test_cli_trees(graph_dir, capsys):
     assert json.loads(out) == {"complexity": "16"}
 
 
+def test_rank1_cyclic_covers_are_counted_without_building_them(graph_dir, capsys, monkeypatch):
+    built = []
+    real = spanning.cover_graph
+
+    def spy(vg, lam):
+        built.append(lam)
+        return real(vg, lam)
+
+    monkeypatch.setattr(spanning, "cover_graph", spy)
+    monkeypatch.setattr(graphs, "cover_graph", spy)
+    ladder = str(graph_dir / "ladder.lapgraph")
+    code, out = run_cli(capsys, "trees", "--cover", "1000", ladder, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["index"], data["vertices"], data["edges"]) == (1000, 2000, 3000)
+    assert [t for _, t, _ in spanning.cover_rows(ladder_quotient(), [2, 3, 4])] == [12, 75, 384]
+    assert built == []
+    # a torus cover is still built and counted by elimination
+    assert run_cli(capsys, "trees", "--cover", "2", str(graph_dir / "grid.lapgraph"))[0] == 0
+    assert built == [SublatticeSpec.lattice2(((2, 0), (0, 2)))]
+
+
 def test_cli_trees_matrix_cover(graph_dir, capsys):
     code, out = run_cli(
         capsys, "trees", "--cover", "2,0,0,2", str(graph_dir / "grid.lapgraph"), "--json"
@@ -285,6 +308,7 @@ HUGE_TEXT = "1" + "0" * 4999 + "7"
 def test_cli_prints_tree_counts_of_any_size(graph_dir, capsys, monkeypatch):
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     monkeypatch.setattr(cli, "complexity", lambda g: HUGE)
+    monkeypatch.setattr(cli, "cover_complexity", lambda vg, lam: HUGE)
     report = GrowthReport("covers", ((2, HUGE, 1.0),), 1.0)
     monkeypatch.setattr(cli, "growth_covers", lambda vg, schedule, fibers: report)
     ladder = str(graph_dir / "ladder.lapgraph")

@@ -18,6 +18,7 @@ from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
     VoltageGraph,
+    connected_components,
     cover_graph,
     laplacian_finite,
     restriction_subgraph,
@@ -33,11 +34,13 @@ from lapgraph.library import (
     single_loop_quotient,
 )
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
+from lapgraph import spanning
 from lapgraph.spanning import (
     CRSF_MAX_EDGES,
     annular_connectivity,
     complexity,
     crsf_coefficients,
+    cyclic_cover_complexity,
     grimmett_bound,
     growth_covers,
     growth_restrictions,
@@ -109,6 +112,60 @@ def test_circulant_cover_closed_form_at_1000_sheets():
     for _ in range(n):
         f0, f1 = f1, f0 + f1
     assert complexity(cover_graph(circulant_quotient((1, 2)), SublatticeSpec.cyclic(n))) == n * f0 * f0
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_cyclic_cover_complexity_matches_the_built_cover(batch):
+    # Random rank-1 quotients, connected or not, with every voltage scaled by
+    # 0 (cycle-voltage gcd g = 0), 1, 2 or 3 (g > 1: disconnected covers).
+    rng = random.Random(9100 + batch)
+    kinds = set()
+    for _ in range(25):
+        vg = random_voltage_graph(rng, 1, 5, 9, connected=rng.random() < 0.5)
+        scale = rng.choice((0, 1, 1, 2, 3))
+        vg = VoltageGraph(vg.base, 1, tuple((scale * s,) for (s,) in vg.voltages))
+        parts = len(connected_components(vg.base))
+        kinds.add("disconnected quotient" if parts > 1 else "connected quotient")
+        for n in range(1, 14):
+            cov = cover_graph(vg, SublatticeSpec.cyclic(n))
+            if n > 1 and len(connected_components(cov)) > parts:
+                kinds.add("disconnected cover")
+            assert cyclic_cover_complexity(vg, n) == complexity(cov)
+    assert kinds == {"connected quotient", "disconnected quotient", "disconnected cover"}
+
+
+def test_cyclic_cover_complexity_closed_forms_at_ten_thousand_sheets():
+    n = 10**4
+    assert cyclic_cover_complexity(ladder_quotient(), n) == n * _fourth_order(2, 4, n) // 2 - n
+    f0, f1 = 0, 1
+    for _ in range(n):
+        f0, f1 = f1, f0 + f1
+    assert cyclic_cover_complexity(circulant_quotient((1, 2)), n) == n * f0 * f0
+
+
+def test_cyclic_cover_complexity_of_degenerate_quotients():
+    triangle = VoltageGraph.build(
+        ["a", "b", "c"],
+        [("x", "a", "b", (0,)), ("y", "b", "c", (0,)), ("z", "c", "a", (0,))],
+        rank=1,
+    )
+    assert cyclic_cover_complexity(triangle, 5) == 3**5  # g = 0: five triangles
+    assert cyclic_cover_complexity(single_loop_quotient(3), 6) == 2**3  # three 2-cycles
+    lone = VoltageGraph.build(["v"], [], rank=1)
+    assert cyclic_cover_complexity(lone, 7) == 1
+    with pytest.raises(ValueError):
+        cyclic_cover_complexity(grid_quotient(), 2)
+
+
+def test_growth_covers_takes_delta0_once(monkeypatch):
+    calls = []
+    real = spanning.laplacian_determinant_polynomial
+    monkeypatch.setattr(
+        spanning, "laplacian_determinant_polynomial", lambda vg: calls.append(vg) or real(vg)
+    )
+    report = growth_covers(ladder_quotient(), [2, 4, 8], fibers=64)
+    assert len(calls) == 1
+    assert [t for _, t, _ in report.rows] == [12, 384, 8 * _fourth_order(2, 4, 8) // 2 - 8]
 
 
 def test_ladder_strip_closed_form_at_512_vertices():

@@ -32,7 +32,7 @@ BREAKERS = {
     "delta-chain": ("ladder", "divides", lambda f, g, dom: False),
     "forman-reconstruction": ("ladder", "det_laurent", lambda M: LaurentPoly.zero(1)),
     "grimmett-bound": ("ladder", "grimmett_bound", lambda vg: -1.0),
-    "growth-vs-mahler": ("ladder", "cover_rows", lambda vg, schedule: ((8, 1, 100.0),)),
+    "growth-vs-mahler": ("ladder", "cover_rows", lambda vg, schedule, d0: ((8, 1, 100.0),)),
     "medial-crossings": ("ladder", "medial_components_voltage", lambda pg: []),
     "medial-gf2-degree": ("ladder", "noncompact_count", lambda comps: -1),
     "degree-connectivity": ("ladder", "annular_connectivity", lambda vg: 99),
@@ -81,6 +81,15 @@ def test_bicycle_disagreement_names_the_field(monkeypatch):
     assert res.status == "FAIL"
     # K4 has a 2-dimensional bicycle space over GF(2) and none over Q.
     assert res.detail == "over GF(2) the image of ker L has dim 2, row(Q) meet ker Q has dim 0"
+
+
+def test_growth_check_fails_when_delta0_gives_no_cover_count(monkeypatch):
+    # (x - 1)^2 does not divide 1 + 2x, so the resultant count cannot start
+    monkeypatch.setattr(verify, "det_laurent", lambda M: parse_poly("1 + 2*x", 1))
+    results = verify.run_verify(ladder_plane_quotient(), 8, 64)
+    (res,) = [r for r in results if r.name == "growth-vs-mahler"]
+    assert res.status == "FAIL"
+    assert res.detail == "no exact cover count from Delta_0: inexact polynomial division"
 
 
 def test_verify_computes_each_invariant_once(monkeypatch):
