@@ -155,10 +155,16 @@ class SublatticeSpec:
         if self.rank == 1:
             return (vec[0] % self.n,)
         a, b, c = self._hermite()
-        x, y = vec
-        t = x % a
-        y -= ((x - t) // a) * b
+        t, y = hermite_fold(a, b, *vec)
         return (t, y % c)
+
+
+def hermite_fold(a: int, b: int, x: int, y: int) -> tuple[int, int]:
+    """(t, y - b (x - t)/a), t = x mod a: the point of (x, y) + Z(a, b) with first
+    coordinate in [0, a), the fold step shared by :meth:`SublatticeSpec.reduce`
+    and :func:`~lapgraph.spanning.cover_complexity`."""
+    t = x % a
+    return t, y - (x - t) // a * b
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -3,14 +3,13 @@
 One variable: Jensen's formula, m(f) = log|lead| + sum of log|root| over the
 roots outside the unit circle.  Roots come from an Aberth simultaneous
 iteration started on a perturbed circle, with a Newton refinement pass and
-residual/coefficient-identity validation.  Factors of (x - 1) and (x + 1) are
-deflated exactly first, so the cyclotomic part common to graph polynomials
-contributes an exact zero.  Float Aberth meets a k-fold root only to about
-eps^(1/k), so repeated roots are split off exactly first (the repeated-gcd
-squarefree split, see Yun 1976): g_(i+1) = gcd(g_i, g_i') over the integers
-until g is constant, and each part g_i / g_(i+1) has simple roots.  A root
-of multiplicity k lies in k of the parts, so m(g_0) is the sum of their
-measures plus log|the final constant|.
+residual/coefficient-identity validation.  Float Aberth meets a k-fold root
+only to about eps^(1/k), so repeated roots are split off exactly first (the
+repeated-gcd squarefree split, see Yun 1976): g_(i+1) = gcd(g_i, g_i') over
+the integers until g is constant, and each part g_i / g_(i+1) has simple
+roots.  A root of multiplicity k lies in k of the parts, so m(g_0) is the sum
+of their measures plus log|the final constant|.  Roots on the unit circle,
+like the double root 1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
@@ -201,19 +200,6 @@ def _int_coeff_list(f: LaurentPoly) -> tuple[list[int], float]:
     return [int(c) for c in coeffs], 0.0
 
 
-def _deflate_root(coeffs: list[int], r: int) -> list[int] | None:
-    """Exact synthetic division by (x - r); None if r is not a root."""
-    acc = 0
-    out = []
-    for c in reversed(coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        return None
-    out.pop()
-    return list(reversed(out))
-
-
 def mahler_1var(f: LaurentPoly) -> MahlerResult:
     """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial."""
     if f.nvars != 1:
@@ -221,13 +207,6 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     coeffs, offset = _int_coeff_list(f)
-    # exact deflation of roots at +-1 (they sit on the circle and contribute 0)
-    for r in (1, -1):
-        while len(coeffs) > 1:
-            reduced = _deflate_root(coeffs, r)
-            if reduced is None:
-                break
-            coeffs = reduced
     # the squarefree split of the module docstring
     g = LaurentPoly(1, {(k,): c for k, c in enumerate(coeffs)})
     value = -offset

@@ -1,12 +1,12 @@
 """Spanning-tree counts, complexity, CRSF coefficients, annular connectivity,
 and growth-rate experiments over covers and restrictions.
 
-The complexity of a rank-1 cyclic cover is read off Delta_0 by one integer
-resultant (:func:`cyclic_cover_complexity`), so T(G_r) in the growth
-experiments and in ``verify`` never builds the cover.  Torus covers, general
-sublattices and box restrictions are built and counted by the matrix-tree
-theorem (:func:`tree_count`, a sparse Bareiss elimination), which is also
-the test oracle for the resultant count.
+Every cover's complexity is read off Delta_0 by one integer resultant
+(:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded onto a
+rank-1 quotient, :func:`cover_complexity`), so no cover is built.  Finite
+graphs and box restrictions are counted by the matrix-tree theorem
+(:func:`tree_count`, a sparse Bareiss elimination), which on a built cover
+is also the test oracle for the resultant count.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from .graphs import (
     VoltageGraph,
     bfs_potentials,
     connected_components,
-    cover_graph,
+    hermite_fold,
     laplacian_finite,
     restriction_subgraph,
     subgraph_on,
     voltage_laplacian,
 )
 from .laurent import LaurentPoly, _divmod, divexact, normalize
-from .linalg import elementary_divisor, int_det
+from .linalg import det_laurent, int_det
 from .mahler import mahler
 
 
@@ -341,15 +341,25 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
 
 
 def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec, d0: LaurentPoly | None = None) -> int:
-    """Complexity of the cover of vg for the sublattice lam.
+    """Complexity of the cover of vg for the sublattice lam, from Delta_0.
 
-    A rank-1 cyclic cover is counted from Delta_0
-    (:func:`cyclic_cover_complexity`, which takes d0 as it does); every other
-    cover is built and counted by :func:`complexity`.
+    Rank 1 is :func:`cyclic_cover_complexity` with d0.  For rank 2 with Hermite
+    form (a, b, c), each edge v -> w with voltage (s1, s2) and each i < a give
+    an edge v@i -> w@t with voltage y, (t, y) = hermite_fold(a, b, i + s1, s2):
+    the cover is the c-fold cyclic cover of that rank-1 quotient (d0 unused).
     """
-    if lam.rank == 1 == vg.rank:
+    if lam.rank != vg.rank:
+        raise ValueError("sublattice rank does not match voltage rank")
+    if lam.rank == 1:
         return cyclic_cover_complexity(vg, lam.n, d0)
-    return complexity(cover_graph(vg, lam))
+    a, b, c = lam._hermite()
+    edges = []
+    for e, (s1, s2) in zip(vg.base.edges, vg.voltages):
+        for i in range(a):
+            t, y = hermite_fold(a, b, i + s1, s2)
+            edges.append((f"{e.name}@{i}", f"{e.tail}@{i}", f"{e.head}@{t}", (y,)))
+    H = VoltageGraph.build([f"{v}@{i}" for v in vg.base.vertices for i in range(a)], edges, 1)
+    return cyclic_cover_complexity(H, c)
 
 
 # -- growth experiments --------------------------------------------------------------
@@ -365,8 +375,8 @@ class GrowthReport:
 
 
 def laplacian_determinant_polynomial(vg: VoltageGraph) -> LaurentPoly:
-    """Delta_0 over the integers, in normalized form."""
-    return elementary_divisor(voltage_laplacian(vg), 0, ZZ)
+    """Delta_0 over the integers, in normalized form: det L(x) up to a unit."""
+    return normalize(det_laurent(voltage_laplacian(vg)), ZZ)
 
 
 def _mahler_reference(d0: LaurentPoly, fibers: int) -> float:
@@ -382,7 +392,7 @@ def cover_rows(
 
     For rank 1 the index n gives the cyclic cover nZ, counted from Delta_0
     (d0 if given); for rank 2 it gives the square sublattice nZ x nZ
-    (r = n^2 sheets), built and counted by elimination.
+    (r = n^2 sheets), counted through its rank-1 fold (:func:`cover_complexity`).
     """
     rows = []
     for n in schedule:

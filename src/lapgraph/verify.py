@@ -29,11 +29,11 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   ``CRSF_MAX_EDGES`` (16) edges.
 - ``grimmett-bound``: |V| log(2|E|/|V|) >= m(Delta_0).
 - ``growth-vs-mahler``: |(1/r) log T(G_r) - m(Delta_0)| at the largest
-  cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).  For
-  rank 1, T(G_r) is read off Delta_0 by one integer resultant
-  (:func:`cyclic_cover_complexity`), and FAIL with the error's text when
-  Delta_0 gives no exact count; the Bareiss count of the built cover is its
-  test oracle.  A rank-2 cover is built and counted by elimination.
+  cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).  T(G_r)
+  is read off Delta_0 of the quotient, or for an n x n cover of its
+  n-sheeted rank-1 fold, by one integer resultant (:func:`cover_complexity`),
+  and FAIL with the error's text when Delta_0 gives no exact count; the
+  Bareiss count of the built cover is its test oracle.
   Both SKIP unless the quotient is connected with Delta_0 nonzero, and the
   growth check also when no cover index fits ``max_cover``; they share one
   Mahler measure.
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_basis
 from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
-from .laurent import LaurentPoly, divides, normalize
+from .laurent import divides, normalize
 from .linalg import det_laurent, elementary_divisor, transpose
 from .mahler import mahler
 from .planar import (
@@ -84,6 +84,7 @@ from .planar import (
 )
 from .spanning import (
     CRSF_MAX_EDGES,
+    X_MINUS_1_SQ,
     annular_connectivity,
     cover_rows,
     crsf_coefficients,
@@ -161,10 +162,9 @@ def run_verify(
         if d0.is_zero():
             skip("count-divisibility", "Delta_0 vanishes")
         elif vg.rank == 1:
-            x_minus_1_sq = LaurentPoly(1, {(0,): 1, (1,): -2, (2,): 1})
             record(
                 "count-divisibility",
-                divides(x_minus_1_sq, d0, ZZ),
+                divides(X_MINUS_1_SQ, d0, ZZ),
                 "(x-1)^2 divides Delta_0",
             )
         else:

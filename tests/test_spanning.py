@@ -39,6 +39,7 @@ from lapgraph.spanning import (
     CRSF_MAX_EDGES,
     annular_connectivity,
     complexity,
+    cover_complexity,
     crsf_coefficients,
     cyclic_cover_complexity,
     grimmett_bound,
@@ -155,6 +156,85 @@ def test_cyclic_cover_complexity_of_degenerate_quotients():
     assert cyclic_cover_complexity(lone, 7) == 1
     with pytest.raises(ValueError):
         cyclic_cover_complexity(grid_quotient(), 2)
+
+
+def _union(p: VoltageGraph, q: VoltageGraph, scale: int) -> VoltageGraph:
+    """Disjoint union of two rank-2 quotients, q's voltages times scale."""
+    vs = [f"p{v}" for v in p.base.vertices] + [f"q{v}" for v in q.base.vertices]
+    es = [(f"p{e.name}", f"p{e.tail}", f"p{e.head}", s) for e, s in zip(p.base.edges, p.voltages)]
+    es += [
+        (f"q{e.name}", f"q{e.tail}", f"q{e.head}", tuple(scale * a for a in s))
+        for e, s in zip(q.base.edges, q.voltages)
+    ]
+    return VoltageGraph.build(vs, es, 2)
+
+
+def _random_lattice2(rng) -> SublatticeSpec:
+    while True:
+        m = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(2))
+        if 0 < abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) <= 20:
+            return SublatticeSpec.lattice2(m)
+
+
+# Hermite forms (a, b, c): index 1; a = 1 with b != 0, where the fold is the
+# quotient with voltages s2 - b s1; and negative entries with a = 2, b != 0.
+FIXED_LATTICES = (((1, 0), (0, 1)), ((1, 0), (2, 5)), ((-2, 4), (3, -1)))
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_rank2_cover_complexity_matches_the_built_cover(batch):
+    # Random rank-2 quotients, connected or not, some of them the union of two
+    # quotients with one's voltages scaled by 1, 2 or 3, against random
+    # sublattices with entries in [-4, 4] and index <= 20 and FIXED_LATTICES.
+    rng = random.Random(9300 + batch)
+    kinds = set()
+    for _ in range(12):
+        vg = random_voltage_graph(rng, 2, 4, 7, connected=rng.random() < 0.5)
+        if rng.random() < 0.4:
+            vg = _union(vg, random_voltage_graph(rng, 2, 3, 5), rng.choice((1, 2, 3)))
+        parts = len(connected_components(vg.base))
+        kinds.add("disconnected quotient" if parts > 1 else "connected quotient")
+        for lam in [_random_lattice2(rng)] + [SublatticeSpec.lattice2(m) for m in FIXED_LATTICES]:
+            a, b, _ = lam._hermite()
+            if lam.index == 1:
+                kinds.add("index 1")
+            if a == 1 and b:
+                kinds.add("a = 1, b != 0")
+            if min(min(row) for row in lam.matrix) < 0:
+                kinds.add("negative entries")
+            cov = cover_graph(vg, lam)
+            if len(connected_components(cov)) > parts:
+                kinds.add("disconnected cover")
+            assert cover_complexity(vg, lam) == complexity(cov)
+    assert kinds == {
+        "connected quotient",
+        "disconnected quotient",
+        "index 1",
+        "a = 1, b != 0",
+        "negative entries",
+        "disconnected cover",
+    }
+
+
+def test_cover_complexity_rejects_a_rank_mismatch():
+    with pytest.raises(ValueError):
+        cover_complexity(ladder_quotient(), SublatticeSpec.lattice2(((2, 0), (0, 2))))
+    with pytest.raises(ValueError):
+        cover_complexity(grid_quotient(), SublatticeSpec.cyclic(2))
+
+
+def test_torus_cover_closed_form_at_32_by_32():
+    # log tau(C_n x C_n) = sum over (j, k) != (0, 0) of
+    # log(4 - 2 cos(2 pi j / n) - 2 cos(2 pi k / n)) - 2 log n
+    n = 32
+    t = cover_complexity(grid_quotient(), SublatticeSpec.lattice2(((n, 0), (0, n))))
+    expect = math.fsum(
+        math.log(4 - 2 * math.cos(2 * math.pi * j / n) - 2 * math.cos(2 * math.pi * k / n))
+        for j in range(n)
+        for k in range(n)
+        if (j, k) != (0, 0)
+    ) - 2 * math.log(n)
+    assert abs(math.log(t) - expect) <= 1e-12 * expect
 
 
 def test_growth_covers_takes_delta0_once(monkeypatch):
