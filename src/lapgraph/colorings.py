@@ -15,7 +15,7 @@ from .graphs import (
     incidence_matrix,
     laplacian_finite,
 )
-from .linalg import nullspace, row_space_canonical, transpose
+from .linalg import nullspace, row_space_canonical
 
 YES = "yes"
 FAILS_CYCLE = "fails-cycle"
@@ -94,26 +94,11 @@ def bicycle_basis(g: FiniteGraph, fld: Domain) -> list[list]:
 def bicycle_basis_meet(g: FiniteGraph, fld: Domain) -> list[list]:
     """The bicycle space as the row space of Q meet the kernel of Q.
 
-    An independent computation of :func:`bicycle_basis`, kept as its oracle;
-    returns the same canonical echelon basis.
+    Over every field row(Q) is the orthogonal complement of ker Q, so the
+    meet is one kernel: that of Q stacked on a basis of ker Q.  It never
+    touches L, so it stays an independent computation of
+    :func:`bicycle_basis`, kept as its oracle; returns the same canonical
+    echelon basis.
     """
     Q = incidence_matrix(g)
-    cut = row_space_canonical([[fld.of(v) for v in row] for row in Q], fld)
-    cyc = nullspace(Q, fld)
-    return _intersect_spans(cut, cyc, fld)
-
-
-def _intersect_spans(A: list[list], B: list[list], fld: Domain) -> list[list]:
-    if not A or not B:
-        return []
-    cols = [list(v) for v in A] + [[fld.of(-x) for x in v] for v in B]
-    stacked = transpose(cols)
-    combos = nullspace(stacked, fld)
-    vectors = []
-    for c in combos:
-        vec = [fld.zero] * len(A[0])
-        for coeff, basis_vec in zip(c[: len(A)], A):
-            if coeff:
-                vec = [fld.of(x + coeff * b) for x, b in zip(vec, basis_vec)]
-        vectors.append(vec)
-    return row_space_canonical(vectors, fld)
+    return row_space_canonical(nullspace(Q + nullspace(Q, fld), fld), fld)

@@ -366,10 +366,3 @@ def bfs_potentials(
                     queue.append(w)
     return pot, tree, root
 
-
-def subgraph_on(g: FiniteGraph, vertices: list[str]) -> FiniteGraph:
-    """Full subgraph induced on the given vertices (kept in g's order)."""
-    keep = set(vertices)
-    vs = tuple(v for v in g.vertices if v in keep)
-    es = tuple(e for e in g.edges if e.tail in keep and e.head in keep)
-    return FiniteGraph(vs, es)

@@ -4,14 +4,16 @@ and growth-rate experiments over covers and restrictions.
 Every cover's complexity is read off Delta_0 by one integer resultant
 (:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded onto a
 rank-1 quotient, :func:`cover_complexity`), so no cover is built.  Finite
-graphs and box restrictions are counted by the matrix-tree theorem
-(:func:`tree_count`, a sparse Bareiss elimination), which on a built cover
-is also the test oracle for the resultant count.
+graphs and box restrictions are counted by the matrix-tree theorem with one
+sparse Bareiss elimination per graph, however many components it has
+(:func:`complexity`; :func:`tree_count` is the connected case), which on a
+built cover is also the test oracle for the resultant count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,7 +28,6 @@ from .graphs import (
     hermite_fold,
     laplacian_finite,
     restriction_subgraph,
-    subgraph_on,
     voltage_laplacian,
 )
 from .laurent import LaurentPoly, _divmod, divexact, normalize
@@ -34,32 +35,29 @@ from .linalg import det_laurent, int_det
 from .mahler import mahler
 
 
-def tree_count(g: FiniteGraph) -> int:
-    """Number of spanning trees by the matrix-tree theorem (exact).
+def complexity(g: FiniteGraph) -> int:
+    """Product of spanning-tree counts over connected components, by the
+    matrix-tree theorem (exact).
 
-    Deletes the last row and column of the Laplacian and takes the absolute
-    determinant.  Requires a connected graph.
+    Equals the number of spanning forests with the minimal number of trees.
+    The Laplacian is block diagonal by component, so deleting the row and
+    column of the last vertex of each component leaves one matrix whose
+    determinant is that product: one :func:`int_det` call, of the empty
+    matrix (1) when every component is a single vertex.
     """
-    if len(connected_components(g)) != 1:
-        raise ValueError("tree count needs a connected graph")
-    if len(g.vertices) == 1:
-        return 1
     L = laplacian_finite(g)
-    del L[-1]
-    for row in L:
-        del row[-1]
+    for i in sorted((g.vertex_index(comp[-1]) for comp in connected_components(g)), reverse=True):
+        del L[i]
+        for row in L:
+            del row[i]
     return abs(int_det(L))
 
 
-def complexity(g: FiniteGraph) -> int:
-    """Product of spanning-tree counts over connected components.
-
-    Equals the number of spanning forests with the minimal number of trees.
-    """
-    total = 1
-    for comp in connected_components(g):
-        total *= tree_count(subgraph_on(g, comp))
-    return total
+def tree_count(g: FiniteGraph) -> int:
+    """Number of spanning trees of a connected graph: its :func:`complexity`."""
+    if len(connected_components(g)) != 1:
+        raise ValueError("tree count needs a connected graph")
+    return complexity(g)
 
 
 # -- cycle-rooted spanning forests ------------------------------------------------
@@ -83,16 +81,12 @@ class CrsfReport:
     max_winding: int
 
     def matches(self, det: LaurentPoly) -> bool:
-        """Whether the sums reconstruct det L (det L, not yet normalized).
+        """Whether the product form equals det L (not yet normalized).
 
-        The product form must equal det L.  The annulus sum must equal
-        Delta_0, the normalized det L, only when every winding is at most 1.
+        When every winding is at most 1 the annulus sum equals the product
+        form term by term, so comparing it as well would add nothing.
         """
-        if self.general_reconstruction != det:
-            return False
-        if self.max_winding > 1:
-            return True
-        return normalize(self.reconstruction, ZZ) == normalize(det, ZZ)
+        return self.general_reconstruction == det
 
 
 # Largest quotient crsf_coefficients enumerates: C(16, n) edge subsets.
@@ -114,9 +108,7 @@ def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
     if m > CRSF_MAX_EDGES:
         raise ValueError(f"quotient too large for brute force ({m} > {CRSF_MAX_EDGES} edges)")
     volts = [s[0] for s in vg.voltages]
-    counts: dict[int, int] = {}
-    general = LaurentPoly.zero(1)
-    max_w = 0
+    tally: Counter = Counter()  # sorted component windings -> number of CRSFs
     for subset in combinations(range(m), n):
         ends = [(g.edges[i].tail, g.edges[i].head) for i in subset]
         sub_volts = [volts[i] for i in subset]
@@ -129,12 +121,16 @@ def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
         windings = [abs(sub_volts[j] + pot[ends[j][0]] - pot[ends[j][1]]) for j in extras]
         if 0 in windings:
             continue
-        counts[len(extras)] = counts.get(len(extras), 0) + 1
-        max_w = max(max_w, *windings)
-        term = LaurentPoly.constant(1, 1)
+        tally[tuple(sorted(windings))] += 1
+    counts: Counter = Counter()
+    general = LaurentPoly.zero(1)
+    for windings, c in tally.items():
+        counts[len(windings)] += c
+        term = LaurentPoly.constant(c, 1)
         for w in windings:
             term = term * LaurentPoly(1, {(0,): 2, (w,): -1, (-w,): -1})
         general = general + term
+    max_w = max((windings[-1] for windings in tally), default=0)
     u = LaurentPoly(1, {(0,): 2, (1,): -1, (-1,): -1})  # 2 - x - 1/x
     recon = LaurentPoly.zero(1)
     for k, c in sorted(counts.items()):
@@ -286,7 +282,8 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
         rows.append([r.coeffs.get((i,), 0) for i in range(d)])
         r = mod(r.shift((1,)))
     norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
-    assert rem == 0, "lc^(m(d-1)) does not divide the norm"
+    if rem:
+        raise ArithmeticError("lc^(m(d-1)) does not divide the norm")
     return abs(norm)
 
 
@@ -331,11 +328,13 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
         t = tree_count(comp.base)
         if m > 1:
             dc = d0 if d0 is not None and len(parts) == 1 else laplacian_determinant_polynomial(comp)
-            assert all(e % c == 0 for (e,) in dc.coeffs), "Delta_0 is not a polynomial in x^c"
+            if any(e % c for (e,) in dc.coeffs):
+                raise ArithmeticError("Delta_0 is not a polynomial in x^c")
             dc = LaurentPoly(1, {(e // c,): a for (e,), a in dc.coeffs.items()})
             h = divexact(dc, X_MINUS_1_SQ, ZZ).coefficient_list()
             t, rem = divmod(t * m * _root_of_unity_norm(h, m), abs(sum(h)))
-            assert rem == 0, "h(1) does not divide the cover's tree count"
+            if rem:
+                raise ArithmeticError("h(1) does not divide the cover's tree count")
         total *= t**c
     return total
 

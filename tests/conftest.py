@@ -5,7 +5,8 @@ check: spanning trees by edge-subset enumeration, determinants by cofactor
 expansion, dense Bareiss elimination or Gaussian elimination over the
 rationals, elementary divisors from minors taken in the coefficient domain
 itself and a gcd fold over every one of them (no stop at a unit),
-connectivity by union-find, Newton root refinement in exact rationals
+connectivity by union-find, the bicycle space as an intersection of the
+cut and cycle spans, Newton root refinement in exact rationals
 (Fraction) and in floats with every step taken, the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, one-variable
@@ -31,10 +32,10 @@ from itertools import combinations
 from math import gcd as int_gcd
 from unittest import mock
 
-from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph
+from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph, incidence_matrix
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
-from lapgraph.linalg import elementary_divisor
+from lapgraph.linalg import elementary_divisor, nullspace, row_space_canonical, transpose
 from lapgraph.mahler import (
     STRIP_REL_TOL,
     UNIT_CIRCLE_TOL,
@@ -91,6 +92,28 @@ def brute_force_components(g: FiniteGraph) -> int:
     for e in g.edges:
         uf.union(e.tail, e.head)
     return len({uf.find(v) for v in g.vertices})
+
+
+def bicycle_meet_by_intersection(g: FiniteGraph, fld) -> list[list]:
+    """row(Q) meet ker Q by intersecting the two spans (test oracle).
+
+    Row-reduces Q for a basis A of its row space, takes a basis B of ker Q,
+    and maps each kernel vector (a, b) of [A^T | -B^T] to sum a_i A_i.
+    """
+    Q = incidence_matrix(g)
+    A = row_space_canonical([[fld.of(v) for v in row] for row in Q], fld)
+    B = nullspace(Q, fld)
+    if not A or not B:
+        return []
+    combos = nullspace(transpose([list(v) for v in A] + [[fld.of(-x) for x in v] for v in B]), fld)
+    vectors = []
+    for c in combos:
+        vec = [fld.zero] * len(A[0])
+        for coeff, basis_vec in zip(c[: len(A)], A):
+            if coeff:
+                vec = [fld.of(x + coeff * b) for x, b in zip(vec, basis_vec)]
+        vectors.append(vec)
+    return row_space_canonical(vectors, fld)
 
 
 def cofactor_det_poly(M):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_multigraph
+from conftest import bicycle_meet_by_intersection, random_multigraph, random_plane_graph
 from lapgraph.colorings import (
     FAILS_CYCLE,
     FAILS_KIRCHHOFF,
@@ -123,6 +123,18 @@ def test_bicycle_two_methods_agree_on_randoms(batch):
         g = random_multigraph(rng, 6, 12)
         for fld in (GF2, GF3, QQ):
             assert bicycle_basis(g, fld) == bicycle_basis_meet(g, fld)
+
+
+@pytest.mark.parametrize("batch", range(6))
+def test_meet_equals_the_span_intersection_with_coefficient_types(batch):
+    rng = random.Random(2100 + batch)
+    for i in range(30):
+        g = random_multigraph(rng, 6, 12) if i % 2 else random_plane_graph(rng, 10, connected=False).base
+        for fld in (GF2, GF3, GF5, QQ):
+            got = bicycle_basis_meet(g, fld)
+            want = bicycle_meet_by_intersection(g, fld)
+            assert got == want
+            assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -12,7 +12,7 @@ from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
 from lapgraph.graphs import FiniteGraph, VoltageGraph, voltage_laplacian
-from lapgraph.laurent import format_poly
+from lapgraph.laurent import format_poly, parse_poly
 from lapgraph.library import (
     circulant_quotient,
     girder_plane_quotient,
@@ -21,6 +21,7 @@ from lapgraph.library import (
     ladder_plane_quotient,
     ladder_quotient,
     mitsubishi_quotient,
+    single_loop_quotient,
 )
 from lapgraph.planar import PlaneGraph, faces
 from lapgraph.spanning import GrowthReport
@@ -272,6 +273,16 @@ def test_rank1_cyclic_covers_are_counted_without_building_them(graph_dir, capsys
     # a torus cover is counted through its rank-1 fold, not built either
     assert run_cli(capsys, "trees", "--cover", "2", str(graph_dir / "grid.lapgraph"))[0] == 0
     assert built == []
+
+
+def test_cli_reports_an_inexact_cover_count_as_an_error(tmp_path, capsys, monkeypatch):
+    # a Delta_0 that is not a polynomial in x^2 cannot count the 4-fold cover
+    # of a loop with voltage 2: exit 2 with the reason, not a traceback
+    path = tmp_path / "loop2.lapgraph"
+    path.write_text(format_graph_file(single_loop_quotient(2)))
+    monkeypatch.setattr(spanning, "laplacian_determinant_polynomial", lambda vg: parse_poly("1 - 2x + x^2"))
+    assert main(["trees", str(path), "--cover", "4"]) == 2
+    assert "Delta_0 is not a polynomial in x^c" in capsys.readouterr().err
 
 
 def test_cli_trees_matrix_cover(graph_dir, capsys):

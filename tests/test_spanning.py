@@ -216,6 +216,12 @@ def test_rank2_cover_complexity_matches_the_built_cover(batch):
     }
 
 
+def test_cover_count_from_an_inconsistent_delta0_raises_arithmetic_error():
+    # the loop's cycle voltage is 2, so its Delta_0 must be a polynomial in x^2
+    with pytest.raises(ArithmeticError, match=r"Delta_0 is not a polynomial in x\^c"):
+        cyclic_cover_complexity(single_loop_quotient(2), 4, d0=X_MINUS_1_SQ)
+
+
 def test_cover_complexity_rejects_a_rank_mismatch():
     with pytest.raises(ValueError):
         cover_complexity(ladder_quotient(), SublatticeSpec.lattice2(((2, 0), (0, 2))))
@@ -267,6 +273,44 @@ def test_complexity_examples():
     assert complexity(two_triangles) == 9
     assert complexity(k4_graph()) == 16
     assert complexity(FiniteGraph.build(["a", "b"], [])) == 1
+
+
+@pytest.mark.parametrize("batch", range(6))
+def test_complexity_is_the_product_over_components(batch):
+    # disconnected multigraphs with loops, multi-edges and isolated vertices
+    rng = random.Random(150 + batch)
+    for _ in range(40):
+        g = random_multigraph(rng, 7, 8)
+        want = 1
+        for comp in connected_components(g):
+            keep = set(comp)
+            want *= brute_force_tree_count(
+                FiniteGraph(tuple(comp), tuple(e for e in g.edges if e.tail in keep))
+            )
+        assert complexity(g) == want
+
+
+def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
+    orders = []
+
+    def spy(M):
+        orders.append(len(M))
+        return int_det(M)
+
+    monkeypatch.setattr(spanning, "int_det", spy)
+    k4 = k4_graph()
+    for parts in range(4):
+        vertices = [f"{v}{i}" for i in range(parts) for v in k4.vertices] + ["lone"]
+        edges = [(f"{e.name}{i}", f"{e.tail}{i}", f"{e.head}{i}") for i in range(parts) for e in k4.edges]
+        orders.clear()
+        assert complexity(FiniteGraph.build(vertices, edges)) == 16**parts
+        assert orders == [3 * parts]
+    rng = random.Random(160)
+    for _ in range(50):
+        g = random_multigraph(rng, 7, 8)
+        orders.clear()
+        complexity(g)
+        assert orders == [len(g.vertices) - len(connected_components(g))]
 
 
 # -- CRSFs ------------------------------------------------------------------------
@@ -331,6 +375,18 @@ def test_annulus_crsf_reconstruction_matches_delta0(seed):
         assert rep.reconstruction.is_zero()
     else:
         assert normalize(rep.reconstruction, ZZ) == d0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_annulus_sum_is_the_product_form_when_every_winding_is_one(seed):
+    rng = random.Random(900 + seed)
+    for vg in (
+        random_voltage_graph(rng, rank=1, max_vertices=4, max_edges=7, connected=False),
+        random_annulus_quotient(rng).graph,
+    ):
+        rep = crsf_coefficients(vg)
+        if rep.max_winding <= 1:
+            assert rep.reconstruction == rep.general_reconstruction
 
 
 # -- annular connectivity -----------------------------------------------------------
