@@ -14,19 +14,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin on these bases decides primality exactly below _MR_BOUND
+# (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; adequate for the field sizes used here."""
+    """Deterministic Miller-Rabin on the prime bases 2, 3, ..., 41.
+
+    Exact for n < 3.3e24 (``_MR_BOUND``).  Above it a base that witnesses
+    compositeness still proves n composite, but passing every base proves
+    nothing, so that case raises ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact only below {_MR_BOUND}")
     return True
 
 

@@ -4,17 +4,20 @@ and elementary divisors of Laurent-polynomial matrices.
 Matrices are plain lists of row lists.  Field entries are whatever the domain
 object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
-coefficients.  Every determinant is one fraction-free elimination on sparse
-integer rows, and :func:`det_laurent` reads a Laurent determinant off it by
-Kronecker substitution.  A coefficient domain enters only at the gcd fold of
+coefficients.  :func:`rref` eliminates on integer rows over every field and
+divides by the pivots only at the end.  Every determinant is one fraction-free elimination on sparse integer rows,
+and :func:`det_laurent` reads a Laurent determinant off it by Kronecker
+substitution.  A coefficient domain enters only at the gcd fold of
 :func:`elementary_divisor`, which stops at the first unit gcd.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, compress
+from math import gcd, lcm
 
-from .fields import Domain
+from .fields import Domain, PrimeField
 from .laurent import LaurentPoly, gcd_many
 
 Matrix = list[list]
@@ -32,14 +35,28 @@ def transpose(M: Matrix) -> Matrix:
 def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over a field; leftmost-nonzero pivot rule.
 
-    Entries are reduced into the field with ``field.of`` on the way in and
-    after every row operation, which is computed with Python's operators, so
-    an entry is zero exactly when it is falsy; pivots are inverted with
-    ``field.inv``.  Returns (R, pivot_columns).  The input is not modified.
+    One elimination on integer rows serves every field.  The field enters on
+    entry (a QQ row is scaled by the lcm of its denominators; a GF(p) entry
+    goes through ``field.of``, which rejects a denominator divisible by p), at
+    each step row_i <- piv*row_i - a*row_r (then divided by its content over
+    QQ, or reduced mod p) and on exit, where each pivot row is divided by its
+    pivot and zero rows are filled with ``field.zero``.  The reduced form is
+    unique, so this equals Gauss-Jordan in the field's own arithmetic,
+    coefficient types included.  Returns (R, pivot_columns) and leaves M
+    alone; a ragged matrix or a non-field domain raises ValueError.
     """
     _check_rect(M)
-    of = field.of
-    R = [[of(v) for v in row] for row in M]
+    if not field.is_field:
+        raise ValueError(f"rref needs a field, not {field!r}")
+    p = field.p if isinstance(field, PrimeField) else 0
+    if p:
+        of = field.of
+        R = [[of(v) for v in row] for row in M]
+    else:
+        R = []
+        for row in M:
+            den = lcm(*(v.denominator for v in row))
+            R.append([v.numerator * (den // v.denominator) for v in row])
     nrows = len(R)
     ncols = len(R[0]) if R else 0
     pivots: list[int] = []
@@ -49,16 +66,30 @@ def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
         if sel is None:
             continue
         R[r], R[sel] = R[sel], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [of(v * inv) for v in R[r]]
+        prow = R[r]
+        piv = prow[c]
         for i in range(nrows):
-            if i != r and R[i][c]:
-                factor = R[i][c]
-                R[i] = [of(a - factor * b) for a, b in zip(R[i], R[r])]
+            a = R[i][c]
+            if a and i != r:
+                if p:
+                    R[i] = [(piv * x - a * y) % p for x, y in zip(R[i], prow)]
+                    continue
+                row = [piv * x - a * y for x, y in zip(R[i], prow)]
+                g = gcd(*row)
+                R[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    for i, c in enumerate(pivots):
+        piv = R[i][c]
+        if p:
+            inv = field.inv(piv)
+            R[i] = [v * inv % p for v in R[i]]
+        else:
+            R[i] = [Fraction(v, piv) for v in R[i]]
+    for i in range(r, nrows):
+        R[i] = [field.zero] * ncols
     return R, pivots
 
 
@@ -72,7 +103,8 @@ def nullspace(M: Matrix, field: Domain) -> list[list]:
     _check_rect(M)
     ncols = len(M[0]) if M else 0
     R, pivots = rref(M, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [field.zero] * ncols

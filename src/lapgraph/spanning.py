@@ -93,35 +93,64 @@ class CrsfReport:
 CRSF_MAX_EDGES = 16
 
 
+def _crsf_tally(vg: VoltageGraph) -> Counter:
+    """Number of essential CRSFs of each sorted tuple of component windings.
+
+    Each n-edge subset of the n-vertex quotient goes through a union-find on
+    vertex indices that keeps every vertex's potential relative to its parent
+    and every root's cycle winding.  The subset is rejected at a component's
+    second cycle, either closed inside it or met by merging two cyclic
+    components, and at a cycle of winding zero.  A subset that survives has
+    as many cycles as components (n edges on n vertices), so every component
+    has exactly one cycle, of nonzero winding.
+    """
+    g = vg.base
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(index[e.tail], index[e.head], s[0]) for e, s in zip(g.edges, vg.voltages)]
+    tally: Counter = Counter()
+    for subset in combinations(edges, n):
+        parent = list(range(n))
+        off = [0] * n  # potential of a vertex minus its parent's
+        cyc = [0] * n  # winding of a root's component cycle, 0 before it closes
+        for t, h, v in subset:
+            pt = ph = 0
+            while parent[t] != t:
+                pt += off[t]
+                t = parent[t]
+            while parent[h] != h:
+                ph += off[h]
+                h = parent[h]
+            if t == h:
+                w = v + pt - ph
+                if not w or cyc[t]:
+                    break
+                cyc[t] = w
+            elif cyc[t] and cyc[h]:
+                break
+            else:
+                parent[t] = h
+                off[t] = ph - pt - v
+                cyc[h] = cyc[h] or cyc[t]
+        else:
+            tally[tuple(sorted(abs(cyc[i]) for i in range(n) if parent[i] == i))] += 1
+    return tally
+
+
 def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
     """Brute-force enumeration of essential CRSFs of a rank-1 quotient.
 
     A qualifying edge subset covers every vertex, gives each component exactly
-    one independent cycle, and every component cycle has nonzero net voltage.
-    Quotients with more than ``CRSF_MAX_EDGES`` edges raise ValueError.
+    one independent cycle, and every component cycle has nonzero net voltage;
+    the subsets are tallied by a union-find (``_crsf_tally``).  Quotients with
+    more than ``CRSF_MAX_EDGES`` edges raise ValueError.
     """
     if vg.rank != 1:
         raise ValueError("CRSF coefficients are defined for rank-1 quotients")
-    g = vg.base
-    m = len(g.edges)
-    n = len(g.vertices)
+    m = len(vg.base.edges)
     if m > CRSF_MAX_EDGES:
         raise ValueError(f"quotient too large for brute force ({m} > {CRSF_MAX_EDGES} edges)")
-    volts = [s[0] for s in vg.voltages]
-    tally: Counter = Counter()  # sorted component windings -> number of CRSFs
-    for subset in combinations(range(m), n):
-        ends = [(g.edges[i].tail, g.edges[i].head) for i in subset]
-        sub_volts = [volts[i] for i in subset]
-        pot, tree, root = bfs_potentials(g.vertices, ends, sub_volts, ZZ)
-        # n edges on n vertices leave one non-forest edge per tree; each tree
-        # must get its own, closing that component's unique cycle.
-        extras = [j for j in range(n) if j not in tree]
-        if len({root[ends[j][0]] for j in extras}) != len(extras):
-            continue
-        windings = [abs(sub_volts[j] + pot[ends[j][0]] - pot[ends[j][1]]) for j in extras]
-        if 0 in windings:
-            continue
-        tally[tuple(sorted(windings))] += 1
+    tally = _crsf_tally(vg)
     counts: Counter = Counter()
     general = LaurentPoly.zero(1)
     for windings, c in tally.items():

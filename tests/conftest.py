@@ -6,7 +6,9 @@ expansion, dense Bareiss elimination or Gaussian elimination over the
 rationals, elementary divisors from minors taken in the coefficient domain
 itself and a gcd fold over every one of them (no stop at a unit),
 connectivity by union-find, the bicycle space as an intersection of the
-cut and cycle spans, Newton root refinement in exact rationals
+cut and cycle spans, reduced row echelon forms in the field's own
+arithmetic (Fraction over QQ), essential CRSFs by one BFS forest per edge
+subset, Newton root refinement in exact rationals
 (Fraction) and in floats with every step taken, the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, one-variable
@@ -27,12 +29,20 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 from unittest import mock
 
-from lapgraph.graphs import Edge, FiniteGraph, RectangleSpec, VoltageGraph, incidence_matrix
+from lapgraph.graphs import (
+    Edge,
+    FiniteGraph,
+    RectangleSpec,
+    VoltageGraph,
+    bfs_potentials,
+    incidence_matrix,
+)
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor, nullspace, row_space_canonical, transpose
@@ -114,6 +124,64 @@ def bicycle_meet_by_intersection(g: FiniteGraph, fld) -> list[list]:
                 vec = [fld.of(x + coeff * b) for x, b in zip(vec, basis_vec)]
         vectors.append(vec)
     return row_space_canonical(vectors, fld)
+
+
+def rref_fraction(M, field):
+    """Reduced row echelon form by Gauss-Jordan in the field's own arithmetic.
+
+    Entries are reduced with ``field.of`` on the way in and after every row
+    operation, and each pivot row is scaled by ``field.inv`` of its pivot as
+    soon as it is chosen (test oracle for ``linalg.rref``).
+    """
+    if M and any(len(r) != len(M[0]) for r in M):
+        raise ValueError("ragged matrix")
+    of = field.of
+    R = [[of(v) for v in row] for row in M]
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if R[i][c]), None)
+        if sel is None:
+            continue
+        R[r], R[sel] = R[sel], R[r]
+        inv = field.inv(R[r][c])
+        R[r] = [of(v * inv) for v in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c]:
+                factor = R[i][c]
+                R[i] = [of(a - factor * b) for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def crsf_tally_by_bfs(vg: VoltageGraph) -> Counter:
+    """Essential CRSFs by sorted winding tuple, one BFS forest per edge subset.
+
+    n edges on n vertices leave one non-forest edge per tree; a subset counts
+    when each tree gets its own, closing that component's unique cycle, and
+    no such cycle has winding zero (test oracle for ``spanning._crsf_tally``).
+    """
+    g = vg.base
+    n = len(g.vertices)
+    volts = [s[0] for s in vg.voltages]
+    tally: Counter = Counter()
+    for subset in combinations(range(len(g.edges)), n):
+        ends = [(g.edges[i].tail, g.edges[i].head) for i in subset]
+        sub_volts = [volts[i] for i in subset]
+        pot, tree, root = bfs_potentials(g.vertices, ends, sub_volts, ZZ)
+        extras = [j for j in range(n) if j not in tree]
+        if len({root[ends[j][0]] for j in extras}) != len(extras):
+            continue
+        windings = [abs(sub_volts[j] + pot[ends[j][0]] - pot[ends[j][1]]) for j in extras]
+        if 0 in windings:
+            continue
+        tally[tuple(sorted(windings))] += 1
+    return tally
 
 
 def cofactor_det_poly(M):

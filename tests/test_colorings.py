@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import bicycle_meet_by_intersection, random_multigraph, random_plane_graph
+from conftest import (
+    bicycle_meet_by_intersection,
+    brute_force_components,
+    random_multigraph,
+    random_plane_graph,
+    rref_fraction,
+)
 from lapgraph.colorings import (
     FAILS_CYCLE,
     FAILS_KIRCHHOFF,
@@ -18,7 +24,7 @@ from lapgraph.colorings import (
     is_conservative_edge,
 )
 from lapgraph.fields import GF2, QQ, PrimeField
-from lapgraph.graphs import FiniteGraph, SublatticeSpec, cover_graph, incidence_matrix
+from lapgraph.graphs import FiniteGraph, SublatticeSpec, cover_graph, incidence_matrix, laplacian_finite
 from lapgraph.library import k4_graph, ladder_quotient, triangle_graph
 from lapgraph.linalg import nullspace, row_space_canonical, transpose
 
@@ -123,6 +129,29 @@ def test_bicycle_two_methods_agree_on_randoms(batch):
         g = random_multigraph(rng, 6, 12)
         for fld in (GF2, GF3, QQ):
             assert bicycle_basis(g, fld) == bicycle_basis_meet(g, fld)
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_rational_bicycle_space_is_zero(batch):
+    """Cut and cycle spaces are orthogonal under a positive-definite form, so
+    over QQ they meet only in 0."""
+    rng = random.Random(2200 + batch)
+    for _ in range(60):
+        g = random_multigraph(rng, 7, 14)
+        assert bicycle_basis(g, QQ) == [] and bicycle_basis_meet(g, QQ) == []
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_bicycle_dimension_is_laplacian_nullity_minus_components(batch):
+    """Q^T kills exactly the colorings constant on components, so
+    dim bicycle = dim ker L - #components; the nullity comes from the oracle."""
+    rng = random.Random(2300 + batch)
+    for _ in range(40):
+        g = random_multigraph(rng, 7, 14)
+        L = laplacian_finite(g)
+        for fld in (GF2, GF3, GF5):
+            dim = len(L) - len(rref_fraction(L, fld)[1]) - brute_force_components(g)
+            assert len(bicycle_basis(g, fld)) == len(bicycle_basis_meet(g, fld)) == dim
 
 
 @pytest.mark.parametrize("batch", range(6))

@@ -1,10 +1,20 @@
 """Coefficient domains: the reduction map ``of``, ``inv``, and domain specs."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from lapgraph.fields import GF2, QQ, ZZ, IntegerRing, PrimeField, RationalField, domain_from_spec
+from lapgraph.fields import (
+    GF2,
+    QQ,
+    ZZ,
+    IntegerRing,
+    PrimeField,
+    RationalField,
+    domain_from_spec,
+    is_prime,
+)
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -86,6 +96,41 @@ def test_zero_and_one_are_elements(dom):
 def test_prime_field_rejects_a_non_prime(p):
     with pytest.raises(ValueError, match="is not prime"):
         PrimeField(p)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [
+        n for n in range(-5, 10**5) if _is_prime_by_trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 2047, 3215031751, 2**61 + 1])
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    # 561 and 41041 are Carmichael numbers; 2047 and 3215031751 are strong
+    # pseudoprimes to base 2
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_a_61_bit_mersenne_prime_is_a_field_at_once():
+    start = time.perf_counter()
+    field = PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert field.of(field.inv(3) * 3) == 1
+
+
+def test_primality_above_the_miller_rabin_bound_is_not_guessed():
+    # the bound itself is a strong pseudoprime to every base 2..41
+    with pytest.raises(ValueError, match="cannot decide whether 3317044064679887385961981 is prime"):
+        PrimeField(3317044064679887385961981)
+    assert not is_prime(10**30) and not is_prime(2**89 + 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(2**89 - 1)
 
 
 def test_domains_compare_and_hash_by_value():

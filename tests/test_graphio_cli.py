@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,18 @@ def test_cli_bicycle(graph_dir, capsys):
         capsys, "bicycle", str(graph_dir / "k4.lapgraph"), "--field", "q"
     )
     assert "dimension over q: 0" in out
+
+
+def test_cli_bicycle_over_a_61_bit_prime_field(graph_dir, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "bicycle", str(graph_dir / "k4.lapgraph"), "--field", "gf:2305843009213693951"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "dimension over gf:2305843009213693951: 0" in out
+    code = main(["bicycle", str(graph_dir / "k4.lapgraph"), "--field", "gf:3317044064679887385961981"])
+    assert code == 2
+    assert "cannot decide whether 3317044064679887385961981 is prime" in capsys.readouterr().err
 
 
 def test_cli_medial(graph_dir, capsys):

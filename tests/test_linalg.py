@@ -19,6 +19,7 @@ from conftest import (
     gcd_fold_all,
     gcd_fold_prefixes,
     random_voltage_graph,
+    rref_fraction,
     sized_voltage_graph,
 )
 from lapgraph import linalg as linalg_module
@@ -154,6 +155,82 @@ def test_nullspace_vectors_lie_in_kernel(fld):
         for v in basis:
             for row in M:
                 assert not fld.of(sum(a * b for a, b in zip(row, v)))
+
+
+def _rref_entry(rng, fld):
+    """An int, a Fraction (denominator prime to p over GF(p)) or a 10^20-sized int."""
+    k = rng.random()
+    if k < 0.4:
+        return 0
+    if k < 0.7:
+        return rng.randint(-5, 5)
+    if k < 0.85:
+        den = rng.choice([d for d in range(1, 8) if fld is QQ or d % fld.p])
+        return Fraction(rng.randint(-9, 9), den)
+    return rng.randint(-(10**20), 10**20)
+
+
+def _rref_corpus(seed, count):
+    """Random matrices over QQ, GF(2), GF(3) and GF(5), with zero and duplicate
+    rows, empty and zero-column matrices among them."""
+    rng = random.Random(seed)
+    yield [], QQ
+    yield [[], []], GF3
+    for _ in range(count):
+        fld = rng.choice((QQ, GF2, GF3, GF5))
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        M = [[_rref_entry(rng, fld) for _ in range(cols)] for _ in range(rows)]
+        if M and rng.random() < 0.3:
+            M.append(list(rng.choice(M)))
+        if M and rng.random() < 0.2:
+            M.insert(rng.randint(0, len(M)), [0] * cols)
+        yield M, fld
+
+
+def _types(R):
+    return [[type(v) for v in row] for row in R]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_equals_the_fraction_oracle_with_coefficient_types(seed):
+    for M, fld in _rref_corpus(1800 + seed, 500):
+        got, want = rref(M, fld), rref_fraction(M, fld)
+        assert got == want, (M, fld)
+        assert _types(got[0]) == _types(want[0]), (M, fld)
+
+
+def test_rref_builds_fractions_only_when_dividing_pivot_rows(monkeypatch):
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg_module, "Fraction", spy)
+    for M, fld in _rref_corpus(1900, 300):
+        if fld is not QQ:
+            continue
+        made.clear()
+        R, pivots = rref(M, QQ)
+        assert len(made) == len(pivots) * (len(M[0]) if M else 0), M
+
+
+def test_rref_leaves_its_input_alone():
+    for M, fld in _rref_corpus(1950, 200):
+        before = [list(row) for row in M]
+        rref(M, fld)
+        assert M == before and _types(M) == _types(before)
+
+
+def test_rref_rejects_ragged_matrices_non_fields_and_denominators_divisible_by_p():
+    for fld in (QQ, GF2, GF5):
+        with pytest.raises(ValueError, match="ragged"):
+            rref([[1, 2], [3]], fld)
+    with pytest.raises(ValueError, match="field"):
+        rref([[1, 2], [3, 4]], ZZ)
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by p"):
+        rref([[1, Fraction(1, 10)]], GF5)
+    assert rref([[1, Fraction(1, 10)]], GF3) == ([[1, 1]], [0])
 
 
 def _random_entry(rng, nvars, density):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     brute_force_tree_count,
+    crsf_tally_by_bfs,
     random_annulus_quotient,
     random_multigraph,
     random_voltage_graph,
@@ -387,6 +388,27 @@ def test_annulus_sum_is_the_product_form_when_every_winding_is_one(seed):
         rep = crsf_coefficients(vg)
         if rep.max_winding <= 1:
             assert rep.reconstruction == rep.general_reconstruction
+
+
+@pytest.mark.parametrize("batch", range(6))
+def test_crsf_union_find_tally_equals_the_bfs_enumeration(batch, monkeypatch):
+    """Loops, multi-edges, zero voltages, isolated vertices, voltage spans 0-5;
+    the union-find never calls bfs_potentials."""
+
+    def no_bfs(*args):
+        raise AssertionError("crsf_coefficients called bfs_potentials")
+
+    monkeypatch.setattr(spanning, "bfs_potentials", no_bfs)
+    rng = random.Random(1700 + batch)
+    for _ in range(250):
+        g = random_multigraph(rng, 7, 12, connected=rng.random() < 0.5)
+        span = rng.randint(0, 5)
+        vg = VoltageGraph(g, 1, tuple((rng.randint(-span, span),) for _ in g.edges))
+        want = crsf_tally_by_bfs(vg)
+        assert spanning._crsf_tally(vg) == want, vg
+        rep = crsf_coefficients(vg)
+        assert sum(rep.coefficients.values()) == sum(want.values())
+        assert rep.max_winding == max((w[-1] for w in want), default=0)
 
 
 # -- annular connectivity -----------------------------------------------------------
