@@ -8,8 +8,10 @@ at its cut vertex into a finite graph H with Delta_0 = tau(H) (x - 1)^2.
 Run:  python demos/crsf_and_connectivity.py
 """
 
+from pathlib import Path
+
 from lapgraph import QQ, ZZ, VoltageGraph, elementary_divisor, format_poly, normalize, voltage_laplacian
-from lapgraph.library import girder_quotient, ladder_quotient, single_loop_quotient
+from lapgraph.graphio import parse_graph_file
 from lapgraph.spanning import (
     annular_connectivity,
     crsf_coefficients,
@@ -18,7 +20,14 @@ from lapgraph.spanning import (
     tree_count,
 )
 
-for name, vg in (("ladder", ladder_quotient()), ("girder", girder_quotient())):
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def example(name):
+    return parse_graph_file((GRAPHS / f"{name}.lapgraph").read_text())
+
+
+for name, vg in (("ladder", example("ladder").graph), ("girder", example("girder").graph)):
     rep = crsf_coefficients(vg)
     d0 = elementary_divisor(voltage_laplacian(vg), 0, ZZ)
     print(f"{name}: C_k = {rep.coefficients}")
@@ -31,7 +40,7 @@ for name, vg in (("ladder", ladder_quotient()), ("girder", girder_quotient())):
 # kappa = 1: split the quotient at its cut vertex
 print("kappa = 1 quotients split into a finite graph H with Delta_0 = tau(H)(x-1)^2:")
 cases = [
-    ("single loop", single_loop_quotient()),
+    ("single loop", example("single_loop").graph),
     ("loop + doubled pendant", VoltageGraph.build(
         ["v", "u"],
         [("l", "v", "v", (1,)), ("p1", "v", "u", (0,)), ("p2", "v", "u", (0,))],

@@ -8,7 +8,9 @@ Laplacian is 16).
 Run:  python demos/k4_colorings_and_bicycles.py
 """
 
-from lapgraph import GF2, QQ, PrimeField
+from pathlib import Path
+
+from lapgraph import GF2, QQ, PrimeField, parse_graph_file
 from lapgraph.colorings import (
     based_vertex_basis,
     bicycle_basis,
@@ -16,11 +18,11 @@ from lapgraph.colorings import (
     edge_from_vertex,
     is_conservative_edge,
 )
-from lapgraph.library import k4_graph, k4_plane
 from lapgraph.planar import dehn_extend, dehn_restrict, faces, medial_components, residue_vector, shank_basis
 from lapgraph.spanning import tree_count
 
-k4 = k4_graph()
+pg = parse_graph_file((Path(__file__).resolve().parent.parent / "graphs" / "k4.lapgraph").read_text())
+k4 = pg.graph
 print("tau(K4) =", tree_count(k4))
 
 print("\nkernel dimensions: GF(2):", len(conservative_vertex_basis(k4, GF2)),
@@ -35,7 +37,6 @@ for b in bicycle_basis(k4, GF2):
     print("  ", b, is_conservative_edge(k4, b, GF2))
 print("bicycle space over Q:", bicycle_basis(k4, QQ))
 
-pg = k4_plane()
 print("\nfaces:", len(faces(pg)))
 comps = medial_components(pg)
 print("medial strands:", len(comps))

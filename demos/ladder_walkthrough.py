@@ -9,6 +9,7 @@ Run:  python demos/ladder_walkthrough.py
 """
 
 import math
+from pathlib import Path
 
 from lapgraph import (
     GF2, QQ, ZZ,
@@ -18,14 +19,15 @@ from lapgraph import (
     format_poly,
     mahler_1var,
     normalize,
+    parse_graph_file,
     tree_count,
     voltage_laplacian,
 )
-from lapgraph.library import ladder_plane_quotient, ladder_quotient
 from lapgraph.planar import medial_components_voltage, noncompact_count
 from lapgraph.spanning import annular_connectivity, crsf_coefficients
 
-vg = ladder_quotient()
+pg = parse_graph_file((Path(__file__).resolve().parent.parent / "graphs" / "ladder.lapgraph").read_text())
+vg = pg.graph
 print("quotient:", len(vg.base.vertices), "vertices,", len(vg.base.edges), "edges")
 
 # 1. The voltage Laplacian L(x) = D - A(x)
@@ -40,7 +42,7 @@ print("reciprocal:", normalize(d0, QQ) == normalize(d0.reciprocal(), QQ))
 
 # 3. Over GF(2) the degree equals the number of noncompact medial strands
 d0_gf2 = elementary_divisor(L, 0, GF2)
-strands = medial_components_voltage(ladder_plane_quotient())
+strands = medial_components_voltage(pg)
 print("deg over GF(2):", d0_gf2.degree_span()[0], "| noncompact strands:", noncompact_count(strands))
 
 # 4. Over Q the degree is twice the annular connectivity

@@ -8,8 +8,16 @@ Three experiments:
 Run:  python demos/mahler_vs_tree_growth.py
 """
 
-from lapgraph.library import circulant_quotient, grid_quotient, ladder_quotient
+from pathlib import Path
+
+from lapgraph import parse_graph_file
 from lapgraph.spanning import growth_covers, growth_restrictions
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def example(name):
+    return parse_graph_file((GRAPHS / f"{name}.lapgraph").read_text())
 
 
 def show(title, report, label="r"):
@@ -21,16 +29,16 @@ def show(title, report, label="r"):
 
 
 show("ladder covers (circular ladders)",
-     growth_covers(ladder_quotient(), [4, 8, 16, 32, 64]))
+     growth_covers(example("ladder").graph, [4, 8, 16, 32, 64]))
 
 show("circulant C_n^{1,2} covers",
-     growth_covers(circulant_quotient((1, 2)), [4, 8, 16, 32, 64]))
+     growth_covers(example("circulant12"), [4, 8, 16, 32, 64]))
 
 show("ladder restrictions (open ladders), per vertex",
-     growth_restrictions(ladder_quotient(), [4, 8, 16, 32, 64]), label="s")
+     growth_restrictions(example("ladder").graph, [4, 8, 16, 32, 64]), label="s")
 
 show("grid restrictions (n x n patches), per vertex",
-     growth_restrictions(grid_quotient(), [2, 4, 6, 8, 10, 12]), label="s")
+     growth_restrictions(example("grid"), [2, 4, 6, 8, 10, 12]), label="s")
 
 print("""
 Covers converge like log(r)/r; restrictions feel their boundary, so the grid

@@ -7,12 +7,20 @@ two-variable value.
 Run:  python demos/two_variable_quotients.py
 """
 
-from lapgraph import GF2, ZZ, elementary_divisor, format_poly, voltage_laplacian
-from lapgraph.library import grid_quotient, mitsubishi_quotient
+from pathlib import Path
+
+from lapgraph import GF2, ZZ, elementary_divisor, format_poly, parse_graph_file, voltage_laplacian
 from lapgraph.mahler import mahler_2var, mahler_limit_check
 from lapgraph.spanning import growth_covers
 
-for name, vg in (("grid", grid_quotient()), ("mitsubishi", mitsubishi_quotient())):
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def example(name):
+    return parse_graph_file((GRAPHS / f"{name}.lapgraph").read_text())
+
+
+for name, vg in (("grid", example("grid")), ("mitsubishi", example("mitsubishi"))):
     L = voltage_laplacian(vg)
     d0 = elementary_divisor(L, 0, ZZ)
     d0_gf2 = elementary_divisor(L, 0, GF2)

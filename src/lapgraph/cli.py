@@ -215,7 +215,7 @@ def _schedule(rank: int, mode: str, max_n: int) -> list[int]:
             n *= 2
         return out or [2]
     if mode == "covers":
-        return [n for n in (2, 3, 4, 5, 6, 8) if n * n <= max_n * max_n and n <= max_n]
+        return [n for n in (2, 3, 4, 5, 6, 8) if n <= max_n]
     return [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n]
 
 

@@ -27,16 +27,6 @@ def conservative_vertex_basis(g: FiniteGraph, fld: Domain) -> list[list]:
     return nullspace(laplacian_finite(g), fld)
 
 
-def constant_colorings_basis(g: FiniteGraph, fld: Domain) -> list[list]:
-    """Indicator vector of each connected component (colorings constant per part)."""
-    comps = connected_components(g)
-    out = []
-    for comp in comps:
-        members = set(comp)
-        out.append([fld.one if v in members else fld.zero for v in g.vertices])
-    return out
-
-
 def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[list]:
     """Basis of the conservative colorings that vanish at the base vertex.
 

@@ -1,16 +1,13 @@
-"""Named example graphs: the ladder, girder, grid, Mitsubishi and circulant
-quotients, and the plane K4.
+"""The ladder quotient as code, kept for the benchmark tests.
 
-Rotation systems list edge-ends counterclockwise around each vertex, using
-tokens ``name.t`` (tail end) and ``name.h`` (head end).  For the rank-1
-quotients the rotations describe the annulus drawing, so the medial tracing
-and face counts of covers are meaningful.
+Every example graph, this one included, is defined by its file in
+``graphs/``; this builder equals ``graphs/ladder.lapgraph`` without its
+rotation lines.  Its one caller is ``bench/test_bench.py``.
 """
 
 from __future__ import annotations
 
-from .graphs import FiniteGraph, VoltageGraph
-from .planar import PlaneGraph, parse_rotations
+from .graphs import VoltageGraph
 
 
 def ladder_quotient() -> VoltageGraph:
@@ -27,131 +24,3 @@ def ladder_quotient() -> VoltageGraph:
         ],
         rank=1,
     )
-
-
-def ladder_plane_quotient() -> PlaneGraph:
-    vg = ladder_quotient()
-    rot = parse_rotations(vg.base, {"v1": "a.t r.t a.h", "v2": "b.t b.h r.h"})
-    return PlaneGraph(vg, rot)
-
-
-def girder_quotient() -> VoltageGraph:
-    """Doubled rails plus straight and skew rungs: the girder strip.
-
-    Laplacian: [[6 - 2x - 2/x, -1 - 1/x], [-1 - x, 6 - 2x - 2/x]].
-    """
-    return VoltageGraph.build(
-        ["v1", "v2"],
-        [
-            ("a", "v1", "v1", (1,)),
-            ("a2", "v1", "v1", (1,)),
-            ("b", "v2", "v2", (1,)),
-            ("b2", "v2", "v2", (1,)),
-            ("r0", "v1", "v2", (0,)),
-            ("r1", "v1", "v2", (-1,)),
-        ],
-        rank=1,
-    )
-
-
-def girder_plane_quotient() -> PlaneGraph:
-    vg = girder_quotient()
-    rot = parse_rotations(
-        vg.base,
-        {
-            "v1": "a.t r0.t r1.t a.h a2.h a2.t",
-            "v2": "b.t b2.t b2.h b.h r0.h r1.h",
-        },
-    )
-    return PlaneGraph(vg, rot)
-
-
-def single_loop_quotient(voltage: int = 1) -> VoltageGraph:
-    """One vertex with one loop; voltage 1 gives the infinite path."""
-    return VoltageGraph.build(["v"], [("l", "v", "v", (voltage,))], rank=1)
-
-
-def single_loop_plane_quotient(voltage: int = 1) -> PlaneGraph:
-    vg = single_loop_quotient(voltage)
-    rot = parse_rotations(vg.base, {"v": "l.t l.h"})
-    return PlaneGraph(vg, rot)
-
-
-def circulant_quotient(winds: tuple[int, ...] = (1, 2)) -> VoltageGraph:
-    """One vertex with a loop of voltage s per generator; covers are circulants."""
-    edges = [(f"l{j}", "v", "v", (s,)) for j, s in enumerate(winds, start=1)]
-    return VoltageGraph.build(["v"], edges, rank=1)
-
-
-def grid_quotient() -> VoltageGraph:
-    """One vertex on the torus with loops in both directions: the square grid."""
-    return VoltageGraph.build(
-        ["v"],
-        [("ex", "v", "v", (1, 0)), ("ey", "v", "v", (0, 1))],
-        rank=2,
-    )
-
-
-def mitsubishi_quotient() -> VoltageGraph:
-    """The three-diamond (Mitsubishi) quotient on the torus.
-
-    Laplacian as printed from this edge list:
-      [[6, -1 - 1/x - 1/y, -1 - 1/y - x/y],
-       [-1 - x - y, 3, 0],
-       [-1 - y - y/x, 0, 3]].
-    """
-    return VoltageGraph.build(
-        ["v1", "v2", "v3"],
-        [
-            ("p0", "v1", "v2", (0, 0)),
-            ("p1", "v1", "v2", (-1, 0)),
-            ("p2", "v1", "v2", (0, -1)),
-            ("q0", "v1", "v3", (0, 0)),
-            ("q1", "v1", "v3", (0, -1)),
-            ("q2", "v1", "v3", (1, -1)),
-        ],
-        rank=2,
-    )
-
-
-def k4_graph() -> FiniteGraph:
-    """K4 with the orientation whose incidence matrix appears in the plane example."""
-    return FiniteGraph.build(
-        ["v1", "v2", "v3", "v4"],
-        [
-            ("e1", "v1", "v2"),
-            ("e2", "v2", "v3"),
-            ("e3", "v3", "v1"),
-            ("e4", "v1", "v4"),
-            ("e5", "v2", "v4"),
-            ("e6", "v3", "v4"),
-        ],
-    )
-
-
-def k4_plane() -> PlaneGraph:
-    """K4 drawn with v4 inside the triangle v1 v2 v3."""
-    g = k4_graph()
-    rot = parse_rotations(
-        g,
-        {
-            "v1": "e1.t e4.t e3.h",
-            "v2": "e2.t e5.t e1.h",
-            "v3": "e3.t e6.t e2.h",
-            "v4": "e6.h e4.h e5.h",
-        },
-    )
-    return PlaneGraph(g, rot)
-
-
-def triangle_graph() -> FiniteGraph:
-    return FiniteGraph.build(
-        ["v1", "v2", "v3"],
-        [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
-    )
-
-
-def triangle_plane() -> PlaneGraph:
-    g = triangle_graph()
-    rot = parse_rotations(g, {"v1": "e1.t e3.h", "v2": "e2.t e1.h", "v3": "e3.t e2.h"})
-    return PlaneGraph(g, rot)

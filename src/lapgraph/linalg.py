@@ -5,10 +5,11 @@ Matrices are plain lists of row lists.  Field entries are whatever the domain
 object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  :func:`rref` eliminates on integer rows over every field and
-divides by the pivots only at the end.  Every determinant is one fraction-free elimination on sparse integer rows,
-and :func:`det_laurent` reads a Laurent determinant off it by Kronecker
-substitution.  A coefficient domain enters only at the gcd fold of
-:func:`elementary_divisor`, which stops at the first unit gcd.
+divides by the pivots only at the end.  Every determinant is one
+fraction-free elimination on sparse integer rows, and :func:`det_laurent`
+reads a Laurent determinant off it by Kronecker substitution.  A coefficient
+domain enters only at the gcd fold of :func:`elementary_divisor`, which stops
+at the first unit gcd.
 """
 
 from __future__ import annotations
@@ -240,12 +241,18 @@ def _bareiss(rows: list[dict]) -> int:
 
 def int_det(M: Matrix) -> int:
     """Exact determinant of a square integer matrix, by :func:`_bareiss` on
-    its nonzero entries."""
+    its nonzero entries.  A nonzero entry that is not an int raises
+    ValueError: a Fraction or float would be truncated."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
     cols = range(n)
-    return _bareiss([{j: int(row[j]) for j in compress(cols, row)} for row in M])
+    rows = [{j: row[j] for j in compress(cols, row)} for row in M]
+    for row in rows:
+        for v in row.values():
+            if not isinstance(v, int):
+                raise ValueError(f"determinant needs integer entries, got {v!r}")
+    return _bareiss(rows)
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------

@@ -31,11 +31,9 @@ from .colorings import bicycle_basis
 from .fields import GF2, Domain
 from .graphs import (
     FiniteGraph,
-    SublatticeSpec,
     VoltageGraph,
     bfs_potentials,
     connected_components,
-    cover_graph,
     laplacian_finite,
 )
 from .linalg import row_space_canonical
@@ -105,14 +103,6 @@ def parse_dart(tok: str) -> Dart:
     return (name, end)
 
 
-def parse_rotations(g: FiniteGraph, spec: dict[str, str]) -> dict[str, tuple[Dart, ...]]:
-    """Build a rotation dict from strings like 'a.t r.t a.h' per vertex."""
-    out = {v: tuple(parse_dart(tok) for tok in text.split()) for v, text in spec.items()}
-    for v in g.vertices:
-        out.setdefault(v, ())
-    return out
-
-
 # -- faces ---------------------------------------------------------------------
 
 
@@ -159,11 +149,6 @@ def faces(pg: PlaneGraph) -> list[Face]:
 
 def face_index_of_darts(face_list: list[Face]) -> dict[Dart, int]:
     return {d: i for i, f in enumerate(face_list) for d in f.darts}
-
-
-def euler_characteristic(pg: PlaneGraph) -> int:
-    g = pg.base
-    return len(g.vertices) - len(g.edges) + len(faces(pg))
 
 
 # -- Dehn colorings --------------------------------------------------------------
@@ -358,29 +343,3 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
     if len(got) != len(vectors) or got != bicycle_basis(g, GF2):
         raise AssertionError("medial residues do not form a basis of the bicycle space")
     return vectors
-
-
-# -- covers with inherited rotations ---------------------------------------------------
-
-
-def cover_plane_graph(pg: PlaneGraph, n: int) -> PlaneGraph:
-    """The n-sheeted cyclic cover of a rank-1 plane quotient, rotations inherited.
-
-    The dart (e, t) at the level-c copy of a vertex belongs to edge instance
-    e@c; the dart (e, h) to instance e@(c - s) where s is e's voltage.
-    """
-    if not pg.is_voltage:
-        raise ValueError("cover_plane_graph needs a rank-1 voltage quotient")
-    vg = pg.graph
-    lam = SublatticeSpec.cyclic(n)
-    cov = cover_graph(vg, lam)
-    volt = {e.name: s[0] for e, s in zip(vg.base.edges, vg.voltages)}
-    rot: dict[str, tuple[Dart, ...]] = {}
-    for v in vg.base.vertices:
-        for c in range(n):
-            darts = []
-            for name, end in pg.rotations[v]:
-                inst = c if end == "t" else (c - volt[name]) % n
-                darts.append((f"{name}@{inst}", end))
-            rot[f"{v}@{c}"] = tuple(darts)
-    return PlaneGraph(cov, rot)

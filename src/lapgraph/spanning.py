@@ -354,7 +354,7 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
         )
         c = math.gcd(n, cycle_gcd)
         m = n // c
-        t = tree_count(comp.base)
+        t = complexity(comp.base)
         if m > 1:
             dc = d0 if d0 is not None and len(parts) == 1 else laplacian_determinant_polynomial(comp)
             if any(e % c for (e,) in dc.coeffs):
@@ -457,7 +457,7 @@ def growth_restrictions(
         sub = restriction_subgraph(vg, rect)
         if len(connected_components(sub)) != 1:
             raise ValueError(f"restriction of size {n} is not connected")
-        tau = tree_count(sub)
+        tau = complexity(sub)
         s = len(sub.vertices)
         rows.append((s, tau, math.log(tau) / s))
     return GrowthReport(

@@ -15,7 +15,11 @@ strip and zero-fiber rule, one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
 the coefficient domain itself.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
-for the first nonzero elementary divisor) live here too.
+for the first nonzero elementary divisor, rotation strings, Euler
+characteristic, plane cyclic covers, component indicators) live here too.
+
+``example(name)`` reads the example graphs from ``graphs/*.lapgraph``, the
+one place they are defined.
 
 Random plane graphs and annulus quotients are built by mutating a grid patch
 (or annular grid) whose embedding is known, using only mutations that keep
@@ -33,17 +37,22 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
+from pathlib import Path
 from unittest import mock
 
 from lapgraph.graphs import (
     Edge,
     FiniteGraph,
     RectangleSpec,
+    SublatticeSpec,
     VoltageGraph,
     bfs_potentials,
+    connected_components,
+    cover_graph,
     incidence_matrix,
 )
 from lapgraph.fields import QQ, ZZ
+from lapgraph.graphio import parse_graph_file
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor, nullspace, row_space_canonical, transpose
 from lapgraph.mahler import (
@@ -54,7 +63,78 @@ from lapgraph.mahler import (
     _poly_deriv,
     _poly_eval,
 )
-from lapgraph.planar import PlaneGraph
+from lapgraph.planar import Dart, PlaneGraph, faces, parse_dart
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+# -- example graphs -------------------------------------------------------------
+
+
+def example(name: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
+    """The example graph in graphs/<name>.lapgraph.
+
+    The files with rotation lines (ladder, girder, single_loop, k4) parse to a
+    PlaneGraph, whose ``.graph`` is the bare quotient or finite graph.
+    """
+    return parse_graph_file((GRAPHS / f"{name}.lapgraph").read_text())
+
+
+def single_loop_quotient(voltage: int) -> VoltageGraph:
+    """One vertex with one loop of the given voltage; graphs/single_loop has voltage 1."""
+    return VoltageGraph.build(["v"], [("l", "v", "v", (voltage,))], rank=1)
+
+
+def triangle_plane() -> PlaneGraph:
+    g = FiniteGraph.build(
+        ["v1", "v2", "v3"],
+        [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
+    )
+    return PlaneGraph(g, parse_rotations(g, {"v1": "e1.t e3.h", "v2": "e2.t e1.h", "v3": "e3.t e2.h"}))
+
+
+def parse_rotations(g: FiniteGraph, spec: dict[str, str]) -> dict[str, tuple[Dart, ...]]:
+    """Build a rotation dict from strings like 'a.t r.t a.h' per vertex."""
+    out = {v: tuple(parse_dart(tok) for tok in text.split()) for v, text in spec.items()}
+    for v in g.vertices:
+        out.setdefault(v, ())
+    return out
+
+
+def euler_characteristic(pg: PlaneGraph) -> int:
+    g = pg.base
+    return len(g.vertices) - len(g.edges) + len(faces(pg))
+
+
+def cover_plane_graph(pg: PlaneGraph, n: int) -> PlaneGraph:
+    """The n-sheeted cyclic cover of a rank-1 plane quotient, rotations inherited.
+
+    The dart (e, t) at the level-c copy of a vertex belongs to edge instance
+    e@c; the dart (e, h) to instance e@(c - s) where s is e's voltage.
+    """
+    if not pg.is_voltage:
+        raise ValueError("cover_plane_graph needs a rank-1 voltage quotient")
+    vg = pg.graph
+    cov = cover_graph(vg, SublatticeSpec.cyclic(n))
+    volt = {e.name: s[0] for e, s in zip(vg.base.edges, vg.voltages)}
+    rot: dict[str, tuple[Dart, ...]] = {}
+    for v in vg.base.vertices:
+        for c in range(n):
+            darts = []
+            for name, end in pg.rotations[v]:
+                inst = c if end == "t" else (c - volt[name]) % n
+                darts.append((f"{name}@{inst}", end))
+            rot[f"{v}@{c}"] = tuple(darts)
+    return PlaneGraph(cov, rot)
+
+
+def constant_colorings_basis(g: FiniteGraph, fld) -> list[list]:
+    """Indicator vector of each connected component (colorings constant per part)."""
+    out = []
+    for comp in connected_components(g):
+        members = set(comp)
+        out.append([fld.one if v in members else fld.zero for v in g.vertices])
+    return out
 
 
 # -- independent oracles --------------------------------------------------------

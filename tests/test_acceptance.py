@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import brute_force_tree_count, first_nonzero_divisor, random_annulus_quotient, random_multigraph, random_plane_graph, random_voltage_graph
+from conftest import brute_force_tree_count, example, first_nonzero_divisor, random_annulus_quotient, random_multigraph, random_plane_graph, random_voltage_graph
 from lapgraph.colorings import (
     YES,
     bicycle_basis,
@@ -28,18 +28,6 @@ from lapgraph.colorings import (
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField
 from lapgraph.graphs import voltage_laplacian
 from lapgraph.laurent import divides, normalize, parse_poly
-from lapgraph.library import (
-    circulant_quotient,
-    girder_plane_quotient,
-    girder_quotient,
-    grid_quotient,
-    k4_graph,
-    k4_plane,
-    ladder_plane_quotient,
-    ladder_quotient,
-    mitsubishi_quotient,
-    single_loop_quotient,
-)
 from lapgraph.linalg import elementary_divisor
 from lapgraph.mahler import mahler_1var, mahler_2var
 from lapgraph.planar import (
@@ -82,18 +70,18 @@ def test_criterion_01_delta_zero_exact_matches():
         return elementary_divisor(voltage_laplacian(vg), 0, dom)
 
     x12 = parse_poly("x^2-2x+1")
-    checks.append(delta(ladder_quotient(), ZZ) == normalize(x12 * parse_poly("x^2-4x+1"), ZZ))
-    checks.append(delta(girder_quotient(), QQ) == normalize(x12 * parse_poly("4x^2-17x+4"), QQ))
-    checks.append(delta(girder_quotient(), GF2) == parse_poly("1+x^2").reduce_to(GF2))
+    checks.append(delta(example("ladder").graph, ZZ) == normalize(x12 * parse_poly("x^2-4x+1"), ZZ))
+    checks.append(delta(example("girder").graph, QQ) == normalize(x12 * parse_poly("4x^2-17x+4"), QQ))
+    checks.append(delta(example("girder").graph, GF2) == parse_poly("1+x^2").reduce_to(GF2))
     checks.append(
-        delta(grid_quotient(), ZZ) == normalize(parse_poly("4-x-x^-1-y-y^-1"), ZZ)
+        delta(example("grid"), ZZ) == normalize(parse_poly("4-x-x^-1-y-y^-1"), ZZ)
     )
-    mits = delta(mitsubishi_quotient(), ZZ)
+    mits = delta(example("mitsubishi"), ZZ)
     core = parse_poly("6 - x - x^-1 - y - y^-1 - x*y^-1 - x^-1*y")
     checks.append(mits == normalize(6 * core, ZZ))
-    checks.append(delta(mitsubishi_quotient(), GF2).is_zero())
+    checks.append(delta(example("mitsubishi"), GF2).is_zero())
     checks.append(
-        delta(circulant_quotient((1, 2)), ZZ) == normalize(x12 * parse_poly("x^2+3x+1"), ZZ)
+        delta(example("circulant12"), ZZ) == normalize(x12 * parse_poly("x^2+3x+1"), ZZ)
     )
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < 7.0  # < 1 s each
@@ -137,7 +125,7 @@ def test_criterion_04_tree_growth_as_stated():
     t0 = time.perf_counter()
     schedule = [4, 8, 16, 32, 64]
     ok = True
-    for vg, name in ((ladder_quotient(), "ladder"), (circulant_quotient((1, 2)), "circulant")):
+    for vg, name in ((example("ladder").graph, "ladder"), (example("circulant12"), "circulant")):
         gaps = _cover_gaps(vg, schedule)
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
         ok = ok and gaps[-1] < 0.05 and decreasing
@@ -150,11 +138,11 @@ def test_criterion_04_tree_growth_as_stated():
 
 def test_criterion_04_companion_true_convergence():
     t0 = time.perf_counter()
-    lad = _cover_gaps(ladder_quotient(), [4, 8, 16, 32, 64])
+    lad = _cover_gaps(example("ladder").graph, [4, 8, 16, 32, 64])
     # exact asymptotics: log(n/2)/n; frozen from the closed form for tau(CL_n)
     assert abs(lad[-1] - 0.05415) < 5e-4
     assert all(a > b for a, b in zip(lad[1:], lad[2:]))  # decreasing from n = 8
-    circ = _cover_gaps(circulant_quotient((1, 2)), [4, 8, 16, 32, 64])
+    circ = _cover_gaps(example("circulant12"), [4, 8, 16, 32, 64])
     assert circ[-1] < 0.05
     assert all(a > b for a, b in zip(circ[2:], circ[3:]))  # decreasing from n = 16
     elapsed = time.perf_counter() - t0
@@ -169,10 +157,10 @@ def test_criterion_04_companion_true_convergence():
     "gap 0.1511 to 1.166, marginally above the stated 0.15",
 )
 def test_criterion_05_thermodynamic_limit_as_stated():
-    ladder = growth_restrictions(ladder_quotient(), [4, 8, 16, 32, 64])
+    ladder = growth_restrictions(example("ladder").graph, [4, 8, 16, 32, 64])
     lgap = abs(ladder.rows[-1][2] - 0.658)
     report(5, lgap < 0.02, f"ladder restriction gap {lgap:.4f} at 64 rungs")
-    grid = growth_restrictions(grid_quotient(), [2, 3, 4, 6, 8, 10, 12])
+    grid = growth_restrictions(example("grid"), [2, 3, 4, 6, 8, 10, 12])
     gaps = [abs(lg - 1.166) for _, _, lg in grid.rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     report(5, gaps[-1] < 0.15 and monotone,
@@ -182,10 +170,10 @@ def test_criterion_05_thermodynamic_limit_as_stated():
 
 def test_criterion_05_companion_true_convergence():
     t0 = time.perf_counter()
-    ladder = growth_restrictions(ladder_quotient(), [4, 8, 16, 32, 64])
+    ladder = growth_restrictions(example("ladder").graph, [4, 8, 16, 32, 64])
     lgap = abs(ladder.rows[-1][2] - 0.658)
     assert lgap < 0.02
-    grid = growth_restrictions(grid_quotient(), [2, 3, 4, 6, 8, 10, 12])
+    grid = growth_restrictions(example("grid"), [2, 3, 4, 6, 8, 10, 12])
     gaps = [abs(lg - 1.166) for _, _, lg in grid.rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert abs(gaps[-1] - 0.1511) < 5e-4  # frozen exact value at 12 x 12
@@ -194,8 +182,8 @@ def test_criterion_05_companion_true_convergence():
 
 
 def test_criterion_06_k4_suite():
-    k4 = k4_graph()
-    pg = k4_plane()
+    k4 = example("k4").graph
+    pg = example("k4")
     tau = tree_count(k4)
     basis = bicycle_basis(k4, GF2)
     comps = medial_components(pg)
@@ -212,10 +200,10 @@ def test_criterion_06_k4_suite():
 
 
 def test_criterion_07_medial_degree_cross_check():
-    lad = medial_components_voltage(ladder_plane_quotient())
-    d_lad = first_nonzero_divisor(voltage_laplacian(ladder_quotient()), GF2)
-    gird = medial_components_voltage(girder_plane_quotient())
-    d_gird = first_nonzero_divisor(voltage_laplacian(girder_quotient()), GF2)
+    lad = medial_components_voltage(example("ladder"))
+    d_lad = first_nonzero_divisor(voltage_laplacian(example("ladder").graph), GF2)
+    gird = medial_components_voltage(example("girder"))
+    d_gird = first_nonzero_divisor(voltage_laplacian(example("girder").graph), GF2)
     ok = (
         noncompact_count(lad) == 4 == d_lad[1].degree_span()[0]
         and noncompact_count(gird) == 2 == d_gird[1].degree_span()[0]
@@ -234,12 +222,12 @@ def test_criterion_07_medial_degree_cross_check():
 
 
 def test_criterion_08_forman_kenyon_reconstruction():
-    rep = crsf_coefficients(ladder_quotient())
-    d0 = laplacian_determinant_polynomial(ladder_quotient())
+    rep = crsf_coefficients(example("ladder").graph)
+    d0 = laplacian_determinant_polynomial(example("ladder").graph)
     ok = rep.coefficients == {1: 2, 2: 1} and normalize(rep.reconstruction, ZZ) == d0
     checked = 1
     # plane d=1 corpus members with at most 12 quotient edges
-    for vg in (girder_quotient(), single_loop_quotient()):
+    for vg in (example("girder").graph, example("single_loop").graph):
         r = crsf_coefficients(vg)
         ok = ok and normalize(r.reconstruction, ZZ) == laplacian_determinant_polynomial(vg)
         checked += 1
@@ -257,7 +245,7 @@ def test_criterion_08_forman_kenyon_reconstruction():
     # the circulant is not annulus-embedded: the general product form applies
     from lapgraph.linalg import det_laurent
 
-    circ = circulant_quotient((1, 2))
+    circ = example("circulant12")
     rc = crsf_coefficients(circ)
     ok = ok and rc.general_reconstruction == det_laurent(voltage_laplacian(circ))
     assert report(8, ok, f"ladder C = {rep.coefficients}; {checked} quotients reconstructed")
@@ -265,14 +253,14 @@ def test_criterion_08_forman_kenyon_reconstruction():
 
 def test_criterion_09_degree_connectivity_and_split():
     ok = True
-    for vg, kappa_want in ((ladder_quotient(), 2), (girder_quotient(), 2)):
+    for vg, kappa_want in ((example("ladder").graph, 2), (example("girder").graph, 2)):
         d0 = elementary_divisor(voltage_laplacian(vg), 0, QQ)
         kappa = annular_connectivity(vg)
         ok = ok and kappa == kappa_want and d0.degree_span()[0] == 2 * kappa
     from lapgraph.graphs import VoltageGraph
 
     cases = [
-        single_loop_quotient(),
+        example("single_loop").graph,
         VoltageGraph.build(
             ["v", "u"],
             [("l", "v", "v", (1,)), ("p1", "v", "u", (0,)), ("p2", "v", "u", (0,))],
@@ -406,15 +394,15 @@ def test_criterion_10f_reciprocity_and_divisibility():
 def test_criterion_10g_grimmett_bound_on_corpus():
     failures = 0
     for vg in (
-        ladder_quotient(),
-        girder_quotient(),
-        single_loop_quotient(),
-        circulant_quotient((1, 2)),
+        example("ladder").graph,
+        example("girder").graph,
+        example("single_loop").graph,
+        example("circulant12"),
     ):
         d0 = laplacian_determinant_polynomial(vg)
         if grimmett_bound(vg) < mahler_1var(d0).value - 1e-9:
             failures += 1
-    for vg in (grid_quotient(), mitsubishi_quotient()):
+    for vg in (example("grid"), example("mitsubishi")):
         d0 = laplacian_determinant_polynomial(vg)
         if grimmett_bound(vg) < mahler_2var(d0, 256).value - 1e-6:
             failures += 1

@@ -7,9 +7,12 @@ import pytest
 from conftest import (
     bicycle_meet_by_intersection,
     brute_force_components,
+    constant_colorings_basis,
+    example,
     random_multigraph,
     random_plane_graph,
     rref_fraction,
+    triangle_plane,
 )
 from lapgraph.colorings import (
     FAILS_CYCLE,
@@ -19,13 +22,11 @@ from lapgraph.colorings import (
     bicycle_basis,
     bicycle_basis_meet,
     conservative_vertex_basis,
-    constant_colorings_basis,
     edge_from_vertex,
     is_conservative_edge,
 )
 from lapgraph.fields import GF2, QQ, PrimeField
 from lapgraph.graphs import FiniteGraph, SublatticeSpec, cover_graph, incidence_matrix, laplacian_finite
-from lapgraph.library import k4_graph, ladder_quotient, triangle_graph
 from lapgraph.linalg import nullspace, row_space_canonical, transpose
 
 GF3 = PrimeField(3)
@@ -33,7 +34,7 @@ GF5 = PrimeField(5)
 
 
 def test_k4_conservative_dimensions():
-    k4 = k4_graph()
+    k4 = example("k4").graph
     assert len(conservative_vertex_basis(k4, GF2)) == 3
     assert len(conservative_vertex_basis(k4, QQ)) == 1
 
@@ -56,7 +57,7 @@ def test_constants_lie_in_kernel():
 
 
 def test_k4_based_basis_matches_plane_example():
-    k4 = k4_graph()
+    k4 = example("k4").graph
     basis = based_vertex_basis(k4, GF2, "v1")
     # the printed kernel of the reduced Laplacian, extended by 0 at the base
     want = row_space_canonical([[0, 1, 1, 0], [0, 0, 1, 1]], GF2)
@@ -73,16 +74,16 @@ def test_based_basis_needs_connected_graph():
 
 
 def test_edge_from_vertex_k4_residues():
-    k4 = k4_graph()
+    k4 = example("k4").graph
     assert edge_from_vertex(k4, [0, 1, 1, 0], GF2) == [1, 0, 1, 0, 1, 1]
     assert edge_from_vertex(k4, [0, 1, 0, 1], GF2) == [1, 1, 0, 1, 0, 1]
     assert edge_from_vertex(k4, [1, 1, 1, 1], GF2) == [0] * 6
 
 
 def test_conservative_edge_classification():
-    k4 = k4_graph()
+    k4 = example("k4").graph
     assert is_conservative_edge(k4, [1, 0, 1, 0, 1, 1], GF2) == YES
-    tri = triangle_graph()
+    tri = triangle_plane().graph
     # cyclic orientation: (1,1,1) satisfies Kirchhoff but not the cycle sum
     assert is_conservative_edge(tri, [1, 1, 1], QQ) == FAILS_CYCLE
     # (1,0,0) fails both; the cycle condition is reported first
@@ -91,7 +92,7 @@ def test_conservative_edge_classification():
 
 
 def test_conservative_edge_kirchhoff_failure():
-    tri = triangle_graph()
+    tri = triangle_plane().graph
     # image of a non-conservative vertex coloring: cycle holds, Kirchhoff fails
     beta = edge_from_vertex(tri, [1, 0, 0], QQ)
     assert is_conservative_edge(tri, beta, QQ) == FAILS_KIRCHHOFF
@@ -104,7 +105,7 @@ def test_loop_edge_coloring_must_vanish():
 
 
 def test_k4_bicycle_space():
-    k4 = k4_graph()
+    k4 = example("k4").graph
     basis = bicycle_basis(k4, GF2)
     assert len(basis) == 2
     want = row_space_canonical(
@@ -117,7 +118,7 @@ def test_k4_bicycle_space():
 def test_ladder_cover_bicycle_dimension_over_gf3():
     # Two-method agreement is the oracle; the dimension on the finite cover
     # is its own fact (the infinite ladder has dimension 3 over any field).
-    cov = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(4))
+    cov = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(4))
     basis = bicycle_basis(cov, GF3)
     assert len(basis) == len(based_vertex_basis(cov, GF3, cov.vertices[0]))
 

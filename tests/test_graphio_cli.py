@@ -7,23 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import elementary_divisor_reduce_first
+from conftest import GRAPHS, elementary_divisor_reduce_first, example, single_loop_quotient
 from lapgraph import cli, graphs, spanning
 from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
 from lapgraph.graphs import FiniteGraph, VoltageGraph, voltage_laplacian
 from lapgraph.laurent import format_poly, parse_poly
-from lapgraph.library import (
-    circulant_quotient,
-    girder_plane_quotient,
-    grid_quotient,
-    k4_plane,
-    ladder_plane_quotient,
-    ladder_quotient,
-    mitsubishi_quotient,
-    single_loop_quotient,
-)
 from lapgraph.planar import PlaneGraph, faces
 from lapgraph.spanning import GrowthReport
 
@@ -80,7 +70,7 @@ def test_missing_header():
 
 
 def test_rotation_lines_promote_to_plane_graph():
-    text = format_graph_file(k4_plane())
+    text = (GRAPHS / "k4.lapgraph").read_text()
     pg = parse_graph_file(text)
     assert isinstance(pg, PlaneGraph)
     assert len(faces(pg)) == 4
@@ -93,34 +83,21 @@ def test_bad_rotation_rejected():
 
 
 def test_round_trip_all_named_graphs():
-    for obj in (
-        ladder_plane_quotient(),
-        girder_plane_quotient(),
-        grid_quotient(),
-        mitsubishi_quotient(),
-        k4_plane(),
-    ):
-        text = format_graph_file(obj)
-        back = parse_graph_file(text)
-        assert format_graph_file(back) == text
+    paths = sorted(GRAPHS.glob("*.lapgraph"))
+    assert [p.stem for p in paths] == [
+        "circulant12", "girder", "grid", "k4", "ladder", "mitsubishi", "single_loop"
+    ]
+    for path in paths:
+        text = path.read_text()
+        assert format_graph_file(parse_graph_file(text)) == text
 
 
 # -- CLI -------------------------------------------------------------------------
 
 
 @pytest.fixture
-def graph_dir(tmp_path):
-    files = {
-        "ladder": ladder_plane_quotient(),
-        "girder": girder_plane_quotient(),
-        "grid": grid_quotient(),
-        "mitsubishi": mitsubishi_quotient(),
-        "k4": k4_plane(),
-        "circulant12": circulant_quotient((1, 2)),
-    }
-    for name, obj in files.items():
-        (tmp_path / f"{name}.lapgraph").write_text(format_graph_file(obj))
-    return tmp_path
+def graph_dir():
+    return GRAPHS
 
 
 def run_cli(capsys, *argv):
@@ -281,7 +258,7 @@ def test_rank1_cyclic_covers_are_counted_without_building_them(graph_dir, capsys
     assert code == 0
     data = json.loads(out)
     assert (data["index"], data["vertices"], data["edges"]) == (1000, 2000, 3000)
-    assert [t for _, t, _ in spanning.cover_rows(ladder_quotient(), [2, 3, 4])] == [12, 75, 384]
+    assert [t for _, t, _ in spanning.cover_rows(example("ladder").graph, [2, 3, 4])] == [12, 75, 384]
     assert built == []
     # a torus cover is counted through its rank-1 fold, not built either
     assert run_cli(capsys, "trees", "--cover", "2", str(graph_dir / "grid.lapgraph"))[0] == 0

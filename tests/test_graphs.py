@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_force_components,
     degree_certificate,
+    example,
     mat_mul,
     random_multigraph,
     random_voltage_graph,
@@ -29,18 +30,11 @@ from lapgraph.graphs import (
 )
 from lapgraph.fields import ZZ
 from lapgraph.laurent import LaurentPoly, parse_poly
-from lapgraph.library import (
-    circulant_quotient,
-    grid_quotient,
-    k4_graph,
-    ladder_quotient,
-    mitsubishi_quotient,
-)
 from lapgraph.linalg import transpose
 
 
 def test_k4_incidence_matrix_matches_plane_example():
-    Q = incidence_matrix(k4_graph())
+    Q = incidence_matrix(example("k4").graph)
     assert Q == [
         [-1, 0, 1, -1, 0, 0],
         [1, -1, 0, 0, -1, 0],
@@ -60,7 +54,7 @@ def test_single_edge_column():
 
 
 def test_k4_laplacian():
-    assert laplacian_finite(k4_graph()) == [
+    assert laplacian_finite(example("k4").graph) == [
         [3, -1, -1, -1],
         [-1, 3, -1, -1],
         [-1, -1, 3, -1],
@@ -105,19 +99,19 @@ def test_laplacian_rows_sum_zero_with_loops(seed):
 
 
 def test_ladder_voltage_laplacian_matches_printed_matrix():
-    L = voltage_laplacian(ladder_quotient())
+    L = voltage_laplacian(example("ladder").graph)
     d = parse_poly("3 - x - x^-1")
     m1 = parse_poly("-1")
     assert L == [[d, m1], [m1, d]]
 
 
 def test_grid_voltage_laplacian():
-    L = voltage_laplacian(grid_quotient())
+    L = voltage_laplacian(example("grid"))
     assert L == [[parse_poly("4 - x - x^-1 - y - y^-1")]]
 
 
 def test_mitsubishi_voltage_laplacian_round_trips_printed_matrix():
-    L = voltage_laplacian(mitsubishi_quotient())
+    L = voltage_laplacian(example("mitsubishi"))
     six = LaurentPoly.constant(6, 2)
     three = LaurentPoly.constant(3, 2)
     zero = LaurentPoly.zero(2)
@@ -129,7 +123,7 @@ def test_mitsubishi_voltage_laplacian_round_trips_printed_matrix():
 
 
 def test_voltage_laplacian_rejects_rank_zero():
-    g = k4_graph()
+    g = example("k4").graph
     with pytest.raises(ValueError, match="rank must be 1 or 2"):
         VoltageGraph(g, 0, tuple(() for _ in g.edges))
 
@@ -171,21 +165,21 @@ def _circular_ladder(n):
 
 
 def test_ladder_cover_is_circular_ladder():
-    cov = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(3))
+    cov = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(3))
     assert len(cov.vertices) == 6
     assert len(cov.edges) == 9
     assert degree_certificate(cov) == degree_certificate(_circular_ladder(3))
 
 
 def test_circulant_cover():
-    cov = cover_graph(circulant_quotient((1, 2)), SublatticeSpec.cyclic(5))
+    cov = cover_graph(example("circulant12"), SublatticeSpec.cyclic(5))
     assert len(cov.vertices) == 5
     assert len(cov.edges) == 10
     assert all(cov.degree(v) == 4 for v in cov.vertices)
 
 
 def test_index_one_cover_forgets_voltages():
-    vg = ladder_quotient()
+    vg = example("ladder").graph
     cov = cover_graph(vg, SublatticeSpec.cyclic(1))
     assert degree_certificate(cov) == degree_certificate(vg.base)
     assert len(cov.edges) == len(vg.base.edges)
@@ -222,7 +216,7 @@ def _cyclic_permutation_power(r, nu):
 
 def test_cover_laplacian_is_block_circulant_specialization():
     for n in (2, 3, 4):
-        for vg in (ladder_quotient(), circulant_quotient((1, 2))):
+        for vg in (example("ladder").graph, example("circulant12")):
             L = voltage_laplacian(vg)
             r = n
             base_n = len(vg.base.vertices)
@@ -241,23 +235,23 @@ def test_cover_laplacian_is_block_circulant_specialization():
 
 
 def test_ladder_restriction_is_open_ladder():
-    sub = restriction_subgraph(ladder_quotient(), RectangleSpec((3,)))
+    sub = restriction_subgraph(example("ladder").graph, RectangleSpec((3,)))
     assert len(sub.vertices) == 6
     assert len(sub.edges) == 3 * 3 - 2
 
 
 def test_grid_restriction_two_by_two_is_four_cycle():
-    sub = restriction_subgraph(grid_quotient(), RectangleSpec((2, 2)))
+    sub = restriction_subgraph(example("grid"), RectangleSpec((2, 2)))
     assert len(sub.vertices) == 4
     assert len(sub.edges) == 4
     assert all(sub.degree(v) == 2 for v in sub.vertices)
 
 
 def test_restriction_of_size_one_has_no_edges():
-    sub = restriction_subgraph(ladder_quotient(), RectangleSpec((1,)))
+    sub = restriction_subgraph(example("ladder").graph, RectangleSpec((1,)))
     assert len(sub.vertices) == 2
     assert len(sub.edges) == 1  # only the rung (voltage 0) stays
-    sub2 = restriction_subgraph(grid_quotient(), RectangleSpec((1, 1)))
+    sub2 = restriction_subgraph(example("grid"), RectangleSpec((1, 1)))
     assert len(sub2.edges) == 0
 
 
@@ -285,12 +279,12 @@ def test_empty_rectangle_rejected():
 
 
 def test_component_examples():
-    assert len(connected_components(k4_graph())) == 1
+    assert len(connected_components(example("k4").graph)) == 1
     g = FiniteGraph.build(
         ["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "c", "d")]
     )
     assert connected_components(g) == [["a", "b"], ["c", "d"]]
-    cov = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(4))
+    cov = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(4))
     assert len(connected_components(cov)) == 1
 
 

@@ -14,6 +14,7 @@ from conftest import (
     bareiss_det_laurent,
     cofactor_det_poly,
     elementary_divisor_reduce_first,
+    example,
     first_nonzero_divisor,
     fraction_det,
     gcd_fold_all,
@@ -34,7 +35,6 @@ from lapgraph.graphs import (
     voltage_laplacian,
 )
 from lapgraph.laurent import LaurentPoly, divides, normalize, parse_poly
-from lapgraph.library import girder_quotient, k4_graph, ladder_quotient, mitsubishi_quotient
 from lapgraph.linalg import (
     det_laurent,
     elementary_divisor,
@@ -125,6 +125,13 @@ def test_int_det_examples():
     assert int_det(L0) == 16
     assert int_det([[0, 0], [0, 0]]) == 0
     assert int_det([]) == 1
+
+
+def test_int_det_rejects_non_integer_entries():
+    # int() would truncate these to 1 and 0; the determinants are 1/2 and 1
+    for M in ([[Fraction(3, 2), 1], [1, 1]], [[0.5, 0], [0, 2]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            int_det(M)
 
 
 def test_int_det_rejects_non_square():
@@ -387,24 +394,24 @@ def test_det_laurent_rejects_fraction_coefficients():
 
 
 def test_delta0_examples_from_quotients():
-    lad = elementary_divisor(voltage_laplacian(ladder_quotient()), 0, ZZ)
+    lad = elementary_divisor(voltage_laplacian(example("ladder").graph), 0, ZZ)
     assert lad == normalize(
         parse_poly("x^2-2x+1") * parse_poly("x^2-4x+1"), ZZ
     )
-    gird = elementary_divisor(voltage_laplacian(girder_quotient()), 0, ZZ)
+    gird = elementary_divisor(voltage_laplacian(example("girder").graph), 0, ZZ)
     assert gird == normalize(
         parse_poly("x^2-2x+1") * parse_poly("4x^2-17x+4"), ZZ
     )
-    gird2 = elementary_divisor(voltage_laplacian(girder_quotient()), 0, GF2)
+    gird2 = elementary_divisor(voltage_laplacian(example("girder").graph), 0, GF2)
     assert gird2 == parse_poly("1 + x^2").reduce_to(GF2)  # (x+1)^2 mod 2
-    mits = elementary_divisor(voltage_laplacian(mitsubishi_quotient()), 0, ZZ)
+    mits = elementary_divisor(voltage_laplacian(example("mitsubishi")), 0, ZZ)
     core = parse_poly("6 - x - x^-1 - y - y^-1 - x*y^-1 - x^-1*y")
     assert mits == normalize(6 * core, ZZ)
-    assert elementary_divisor(voltage_laplacian(mitsubishi_quotient()), 0, GF2).is_zero()
+    assert elementary_divisor(voltage_laplacian(example("mitsubishi")), 0, GF2).is_zero()
 
 
 def test_k4_constant_matrix_divisors():
-    P = int_matrix_to_poly(laplacian_finite(k4_graph()))
+    P = int_matrix_to_poly(laplacian_finite(example("k4").graph))
     assert elementary_divisor(P, 0, ZZ).is_zero()
     assert elementary_divisor(P, 1, ZZ) == LaurentPoly.constant(16, 1)
     assert elementary_divisor(P, 4, ZZ) == LaurentPoly.constant(1, 1)
@@ -413,7 +420,7 @@ def test_k4_constant_matrix_divisors():
 
 
 def test_first_nonzero_divisor_scans():
-    P = int_matrix_to_poly(laplacian_finite(k4_graph()))
+    P = int_matrix_to_poly(laplacian_finite(example("k4").graph))
     s, d = first_nonzero_divisor(P, QQ)
     assert s == 1 and d == LaurentPoly.constant(1, 1)
     zero = [[LaurentPoly.zero(1)]]
@@ -528,7 +535,7 @@ def test_order_five_and_six_quotients_compute_minors_up_to_the_first_unit_gcd(na
 
 
 def test_girder_delta1_over_gf2_computes_every_minor(monkeypatch):
-    L = voltage_laplacian(girder_quotient())
+    L = voltage_laplacian(example("girder").graph)
     got, computed = _count_minors(L, 1, GF2, monkeypatch)
     assert got == parse_poly("1 + x") and len(computed) == 4
     got, computed = _count_minors(L, 1, ZZ, monkeypatch)

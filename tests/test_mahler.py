@@ -9,10 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_measure_cold, grid_average_full, mahler_1var_exact_refined, refine_float_four_steps
+from conftest import example, fiber_measure_cold, grid_average_full, mahler_1var_exact_refined, refine_float_four_steps
 from lapgraph.fields import ZZ
 from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
-from lapgraph.library import grid_quotient, mitsubishi_quotient
 from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
     RootFindingError,
@@ -303,15 +302,14 @@ def test_dispatch_helper():
 
 
 def test_growth_matches_mahler_for_ladder_at_64():
-    from lapgraph.library import ladder_quotient
     from lapgraph.spanning import growth_covers
 
-    report = growth_covers(ladder_quotient(), [64])
+    report = growth_covers(example("ladder").graph, [64])
     gap = abs(report.rows[-1][2] - report.reference)
     # exact asymptotics: tau(CL_n) = (n/2)((2+sqrt3)^n + (2-sqrt3)^n) - n,
     # so the gap at n = 64 is log(n/2)/n + o(1/n), about 0.0542
     assert gap < 0.06
-    report128 = growth_covers(ladder_quotient(), [128])
+    report128 = growth_covers(example("ladder").graph, [128])
     assert abs(report128.rows[-1][2] - report.reference) < gap
 
 
@@ -379,9 +377,9 @@ def test_grid_matches_full_grid_on_random_polys(seed):
 
 
 @pytest.mark.parametrize("fibers", [64, 1024, 4096])
-@pytest.mark.parametrize("quotient", [grid_quotient, mitsubishi_quotient], ids=["grid", "mitsubishi"])
+@pytest.mark.parametrize("quotient", ["grid", "mitsubishi"])
 def test_grid_matches_full_grid_on_delta0(quotient, fibers):
-    _assert_equals_full_grid(laplacian_determinant_polynomial(quotient()), fibers, 1e-13)
+    _assert_equals_full_grid(laplacian_determinant_polynomial(example(quotient)), fibers, 1e-13)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import first_nonzero_divisor, random_annulus_quotient, random_plane_graph
+from conftest import (
+    cover_plane_graph,
+    euler_characteristic,
+    example,
+    first_nonzero_divisor,
+    parse_rotations,
+    random_annulus_quotient,
+    random_plane_graph,
+    triangle_plane,
+)
 from lapgraph.colorings import (
     YES,
     bicycle_basis,
@@ -15,29 +24,19 @@ from lapgraph.colorings import (
 from lapgraph.fields import GF2, QQ, PrimeField
 from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import FiniteGraph, connected_components, voltage_laplacian
-from lapgraph.library import (
-    girder_plane_quotient,
-    k4_plane,
-    ladder_plane_quotient,
-    single_loop_plane_quotient,
-    triangle_plane,
-)
 from lapgraph.linalg import row_space_canonical
 from lapgraph.planar import (
     Face,
     MedialComponent,
     PlaneGraph,
     compact_orbit_count,
-    cover_plane_graph,
     dehn_extend,
     dehn_restrict,
-    euler_characteristic,
     face_index_of_darts,
     faces,
     medial_components,
     medial_components_voltage,
     noncompact_count,
-    parse_rotations,
     residue_vector,
     shank_basis,
 )
@@ -49,7 +48,7 @@ GF5 = PrimeField(5)
 
 
 def test_face_counts():
-    assert len(faces(k4_plane())) == 4
+    assert len(faces(example("k4"))) == 4
     assert len(faces(triangle_plane())) == 2
     g = FiniteGraph.build(["v"], [("l", "v", "v")])
     pg = PlaneGraph(g, parse_rotations(g, {"v": "l.t l.h"}))
@@ -83,7 +82,7 @@ def test_each_isolated_vertex_adds_one_face_and_one_strand():
     comps = medial_components(two)
     assert len(comps) == 2 == len(conservative_vertex_basis(two.base, GF2))
     assert shank_basis(two, 1) == []
-    pg, ladder = _data_graph("ladder_lone_vertex"), ladder_plane_quotient()
+    pg, ladder = _data_graph("ladder_lone_vertex"), example("ladder")
     assert faces(pg) == faces(ladder) + [Face(())]
     assert euler_characteristic(pg) == euler_characteristic(ladder) + 2
     comps = medial_components_voltage(pg)
@@ -108,7 +107,7 @@ def test_isolated_vertices_leave_the_rest_of_a_plane_graph_alone(seed):
 
 
 def test_face_walks_partition_the_darts():
-    pg = k4_plane()
+    pg = example("k4")
     fl = faces(pg)
     darts = [d for f in fl for d in f.darts]
     assert len(darts) == 2 * len(pg.base.edges)
@@ -129,14 +128,14 @@ def test_rotation_validation():
 
 
 def test_constant_coloring_extends_to_zero_faces():
-    pg = k4_plane()
+    pg = example("k4")
     dc = dehn_extend(pg, [3, 3, 3, 3], 0, GF5)
     assert all(c == 0 for c in dc.face_colors)
     assert dc.vertex_colors == (3, 3, 3, 3)
 
 
 def test_k4_dehn_extension_satisfies_edge_condition_everywhere():
-    pg = k4_plane()
+    pg = example("k4")
     g = pg.base
     for base_face in range(4):
         dc = dehn_extend(pg, [0, 1, 1, 0], base_face, GF2)
@@ -165,7 +164,7 @@ def test_nonconservative_coloring_rejected():
 
 
 def test_dehn_roundtrip_k4():
-    pg = k4_plane()
+    pg = example("k4")
     dc = dehn_extend(pg, [0, 1, 1, 0], 0, GF2)
     assert dehn_restrict(dc) == [0, 1, 1, 0]
 
@@ -202,7 +201,7 @@ def test_dehn_roundtrip_on_random_plane_graphs_gf5(batch):
 
 
 def test_k4_medial_components_and_residues():
-    pg = k4_plane()
+    pg = example("k4")
     comps = medial_components(pg)
     assert len(comps) == 3
     residues = {tuple(residue_vector(pg.base, c)) for c in comps}
@@ -252,22 +251,22 @@ def test_residues_are_bicycles_random(seed):
 
 
 def test_ladder_quotient_medial():
-    comps = medial_components_voltage(ladder_plane_quotient())
+    comps = medial_components_voltage(example("ladder"))
     assert noncompact_count(comps) == 4
     assert compact_orbit_count(comps) == 0
 
 
 def test_girder_quotient_medial():
-    comps = medial_components_voltage(girder_plane_quotient())
+    comps = medial_components_voltage(example("girder"))
     assert noncompact_count(comps) == 2
     assert compact_orbit_count(comps) == 0
 
 
 def test_single_essential_loop_medial():
-    comps = medial_components_voltage(single_loop_plane_quotient())
+    comps = medial_components_voltage(example("single_loop"))
     assert noncompact_count(comps) == 2
     # cross-check: GF(2) degree of Delta_0 = 2
-    L = voltage_laplacian(single_loop_plane_quotient().graph)
+    L = voltage_laplacian(example("single_loop").graph)
     s, d = first_nonzero_divisor(L, GF2)
     assert s == 0 and d.degree_span()[0] == 2
 
@@ -290,16 +289,16 @@ def test_gf2_degree_equals_noncompact_count_random(seed):
 
 def test_medial_dispatch_errors():
     with pytest.raises(ValueError):
-        medial_components(ladder_plane_quotient())
+        medial_components(example("ladder"))
     with pytest.raises(ValueError):
-        medial_components_voltage(k4_plane())
+        medial_components_voltage(example("k4"))
 
 
 # -- Shank basis ---------------------------------------------------------------------------
 
 
 def test_k4_shank_basis_every_base_choice():
-    pg = k4_plane()
+    pg = example("k4")
     for base in range(3):
         basis = shank_basis(pg, base)
         assert len(basis) == 2
@@ -362,7 +361,7 @@ def test_shank_basis_on_random_plane_graphs(seed):
 
 
 def test_cover_plane_graph_is_planar():
-    for pg in (ladder_plane_quotient(), girder_plane_quotient(), single_loop_plane_quotient()):
+    for pg in (example("ladder"), example("girder"), example("single_loop")):
         for n in (2, 3, 5):
             cov = cover_plane_graph(pg, n)
             assert euler_characteristic(cov) == 2
@@ -373,7 +372,7 @@ def test_cover_medial_count_matches_quotient_prediction():
     # lifts to gcd(n, w) closed strands.
     from math import gcd
 
-    pg = ladder_plane_quotient()
+    pg = example("ladder")
     qcomps = medial_components_voltage(pg)
     for n in (2, 3, 4):
         cov = cover_plane_graph(pg, n)

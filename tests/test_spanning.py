@@ -8,9 +8,11 @@ import pytest
 from conftest import (
     brute_force_tree_count,
     crsf_tally_by_bfs,
+    example,
     random_annulus_quotient,
     random_multigraph,
     random_voltage_graph,
+    single_loop_quotient,
     wrapping_edge_count,
 )
 from lapgraph.fields import QQ, ZZ
@@ -26,14 +28,6 @@ from lapgraph.graphs import (
     voltage_laplacian,
 )
 from lapgraph.laurent import normalize, parse_poly
-from lapgraph.library import (
-    circulant_quotient,
-    girder_quotient,
-    grid_quotient,
-    k4_graph,
-    ladder_quotient,
-    single_loop_quotient,
-)
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
 from lapgraph import spanning
 from lapgraph.spanning import (
@@ -56,8 +50,8 @@ X_MINUS_1_SQ = parse_poly("1 - 2x + x^2")
 
 
 def test_tree_count_examples():
-    assert tree_count(k4_graph()) == 16
-    cl3 = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(3))
+    assert tree_count(example("k4").graph) == 16
+    cl3 = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(3))
     assert tree_count(cl3) == 75
     assert brute_force_tree_count(cl3) == 75
     single = FiniteGraph.build(["v"], [])
@@ -103,7 +97,7 @@ def _fourth_order(a: int, b: int, n: int) -> int:
 def test_ladder_cover_closed_form_at_512_sheets():
     # C_n x K2: n L_n / 2 - n with L_n = (2 + sqrt 3)^n + (2 - sqrt 3)^n
     n = 512
-    cover = cover_graph(ladder_quotient(), SublatticeSpec.cyclic(n))
+    cover = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(n))
     assert complexity(cover) == n * _fourth_order(2, 4, n) // 2 - n
 
 
@@ -113,7 +107,7 @@ def test_circulant_cover_closed_form_at_1000_sheets():
     f0, f1 = 0, 1
     for _ in range(n):
         f0, f1 = f1, f0 + f1
-    assert complexity(cover_graph(circulant_quotient((1, 2)), SublatticeSpec.cyclic(n))) == n * f0 * f0
+    assert complexity(cover_graph(example("circulant12"), SublatticeSpec.cyclic(n))) == n * f0 * f0
 
 
 @pytest.mark.parametrize("batch", range(8))
@@ -138,11 +132,11 @@ def test_cyclic_cover_complexity_matches_the_built_cover(batch):
 
 def test_cyclic_cover_complexity_closed_forms_at_ten_thousand_sheets():
     n = 10**4
-    assert cyclic_cover_complexity(ladder_quotient(), n) == n * _fourth_order(2, 4, n) // 2 - n
+    assert cyclic_cover_complexity(example("ladder").graph, n) == n * _fourth_order(2, 4, n) // 2 - n
     f0, f1 = 0, 1
     for _ in range(n):
         f0, f1 = f1, f0 + f1
-    assert cyclic_cover_complexity(circulant_quotient((1, 2)), n) == n * f0 * f0
+    assert cyclic_cover_complexity(example("circulant12"), n) == n * f0 * f0
 
 
 def test_cyclic_cover_complexity_of_degenerate_quotients():
@@ -156,7 +150,7 @@ def test_cyclic_cover_complexity_of_degenerate_quotients():
     lone = VoltageGraph.build(["v"], [], rank=1)
     assert cyclic_cover_complexity(lone, 7) == 1
     with pytest.raises(ValueError):
-        cyclic_cover_complexity(grid_quotient(), 2)
+        cyclic_cover_complexity(example("grid"), 2)
 
 
 def _union(p: VoltageGraph, q: VoltageGraph, scale: int) -> VoltageGraph:
@@ -225,16 +219,16 @@ def test_cover_count_from_an_inconsistent_delta0_raises_arithmetic_error():
 
 def test_cover_complexity_rejects_a_rank_mismatch():
     with pytest.raises(ValueError):
-        cover_complexity(ladder_quotient(), SublatticeSpec.lattice2(((2, 0), (0, 2))))
+        cover_complexity(example("ladder").graph, SublatticeSpec.lattice2(((2, 0), (0, 2))))
     with pytest.raises(ValueError):
-        cover_complexity(grid_quotient(), SublatticeSpec.cyclic(2))
+        cover_complexity(example("grid"), SublatticeSpec.cyclic(2))
 
 
 def test_torus_cover_closed_form_at_32_by_32():
     # log tau(C_n x C_n) = sum over (j, k) != (0, 0) of
     # log(4 - 2 cos(2 pi j / n) - 2 cos(2 pi k / n)) - 2 log n
     n = 32
-    t = cover_complexity(grid_quotient(), SublatticeSpec.lattice2(((n, 0), (0, n))))
+    t = cover_complexity(example("grid"), SublatticeSpec.lattice2(((n, 0), (0, n))))
     expect = math.fsum(
         math.log(4 - 2 * math.cos(2 * math.pi * j / n) - 2 * math.cos(2 * math.pi * k / n))
         for j in range(n)
@@ -250,7 +244,7 @@ def test_growth_covers_takes_delta0_once(monkeypatch):
     monkeypatch.setattr(
         spanning, "laplacian_determinant_polynomial", lambda vg: calls.append(vg) or real(vg)
     )
-    report = growth_covers(ladder_quotient(), [2, 4, 8], fibers=64)
+    report = growth_covers(example("ladder").graph, [2, 4, 8], fibers=64)
     assert len(calls) == 1
     assert [t for _, t, _ in report.rows] == [12, 384, 8 * _fourth_order(2, 4, 8) // 2 - 8]
 
@@ -258,7 +252,7 @@ def test_growth_covers_takes_delta0_once(monkeypatch):
 def test_ladder_strip_closed_form_at_512_vertices():
     # P_n x K2: ((2 + sqrt 3)^n - (2 - sqrt 3)^n) / (2 sqrt 3)
     assert [_fourth_order(0, 1, n) for n in range(1, 5)] == [1, 4, 15, 56]
-    strip = restriction_subgraph(ladder_quotient(), RectangleSpec((256,)))
+    strip = restriction_subgraph(example("ladder").graph, RectangleSpec((256,)))
     assert len(strip.vertices) == 512
     assert tree_count(strip) == _fourth_order(0, 1, 256)
 
@@ -272,7 +266,7 @@ def test_complexity_examples():
         ],
     )
     assert complexity(two_triangles) == 9
-    assert complexity(k4_graph()) == 16
+    assert complexity(example("k4").graph) == 16
     assert complexity(FiniteGraph.build(["a", "b"], [])) == 1
 
 
@@ -299,7 +293,7 @@ def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
         return int_det(M)
 
     monkeypatch.setattr(spanning, "int_det", spy)
-    k4 = k4_graph()
+    k4 = example("k4").graph
     for parts in range(4):
         vertices = [f"{v}{i}" for i in range(parts) for v in k4.vertices] + ["lone"]
         edges = [(f"{e.name}{i}", f"{e.tail}{i}", f"{e.head}{i}") for i in range(parts) for e in k4.edges]
@@ -318,31 +312,31 @@ def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
 
 
 def test_ladder_crsf_coefficients():
-    rep = crsf_coefficients(ladder_quotient())
+    rep = crsf_coefficients(example("ladder").graph)
     assert rep.coefficients == {1: 2, 2: 1}
-    det = det_laurent(voltage_laplacian(ladder_quotient()))
+    det = det_laurent(voltage_laplacian(example("ladder").graph))
     assert rep.reconstruction == det
     assert normalize(rep.reconstruction, ZZ) == laplacian_determinant_polynomial(
-        ladder_quotient()
+        example("ladder").graph
     )
 
 
 def test_single_loop_crsf():
-    rep = crsf_coefficients(single_loop_quotient())
+    rep = crsf_coefficients(example("single_loop").graph)
     assert rep.coefficients == {1: 1}
     assert rep.reconstruction == parse_poly("2 - x - x^-1")
 
 
 def test_girder_crsf_reconstruction():
-    rep = crsf_coefficients(girder_quotient())
-    det = det_laurent(voltage_laplacian(girder_quotient()))
+    rep = crsf_coefficients(example("girder").graph)
+    det = det_laurent(voltage_laplacian(example("girder").graph))
     assert rep.reconstruction == det
     assert rep.max_winding == 1
 
 
 def test_circulant_needs_general_form():
-    rep = crsf_coefficients(circulant_quotient((1, 2)))
-    det = det_laurent(voltage_laplacian(circulant_quotient((1, 2))))
+    rep = crsf_coefficients(example("circulant12"))
+    det = det_laurent(voltage_laplacian(example("circulant12")))
     assert rep.max_winding == 2
     assert rep.general_reconstruction == det
     assert rep.reconstruction != det  # annulus specialization does not apply
@@ -415,20 +409,20 @@ def test_crsf_union_find_tally_equals_the_bfs_enumeration(batch, monkeypatch):
 
 
 def test_kappa_examples():
-    assert annular_connectivity(ladder_quotient()) == 2
-    assert minimum_annular_cut(ladder_quotient()) == ["v1", "v2"]
-    assert annular_connectivity(girder_quotient()) == 2
-    assert annular_connectivity(single_loop_quotient()) == 1
+    assert annular_connectivity(example("ladder").graph) == 2
+    assert minimum_annular_cut(example("ladder").graph) == ["v1", "v2"]
+    assert annular_connectivity(example("girder").graph) == 2
+    assert annular_connectivity(example("single_loop").graph) == 1
 
 
 def test_degree_equals_twice_kappa_on_plane_quotients():
-    for vg in (ladder_quotient(), girder_quotient(), single_loop_quotient()):
+    for vg in (example("ladder").graph, example("girder").graph, example("single_loop").graph):
         d0 = elementary_divisor(voltage_laplacian(vg), 0, QQ)
         assert d0.degree_span()[0] == 2 * annular_connectivity(vg)
 
 
 def test_circulant_breaks_degree_formula_without_planarity():
-    vg = circulant_quotient((1, 2))
+    vg = example("circulant12")
     d0 = elementary_divisor(voltage_laplacian(vg), 0, QQ)
     assert annular_connectivity(vg) == 1
     assert d0.degree_span()[0] == 4  # 2 kappa would be 2
@@ -469,7 +463,7 @@ def _kappa_one_cases():
         rank=1,
     )
     return [
-        single_loop_quotient(),
+        example("single_loop").graph,
         loop_plus_pendant_double,
         loop_plus_skew_pendant,
         loop_plus_triangle,
@@ -489,14 +483,14 @@ def test_kappa_one_corollary(case):
 
 def test_split_rejects_kappa_two():
     with pytest.raises(ValueError):
-        split_at_annular_cut(ladder_quotient())
+        split_at_annular_cut(example("ladder").graph)
 
 
 # -- growth ------------------------------------------------------------------------------
 
 
 def test_ladder_growth_covers_values():
-    report = growth_covers(ladder_quotient(), [2, 3, 4])
+    report = growth_covers(example("ladder").graph, [2, 3, 4])
     assert [t for _, t, _ in report.rows] == [12, 75, 384]
     assert abs(report.reference - math.log(2 + math.sqrt(3))) < 1e-12
     for r, t, lg in report.rows:
@@ -504,14 +498,14 @@ def test_ladder_growth_covers_values():
 
 
 def test_single_loop_growth_is_cycle_graph():
-    report = growth_covers(single_loop_quotient(), [4, 8, 16])
+    report = growth_covers(example("single_loop").graph, [4, 8, 16])
     assert [t for _, t, _ in report.rows] == [4, 8, 16]  # tau(C_n) = n
     assert report.reference == 0.0
     assert report.rows[-1][2] == math.log(16) / 16
 
 
 def test_growth_restrictions_ladder():
-    report = growth_restrictions(ladder_quotient(), [4, 8, 16])
+    report = growth_restrictions(example("ladder").graph, [4, 8, 16])
     assert report.rows[0][0] == 8  # vertex count
     assert abs(report.reference - math.log(2 + math.sqrt(3)) / 2) < 1e-12
     gaps = [abs(lg - report.reference) for _, _, lg in report.rows]
@@ -519,15 +513,13 @@ def test_growth_restrictions_ladder():
 
 
 def test_single_loop_restriction_is_a_path():
-    report = growth_restrictions(single_loop_quotient(), [4, 8])
+    report = growth_restrictions(example("single_loop").graph, [4, 8])
     assert [t for _, t, _ in report.rows] == [1, 1]  # tau of a path
     assert [lg for _, _, lg in report.rows] == [0.0, 0.0]
 
 
 def test_mitsubishi_growth_matches_two_variable_mahler():
-    from lapgraph.library import mitsubishi_quotient
-
-    report = growth_covers(mitsubishi_quotient(), [8], fibers=1024)
+    report = growth_covers(example("mitsubishi"), [8], fibers=1024)
     r, _, lg = report.rows[-1]
     assert r == 64
     assert abs(lg - report.reference) < 0.05
@@ -553,8 +545,8 @@ def test_disconnected_cover_uses_complexity_product():
 
 
 def test_grimmett_bound_values():
-    assert abs(grimmett_bound(ladder_quotient()) - 2.1972245773362196) < 1e-12
-    assert abs(grimmett_bound(grid_quotient()) - 1.3862943611198906) < 1e-12
+    assert abs(grimmett_bound(example("ladder").graph) - 2.1972245773362196) < 1e-12
+    assert abs(grimmett_bound(example("grid")) - 1.3862943611198906) < 1e-12
     same = VoltageGraph.build(
         ["a", "b"], [("e1", "a", "b", (0,)), ("e2", "a", "b", (1,))], rank=1
     )
@@ -565,21 +557,21 @@ def test_grimmett_bound_dominates_mahler_on_corpus():
     from lapgraph.mahler import mahler_1var, mahler_2var
 
     for vg in (
-        ladder_quotient(),
-        girder_quotient(),
-        single_loop_quotient(),
-        circulant_quotient((1, 2)),
+        example("ladder").graph,
+        example("girder").graph,
+        example("single_loop").graph,
+        example("circulant12"),
     ):
         d0 = laplacian_determinant_polynomial(vg)
         assert grimmett_bound(vg) >= mahler_1var(d0).value - 1e-9
-    for vg in (grid_quotient(),):
+    for vg in (example("grid"),):
         d0 = laplacian_determinant_polynomial(vg)
         assert grimmett_bound(vg) >= mahler_2var(d0, 256).value - 1e-6
 
 
 def test_restriction_edge_identity_on_named_quotients():
-    for vg, rect in ((ladder_quotient(), RectangleSpec((5,))),
-                     (grid_quotient(), RectangleSpec((3, 4)))):
+    for vg, rect in ((example("ladder").graph, RectangleSpec((5,))),
+                     (example("grid"), RectangleSpec((3, 4)))):
         sub = restriction_subgraph(vg, rect)
         m = len(vg.base.edges)
         size = 1

@@ -7,15 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_annulus_quotient, random_multigraph, random_voltage_graph
+from conftest import (
+    GRAPHS,
+    euler_characteristic,
+    example,
+    random_annulus_quotient,
+    random_multigraph,
+    random_voltage_graph,
+)
 from lapgraph import laurent, linalg, spanning, verify
 from lapgraph.cli import main
 from lapgraph.fields import QQ, ZZ, RationalField
-from lapgraph.graphio import format_graph_file, parse_graph_file
+from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import voltage_laplacian
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
-from lapgraph.library import k4_plane, ladder_plane_quotient, mitsubishi_quotient
-from lapgraph.planar import PlaneGraph, euler_characteristic
+from lapgraph.planar import PlaneGraph
 
 mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is the function
 
@@ -44,26 +50,20 @@ BREAKERS = {
 # gf2-vanishing is recorded only when it holds, so no input can make it FAIL.
 CANNOT_FAIL = {"gf2-vanishing"}
 
-INPUTS = {"ladder": ladder_plane_quotient, "k4": k4_plane, "mitsubishi": mitsubishi_quotient}
+INPUTS = ("ladder", "k4", "mitsubishi")
 
 
-@pytest.fixture
-def graph_file(tmp_path):
-    def write(name):
-        path = tmp_path / f"{name}.lapgraph"
-        path.write_text(format_graph_file(INPUTS[name]()))
-        return str(path)
-
-    return write
+def graph_file(name):
+    return str(GRAPHS / f"{name}.lapgraph")
 
 
 def test_every_check_is_either_breakable_or_a_known_exception():
-    names = {r.name for make in INPUTS.values() for r in verify.run_verify(make(), 8, 64)}
+    names = {r.name for name in INPUTS for r in verify.run_verify(example(name), 8, 64)}
     assert names == set(BREAKERS) | CANNOT_FAIL
 
 
 @pytest.mark.parametrize("check", sorted(BREAKERS))
-def test_each_check_reports_fail_through_the_cli(check, graph_file, monkeypatch, capsys):
+def test_each_check_reports_fail_through_the_cli(check, monkeypatch, capsys):
     name, attr, fake = BREAKERS[check]
     path = graph_file(name)
     assert main(["verify", path, "--max", "8", "--fibers", "64"]) == 0
@@ -77,7 +77,7 @@ def test_each_check_reports_fail_through_the_cli(check, graph_file, monkeypatch,
 
 def test_bicycle_disagreement_names_the_field(monkeypatch):
     monkeypatch.setattr(verify, "bicycle_basis_meet", lambda g, fld: [])
-    (res,) = [r for r in verify.run_verify(k4_plane(), 8, 64) if r.name == "bicycle-two-method"]
+    (res,) = [r for r in verify.run_verify(example("k4"), 8, 64) if r.name == "bicycle-two-method"]
     assert res.status == "FAIL"
     # K4 has a 2-dimensional bicycle space over GF(2) and none over Q.
     assert res.detail == "over GF(2) the image of ker L has dim 2, row(Q) meet ker Q has dim 0"
@@ -86,7 +86,7 @@ def test_bicycle_disagreement_names_the_field(monkeypatch):
 def test_growth_check_fails_when_delta0_gives_no_cover_count(monkeypatch):
     # (x - 1)^2 does not divide 1 + 2x, so the resultant count cannot start
     monkeypatch.setattr(verify, "det_laurent", lambda M: parse_poly("1 + 2*x", 1))
-    results = verify.run_verify(ladder_plane_quotient(), 8, 64)
+    results = verify.run_verify(example("ladder"), 8, 64)
     (res,) = [r for r in results if r.name == "growth-vs-mahler"]
     assert res.status == "FAIL"
     assert res.detail == "no exact cover count from Delta_0: inexact polynomial division"
@@ -113,7 +113,7 @@ def test_verify_computes_each_invariant_once(monkeypatch):
     count(mahler_module, "mahler_2var", lambda *a: "mahler")
 
     # s is the first k with Delta_k nonzero over GF(2); Mitsubishi's Delta_0 vanishes mod 2.
-    for obj, s in ((ladder_plane_quotient(), 0), (mitsubishi_quotient(), 1)):
+    for obj, s in ((example("ladder"), 0), (example("mitsubishi"), 1)):
         calls.clear()
         verify.run_verify(obj, max_cover=8, fibers=64)
         assert calls["mahler"] == 1
@@ -140,14 +140,14 @@ def test_delta0_over_q_is_the_normalized_integer_delta0(seed):
         assert d0q == (d0 if d0.is_zero() else normalize(d0, QQ))
 
 
-def test_growth_check_skips_when_no_cover_fits(graph_file, capsys):
+def test_growth_check_skips_when_no_cover_fits(capsys):
     assert main(["verify", graph_file("ladder"), "--max", "2"]) == 0
     out = capsys.readouterr().out
     assert "SKIP growth-vs-mahler: no scheduled cover of index <= 2" in out
     assert "PASS grimmett-bound" in out
 
 
-def test_verify_has_no_base_options(graph_file):
+def test_verify_has_no_base_options():
     with pytest.raises(SystemExit):
         main(["verify", graph_file("k4"), "--base-face", "0"])
 
@@ -164,7 +164,7 @@ def test_verify_divides_no_rational_polynomial(monkeypatch):
 
     monkeypatch.setattr(laurent, "_divmod", spy)
     rng = random.Random(7100)
-    objs = [ladder_plane_quotient(), mitsubishi_quotient(), random_annulus_quotient(rng, 8)]
+    objs = [example("ladder"), example("mitsubishi"), random_annulus_quotient(rng, 8)]
     objs += [random_voltage_graph(rng, 1, 5, 8) for _ in range(4)]
     objs += [random_voltage_graph(rng, 2, 3, 5) for _ in range(2)]
     for obj in objs:
@@ -231,7 +231,7 @@ def test_dehn_roundtrip_reports_a_failed_edge_check(monkeypatch):
         raise AssertionError("Dehn condition fails at edge e1")
 
     monkeypatch.setattr(verify, "dehn_extend", fails_its_edge_check)
-    (res,) = [r for r in verify.run_verify(k4_plane(), 8, 64) if r.name == "dehn-roundtrip"]
+    (res,) = [r for r in verify.run_verify(example("k4"), 8, 64) if r.name == "dehn-roundtrip"]
     assert (res.status, res.detail) == ("FAIL", "Dehn condition fails at edge e1")
 
 
