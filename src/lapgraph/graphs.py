@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .fields import Domain
 from .laurent import LaurentPoly
@@ -256,8 +256,21 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
 # -- covers and restrictions -----------------------------------------------------
 
 
-def _coset_name(c: tuple[int, ...]) -> str:
-    return ",".join(str(a) for a in c)
+def _lift(
+    vg: VoltageGraph, cells: list[tuple[int, ...]], land: Callable[[tuple[int, ...]], tuple[int, ...] | None]
+) -> FiniteGraph:
+    """Vertices v@c for each base vertex v and cell c (base-vertex major), and
+    one edge e@c from tail@c to head@land(c + s) for each base edge e with
+    voltage s and each cell c, skipped where land gives None."""
+    names = {c: ",".join(map(str, c)) for c in cells}
+    vertices = [f"{v}@{names[c]}" for v in vg.base.vertices for c in cells]
+    edges = []
+    for e, s in zip(vg.base.edges, vg.voltages):
+        for c in cells:
+            c2 = land(tuple(a + b for a, b in zip(c, s)))
+            if c2 is not None:
+                edges.append(Edge(f"{e.name}@{names[c]}", f"{e.tail}@{names[c]}", f"{e.head}@{names[c2]}"))
+    return FiniteGraph(tuple(vertices), tuple(edges))
 
 
 def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
@@ -269,33 +282,14 @@ def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
     """
     if lam.rank != vg.rank:
         raise ValueError("sublattice rank does not match voltage rank")
-    reps = lam.coset_reps()
-    vertices = [f"{v}@{_coset_name(c)}" for v in vg.base.vertices for c in reps]
-    edges = []
-    for e, s in zip(vg.base.edges, vg.voltages):
-        for c in reps:
-            c2 = lam.reduce(tuple(a + b for a, b in zip(c, s)))
-            edges.append(
-                Edge(f"{e.name}@{_coset_name(c)}", f"{e.tail}@{_coset_name(c)}", f"{e.head}@{_coset_name(c2)}")
-            )
-    return FiniteGraph(tuple(vertices), tuple(edges))
+    return _lift(vg, lam.coset_reps(), lam.reduce)
 
 
 def restriction_subgraph(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
     """Full subgraph of the periodic lift on the box of translates in rect."""
     if len(rect.sizes) != vg.rank:
         raise ValueError("rectangle rank does not match voltage rank")
-    pts = rect.points()
-    vertices = [f"{v}@{_coset_name(c)}" for v in vg.base.vertices for c in pts]
-    edges = []
-    for e, s in zip(vg.base.edges, vg.voltages):
-        for c in pts:
-            c2 = tuple(a + b for a, b in zip(c, s))
-            if c2 in rect:
-                edges.append(
-                    Edge(f"{e.name}@{_coset_name(c)}", f"{e.tail}@{_coset_name(c)}", f"{e.head}@{_coset_name(c2)}")
-                )
-    return FiniteGraph(tuple(vertices), tuple(edges))
+    return _lift(vg, rect.points(), lambda c: c if c in rect else None)
 
 
 # -- components ------------------------------------------------------------------

@@ -35,6 +35,7 @@ Polynomials are immutable by convention: no public method mutates ``coeffs``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd as int_gcd
@@ -496,102 +497,47 @@ class PolyParseError(ValueError):
     pass
 
 
+# A term is its signs and its factors, each factor followed by any spaces and
+# '*'; it ends where the next sign starts, so every later term has a sign.
+_TERM = re.compile(r"([+\-\s]*)((?:(?:[0-9]+|[xy](?:\^[+-]?[0-9]+)?)[\s*]*)+)")
+_FACTOR = re.compile(r"([0-9]+)|([xy])(?:\^([+-]?[0-9]+))?")
+
+
 def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     """Parse the polynomial text syntax: terms like ``c``, ``c*x^a``, ``x^-1*y``.
 
-    The ``*`` between coefficient and variables is optional; exponents may be
-    negative.  The variable count is inferred (y present => 2) unless given.
+    A text is one or more terms, and every term after the first starts with
+    one or more signs (``+`` or ``-``, spaces allowed between them).  A term
+    is one or more factors in any order, separated by nothing, spaces or
+    ``*``: an ASCII integer, or ``x`` or ``y`` with an optional ``^`` and an
+    optionally signed integer exponent.  The coefficient is the product of
+    the integers, negated once per ``-``, and the exponents add.  Anything
+    else raises :class:`PolyParseError` naming the unparsed rest: a sign with
+    no term after it, a ``*`` before a term's first factor, a non-ASCII digit.
+    The variable count is inferred (y present => 2) unless given.
     """
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
     if nvars is None:
         nvars = 2 if "y" in s else 1
-    # Split into signed terms at the top level.  A +/- directly after '^'
-    # belongs to an exponent (as in x^-1), not to a new term.
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    prev = ""
-    for ch in s:
-        if ch in "+-" and prev != "^":
-            if buf.strip():
-                terms.append((sign, buf.strip()))
-                buf = ""
-                sign = 1 if ch == "+" else -1
-            else:
-                sign *= 1 if ch == "+" else -1
-        else:
-            buf += ch
-        if not ch.isspace():
-            prev = ch
-    if buf.strip():
-        terms.append((sign, buf.strip()))
-    if not terms:
-        raise PolyParseError(f"no terms in {text!r}")
-
-    coeffs: dict[Exponent, object] = {}
-    for sgn, term in terms:
-        c, exps = _parse_term(term, nvars)
+    coeffs: dict[Exponent, int] = {}
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if m is None:
+            raise PolyParseError(f"cannot parse {s[pos:]!r} in {text!r}")
+        signs, body = m.groups()
+        c, exps = (-1) ** signs.count("-"), [0] * nvars
+        for num, name, a in _FACTOR.findall(body):
+            if num:
+                c *= int(num)
+                continue
+            idx = VAR_NAMES.index(name)
+            if idx >= nvars:
+                raise PolyParseError(f"variable {name!r} not allowed here")
+            exps[idx] += int(a or 1)
         e = tuple(exps)
-        coeffs[e] = coeffs.get(e, 0) + sgn * c
+        coeffs[e] = coeffs.get(e, 0) + c
+        pos = m.end()
     return LaurentPoly(nvars, coeffs)
-
-
-def _parse_term(term: str, nvars: int):
-    tokens = [t.strip() for t in term.replace("*", " ").split()]
-    coeff = 1
-    exps = [0] * nvars
-    seen_coeff = False
-    for tok in tokens:
-        if not tok:
-            continue
-        pieces = _split_varruns(tok)
-        for kind, val in pieces:
-            if kind == "num":
-                if seen_coeff:
-                    coeff *= val
-                else:
-                    coeff = val
-                    seen_coeff = True
-            else:
-                name, a = val
-                idx = VAR_NAMES.index(name)
-                if idx >= nvars:
-                    raise PolyParseError(f"variable {name!r} not allowed here")
-                exps[idx] += a
-    return coeff, exps
-
-
-def _split_varruns(tok: str):
-    """Split a token like '3x^-2y' into numbers and variable powers."""
-    out = []
-    i = 0
-    n = len(tok)
-    while i < n:
-        ch = tok[i]
-        if ch.isdigit():
-            j = i
-            while j < n and tok[j].isdigit():
-                j += 1
-            out.append(("num", int(tok[i:j])))
-            i = j
-        elif ch in VAR_NAMES:
-            name = ch
-            i += 1
-            a = 1
-            if i < n and tok[i] == "^":
-                i += 1
-                j = i
-                if j < n and tok[j] in "+-":
-                    j += 1
-                while j < n and tok[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise PolyParseError(f"missing exponent in {tok!r}")
-                a = int(tok[i:j])
-                i = j
-            out.append(("var", (name, a)))
-        else:
-            raise PolyParseError(f"bad character {ch!r} in term {tok!r}")
-    return out

@@ -15,7 +15,7 @@ at the first unit gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
 
 from .fields import Domain, PrimeField
@@ -239,20 +239,20 @@ def _bareiss(rows: list[dict]) -> int:
     return sign * p[n]
 
 
-def int_det(M: Matrix) -> int:
-    """Exact determinant of a square integer matrix, by :func:`_bareiss` on
-    its nonzero entries.  A nonzero entry that is not an int raises
-    ValueError: a Fraction or float would be truncated."""
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ValueError("determinant needs a square matrix")
-    cols = range(n)
-    rows = [{j: row[j] for j in compress(cols, row)} for row in M]
+def int_det(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of a square integer matrix given as sparse rows
+    {column: entry}, by :func:`_bareiss` on a copy without the zero entries.
+    The order is the number of rows.  A column outside 0..n-1, or a nonzero
+    entry that is not an int, raises ValueError: a Fraction or float would be
+    truncated."""
+    n = len(rows)
     for row in rows:
-        for v in row.values():
-            if not isinstance(v, int):
+        for j, v in row.items():
+            if not (isinstance(j, int) and 0 <= j < n):
+                raise ValueError(f"determinant needs columns in 0..{n - 1}, got {j!r}")
+            if v and not isinstance(v, int):
                 raise ValueError(f"determinant needs integer entries, got {v!r}")
-    return _bareiss(rows)
+    return _bareiss([{j: v for j, v in row.items() if v} for row in rows])
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------

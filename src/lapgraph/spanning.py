@@ -26,7 +26,6 @@ from .graphs import (
     bfs_potentials,
     connected_components,
     hermite_fold,
-    laplacian_finite,
     restriction_subgraph,
     voltage_laplacian,
 )
@@ -42,15 +41,23 @@ def complexity(g: FiniteGraph) -> int:
     Equals the number of spanning forests with the minimal number of trees.
     The Laplacian is block diagonal by component, so deleting the row and
     column of the last vertex of each component leaves one matrix whose
-    determinant is that product: one :func:`int_det` call, of the empty
-    matrix (1) when every component is a single vertex.
+    determinant is that product: one :func:`int_det` call on sparse rows
+    built from the edge list, of the empty matrix (1) when every component
+    is a single vertex.  A self-loop adds nothing to the Laplacian.
     """
-    L = laplacian_finite(g)
-    for i in sorted((g.vertex_index(comp[-1]) for comp in connected_components(g)), reverse=True):
-        del L[i]
-        for row in L:
-            del row[i]
-    return abs(int_det(L))
+    last = {comp[-1] for comp in connected_components(g)}
+    index = {v: i for i, v in enumerate(v for v in g.vertices if v not in last)}
+    rows: list[dict[int, int]] = [{} for _ in index]
+    for e in g.edges:
+        if e.tail == e.head:
+            continue
+        i, j = index.get(e.tail), index.get(e.head)
+        for a, b in ((i, j), (j, i)):
+            if a is not None:
+                rows[a][a] = rows[a].get(a, 0) + 1
+                if b is not None:
+                    rows[a][b] = rows[a].get(b, 0) - 1
+    return abs(int_det(rows))
 
 
 def tree_count(g: FiniteGraph) -> int:
@@ -228,49 +235,34 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
     pot, _, comp_of = bfs_potentials(
         others, [(e.tail, e.head) for e in inner], [volts[e.name] for e in inner], ZZ
     )
-    # attachment levels of each component at v
-    levels: dict[str, set[int]] = {c: set() for c in comp_of.values()}
+    # the level at which each edge from u meets v, seen from u's level-0 lift;
+    # minimum_annular_cut found no essential cycle on these same potentials
+    at_v: dict[str, tuple[str, int]] = {}
     for e in g.edges:
-        if e.tail == v and e.head == v:
-            if abs(volts[e.name]) > 1:
+        s = volts[e.name]
+        if e.tail == v == e.head:
+            if abs(s) > 1:
                 raise ValueError("loop winds more than once; not an embedded kappa = 1 quotient")
-            continue
-        if e.tail == v:
-            u = e.head
-            t = -(volts[e.name] - pot[u])  # lift of u at level 0 meets v at this level
-            levels[comp_of[u]].add(t)
+        elif e.tail == v:
+            at_v[e.name] = (e.head, pot[e.head] - s)
         elif e.head == v:
-            u = e.tail
-            t = volts[e.name] + pot[u]
-            levels[comp_of[u]].add(t)
-        else:
-            if volts[e.name] + pot[e.tail] - pot[e.head] != 0:
-                raise ValueError("essential cycle avoids the cut vertex; kappa > 1")
-    base_level: dict[str, int] = {}
-    for c, ls in levels.items():
-        if not ls:
-            base_level[c] = 0
-            continue
-        if max(ls) - min(ls) > 1:
-            raise ValueError("component attaches to more than two consecutive levels")
-        base_level[c] = min(ls)
+            at_v[e.name] = (e.tail, s + pot[e.tail])
+    levels: dict[str, set[int]] = {}
+    for u, t in at_v.values():
+        levels.setdefault(comp_of[u], set()).add(t)
+    if any(max(ls) - min(ls) > 1 for ls in levels.values()):
+        raise ValueError("component attaches to more than two consecutive levels")
+    base_level = {c: min(ls) for c, ls in levels.items()}
     v0, v1 = f"{v}@0", f"{v}@1"
     vertices = [v0, v1] + others
     edges = []
     for e in g.edges:
-        if e.tail == v and e.head == v:
-            if volts[e.name] == 0:
-                edges.append((e.name, v0, v0))
-            else:
-                edges.append((e.name, v0, v1))
-        elif e.tail == v:
-            u = e.head
-            t = -(volts[e.name] - pot[u]) - base_level[comp_of[u]]
-            edges.append((e.name, v0 if t == 0 else v1, u))
-        elif e.head == v:
-            u = e.tail
-            t = volts[e.name] + pot[u] - base_level[comp_of[u]]
-            edges.append((e.name, u, v0 if t == 0 else v1))
+        if e.name in at_v:
+            u, t = at_v[e.name]
+            w = v0 if t == base_level[comp_of[u]] else v1
+            edges.append((e.name, w, u) if e.tail == v else (e.name, u, w))
+        elif e.tail == v == e.head:
+            edges.append((e.name, v0, v0 if volts[e.name] == 0 else v1))
         else:
             edges.append((e.name, e.tail, e.head))
     return FiniteGraph.build(vertices, edges)
@@ -308,7 +300,7 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
     r = r - lc**m
     rows = []
     for _ in range(d):
-        rows.append([r.coeffs.get((i,), 0) for i in range(d)])
+        rows.append({i: c for (i,), c in r.coeffs.items()})
         r = mod(r.shift((1,)))
     norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
     if rem:

@@ -279,6 +279,12 @@ def cofactor_det_poly(M):
     return total
 
 
+def sparse_rows(M) -> list[dict[int, int]]:
+    """The nonzero entries of a dense matrix as the rows {column: entry} that
+    :func:`lapgraph.linalg.int_det` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in M]
+
+
 def bareiss_det(M) -> int:
     """Dense fraction-free (Bareiss) determinant of an integer matrix (test oracle)."""
     n = len(M)

@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic, normalization, gcd, and the text syntax."""
 
 import importlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -561,3 +562,55 @@ def test_parse_errors():
         parse_poly("x^")
     with pytest.raises(PolyParseError):
         parse_poly("3 + z")
+
+
+@pytest.mark.parametrize("text", ["x^2 - 4x +", "x -", "*", "*x", "x + * y", "2 - *3", "\u0663x", "3\u00b2"])
+def test_parse_rejects_dangling_signs_leading_stars_and_non_ascii_digits(text):
+    with pytest.raises(PolyParseError):
+        parse_poly(text)
+
+
+def _render_term(rng, first, nvars):
+    """A random surface form of one random term, and the term it denotes."""
+    ints = [rng.randint(0, 10**25) if rng.random() < 0.05 else rng.randint(1, 12) for _ in range(rng.randint(0, 2))]
+    pieces = [(rng.randrange(nvars), rng.randint(-4, 4)) for _ in range(rng.randint(0, 3))]
+    if not ints and not pieces:
+        ints = [rng.randint(0, 9)]
+    factors = [("int", str(a)) for a in ints]
+    for v, a in pieces:
+        name = "xy"[v]
+        if a == 1 and rng.random() < 0.5:
+            factors.append(("var", name))
+        else:
+            factors.append(("pow", f"{name}^{'+' if a >= 0 and rng.random() < 0.3 else ''}{a}"))
+    rng.shuffle(factors)
+    text = factors[0][1]
+    for (kind, _), (next_kind, factor) in zip(factors, factors[1:]):
+        glued = next_kind != "int" or kind == "var"  # "23" and "x^23" would merge
+        text += rng.choice(["", " ", "*", " * ", "  *"] if glued else [" ", "*", " * ", "  *"]) + factor
+    minus = rng.randint(0, 2)
+    signs = ["-"] * minus + ["+"] * rng.randint(0 if first else int(not minus), 1)
+    rng.shuffle(signs)
+    text = "".join(sg + rng.choice(["", " "]) for sg in signs) + text
+    coeff = (-1) ** minus * math.prod(ints)
+    exps = [0] * nvars
+    for v, a in pieces:
+        exps[v] += a
+    return text, coeff, tuple(exps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_reads_back_random_surface_forms(seed):
+    rng = random.Random(9100 + seed)
+    for _ in range(300):
+        nvars = rng.choice((1, 2))
+        coeffs, parts = {}, []
+        for k in range(rng.randint(1, 5)):
+            text, c, e = _render_term(rng, k == 0, nvars)
+            coeffs[e] = coeffs.get(e, 0) + c
+            parts.append(text)
+        text = "".join(p + rng.choice(["", " ", "  "]) for p in parts).strip()
+        want = LaurentPoly(nvars, coeffs)
+        assert parse_poly(text, nvars=nvars) == want, text
+        if nvars == 1 or "y" in text:
+            assert parse_poly(text) == want, text

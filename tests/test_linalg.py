@@ -22,6 +22,7 @@ from conftest import (
     random_voltage_graph,
     rref_fraction,
     sized_voltage_graph,
+    sparse_rows,
 )
 from lapgraph import linalg as linalg_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
@@ -54,7 +55,7 @@ def test_int_det_against_cofactor_thousand_cases():
     for _ in range(1000):
         n = rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert cofactor_det_poly(int_matrix_to_poly(M)) == int_det(M)
+        assert cofactor_det_poly(int_matrix_to_poly(M)) == int_det(sparse_rows(M))
 
 
 def _random_int_matrix(rng, n, density):
@@ -73,7 +74,7 @@ def test_int_det_matches_dense_bareiss(density):
     zeros = 0
     for _ in range(600):
         M = _random_int_matrix(rng, rng.randint(0, 8), density)
-        d = int_det(M)
+        d = int_det(sparse_rows(M))
         assert d == bareiss_det(M), M
         zeros += d == 0
     assert 0 < zeros < 600
@@ -87,7 +88,7 @@ def test_int_det_sign_of_permutation_matrices():
         perm = list(range(n))
         rng.shuffle(perm)
         P = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
-        assert int_det(P) == bareiss_det(P)
+        assert int_det(sparse_rows(P)) == bareiss_det(P)
 
 
 def test_int_det_invariant_under_symmetric_permutation():
@@ -98,7 +99,7 @@ def test_int_det_invariant_under_symmetric_permutation():
         perm = list(range(n))
         rng.shuffle(perm)
         PMPt = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        assert int_det(PMPt) == int_det(M) == bareiss_det(M)
+        assert int_det(sparse_rows(PMPt)) == int_det(sparse_rows(M)) == bareiss_det(M)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -117,28 +118,40 @@ def test_int_det_on_reduced_laplacians_of_covers_and_restrictions(seed):
     graphs.append(cover_graph(vg, SublatticeSpec.cyclic(150 // len(vg.base.vertices))))
     for g in graphs:
         R = [row[:-1] for row in laplacian_finite(g)[:-1]]
-        assert int_det(R) == bareiss_det(R)
+        assert int_det(sparse_rows(R)) == bareiss_det(R)
 
 
 def test_int_det_examples():
     L0 = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
-    assert int_det(L0) == 16
-    assert int_det([[0, 0], [0, 0]]) == 0
-    assert int_det([]) == 1
+    assert int_det(sparse_rows(L0)) == 16
+    assert int_det(sparse_rows([[0, 0], [0, 0]])) == 0
+    assert int_det(sparse_rows([])) == 1
 
 
 def test_int_det_rejects_non_integer_entries():
     # int() would truncate these to 1 and 0; the determinants are 1/2 and 1
     for M in ([[Fraction(3, 2), 1], [1, 1]], [[0.5, 0], [0, 2]]):
         with pytest.raises(ValueError, match="integer entries"):
-            int_det(M)
+            int_det(sparse_rows(M))
 
 
 def test_int_det_rejects_non_square():
     with pytest.raises(ValueError):
-        int_det([[1, 2, 3], [4, 5, 6]])
+        int_det(sparse_rows([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError):
         det_laurent([[LaurentPoly.constant(1, 1)], [LaurentPoly.constant(2, 1)]])
+
+
+def test_int_det_checks_sparse_rows():
+    with pytest.raises(ValueError, match="columns"):
+        int_det([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(ValueError, match="columns"):
+        int_det([{-1: 1}])
+    with pytest.raises(ValueError, match="integer entries"):
+        int_det([{0: Fraction(1, 2)}, {1: 2}])
+    rows = [{0: 2, 1: 0}, {0: 1, 1: 3}]
+    assert int_det(rows) == 6
+    assert rows == [{0: 2, 1: 0}, {0: 1, 1: 3}]  # dropped zeros from a copy
 
 
 def test_nullspace_k4_examples():

@@ -13,6 +13,7 @@ from conftest import (
     random_multigraph,
     random_voltage_graph,
     single_loop_quotient,
+    sparse_rows,
     wrapping_edge_count,
 )
 from lapgraph.fields import QQ, ZZ
@@ -29,6 +30,7 @@ from lapgraph.graphs import (
 )
 from lapgraph.laurent import normalize, parse_poly
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
+from lapgraph import graphs as graphs_module
 from lapgraph import spanning
 from lapgraph.spanning import (
     CRSF_MAX_EDGES,
@@ -72,7 +74,7 @@ def test_tree_count_independent_of_deleted_index(seed):
     for i in range(len(g.vertices)):
         L = laplacian_finite(g)
         del L[i]
-        counts.add(abs(int_det([row[:i] + row[i + 1 :] for row in L])))
+        counts.add(abs(int_det(sparse_rows([row[:i] + row[i + 1 :] for row in L]))))
     assert counts == {tree_count(g)}
 
 
@@ -306,6 +308,25 @@ def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
         orders.clear()
         complexity(g)
         assert orders == [len(g.vertices) - len(connected_components(g))]
+
+
+def test_complexity_builds_no_dense_laplacian(monkeypatch):
+    def refuse(g):
+        raise AssertionError("complexity built the dense Laplacian")
+
+    monkeypatch.setattr(graphs_module, "laplacian_finite", refuse)
+    monkeypatch.setattr(spanning, "laplacian_finite", refuse, raising=False)
+    rng = random.Random(161)
+    for _ in range(40):
+        g = random_multigraph(rng, 7, 10)
+        want = 1
+        for comp in connected_components(g):
+            keep = set(comp)
+            want *= brute_force_tree_count(FiniteGraph(tuple(comp), tuple(e for e in g.edges if e.tail in keep)))
+        assert complexity(g) == want
+    n = 64
+    cover = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(n))
+    assert complexity(cover) == n * _fourth_order(2, 4, n) // 2 - n
 
 
 # -- CRSFs ------------------------------------------------------------------------
