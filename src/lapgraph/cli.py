@@ -41,8 +41,7 @@ from .verify import format_report, run_verify, verify_ok
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_graph_file(text)
+    return parse_graph_file(Path(path).read_text(encoding="utf-8"))
 
 
 def _voltage_of(obj) -> VoltageGraph:
@@ -54,90 +53,51 @@ def _voltage_of(obj) -> VoltageGraph:
 
 
 def _base_of(obj) -> FiniteGraph:
-    if isinstance(obj, PlaneGraph):
-        return obj.base
-    if isinstance(obj, VoltageGraph):
-        return obj.base
-    return obj
+    return obj.base if isinstance(obj, (PlaneGraph, VoltageGraph)) else obj
 
 
-def _digits(t: int) -> str:
-    """Decimal text of an integer of any size.
-
-    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
-    digits (4300 by default), and tree counts of large covers are longer; the
-    limit is lifted for this one conversion.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
-        return str(t)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(t)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def cmd_delta(args) -> int:
-    obj = _load(args.file)
+def cmd_delta(obj, args) -> tuple[int, dict, str]:
     dom = domain_from_spec(args.field)
     vg = obj.graph if isinstance(obj, PlaneGraph) else obj
     if isinstance(vg, VoltageGraph):
         L = voltage_laplacian(vg)
     else:
-        base = _base_of(obj)
-        L = int_matrix_to_poly(laplacian_finite(base))
-    d = elementary_divisor(L, args.k, dom)
-    text = format_poly(d)
-    if args.json:
-        print(json.dumps({"k": args.k, "field": args.field, "delta": text}))
-    else:
-        print(f"Delta_{args.k} over {args.field}: {text}")
-    return 0
+        L = int_matrix_to_poly(laplacian_finite(_base_of(obj)))
+    text = format_poly(elementary_divisor(L, args.k, dom))
+    payload = {"k": args.k, "field": args.field, "delta": text}
+    return 0, payload, f"Delta_{args.k} over {args.field}: {text}"
 
 
-def cmd_bicycle(args) -> int:
-    obj = _load(args.file)
+def cmd_bicycle(obj, args) -> tuple[int, dict, str]:
     base = _base_of(obj)
     fld = domain_from_spec(args.field)
     if not fld.is_field:
         raise ValueError("bicycle needs a field (q or gf:P)")
-    basis = bicycle_basis(base, fld)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "field": args.field,
-                    "dimension": len(basis),
-                    "basis": [[str(v) for v in vec] for vec in basis],
-                    "edges": [e.name for e in base.edges],
-                }
-            )
-        )
-    else:
-        print(f"bicycle dimension over {args.field}: {len(basis)}")
-        for vec in basis:
-            print("  " + " ".join(str(v) for v in vec))
-    return 0
+    basis = [[str(v) for v in vec] for vec in bicycle_basis(base, fld)]
+    payload = {
+        "field": args.field,
+        "dimension": len(basis),
+        "basis": basis,
+        "edges": [e.name for e in base.edges],
+    }
+    lines = [f"bicycle dimension over {args.field}: {len(basis)}"]
+    lines += ["  " + " ".join(vec) for vec in basis]
+    return 0, payload, "\n".join(lines)
 
 
-def cmd_medial(args) -> int:
-    obj = _load(args.file)
+def cmd_medial(obj, args) -> tuple[int, dict, str]:
     if not isinstance(obj, PlaneGraph):
         raise ValueError("medial needs rotation lines in the graph file")
+    comps = medial_components_voltage(obj) if obj.is_voltage else medial_components(obj)
     payload = {"components": []}
-    if obj.is_voltage:
-        comps = medial_components_voltage(obj)
-    else:
-        comps = medial_components(obj)
-    for c in comps:
+    lines = []
+    for i, c in enumerate(comps):
         payload["components"].append(
-            {
-                "crossings": list(c.crossings),
-                "residue": list(c.residue),
-                "winding": c.winding,
-            }
+            dict(crossings=list(c.crossings), residue=list(c.residue), winding=c.winding)
         )
+        wind = "" if c.winding is None else f" winding {c.winding}"
+        lines.append(f"component {i}: crossings {' '.join(c.crossings) or '(empty)'}{wind}")
+        lines.append(f"  residue: {' '.join(c.residue) if c.residue else '(empty)'}")
     if not obj.is_voltage:
         try:
             basis = shank_basis(obj, args.base_component)
@@ -147,18 +107,9 @@ def cmd_medial(args) -> int:
             ) from None
         payload["shank_basis"] = basis
         payload["base_component"] = args.base_component
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for i, c in enumerate(comps):
-            wind = "" if c.winding is None else f" winding {c.winding}"
-            print(f"component {i}: crossings {' '.join(c.crossings) or '(empty)'}{wind}")
-            print(f"  residue: {' '.join(c.residue) if c.residue else '(empty)'}")
-        if "shank_basis" in payload:
-            print(f"shank basis (base component {args.base_component}):")
-            for vec in payload["shank_basis"]:
-                print("  " + " ".join(str(v) for v in vec))
-    return 0
+        lines.append(f"shank basis (base component {args.base_component}):")
+        lines += ["  " + " ".join(str(v) for v in vec) for vec in basis]
+    return 0, payload, "\n".join(lines)
 
 
 def _parse_cover(spec: str, rank: int) -> SublatticeSpec:
@@ -174,36 +125,18 @@ def _parse_cover(spec: str, rank: int) -> SublatticeSpec:
     raise ValueError("--cover needs n or a,b,c,d (2x2 row-major)")
 
 
-def cmd_trees(args) -> int:
-    obj = _load(args.file)
+def cmd_trees(obj, args) -> tuple[int, dict, str]:
     if args.cover is None:
-        base = _base_of(obj)
-        t = _digits(complexity(base))
-        if args.json:
-            print(json.dumps({"complexity": t}))
-        else:
-            print(f"complexity T = {t}")
-        return 0
+        t = str(complexity(_base_of(obj)))
+        return 0, {"complexity": t}, f"complexity T = {t}"
     vg = _voltage_of(obj)
     lam = _parse_cover(args.cover, vg.rank)
-    t = _digits(cover_complexity(vg, lam))
+    t = str(cover_complexity(vg, lam))
     # every base vertex and edge has one lift per sheet
     vertices, edges = len(vg.base.vertices) * lam.index, len(vg.base.edges) * lam.index
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "index": lam.index,
-                    "vertices": vertices,
-                    "edges": edges,
-                    "complexity": t,
-                }
-            )
-        )
-    else:
-        print(f"cover index {lam.index}: {vertices} vertices, {edges} edges")
-        print(f"complexity T = {t}")
-    return 0
+    payload = {"index": lam.index, "vertices": vertices, "edges": edges, "complexity": t}
+    text = f"cover index {lam.index}: {vertices} vertices, {edges} edges\n"
+    return 0, payload, text + f"complexity T = {t}"
 
 
 def _schedule(rank: int, mode: str, max_n: int) -> list[int]:
@@ -219,197 +152,156 @@ def _schedule(rank: int, mode: str, max_n: int) -> list[int]:
     return [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n]
 
 
-def cmd_growth(args) -> int:
-    obj = _load(args.file)
+def cmd_growth(obj, args) -> tuple[int, dict, str]:
     vg = _voltage_of(obj)
     schedule = _schedule(vg.rank, args.mode, args.max)
     if args.mode == "covers":
         report = growth_covers(vg, schedule, fibers=args.fibers)
     else:
         report = growth_restrictions(vg, schedule, fibers=args.fibers)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "mode": report.mode,
-                    "reference": report.reference,
-                    "rows": [
-                        {"scale": r, "complexity": _digits(t), "normalized_log": lg}
-                        for r, t, lg in report.rows
-                    ],
-                }
-            )
-        )
-    else:
-        label = "r" if args.mode == "covers" else "s"
-        print(f"{label:>6s} {'T':>24s} {'(1/' + label + ') log T':>14s}")
-        for r, t, lg in report.rows:
-            tstr = _digits(t)
-            tstr = tstr if len(tstr) <= 24 else tstr[:21] + "..."
-            print(f"{r:6d} {tstr:>24s} {lg:14.6f}")
-        print(f"reference m = {report.reference:.6f}")
-    return 0
+    rows = [(r, str(t), lg) for r, t, lg in report.rows]
+    payload = {
+        "mode": report.mode,
+        "reference": report.reference,
+        "rows": [{"scale": r, "complexity": t, "normalized_log": lg} for r, t, lg in rows],
+    }
+    label = "r" if args.mode == "covers" else "s"
+    lines = [f"{label:>6s} {'T':>24s} {'(1/' + label + ') log T':>14s}"]
+    for r, t, lg in rows:
+        lines.append(f"{r:6d} {t if len(t) <= 24 else t[:21] + '...':>24s} {lg:14.6f}")
+    lines.append(f"reference m = {report.reference:.6f}")
+    return 0, payload, "\n".join(lines)
 
 
-def cmd_crsf(args) -> int:
-    obj = _load(args.file)
+def cmd_crsf(obj, args) -> tuple[int, dict, str]:
     vg = _voltage_of(obj)
     rep = crsf_coefficients(vg)
     det = det_laurent(voltage_laplacian(vg))
-    d0 = normalize(det, ZZ)
+    d0 = format_poly(normalize(det, ZZ))
     matches = rep.matches(det)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "coefficients": {str(k): v for k, v in rep.coefficients.items()},
-                    "reconstruction": format_poly(rep.reconstruction),
-                    "delta0": format_poly(d0),
-                    "matches_delta0": matches,
-                }
-            )
-        )
-    else:
-        for k, c in rep.coefficients.items():
-            print(f"C_{k} = {c}")
-        print(f"sum C_k (2 - x - x^-1)^k = {format_poly(rep.reconstruction)}")
-        status = "match" if matches else "MISMATCH"
-        if rep.max_winding > 1:
-            status += f"; windings up to {rep.max_winding}: product form only"
-        print(f"Delta_0 = {format_poly(d0)}  ({status})")
-    return 0 if matches else 1
+    payload = {
+        "coefficients": {str(k): v for k, v in rep.coefficients.items()},
+        "reconstruction": format_poly(rep.reconstruction),
+        "delta0": d0,
+        "matches_delta0": matches,
+    }
+    lines = [f"C_{k} = {c}" for k, c in rep.coefficients.items()]
+    lines.append(f"sum C_k (2 - x - x^-1)^k = {payload['reconstruction']}")
+    status = "match" if matches else "MISMATCH"
+    if rep.max_winding > 1:
+        status += f"; windings up to {rep.max_winding}: product form only"
+    lines.append(f"Delta_0 = {d0}  ({status})")
+    return (0 if matches else 1), payload, "\n".join(lines)
 
 
-def cmd_kappa(args) -> int:
-    obj = _load(args.file)
-    vg = _voltage_of(obj)
-    k = annular_connectivity(vg)
-    if args.json:
-        print(json.dumps({"kappa": k}))
-    else:
-        print(f"kappa = {k}")
-    return 0
+def cmd_kappa(obj, args) -> tuple[int, dict, str]:
+    k = annular_connectivity(_voltage_of(obj))
+    return 0, {"kappa": k}, f"kappa = {k}"
 
 
-def cmd_mahler(args) -> int:
+def cmd_mahler(obj, args) -> tuple[int, dict, str]:
     if (args.poly is None) == (args.from_graph is None):
         raise ValueError("give exactly one of --poly or --from-graph")
-    if args.poly is not None:
+    if obj is None:
         f = parse_poly(args.poly)
     else:
-        obj = _load(args.from_graph)
-        vg = _voltage_of(obj)
-        f = laplacian_determinant_polynomial(vg)
+        f = laplacian_determinant_polynomial(_voltage_of(obj))
         if f.is_zero():
             raise ValueError("Delta_0 is zero; Mahler measure undefined")
     result = mahler(f, args.fibers)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "poly": format_poly(f),
-                    "value": result.value,
-                    "method": result.method,
-                    "error_estimate": result.error_estimate,
-                    "samples": result.samples,
-                }
-            )
-        )
-    else:
-        print(f"m({format_poly(f)}) = {result.value:.10g}")
-        print(f"method {result.method}, error estimate {result.error_estimate:.3g}")
-    return 0
+    payload = {
+        "poly": format_poly(f),
+        "value": result.value,
+        "method": result.method,
+        "error_estimate": result.error_estimate,
+        "samples": result.samples,
+    }
+    text = (
+        f"m({payload['poly']}) = {result.value:.10g}\n"
+        f"method {result.method}, error estimate {result.error_estimate:.3g}"
+    )
+    return 0, payload, text
 
 
-def cmd_verify(args) -> int:
-    obj = _load(args.file)
+def cmd_verify(obj, args) -> tuple[int, dict, str]:
     results = run_verify(obj, max_cover=args.max, fibers=args.fibers)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "checks": [
-                        {"name": r.name, "status": r.status, "detail": r.detail}
-                        for r in results
-                    ],
-                    "ok": verify_ok(results),
-                }
-            )
-        )
-    else:
-        print(format_report(results))
-    return 0 if verify_ok(results) else 1
+    ok = verify_ok(results)
+    checks = [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
+    payload = {"checks": checks, "ok": ok}
+    return (0 if ok else 1), payload, format_report(results)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lapgraph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, file_arg=True):
+    def add(name, func, help, file_arg=True):
+        sp = sub.add_parser(name, help=help)
         if file_arg:
             sp.add_argument("file", help="graph file (lapgraph v1)")
         sp.add_argument("--json", action="store_true", help="emit JSON")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("delta", help="Laplacian polynomial Delta_k")
-    add_common(sp)
+    sp = add("delta", cmd_delta, "Laplacian polynomial Delta_k")
     sp.add_argument("--field", default="z", help="coefficient domain: q, z, or gf:P")
     sp.add_argument("--k", type=int, default=0)
-    sp.set_defaults(func=cmd_delta)
 
-    sp = sub.add_parser("bicycle", help="bicycle space dimension and basis")
-    add_common(sp)
+    sp = add("bicycle", cmd_bicycle, "bicycle space dimension and basis")
     sp.add_argument("--field", default="gf:2", help="field: q or gf:P")
-    sp.set_defaults(func=cmd_bicycle)
 
-    sp = sub.add_parser("medial", help="medial components, residues, windings")
-    add_common(sp)
+    sp = add("medial", cmd_medial, "medial components, residues, windings")
     sp.add_argument("--base-component", type=int, default=0)
-    sp.set_defaults(func=cmd_medial)
 
-    sp = sub.add_parser("trees", help="spanning-tree complexity, optionally of a cover")
-    add_common(sp)
+    sp = add("trees", cmd_trees, "spanning-tree complexity, optionally of a cover")
     sp.add_argument("--cover", default=None, help="n (cyclic / n x n) or a,b,c,d (2x2)")
-    sp.set_defaults(func=cmd_trees)
 
-    sp = sub.add_parser("growth", help="tree growth over covers or restrictions")
-    add_common(sp)
+    sp = add("growth", cmd_growth, "tree growth over covers or restrictions")
     sp.add_argument("--mode", choices=("covers", "restrictions"), default="covers")
     sp.add_argument("--max", type=int, default=64)
     sp.add_argument("--fibers", type=int, default=512)
-    sp.set_defaults(func=cmd_growth)
 
-    sp = sub.add_parser("crsf", help="essential CRSF coefficients and reconstruction")
-    add_common(sp)
-    sp.set_defaults(func=cmd_crsf)
+    add("crsf", cmd_crsf, "essential CRSF coefficients and reconstruction")
+    add("kappa", cmd_kappa, "annular connectivity")
 
-    sp = sub.add_parser("kappa", help="annular connectivity")
-    add_common(sp)
-    sp.set_defaults(func=cmd_kappa)
-
-    sp = sub.add_parser("mahler", help="logarithmic Mahler measure")
-    add_common(sp, file_arg=False)
+    sp = add("mahler", cmd_mahler, "logarithmic Mahler measure", file_arg=False)
     sp.add_argument("--poly", default=None, help='polynomial text, e.g. "4-x-x^-1-y-y^-1"')
     sp.add_argument("--from-graph", default=None, help="compute Delta_0 of this file first")
     sp.add_argument("--fibers", type=int, default=1024)
-    sp.set_defaults(func=cmd_mahler)
 
-    sp = sub.add_parser("verify", help="replay the cross-check identities")
-    add_common(sp)
+    sp = add("verify", cmd_verify, "replay the cross-check identities")
     sp.add_argument("--max", type=int, default=64, help="largest cover in the growth check")
     sp.add_argument("--fibers", type=int, default=512)
-    sp.set_defaults(func=cmd_verify)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: read its graph file, print text or JSON, return the exit code.
+
+    Integers of any size are read and printed while it runs: Python's limit on
+    decimal conversion (4300 digits by default) is lifted and then restored.
+    """
+    args = build_parser().parse_args(argv)
+    has_limit = hasattr(sys, "set_int_max_str_digits")  # Python without the limit
+    if has_limit:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+        # mahler reads --from-graph unless --poly is given too, which cmd_mahler rejects
+        if "file" in args:
+            path = args.file
+        else:
+            path = args.from_graph if args.poly is None else None
+        code, payload, text = args.func(None if path is None else _load(path), args)
+        print(json.dumps(payload) if args.json else text)
+        return code
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

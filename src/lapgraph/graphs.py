@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -49,16 +50,18 @@ class FiniteGraph:
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
 
+    @cached_property
+    def _degrees(self) -> dict[str, int]:
+        # built on the first degree() call, not per graph: covers never ask for one
+        deg = dict.fromkeys(self.vertices, 0)
+        for e in self.edges:
+            deg[e.tail] += 1
+            deg[e.head] += 1
+        return deg
+
     def degree(self, v: str) -> int:
         """Vertex degree; a self-loop counts as two edges."""
-        i = self._vindex[v]
-        d = 0
-        for e in self.edges:
-            if self._vindex[e.tail] == i:
-                d += 1
-            if self._vindex[e.head] == i:
-                d += 1
-        return d
+        return self._degrees[v]
 
     def __str__(self):
         return f"FiniteGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

@@ -392,6 +392,30 @@ def test_cli_usage_errors_exit_2_not_the_fail_code(graph_dir, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[c] for c in ("delta", "bicycle", "medial", "trees", "growth", "crsf", "kappa", "verify")]
+    + [["mahler", "--from-graph"]],
+    ids=" ".join,
+)
+def test_cli_unreadable_graph_file_is_a_usage_error(argv, graph_dir, tmp_path, capsys):
+    for path in (tmp_path / "missing.lapgraph", graph_dir):
+        assert main(argv + [str(path)]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
+
+def test_cli_reads_and_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    path = tmp_path / "loop.lapgraph"
+    path.write_text(f"lapgraph v1\nd 1\nvertex v\nedge e v v {HUGE_TEXT}\n")
+    assert run_cli(capsys, "kappa", str(path)) == (0, "kappa = 1\n")
+    # parsing is not the binding limit: the float root finder is
+    assert main(["mahler", "--poly", "1" * 5000 + "x + 1"]) == 2
+    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_cli_verify(graph_dir, capsys):
     code, out = run_cli(
         capsys, "verify", str(graph_dir / "ladder.lapgraph"), "--max", "16"

@@ -1,11 +1,13 @@
 """Faces, Dehn colorings, medial components, residues, Shank basis."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import (
+    _grid_plane,
     cover_plane_graph,
     euler_characteristic,
     example,
@@ -42,6 +44,14 @@ from lapgraph.planar import (
 )
 
 GF5 = PrimeField(5)
+
+
+def test_a_60_by_60_plane_grid_builds_in_under_a_second():
+    # 3600 vertices and 7080 edges: the rotation check asks every vertex's degree
+    vertices, edges, rot = _grid_plane(60, 60, wrap=False)
+    t0 = time.perf_counter()
+    PlaneGraph(FiniteGraph.build(vertices, [(n, t, h) for n, t, h, _ in edges]), rot)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- faces -------------------------------------------------------------------------
