@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=int, default=64, help="largest cover in the growth check")
     sp.add_argument("--fibers", type=int, default=512)
 
+    # one line: Python 3.13's argparse wraps the generated usage differently
+    p.usage = f"%(prog)s [-h] {{{','.join(sub.choices)}}} ..."
     return p
 
 

@@ -6,17 +6,19 @@ object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  :func:`rref` eliminates on integer rows over every field and
 divides by the pivots only at the end.  Every determinant is one
-fraction-free elimination on sparse integer rows, and :func:`det_laurent`
-reads a Laurent determinant off it by Kronecker substitution.  A coefficient
-domain enters only at the gcd fold of :func:`elementary_divisor`, which stops
-at the first unit gcd.
+fraction-free elimination on sparse integer rows (:func:`int_det` picks the
+pivot order by predicted cost), and :func:`det_laurent` reads a Laurent
+determinant off it by Kronecker substitution.  A coefficient domain enters
+only at the gcd fold of :func:`elementary_divisor`, which stops at the first
+unit gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .fields import Domain, PrimeField
 from .laurent import LaurentPoly, gcd_many
@@ -127,38 +129,119 @@ def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
 # -- sparse fraction-free determinants -----------------------------------------
 
 
-def _cuthill_mckee(adj: list[set[int]]) -> list[int]:
-    """Cuthill–McKee order of a symmetric nonzero pattern.
+def _pattern(rows: list[dict]) -> list[set[int]]:
+    """Symmetrised off-diagonal nonzero pattern of square sparse rows, as
+    neighbour sets."""
+    adj: list[set[int]] = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def _cuthill_mckee(adj: list[set[int]]) -> tuple[list[int], int]:
+    """Cuthill–McKee order of a symmetric nonzero pattern, and its predicted
+    cost (see :func:`int_det`) by the envelope bound.
 
     Breadth-first search from a least-degree index of each component, visiting
     unseen neighbours by increasing degree (ties by index).  A graph-like
     matrix, such as a cover's or a box's Laplacian, gets a small bandwidth.
+    Fill never leaves the envelope, so m_k is at most the number of rows after
+    k whose first nonzero lies at or before column k.  A row's first nonzero
+    is at the vertex that discovered it, so the bound costs O(n).
     """
-    deg = [len(a) for a in adj]
+    by_degree = sorted(range(len(adj)), key=lambda v: len(adj[v]))  # stable: ties by index
+    rank = [0] * len(adj)
+    for r, v in enumerate(by_degree):
+        rank[v] = r
     seen = [False] * len(adj)
     order: list[int] = []
-    for start in sorted(range(len(adj)), key=deg.__getitem__):
+    opened = [0] * (len(adj) + 1)  # difference array of the envelope's m_k
+    for start in by_degree:
         if seen[start]:
             continue
         seen[start] = True
         order.append(start)
         head = len(order) - 1
         while head < len(order):
-            for w in sorted(adj[order[head]], key=lambda w: (deg[w], w)):
+            for w in sorted(adj[order[head]], key=rank.__getitem__):
                 if not seen[w]:
                     seen[w] = True
+                    opened[head] += 1
+                    opened[len(order)] -= 1
                     order.append(w)
             head += 1
-    return order
+    cost = m = 0
+    for k in range(len(order)):
+        m += opened[k]
+        cost += (m * (k + 1)) ** 2
+    return order, cost
 
 
-def _bareiss(rows: list[dict]) -> int:
+def _minimum_degree(adj: list[set[int]], budget: float = inf) -> list[int] | None:
+    """Greedy minimum-degree order of a symmetric nonzero pattern.
+
+    Each step eliminates a vertex of least degree in the filled pattern, ties
+    by index, and joins its remaining neighbours into a clique.  Its degree
+    then is m_k exactly, so the predicted cost sum_k m_k^2 (k+1)^2 (see
+    :func:`int_det`) comes as a by-product.  Once the remaining vertices form
+    a clique, they follow by index.  Returns None as soon as the cost reaches
+    ``budget``.
+    """
+    n = len(adj)
+    adj = [set(a) for a in adj]
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapify(heap)
+    done = [False] * n
+    order: list[int] = []
+    cost = 0
+    while heap:
+        d, v = heappop(heap)
+        if done[v] or d != len(adj[v]):
+            continue  # a stale degree
+        k = len(order)
+        if d == n - k - 1:  # the rest is a clique: by index, one less each step
+            cost += sum(((d - i) * (k + i + 1)) ** 2 for i in range(d))
+            order += (u for u in range(n) if not done[u])
+            break
+        cost += (d * (k + 1)) ** 2
+        if cost >= budget:
+            return None
+        done[v] = True
+        order.append(v)
+        nbrs = adj[v]
+        for u in nbrs:
+            a = adj[u]
+            before = len(a)
+            a |= nbrs
+            a.discard(u)
+            a.discard(v)
+            if len(a) != before:
+                heappush(heap, (len(a), u))
+    return order if cost < budget else None
+
+
+def _elimination_order(rows: list[dict]) -> list[int]:
+    """:func:`int_det`'s order: minimum degree if its predicted cost is below
+    Cuthill–McKee's envelope bound, else Cuthill–McKee."""
+    adj = _pattern(rows)
+    cm, budget = _cuthill_mckee(adj)
+    md = _minimum_degree(adj, budget)
+    return cm if md is None else md
+
+
+def _bareiss(rows: list[dict], order: list[int]) -> int:
     """Determinant of a square integer matrix as sparse rows {column: nonzero entry}.
 
-    Fraction-free (Bareiss) elimination on the rows in Cuthill–McKee order.
-    The reordering is a symmetric permutation, so it keeps the determinant,
-    and on a banded pattern the fill stays inside the band.  Step k updates
-    only the rows with a nonzero in column k.  Every other row owes the factor
+    Fraction-free (Bareiss) elimination with the pivots taken in ``order``, a
+    permutation of the indices: :func:`int_det` picks the order of lower
+    predicted cost sum_k m_k^2 (k+1)^2 (see there), :func:`det_laurent` takes
+    Cuthill–McKee.  The reordering is a symmetric permutation, so it keeps
+    the determinant, and barring zero pivots the fill stays inside the filled
+    symmetrised pattern of that order.  Step k updates only the rows with a
+    nonzero in column k.  Every other row owes the factor
     p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the telescoped
     product, when it is next touched.  Every Bareiss entry is a minor of the
     matrix, so each division is exact.  A zero pivot is swapped with the first
@@ -166,13 +249,6 @@ def _bareiss(rows: list[dict]) -> int:
     """
     n = len(rows)
     cols = range(n)
-    adj: list[set[int]] = [set() for _ in cols]
-    for i, row in enumerate(rows):
-        for j in row:
-            if j != i:
-                adj[i].add(j)
-                adj[j].add(i)
-    order = _cuthill_mckee(adj)
     where = [0] * n
     for new, old in enumerate(order):
         where[old] = new
@@ -244,7 +320,18 @@ def int_det(rows: list[dict[int, int]]) -> int:
     {column: entry}, by :func:`_bareiss` on a copy without the zero entries.
     The order is the number of rows.  A column outside 0..n-1, or a nonzero
     entry that is not an int, raises ValueError: a Fraction or float would be
-    truncated."""
+    truncated.
+
+    The pivot order is the one of lower predicted cost, sum_k m_k^2 (k+1)^2
+    with m_k the later neighbours of the k-th pivot in the filled symmetrised
+    pattern: step k updates m_k rows in m_k columns, every entry then is a
+    (k+1)-minor with O(k) bits, and multiplication at these sizes is
+    quadratic.  The candidates are Cuthill–McKee, costed by its envelope
+    bound, which suits strips and boxes, and greedy minimum degree, which
+    suits tori and irregular graphs, gets m_k exactly and stops once it
+    cannot win.  Ties go to Cuthill–McKee; a dense pattern gets the identity
+    order from both.
+    """
     n = len(rows)
     for row in rows:
         for j, v in row.items():
@@ -252,7 +339,8 @@ def int_det(rows: list[dict[int, int]]) -> int:
                 raise ValueError(f"determinant needs columns in 0..{n - 1}, got {j!r}")
             if v and not isinstance(v, int):
                 raise ValueError(f"determinant needs integer entries, got {v!r}")
-    return _bareiss([{j: v for j, v in row.items() if v} for row in rows])
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    return _bareiss(rows, _elimination_order(rows))
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------
@@ -298,7 +386,10 @@ def det_laurent(M: Matrix) -> LaurentPoly:
         {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
         for row, low in zip(M, lows)
     ]
-    det, shift = _bareiss(rows), [sum(low[v] for low in lows) for v in range(nvars)]
+    # Cuthill–McKee always: these entries have b bits before the first step,
+    # so _elimination_order's cost model does not describe them
+    det = _bareiss(rows, _cuthill_mckee(_pattern(rows))[0])
+    shift = [sum(low[v] for low in lows) for v in range(nvars)]
     coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
     while todo:  # halve blocks of digits, from the lowest, down to single digits
         v, first, count = todo.pop()

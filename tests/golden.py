@@ -23,6 +23,7 @@ from pathlib import Path
 from unittest import mock
 
 from lapgraph.cli import main
+from lapgraph.graphio import parse_graph_file
 from lapgraph.laurent import format_poly, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +49,9 @@ POLYS = (
 FILE_COMMANDS = ("delta", "bicycle", "medial", "trees", "growth", "crsf", "kappa", "verify")
 
 
-def _graph_commands(path: str) -> list[list[str]]:
+def _graph_commands(path: str, order: int) -> list[list[str]]:
+    """Every subcommand on one file; ``delta`` at k = 0, ..., order + 1 (the
+    last one out of range) and at least at k <= 3, over each domain."""
     cmds = [
         ["verify", path, "--max", "8", "--fibers", "64"],
         ["trees", path],
@@ -64,7 +67,7 @@ def _graph_commands(path: str) -> list[list[str]]:
         *(
             ["delta", path, "--field", f, "--k", str(k)]
             for f in ("z", "q", "gf:2", "gf:3")
-            for k in range(4)
+            for k in range(max(4, order + 2))
         ),
     ]
     return [c + j for c in cmds for j in ([], ["--json"])]
@@ -94,7 +97,11 @@ def _usage_commands() -> list[list[str]]:
 
 def corpus() -> dict[str, list[list[str]]]:
     """Golden file name -> the argv lists it holds, in order."""
-    out = {p.stem: _graph_commands(str(p.relative_to(ROOT))) for p in INPUTS}
+    out = {}
+    for p in INPUTS:
+        obj = parse_graph_file(p.read_text(encoding="utf-8"))
+        order = len(getattr(obj, "base", obj).vertices)  # of the Laplacian
+        out[p.stem] = _graph_commands(str(p.relative_to(ROOT)), order)
     out["mahler-poly"] = [
         ["mahler", f"--poly={p}", "--fibers", "16", *j] for p in POLYS for j in ([], ["--json"])
     ]

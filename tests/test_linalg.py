@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -28,6 +29,7 @@ from lapgraph import linalg as linalg_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import (
+    FiniteGraph,
     RectangleSpec,
     SublatticeSpec,
     cover_graph,
@@ -45,9 +47,19 @@ from lapgraph.linalg import (
     row_space_canonical,
     rref,
 )
+from lapgraph.spanning import complexity, tree_count
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+
+
+def dets_by_order(M) -> set[int]:
+    """The determinants of a dense integer matrix by int_det, and by _bareiss
+    in Cuthill–McKee and in minimum-degree order; one value when they agree."""
+    rows = sparse_rows(M)
+    adj = linalg_module._pattern(rows)
+    orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj))
+    return {int_det(rows)} | {linalg_module._bareiss(rows, order) for order in orders}
 
 
 def test_int_det_against_cofactor_thousand_cases():
@@ -74,21 +86,25 @@ def test_int_det_matches_dense_bareiss(density):
     zeros = 0
     for _ in range(600):
         M = _random_int_matrix(rng, rng.randint(0, 8), density)
-        d = int_det(sparse_rows(M))
-        assert d == bareiss_det(M), M
+        d = bareiss_det(M)
+        assert dets_by_order(M) == {d}, M
         zeros += d == 0
     assert 0 < zeros < 600
 
 
 def test_int_det_sign_of_permutation_matrices():
-    # most pivots of a permutation matrix are zero, so most steps swap rows
+    # most pivots of a permutation matrix are zero, so most steps swap rows;
+    # without a fixed point the first pivot is zero in every order
     rng = random.Random(3)
+    derangements = 0
     for _ in range(300):
         n = rng.randint(1, 9)
         perm = list(range(n))
         rng.shuffle(perm)
         P = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
-        assert int_det(sparse_rows(P)) == bareiss_det(P)
+        assert dets_by_order(P) == {bareiss_det(P)}
+        derangements += all(perm[i] != i for i in range(n))
+    assert derangements > 50
 
 
 def test_int_det_invariant_under_symmetric_permutation():
@@ -99,7 +115,7 @@ def test_int_det_invariant_under_symmetric_permutation():
         perm = list(range(n))
         rng.shuffle(perm)
         PMPt = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        assert int_det(sparse_rows(PMPt)) == int_det(sparse_rows(M)) == bareiss_det(M)
+        assert dets_by_order(PMPt) == dets_by_order(M) == {bareiss_det(M)}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,7 +134,86 @@ def test_int_det_on_reduced_laplacians_of_covers_and_restrictions(seed):
     graphs.append(cover_graph(vg, SublatticeSpec.cyclic(150 // len(vg.base.vertices))))
     for g in graphs:
         R = [row[:-1] for row in laplacian_finite(g)[:-1]]
-        assert int_det(sparse_rows(R)) == bareiss_det(R)
+        assert dets_by_order(R) == {bareiss_det(R)}
+
+
+def _filled_cost(adj, order):
+    """sum_k m_k^2 (k+1)^2, with m_k the later neighbours of the k-th pivot in
+    the pattern filled by eliminating in order (symbolic elimination)."""
+    where = {v: k for k, v in enumerate(order)}
+    later = [{where[u] for u in adj[v] if where[u] > k} for k, v in enumerate(order)]
+    cost = 0
+    for k, nbrs in enumerate(later):
+        cost += (len(nbrs) * (k + 1)) ** 2
+        for u in nbrs:
+            later[u] |= {w for w in nbrs if w > u}
+    return cost
+
+
+def _complexity_pattern_and_order(monkeypatch, g):
+    """The nonzero pattern that complexity(g) hands to _bareiss, and its order."""
+    calls = []
+    bareiss = linalg_module._bareiss
+
+    def spy(rows, order):
+        calls.append((rows, order))
+        return bareiss(rows, order)
+
+    monkeypatch.setattr(linalg_module, "_bareiss", spy)
+    complexity(g)
+    ((rows, order),) = calls
+    return linalg_module._pattern(rows), order
+
+
+def test_int_det_picks_minimum_degree_on_a_torus_and_cuthill_mckee_on_a_box(monkeypatch):
+    torus = cover_graph(example("mitsubishi"), SublatticeSpec.lattice2(((8, 0), (0, 8))))
+    adj, order = _complexity_pattern_and_order(monkeypatch, torus)
+    md, (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
+    assert order == md != cm
+    assert _filled_cost(adj, md) < _filled_cost(adj, cm) <= envelope
+    box = restriction_subgraph(example("grid"), RectangleSpec((16, 16)))
+    adj, order = _complexity_pattern_and_order(monkeypatch, box)
+    md, (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
+    assert order == cm != md
+    assert _filled_cost(adj, cm) <= envelope < _filled_cost(adj, md)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimum_degree_stops_exactly_at_its_budget(seed):
+    rng = random.Random(40 + seed)
+    g = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
+    cover = cover_graph(g, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
+    adj = linalg_module._pattern(sparse_rows(laplacian_finite(cover)))
+    md = linalg_module._minimum_degree(adj)
+    cost = _filled_cost(adj, md)
+    assert linalg_module._minimum_degree(adj, cost + 1) == md
+    assert linalg_module._minimum_degree(adj, cost) is None
+    assert sorted(md) == list(range(len(adj)))
+
+
+def test_a_dense_pattern_is_eliminated_in_index_order():
+    rng = random.Random(5)
+    for n in (1, 2, 5, 30):
+        rows = [{j: rng.choice((-2, -1, 1, 2)) for j in range(n)} for _ in range(n)]
+        adj = linalg_module._pattern(rows)
+        identity = list(range(n))
+        assert linalg_module._cuthill_mckee(adj)[0] == linalg_module._minimum_degree(adj) == identity
+        assert linalg_module._elimination_order(rows) == identity
+
+
+def test_tree_count_of_a_random_400_vertex_graph_in_under_a_second():
+    # over 3 s in Cuthill–McKee order alone (2-vCPU VM): a random graph has no narrow band
+    rng = random.Random(400)
+    names = [f"v{i}" for i in range(400)]
+    pairs = {(rng.randrange(i), i) for i in range(1, 400)}  # a random spanning tree
+    while len(pairs) < 600:
+        pairs.add(tuple(sorted(rng.sample(range(400), 2))))
+    g = FiniteGraph.build(names, [(f"e{k}", names[a], names[b]) for k, (a, b) in enumerate(sorted(pairs))])
+    start = time.perf_counter()
+    t = tree_count(g)
+    assert time.perf_counter() - start < 1.0
+    L = laplacian_finite(g)  # tree_count deletes the last vertex; here the first goes
+    assert t == int_det(sparse_rows([row[1:] for row in L[1:]])) > 1
 
 
 def test_int_det_examples():
