@@ -140,13 +140,10 @@ def cmd_trees(obj, args) -> tuple[int, dict, str]:
 
 
 def _schedule(rank: int, mode: str, max_n: int) -> list[int]:
+    if max_n < 2:
+        raise ValueError(f"--max must be at least 2, got {max_n}")
     if rank == 1:
-        out = []
-        n = 2
-        while n <= max_n:
-            out.append(n)
-            n *= 2
-        return out or [2]
+        return [2**k for k in range(1, max_n.bit_length())]  # the powers of 2 up to max_n
     if mode == "covers":
         return [n for n in (2, 3, 4, 5, 6, 8) if n <= max_n]
     return [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n]

@@ -6,8 +6,8 @@ object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
 hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  :func:`rref` eliminates on integer rows over every field and
 divides by the pivots only at the end.  Every determinant is one
-fraction-free elimination on sparse integer rows (:func:`int_det` picks the
-pivot order by predicted cost), and :func:`det_laurent` reads a Laurent
+fraction-free elimination on sparse integer rows, in one rule's pivot order
+(:func:`_elimination_order`), and :func:`det_laurent` reads a Laurent
 determinant off it by Kronecker substitution.  A coefficient domain enters
 only at the gcd fold of :func:`elementary_divisor`, which stops at the first
 unit gcd.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 from .fields import Domain, PrimeField
 from .laurent import LaurentPoly, gcd_many
@@ -180,15 +180,15 @@ def _cuthill_mckee(adj: list[set[int]]) -> tuple[list[int], int]:
     return order, cost
 
 
-def _minimum_degree(adj: list[set[int]], budget: float = inf) -> list[int] | None:
-    """Greedy minimum-degree order of a symmetric nonzero pattern.
+def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
+    """Greedy minimum-degree order of a symmetric nonzero pattern, and its
+    predicted cost (see :func:`int_det`).
 
     Each step eliminates a vertex of least degree in the filled pattern, ties
     by index, and joins its remaining neighbours into a clique.  Its degree
-    then is m_k exactly, so the predicted cost sum_k m_k^2 (k+1)^2 (see
-    :func:`int_det`) comes as a by-product.  Once the remaining vertices form
-    a clique, they follow by index.  Returns None as soon as the cost reaches
-    ``budget``.
+    then is m_k exactly, so the cost sum_k m_k^2 (k+1)^2 comes as a
+    by-product.  Once the remaining vertices form a clique, they follow by
+    index.
     """
     n = len(adj)
     adj = [set(a) for a in adj]
@@ -207,8 +207,6 @@ def _minimum_degree(adj: list[set[int]], budget: float = inf) -> list[int] | Non
             order += (u for u in range(n) if not done[u])
             break
         cost += (d * (k + 1)) ** 2
-        if cost >= budget:
-            return None
         done[v] = True
         order.append(v)
         nbrs = adj[v]
@@ -220,28 +218,32 @@ def _minimum_degree(adj: list[set[int]], budget: float = inf) -> list[int] | Non
             a.discard(v)
             if len(a) != before:
                 heappush(heap, (len(a), u))
-    return order if cost < budget else None
+    return order, cost
 
 
 def _elimination_order(rows: list[dict]) -> list[int]:
-    """:func:`int_det`'s order: minimum degree if its predicted cost is below
-    Cuthill–McKee's envelope bound, else Cuthill–McKee."""
+    """The pivot order of every determinant (see :func:`int_det`): the
+    identity on a complete pattern, else minimum degree if its predicted cost
+    is below Cuthill–McKee's envelope bound, else Cuthill–McKee."""
+    n = len(rows)
+    if all(len(row) - (i in row) == n - 1 for i, row in enumerate(rows)):
+        return list(range(n))
     adj = _pattern(rows)
-    cm, budget = _cuthill_mckee(adj)
-    md = _minimum_degree(adj, budget)
-    return cm if md is None else md
+    cm, cm_cost = _cuthill_mckee(adj)
+    md, md_cost = _minimum_degree(adj)
+    return md if md_cost < cm_cost else cm
 
 
 def _bareiss(rows: list[dict], order: list[int]) -> int:
     """Determinant of a square integer matrix as sparse rows {column: nonzero entry}.
 
     Fraction-free (Bareiss) elimination with the pivots taken in ``order``, a
-    permutation of the indices: :func:`int_det` picks the order of lower
-    predicted cost sum_k m_k^2 (k+1)^2 (see there), :func:`det_laurent` takes
-    Cuthill–McKee.  The reordering is a symmetric permutation, so it keeps
-    the determinant, and barring zero pivots the fill stays inside the filled
-    symmetrised pattern of that order.  Step k updates only the rows with a
-    nonzero in column k.  Every other row owes the factor
+    permutation of the indices: :func:`int_det` and :func:`det_laurent` both
+    take :func:`_elimination_order`'s, of lower predicted cost
+    sum_k m_k^2 (k+1)^2 (see :func:`int_det`).  The reordering is a symmetric
+    permutation, so it keeps the determinant, and barring zero pivots the fill
+    stays inside the filled symmetrised pattern of that order.  Step k updates
+    only the rows with a nonzero in column k.  Every other row owes the factor
     p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the telescoped
     product, when it is next touched.  Every Bareiss entry is a minor of the
     matrix, so each division is exact.  A zero pivot is swapped with the first
@@ -328,9 +330,9 @@ def int_det(rows: list[dict[int, int]]) -> int:
     (k+1)-minor with O(k) bits, and multiplication at these sizes is
     quadratic.  The candidates are Cuthill–McKee, costed by its envelope
     bound, which suits strips and boxes, and greedy minimum degree, which
-    suits tori and irregular graphs, gets m_k exactly and stops once it
-    cannot win.  Ties go to Cuthill–McKee; a dense pattern gets the identity
-    order from both.
+    suits tori and irregular graphs, and gets m_k exactly.  Ties go to
+    Cuthill–McKee.  A complete pattern, where every order costs the same, gets
+    the identity at once.  :func:`det_laurent` takes the same order.
     """
     n = len(rows)
     for row in rows:
@@ -353,7 +355,8 @@ def det_laurent(M: Matrix) -> LaurentPoly:
     Kronecker substitution: row i times x^-a_i y^-c_i (its least exponents)
     has polynomial entries of x-degree at most s_i, y = x^K with K = 1 + sum
     s_i keeps the determinant's monomials apart, and x = 2^b gives an integer
-    matrix for :func:`_bareiss`.  The decoder relies on one bound: every
+    matrix for :func:`_bareiss`, eliminated in :func:`int_det`'s pivot order
+    (:func:`_elimination_order`).  The decoder relies on one bound: every
     coefficient is at most B, the product of the rows' coefficient 1-norms,
     in absolute value, since each permutation term is bounded by the product
     of its entries' 1-norms.  With 2^(b-1) > B the coefficients are the
@@ -386,9 +389,7 @@ def det_laurent(M: Matrix) -> LaurentPoly:
         {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
         for row, low in zip(M, lows)
     ]
-    # Cuthill–McKee always: these entries have b bits before the first step,
-    # so _elimination_order's cost model does not describe them
-    det = _bareiss(rows, _cuthill_mckee(_pattern(rows))[0])
+    det = _bareiss(rows, _elimination_order(rows))
     shift = [sum(low[v] for low in lows) for v in range(nvars)]
     coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
     while todo:  # halve blocks of digits, from the lowest, down to single digits

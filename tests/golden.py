@@ -84,6 +84,8 @@ def _usage_commands() -> list[list[str]]:
         ["delta", ladder, "--k", "9"],
         ["delta", ladder, "--field", "gf:6"],
         ["growth", ladder, "--mode", "sideways"],
+        ["growth", ladder, "--max", "1"],
+        ["growth", "graphs/grid.lapgraph", "--mode", "restrictions", "--max", "1"],
         ["trees", ladder, "--cover", "1,2"],
         ["mahler"],
         ["mahler", "--poly", "x", "--from-graph", "no-such-file.lapgraph"],

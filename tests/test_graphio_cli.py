@@ -302,6 +302,16 @@ def test_cli_growth(graph_dir, capsys):
     assert code == 0 and "reference" in out
 
 
+@pytest.mark.parametrize("name", ["ladder", "grid"])
+@pytest.mark.parametrize("mode", ["covers", "restrictions"])
+@pytest.mark.parametrize("max_n", ["1", "-5"])
+def test_cli_growth_rejects_max_below_two(graph_dir, capsys, name, mode, max_n):
+    argv = ["growth", str(graph_dir / f"{name}.lapgraph"), "--mode", mode, f"--max={max_n}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --max must be at least 2, got {max_n}\n"
+
+
 HUGE = 10**5000 + 7  # more digits than str() converts by default (4300)
 HUGE_TEXT = "1" + "0" * 4999 + "7"
 

@@ -58,7 +58,7 @@ def dets_by_order(M) -> set[int]:
     in Cuthill–McKee and in minimum-degree order; one value when they agree."""
     rows = sparse_rows(M)
     adj = linalg_module._pattern(rows)
-    orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj))
+    orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj)[0])
     return {int_det(rows)} | {linalg_module._bareiss(rows, order) for order in orders}
 
 
@@ -150,8 +150,8 @@ def _filled_cost(adj, order):
     return cost
 
 
-def _complexity_pattern_and_order(monkeypatch, g):
-    """The nonzero pattern that complexity(g) hands to _bareiss, and its order."""
+def _bareiss_pattern_and_order(monkeypatch, f, *args):
+    """The nonzero pattern that f(*args) hands to _bareiss, and its order."""
     calls = []
     bareiss = linalg_module._bareiss
 
@@ -160,34 +160,41 @@ def _complexity_pattern_and_order(monkeypatch, g):
         return bareiss(rows, order)
 
     monkeypatch.setattr(linalg_module, "_bareiss", spy)
-    complexity(g)
+    f(*args)
     ((rows, order),) = calls
     return linalg_module._pattern(rows), order
 
 
 def test_int_det_picks_minimum_degree_on_a_torus_and_cuthill_mckee_on_a_box(monkeypatch):
     torus = cover_graph(example("mitsubishi"), SublatticeSpec.lattice2(((8, 0), (0, 8))))
-    adj, order = _complexity_pattern_and_order(monkeypatch, torus)
-    md, (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
+    adj, order = _bareiss_pattern_and_order(monkeypatch, complexity, torus)
+    (md, _), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
     assert order == md != cm
     assert _filled_cost(adj, md) < _filled_cost(adj, cm) <= envelope
     box = restriction_subgraph(example("grid"), RectangleSpec((16, 16)))
-    adj, order = _complexity_pattern_and_order(monkeypatch, box)
-    md, (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
+    adj, order = _bareiss_pattern_and_order(monkeypatch, complexity, box)
+    (md, _), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
     assert order == cm != md
     assert _filled_cost(adj, cm) <= envelope < _filled_cost(adj, md)
 
 
+def test_det_laurent_takes_minimum_degree_on_a_forty_vertex_quotient(monkeypatch):
+    # predicted costs: 538,549 in minimum-degree order, 1,450,683 by Cuthill–McKee's envelope
+    L = voltage_laplacian(sized_voltage_graph(random.Random(40), 1, 40, 80))
+    adj, order = _bareiss_pattern_and_order(monkeypatch, det_laurent, L)
+    (md, cost), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
+    assert order == md != cm
+    assert cost == _filled_cost(adj, md) < envelope
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_minimum_degree_stops_exactly_at_its_budget(seed):
+def test_minimum_degree_returns_a_permutation_and_its_filled_cost(seed):
     rng = random.Random(40 + seed)
     g = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
     cover = cover_graph(g, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
     adj = linalg_module._pattern(sparse_rows(laplacian_finite(cover)))
-    md = linalg_module._minimum_degree(adj)
-    cost = _filled_cost(adj, md)
-    assert linalg_module._minimum_degree(adj, cost + 1) == md
-    assert linalg_module._minimum_degree(adj, cost) is None
+    md, cost = linalg_module._minimum_degree(adj)
+    assert cost == _filled_cost(adj, md)
     assert sorted(md) == list(range(len(adj)))
 
 
@@ -197,7 +204,7 @@ def test_a_dense_pattern_is_eliminated_in_index_order():
         rows = [{j: rng.choice((-2, -1, 1, 2)) for j in range(n)} for _ in range(n)]
         adj = linalg_module._pattern(rows)
         identity = list(range(n))
-        assert linalg_module._cuthill_mckee(adj)[0] == linalg_module._minimum_degree(adj) == identity
+        assert linalg_module._cuthill_mckee(adj)[0] == linalg_module._minimum_degree(adj)[0] == identity
         assert linalg_module._elimination_order(rows) == identity
 
 
