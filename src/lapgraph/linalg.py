@@ -421,7 +421,7 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     if not 0 <= k <= n:
         raise ValueError(f"divisor index {k} out of range for a {n} x {n} matrix")
     if k == n:
-        return LaurentPoly.constant(dom.one, M[0][0].nvars if n else 1)
+        return LaurentPoly.constant(1, M[0][0].nvars if n else 1)  # normalized in every domain
     size = n - k
     minors = (
         det_laurent([[M[i][j] for j in cols] for i in rows])

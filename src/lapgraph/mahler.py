@@ -20,6 +20,10 @@ theta and 1 - theta are solved once, walking theta up with Aberth started from
 the last fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides
 f, decided exactly (rounding leaves it tiny, not zero); it takes the mean of
 the fibers half a step to either side.
+
+The float kernel inlines one Horner loop per polynomial value and sums from the
+int 0 as ``sum`` does, so its floats are those of a call per evaluation; the
+grid reads a fiber plan built once per polynomial instead of rescanning f.
 """
 
 from __future__ import annotations
@@ -54,30 +58,30 @@ class RootFindingError(ArithmeticError):
 # -- polynomial helpers (dense complex coefficient lists, low degree first) -----
 
 
-def _poly_eval(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _poly_deriv(coeffs: list[complex]) -> list[complex]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def _refine_float(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
     """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point."""
-    second = _poly_deriv(deriv)
+    rmonic, rderiv, rsecond = monic[::-1], deriv[::-1], _poly_deriv(deriv)[::-1]
     for k, z in enumerate(roots):
         for _ in range(4):
-            pv = _poly_eval(monic, z)
+            pv = 0j
+            for c in rmonic:
+                pv = pv * z + c
             if pv == 0:
                 break
-            dv = _poly_eval(deriv, z)
+            dv = 0j
+            for c in rderiv:
+                dv = dv * z + c
             if dv == 0:
                 break
+            sv = 0j
+            for c in rsecond:
+                sv = sv * z + c
             u = pv / dv
-            du = 1 - pv * _poly_eval(second, z) / (dv * dv)
+            du = 1 - pv * sv / (dv * dv)
             if du == 0:
                 break
             step = u / du
@@ -100,25 +104,33 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     deriv = _poly_deriv(monic)
-    radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
-    roots = list(start) if start else [
-        radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
-        for k in range(s)
-    ]
+    if start:
+        roots = list(start)
+    else:
+        radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
+        roots = [radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5)) for k in range(s)]
+    rmonic, rderiv = monic[::-1], deriv[::-1]
     for _ in range(ABERTH_MAX_ITER):
         shift = 0.0
         new_roots = list(roots)
         for k, z in enumerate(roots):
-            pv = _poly_eval(monic, z)
-            dv = _poly_eval(deriv, z)
+            pv = 0j
+            for c in rmonic:
+                pv = pv * z + c
             if pv == 0:
                 continue
+            dv = 0j
+            for c in rderiv:
+                dv = dv * z + c
             if dv == 0:
                 new_roots[k] = z * (1 + 1e-8) + 1e-8
                 shift = 1.0
                 continue
             w = pv / dv
-            rep = sum(1 / (z - zj) for j, zj in enumerate(roots) if j != k)
+            rep = 0
+            for j, zj in enumerate(roots):
+                if j != k:
+                    rep = rep + 1 / (z - zj)
             denom = 1 - w * rep
             if denom == 0:
                 new_roots[k] = z * (1 + 1e-8)
@@ -126,7 +138,8 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
                 continue
             corr = w / denom
             new_roots[k] = z - corr
-            shift = max(shift, abs(corr) / max(1.0, abs(z)))
+            r = abs(corr) / (abs(z) if abs(z) > 1.0 else 1.0)
+            shift = r if r > shift else shift
         roots = new_roots
         if shift < 1e-14:
             break
@@ -137,13 +150,16 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
 
 def _validate_roots(coeffs: list[complex], roots: list[complex]):
     s = len(coeffs) - 1
-    scale = max(abs(c) for c in coeffs)
+    scale = max(map(abs, coeffs))
     for z in roots:
         bound = RESIDUAL_GATE * scale * max(1.0, abs(z)) ** s * (s + 1)
-        if abs(_poly_eval(coeffs, z)) > bound:
+        pv = 0j
+        for c in reversed(coeffs):
+            pv = pv * z + c
+        if abs(pv) > bound:
             raise RootFindingError("root residual exceeds tolerance")
     # coefficient identities: sum and product of roots
-    sum_expect = -coeffs[-2] / coeffs[-1] if s >= 1 else 0
+    sum_expect = -coeffs[-2] / coeffs[-1]
     sum_got = sum(roots)
     if abs(sum_got - sum_expect) > 1e-6 * (1 + abs(sum_expect)):
         raise RootFindingError("root sum disagrees with coefficients")
@@ -169,18 +185,11 @@ def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
     return value
 
 
-def _strip_complex(coeffs: list[complex]) -> list[complex]:
-    big = max(abs(c) for c in coeffs) if coeffs else 0.0
-    if big == 0.0:
-        return []
+def _strip_complex(coeffs: list[complex], big: float) -> list[complex]:
+    """coeffs with each |c| <= STRIP_REL_TOL * big set to 0 and the zero ends cut off."""
     out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
-    lo = 0
-    while lo < len(out) and out[lo] == 0:
-        lo += 1
-    hi = len(out)
-    while hi > lo and out[hi - 1] == 0:
-        hi -= 1
-    return out[lo:hi]
+    kept = [k for k, c in enumerate(out) if c != 0]
+    return out[kept[0] : kept[-1] + 1] if kept else []
 
 
 # -- one variable ----------------------------------------------------------------
@@ -222,14 +231,21 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
 # -- two variables ----------------------------------------------------------------
 
 
-def _fiber_coeffs(f: LaurentPoly, theta: float) -> list[complex]:
-    """Dense y-coefficients of f with x pinned to exp(2 pi i theta)."""
+def _fiber_plan(f: LaurentPoly) -> tuple:
+    """What every fiber of f reads: (f, its width in y, the terms c x^a y^b as (b - min b, a, c)
+    in dict order, the sum of |c|)."""
+    lo = f.min_exp(1)
+    terms = [(b - lo, a, c) for (a, b), c in f.coeffs.items()]
+    return f, f.max_exp(1) - lo + 1, terms, sum(map(abs, f.coeffs.values()))
+
+
+def _fiber_coeffs(plan: tuple, theta: float) -> list[complex]:
+    """Dense y-coefficients of the plan's f with x pinned to exp(2 pi i theta)."""
     x = cmath.exp(2j * math.pi * theta)
-    lo = min(b for (_, b) in f.coeffs)
-    hi = max(b for (_, b) in f.coeffs)
-    out = [0j] * (hi - lo + 1)
-    for (a, b), c in f.coeffs.items():
-        out[b - lo] += c * x**a
+    _, width, terms, _ = plan
+    out = [0j] * width
+    for row, a, c in terms:
+        out[row] += c * x**a
     return out
 
 
@@ -244,17 +260,19 @@ def _cyclotomic(q: int) -> LaurentPoly:
     return up(phi, q // m)
 
 
-def _fiber_measure(f: LaurentPoly, num: int, den: int, warm: list, step: int = 1) -> float:
+def _fiber_measure(plan: tuple, num: int, den: int, warm: list, step: int = 1) -> float:
     """m(f(exp(2 pi i num/den), y)); a zero fiber takes the mean at (num -+ step)/den (step 0 raises).
     Phi_q | f is tested only below RESIDUAL_GATE, far above the rounding a common root leaves.
     Aberth starts from warm, the roots solved last, when the degree matches, and leaves these."""
-    fiber = _fiber_coeffs(f, num / den)
-    coeffs = _strip_complex(fiber)
-    small = max(map(abs, fiber)) <= RESIDUAL_GATE * sum(map(abs, f.coeffs.values()))
+    fiber = _fiber_coeffs(plan, num / den)
+    big = max(map(abs, fiber))
+    coeffs = _strip_complex(fiber, big)
+    f, _, _, total = plan
+    small = big <= RESIDUAL_GATE * total
     if not coeffs or small and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
         if not step:
             raise ArithmeticError(f"fiber polynomial vanished at node {num / den}")
-        return math.fsum(_fiber_measure(f, num + s, den, warm, 0) for s in (-step, step)) / 2
+        return math.fsum(_fiber_measure(plan, num + s, den, warm, 0) for s in (-step, step)) / 2
     start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = _aberth_roots(coeffs, start)
@@ -266,10 +284,10 @@ def _fiber_measure(f: LaurentPoly, num: int, den: int, warm: list, step: int = 1
     return _jensen(coeffs, roots)
 
 
-def _grid_average(f: LaurentPoly, n: int) -> float:
+def _grid_average(plan: tuple, n: int) -> float:
     """Mean fiber measure over the nodes (2j + 1)/2n; nodes j < n//2 stand for 1 - theta too."""
     warm: list[complex] = []
-    vals = [_fiber_measure(f, 2 * j + 1, 2 * n, warm) for j in range((n + 1) // 2)]
+    vals = [_fiber_measure(plan, 2 * j + 1, 2 * n, warm) for j in range((n + 1) // 2)]
     return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
@@ -285,8 +303,9 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if fibers < 4:
         raise ValueError("need at least 4 fibers")
-    value = _grid_average(f, fibers)
-    coarse = _grid_average(f, fibers // 2)
+    plan = _fiber_plan(f)
+    value = _grid_average(plan, fibers)
+    coarse = _grid_average(plan, fibers // 2)
     return MahlerResult(
         value=value,
         method="fiberwise",

@@ -9,7 +9,9 @@ connectivity by union-find, the bicycle space as an intersection of the
 cut and cycle spans, reduced row echelon forms in the field's own
 arithmetic (Fraction over QQ), essential CRSFs by one BFS forest per edge
 subset, Newton root refinement in exact rationals
-(Fraction) and in floats with every step taken, the
+(Fraction) and in floats with every step taken, the generic float kernel of
+``lapgraph.mahler`` (Aberth, refinement, validation and fiber coefficients by
+one call per polynomial value, with builtin sum and max), the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
@@ -30,6 +32,7 @@ reversal.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
@@ -56,12 +59,13 @@ from lapgraph.graphio import parse_graph_file
 from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor, nullspace, row_space_canonical, transpose
 from lapgraph.mahler import (
+    ABERTH_MAX_ITER,
+    RESIDUAL_GATE,
     STRIP_REL_TOL,
     UNIT_CIRCLE_TOL,
+    RootFindingError,
     _aberth_roots,
-    _fiber_coeffs,
     _poly_deriv,
-    _poly_eval,
 )
 from lapgraph.planar import Dart, PlaneGraph, faces, parse_dart
 
@@ -377,7 +381,7 @@ def elementary_divisor_reduce_first(M, k, dom):
     and each minor taken by Bareiss over dom (test oracle)."""
     n = len(M)
     if k == n:
-        return LaurentPoly.constant(dom.one, M[0][0].nvars if n else 1)
+        return normalize(LaurentPoly.constant(dom.one, M[0][0].nvars if n else 1), dom)
     R = [[e.reduce_to(dom) for e in row] for row in M]
     dets = []
     for rows in combinations(range(n), n - k):
@@ -467,6 +471,119 @@ def mahler_1var_exact_refined(f: LaurentPoly) -> float:
     return math.log(abs(cs[-1])) + sum(math.log(abs(z)) for z in roots if abs(z) > 1 + UNIT_CIRCLE_TOL)
 
 
+# -- the generic float kernel: one call per evaluation, builtin sum and max ------
+#
+# ``lapgraph.mahler`` inlines these loops; the library's roots, fiber
+# coefficients and measures must equal these bit for bit.
+
+
+def poly_eval(coeffs: list[complex], z: complex) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def refine_float_generic(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
+    """``mahler._refine_float`` by ``poly_eval`` calls (test oracle)."""
+    second = _poly_deriv(deriv)
+    for k, z in enumerate(roots):
+        for _ in range(4):
+            pv = poly_eval(monic, z)
+            if pv == 0:
+                break
+            dv = poly_eval(deriv, z)
+            if dv == 0:
+                break
+            u = pv / dv
+            du = 1 - pv * poly_eval(second, z) / (dv * dv)
+            if du == 0:
+                break
+            step = u / du
+            if abs(step) > 0.5 * max(1.0, abs(z)) or z - step == z:
+                break
+            z = z - step
+        roots[k] = z
+
+
+def validate_roots_generic(coeffs: list[complex], roots: list[complex]) -> None:
+    """``mahler._validate_roots`` by ``poly_eval`` calls, ``sum`` and ``max`` (test oracle)."""
+    s = len(coeffs) - 1
+    scale = max(abs(c) for c in coeffs)
+    for z in roots:
+        bound = RESIDUAL_GATE * scale * max(1.0, abs(z)) ** s * (s + 1)
+        if abs(poly_eval(coeffs, z)) > bound:
+            raise RootFindingError("root residual exceeds tolerance")
+    sum_expect = -coeffs[-2] / coeffs[-1]
+    sum_got = sum(roots)
+    if abs(sum_got - sum_expect) > 1e-6 * (1 + abs(sum_expect)):
+        raise RootFindingError("root sum disagrees with coefficients")
+    prod_expect = coeffs[0] / coeffs[-1] * (-1) ** s
+    prod_got = 1 + 0j
+    for z in roots:
+        prod_got *= z
+    if abs(prod_got - prod_expect) > 1e-6 * (1 + abs(prod_expect)):
+        raise RootFindingError("root product disagrees with coefficients")
+
+
+def aberth_roots_generic(coeffs: list[complex], start=None) -> list[complex]:
+    """``mahler._aberth_roots`` by ``poly_eval`` calls, ``sum`` and ``max`` (test oracle).
+
+    Refines with ``refine_float_generic`` and validates with
+    ``validate_roots_generic``.
+    """
+    s = len(coeffs) - 1
+    if s < 1:
+        return []
+    lead = coeffs[-1]
+    monic = [c / lead for c in coeffs]
+    deriv = _poly_deriv(monic)
+    radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
+    roots = list(start) if start else [
+        radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
+        for k in range(s)
+    ]
+    for _ in range(ABERTH_MAX_ITER):
+        shift = 0.0
+        new_roots = list(roots)
+        for k, z in enumerate(roots):
+            pv = poly_eval(monic, z)
+            dv = poly_eval(deriv, z)
+            if pv == 0:
+                continue
+            if dv == 0:
+                new_roots[k] = z * (1 + 1e-8) + 1e-8
+                shift = 1.0
+                continue
+            w = pv / dv
+            rep = sum(1 / (z - zj) for j, zj in enumerate(roots) if j != k)
+            denom = 1 - w * rep
+            if denom == 0:
+                new_roots[k] = z * (1 + 1e-8)
+                shift = 1.0
+                continue
+            corr = w / denom
+            new_roots[k] = z - corr
+            shift = max(shift, abs(corr) / max(1.0, abs(z)))
+        roots = new_roots
+        if shift < 1e-14:
+            break
+    refine_float_generic(monic, deriv, roots)
+    validate_roots_generic(coeffs, roots)
+    return roots
+
+
+def fiber_coeffs_generic(f: LaurentPoly, theta: float) -> list[complex]:
+    """Dense y-coefficients of f at x = exp(2 pi i theta), rescanning f (test oracle)."""
+    x = cmath.exp(2j * math.pi * theta)
+    lo = min(b for (_, b) in f.coeffs)
+    hi = max(b for (_, b) in f.coeffs)
+    out = [0j] * (hi - lo + 1)
+    for (a, b), c in f.coeffs.items():
+        out[b - lo] += c * x**a
+    return out
+
+
 def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[complex]:
     """Double-precision Newton on u = p/p', 4 steps per root (test oracle).
 
@@ -478,14 +595,14 @@ def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[
     out = []
     for z in roots:
         for _ in range(4):
-            pv = _poly_eval(monic, z)
+            pv = poly_eval(monic, z)
             if pv == 0:
                 break
-            dv = _poly_eval(deriv, z)
+            dv = poly_eval(deriv, z)
             if dv == 0:
                 break
             u = pv / dv
-            du = 1 - pv * _poly_eval(second, z) / (dv * dv)
+            du = 1 - pv * poly_eval(second, z) / (dv * dv)
             if du == 0:
                 break
             step = u / du
@@ -502,7 +619,7 @@ def fiber_measure_cold(f: LaurentPoly, theta: float) -> float | None:
     None when every rounded coefficient is exactly 0.  A fiber that vanishes
     exactly but keeps rounding-size coefficients is measured as it stands.
     """
-    coeffs = _fiber_coeffs(f, theta)
+    coeffs = fiber_coeffs_generic(f, theta)
     big = max(abs(c) for c in coeffs)
     if big == 0:
         return None

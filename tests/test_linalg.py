@@ -586,7 +586,8 @@ def _coefficient_types(f):
 @pytest.mark.parametrize("seed", range(12))
 def test_elementary_divisor_equals_reduce_first_oracle(seed):
     """Integer minors reduced into the domain give the divisors of the matrix
-    reduced first, in every domain, for every k, down to coefficient types."""
+    reduced first, in every domain, for every k, down to coefficient types,
+    and those are the types normalize gives (int, k = n included)."""
     rng = random.Random(1300 + seed)
     vgs = [
         random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9),
@@ -600,6 +601,7 @@ def test_elementary_divisor_equals_reduce_first_oracle(seed):
                 want = elementary_divisor_reduce_first(L, k, dom)
                 assert mine == want, (vg, dom, k)
                 assert _coefficient_types(mine) == _coefficient_types(want)
+                assert _coefficient_types(mine) == _coefficient_types(normalize(mine, dom))
 
 
 def _count_minors(L, k, dom, monkeypatch):

@@ -9,13 +9,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import example, fiber_measure_cold, grid_average_full, mahler_1var_exact_refined, refine_float_four_steps
+from conftest import (
+    aberth_roots_generic,
+    example,
+    fiber_coeffs_generic,
+    fiber_measure_cold,
+    grid_average_full,
+    mahler_1var_exact_refined,
+    refine_float_four_steps,
+)
 from lapgraph.fields import ZZ
 from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
 from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
     RootFindingError,
+    _aberth_roots,
+    _fiber_coeffs,
     _fiber_measure,
+    _fiber_plan,
+    _strip_complex,
     mahler,
     mahler_1var,
     mahler_2var,
@@ -216,7 +228,7 @@ def test_singular_fiber_is_perturbed():
     # fibers half a step to either side, which are conjugate
     f = poly2("y + x*y + y^-1 + x*y^-1")
     h = 0.125
-    val = _fiber_measure(f, 8, 16, [])  # theta = 1/2, neighbours at 1/2 -+ h/2
+    val = _fiber_measure(_fiber_plan(f), 8, 16, [])  # theta = 1/2, neighbours at 1/2 -+ h/2
     assert abs(val - math.log(abs(1 + cmath.exp(1j * math.pi * (1 + h))))) < 1e-12
     res = mahler_2var(f, fibers=64)
     assert math.isfinite(res.value)
@@ -452,16 +464,16 @@ def _assert_equals_content_oracle(f, fibers, rel):
     assert abs(res.error_estimate - error) <= tol
 
 
-@pytest.mark.parametrize(
-    "f, fibers",
-    [
-        (poly2("1 + x") * poly2("y + y^-1"), 7),  # the middle node vanishes, at 7 and at 3
-        (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6),  # nodes 1/4 and 3/4 vanish
-        (poly2("1 + x") * poly2("4 - y - y^-1"), 5),
-        (poly2("1 + x^2") * poly2("2 + x + y"), 10),
-        (poly2("1 - x + x^2") * poly2("3 + x + y"), 9),  # nodes 1/6 and 5/6 vanish
-    ],
-)
+ZERO_FIBER_CASES = [
+    (poly2("1 + x") * poly2("y + y^-1"), 7),  # the middle node vanishes, at 7 and at 3
+    (poly2("1 + x^2") * poly2("y^2 - 3y + 1"), 6),  # nodes 1/4 and 3/4 vanish
+    (poly2("1 + x") * poly2("4 - y - y^-1"), 5),
+    (poly2("1 + x^2") * poly2("2 + x + y"), 10),
+    (poly2("1 - x + x^2") * poly2("3 + x + y"), 9),  # nodes 1/6 and 5/6 vanish
+]
+
+
+@pytest.mark.parametrize("f, fibers", ZERO_FIBER_CASES)
 def test_zero_fibers_match_content_oracle(f, fibers):
     assert _zero_nodes(f, fibers)
     _assert_equals_content_oracle(f, fibers, 1e-13)
@@ -473,9 +485,9 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     fiber_coeffs = mahler_module._fiber_coeffs
     aberth_roots = mahler_module._aberth_roots
 
-    def count_fiber(f, theta):
+    def count_fiber(plan, theta):
         built.append(theta)
-        return fiber_coeffs(f, theta)
+        return fiber_coeffs(plan, theta)
 
     def count_start(coeffs, start=None):
         warm_starts.append(start is not None)
@@ -512,3 +524,81 @@ def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
         refine(monic, deriv, got)
         want = refine_float_four_steps(monic, roots)
         assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
+
+
+def _hexes(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def _solved(aberth, coeffs, start=None):
+    """The roots, or the RootFindingError message."""
+    try:
+        return aberth(coeffs, start)
+    except RootFindingError as e:
+        return str(e)
+
+
+def _bits(roots):
+    return roots if isinstance(roots, str) else _hexes(roots)
+
+
+def _measured(f, fibers):
+    """float.hex of m(f) and its error estimate, or the RootFindingError message."""
+    try:
+        res = mahler(f, fibers)
+    except RootFindingError as e:
+        return str(e)
+    return res.value.hex(), res.error_estimate.hex()
+
+
+def _kernel_cases():
+    cases = []
+    for seed in range(12):
+        rng = random.Random(9100 + seed)
+        f = _random_int_poly(rng, rng.randint(1, 8))
+        cases.append(pytest.param(f * f if seed % 3 == 2 else f, None, id=f"x-{seed}"))
+    for seed in range(12):
+        rng = random.Random(9200 + seed)
+        f = _random_poly2(rng)
+        cases.append(pytest.param(f * f if seed % 3 == 2 else f, 16, id=f"xy-{seed}"))
+    for text in ("-4x^-2+3x^2y^2", "2x^-2-5y^2"):  # a warm start stalls on these
+        cases.append(pytest.param(poly2(text), 8, id=text))
+    for k, (f, fibers) in enumerate(ZERO_FIBER_CASES):
+        cases.append(pytest.param(f, fibers, id=f"zero-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("f, fibers", _kernel_cases())
+def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fibers):
+    """Roots, fiber coefficients and measures equal the generic kernel's in every bit.
+
+    Each polynomial, or each grid fiber of a two-variable one, is solved cold
+    and warm-started: from the previous fiber's roots, or in one variable
+    from its own roots nudged off by 1e-6.
+    """
+    if fibers is None:
+        solves = [[complex(c) for c in f.coefficient_list()]]
+    else:
+        plan = _fiber_plan(f)
+        solves = []
+        for theta in ((2 * j + 1) / (2 * fibers) for j in range(fibers)):
+            fiber = _fiber_coeffs(plan, theta)
+            assert _hexes(fiber) == _hexes(fiber_coeffs_generic(f, theta))
+            solves.append(_strip_complex(fiber, max(map(abs, fiber))))
+    warm = []
+    for coeffs in solves:
+        if not coeffs:
+            continue
+        cold = _solved(_aberth_roots, coeffs)
+        assert _bits(cold) == _bits(_solved(aberth_roots_generic, coeffs))
+        if fibers is None and not isinstance(cold, str):
+            warm = [z * (1 + 1e-6) for z in cold]
+        if len(warm) == len(coeffs) - 1 > 0:
+            got = _solved(_aberth_roots, coeffs, warm)
+            assert _bits(got) == _bits(_solved(aberth_roots_generic, coeffs, warm))
+        if not isinstance(cold, str):
+            warm = cold
+    got = _measured(f, fibers)
+    monkeypatch.setattr(mahler_module, "_aberth_roots", aberth_roots_generic)
+    monkeypatch.setattr(mahler_module, "_fiber_coeffs", lambda plan, theta: fiber_coeffs_generic(plan[0], theta))
+    assert got == _measured(f, fibers)
