@@ -19,16 +19,22 @@ exponent tuple) until the leading term of the remainder is not divisible by
 it (over the integers, also when the leading coefficients do not divide).  A
 single polynomial is a Groebner basis of the ideal it generates, so the
 remainder is zero exactly when g divides f (in the Laurent ring too, whose
-units are monomials).
+units are monomials).  In one variable the division runs on dense
+coefficient lists, lowest degree first (``_list_divmod``), the kernel that
+the gcds and the cover norm of :mod:`lapgraph.spanning` share.
 
-The gcd has one algorithm, for one and two variables over the integers and
-GF(p): the gcd of the contents in x times the last term of a primitive
-pseudo-remainder sequence in x, whose pseudo-remainders come from the same
-long division; ``gcd_many`` folds it lazily over any iterable and stops
-reading at the first input after which the gcd is the unit 1.  Over the
-rationals the inputs are cleared to primitive integer polynomials and the gcd
-is taken over the integers (Gauss's lemma).  Zero is its own unit class:
-``normalize`` returns it unchanged, so it needs no guard.
+The gcd is the gcd of the contents in x times a primitive part, and it is
+normalized.  One variable runs on dense lists: Euclid over GF(p), and over
+the integers a gcd mod P = 2^61 - 1 that is a proof when it is constant and
+is lifted and checked by trial division otherwise.  Two variables over the
+integers are first tested for a gcd free of x and y by evaluation mod P.
+Whatever no certificate settles, and every two-variable gcd over GF(p),
+takes a primitive pseudo-remainder sequence in x, whose pseudo-remainders
+come from the long division above.  ``gcd_many`` folds the gcd lazily over
+any iterable and stops reading at the first input after which the gcd is
+the unit 1.  Over the rationals the inputs are cleared to primitive integer
+polynomials and the gcd is taken over the integers (Gauss's lemma).  Zero is
+its own unit class: ``normalize`` returns it unchanged, so it needs no guard.
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -314,17 +320,32 @@ def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, L
 
 
 def try_divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
-    """Exact quotient f/g in the Laurent ring, or None if g does not divide f."""
+    """Exact quotient f/g in the Laurent ring, or None if g does not divide f.
+
+    Both are reduced into the domain first; a g that vanishes there raises
+    ZeroDivisionError.
+    """
     f = f.reduce_to(dom)
     g = g.reduce_to(dom)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    return _try_divexact_reduced(f, g, dom)
+
+
+def _try_divexact_reduced(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
+    """``try_divexact`` of f and a nonzero g that lie in the domain; one
+    variable divides dense lists (``_list_divmod``)."""
     if f.is_zero():
         return LaurentPoly.zero(f.nvars)
     f._check_compat(g)
     # Shift both to ordinary polynomials; track the net monomial.
     foffs = tuple(f.min_exp(v) for v in range(f.nvars))
     goffs = tuple(g.min_exp(v) for v in range(g.nvars))
+    if f.nvars == 1:
+        qr = _list_divmod(f.coefficient_list(), g.coefficient_list(), dom)
+        if qr is None or qr[1]:
+            return None
+        return LaurentPoly(1, {(i + foffs[0] - goffs[0],): c for i, c in enumerate(qr[0])})
     fo = f.shift(tuple(-a for a in foffs))
     go = g.shift(tuple(-a for a in goffs))
     q, r = _divmod(fo, go, dom)
@@ -341,12 +362,62 @@ def divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 
 
 def divides(g: LaurentPoly, f: LaurentPoly, dom: Domain) -> bool:
-    """Whether g divides f in the Laurent ring over the domain (units ignored)."""
+    """Whether g divides f in the Laurent ring over the domain (units ignored).
+
+    Both are reduced into the domain before the zero tests: zero divides only
+    zero, and everything divides zero.
+    """
+    f = f.reduce_to(dom)
+    g = g.reduce_to(dom)
     if f.is_zero():
         return True
     if g.is_zero():
         return False
-    return try_divexact(f, g, dom) is not None
+    return _try_divexact_reduced(f, g, dom) is not None
+
+
+# -- dense one-variable kernel --------------------------------------------------
+# Coefficient lists, lowest degree first, whose last entry is nonzero ([] is 0).
+
+
+def _list_divmod(a: list, b: list, dom: Domain) -> tuple[list, list] | None:
+    """(q, r) with a = q*b + r and r shorter than b, over ZZ, QQ or GF(p).
+
+    Over ZZ it returns None at the first step whose quotient coefficient is not
+    an integer: if b divides a, every step divides, so None means b does not.
+    """
+    p = dom.p if isinstance(dom, PrimeField) else 0
+    inv = dom.inv(b[-1]) if dom.is_field else None
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r[top]
+        if not c:
+            continue
+        if inv is None:
+            c, rest = divmod(c, b[-1])
+            if rest:
+                return None
+        else:
+            c = c * inv % p if p else c * inv
+        s = top - db
+        q[s] = c
+        if p:
+            r[s:top] = [(x - c * y) % p for x, y in zip(r[s:top], b)]
+        else:
+            r[s:top] = [x - c * y for x, y in zip(r[s:top], b)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _list_gcd(a: list, b: list, dom: PrimeField) -> list:
+    """A gcd in GF(p)[x] of reduced lists, by Euclid (not made monic)."""
+    while b:
+        a, b = b, _list_divmod(a, b, dom)[1]
+    return a
 
 
 # -- greatest common divisors --------------------------------------------------
@@ -385,8 +456,8 @@ def _primitive(f: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, LaurentPoly]:
     return cont, f if cont == 1 else _divmod(f, cont, dom)[0]
 
 
-def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd of nonzero polynomials over ZZ or GF(p), normalized.
+def _prs_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
+    """gcd of nonzero ordinary polynomials over ZZ or GF(p), normalized.
 
     The content gcd times the last term of the primitive pseudo-remainder
     sequence in x.  The pseudo-remainder r of a by b is the remainder of
@@ -396,8 +467,6 @@ def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     q) * b, whose x-degree is at least deg_x b > deg_x r and which b's leading
     term divides exactly; so the division recovers q and stops at r.
     """
-    f = f.shift(tuple(-f.min_exp(v) for v in range(f.nvars)))
-    g = g.shift(tuple(-g.min_exp(v) for v in range(g.nvars)))
     cf, a = _primitive(f, dom)
     cg, b = _primitive(g, dom)
     cont = _content(dom, cf, cg)
@@ -415,13 +484,100 @@ def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         a, b = b, _primitive(r, dom)[1]
 
 
+# A Mersenne prime for the gcds mod P, and the fixed points (y, then x) at
+# which the two-variable certificate evaluates.
+_GFP = PrimeField(2**61 - 1)
+_POINTS = (1_000_000_007, 998_244_353)
+
+
+def _zz_gcd_1var(a: list, b: list) -> LaurentPoly | None:
+    """gcd over ZZ of integer lists with nonzero constant terms, normalized, or
+    None when the modular gcd proves nothing.
+
+    With c the gcd of the contents and a, b made primitive: when P divides
+    neither leading coefficient, the true gcd G stays of full degree mod P, so
+    it divides h = gcd(a, b) mod P and deg h >= deg G.  A constant h proves the
+    gcd is c.  Otherwise gcd(lc a, lc b) * h, made to have that leading
+    coefficient, is lifted to symmetric residues; if its primitive part H
+    divides a and b over ZZ, then H divides G, so H = +-G by degree.
+    """
+    P = _GFP.p
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    a, b, c = [x // ca for x in a], [x // cb for x in b], int_gcd(ca, cb)
+    if not (a[-1] % P and b[-1] % P):
+        return None
+    h = _list_gcd([x % P for x in a], [x % P for x in b], _GFP)
+    if len(h) == 1:
+        return LaurentPoly.constant(c, 1)
+    scale = int_gcd(a[-1], b[-1]) * pow(h[-1], -1, P)
+    h = [(x * scale + P // 2) % P - P // 2 for x in h]  # symmetric residues
+    ch = int_gcd(*h) if h[0] > 0 else -int_gcd(*h)
+    h = [x // ch for x in h]
+    for x in (a, b):
+        qr = _list_divmod(x, h, ZZ)
+        if qr is None or qr[1]:
+            return None
+    return LaurentPoly(1, {(i,): c * x for i, x in enumerate(h)})
+
+
+def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """A certificate that nonzero ordinary polynomials over ZZ in x and y have
+    a gcd free of both variables.
+
+    For each variable v in turn, the other is set to its point in ``_POINTS``
+    mod P.  If f and g keep their v-leading coefficients there and their gcd
+    mod P is a constant, the true gcd has v-degree 0: its v-leading
+    coefficient divides f's and so does not vanish there either.
+    """
+    for v, point in enumerate(_POINTS):
+        lists = []
+        for p in (f, g):
+            out = [0] * (p.max_exp(v) + 1)
+            for e, c in p.coeffs.items():
+                out[e[v]] += c * pow(point, e[1 - v], _GFP.p)
+            out = [x % _GFP.p for x in out]
+            if not out[-1]:
+                return False
+            lists.append(out)
+        if len(_list_gcd(*lists, _GFP)) > 1:
+            return False
+    return True
+
+
+def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
+    """gcd of nonzero polynomials over ZZ or GF(p), normalized.
+
+    Both are shifted to ordinary polynomials.  One variable runs on dense
+    lists: Euclid over GF(p), and over ZZ the modular gcd of
+    ``_zz_gcd_1var``.  Two variables over ZZ return the gcd of the integer
+    contents when ``_coprime_mod_p`` certifies it.  Everything else takes the
+    primitive pseudo-remainder sequence ``_prs_gcd``: two-variable gcds over
+    GF(p), whose small fields have too few evaluation points, and every gcd a
+    certificate leaves unproven.
+    """
+    if f.nvars == 1:
+        if dom.is_field:
+            h = _list_gcd(f.coefficient_list(), g.coefficient_list(), dom)
+            inv = dom.inv(h[0])
+            return LaurentPoly(1, {(i,): x * inv % dom.p for i, x in enumerate(h)})
+        h = _zz_gcd_1var(f.coefficient_list(), g.coefficient_list())
+        if h is not None:
+            return h
+    f = f.shift(tuple(-f.min_exp(v) for v in range(f.nvars)))
+    g = g.shift(tuple(-g.min_exp(v) for v in range(g.nvars)))
+    if f.nvars == 2 and not dom.is_field and _coprime_mod_p(f, g):
+        return LaurentPoly.constant(int_gcd(*f.coeffs.values(), *g.coeffs.values()), 2)
+    return _prs_gcd(f, g, dom)
+
+
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     """gcd in the Laurent ring over the domain, in normalized form (zero if both vanish in it).
 
-    Over ZZ and GF(p), in one or two variables: the gcd of the contents in x
-    times the primitive pseudo-remainder sequence in x, with contents in y in
-    two variables.  Over QQ it goes through ``gcd_many``, which takes it over
-    ZZ (Gauss's lemma).
+    Over ZZ and GF(p), in one or two variables, by ``_gcd``: dense lists and
+    a gcd mod 2^61 - 1 checked by trial division in one variable, a unit
+    certificate mod 2^61 - 1 in two, and the primitive pseudo-remainder
+    sequence where neither applies.  Over QQ it goes through ``gcd_many``,
+    which takes it over ZZ (Gauss's lemma).
     """
     if isinstance(dom, RationalField):
         return gcd_many((f, g), dom)

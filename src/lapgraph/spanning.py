@@ -29,7 +29,7 @@ from .graphs import (
     restriction_subgraph,
     voltage_laplacian,
 )
-from .laurent import LaurentPoly, _divmod, divexact, normalize
+from .laurent import LaurentPoly, _list_divmod, divexact, normalize
 from .linalg import det_laurent, int_det
 from .mahler import mahler
 
@@ -281,27 +281,33 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
     product is |lc^m prod_i (alpha_i^m - 1)| = |N(x^m - lc^m)| / |lc|^(m(d-1)),
     where N(q) is the determinant of multiplication by q on Z[x]/(H): one
     d x d integer determinant of the remainders of q x^j mod H, with x^m mod H
-    taken by repeated squaring.
+    taken by repeated squaring, all on dense lists (``laurent._list_divmod``).
     """
     d = len(h) - 1
     lc = h[d]
     if d == 0:
         return abs(lc) ** m
-    H = LaurentPoly(1, {(i,): c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])} | {(d,): 1})
+    H = [c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])] + [1]
 
-    def mod(f: LaurentPoly) -> LaurentPoly:
-        return _divmod(f, H, ZZ)[1]
+    def mod(f: list[int]) -> list[int]:
+        return _list_divmod(f, H, ZZ)[1]
 
-    r = LaurentPoly.constant(1, 1)
+    r = [1]
     for bit in bin(m)[2:]:
-        r = mod(r * r)
+        sq = [0] * (2 * len(r) - 1)
+        for i, a in enumerate(r):
+            sq[2 * i] += a * a
+            for j in range(i + 1, len(r)):
+                sq[i + j] += 2 * a * r[j]
+        r = mod(sq)
         if bit == "1":
-            r = mod(r.shift((1,)))
-    r = r - lc**m
+            r = mod([0] + r)
+    r = r + [0] * (d - len(r))
+    r[0] -= lc**m
     rows = []
     for _ in range(d):
-        rows.append({i: c for (i,), c in r.coeffs.items()})
-        r = mod(r.shift((1,)))
+        rows.append({i: c for i, c in enumerate(r) if c})
+        r = mod([0] + r)
     norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
     if rem:
         raise ArithmeticError("lc^(m(d-1)) does not divide the norm")

@@ -15,7 +15,9 @@ one call per polynomial value, with builtin sum and max), the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
-the coefficient domain itself.  Small helpers that only tests need (matrix
+the coefficient domain itself, the primitive pseudo-remainder gcd over ZZ and
+GF(p) with no modular gcd or certificate, and the root-of-unity norm of cover
+counts by LaurentPoly long division.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
 for the first nonzero elementary divisor, rotation strings, Euler
 characteristic, plane cyclic covers, component indicators) live here too.
@@ -54,10 +56,10 @@ from lapgraph.graphs import (
     cover_graph,
     incidence_matrix,
 )
-from lapgraph.fields import QQ, ZZ
+from lapgraph.fields import QQ, ZZ, RationalField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
-from lapgraph.linalg import elementary_divisor, nullspace, row_space_canonical, transpose
+from lapgraph.laurent import LaurentPoly, _divmod, _x_lead, divexact, laurent_gcd, normalize
+from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_canonical, transpose
 from lapgraph.mahler import (
     ABERTH_MAX_ITER,
     RESIDUAL_GATE,
@@ -761,6 +763,89 @@ def laurent_gcd_pseudo_rem(f, g, dom):
             a, b = b, rp
     _, a = _primitive_x(a, dom)
     return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
+
+
+def _prs_content(dom, *polys):
+    """gcd of the coefficients in x of nonzero polynomials, free of x."""
+    if polys[0].nvars == 1:
+        coeffs = (c for f in polys for c in f.coeffs.values())
+        return LaurentPoly.constant(1 if dom.is_field else int_gcd(*coeffs), 1)
+    slices = {}
+    for i, f in enumerate(polys):
+        for (a, b), c in f.coeffs.items():
+            slices.setdefault((i, a), {})[(b,)] = c
+    cont = None
+    for s in slices.values():
+        cont = LaurentPoly(1, s) if cont is None else _prs_gcd(cont, LaurentPoly(1, s), dom)
+        if cont == 1:
+            break
+    return LaurentPoly(2, {(0, b): c for (b,), c in cont.coeffs.items()})
+
+
+def _prs_primitive(f, dom):
+    cont = _prs_content(dom, f)
+    return cont, f if cont == 1 else _divmod(f, cont, dom)[0]
+
+
+def _prs_gcd(f, g, dom):
+    f = f.shift(tuple(-f.min_exp(v) for v in range(f.nvars)))
+    g = g.shift(tuple(-g.min_exp(v) for v in range(g.nvars)))
+    cf, a = _prs_primitive(f, dom)
+    cg, b = _prs_primitive(g, dom)
+    cont = _prs_content(dom, cf, cg)
+    if max(a.coeffs)[0] < max(b.coeffs)[0]:
+        a, b = b, a
+    while True:
+        d, lc = _x_lead(b)
+        if d == 0:
+            return normalize(cont, dom)
+        if lc != 1:
+            a = (lc ** (max(a.coeffs)[0] - d + 1) * a).reduce_to(dom)
+        r = _divmod(a, b, dom)[1]
+        if r.is_zero():
+            return normalize(b if cont == 1 else (cont * b).reduce_to(dom), dom)
+        a, b = b, _prs_primitive(r, dom)[1]
+
+
+def laurent_gcd_prs(f, g, dom):
+    """gcd by the primitive pseudo-remainder sequence alone, in one and two
+    variables (test oracle): the content gcd in x times the sequence's last
+    term, every division a LaurentPoly long division (``_divmod``), recursing
+    into one-variable sequences for contents in y.  Over QQ, the inputs are
+    cleared to primitive integer polynomials first."""
+    if isinstance(dom, RationalField):
+        f, g = normalize(f, QQ), normalize(g, QQ)
+        return normalize(laurent_gcd_prs(f, g, ZZ), QQ) if f or g else f
+    f = f.reduce_to(dom)
+    g = g.reduce_to(dom)
+    if not (f and g):
+        return normalize(f or g, dom)
+    return _prs_gcd(f, g, dom)
+
+
+def root_of_unity_norm_by_division(h, m):
+    """|prod over zeta^m = 1 of h(zeta)| for h in Z[x], lowest first (test
+    oracle): x^m mod the monic H = lc^(d-1) h(x/lc) and its shifts by
+    LaurentPoly long division (``_divmod``), then one integer determinant."""
+    d = len(h) - 1
+    lc = h[d]
+    if d == 0:
+        return abs(lc) ** m
+    H = LaurentPoly(1, {(i,): c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])} | {(d,): 1})
+    r = LaurentPoly.constant(1, 1)
+    for bit in bin(m)[2:]:
+        r = _divmod(r * r, H, ZZ)[1]
+        if bit == "1":
+            r = _divmod(r.shift((1,)), H, ZZ)[1]
+    r = r - lc**m
+    rows = []
+    for _ in range(d):
+        rows.append({i: c for (i,), c in r.coeffs.items()})
+        r = _divmod(r.shift((1,)), H, ZZ)[1]
+    norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
+    if rem:
+        raise ArithmeticError("lc^(m(d-1)) does not divide the norm")
+    return abs(norm)
 
 
 # -- helpers only tests need --------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_pseudo_rem
+from conftest import gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_prs, laurent_gcd_pseudo_rem
 from lapgraph import laurent as laurent_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.laurent import (
@@ -193,7 +193,19 @@ def test_divides_examples():
     assert q * (X - 1) ** 2 == lad
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_divides_tests_zero_after_reducing_into_the_domain(nvars):
+    two_x, four_x, x = (LaurentPoly.monomial(c, (1,) * nvars) for c in (2, 4, 1))
+    assert not divides(two_x, x, GF2)  # 2x is zero in GF(2), and zero divides only zero
+    assert divides(two_x, four_x, GF2)
+    assert divides(x, four_x, GF2) and divides(two_x, x, PrimeField(3))
+    assert try_divexact(four_x, x, GF2) == LaurentPoly.zero(nvars)
+    with pytest.raises(ZeroDivisionError):
+        try_divexact(x, two_x, GF2)
+
+
 GF5 = PrimeField(5)
+GF_P61 = PrimeField(2**61 - 1)
 DOMAINS = (ZZ, QQ, GF5)
 
 
@@ -341,7 +353,7 @@ def _gcd_case(rng, nvars, dom, kind):
 
 
 @pytest.mark.parametrize("seed", range(40))
-@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, PrimeField(3), GF5], ids=repr)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, PrimeField(3), GF5, GF_P61], ids=repr)
 def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
     rng = random.Random(9000 + seed)
     for nvars, oracle in ((1, laurent_gcd_euclid), (2, laurent_gcd_pseudo_rem)):
@@ -350,9 +362,46 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
             if a.reduce_to(dom).is_zero() or b.reduce_to(dom).is_zero():
                 continue
             got = laurent_gcd(a, b, dom)
-            want = oracle(a, b, dom)
-            assert got.coeffs == want.coeffs, (dom, kind, a, b)
-            assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+            for want in (oracle(a, b, dom), laurent_gcd_prs(a, b, dom)):
+                assert got.coeffs == want.coeffs, (dom, kind, a, b)
+                assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+
+
+_A, _B = laurent_module._POINTS  # the certificate's points y = _A and x = _B
+_P61 = GF_P61.p
+_BELOW = LaurentPoly(1, {(0,): 2**59, (1,): 2})  # lifts correctly
+_ABOVE = LaurentPoly(1, {(0,): 2**61, (1,): 1})  # x + 1 mod P, which divides neither input
+# (x - B)(y - A) + 1 is 1 at y = A and at x = B, so only the leading-coefficient test
+# keeps a common factor of it from passing for a unit
+_ONE_AT_BOTH = LaurentPoly(2, {(1, 1): 1, (1, 0): -_A, (0, 1): -_B, (0, 0): _A * _B + 1})
+# (name, f, g, whether the pseudo-remainder sequence runs on the pair itself)
+CERTIFICATE_CASES = [
+    ("1var unit", poly1("x + 2") * poly1("3x - 1"), poly1("x - 5") * 7, False),
+    ("1var lifted gcd", poly1("6x - 4") * poly1("x + 3"), poly1("2x^2 + 3") * poly1("3x - 2"), False),
+    ("1var gcd below 2^60", _BELOW * poly1("x + 3"), _BELOW * poly1("3x - 5"), False),
+    ("1var lc divisible by P", (_P61 * X + 1) * poly1("x + 2"), poly1("x + 2") * poly1("x - 3"), True),
+    ("1var lift wrong above 2^60", _ABOVE * poly1("x + 3"), _ABOVE * poly1("x - 5"), True),
+    ("2var unit", poly2("x + y + 1") * 6, poly2("x*y - 2") * 4, False),
+    ("2var x-lead vanishes at y = A", poly2("x*y + 1") - _A * poly2("x"), poly2("x + y"), True),
+    ("2var y-lead vanishes at x = B", poly2("x*y + 1") - _B * poly2("y"), poly2("x + y"), True),
+    ("2var gcd not a unit", poly2("x + y") * poly2("x - 2"), poly2("x + y") * poly2("y + 3"), True),
+    ("2var common factor 1 at both points", _ONE_AT_BOTH * poly2("x + 2"), _ONE_AT_BOTH * poly2("y + 3"), True),
+]
+
+
+@pytest.mark.parametrize("name, f, g, fallback", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES])
+def test_each_certificate_that_proves_nothing_falls_back_to_pseudo_remainders(
+    name, f, g, fallback, monkeypatch
+):
+    calls = []
+    prs = laurent_module._prs_gcd
+    monkeypatch.setattr(laurent_module, "_prs_gcd", lambda a, b, dom: calls.append(a.nvars) or prs(a, b, dom))
+    for a, b in ((f, g), (g, f), (f.shift((-3,) * f.nvars), g.shift((1,) * g.nvars))):
+        calls.clear()
+        got = laurent_gcd(a, b, ZZ)
+        want = laurent_gcd_prs(a, b, ZZ)
+        assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), name
+        assert (f.nvars in calls) == fallback, name
 
 
 def _fold_cases(rng):
@@ -452,13 +501,14 @@ def test_gcd_of_inputs_that_vanish_in_the_domain_is_zero():
 
 
 def test_rational_gcd_runs_no_rational_division(monkeypatch):
+    # both long divisions: on LaurentPoly (two variables) and on dense lists
     domains = []
 
-    def spy(f, g, dom):
-        domains.append(dom)
-        return _divmod(f, g, dom)
+    def spy(divide):
+        return lambda f, g, dom: domains.append(dom) or divide(f, g, dom)
 
-    monkeypatch.setattr(laurent_module, "_divmod", spy)
+    monkeypatch.setattr(laurent_module, "_divmod", spy(_divmod))
+    monkeypatch.setattr(laurent_module, "_list_divmod", spy(laurent_module._list_divmod))
     h = poly1("2x - 1").map_coefficients(lambda c: Fraction(c, 3))
     for f, g in (
         (h * poly1("3x + 1"), h * poly1("x^2 + 5")),

@@ -12,6 +12,7 @@ from conftest import (
     random_annulus_quotient,
     random_multigraph,
     random_voltage_graph,
+    root_of_unity_norm_by_division,
     single_loop_quotient,
     sparse_rows,
     wrapping_edge_count,
@@ -139,6 +140,15 @@ def test_cyclic_cover_complexity_closed_forms_at_ten_thousand_sheets():
     for _ in range(n):
         f0, f1 = f1, f0 + f1
     assert cyclic_cover_complexity(example("circulant12"), n) == n * f0 * f0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_root_of_unity_norm_matches_the_long_division_oracle(seed):
+    rng = random.Random(5200 + seed)
+    for _ in range(30):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))] + [rng.choice([1, -1, 2, -3, 7, 60])]
+        m = rng.randint(1, 40)
+        assert spanning._root_of_unity_norm(h, m) == root_of_unity_norm_by_division(h, m), (h, m)
 
 
 def test_cyclic_cover_complexity_of_degenerate_quotients():

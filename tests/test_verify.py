@@ -156,13 +156,13 @@ def test_verify_divides_no_rational_polynomial(monkeypatch):
     # Delta_k over QQ comes from a gcd over ZZ, and both divisibility checks
     # divide primitive integer polynomials over ZZ (Gauss's lemma)
     domains = []
-    divmod_ = laurent._divmod
 
-    def spy(f, g, dom):
-        domains.append(dom)
-        return divmod_(f, g, dom)
+    def spy(divide):
+        return lambda f, g, dom: domains.append(dom) or divide(f, g, dom)
 
-    monkeypatch.setattr(laurent, "_divmod", spy)
+    # both long divisions: on LaurentPoly (two variables) and on dense lists
+    monkeypatch.setattr(laurent, "_divmod", spy(laurent._divmod))
+    monkeypatch.setattr(laurent, "_list_divmod", spy(laurent._list_divmod))
     rng = random.Random(7100)
     objs = [example("ladder"), example("mitsubishi"), random_annulus_quotient(rng, 8)]
     objs += [random_voltage_graph(rng, 1, 5, 8) for _ in range(4)]
