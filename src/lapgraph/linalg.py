@@ -7,10 +7,11 @@ hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
 coefficients.  :func:`rref` eliminates on integer rows over every field and
 divides by the pivots only at the end.  Every determinant is one
 fraction-free elimination on sparse integer rows, in one rule's pivot order
-(:func:`_elimination_order`), and :func:`det_laurent` reads a Laurent
-determinant off it by Kronecker substitution.  A coefficient domain enters
-only at the gcd fold of :func:`elementary_divisor`, which stops at the first
-unit gcd.
+(:func:`_elimination_order`), on the upper triangle alone when the rows are
+symmetric, as a reduced Laplacian's are.  :func:`det_laurent` reads a
+Laurent determinant off it by Kronecker substitution.  A coefficient domain
+enters only at the gcd fold of :func:`elementary_divisor`, which stops at
+the first unit gcd.
 """
 
 from __future__ import annotations
@@ -247,7 +248,9 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
     p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the telescoped
     product, when it is next touched.  Every Bareiss entry is a minor of the
     matrix, so each division is exact.  A zero pivot is swapped with the first
-    lower row that has a nonzero in its column.
+    lower row that has a nonzero in its column.  This is the kernel of
+    :func:`det_laurent`, of non-symmetric :func:`int_det` input, and of
+    symmetric input that meets a zero pivot.
     """
     n = len(rows)
     cols = range(n)
@@ -317,22 +320,75 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
     return sign * p[n]
 
 
+def _bareiss_symmetric(rows: list[dict], order: list[int]) -> int:
+    """:func:`_bareiss` of symmetric sparse rows, on their upper triangle.
+
+    Every Bareiss entry a_ij^(k) = det A[1..k,i; 1..k,j] of a symmetric
+    matrix is symmetric too, so row i keeps only its columns j >= i, and the
+    rows that step k updates are the keys i of row k, in row k's columns
+    j >= i.  Each such row is scaled by p_k / p_{k-1} in its other columns,
+    and lazy catch-up scales the rows that step k skips, as in
+    :func:`_bareiss`.  Step k does about half of the general kernel's work.
+    A zero pivot, which a positive-definite matrix never has, hands the
+    untouched rows to :func:`_bareiss`, which swaps rows.
+    """
+    n = len(rows)
+    where = [0] * n
+    for new, old in enumerate(order):
+        where[old] = new
+    upper = [{where[j]: v for j, v in rows[old].items() if where[j] >= i} for i, old in enumerate(order)]
+    p = [1]
+    level = [0] * n
+
+    def catch_up(i: int, k: int) -> dict:
+        row = upper[i]
+        if p[level[i]] != p[k]:
+            num, den = p[k], p[level[i]]
+            for j, v in row.items():
+                row[j] = v * num // den
+        return row
+
+    for k in range(n):
+        row_k = catch_up(k, k)
+        if k not in row_k:
+            return _bareiss(rows, order)
+        pivot = row_k.pop(k)
+        prev = p[k]
+        p.append(pivot)
+        items = sorted(row_k.items())
+        for t, (i, a) in enumerate(items):
+            row_i = catch_up(i, k)
+            for j in row_i.keys() - row_k.keys():
+                row_i[j] = row_i[j] * pivot // prev
+            for j, v in items[t:]:
+                w = (pivot * row_i.get(j, 0) - a * v) // prev
+                if w:
+                    row_i[j] = w
+                else:
+                    del row_i[j]
+            level[i] = k + 1
+    return p[n]
+
+
 def int_det(rows: list[dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix given as sparse rows
-    {column: entry}, by :func:`_bareiss` on a copy without the zero entries.
+    {column: entry}, eliminated on a copy without the zero entries.  Rows that
+    are symmetric (one pass over the nonzeros), as a reduced Laplacian's are,
+    go to :func:`_bareiss_symmetric`; any others to :func:`_bareiss`.
     The order is the number of rows.  A column outside 0..n-1, or a nonzero
     entry that is not an int, raises ValueError: a Fraction or float would be
     truncated.
 
     The pivot order is the one of lower predicted cost, sum_k m_k^2 (k+1)^2
     with m_k the later neighbours of the k-th pivot in the filled symmetrised
-    pattern: step k updates m_k rows in m_k columns, every entry then is a
-    (k+1)-minor with O(k) bits, and multiplication at these sizes is
-    quadratic.  The candidates are Cuthill–McKee, costed by its envelope
-    bound, which suits strips and boxes, and greedy minimum degree, which
-    suits tori and irregular graphs, and gets m_k exactly.  Ties go to
-    Cuthill–McKee.  A complete pattern, where every order costs the same, gets
-    the identity at once.  :func:`det_laurent` takes the same order.
+    pattern: step k updates m_k rows in m_k columns (about half as many
+    entries on the upper triangle), every entry then is a (k+1)-minor with
+    O(k) bits, and multiplication at these sizes is quadratic.  The
+    candidates are Cuthill–McKee, costed by its envelope bound, which suits
+    strips and boxes, and greedy minimum degree, which suits tori and
+    irregular graphs, and gets m_k exactly.  Ties go to Cuthill–McKee.  A
+    complete pattern, where every order costs the same, gets the identity at
+    once.  :func:`det_laurent` takes the same order.
     """
     n = len(rows)
     for row in rows:
@@ -342,7 +398,10 @@ def int_det(rows: list[dict[int, int]]) -> int:
             if v and not isinstance(v, int):
                 raise ValueError(f"determinant needs integer entries, got {v!r}")
     rows = [{j: v for j, v in row.items() if v} for row in rows]
-    return _bareiss(rows, _elimination_order(rows))
+    order = _elimination_order(rows)
+    if all(rows[j].get(i) == v for i, row in enumerate(rows) for j, v in row.items()):
+        return _bareiss_symmetric(rows, order)
+    return _bareiss(rows, order)
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------

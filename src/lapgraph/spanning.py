@@ -6,8 +6,11 @@ Every cover's complexity is read off Delta_0 by one integer resultant
 rank-1 quotient, :func:`cover_complexity`), so no cover is built.  Finite
 graphs and box restrictions are counted by the matrix-tree theorem with one
 sparse Bareiss elimination per graph, however many components it has
-(:func:`complexity`; :func:`tree_count` is the connected case), which on a
-built cover is also the test oracle for the resultant count.
+(:func:`complexity`; :func:`tree_count` is the connected case, and shares
+its one component pass).  The reduced Laplacian is symmetric and positive
+definite, so :func:`~lapgraph.linalg.int_det` eliminates its upper triangle
+alone and never meets a zero pivot.  On a built cover this count is also
+the test oracle for the resultant count.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ def complexity(g: FiniteGraph) -> int:
     built from the edge list, of the empty matrix (1) when every component
     is a single vertex.  A self-loop adds nothing to the Laplacian.
     """
-    last = {comp[-1] for comp in connected_components(g)}
+    return _complexity(g, connected_components(g))
+
+
+def _complexity(g: FiniteGraph, comps: list[list[str]]) -> int:
+    """:func:`complexity` of g, given its connected components."""
+    last = {comp[-1] for comp in comps}
     index = {v: i for i, v in enumerate(v for v in g.vertices if v not in last)}
     rows: list[dict[int, int]] = [{} for _ in index]
     for e in g.edges:
@@ -62,9 +70,10 @@ def complexity(g: FiniteGraph) -> int:
 
 def tree_count(g: FiniteGraph) -> int:
     """Number of spanning trees of a connected graph: its :func:`complexity`."""
-    if len(connected_components(g)) != 1:
+    comps = connected_components(g)
+    if len(comps) != 1:
         raise ValueError("tree count needs a connected graph")
-    return complexity(g)
+    return _complexity(g, comps)
 
 
 # -- cycle-rooted spanning forests ------------------------------------------------
@@ -453,9 +462,10 @@ def growth_restrictions(
     for n in schedule:
         rect = RectangleSpec((n,) * vg.rank)
         sub = restriction_subgraph(vg, rect)
-        if len(connected_components(sub)) != 1:
+        comps = connected_components(sub)
+        if len(comps) != 1:
             raise ValueError(f"restriction of size {n} is not connected")
-        tau = complexity(sub)
+        tau = _complexity(sub, comps)
         s = len(sub.vertices)
         rows.append((s, tau, math.log(tau) / s))
     return GrowthReport(

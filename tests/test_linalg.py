@@ -46,6 +46,7 @@ from lapgraph.linalg import (
     nullspace,
     row_space_canonical,
     rref,
+    transpose,
 )
 from lapgraph.spanning import complexity, tree_count
 
@@ -55,11 +56,16 @@ GF5 = PrimeField(5)
 
 def dets_by_order(M) -> set[int]:
     """The determinants of a dense integer matrix by int_det, and by _bareiss
-    in Cuthill–McKee and in minimum-degree order; one value when they agree."""
+    (and _bareiss_symmetric, if M is symmetric) in Cuthill–McKee and in
+    minimum-degree order; one value when they agree.  Every kernel leaves the
+    rows alone."""
     rows = sparse_rows(M)
     adj = linalg_module._pattern(rows)
     orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj)[0])
-    return {int_det(rows)} | {linalg_module._bareiss(rows, order) for order in orders}
+    kernels = [linalg_module._bareiss] + [linalg_module._bareiss_symmetric] * (M == transpose(M))
+    dets = {int_det(rows)} | {kernel(rows, order) for kernel in kernels for order in orders}
+    assert rows == sparse_rows(M)
+    return dets
 
 
 def test_int_det_against_cofactor_thousand_cases():
@@ -137,6 +143,71 @@ def test_int_det_on_reduced_laplacians_of_covers_and_restrictions(seed):
         assert dets_by_order(R) == {bareiss_det(R)}
 
 
+def _random_symmetric_matrix(rng, n, density):
+    """M + M^T for a random M, with some diagonal entries zeroed, and
+    sometimes made singular as E S E^T, row a of E being e_b - 2 e_c."""
+    M = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    S = [[M[i][j] + M[j][i] for j in range(n)] for i in range(n)]
+    if n and rng.random() < 0.3:
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            S[i][i] = 0
+    if n >= 3 and rng.random() < 0.25:
+        a, b, c = rng.sample(range(n), 3)
+        E = [[int(i == j) for j in range(n)] for i in range(n)]
+        E[a] = [int(j == b) - 2 * int(j == c) for j in range(n)]
+        ES = [[sum(E[i][t] * S[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        S = [[sum(ES[i][t] * E[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
+    return S
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4, 0.7, 1.0])
+def test_int_det_matches_the_general_kernel_on_symmetric_matrices(density, monkeypatch):
+    rng = random.Random(500 + int(density * 100))
+    zeros = fallbacks = 0
+    for _ in range(400):
+        S = _random_symmetric_matrix(rng, rng.randint(0, 8), density)
+        d = bareiss_det(S)
+        assert dets_by_order(S) == {d}, S
+        names = [name for name, *_ in _kernel_calls(monkeypatch, int_det, sparse_rows(S))]
+        assert names in (["_bareiss_symmetric"], ["_bareiss_symmetric", "_bareiss"])
+        zeros += d == 0
+        fallbacks += len(names) == 2
+    assert 0 < zeros < 400 and 0 < fallbacks < 400
+
+
+def test_a_symmetric_zero_pivot_hands_the_untouched_rows_to_the_general_kernel(monkeypatch):
+    assert int_det(sparse_rows([[0, 1], [1, 0]])) == -1
+    # the second pivot is zero after one step: 1 * 1 - 1 * 1
+    M = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert int_det(sparse_rows(M)) == bareiss_det(M) == -1
+    for M, order in (([[0, 1], [1, 0]], [0, 1]), (M, [0, 1, 2])):
+        rows = sparse_rows(M)
+        calls = _kernel_calls(monkeypatch, lambda: linalg_module._bareiss_symmetric(rows, order))
+        assert calls == [("_bareiss_symmetric", rows, order), ("_bareiss", rows, order)]
+        assert calls[1][1] is rows == sparse_rows(M)
+
+
+def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
+    # the corpus graphs, and a cover and a box restriction of each voltage graph
+    names = ("circulant12", "girder", "grid", "k4", "ladder", "mitsubishi", "single_loop")
+    bases = [getattr(g, "graph", g) for g in map(example, names)]
+    finite = [getattr(b, "base", b) for b in bases]
+    rng = random.Random(26)
+    for vg in bases:
+        if isinstance(vg, FiniteGraph):
+            continue
+        if vg.rank == 1:
+            finite.append(cover_graph(vg, SublatticeSpec.cyclic(rng.randint(2, 12))))
+            finite.append(restriction_subgraph(vg, RectangleSpec((rng.randint(2, 12),))))
+        else:
+            a, d = rng.randint(2, 5), rng.randint(2, 5)
+            finite.append(cover_graph(vg, SublatticeSpec.lattice2(((a, 1), (0, d)))))
+            finite.append(restriction_subgraph(vg, RectangleSpec((rng.randint(2, 6), rng.randint(2, 6)))))
+    for g in finite:
+        (call,) = _kernel_calls(monkeypatch, complexity, g)
+        assert call[0] == "_bareiss_symmetric"
+
+
 def _filled_cost(adj, order):
     """sum_k m_k^2 (k+1)^2, with m_k the later neighbours of the k-th pivot in
     the pattern filled by eliminating in order (symbolic elimination)."""
@@ -150,18 +221,26 @@ def _filled_cost(adj, order):
     return cost
 
 
-def _bareiss_pattern_and_order(monkeypatch, f, *args):
-    """The nonzero pattern that f(*args) hands to _bareiss, and its order."""
+def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[int]]]:
+    """The Bareiss kernels that f(*args) calls, in call order, each with the
+    rows and the order it receives."""
     calls = []
-    bareiss = linalg_module._bareiss
+    with monkeypatch.context() as m:
+        for name in ("_bareiss", "_bareiss_symmetric"):
 
-    def spy(rows, order):
-        calls.append((rows, order))
-        return bareiss(rows, order)
+            def spy(rows, order, name=name, kernel=getattr(linalg_module, name)):
+                calls.append((name, rows, order))
+                return kernel(rows, order)
 
-    monkeypatch.setattr(linalg_module, "_bareiss", spy)
-    f(*args)
-    ((rows, order),) = calls
+            m.setattr(linalg_module, name, spy)
+        f(*args)
+    return calls
+
+
+def _bareiss_pattern_and_order(monkeypatch, f, *args):
+    """The nonzero pattern that f(*args) hands to its one Bareiss kernel, and
+    its order."""
+    ((_, rows, order),) = _kernel_calls(monkeypatch, f, *args)
     return linalg_module._pattern(rows), order
 
 

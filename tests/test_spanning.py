@@ -320,6 +320,25 @@ def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
         assert orders == [len(g.vertices) - len(connected_components(g))]
 
 
+def test_tree_counts_take_one_component_pass(monkeypatch):
+    passes = []
+
+    def spy(g):
+        passes.append(g)
+        return connected_components(g)
+
+    monkeypatch.setattr(spanning, "connected_components", spy)
+    ladder = example("ladder")
+    for count in (
+        lambda: tree_count(cover_graph(ladder.graph, SublatticeSpec.cyclic(5))),
+        lambda: complexity(example("k4").graph),
+        lambda: growth_restrictions(ladder.graph, [4], fibers=16),
+    ):
+        passes.clear()
+        count()
+        assert len(passes) == 1
+
+
 def test_complexity_builds_no_dense_laplacian(monkeypatch):
     def refuse(g):
         raise AssertionError("complexity built the dense Laplacian")
