@@ -24,8 +24,8 @@ from .graphs import (
     laplacian_finite,
     voltage_laplacian,
 )
-from .laurent import format_poly, normalize, parse_poly
-from .linalg import det_laurent, elementary_divisor, int_matrix_to_poly
+from .laurent import LaurentPoly, format_poly, normalize, parse_poly
+from .linalg import det_laurent, elementary_divisor
 from .mahler import mahler
 from .planar import PlaneGraph, medial_components, medial_components_voltage, shank_basis
 from .spanning import (
@@ -62,7 +62,8 @@ def cmd_delta(obj, args) -> tuple[int, dict, str]:
     if isinstance(vg, VoltageGraph):
         L = voltage_laplacian(vg)
     else:
-        L = int_matrix_to_poly(laplacian_finite(_base_of(obj)))
+        rows = laplacian_finite(_base_of(obj))
+        L = [[LaurentPoly.constant(row.get(j, 0), 1) for j in range(len(rows))] for row in rows]
     text = format_poly(elementary_divisor(L, args.k, dom))
     payload = {"k": args.k, "field": args.field, "delta": text}
     return 0, payload, f"Delta_{args.k} over {args.field}: {text}"

@@ -15,7 +15,7 @@ from .graphs import (
     incidence_matrix,
     laplacian_finite,
 )
-from .linalg import nullspace, row_space_canonical
+from .linalg import nullspace, row_space_canonical, sparse_rows
 
 YES = "yes"
 FAILS_CYCLE = "fails-cycle"
@@ -24,7 +24,7 @@ FAILS_KIRCHHOFF = "fails-kirchhoff"
 
 def conservative_vertex_basis(g: FiniteGraph, fld: Domain) -> list[list]:
     """Basis of the conservative vertex colorings: the kernel of the Laplacian."""
-    return nullspace(laplacian_finite(g), fld)
+    return nullspace(laplacian_finite(g), len(g.vertices), fld)
 
 
 def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[list]:
@@ -35,10 +35,8 @@ def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[li
     """
     if len(connected_components(g)) != 1:
         raise ValueError("based colorings need a connected graph")
-    L = laplacian_finite(g)
-    base_row = [0] * len(g.vertices)
-    base_row[g.vertex_index(base_vertex)] = 1
-    return nullspace(L + [base_row], fld)
+    base_row = {g.vertex_index(base_vertex): 1}
+    return nullspace(laplacian_finite(g) + [base_row], len(g.vertices), fld)
 
 
 def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
@@ -65,7 +63,7 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
         if fld.of(beta[j] + pot[e.tail] - pot[e.head]):
             return FAILS_CYCLE
     for row in incidence_matrix(g):
-        if fld.of(sum(qij * b for qij, b in zip(row, beta))):
+        if fld.of(sum(q * beta[j] for j, q in row.items())):
             return FAILS_KIRCHHOFF
     return YES
 
@@ -90,5 +88,5 @@ def bicycle_basis_meet(g: FiniteGraph, fld: Domain) -> list[list]:
     :func:`bicycle_basis`, kept as its oracle; returns the same canonical
     echelon basis.
     """
-    Q = incidence_matrix(g)
-    return row_space_canonical(nullspace(Q + nullspace(Q, fld), fld), fld)
+    Q, m = incidence_matrix(g), len(g.edges)
+    return row_space_canonical(nullspace(Q + sparse_rows(nullspace(Q, m, fld)), m, fld), fld)

@@ -205,31 +205,34 @@ class RectangleSpec:
 # -- matrices ------------------------------------------------------------------
 
 
-def incidence_matrix(g: FiniteGraph) -> list[list[int]]:
-    """|V| x |E| incidence matrix: +1 at the head, -1 at the tail of each edge.
+def incidence_matrix(g: FiniteGraph) -> list[dict[int, int]]:
+    """|V| x |E| incidence matrix as sparse rows {edge index: entry}, one per
+    vertex: +1 at the head, -1 at the tail of each edge.
 
-    A self-loop column is zero (its +1 and -1 coincide).
+    A self-loop's column is empty (its +1 and -1 coincide).
     """
-    Q = [[0] * len(g.edges) for _ in g.vertices]
+    Q: list[dict[int, int]] = [{} for _ in g.vertices]
     for j, e in enumerate(g.edges):
-        if e.tail == e.head:
-            continue
-        Q[g.vertex_index(e.head)][j] = 1
-        Q[g.vertex_index(e.tail)][j] = -1
+        if e.tail != e.head:
+            Q[g.vertex_index(e.head)][j] = 1
+            Q[g.vertex_index(e.tail)][j] = -1
     return Q
 
 
-def laplacian_finite(g: FiniteGraph) -> list[list[int]]:
-    """Laplacian D - A of a finite multigraph (self-loops add 2 to both)."""
-    n = len(g.vertices)
-    L = [[0] * n for _ in range(n)]
+def laplacian_finite(g: FiniteGraph) -> list[dict[int, int]]:
+    """Laplacian D - A of a finite multigraph as sparse rows {vertex index:
+    entry}, one per vertex, holding only its nonzeros.  A self-loop adds
+    nothing (its 2 in D cancels its 2 in A)."""
+    index = g._vindex
+    L: list[dict[int, int]] = [{} for _ in g.vertices]
     for e in g.edges:
-        i = g.vertex_index(e.tail)
-        j = g.vertex_index(e.head)
-        L[i][i] += 1
-        L[j][j] += 1
-        L[i][j] -= 1
-        L[j][i] -= 1
+        i, j = index[e.tail], index[e.head]
+        if i != j:
+            Li, Lj = L[i], L[j]
+            Li[i] = Li.get(i, 0) + 1
+            Lj[j] = Lj.get(j, 0) + 1
+            Li[j] = Li.get(j, 0) - 1
+            Lj[i] = Lj.get(i, 0) - 1
     return L
 
 

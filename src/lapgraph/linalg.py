@@ -1,17 +1,19 @@
 """Exact linear algebra: nullspaces over fields, fraction-free determinants,
 and elementary divisors of Laurent-polynomial matrices.
 
-Matrices are plain lists of row lists.  Field entries are whatever the domain
-object uses (ints for GF(p), Fraction for the rationals); polynomial matrices
-hold :class:`~lapgraph.laurent.LaurentPoly` entries with integer
-coefficients.  :func:`rref` eliminates on integer rows over every field and
-divides by the pivots only at the end.  Every determinant is one
-fraction-free elimination on sparse integer rows, in one rule's pivot order
-(:func:`_elimination_order`), on the upper triangle alone when the rows are
-symmetric, as a reduced Laplacian's are.  :func:`det_laurent` reads a
-Laurent determinant off it by Kronecker substitution.  A coefficient domain
-enters only at the gcd fold of :func:`elementary_divisor`, which stops at
-the first unit gcd.
+Every integer or field matrix is a list of sparse rows {column: entry} that
+hold only the nonzeros; results that are vectors come back dense.  Field
+entries are whatever the domain object uses (ints for GF(p), Fraction for
+the rationals).  Polynomial matrices are dense lists of row lists of
+:class:`~lapgraph.laurent.LaurentPoly` entries with integer coefficients,
+since a zero entry carries the variable count.  :func:`rref` eliminates on
+integer rows over every field and divides by the pivots only at the end.
+Every determinant is one fraction-free elimination on sparse integer rows,
+in one rule's pivot order (:func:`_elimination_order`), on the upper
+triangle alone when the rows are symmetric, as a reduced Laplacian's are.
+:func:`det_laurent` reads a Laurent determinant off it by Kronecker
+substitution.  A coefficient domain enters only at the gcd fold of
+:func:`elementary_divisor`, which stops at the first unit gcd.
 """
 
 from __future__ import annotations
@@ -27,90 +29,95 @@ from .laurent import LaurentPoly, gcd_many
 Matrix = list[list]
 
 
-def _check_rect(M: Matrix):
-    if M and any(len(r) != len(M[0]) for r in M):
-        raise ValueError("ragged matrix")
-
-
 def transpose(M: Matrix) -> Matrix:
     return [list(col) for col in zip(*M)] if M else []
 
 
-def rref(M: Matrix, field: Domain) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over a field; leftmost-nonzero pivot rule.
+def sparse_rows(M: Matrix) -> list[dict]:
+    """The nonzero entries of dense vectors as rows {column: entry}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in M]
 
-    One elimination on integer rows serves every field.  The field enters on
-    entry (a QQ row is scaled by the lcm of its denominators; a GF(p) entry
-    goes through ``field.of``, which rejects a denominator divisible by p), at
-    each step row_i <- piv*row_i - a*row_r (then divided by its content over
-    QQ, or reduced mod p) and on exit, where each pivot row is divided by its
-    pivot and zero rows are filled with ``field.zero``.  The reduced form is
-    unique, so this equals Gauss-Jordan in the field's own arithmetic,
-    coefficient types included.  Returns (R, pivot_columns) and leaves M
-    alone; a ragged matrix or a non-field domain raises ValueError.
+
+def rref(rows: list[dict], ncols: int, field: Domain) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form over a field of the rows {column: entry} of
+    a matrix with ncols columns; leftmost-nonzero pivot rule.
+
+    One elimination on sparse integer rows serves every field.  The field
+    enters on entry (a QQ row is scaled by the lcm of its denominators; a
+    GF(p) entry goes through ``field.of``, which rejects a denominator
+    divisible by p; zeros are dropped), at each step, where the first
+    remaining row with a nonzero in the pivot column is the pivot row and
+    row_i <- piv*row_i - a*row_r (then divided by its content over QQ, or
+    reduced mod p), and on exit, where each pivot row is divided by its
+    pivot.  The reduced form is unique, so this equals Gauss-Jordan in the
+    field's own arithmetic, coefficient types included.  Returns dense
+    (R, pivot_columns): zero rows come last, filled with ``field.zero``.
+    The input is left alone; a column outside 0..ncols-1 or a non-field
+    domain raises ValueError.
     """
-    _check_rect(M)
     if not field.is_field:
         raise ValueError(f"rref needs a field, not {field!r}")
     p = field.p if isinstance(field, PrimeField) else 0
-    if p:
-        of = field.of
-        R = [[of(v) for v in row] for row in M]
-    else:
-        R = []
-        for row in M:
-            den = lcm(*(v.denominator for v in row))
-            R.append([v.numerator * (den // v.denominator) for v in row])
+    R = []
+    for row in rows:
+        for j in row:
+            if not (isinstance(j, int) and 0 <= j < ncols):
+                raise ValueError(f"rref needs columns in 0..{ncols - 1}, got {j!r}")
+        if p:
+            R.append({j: w for j, v in row.items() if (w := field.of(v))})
+        else:
+            den = lcm(*(v.denominator for v in row.values()))
+            R.append({j: v.numerator * (den // v.denominator) for j, v in row.items() if v})
     nrows = len(R)
-    ncols = len(R[0]) if R else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if R[i][c]), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if c in R[i]), None)
         if sel is None:
             continue
         R[r], R[sel] = R[sel], R[r]
         prow = R[r]
         piv = prow[c]
-        for i in range(nrows):
-            a = R[i][c]
-            if a and i != r:
+        for i, row in enumerate(R):
+            a = row.get(c)
+            if a is None or i == r:
+                continue
+            for j, v in row.items():
+                row[j] = piv * v % p if p else piv * v
+            for j, y in prow.items():
+                w = row.get(j, 0) - a * y
                 if p:
-                    R[i] = [(piv * x - a * y) % p for x, y in zip(R[i], prow)]
-                    continue
-                row = [piv * x - a * y for x, y in zip(R[i], prow)]
-                g = gcd(*row)
-                R[i] = [x // g for x in row] if g > 1 else row
+                    w %= p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            if not p and (g := gcd(*row.values())) > 1:
+                for j, v in row.items():
+                    row[j] = v // g
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i, c in enumerate(pivots):
-        piv = R[i][c]
-        if p:
-            inv = field.inv(piv)
-            R[i] = [v * inv % p for v in R[i]]
-        else:
-            R[i] = [Fraction(v, piv) for v in R[i]]
-    for i in range(r, nrows):
-        R[i] = [field.zero] * ncols
-    return R, pivots
+    out = [[field.zero] * ncols for _ in R]
+    for dense, row, c in zip(out, R, pivots):
+        inv = field.inv(row[c]) if p else 0
+        for j, v in row.items():
+            dense[j] = v * inv % p if p else Fraction(v, row[c])
+    return out, pivots
 
 
-def nullspace(M: Matrix, field: Domain) -> list[list]:
-    """Basis of the right kernel of M over a field.
+def nullspace(rows: list[dict], ncols: int, field: Domain) -> list[list]:
+    """Basis of the right kernel over a field of the rows {column: entry} of
+    a matrix with ncols columns.
 
     One basis vector per free column, in column order: the vector has 1 at its
     free column, the negated reduced-echelon entries at the pivot columns, and
     0 elsewhere.  Deterministic for a given input.
     """
-    _check_rect(M)
-    ncols = len(M[0]) if M else 0
-    R, pivots = rref(M, field)
+    R, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         v = [field.zero] * ncols
         v[fc] = field.one
         for i, pc in enumerate(pivots):
@@ -120,11 +127,11 @@ def nullspace(M: Matrix, field: Domain) -> list[list]:
 
 
 def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
-    """Canonical basis (nonzero rref rows) of the span of the given vectors."""
+    """Canonical basis (nonzero rref rows) of the span of the given dense vectors."""
     if not vectors:
         return []
-    R, pivots = rref(vectors, field)
-    return [R[i] for i in range(len(pivots))]
+    R, pivots = rref(sparse_rows(vectors), len(vectors[0]), field)
+    return R[: len(pivots)]
 
 
 # -- sparse fraction-free determinants -----------------------------------------
@@ -244,25 +251,20 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
     sum_k m_k^2 (k+1)^2 (see :func:`int_det`).  The reordering is a symmetric
     permutation, so it keeps the determinant, and barring zero pivots the fill
     stays inside the filled symmetrised pattern of that order.  Step k updates
-    only the rows with a nonzero in column k.  Every other row owes the factor
-    p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the telescoped
-    product, when it is next touched.  Every Bareiss entry is a minor of the
-    matrix, so each division is exact.  A zero pivot is swapped with the first
-    lower row that has a nonzero in its column.  This is the kernel of
-    :func:`det_laurent`, of non-symmetric :func:`int_det` input, and of
-    symmetric input that meets a zero pivot.
+    only the rows with a nonzero in column k, found by a scan: every caller
+    is small, so no column index would pay its upkeep.  Every other row owes
+    the factor p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the
+    telescoped product, when it is next touched.  Every Bareiss entry is a
+    minor of the matrix, so each division is exact.  A zero pivot is swapped
+    with the first lower row that has a nonzero in its column.  This is the
+    kernel of :func:`det_laurent`, of non-symmetric :func:`int_det` input,
+    and of symmetric input that meets a zero pivot.
     """
     n = len(rows)
-    cols = range(n)
     where = [0] * n
     for new, old in enumerate(order):
         where[old] = new
     rows = [{where[j]: v for j, v in rows[i].items()} for i in order]
-    # below[j]: rows not yet pivoted with a nonzero in column j
-    below: list[set[int]] = [set() for _ in cols]
-    for i, row in enumerate(rows):
-        for j in row:
-            below[j].add(i)
     # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
     # entries of the Bareiss matrix after t steps
     p = [1]
@@ -278,28 +280,20 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
         level[i] = k
         return row
 
-    for k in cols:
+    for k in range(n):
+        below = [i for i in range(k + 1, n) if k in rows[i]]
         if k not in rows[k]:
-            if not below[k]:
+            if not below:
                 return 0
-            sel = min(below[k])
-            for i in (k, sel):
-                for j in rows[i]:
-                    below[j].discard(i)
+            sel = below.pop(0)
             rows[k], rows[sel] = rows[sel], rows[k]
             level[k], level[sel] = level[sel], level[k]
-            for i in (k, sel):
-                for j in rows[i]:
-                    below[j].add(i)
             sign = -sign
         row_k = catch_up(k, k)
         pivot = row_k.pop(k)
-        for j in row_k:
-            below[j].discard(k)
-        below[k].discard(k)
         prev = p[k]
         p.append(pivot)
-        for i in below[k]:
+        for i in below:
             row_i = catch_up(i, k)
             a = row_i.pop(k)
             for j, v in row_i.items():
@@ -307,12 +301,9 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
             for j, v in row_k.items():
                 w = row_i.get(j, 0) - a * v
                 if w:
-                    if j not in row_i:
-                        below[j].add(i)
                     row_i[j] = w
                 else:
                     del row_i[j]
-                    below[j].discard(i)
             if prev != 1:
                 for j, v in row_i.items():
                     row_i[j] = v // prev
@@ -488,8 +479,3 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
         for cols in combinations(range(n), size)
     )
     return gcd_many(minors, dom)
-
-
-def int_matrix_to_poly(M: Matrix) -> Matrix:
-    """Wrap an integer matrix as constant one-variable Laurent polynomials."""
-    return [[LaurentPoly.constant(v, 1) for v in row] for row in M]

@@ -19,7 +19,10 @@ error estimate compares the N- and N/2-point grids.  The conjugate fibers at
 theta and 1 - theta are solved once, walking theta up with Aberth started from
 the last fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides
 f, decided exactly (rounding leaves it tiny, not zero); it takes the mean of
-the fibers half a step to either side.
+the fibers half a step to either side.  A factor repeated in y would hand
+every fiber a multiple root, so f is split first, as in one variable: with
+h = gcd(f, df/dy) over the integers, m(f) = m(f/h) + m(h) while h has y in
+it.  An h free of y, such as a content (1 + x)^4, leaves f to the grid.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
 int 0 as ``sum`` does, so its floats are those of a call per evaluation; the
@@ -294,8 +297,9 @@ def _grid_average(plan: tuple, n: int) -> float:
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
-    The error estimate is the difference against the half-resolution grid.
-    Conjugate fibers are solved once, warm-started; the module docstring has the zero rule.
+    The error estimate is the difference against the half-resolution grid,
+    summed over the parts of a repeated factor in y.  Conjugate fibers are
+    solved once, warm-started; the module docstring has the zero rule.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")
@@ -303,15 +307,22 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if fibers < 4:
         raise ValueError("need at least 4 fibers")
-    plan = _fiber_plan(f)
-    value = _grid_average(plan, fibers)
-    coarse = _grid_average(plan, fibers // 2)
-    return MahlerResult(
-        value=value,
-        method="fiberwise",
-        error_estimate=abs(value - coarse),
-        samples=fibers,
-    )
+    value, error = _split_2var(f, fibers)
+    return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
+
+
+def _split_2var(f: LaurentPoly, fibers: int) -> tuple[float, float]:
+    """(m(f), error estimate): m(f / h) + m(h) with h = gcd(f, df/dy) while h has
+    y in it, as in the module docstring, and the fiber grid once it has not.
+    Only a Fraction coefficient makes the gcd run over QQ."""
+    dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
+    h = laurent_gcd(f, LaurentPoly(2, {(a, b - 1): b * c for (a, b), c in f.coeffs.items() if b}), dom)
+    if h.min_exp(1) == h.max_exp(1):
+        plan = _fiber_plan(f)
+        value = _grid_average(plan, fibers)
+        return value, abs(value - _grid_average(plan, fibers // 2))
+    (m1, e1), (m2, e2) = (_split_2var(g, fibers) for g in (divexact(f, h, dom), h))
+    return m1 + m2, e1 + e2
 
 
 def mahler_limit_check(

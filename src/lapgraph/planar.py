@@ -163,12 +163,6 @@ class DehnColoring:
     base_face: int
 
 
-def is_conservative_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> bool:
-    return not any(
-        fld.of(sum(lij * a for lij, a in zip(row, alpha))) for row in laplacian_finite(g)
-    )
-
-
 def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> DehnColoring:
     """Integrate a conservative vertex coloring to face colors from a base face.
 
@@ -181,7 +175,7 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     """
     g = pg.base
     alpha = [fld.of(a) for a in alpha]
-    if not is_conservative_vertex(g, alpha, fld):
+    if any(fld.of(sum(v * alpha[j] for j, v in row.items())) for row in laplacian_finite(g)):
         raise ValueError("vertex coloring is not conservative; integration would be path dependent")
     fl = faces(pg)
     if not 0 <= base_face < len(fl):

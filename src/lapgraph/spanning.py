@@ -29,6 +29,7 @@ from .graphs import (
     bfs_potentials,
     connected_components,
     hermite_fold,
+    laplacian_finite,
     restriction_subgraph,
     voltage_laplacian,
 )
@@ -44,28 +45,27 @@ def complexity(g: FiniteGraph) -> int:
     Equals the number of spanning forests with the minimal number of trees.
     The Laplacian is block diagonal by component, so deleting the row and
     column of the last vertex of each component leaves one matrix whose
-    determinant is that product: one :func:`int_det` call on sparse rows
-    built from the edge list, of the empty matrix (1) when every component
-    is a single vertex.  A self-loop adds nothing to the Laplacian.
+    determinant is that product: one :func:`int_det` call on the rows of
+    :func:`~lapgraph.graphs.laplacian_finite` with those vertices sliced out,
+    of the empty matrix (1) when every component is a single vertex.
     """
     return _complexity(g, connected_components(g))
 
 
 def _complexity(g: FiniteGraph, comps: list[list[str]]) -> int:
-    """:func:`complexity` of g, given its connected components."""
-    last = {comp[-1] for comp in comps}
-    index = {v: i for i, v in enumerate(v for v in g.vertices if v not in last)}
-    rows: list[dict[int, int]] = [{} for _ in index]
-    for e in g.edges:
-        if e.tail == e.head:
-            continue
-        i, j = index.get(e.tail), index.get(e.head)
-        for a, b in ((i, j), (j, i)):
-            if a is not None:
-                rows[a][a] = rows[a].get(a, 0) + 1
-                if b is not None:
-                    rows[a][b] = rows[a].get(b, 0) - 1
-    return abs(int_det(rows))
+    """:func:`complexity` of g, given its connected components.  Each last
+    vertex leaves the Laplacian's rows in place; components are sorted by
+    index, so only a disconnected graph has its columns renumbered."""
+    L = laplacian_finite(g)
+    last = {g.vertex_index(comp[-1]) for comp in comps}
+    for i in last:
+        for j in L[i]:
+            if j != i:
+                del L[j][i]
+    index = {i: k for k, i in enumerate(i for i in range(len(L)) if i not in last)}
+    if len(comps) > 1:
+        L = [{index[j]: v for j, v in L[i].items()} for i in index]
+    return abs(int_det(L[: len(index)]))
 
 
 def tree_count(g: FiniteGraph) -> int:

@@ -56,10 +56,10 @@ from lapgraph.graphs import (
     cover_graph,
     incidence_matrix,
 )
-from lapgraph.fields import QQ, ZZ, RationalField
+from lapgraph.fields import QQ, ZZ, PrimeField, RationalField
 from lapgraph.graphio import parse_graph_file
 from lapgraph.laurent import LaurentPoly, _divmod, _x_lead, divexact, laurent_gcd, normalize
-from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_canonical, transpose
+from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_canonical, sparse_rows, transpose
 from lapgraph.mahler import (
     ABERTH_MAX_ITER,
     RESIDUAL_GATE,
@@ -196,12 +196,13 @@ def bicycle_meet_by_intersection(g: FiniteGraph, fld) -> list[list]:
     Row-reduces Q for a basis A of its row space, takes a basis B of ker Q,
     and maps each kernel vector (a, b) of [A^T | -B^T] to sum a_i A_i.
     """
-    Q = incidence_matrix(g)
-    A = row_space_canonical([[fld.of(v) for v in row] for row in Q], fld)
-    B = nullspace(Q, fld)
+    Q, m = incidence_matrix(g), len(g.edges)
+    A = row_space_canonical([[fld.of(v) for v in row] for row in dense(Q, m)], fld)
+    B = nullspace(Q, m, fld)
     if not A or not B:
         return []
-    combos = nullspace(transpose([list(v) for v in A] + [[fld.of(-x) for x in v] for v in B]), fld)
+    stacked = transpose([list(v) for v in A] + [[fld.of(-x) for x in v] for v in B])
+    combos = nullspace(sparse_rows(stacked), len(A) + len(B), fld)
     vectors = []
     for c in combos:
         vec = [fld.zero] * len(A[0])
@@ -210,6 +211,71 @@ def bicycle_meet_by_intersection(g: FiniteGraph, fld) -> list[list]:
                 vec = [fld.of(x + coeff * b) for x, b in zip(vec, basis_vec)]
         vectors.append(vec)
     return row_space_canonical(vectors, fld)
+
+
+def dense(rows, ncols: int) -> list[list]:
+    """The dense matrix of sparse rows {column: entry} with ncols columns."""
+    out = [[0] * ncols for _ in rows]
+    for row, d in zip(rows, out):
+        for j, v in row.items():
+            d[j] = v
+    return out
+
+
+def rref_dense(M, field):
+    """Reduced row echelon form of a dense matrix over a field by the
+    fraction-free elimination on dense integer rows (test oracle for
+    ``linalg.rref``, which runs the same steps on sparse rows).
+
+    The field enters on entry (a QQ row is scaled by the lcm of its
+    denominators, a GF(p) entry goes through ``field.of``), at each step
+    row_i <- piv*row_i - a*row_r (divided by its content over QQ, reduced mod
+    p) and on exit, where each pivot row is divided by its pivot.
+    """
+    if M and any(len(r) != len(M[0]) for r in M):
+        raise ValueError("ragged matrix")
+    p = field.p if isinstance(field, PrimeField) else 0
+    if p:
+        R = [[field.of(v) for v in row] for row in M]
+    else:
+        R = []
+        for row in M:
+            den = math.lcm(*(v.denominator for v in row))
+            R.append([v.numerator * (den // v.denominator) for v in row])
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if R[i][c]), None)
+        if sel is None:
+            continue
+        R[r], R[sel] = R[sel], R[r]
+        prow = R[r]
+        piv = prow[c]
+        for i in range(nrows):
+            a = R[i][c]
+            if a and i != r:
+                if p:
+                    R[i] = [(piv * x - a * y) % p for x, y in zip(R[i], prow)]
+                    continue
+                row = [piv * x - a * y for x, y in zip(R[i], prow)]
+                g = int_gcd(*row)
+                R[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i, c in enumerate(pivots):
+        piv = R[i][c]
+        if p:
+            inv = field.inv(piv)
+            R[i] = [v * inv % p for v in R[i]]
+        else:
+            R[i] = [Fraction(v, piv) for v in R[i]]
+    for i in range(r, nrows):
+        R[i] = [field.zero] * ncols
+    return R, pivots
 
 
 def rref_fraction(M, field):
@@ -283,12 +349,6 @@ def cofactor_det_poly(M):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def sparse_rows(M) -> list[dict[int, int]]:
-    """The nonzero entries of a dense matrix as the rows {column: entry} that
-    :func:`lapgraph.linalg.int_det` takes."""
-    return [{j: v for j, v in enumerate(row) if v} for row in M]
 
 
 def bareiss_det(M) -> int:

@@ -1,6 +1,7 @@
 """The lapgraph v1 format and the command-line front end."""
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -381,6 +382,19 @@ def test_cli_mahler(graph_dir, capsys):
     data = json.loads(out)
     assert data["method"] == "fiberwise" and data["samples"] == 128
     assert abs(data["value"] - 1.16624) < 2e-3
+
+
+def test_cli_mahler_and_growth_on_three_copies_of_the_grid_quotient(tmp_path, capsys):
+    # Delta_0 = D^3 for the grid's D = 4 - x - 1/x - y - 1/y: a cube in y
+    path = tmp_path / "three_grids.lapgraph"
+    lines = ["lapgraph v1", "d 2", *(f"vertex {v}" for v in "abc")]
+    lines += [f"edge {e}{v} {v} {v} {s}" for v in "abc" for e, s in (("ex", "1 0"), ("ey", "0 1"))]
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "mahler", "--from-graph", str(path), "--fibers", "64", "--json")
+    data = json.loads(out)
+    assert code == 0 and abs(data["value"] - 3 * 4 * 0.9159655941772190150 / math.pi) <= data["error_estimate"]
+    code, out = run_cli(capsys, "growth", str(path), "--max", "4", "--fibers", "64")
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_cli_mahler_needs_exactly_one_source(capsys):

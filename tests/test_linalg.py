@@ -14,6 +14,7 @@ from conftest import (
     bareiss_det,
     bareiss_det_laurent,
     cofactor_det_poly,
+    dense,
     elementary_divisor_reduce_first,
     example,
     first_nonzero_divisor,
@@ -21,6 +22,7 @@ from conftest import (
     gcd_fold_all,
     gcd_fold_prefixes,
     random_voltage_graph,
+    rref_dense,
     rref_fraction,
     sized_voltage_graph,
     sparse_rows,
@@ -33,6 +35,7 @@ from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
     cover_graph,
+    incidence_matrix,
     laplacian_finite,
     restriction_subgraph,
     voltage_laplacian,
@@ -42,7 +45,6 @@ from lapgraph.linalg import (
     det_laurent,
     elementary_divisor,
     int_det,
-    int_matrix_to_poly,
     nullspace,
     row_space_canonical,
     rref,
@@ -52,6 +54,11 @@ from lapgraph.spanning import complexity, tree_count
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+
+
+def constant_matrix(M):
+    """An integer matrix as constant one-variable Laurent polynomials."""
+    return [[LaurentPoly.constant(v, 1) for v in row] for row in M]
 
 
 def dets_by_order(M) -> set[int]:
@@ -73,7 +80,7 @@ def test_int_det_against_cofactor_thousand_cases():
     for _ in range(1000):
         n = rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert cofactor_det_poly(int_matrix_to_poly(M)) == int_det(sparse_rows(M))
+        assert cofactor_det_poly(constant_matrix(M)) == int_det(sparse_rows(M))
 
 
 def _random_int_matrix(rng, n, density):
@@ -139,7 +146,7 @@ def test_int_det_on_reduced_laplacians_of_covers_and_restrictions(seed):
     vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9)
     graphs.append(cover_graph(vg, SublatticeSpec.cyclic(150 // len(vg.base.vertices))))
     for g in graphs:
-        R = [row[:-1] for row in laplacian_finite(g)[:-1]]
+        R = [row[:-1] for row in dense(laplacian_finite(g), len(g.vertices))[:-1]]
         assert dets_by_order(R) == {bareiss_det(R)}
 
 
@@ -271,7 +278,7 @@ def test_minimum_degree_returns_a_permutation_and_its_filled_cost(seed):
     rng = random.Random(40 + seed)
     g = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
     cover = cover_graph(g, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
-    adj = linalg_module._pattern(sparse_rows(laplacian_finite(cover)))
+    adj = linalg_module._pattern(laplacian_finite(cover))
     md, cost = linalg_module._minimum_degree(adj)
     assert cost == _filled_cost(adj, md)
     assert sorted(md) == list(range(len(adj)))
@@ -298,7 +305,7 @@ def test_tree_count_of_a_random_400_vertex_graph_in_under_a_second():
     start = time.perf_counter()
     t = tree_count(g)
     assert time.perf_counter() - start < 1.0
-    L = laplacian_finite(g)  # tree_count deletes the last vertex; here the first goes
+    L = dense(laplacian_finite(g), 400)  # tree_count deletes the last vertex; here the first goes
     assert t == int_det(sparse_rows([row[1:] for row in L[1:]])) > 1
 
 
@@ -336,12 +343,12 @@ def test_int_det_checks_sparse_rows():
 
 
 def test_nullspace_k4_examples():
-    L0 = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
-    basis = nullspace(L0, GF2)
+    L0 = sparse_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    basis = nullspace(L0, 3, GF2)
     want = row_space_canonical([[1, 1, 0], [0, 1, 1]], GF2)
     assert row_space_canonical(basis, GF2) == want
-    assert nullspace(L0, QQ) == []
-    assert nullspace([[1, 0], [0, 1]], QQ) == []
+    assert nullspace(L0, 3, QQ) == []
+    assert nullspace([{0: 1}, {1: 1}], 2, QQ) == []
 
 
 @pytest.mark.parametrize("fld", [GF2, GF3, QQ])
@@ -351,8 +358,8 @@ def test_nullspace_vectors_lie_in_kernel(fld):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         M = [[fld.of(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-        basis = nullspace(M, fld)
-        assert len(basis) == cols - len(rref(M, fld)[1])
+        basis = nullspace(sparse_rows(M), cols, fld)
+        assert len(basis) == cols - len(rref(sparse_rows(M), cols, fld)[1])
         for v in basis:
             for row in M:
                 assert not fld.of(sum(a * b for a, b in zip(row, v)))
@@ -372,11 +379,13 @@ def _rref_entry(rng, fld):
 
 
 def _rref_corpus(seed, count):
-    """Random matrices over QQ, GF(2), GF(3) and GF(5), with zero and duplicate
-    rows, empty and zero-column matrices among them."""
+    """Random dense matrices over QQ, GF(2), GF(3) and GF(5), with their
+    column counts: zero, empty and duplicate rows, zero columns, and
+    matrices with no rows or no columns among them."""
     rng = random.Random(seed)
-    yield [], QQ
-    yield [[], []], GF3
+    yield [], 0, QQ
+    yield [[], []], 0, GF3
+    yield [], 3, GF2
     for _ in range(count):
         fld = rng.choice((QQ, GF2, GF3, GF5))
         rows, cols = rng.randint(0, 6), rng.randint(0, 7)
@@ -385,19 +394,51 @@ def _rref_corpus(seed, count):
             M.append(list(rng.choice(M)))
         if M and rng.random() < 0.2:
             M.insert(rng.randint(0, len(M)), [0] * cols)
-        yield M, fld
+        yield M, cols, fld
 
 
 def _types(R):
     return [[type(v) for v in row] for row in R]
 
 
+def _oracle_kernel(M, cols, fld):
+    """The nullspace basis read off rref_fraction's reduced form."""
+    R, pivots = rref_fraction(M, fld)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [fld.zero] * cols
+        v[fc] = fld.one
+        for i, pc in enumerate(pivots):
+            v[pc] = fld.of(-R[i][fc])
+        basis.append(v)
+    return basis
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_rref_equals_the_fraction_oracle_with_coefficient_types(seed):
-    for M, fld in _rref_corpus(1800 + seed, 500):
-        got, want = rref(M, fld), rref_fraction(M, fld)
-        assert got == want, (M, fld)
-        assert _types(got[0]) == _types(want[0]), (M, fld)
+    for M, cols, fld in _rref_corpus(1800 + seed, 500):
+        got = rref(sparse_rows(M), cols, fld)
+        for want in (rref_dense(M, fld), rref_fraction(M, fld)):
+            assert got == want, (M, fld)
+            assert _types(got[0]) == _types(want[0]), (M, fld)
+        kernel = nullspace(sparse_rows(M), cols, fld)
+        assert kernel == _oracle_kernel(M, cols, fld), (M, fld)
+        assert _types(kernel) == _types(_oracle_kernel(M, cols, fld)), (M, fld)
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, GF5, QQ])
+def test_empty_rows_and_columns(fld):
+    # a lone vertex: L = [{}] in one column, so every coloring is conservative
+    assert nullspace([{}], 1, fld) == [[fld.one]]
+    assert rref([{}], 1, fld) == ([[fld.zero]], [])
+    assert nullspace([], 2, fld) == [[fld.one, fld.zero], [fld.zero, fld.one]]
+    # a self-loop between two edges leaves its column of Q empty
+    g = FiniteGraph.build(["a", "b"], [("e", "a", "b"), ("l", "b", "b"), ("f", "b", "a")])
+    Q = incidence_matrix(g)
+    assert Q == [{0: -1, 2: 1}, {0: 1, 2: -1}]
+    assert nullspace(Q, 3, fld) == [[fld.zero, fld.one, fld.zero], [fld.one, fld.zero, fld.one]]
+    R, pivots = rref(Q, 3, fld)
+    assert pivots == [0] and R[0] == [fld.one, fld.zero, fld.of(-1)] and R[1] == [fld.zero] * 3
 
 
 def test_rref_builds_fractions_only_when_dividing_pivot_rows(monkeypatch):
@@ -408,30 +449,35 @@ def test_rref_builds_fractions_only_when_dividing_pivot_rows(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(linalg_module, "Fraction", spy)
-    for M, fld in _rref_corpus(1900, 300):
+    for M, cols, fld in _rref_corpus(1900, 300):
         if fld is not QQ:
             continue
         made.clear()
-        R, pivots = rref(M, QQ)
-        assert len(made) == len(pivots) * (len(M[0]) if M else 0), M
+        R, pivots = rref(sparse_rows(M), cols, QQ)
+        assert len(made) == sum(1 for row in R[: len(pivots)] for v in row if v), M
 
 
 def test_rref_leaves_its_input_alone():
-    for M, fld in _rref_corpus(1950, 200):
-        before = [list(row) for row in M]
-        rref(M, fld)
-        assert M == before and _types(M) == _types(before)
+    for M, cols, fld in _rref_corpus(1950, 200):
+        rows = sparse_rows(M)
+        before = [dict(row) for row in rows]
+        rref(rows, cols, fld)
+        nullspace(rows, cols, fld)
+        assert rows == before
+        assert [[type(v) for v in row.values()] for row in rows] == [[type(v) for v in row.values()] for row in before]
 
 
-def test_rref_rejects_ragged_matrices_non_fields_and_denominators_divisible_by_p():
+def test_rref_rejects_columns_out_of_range_non_fields_and_denominators_divisible_by_p():
     for fld in (QQ, GF2, GF5):
-        with pytest.raises(ValueError, match="ragged"):
-            rref([[1, 2], [3]], fld)
+        with pytest.raises(ValueError, match="columns"):
+            rref([{0: 1, 2: 1}], 2, fld)
+        with pytest.raises(ValueError, match="columns"):
+            nullspace([{-1: 1}], 2, fld)
     with pytest.raises(ValueError, match="field"):
-        rref([[1, 2], [3, 4]], ZZ)
+        rref([{0: 1, 1: 2}, {0: 3, 1: 4}], 2, ZZ)
     with pytest.raises(ZeroDivisionError, match="denominator divisible by p"):
-        rref([[1, Fraction(1, 10)]], GF5)
-    assert rref([[1, Fraction(1, 10)]], GF3) == ([[1, 1]], [0])
+        rref([{0: 1, 1: Fraction(1, 10)}], 2, GF5)
+    assert rref([{0: 1, 1: Fraction(1, 10)}], 2, GF3) == ([[1, 1]], [0])
 
 
 def _random_entry(rng, nvars, density):
@@ -605,7 +651,7 @@ def test_delta0_examples_from_quotients():
 
 
 def test_k4_constant_matrix_divisors():
-    P = int_matrix_to_poly(laplacian_finite(example("k4").graph))
+    P = constant_matrix(dense(laplacian_finite(example("k4").graph), 4))
     assert elementary_divisor(P, 0, ZZ).is_zero()
     assert elementary_divisor(P, 1, ZZ) == LaurentPoly.constant(16, 1)
     assert elementary_divisor(P, 4, ZZ) == LaurentPoly.constant(1, 1)
@@ -614,7 +660,7 @@ def test_k4_constant_matrix_divisors():
 
 
 def test_first_nonzero_divisor_scans():
-    P = int_matrix_to_poly(laplacian_finite(example("k4").graph))
+    P = constant_matrix(dense(laplacian_finite(example("k4").graph), 4))
     s, d = first_nonzero_divisor(P, QQ)
     assert s == 1 and d == LaurentPoly.constant(1, 1)
     zero = [[LaurentPoly.zero(1)]]

@@ -308,6 +308,37 @@ def test_x_only_factor_on_the_circle_measures_zero():
     assert abs(res.value) < 1e-12
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_power_of_the_grid_polynomial_measures_k_times_its_measure(k):
+    # a factor repeated in y gives every fiber a k-fold root, which Aberth
+    # meets only to about eps^(1/k): unsplit, D^3 raised RootFindingError
+    res = mahler_2var(poly2("4 - x - x^-1 - y - y^-1") ** k, 64)
+    assert abs(res.value - k * FOUR_CATALAN_OVER_PI) <= res.error_estimate
+
+
+def test_a_repeated_factor_in_y_is_split_off_and_an_x_content_is_not(monkeypatch):
+    measured = []
+    plan = mahler_module._fiber_plan
+    monkeypatch.setattr(mahler_module, "_fiber_plan", lambda f: measured.append(f) or plan(f))
+    grid = poly2("4 - x - x^-1 - y - y^-1")
+    res = mahler_2var(grid**2 * poly2("y - 3"), 16)
+    assert abs(res.value - 2 * FOUR_CATALAN_OVER_PI - math.log(3)) <= res.error_estimate
+    assert [len(f.coeffs) for f in measured] == [8, 5]  # the grid times (y - 3), then the grid
+    measured.clear()
+    f = poly2("1 + x") ** 4 * poly2("y - 3")
+    mahler_2var(f, 16)
+    assert measured == [f]
+
+
+def test_fraction_coefficients_split_over_the_rationals():
+    third = (poly2("4 - x - x^-1 - y - y^-1") ** 2).map_coefficients(lambda c: Fraction(c, 3))
+    res = mahler_2var(third, 64)
+    assert abs(res.value - 2 * FOUR_CATALAN_OVER_PI + math.log(3)) <= res.error_estimate
+    half = LaurentPoly(2, {(0, 1): Fraction(1, 2), (0, 0): 3, (1, 0): 1})  # no repeated factor
+    res = mahler_2var(half, 16)
+    assert abs(res.value - math.log(3)) <= res.error_estimate
+
+
 def test_dispatch_helper():
     assert mahler(poly1("x^2-4x+1")).method == "jensen-roots"
     assert mahler(poly2("4 - x - x^-1 - y - y^-1"), fibers=64).method == "fiberwise"

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_force_tree_count,
     crsf_tally_by_bfs,
+    dense,
     example,
     random_annulus_quotient,
     random_multigraph,
@@ -31,7 +32,6 @@ from lapgraph.graphs import (
 )
 from lapgraph.laurent import normalize, parse_poly
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
-from lapgraph import graphs as graphs_module
 from lapgraph import spanning
 from lapgraph.spanning import (
     CRSF_MAX_EDGES,
@@ -73,7 +73,7 @@ def test_tree_count_independent_of_deleted_index(seed):
     g = random_multigraph(rng, 5, 9, connected=True)
     counts = set()
     for i in range(len(g.vertices)):
-        L = laplacian_finite(g)
+        L = dense(laplacian_finite(g), len(g.vertices))
         del L[i]
         counts.add(abs(int_det(sparse_rows([row[:i] + row[i + 1 :] for row in L]))))
     assert counts == {tree_count(g)}
@@ -340,19 +340,25 @@ def test_tree_counts_take_one_component_pass(monkeypatch):
 
 
 def test_complexity_builds_no_dense_laplacian(monkeypatch):
-    def refuse(g):
-        raise AssertionError("complexity built the dense Laplacian")
+    built = []
 
-    monkeypatch.setattr(graphs_module, "laplacian_finite", refuse)
-    monkeypatch.setattr(spanning, "laplacian_finite", refuse, raising=False)
+    def spy(g):
+        rows = laplacian_finite(g)
+        assert all(isinstance(row, dict) and 0 not in row.values() for row in rows)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(spanning, "laplacian_finite", spy)
     rng = random.Random(161)
     for _ in range(40):
         g = random_multigraph(rng, 7, 10)
+        built.clear()
         want = 1
         for comp in connected_components(g):
             keep = set(comp)
             want *= brute_force_tree_count(FiniteGraph(tuple(comp), tuple(e for e in g.edges if e.tail in keep)))
         assert complexity(g) == want
+        assert built == [len(g.vertices)]  # the sparse rows, sliced once
     n = 64
     cover = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(n))
     assert complexity(cover) == n * _fourth_order(2, 4, n) // 2 - n
