@@ -107,67 +107,60 @@ class VoltageGraph:
 
 @dataclass(frozen=True)
 class SublatticeSpec:
-    """A finite-index sublattice of Z^d: nZ for d = 1, integer column span for d = 2."""
+    """A finite-index sublattice of Z^d in Hermite form: (n,) for nZ, and
+    (a, b, c) with a, c > 0 and 0 <= b < c for the span of the columns (a, b)
+    and (0, c).  The form is canonical, so equal lattices give equal specs."""
 
-    rank: int
-    n: int | None = None
-    matrix: tuple[tuple[int, int], tuple[int, int]] | None = None
+    form: tuple[int, ...]
 
     @classmethod
     def cyclic(cls, n: int) -> "SublatticeSpec":
-        if n < 1:
-            raise ValueError("sublattice index must be at least 1")
-        return cls(rank=1, n=n)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"sublattice index must be an integer at least 1, got {n!r}")
+        return cls((n,))
 
     @classmethod
     def lattice2(cls, rows: tuple[tuple[int, int], tuple[int, int]]) -> "SublatticeSpec":
-        m = tuple(tuple(int(v) for v in r) for r in rows)
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        """The integer column span of the 2 x 2 matrix rows.  A column operation
+        takes their first row to (a, 0), a = gcd(m00, m01)."""
+        (m00, m01), (m10, m11) = rows
+        if not all(isinstance(v, int) for v in (m00, m01, m10, m11)):
+            raise ValueError(f"sublattice matrix needs integer entries, got {rows!r}")
+        det = m00 * m11 - m01 * m10
         if det == 0:
             raise ValueError("sublattice matrix must have nonzero determinant")
-        return cls(rank=2, matrix=m)
+        a, u, v = _ext_gcd(m00, m01)
+        c = abs(det) // a
+        return cls((a, (u * m10 + v * m11) % c, c))
+
+    @property
+    def rank(self) -> int:
+        return 1 if len(self.form) == 1 else 2
 
     @property
     def index(self) -> int:
-        if self.rank == 1:
-            return self.n
-        m = self.matrix
-        return abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-
-    def _hermite(self) -> tuple[int, int, int]:
-        """Lower-triangular column form (a, b, c): columns (a, b) and (0, c), a, c > 0."""
-        (m00, m01), (m10, m11) = self.matrix
-        det = m00 * m11 - m01 * m10
-        g, u, v = _ext_gcd(m00, m01)
-        if g == 0:
-            raise ValueError("degenerate sublattice (zero first row)")
-        b = u * m10 + v * m11
-        c = abs(det) // g
-        b %= c
-        return g, b, c
+        return self.form[0] * self.form[-1] if self.rank == 2 else self.form[0]
 
     def coset_reps(self) -> list[tuple[int, ...]]:
-        """Canonical coset representatives of Z^d modulo the sublattice."""
+        """Canonical coset representatives of Z^d modulo the sublattice, in order."""
         if self.rank == 1:
-            return [(i,) for i in range(self.n)]
-        a, b, c = self._hermite()
+            return [(i,) for i in range(self.form[0])]
+        a, _, c = self.form
         return [(i, j) for i in range(a) for j in range(c)]
+
+    def fold(self, x: int, y: int) -> tuple[int, int]:
+        """(t, y - b (x - t)/a), t = x mod a: the point of (x, y) + Z(a, b) with
+        first coordinate in [0, a).  Rank 2 only."""
+        a, b, _ = self.form
+        t = x % a
+        return t, y - (x - t) // a * b
 
     def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of vec's coset."""
         if self.rank == 1:
-            return (vec[0] % self.n,)
-        a, b, c = self._hermite()
-        t, y = hermite_fold(a, b, *vec)
-        return (t, y % c)
-
-
-def hermite_fold(a: int, b: int, x: int, y: int) -> tuple[int, int]:
-    """(t, y - b (x - t)/a), t = x mod a: the point of (x, y) + Z(a, b) with first
-    coordinate in [0, a), the fold step shared by :meth:`SublatticeSpec.reduce`
-    and :func:`~lapgraph.spanning.cover_complexity`."""
-    t = x % a
-    return t, y - (x - t) // a * b
+            return (vec[0] % self.form[0],)
+        t, y = self.fold(*vec)
+        return (t, y % self.form[-1])
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

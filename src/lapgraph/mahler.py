@@ -314,15 +314,18 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
 def _split_2var(f: LaurentPoly, fibers: int) -> tuple[float, float]:
     """(m(f), error estimate): m(f / h) + m(h) with h = gcd(f, df/dy) while h has
     y in it, as in the module docstring, and the fiber grid once it has not.
+    f / h is squarefree in y, so it goes to the grid with no gcd of its own.
     Only a Fraction coefficient makes the gcd run over QQ."""
     dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
     h = laurent_gcd(f, LaurentPoly(2, {(a, b - 1): b * c for (a, b), c in f.coeffs.items() if b}), dom)
-    if h.min_exp(1) == h.max_exp(1):
-        plan = _fiber_plan(f)
-        value = _grid_average(plan, fibers)
-        return value, abs(value - _grid_average(plan, fibers // 2))
-    (m1, e1), (m2, e2) = (_split_2var(g, fibers) for g in (divexact(f, h, dom), h))
-    return m1 + m2, e1 + e2
+    split = h.min_exp(1) != h.max_exp(1)
+    plan = _fiber_plan(divexact(f, h, dom) if split else f)
+    value = _grid_average(plan, fibers)
+    error = abs(value - _grid_average(plan, fibers // 2))
+    if split:
+        m2, e2 = _split_2var(h, fibers)
+        return value + m2, error + e2
+    return value, error
 
 
 def mahler_limit_check(

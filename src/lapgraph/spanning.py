@@ -2,15 +2,16 @@
 and growth-rate experiments over covers and restrictions.
 
 Every cover's complexity is read off Delta_0 by one integer resultant
-(:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded onto a
-rank-1 quotient, :func:`cover_complexity`), so no cover is built.  Finite
-graphs and box restrictions are counted by the matrix-tree theorem with one
-sparse Bareiss elimination per graph, however many components it has
-(:func:`complexity`; :func:`tree_count` is the connected case, and shares
-its one component pass).  The reduced Laplacian is symmetric and positive
-definite, so :func:`~lapgraph.linalg.int_det` eliminates its upper triangle
-alone and never meets a zero pivot.  On a built cover this count is also
-the test oracle for the resultant count.
+(:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded along
+its Hermite form onto a rank-1 quotient, :func:`cover_complexity`), so no
+cover is built.  Finite graphs and box restrictions are counted by the
+matrix-tree theorem with one sparse Bareiss elimination per graph, however
+many components it has (:func:`complexity`; :func:`tree_count` and the
+quotient's components in a cover count reuse a component pass already
+made).  The reduced Laplacian is symmetric and positive definite, so
+:func:`~lapgraph.linalg.int_det` eliminates its upper triangle alone and
+never meets a zero pivot.  On a built cover this count is also the test
+oracle for the resultant count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .graphs import (
     VoltageGraph,
     bfs_potentials,
     connected_components,
-    hermite_fold,
     laplacian_finite,
     restriction_subgraph,
     voltage_laplacian,
@@ -341,8 +341,8 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     d0, the normalized Delta_0 of vg, is used when vg is connected, so a
     caller that holds it takes no second determinant of L.
     """
-    if vg.rank != 1:
-        raise ValueError("cyclic covers need a rank-1 quotient")
+    if vg.rank != 1 or n < 1:
+        raise ValueError("cyclic covers need a rank-1 quotient and an index n >= 1")
     g = vg.base
     ends = [(e.tail, e.head) for e in g.edges]
     volts = [s[0] for s in vg.voltages]
@@ -361,7 +361,7 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
         )
         c = math.gcd(n, cycle_gcd)
         m = n // c
-        t = complexity(comp.base)
+        t = _complexity(comp.base, [vs])  # one component already: no second pass
         if m > 1:
             dc = d0 if d0 is not None and len(parts) == 1 else laplacian_determinant_polynomial(comp)
             if any(e % c for (e,) in dc.coeffs):
@@ -375,23 +375,23 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     return total
 
 
-def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec, d0: LaurentPoly | None = None) -> int:
+def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec) -> int:
     """Complexity of the cover of vg for the sublattice lam, from Delta_0.
 
-    Rank 1 is :func:`cyclic_cover_complexity` with d0.  For rank 2 with Hermite
-    form (a, b, c), each edge v -> w with voltage (s1, s2) and each i < a give
-    an edge v@i -> w@t with voltage y, (t, y) = hermite_fold(a, b, i + s1, s2):
-    the cover is the c-fold cyclic cover of that rank-1 quotient (d0 unused).
+    Rank 1 is :func:`cyclic_cover_complexity`.  For rank 2 with Hermite form
+    lam.form = (a, b, c), each edge v -> w with voltage (s1, s2) and each i < a
+    give an edge v@i -> w@t with voltage y, (t, y) = lam.fold(i + s1, s2): the
+    cover is the c-fold cyclic cover of that rank-1 quotient.
     """
     if lam.rank != vg.rank:
         raise ValueError("sublattice rank does not match voltage rank")
     if lam.rank == 1:
-        return cyclic_cover_complexity(vg, lam.n, d0)
-    a, b, c = lam._hermite()
+        return cyclic_cover_complexity(vg, lam.index)
+    a, _, c = lam.form
     edges = []
     for e, (s1, s2) in zip(vg.base.edges, vg.voltages):
         for i in range(a):
-            t, y = hermite_fold(a, b, i + s1, s2)
+            t, y = lam.fold(i + s1, s2)
             edges.append((f"{e.name}@{i}", f"{e.tail}@{i}", f"{e.head}@{t}", (y,)))
     H = VoltageGraph.build([f"{v}@{i}" for v in vg.base.vertices for i in range(a)], edges, 1)
     return cyclic_cover_complexity(H, c)
@@ -426,17 +426,16 @@ def cover_rows(
     """Rows (r, complexity, (1/r) log complexity) of finite covers along a schedule.
 
     For rank 1 the index n gives the cyclic cover nZ, counted from Delta_0
-    (d0 if given); for rank 2 it gives the square sublattice nZ x nZ
-    (r = n^2 sheets), counted through its rank-1 fold (:func:`cover_complexity`).
+    (d0 if given) by :func:`cyclic_cover_complexity`; for rank 2 it gives the
+    square sublattice nZ x nZ (r = n^2 sheets), counted through its rank-1
+    fold (:func:`cover_complexity`), which takes no d0.
     """
     rows = []
     for n in schedule:
         if vg.rank == 1:
-            lam = SublatticeSpec.cyclic(n)
+            r, t = n, cyclic_cover_complexity(vg, n, d0)
         else:
-            lam = SublatticeSpec.lattice2(((n, 0), (0, n)))
-        t = cover_complexity(vg, lam, d0)
-        r = lam.index
+            r, t = n * n, cover_complexity(vg, SublatticeSpec.lattice2(((n, 0), (0, n))))
         rows.append((r, t, math.log(t) / r))
     return tuple(rows)
 

@@ -1,10 +1,12 @@
-"""Golden outputs of the lapgraph command line.
+"""Golden outputs of the lapgraph command line and of the demos.
 
 ``tests/data/golden/<name>.json`` holds, for one input, a list of entries
 ``{"argv", "exit", "stdout", "stderr"}``: one per command of ``corpus()``,
 run through ``lapgraph.cli.main`` in this process from the repository root,
-so every path in an entry is relative to it.  ``tests/test_golden.py``
-replays the entries and compares them byte for byte.
+so every path in an entry is relative to it.  ``demos.json`` holds one entry
+per ``demos/*.py``, whose argv is the script's path alone: the script runs
+in this process as ``__main__``.  ``tests/test_golden.py`` replays the
+entries and compares them byte for byte.
 
 Regenerate after an intended change of output, and review the diff::
 
@@ -17,6 +19,7 @@ import argparse
 import io
 import json
 import os
+import runpy
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -108,11 +111,12 @@ def corpus() -> dict[str, list[list[str]]]:
         ["mahler", f"--poly={p}", "--fibers", "16", *j] for p in POLYS for j in ([], ["--json"])
     ]
     out["usage"] = _usage_commands()
+    out["demos"] = [[str(p.relative_to(ROOT))] for p in sorted(ROOT.glob("demos/*.py"))]
     return out
 
 
 def run(argv: list[str]) -> dict:
-    """One in-process CLI run, from the repository root, as a golden entry.
+    """One in-process CLI or demo run, from the repository root, as a golden entry.
 
     argparse's usage errors raise SystemExit and keep its code; an exception
     that escapes ``main`` is recorded as the interpreter reports it, exit 1
@@ -123,7 +127,11 @@ def run(argv: list[str]) -> dict:
     columns = mock.patch.dict(os.environ, {"COLUMNS": "80"})
     with columns, redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(list(argv))
+            if argv[:1] and argv[0].endswith(".py"):
+                runpy.run_path(argv[0], run_name="__main__")
+                code = 0
+            else:
+                code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:

@@ -2,6 +2,7 @@
 restrictions, components."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -325,11 +326,62 @@ def test_sublattice_reduce_is_canonical():
             assert s % det == 0 and t % det == 0
 
 
+def test_sublattice_form_is_canonical():
+    # the form satisfies a, c > 0, 0 <= b < c and a c = |det|, and a second
+    # basis of the same lattice, the columns times a unimodular U, gives it too
+    rng = random.Random(28)
+    for _ in range(200):
+        while True:
+            rows = ((rng.randint(-6, 6), rng.randint(-6, 6)), (rng.randint(-6, 6), rng.randint(-6, 6)))
+            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+            if det:
+                break
+        lam = SublatticeSpec.lattice2(rows)
+        a, b, c = lam.form
+        assert a > 0 and c > 0 and 0 <= b < c and a * c == abs(det) == lam.index
+        p, q = rng.randint(-5, 5), rng.randint(-5, 5)
+        # (1 p; 0 1)(1 0; q 1) has determinant 1; a swap makes it -1
+        u = ((1 + p * q, p), (q, 1))
+        if rng.random() < 0.5:
+            u = (u[1], u[0])
+        other = tuple(tuple(r[0] * u[0][k] + r[1] * u[1][k] for k in range(2)) for r in rows)
+        assert SublatticeSpec.lattice2(other) == lam
+        # the form's own columns span the lattice
+        assert SublatticeSpec.lattice2(((a, 0), (b, c))) == lam
+    assert SublatticeSpec.cyclic(5).form == (5,)
+
+
+def test_sublattice_fold_moves_by_the_first_column():
+    lam = SublatticeSpec.lattice2(((-2, 4), (3, -1)))
+    a, b, c = lam.form
+    for x in range(-7, 8):
+        for y in (-3, 0, 4):
+            t, z = lam.fold(x, y)
+            k, r = divmod(x - t, a)
+            assert 0 <= t < a and r == 0 and z == y - k * b
+            assert lam.reduce((x, y)) == (t, z % c)
+
+
 def test_sublattice_rejects_singular():
     with pytest.raises(ValueError):
         SublatticeSpec.lattice2(((1, 2), (2, 4)))
     with pytest.raises(ValueError):
         SublatticeSpec.cyclic(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SublatticeSpec.lattice2(((Fraction(5, 2), 0), (0, 2.9))),
+        lambda: SublatticeSpec.lattice2(((2, 0), (0, 2.0))),
+        lambda: SublatticeSpec.cyclic(2.5),
+        lambda: SublatticeSpec.cyclic(Fraction(4, 2)),
+    ],
+)
+def test_sublattice_rejects_entries_that_are_not_integers(make):
+    # int() would truncate them: the first lattice would become diag(2, 2)
+    with pytest.raises(ValueError, match="integer"):
+        make()
 
 
 def test_graph_validation_errors():

@@ -330,6 +330,17 @@ def test_a_repeated_factor_in_y_is_split_off_and_an_x_content_is_not(monkeypatch
     assert measured == [f]
 
 
+def test_the_squarefree_part_takes_no_gcd_of_its_own(monkeypatch):
+    # gcd(f, df/dy) takes every repeated factor, so f / h goes to the grid
+    # unsplit: D^3 takes the gcds of D^3, D^2 and D, not also those of D and D
+    calls = []
+    monkeypatch.setattr(mahler_module, "laurent_gcd", lambda f, g, dom: calls.append(f) or laurent_gcd(f, g, dom))
+    grid = poly2("4 - x - x^-1 - y - y^-1")
+    res = mahler_2var(grid**3, 16)
+    assert abs(res.value - 3 * FOUR_CATALAN_OVER_PI) <= res.error_estimate
+    assert [len(f.coeffs) for f in calls] == [len((grid**k).coeffs) for k in (3, 2, 1)]
+
+
 def test_fraction_coefficients_split_over_the_rationals():
     third = (poly2("4 - x - x^-1 - y - y^-1") ** 2).map_coefficients(lambda c: Fraction(c, 3))
     res = mahler_2var(third, 64)

@@ -163,24 +163,29 @@ def test_cyclic_cover_complexity_of_degenerate_quotients():
     assert cyclic_cover_complexity(lone, 7) == 1
     with pytest.raises(ValueError):
         cyclic_cover_complexity(example("grid"), 2)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            cyclic_cover_complexity(lone, bad)
+        with pytest.raises(ValueError):
+            growth_covers(example("ladder").graph, [bad], fibers=16)
 
 
 def _union(p: VoltageGraph, q: VoltageGraph, scale: int) -> VoltageGraph:
-    """Disjoint union of two rank-2 quotients, q's voltages times scale."""
+    """Disjoint union of two quotients of one rank, q's voltages times scale."""
     vs = [f"p{v}" for v in p.base.vertices] + [f"q{v}" for v in q.base.vertices]
     es = [(f"p{e.name}", f"p{e.tail}", f"p{e.head}", s) for e, s in zip(p.base.edges, p.voltages)]
     es += [
         (f"q{e.name}", f"q{e.tail}", f"q{e.head}", tuple(scale * a for a in s))
         for e, s in zip(q.base.edges, q.voltages)
     ]
-    return VoltageGraph.build(vs, es, 2)
+    return VoltageGraph.build(vs, es, p.rank)
 
 
-def _random_lattice2(rng) -> SublatticeSpec:
+def _random_lattice_rows(rng) -> tuple[tuple[int, int], tuple[int, int]]:
     while True:
         m = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(2))
         if 0 < abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) <= 20:
-            return SublatticeSpec.lattice2(m)
+            return m
 
 
 # Hermite forms (a, b, c): index 1; a = 1 with b != 0, where the fold is the
@@ -201,13 +206,14 @@ def test_rank2_cover_complexity_matches_the_built_cover(batch):
             vg = _union(vg, random_voltage_graph(rng, 2, 3, 5), rng.choice((1, 2, 3)))
         parts = len(connected_components(vg.base))
         kinds.add("disconnected quotient" if parts > 1 else "connected quotient")
-        for lam in [_random_lattice2(rng)] + [SublatticeSpec.lattice2(m) for m in FIXED_LATTICES]:
-            a, b, _ = lam._hermite()
+        for rows in (_random_lattice_rows(rng), *FIXED_LATTICES):
+            lam = SublatticeSpec.lattice2(rows)
+            a, b, _ = lam.form
             if lam.index == 1:
                 kinds.add("index 1")
             if a == 1 and b:
                 kinds.add("a = 1, b != 0")
-            if min(min(row) for row in lam.matrix) < 0:
+            if min(min(row) for row in rows) < 0:
                 kinds.add("negative entries")
             cov = cover_graph(vg, lam)
             if len(connected_components(cov)) > parts:
@@ -337,6 +343,23 @@ def test_tree_counts_take_one_component_pass(monkeypatch):
         passes.clear()
         count()
         assert len(passes) == 1
+
+
+def test_cover_counts_take_no_component_pass_of_their_own(monkeypatch):
+    # the potentials that split the quotient into components are its only pass
+    passes = []
+    monkeypatch.setattr(spanning, "connected_components", lambda g: passes.append(g) or connected_components(g))
+    ladder, grid = example("ladder").graph, example("grid")
+    two_ladders = _union(ladder, ladder, 1)
+    cases = [
+        (ladder, SublatticeSpec.cyclic(8)),
+        (two_ladders, SublatticeSpec.cyclic(6)),
+        (grid, SublatticeSpec.lattice2(((2, 1), (1, 3)))),
+    ]
+    counts = [cover_complexity(vg, lam) for vg, lam in cases]
+    assert passes == []
+    monkeypatch.undo()
+    assert counts == [complexity(cover_graph(vg, lam)) for vg, lam in cases]
 
 
 def test_complexity_builds_no_dense_laplacian(monkeypatch):
