@@ -2,8 +2,12 @@
 
 One variable: Jensen's formula, m(f) = log|lead| + sum of log|root| over the
 roots outside the unit circle.  Roots come from an Aberth simultaneous
-iteration started on a perturbed circle, with a Newton refinement pass and
-residual/coefficient-identity validation.  Float Aberth meets a k-fold root
+iteration started on a perturbed circle (Aberth 1973; Bini 1996).  A run whose
+last sweep moved every root by less than 1e-14, relative, has converged and
+keeps its roots as they are.  Only a run that stops short of that, at
+``ABERTH_MAX_ITER`` sweeps or when a shift below ``STALL_SHIFT`` no longer
+halves per sweep, gets a float Newton polish.  Every root set then passes a
+residual and coefficient-identity validation.  Float Aberth meets a k-fold root
 only to about eps^(1/k), so repeated roots are split off exactly first (the
 repeated-gcd squarefree split, see Yun 1976): g_(i+1) = gcd(g_i, g_i') over
 the integers until g is constant, and each part g_i / g_(i+1) has simple
@@ -43,6 +47,7 @@ from .laurent import LaurentPoly, divexact, divides, laurent_gcd
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
 ABERTH_MAX_ITER = 400
+STALL_SHIFT = 1e-10  # a sweep shift below this that no longer halves ends Aberth
 STRIP_REL_TOL = 1e-13  # fiber coefficients this small next to the largest are zero
 
 
@@ -66,7 +71,9 @@ def _poly_deriv(coeffs: list[complex]) -> list[complex]:
 
 
 def _refine_float(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
-    """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point."""
+    """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point.
+
+    ``_aberth_roots`` calls it only on a run that did not converge."""
     rmonic, rderiv, rsecond = monic[::-1], deriv[::-1], _poly_deriv(deriv)[::-1]
     for k, z in enumerate(roots):
         for _ in range(4):
@@ -97,9 +104,12 @@ def _refine_float(monic: list[complex], deriv: list[complex], roots: list[comple
 def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    Aberth starts from start, by default a perturbed circle; a float Newton pass
-    refines the result.  A k-fold root comes out only to about eps^(1/k), so
-    ``mahler_1var`` hands it squarefree parts.
+    Aberth starts from start, by default a perturbed circle.  Converged roots
+    (a sweep moved each by less than 1e-14, relative) stand as they are; a run
+    cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
+    that did not halve) gets ``_refine_float``.  Every result is validated.  A
+    k-fold root comes out only to about eps^(1/k), so ``mahler_1var`` hands it
+    squarefree parts.
     """
     s = len(coeffs) - 1
     if s < 1:
@@ -113,6 +123,7 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
         radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
         roots = [radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5)) for k in range(s)]
     rmonic, rderiv = monic[::-1], deriv[::-1]
+    last = math.inf
     for _ in range(ABERTH_MAX_ITER):
         shift = 0.0
         new_roots = list(roots)
@@ -144,9 +155,11 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
             r = abs(corr) / (abs(z) if abs(z) > 1.0 else 1.0)
             shift = r if r > shift else shift
         roots = new_roots
-        if shift < 1e-14:
+        if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:  # converged, or the shift stopped halving
             break
-    _refine_float(monic, deriv, roots)
+        last = shift
+    if shift >= 1e-14:  # only a run that did not converge is polished
+        _refine_float(monic, deriv, roots)
     _validate_roots(coeffs, roots)
     return roots
 
@@ -294,6 +307,11 @@ def _grid_average(plan: tuple, n: int) -> float:
     return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
+def _check_int(name: str, v, least: int) -> None:
+    if not isinstance(v, int) or v < least:
+        raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
+
+
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
@@ -305,8 +323,7 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
         raise ValueError("mahler_2var needs a two-variable polynomial")
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
-    if fibers < 4:
-        raise ValueError("need at least 4 fibers")
+    _check_int("fibers", fibers, 4)
     value, error = _split_2var(f, fibers)
     return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
 
@@ -334,8 +351,8 @@ def mahler_limit_check(
     """Compare m(f(x, x^s)) with m(f(x, y)); they converge as s grows."""
     if f.nvars != 2:
         raise ValueError("mahler_limit_check needs a two-variable polynomial")
-    if s < 1:
-        raise ValueError("substitution exponent must be positive")
+    _check_int("substitution exponent", s, 1)
+    _check_int("fibers", fibers, 4)
     g = f.substitute_power(s)
     return mahler_1var(g), mahler_2var(f, fibers)
 

@@ -37,13 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 from pathlib import Path
-from unittest import mock
 
 from lapgraph.graphs import (
     Edge,
@@ -63,6 +61,7 @@ from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_ca
 from lapgraph.mahler import (
     ABERTH_MAX_ITER,
     RESIDUAL_GATE,
+    STALL_SHIFT,
     STRIP_REL_TOL,
     UNIT_CIRCLE_TOL,
     RootFindingError,
@@ -515,21 +514,20 @@ def refine_exact_fraction(int_coeffs: list[int], roots: list[complex]) -> list[c
 def mahler_1var_exact_refined(f: LaurentPoly) -> float:
     """m(f) of a one-variable integer polynomial from all of its roots at once (test oracle).
 
-    No squarefree split: the factors x -+ 1 are divided out, the Aberth roots
-    of what is left are sharpened by ``refine_exact_fraction`` in place of the
-    float refinement (which stalls at multiple roots) before they are
-    validated, and Jensen's formula sums them.
+    No squarefree split: the factors x -+ 1 are divided out, and the Aberth
+    sweeps' roots of what is left are sharpened by ``refine_exact_fraction``
+    (float Newton stalls at multiple roots) before they are validated and
+    Jensen's formula sums them.
     """
     for r in (1, -1):
         while f.max_exp(0) > f.min_exp(0) and f.evaluate(r) == 0:
             f = divexact(f, LaurentPoly(1, {(1,): 1, (0,): -r}), ZZ)
     cs = f.coefficient_list()
-
-    def refine(monic, deriv, roots):
-        roots[:] = refine_exact_fraction(cs, roots)
-
-    with mock.patch.object(sys.modules["lapgraph.mahler"], "_refine_float", refine):
-        roots = _aberth_roots([complex(c) for c in cs])
+    coeffs = [complex(c) for c in cs]
+    roots = []
+    if len(cs) > 1:
+        roots = refine_exact_fraction(cs, aberth_sweeps_generic([c / coeffs[-1] for c in coeffs])[0])
+        validate_roots_generic(coeffs, roots)
     return math.log(abs(cs[-1])) + sum(math.log(abs(z)) for z in roots if abs(z) > 1 + UNIT_CIRCLE_TOL)
 
 
@@ -588,23 +586,18 @@ def validate_roots_generic(coeffs: list[complex], roots: list[complex]) -> None:
         raise RootFindingError("root product disagrees with coefficients")
 
 
-def aberth_roots_generic(coeffs: list[complex], start=None) -> list[complex]:
-    """``mahler._aberth_roots`` by ``poly_eval`` calls, ``sum`` and ``max`` (test oracle).
-
-    Refines with ``refine_float_generic`` and validates with
-    ``validate_roots_generic``.
-    """
-    s = len(coeffs) - 1
-    if s < 1:
-        return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+def aberth_sweeps_generic(monic: list[complex], start=None) -> tuple[list[complex], str]:
+    """The Aberth sweeps of ``mahler._aberth_roots`` by ``poly_eval`` calls, ``sum`` and ``max``
+    (test oracle): the roots, unpolished, and the exit taken, "converged", "stalled" or "cut"
+    (at ``ABERTH_MAX_ITER``)."""
+    s = len(monic) - 1
     deriv = _poly_deriv(monic)
     radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
     roots = list(start) if start else [
         radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
         for k in range(s)
     ]
+    last = math.inf
     for _ in range(ABERTH_MAX_ITER):
         shift = 0.0
         new_roots = list(roots)
@@ -629,8 +622,25 @@ def aberth_roots_generic(coeffs: list[complex], start=None) -> list[complex]:
             shift = max(shift, abs(corr) / max(1.0, abs(z)))
         roots = new_roots
         if shift < 1e-14:
-            break
-    refine_float_generic(monic, deriv, roots)
+            return roots, "converged"
+        if STALL_SHIFT > shift > 0.5 * last:
+            return roots, "stalled"
+        last = shift
+    return roots, "cut"
+
+
+def aberth_roots_generic(coeffs: list[complex], start=None) -> list[complex]:
+    """``mahler._aberth_roots`` by ``poly_eval`` calls, ``sum`` and ``max`` (test oracle).
+
+    Runs ``aberth_sweeps_generic``, refines with ``refine_float_generic`` when
+    the sweeps did not converge, and validates with ``validate_roots_generic``.
+    """
+    if len(coeffs) < 2:
+        return []
+    monic = [c / coeffs[-1] for c in coeffs]
+    roots, exit_taken = aberth_sweeps_generic(monic, start)
+    if exit_taken != "converged":
+        refine_float_generic(monic, _poly_deriv(monic), roots)
     validate_roots_generic(coeffs, roots)
     return roots
 

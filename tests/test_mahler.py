@@ -5,12 +5,14 @@ import functools
 import importlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     aberth_roots_generic,
+    aberth_sweeps_generic,
     example,
     fiber_coeffs_generic,
     fiber_measure_cold,
@@ -27,6 +29,8 @@ from lapgraph.mahler import (
     _fiber_coeffs,
     _fiber_measure,
     _fiber_plan,
+    _poly_deriv,
+    _refine_float,
     _strip_complex,
     mahler,
     mahler_1var,
@@ -75,6 +79,20 @@ def test_zero_polynomial_rejected():
         mahler_1var(LaurentPoly.zero(1))
     with pytest.raises(ValueError):
         mahler_2var(LaurentPoly.zero(2))
+
+
+@pytest.mark.parametrize("bad", [1024.0, Fraction(1024), "1024"])
+def test_non_integer_fibers_are_rejected_at_entry(bad):
+    f = poly2("4 - x - x^-1 - y - y^-1")
+    for call in (mahler_2var, mahler, functools.partial(mahler_limit_check, s=2)):
+        with pytest.raises(ValueError, match="fibers must be an integer"):
+            call(f, fibers=bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
+def test_non_integer_substitution_exponent_is_rejected_at_entry(bad):
+    with pytest.raises(ValueError, match="substitution exponent must be an integer"):
+        mahler_limit_check(poly2("4 - x - x^-1 - y - y^-1"), bad)
 
 
 def _random_int_poly(rng, degree):
@@ -436,6 +454,25 @@ def test_grid_matches_full_grid_on_delta0(quotient, fibers):
     _assert_equals_full_grid(laplacian_determinant_polynomial(example(quotient)), fibers, 1e-13)
 
 
+# float.hex of mahler_2var(Delta_0) and its error estimate
+DELTA0_BITS = {
+    ("grid", 64): ("0x1.2a975204bf8ddp+0", "0x1.926840279b000p-12"),
+    ("grid", 512): ("0x1.2a8f129114553p+0", "0x1.9220d6ab80000p-18"),
+    ("grid", 1024): ("0x1.2a8ef96f147b5p+0", "0x1.921ffd9e00000p-20"),
+    ("grid", 4096): ("0x1.2a8ef19475a42p+0", "0x1.921fb9d000000p-24"),
+    ("mitsubishi", 64): ("0x1.b41f206e0782fp+1", "0x1.5c3fe9325a000p-12"),
+    ("mitsubishi", 512): ("0x1.b41b8e465fdffp+1", "0x1.5c3fddca00000p-18"),
+    ("mitsubishi", 1024): ("0x1.b41b836460f1ap+1", "0x1.5c3fddca00000p-20"),
+    ("mitsubishi", 4096): ("0x1.b41b7ffdc1472p+1", "0x1.5c3fdde000000p-24"),
+}
+
+
+@pytest.mark.parametrize("quotient, fibers", list(DELTA0_BITS))
+def test_delta0_measure_keeps_its_bits(quotient, fibers):
+    res = mahler_2var(laplacian_determinant_polynomial(example(quotient)), fibers)
+    assert (res.value.hex(), res.error_estimate.hex()) == DELTA0_BITS[quotient, fibers]
+
+
 @pytest.mark.parametrize(
     "f, fibers",
     [
@@ -542,30 +579,84 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     assert len(warm_starts) == 2048 + 1024 and sum(warm_starts) == 2047 + 1023
 
 
+def _fiber_solves(f, fibers):
+    """The stripped, nonconstant fiber polynomials of f at the grid's midpoint nodes."""
+    plan = _fiber_plan(f)
+    out = []
+    for theta in ((2 * j + 1) / (2 * fibers) for j in range(fibers)):
+        fiber = _fiber_coeffs(plan, theta)
+        coeffs = _strip_complex(fiber, max(map(abs, fiber)))
+        if len(coeffs) > 1:
+            out.append(coeffs)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
+    # Aberth polishes only a run that did not converge, so _refine_float is fed
+    # here the roots of runs cut short after 3 sweeps and converged roots nudged off by 1e-6
     rng = random.Random(7000 + seed)
     f = _random_poly2(rng)
     if seed % 4 == 3:
         f = f * f
-    refine = mahler_module._refine_float
-    seen = []
+    solves = _fiber_solves(f, 8)
+    fed = []
+    with monkeypatch.context() as m:
+        m.setattr(mahler_module, "ABERTH_MAX_ITER", 3)
+        m.setattr(mahler_module, "_refine_float", lambda monic, deriv, roots: fed.append((monic, list(roots))))
+        for coeffs in solves:
+            _solved(_aberth_roots, coeffs)  # the unpolished roots may fail validation
+    for coeffs in solves:
+        roots = _solved(_aberth_roots, coeffs)
+        if not isinstance(roots, str):
+            fed.append(([c / coeffs[-1] for c in coeffs], [z * (1 + 1e-6) for z in roots]))
+    assert fed or f.max_exp(1) == f.min_exp(1)  # constant in y: nothing to refine
+    for monic, roots in fed:
+        got = list(roots)
+        _refine_float(monic, _poly_deriv(monic), got)
+        assert _hexes(got) == _hexes(refine_float_four_steps(monic, roots))
 
-    def record(monic, deriv, roots):
-        seen.append((list(monic), list(deriv), list(roots)))
+
+def _polish_calls(monkeypatch):
+    """The degree of each polynomial whose roots ``_refine_float`` polishes from now on."""
+    calls = []
+    refine = mahler_module._refine_float
+
+    def spy(monic, deriv, roots):
+        calls.append(len(roots))
         refine(monic, deriv, roots)
 
-    monkeypatch.setattr(mahler_module, "_refine_float", record)
-    try:
-        mahler_2var(f, 8)
-    except RootFindingError:
-        pass  # the roots were refined before validation failed
-    assert seen or f.max_exp(1) == f.min_exp(1)  # constant in y: nothing to refine
-    for monic, deriv, roots in seen:
-        got = list(roots)
-        refine(monic, deriv, got)
-        want = refine_float_four_steps(monic, roots)
-        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
+    monkeypatch.setattr(mahler_module, "_refine_float", spy)
+    return calls
+
+
+def test_newton_polish_runs_only_on_a_run_that_did_not_converge(monkeypatch):
+    calls = _polish_calls(monkeypatch)
+    lehmer = [complex(c) for c in (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)]
+    _aberth_roots(lehmer)
+    mahler_1var(poly1("x^2-4x+1") ** 8)
+    assert calls == []
+    monkeypatch.setattr(mahler_module, "ABERTH_MAX_ITER", 2)
+    _solved(_aberth_roots, lehmer)  # two sweeps from the circle leave roots that may fail validation
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("quotient, stalled", [("grid", 1), ("mitsubishi", 2)])
+def test_no_fiber_of_delta0_runs_aberth_to_its_iteration_cap(monkeypatch, quotient, stalled):
+    # the stalled fibers lie next to theta = 0, where Delta_0(1, 1) = 0 leaves a near-double
+    # root and the shift sticks near 2e-14; the exits are read off the bit-identical generic sweeps
+    exits = Counter()
+    aberth_roots = mahler_module._aberth_roots
+
+    def record(coeffs, start=None):
+        exits[aberth_sweeps_generic([c / coeffs[-1] for c in coeffs], start)[1]] += 1
+        return aberth_roots(coeffs, start)
+
+    monkeypatch.setattr(mahler_module, "_aberth_roots", record)
+    calls = _polish_calls(monkeypatch)
+    mahler_2var(laplacian_determinant_polynomial(example(quotient)), 4096)
+    assert exits == {"converged": 2048 + 1024 - stalled, "stalled": stalled}
+    assert len(calls) == stalled
 
 
 def _hexes(zs):
