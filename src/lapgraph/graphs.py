@@ -185,8 +185,8 @@ class RectangleSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.sizes or any(n < 1 for n in self.sizes):
-            raise ValueError("rectangle sizes must be positive")
+        if not self.sizes or not all(isinstance(n, int) and n >= 1 for n in self.sizes):
+            raise ValueError(f"rectangle sizes must be positive integers, got {self.sizes!r}")
 
     def points(self) -> list[tuple[int, ...]]:
         return list(product(*(range(n) for n in self.sizes)))

@@ -258,8 +258,10 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     lexicographically least exponent is positive (content preserved); over the
     rationals denominators are cleared and content divided out, giving a
     primitive integer polynomial with that coefficient positive; over GF(p)
-    that coefficient is scaled to 1.
+    f is reduced first, and that coefficient of its image is scaled to 1.
     """
+    if isinstance(dom, PrimeField):
+        f = f.reduce_to(dom)
     if f.is_zero():
         return f
     offs = tuple(-f.min_exp(v) for v in range(f.nvars))
@@ -267,8 +269,8 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     least = min(g.coeffs)
     c0 = g.coeffs[least]
     if isinstance(dom, PrimeField):
-        inv = dom.inv(dom.of(c0))
-        return g.map_coefficients(lambda c: dom.of(c * inv))
+        inv = dom.inv(c0)
+        return g if inv == 1 else g.map_coefficients(lambda c: c * inv % dom.p)
     if isinstance(dom, RationalField):
         denom_lcm = int_lcm(*(c.denominator for c in g.coeffs.values()))
         ints = {e: c.numerator * (denom_lcm // c.denominator) for e, c in g.coeffs.items()}

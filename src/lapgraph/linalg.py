@@ -11,9 +11,9 @@ integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
 in one rule's pivot order (:func:`_elimination_order`), on the upper
 triangle alone when the rows are symmetric, as a reduced Laplacian's are.
-:func:`det_laurent` reads a Laurent determinant off it by Kronecker
-substitution.  A coefficient domain enters only at the gcd fold of
-:func:`elementary_divisor`, which stops at the first unit gcd.
+A Laurent matrix is Kronecker-encoded once per call (:func:`_laurent_minors`):
+:func:`det_laurent` is its full minor, and :func:`elementary_divisor` folds
+its (n - k)-minors over a domain, stopping at the first unit gcd.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .fields import Domain, PrimeField
 from .laurent import LaurentPoly, gcd_many
@@ -398,39 +398,35 @@ def int_det(rows: list[dict[int, int]]) -> int:
 # -- Laurent-polynomial determinants and elementary divisors --------------------
 
 
-def det_laurent(M: Matrix) -> LaurentPoly:
-    """Exact determinant of a square matrix of integer Laurent polynomials in
-    one or two variables, read off one integer determinant.
+def _laurent_minors(M: Matrix, size: int):
+    """The size x size minors of a square matrix of integer Laurent
+    polynomials in one or two variables, lazily, in rows-major order.
 
-    Kronecker substitution: row i times x^-a_i y^-c_i (its least exponents)
-    has polynomial entries of x-degree at most s_i, y = x^K with K = 1 + sum
-    s_i keeps the determinant's monomials apart, and x = 2^b gives an integer
-    matrix for :func:`_bareiss`, eliminated in :func:`int_det`'s pivot order
-    (:func:`_elimination_order`).  The decoder relies on one bound: every
-    coefficient is at most B, the product of the rows' coefficient 1-norms,
-    in absolute value, since each permutation term is bounded by the product
-    of its entries' 1-norms.  With 2^(b-1) > B the coefficients are the
-    balanced base-2^b digits of the integer determinant, which has about
-    b K (1 + sum of the rows' y-spans) bits: the cost grows with the exponent
-    spans.  A coefficient that is not an int raises ValueError: reduce the
-    integer determinant into a domain instead of reducing the matrix.
+    M is checked and Kronecker-encoded once: row i times x^-a_i y^-c_i (its
+    least exponents) has x-degree at most s_i, y = x^K with K = 1 + the sum
+    of the ``size`` largest s_i keeps a minor's monomials apart, and x = 2^b
+    gives integer rows.  A minor's coefficients are at most the product of
+    the ``size`` largest row 1-norms (each at least 1), below 2^(b-1), so
+    they are the balanced base-2^b digits of :func:`_bareiss` of its integer
+    sub-rows in :func:`_elimination_order`, about b K (Dy + 1) bits, Dy the
+    sum of the ``size`` largest y-spans.  A non-square matrix, or a
+    coefficient that is not an int, raises ValueError.
     """
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
     nvars = M[0][0].nvars if n else 1
-    lows, K, bound = [], 1, 1
+    lows, spans, norms = [], [], []
     for row in M:
         terms = [t for f in row for t in f.coeffs.items()]
         for _, c in terms:
             if not isinstance(c, int):
                 raise ValueError(f"determinant needs integer coefficients, got {c!r}")
         lows.append([min((e[v] for e, _ in terms), default=0) for v in range(nvars)])
-        K += max((e[0] for e, _ in terms), default=0) - lows[-1][0]
-        bound *= sum(abs(c) for _, c in terms)
-    if not bound:  # a zero row; the encoding below needs every |c| <= bound
-        return LaurentPoly.zero(nvars)
-    b = bound.bit_length() + 1
+        spans.append(max((e[0] for e, _ in terms), default=0) - lows[-1][0])
+        norms.append(max(sum(abs(c) for _, c in terms), 1))
+    K = 1 + sum(sorted(spans)[n - size :])
+    b = prod(sorted(norms)[n - size :]).bit_length() + 1
 
     def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
         return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
@@ -439,43 +435,44 @@ def det_laurent(M: Matrix) -> LaurentPoly:
         {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
         for row, low in zip(M, lows)
     ]
-    det = _bareiss(rows, _elimination_order(rows))
-    shift = [sum(low[v] for low in lows) for v in range(nvars)]
-    coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
-    while todo:  # halve blocks of digits, from the lowest, down to single digits
-        v, first, count = todo.pop()
-        m = count // 2
-        if v and not m:
-            coeffs[tuple(d + s for d, s in zip((first % K, first // K), shift))] = v
-        elif v:
-            hi = (v + (1 << (b * m - 1))) >> (b * m)  # v - hi 2^(bm): the m low digits
-            todo += [(hi, first + m, count - m), (v - (hi << (b * m)), first, m)]
-    return LaurentPoly(nvars, coeffs)
+    for rs in combinations(range(n), size):
+        shift = [sum(lows[i][v] for i in rs) for v in range(nvars)]
+        for cs in combinations(range(n), size):
+            where = {j: t for t, j in enumerate(cs)}
+            sub = [{where[j]: v for j, v in rows[i].items() if j in where} for i in rs]
+            det = _bareiss(sub, _elimination_order(sub))
+            coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
+            while todo:  # halve blocks of digits, from the lowest, down to single digits
+                v, first, count = todo.pop()
+                m = count // 2
+                if v and not m:
+                    coeffs[tuple(d + s for d, s in zip((first % K, first // K), shift))] = v
+                elif v:
+                    hi = (v + (1 << (b * m - 1))) >> (b * m)  # v - hi 2^(bm): the m low digits
+                    todo += [(hi, first + m, count - m), (v - (hi << (b * m)), first, m)]
+            yield LaurentPoly(nvars, coeffs)
+
+
+def det_laurent(M: Matrix) -> LaurentPoly:
+    """Exact determinant of a square matrix of integer Laurent polynomials in
+    one or two variables: the one full-size minor of :func:`_laurent_minors`."""
+    return next(_laurent_minors(M, len(M)))
 
 
 def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     """k-th elementary divisor: gcd over the domain of all (n-k) x (n-k) minors.
 
-    M has integer coefficients.  The minors are integer determinants
-    (:func:`det_laurent`), streamed one at a time into a single fold,
+    M has integer coefficients.  Its minors come from one encoding
+    (:func:`_laurent_minors`), one at a time, into a single fold,
     :func:`~lapgraph.laurent.gcd_many`, which reduces each into the domain;
     since reduction mod p is a ring map, a prime-field divisor is the gcd of
     the minors of M mod p.  The fold stops at the first minor after which
     the gcd is 1, and no later minor is computed.  Returns the zero
-    polynomial if every minor vanishes; k = n is allowed and yields 1 (empty
-    minor).
+    polynomial if every minor vanishes; k = n yields 1 (the empty minor).
     """
     n = len(M)
-    if any(len(r) != n for r in M):
-        raise ValueError("elementary divisors need a square matrix")
     if not 0 <= k <= n:
         raise ValueError(f"divisor index {k} out of range for a {n} x {n} matrix")
     if k == n:
         return LaurentPoly.constant(1, M[0][0].nvars if n else 1)  # normalized in every domain
-    size = n - k
-    minors = (
-        det_laurent([[M[i][j] for j in cols] for i in rows])
-        for rows in combinations(range(n), size)
-        for cols in combinations(range(n), size)
-    )
-    return gcd_many(minors, dom)
+    return gcd_many(_laurent_minors(M, n - k), dom)

@@ -225,11 +225,11 @@ class MedialComponent:
 State = tuple[Dart, int]
 
 
-def _trace_components(pg: PlaneGraph, with_winding: bool) -> list[MedialComponent]:
+def _trace_components(pg: PlaneGraph) -> list[MedialComponent]:
     g = pg.base
     nxt, prv, opp = pg._maps()
-    if with_winding:
-        volt = {e.name: s[0] for e, s in zip(g.edges, pg.graph.voltages)}
+    with_winding = pg.is_voltage
+    volt = {e.name: s[0] for e, s in zip(g.edges, pg.graph.voltages)} if with_winding else None
     edge_order = {e.name: i for i, e in enumerate(g.edges)}
 
     def step(state: State) -> tuple[State, str, int]:
@@ -277,7 +277,7 @@ def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
     """Strand components of the medial graph of a finite plane graph."""
     if pg.is_voltage:
         raise ValueError("voltage quotient: use medial_components_voltage")
-    return _trace_components(pg, with_winding=False)
+    return _trace_components(pg)
 
 
 def medial_components_voltage(pg: PlaneGraph) -> list[MedialComponent]:
@@ -289,7 +289,7 @@ def medial_components_voltage(pg: PlaneGraph) -> list[MedialComponent]:
     """
     if not pg.is_voltage:
         raise ValueError("finite plane graph: use medial_components")
-    return _trace_components(pg, with_winding=True)
+    return _trace_components(pg)
 
 
 def noncompact_count(components: list[MedialComponent]) -> int:

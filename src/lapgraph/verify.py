@@ -137,7 +137,7 @@ def run_verify(
         det = det_laurent(L)
         d0 = normalize(det, ZZ)  # Delta_0 over the integers
         d0q = normalize(d0, QQ)  # Delta_0 over the rationals
-        s, ds = 0, normalize(det.reduce_to(GF2), GF2)  # Delta_0 over GF(2)
+        s, ds = 0, normalize(det, GF2)  # Delta_0 over GF(2)
         while ds.is_zero():
             s += 1
             ds = elementary_divisor(L, s, GF2)

@@ -277,6 +277,12 @@ def test_empty_rectangle_rejected():
         RectangleSpec((0,))
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 2), (2.0, 2), ("3", 2), (2, Fraction(3))])
+def test_rectangle_rejects_sizes_that_are_not_integers(sizes):
+    with pytest.raises(ValueError, match="positive integers"):
+        RectangleSpec(sizes)
+
+
 # -- components --------------------------------------------------------------------
 
 

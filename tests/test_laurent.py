@@ -130,6 +130,9 @@ def test_normalize_gf2_least_coefficient_one():
     f = poly1("x^3 + x").reduce_to(GF2)
     g = normalize(f, GF2)
     assert g == poly1("1 + x^2").reduce_to(GF2)
+    # integer input is reduced first, so the zero test and the shift see its image
+    for text, want in (("2 + x", "1"), ("4 + 2x + 3x^2", "1"), ("2 + x^2 + x^3", "1 + x"), ("2 - 4x", "0")):
+        assert normalize(poly1(text), GF2) == poly1(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,6 +154,7 @@ def test_normalize_constant_on_integer_unit_classes(f, shift, flip):
 )
 def test_normalize_constant_on_gf7_unit_classes(f, shift, scale):
     fld = PrimeField(7)
+    assert normalize(f, fld) == normalize(f.reduce_to(fld), fld)
     f = f.reduce_to(fld)
     if f.is_zero():
         return

@@ -4,7 +4,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -34,6 +33,7 @@ from lapgraph.graphs import (
     FiniteGraph,
     RectangleSpec,
     SublatticeSpec,
+    VoltageGraph,
     cover_graph,
     incidence_matrix,
     laplacian_finite,
@@ -730,31 +730,41 @@ def test_elementary_divisor_equals_reduce_first_oracle(seed):
 
 
 def _count_minors(L, k, dom, monkeypatch):
-    """(Delta_k, the submatrices whose determinants elementary_divisor took)."""
-    computed = []
-    monkeypatch.setattr(linalg_module, "det_laurent", lambda M: computed.append(M) or det_laurent(M))
+    """(Delta_k, the minors elementary_divisor drew from _laurent_minors).
+
+    It draws them from one generator, makes no det_laurent call, and takes
+    one integer determinant per minor drawn, so none is computed ahead."""
+    computed, eliminated, det_calls = [], [], []
+    minors, bareiss = linalg_module._laurent_minors, linalg_module._bareiss
+
+    def spy(M, size):
+        assert M is L and size == len(L) - k
+        for d in minors(M, size):
+            computed.append(d)
+            yield d
+
+    monkeypatch.setattr(linalg_module, "_laurent_minors", spy)
+    monkeypatch.setattr(linalg_module, "_bareiss", lambda rows, order: eliminated.append(rows) or bareiss(rows, order))
+    monkeypatch.setattr(linalg_module, "det_laurent", lambda M: det_calls.append(M) or det_laurent(M))
     got = elementary_divisor(L, k, dom)
     monkeypatch.undo()
+    assert det_calls == [] and len(eliminated) == len(computed)
     return got, computed
 
 
-def _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch):
+def _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch, ks=None):
     n = len(L)
     assert _count_minors(L, n, ZZ, monkeypatch)[1] == []
-    for k in range(n):
-        subs = [
-            [[L[i][j] for j in cols] for i in rows]
-            for rows in combinations(range(n), n - k)
-            for cols in combinations(range(n), n - k)
-        ]
-        minors = [cofactor_det_poly(S) for S in subs]
+    for k in range(n) if ks is None else ks:
+        minors = all_minor_dets(L, n - k)
         for dom in (ZZ, QQ, GF2, GF3, GF5):
             got, computed = _count_minors(L, k, dom, monkeypatch)
             prefixes = gcd_fold_prefixes(minors, dom)
             assert got == prefixes[-1], (dom, k)
             assert _coefficient_types(got) == _coefficient_types(prefixes[-1])
-            stop = prefixes.index(1) + 1 if got == 1 else len(subs)
-            assert computed == subs[:stop], (dom, k)
+            stop = prefixes.index(1) + 1 if got == 1 else len(minors)
+            assert computed == minors[:stop], (dom, k)
+            assert [_coefficient_types(d) for d in computed] == [_coefficient_types(d) for d in minors[:stop]]
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -774,6 +784,42 @@ def test_order_five_and_six_quotients_compute_minors_up_to_the_first_unit_gcd(na
     path = Path(__file__).with_name("data") / f"{name}.lapgraph"
     L = voltage_laplacian(parse_graph_file(path.read_text()))
     _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch)
+
+
+def _edges(g):
+    return [(e.name, e.tail, e.head) for e in g.edges]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_wide_row_bounds_every_minor(seed, monkeypatch):
+    """A loop of voltage 1000 makes one row 2000 wide.  K and b come from
+    the n - k widest rows and largest 1-norms, so the minors with and
+    without that row decode to the cofactor minors."""
+    rng = random.Random(1700 + seed)
+    vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=8)
+    while len(vg.base.vertices) < 3:
+        vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=8)
+    v = rng.choice(vg.base.vertices)
+    g = FiniteGraph.build(vg.base.vertices, _edges(vg.base) + [("wide", v, v)])
+    L = voltage_laplacian(VoltageGraph(g, 1, vg.voltages + ((1000,),)))
+    for size in (len(L) - 1, len(L) - 2):
+        minors = list(linalg_module._laurent_minors(L, size))
+        assert minors == all_minor_dets(L, size)
+        assert all(type(c) is int for d in minors for c in d.coeffs.values())
+    _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch, ks=(1, 2))
+
+
+def test_zero_rows_and_the_empty_matrix_give_the_oracles_minors(monkeypatch):
+    """A lone vertex's zero row, in one and two variables, becomes an empty
+    integer row; the 0 x 0 matrix has the one minor 1."""
+    path = Path(__file__).with_name("data") / "ladder_lone_vertex.lapgraph"
+    mits = example("mitsubishi")
+    g = FiniteGraph.build((*mits.base.vertices, "lone"), _edges(mits.base))
+    for vg in (parse_graph_file(path.read_text()).graph, VoltageGraph(g, 2, mits.voltages)):
+        L = voltage_laplacian(vg)
+        assert not any(L[-1])
+        _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch)
+    assert [_coeff_types(d) for d in linalg_module._laurent_minors([], 0)] == [{(0,): (1, int)}]
 
 
 def test_girder_delta1_over_gf2_computes_every_minor(monkeypatch):
