@@ -89,6 +89,8 @@ def cmd_bicycle(obj, args) -> tuple[int, dict, str]:
 def cmd_medial(obj, args) -> tuple[int, dict, str]:
     if not isinstance(obj, PlaneGraph):
         raise ValueError("medial needs rotation lines in the graph file")
+    if obj.is_voltage and args.base_component is not None:
+        raise ValueError("--base-component needs a finite plane graph: a voltage quotient has no Shank basis")
     comps = medial_components_voltage(obj) if obj.is_voltage else medial_components(obj)
     payload = {"components": []}
     lines = []
@@ -100,15 +102,16 @@ def cmd_medial(obj, args) -> tuple[int, dict, str]:
         lines.append(f"component {i}: crossings {' '.join(c.crossings) or '(empty)'}{wind}")
         lines.append(f"  residue: {' '.join(c.residue) if c.residue else '(empty)'}")
     if not obj.is_voltage:
+        base = args.base_component or 0
         try:
-            basis = shank_basis(obj, args.base_component)
+            basis = shank_basis(obj, base)
         except AssertionError as exc:
             raise ValueError(
                 f"{exc} (the Shank basis needs a planar rotation system)"
             ) from None
         payload["shank_basis"] = basis
-        payload["base_component"] = args.base_component
-        lines.append(f"shank basis (base component {args.base_component}):")
+        payload["base_component"] = base
+        lines.append(f"shank basis (base component {base}):")
         lines += ["  " + " ".join(str(v) for v in vec) for vec in basis]
     return 0, payload, "\n".join(lines)
 
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="gf:2", help="field: q or gf:P")
 
     sp = add("medial", cmd_medial, "medial components, residues, windings")
-    sp.add_argument("--base-component", type=int, default=0)
+    sp.add_argument("--base-component", type=int, help="finite plane graphs only (default 0)")
 
     sp = add("trees", cmd_trees, "spanning-tree complexity, optionally of a cover")
     sp.add_argument("--cover", default=None, help="n (cyclic / n x n) or a,b,c,d (2x2)")

@@ -9,11 +9,11 @@ the rationals).  Polynomial matrices are dense lists of row lists of
 since a zero entry carries the variable count.  :func:`rref` eliminates on
 integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
-in one rule's pivot order (:func:`_elimination_order`), on the upper
-triangle alone when the rows are symmetric, as a reduced Laplacian's are.
-A Laurent matrix is Kronecker-encoded once per call (:func:`_laurent_minors`):
-:func:`det_laurent` is its full minor, and :func:`elementary_divisor` folds
-its (n - k)-minors over a domain, stopping at the first unit gcd.
+on the upper triangle alone when they are symmetric, in the pivot order
+(:func:`_elimination_order`) that the caller permutes each matrix into once.
+A Laurent matrix is encoded and ordered once (:func:`_laurent_minors`), and
+its minors inherit that order: :func:`det_laurent` is its full minor, and
+:func:`elementary_divisor` folds its (n - k)-minors up to the first unit gcd.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _pattern(rows: list[dict]) -> list[set[int]]:
     neighbour sets."""
     adj: list[set[int]] = [set() for _ in rows]
     for i, row in enumerate(rows):
-        for j in row:
-            if j != i:
+        for j, v in row.items():
+            if v and j != i:
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
@@ -230,41 +230,33 @@ def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
 
 
 def _elimination_order(rows: list[dict]) -> list[int]:
-    """The pivot order of every determinant (see :func:`int_det`): the
-    identity on a complete pattern, else minimum degree if its predicted cost
-    is below Cuthill–McKee's envelope bound, else Cuthill–McKee."""
-    n = len(rows)
-    if all(len(row) - (i in row) == n - 1 for i, row in enumerate(rows)):
-        return list(range(n))
+    """The pivot order of a square matrix (see :func:`int_det`): minimum
+    degree if its predicted cost is below Cuthill–McKee's envelope bound,
+    else Cuthill–McKee.  Both are the identity on a complete pattern."""
     adj = _pattern(rows)
     cm, cm_cost = _cuthill_mckee(adj)
     md, md_cost = _minimum_degree(adj)
     return md if md_cost < cm_cost else cm
 
 
-def _bareiss(rows: list[dict], order: list[int]) -> int:
+def _bareiss(rows: list[dict]) -> int:
     """Determinant of a square integer matrix as sparse rows {column: nonzero entry}.
 
-    Fraction-free (Bareiss) elimination with the pivots taken in ``order``, a
-    permutation of the indices: :func:`int_det` and :func:`det_laurent` both
-    take :func:`_elimination_order`'s, of lower predicted cost
-    sum_k m_k^2 (k+1)^2 (see :func:`int_det`).  The reordering is a symmetric
-    permutation, so it keeps the determinant, and barring zero pivots the fill
-    stays inside the filled symmetrised pattern of that order.  Step k updates
-    only the rows with a nonzero in column k, found by a scan: every caller
-    is small, so no column index would pay its upkeep.  Every other row owes
-    the factor p_k / p_{k-1} (p_k the k-th pivot) and is scaled once, by the
-    telescoped product, when it is next touched.  Every Bareiss entry is a
-    minor of the matrix, so each division is exact.  A zero pivot is swapped
-    with the first lower row that has a nonzero in its column.  This is the
-    kernel of :func:`det_laurent`, of non-symmetric :func:`int_det` input,
-    and of symmetric input that meets a zero pivot.
+    Fraction-free (Bareiss) elimination in place, pivots in index order: each
+    caller permutes rows and columns alike into :func:`_elimination_order`
+    once per matrix, which keeps the determinant, and barring zero pivots the
+    fill stays inside that order's filled symmetrised pattern (see
+    :func:`int_det`).  Step k updates only the rows with a nonzero in column k,
+    found by a scan: every caller is small, so no column index would pay its
+    upkeep.  Every other row owes the factor p_k / p_{k-1} (p_k the k-th
+    pivot) and is scaled once, by the telescoped product, when it is next
+    touched.  Every Bareiss entry is a minor of the matrix, so each division
+    is exact.  A zero pivot is swapped with the first lower row that has a
+    nonzero in its column.  This is the kernel of :func:`_laurent_minors`, of
+    non-symmetric :func:`int_det` input, and of symmetric input that meets a
+    zero pivot.
     """
     n = len(rows)
-    where = [0] * n
-    for new, old in enumerate(order):
-        where[old] = new
-    rows = [{where[j]: v for j, v in rows[i].items()} for i in order]
     # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
     # entries of the Bareiss matrix after t steps
     p = [1]
@@ -311,8 +303,8 @@ def _bareiss(rows: list[dict], order: list[int]) -> int:
     return sign * p[n]
 
 
-def _bareiss_symmetric(rows: list[dict], order: list[int]) -> int:
-    """:func:`_bareiss` of symmetric sparse rows, on their upper triangle.
+def _bareiss_symmetric(rows: list[dict]) -> int:
+    """:func:`_bareiss` of symmetric sparse rows, on a copy of their upper triangle.
 
     Every Bareiss entry a_ij^(k) = det A[1..k,i; 1..k,j] of a symmetric
     matrix is symmetric too, so row i keeps only its columns j >= i, and the
@@ -324,10 +316,7 @@ def _bareiss_symmetric(rows: list[dict], order: list[int]) -> int:
     untouched rows to :func:`_bareiss`, which swaps rows.
     """
     n = len(rows)
-    where = [0] * n
-    for new, old in enumerate(order):
-        where[old] = new
-    upper = [{where[j]: v for j, v in rows[old].items() if where[j] >= i} for i, old in enumerate(order)]
+    upper = [{j: v for j, v in row.items() if j >= i} for i, row in enumerate(rows)]
     p = [1]
     level = [0] * n
 
@@ -342,7 +331,7 @@ def _bareiss_symmetric(rows: list[dict], order: list[int]) -> int:
     for k in range(n):
         row_k = catch_up(k, k)
         if k not in row_k:
-            return _bareiss(rows, order)
+            return _bareiss(rows)
         pivot = row_k.pop(k)
         prev = p[k]
         p.append(pivot)
@@ -363,9 +352,10 @@ def _bareiss_symmetric(rows: list[dict], order: list[int]) -> int:
 
 def int_det(rows: list[dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix given as sparse rows
-    {column: entry}, eliminated on a copy without the zero entries.  Rows that
-    are symmetric (one pass over the nonzeros), as a reduced Laplacian's are,
-    go to :func:`_bareiss_symmetric`; any others to :func:`_bareiss`.
+    {column: entry}, eliminated on a copy without the zero entries, built in
+    one pass in :func:`_elimination_order`, rows and columns alike.  Rows
+    that are symmetric (one pass over the nonzeros), as a reduced Laplacian's
+    are, go to :func:`_bareiss_symmetric`; any others to :func:`_bareiss`.
     The order is the number of rows.  A column outside 0..n-1, or a nonzero
     entry that is not an int, raises ValueError: a Fraction or float would be
     truncated.
@@ -377,9 +367,7 @@ def int_det(rows: list[dict[int, int]]) -> int:
     O(k) bits, and multiplication at these sizes is quadratic.  The
     candidates are Cuthill–McKee, costed by its envelope bound, which suits
     strips and boxes, and greedy minimum degree, which suits tori and
-    irregular graphs, and gets m_k exactly.  Ties go to Cuthill–McKee.  A
-    complete pattern, where every order costs the same, gets the identity at
-    once.  :func:`det_laurent` takes the same order.
+    irregular graphs, and gets m_k exactly.  Ties go to Cuthill–McKee.
     """
     n = len(rows)
     for row in rows:
@@ -388,11 +376,12 @@ def int_det(rows: list[dict[int, int]]) -> int:
                 raise ValueError(f"determinant needs columns in 0..{n - 1}, got {j!r}")
             if v and not isinstance(v, int):
                 raise ValueError(f"determinant needs integer entries, got {v!r}")
-    rows = [{j: v for j, v in row.items() if v} for row in rows]
     order = _elimination_order(rows)
+    where = sorted(range(n), key=order.__getitem__)  # the position of each index in order
+    rows = [{where[j]: v for j, v in rows[i].items() if v} for i in order]
     if all(rows[j].get(i) == v for i, row in enumerate(rows) for j, v in row.items()):
-        return _bareiss_symmetric(rows, order)
-    return _bareiss(rows, order)
+        return _bareiss_symmetric(rows)
+    return _bareiss(rows)
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------
@@ -408,9 +397,11 @@ def _laurent_minors(M: Matrix, size: int):
     gives integer rows.  A minor's coefficients are at most the product of
     the ``size`` largest row 1-norms (each at least 1), below 2^(b-1), so
     they are the balanced base-2^b digits of :func:`_bareiss` of its integer
-    sub-rows in :func:`_elimination_order`, about b K (Dy + 1) bits, Dy the
-    sum of the ``size`` largest y-spans.  A non-square matrix, or a
-    coefficient that is not an int, raises ValueError.
+    sub-rows, about b K (Dy + 1) bits, Dy the sum of the ``size`` largest
+    y-spans.  The encoded M is ordered once (:func:`_elimination_order`); a
+    minor's t-th row and column are paired, and the pairs sorted by the
+    column's place in that order, so rows and columns move alike and the
+    value stays.  A non-square M, or a non-int coefficient, raises ValueError.
     """
     n = len(M)
     if any(len(r) != n for r in M):
@@ -435,12 +426,14 @@ def _laurent_minors(M: Matrix, size: int):
         {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
         for row, low in zip(M, lows)
     ]
+    order = _elimination_order(rows)
+    where = sorted(range(n), key=order.__getitem__)
     for rs in combinations(range(n), size):
         shift = [sum(lows[i][v] for i in rs) for v in range(nvars)]
         for cs in combinations(range(n), size):
-            where = {j: t for t, j in enumerate(cs)}
-            sub = [{where[j]: v for j, v in rows[i].items() if j in where} for i in rs]
-            det = _bareiss(sub, _elimination_order(sub))
+            pairs = sorted(zip(rs, cs), key=lambda rc: where[rc[1]])
+            col = {j: t for t, (_, j) in enumerate(pairs)}
+            det = _bareiss([{col[j]: v for j, v in rows[i].items() if j in col} for i, _ in pairs])
             coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
             while todo:  # halve blocks of digits, from the lowest, down to single digits
                 v, first, count = todo.pop()
@@ -455,7 +448,7 @@ def _laurent_minors(M: Matrix, size: int):
 
 def det_laurent(M: Matrix) -> LaurentPoly:
     """Exact determinant of a square matrix of integer Laurent polynomials in
-    one or two variables: the one full-size minor of :func:`_laurent_minors`."""
+    one or two variables: :func:`_laurent_minors`' full minor, in its order."""
     return next(_laurent_minors(M, len(M)))
 
 

@@ -175,7 +175,7 @@ def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
         for w in windings:
             term = term * LaurentPoly(1, {(0,): 2, (w,): -1, (-w,): -1})
         general = general + term
-    max_w = max((windings[-1] for windings in tally), default=0)
+    max_w = max((windings[-1] for windings in tally if windings), default=0)
     u = LaurentPoly(1, {(0,): 2, (1,): -1, (-1,): -1})  # 2 - x - 1/x
     recon = LaurentPoly.zero(1)
     for k, c in sorted(counts.items()):

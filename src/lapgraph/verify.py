@@ -159,9 +159,11 @@ def run_verify(
             ", ".join(f"{lbl} reciprocal" for lbl, _ in checked) or "no nonzero divisor",
         )
 
-        # divisibility at x = 1
+        # divisibility at x = 1; with no vertices L(1) is 0 x 0, not singular
         if d0.is_zero():
             skip("count-divisibility", "Delta_0 vanishes")
+        elif not n:
+            skip("count-divisibility", "no vertices")
         elif vg.rank == 1:
             record(
                 "count-divisibility",

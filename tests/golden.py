@@ -90,6 +90,7 @@ def _usage_commands() -> list[list[str]]:
         ["growth", ladder, "--max", "1"],
         ["growth", "graphs/grid.lapgraph", "--mode", "restrictions", "--max", "1"],
         ["trees", ladder, "--cover", "1,2"],
+        ["medial", ladder, "--base-component", "7"],
         ["mahler"],
         ["mahler", "--poly", "x", "--from-graph", "no-such-file.lapgraph"],
     ]

@@ -4,9 +4,13 @@
 docstring for how to regenerate them after an intended change of output.
 """
 
+import random
+
 import pytest
 
+from conftest import sized_voltage_graph
 from golden import GOLDEN, ROOT, corpus, load, run
+from lapgraph.graphio import format_graph_file, parse_graph_file
 
 CORPUS = corpus()
 
@@ -22,3 +26,11 @@ def test_cli_output_matches_its_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = load(name)
     assert [run(e["argv"]) for e in expected] == expected
+
+
+@pytest.mark.parametrize("rank, n", [(1, 8), (2, 4)])
+def test_the_generated_quotients_are_drawn_from_their_seeds(rank, n):
+    """tests/data/sized_rank<r>_<n>.lapgraph is sized_voltage_graph(random.Random(n), r, n, 2n)."""
+    text = (ROOT / "tests" / "data" / f"sized_rank{rank}_{n}.lapgraph").read_text(encoding="utf-8")
+    drawn = sized_voltage_graph(random.Random(n), rank, n, 2 * n)
+    assert format_graph_file(parse_graph_file(text)) == format_graph_file(drawn)

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -61,16 +62,22 @@ def constant_matrix(M):
     return [[LaurentPoly.constant(v, 1) for v in row] for row in M]
 
 
+def permuted(rows, order):
+    """Square sparse rows with rows and columns alike put in order."""
+    place = {j: t for t, j in enumerate(order)}
+    return [{place[j]: v for j, v in rows[i].items()} for i in order]
+
+
 def dets_by_order(M) -> set[int]:
     """The determinants of a dense integer matrix by int_det, and by _bareiss
-    (and _bareiss_symmetric, if M is symmetric) in Cuthill–McKee and in
-    minimum-degree order; one value when they agree.  Every kernel leaves the
-    rows alone."""
+    (and _bareiss_symmetric, if M is symmetric) on its rows permuted into
+    Cuthill–McKee and into minimum-degree order; one value when they agree.
+    int_det leaves the rows alone."""
     rows = sparse_rows(M)
     adj = linalg_module._pattern(rows)
     orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj)[0])
     kernels = [linalg_module._bareiss] + [linalg_module._bareiss_symmetric] * (M == transpose(M))
-    dets = {int_det(rows)} | {kernel(rows, order) for kernel in kernels for order in orders}
+    dets = {int_det(rows)} | {kernel(permuted(rows, order)) for kernel in kernels for order in orders}
     assert rows == sparse_rows(M)
     return dets
 
@@ -187,11 +194,11 @@ def test_a_symmetric_zero_pivot_hands_the_untouched_rows_to_the_general_kernel(m
     # the second pivot is zero after one step: 1 * 1 - 1 * 1
     M = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     assert int_det(sparse_rows(M)) == bareiss_det(M) == -1
-    for M, order in (([[0, 1], [1, 0]], [0, 1]), (M, [0, 1, 2])):
+    for M in ([[0, 1], [1, 0]], M):
         rows = sparse_rows(M)
-        calls = _kernel_calls(monkeypatch, lambda: linalg_module._bareiss_symmetric(rows, order))
-        assert calls == [("_bareiss_symmetric", rows, order), ("_bareiss", rows, order)]
-        assert calls[1][1] is rows == sparse_rows(M)
+        calls = _kernel_calls(monkeypatch, lambda: linalg_module._bareiss_symmetric(rows))
+        assert calls == [("_bareiss_symmetric", rows, sparse_rows(M)), ("_bareiss", rows, sparse_rows(M))]
+        assert calls[1][1] is rows
 
 
 def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
@@ -228,26 +235,46 @@ def _filled_cost(adj, order):
     return cost
 
 
-def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[int]]]:
+def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[dict]]]:
     """The Bareiss kernels that f(*args) calls, in call order, each with the
-    rows and the order it receives."""
+    rows it receives and a copy of them as received (_bareiss eliminates in
+    place)."""
     calls = []
     with monkeypatch.context() as m:
         for name in ("_bareiss", "_bareiss_symmetric"):
 
-            def spy(rows, order, name=name, kernel=getattr(linalg_module, name)):
-                calls.append((name, rows, order))
-                return kernel(rows, order)
+            def spy(rows, name=name, kernel=getattr(linalg_module, name)):
+                calls.append((name, rows, [dict(row) for row in rows]))
+                return kernel(rows)
 
             m.setattr(linalg_module, name, spy)
         f(*args)
     return calls
 
 
+def _order_calls(monkeypatch, f, *args) -> list[tuple[list[dict], list[int]]]:
+    """The calls of _elimination_order that f(*args) makes, each with the rows
+    it receives and the order it returns."""
+    calls = []
+    elimination_order = linalg_module._elimination_order
+
+    def spy(rows):
+        calls.append((rows, elimination_order(rows)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg_module, "_elimination_order", spy)
+        f(*args)
+    return calls
+
+
 def _bareiss_pattern_and_order(monkeypatch, f, *args):
-    """The nonzero pattern that f(*args) hands to its one Bareiss kernel, and
-    its order."""
-    ((_, rows, order),) = _kernel_calls(monkeypatch, f, *args)
+    """The nonzero pattern that f(*args) orders once, and its order, after
+    checking that its one Bareiss kernel receives the rows in that order."""
+    kernels = []
+    ((rows, order),) = _order_calls(monkeypatch, lambda: kernels.extend(_kernel_calls(monkeypatch, f, *args)))
+    ((_, _, received),) = kernels
+    assert received == permuted(rows, order)
     return linalg_module._pattern(rows), order
 
 
@@ -744,7 +771,7 @@ def _count_minors(L, k, dom, monkeypatch):
             yield d
 
     monkeypatch.setattr(linalg_module, "_laurent_minors", spy)
-    monkeypatch.setattr(linalg_module, "_bareiss", lambda rows, order: eliminated.append(rows) or bareiss(rows, order))
+    monkeypatch.setattr(linalg_module, "_bareiss", lambda rows: eliminated.append(rows) or bareiss(rows))
     monkeypatch.setattr(linalg_module, "det_laurent", lambda M: det_calls.append(M) or det_laurent(M))
     got = elementary_divisor(L, k, dom)
     monkeypatch.undo()
@@ -807,6 +834,35 @@ def test_one_wide_row_bounds_every_minor(seed, monkeypatch):
         assert minors == all_minor_dets(L, size)
         assert all(type(c) is int for d in minors for c in d.coeffs.values())
     _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch, ks=(1, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laurent_minors_inherit_the_order_of_their_matrix(seed, monkeypatch):
+    """_laurent_minors orders the encoded matrix once, and each minor reaches
+    _bareiss in that order: its t-th row and t-th column are paired, and the
+    pairs are sorted by the column's place in the order, so a principal minor
+    takes the order restricted to its indices."""
+    rng = random.Random(1800 + seed)
+    L = voltage_laplacian(random_voltage_graph(rng, rank=1 + seed % 2, max_vertices=5, max_edges=9))
+    n = len(L)
+    for size in range(n + 1):
+        kernels = []
+
+        def minors():
+            kernels.extend(_kernel_calls(monkeypatch, lambda: list(linalg_module._laurent_minors(L, size))))
+
+        ((encoded, order),) = _order_calls(monkeypatch, minors)
+        assert sorted(order) == list(range(n))
+        place = {j: t for t, j in enumerate(order)}
+        expected = []
+        for rs in combinations(range(n), size):
+            for cs in combinations(range(n), size):
+                pairs = sorted(zip(rs, cs), key=lambda rc: place[rc[1]])
+                if rs == cs:
+                    assert [i for i, _ in pairs] == [i for i in order if i in rs]
+                col = {j: t for t, (_, j) in enumerate(pairs)}
+                expected.append([{col[j]: v for j, v in encoded[i].items() if j in col} for i, _ in pairs])
+        assert [(name, received) for name, _, received in kernels] == [("_bareiss", sub) for sub in expected]
 
 
 def test_zero_rows_and_the_empty_matrix_give_the_oracles_minors(monkeypatch):
