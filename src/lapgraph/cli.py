@@ -3,8 +3,11 @@
 Subcommands: delta, bicycle, medial, trees, growth, crsf, kappa, mahler,
 verify.  Every subcommand reads the lapgraph v1 file format and offers a
 --json twin of its table output; all outputs are deterministic for a given
-input.  Bad input or usage exits 2; a failed check (verify's FAIL, crsf's
-MISMATCH) exits 1.
+input.  A command reads what it needs through the graph layer: ``obj.base``
+is the finite graph under every input kind, :func:`medial_components` traces
+either kind of plane graph, and ``delta`` reads a finite graph as its
+zero-voltage rank-1 quotient (the trivial action).  Bad input or usage
+exits 2; a failed check (verify's FAIL, crsf's MISMATCH) exits 1.
 """
 
 from __future__ import annotations
@@ -17,17 +20,11 @@ from pathlib import Path
 from .colorings import bicycle_basis
 from .fields import ZZ, domain_from_spec
 from .graphio import parse_graph_file
-from .graphs import (
-    FiniteGraph,
-    SublatticeSpec,
-    VoltageGraph,
-    laplacian_finite,
-    voltage_laplacian,
-)
-from .laurent import LaurentPoly, format_poly, normalize, parse_poly
+from .graphs import FiniteGraph, SublatticeSpec, VoltageGraph, voltage_laplacian
+from .laurent import format_poly, normalize, parse_poly
 from .linalg import det_laurent, elementary_divisor
 from .mahler import mahler
-from .planar import PlaneGraph, medial_components, medial_components_voltage, shank_basis
+from .planar import PlaneGraph, medial_components, shank_basis
 from .spanning import (
     annular_connectivity,
     complexity,
@@ -52,25 +49,18 @@ def _voltage_of(obj) -> VoltageGraph:
     raise ValueError("this command needs a voltage graph (d >= 1)")
 
 
-def _base_of(obj) -> FiniteGraph:
-    return obj.base if isinstance(obj, (PlaneGraph, VoltageGraph)) else obj
-
-
 def cmd_delta(obj, args) -> tuple[int, dict, str]:
     dom = domain_from_spec(args.field)
-    vg = obj.graph if isinstance(obj, PlaneGraph) else obj
-    if isinstance(vg, VoltageGraph):
-        L = voltage_laplacian(vg)
-    else:
-        rows = laplacian_finite(_base_of(obj))
-        L = [[LaurentPoly.constant(row.get(j, 0), 1) for j in range(len(rows))] for row in rows]
-    text = format_poly(elementary_divisor(L, args.k, dom))
+    g = obj.graph if isinstance(obj, PlaneGraph) else obj
+    if isinstance(g, FiniteGraph):  # the trivial action: the zero-voltage rank-1 quotient
+        g = VoltageGraph(g, 1, ((0,),) * len(g.edges))
+    text = format_poly(elementary_divisor(voltage_laplacian(g), args.k, dom))
     payload = {"k": args.k, "field": args.field, "delta": text}
     return 0, payload, f"Delta_{args.k} over {args.field}: {text}"
 
 
 def cmd_bicycle(obj, args) -> tuple[int, dict, str]:
-    base = _base_of(obj)
+    base = obj.base
     fld = domain_from_spec(args.field)
     if not fld.is_field:
         raise ValueError("bicycle needs a field (q or gf:P)")
@@ -91,7 +81,7 @@ def cmd_medial(obj, args) -> tuple[int, dict, str]:
         raise ValueError("medial needs rotation lines in the graph file")
     if obj.is_voltage and args.base_component is not None:
         raise ValueError("--base-component needs a finite plane graph: a voltage quotient has no Shank basis")
-    comps = medial_components_voltage(obj) if obj.is_voltage else medial_components(obj)
+    comps = medial_components(obj)
     payload = {"components": []}
     lines = []
     for i, c in enumerate(comps):
@@ -131,7 +121,7 @@ def _parse_cover(spec: str, rank: int) -> SublatticeSpec:
 
 def cmd_trees(obj, args) -> tuple[int, dict, str]:
     if args.cover is None:
-        t = str(complexity(_base_of(obj)))
+        t = str(complexity(obj.base))
         return 0, {"complexity": t}, f"complexity T = {t}"
     vg = _voltage_of(obj)
     lam = _parse_cover(args.cover, vg.rank)

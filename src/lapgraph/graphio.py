@@ -15,6 +15,7 @@ with optional Z^d voltages, and optional rotation lines:
 
 The voltage field carries d integers (omitted means all zero); the d line may
 be omitted for d = 0.  Rotation lines promote the result to a PlaneGraph.
+Whatever the kind, ``obj.base`` is the graph the vertex and edge lines spell.
 """
 
 from __future__ import annotations
@@ -147,27 +148,20 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
 
 def format_graph_file(obj: FiniteGraph | VoltageGraph | PlaneGraph) -> str:
     """Serialize back to lapgraph v1 text (inverse of parse up to comments)."""
-    rot: dict[str, tuple] | None = None
-    if isinstance(obj, PlaneGraph):
-        rot = obj.rotations
-        inner = obj.graph
-    else:
-        inner = obj
+    base = obj.base
+    inner = obj.graph if isinstance(obj, PlaneGraph) else obj
     lines = ["lapgraph v1"]
+    volts = [()] * len(base.edges)
     if isinstance(inner, VoltageGraph):
         lines.append(f"d {inner.rank}")
-        base = inner.base
         volts = inner.voltages
-    else:
-        base = inner
-        volts = [()] * len(inner.edges)
     for v in base.vertices:
         lines.append(f"vertex {v}")
     for e, s in zip(base.edges, volts):
         volt = (" " + " ".join(str(a) for a in s)) if s else ""
         lines.append(f"edge {e.name} {e.tail} {e.head}{volt}")
-    if rot is not None:
+    if isinstance(obj, PlaneGraph):
         for v in base.vertices:
-            ends = " ".join(f"{name}.{end}" for name, end in rot.get(v, ()))
+            ends = " ".join(f"{name}.{end}" for name, end in obj.rotations.get(v, ()))
             lines.append(f"rot {v}: {ends}".rstrip())
     return "\n".join(lines) + "\n"

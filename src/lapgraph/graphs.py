@@ -47,6 +47,12 @@ class FiniteGraph:
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "FiniteGraph":
         return cls(tuple(vertices), tuple(Edge(*e) for e in edges))
 
+    @property
+    def base(self) -> "FiniteGraph":
+        """The graph itself, so that ``obj.base`` is the underlying finite
+        graph of every graph kind."""
+        return self
+
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
 

@@ -358,7 +358,8 @@ def mahler_limit_check(
 
 
 def mahler(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
-    """Dispatch on the variable count."""
+    """Dispatch on the variable count; fibers is checked for both."""
+    _check_int("fibers", fibers, 4)
     if f.nvars == 1:
         return mahler_1var(f)
     return mahler_2var(f, fibers)

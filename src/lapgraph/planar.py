@@ -20,7 +20,9 @@ an edge straight through flips to the far end's matching corner:
 Reversing a strand maps (d, +1) to (next(d), -1), which lets one undirected
 component absorb both directed orbits.  In the voltage case each crossing
 from the tail end accumulates +s and from the head end -s; the net winding of
-a closed quotient trace counts how its lifts wrap the annulus.
+a closed quotient trace counts how its lifts wrap the annulus.  One tracer,
+:func:`medial_components`, serves both kinds of plane graph: it reports that
+winding on a voltage quotient and None on a finite plane graph.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class PlaneGraph:
 
     @property
     def base(self) -> FiniteGraph:
-        return self.graph.base if isinstance(self.graph, VoltageGraph) else self.graph
+        return self.graph.base
 
     @property
     def is_voltage(self) -> bool:
@@ -225,7 +227,9 @@ class MedialComponent:
 State = tuple[Dart, int]
 
 
-def _trace_components(pg: PlaneGraph) -> list[MedialComponent]:
+def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
+    """Strand components of the medial graph of a plane graph: with their
+    windings on a voltage quotient, with winding None on a finite one."""
     g = pg.base
     nxt, prv, opp = pg._maps()
     with_winding = pg.is_voltage
@@ -273,15 +277,9 @@ def _trace_components(pg: PlaneGraph) -> list[MedialComponent]:
     return out
 
 
-def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
-    """Strand components of the medial graph of a finite plane graph."""
-    if pg.is_voltage:
-        raise ValueError("voltage quotient: use medial_components_voltage")
-    return _trace_components(pg)
-
-
 def medial_components_voltage(pg: PlaneGraph) -> list[MedialComponent]:
-    """Quotient strand traces with their annulus windings.
+    """Quotient strand traces with their annulus windings: :func:`medial_components`
+    of a voltage quotient only.
 
     A trace with winding w != 0 lifts to |w| noncompact strands of the
     periodic graph's medial; a trace with winding 0 lifts to one Z-orbit of
@@ -289,7 +287,7 @@ def medial_components_voltage(pg: PlaneGraph) -> list[MedialComponent]:
     """
     if not pg.is_voltage:
         raise ValueError("finite plane graph: use medial_components")
-    return _trace_components(pg)
+    return medial_components(pg)
 
 
 def noncompact_count(components: list[MedialComponent]) -> int:
@@ -315,10 +313,13 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
 
     The dropped strand is ``base_component`` in its own graph component and
     the first strand in every other one; an isolated vertex's empty strand is
-    the only one of its component, so it is always dropped.  Raises if the residues fail to be a
-    basis of the bicycle space, which would contradict the rotation system
-    being planar.
+    the only one of its component, so it is always dropped.  Raises
+    ValueError on a voltage quotient, and AssertionError if the residues fail
+    to be a basis of the bicycle space, which would contradict the rotation
+    system being planar.
     """
+    if pg.is_voltage:
+        raise ValueError("voltage quotient: a Shank basis needs a finite plane graph")
     g = pg.base
     comps = medial_components(pg)
     if not 0 <= base_component < len(comps):

@@ -38,7 +38,8 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   growth check also when no cover index fits ``max_cover``; they share one
   Mahler measure.
 
-Graphs with a rotation system:
+Graphs with a rotation system, whose strands one call of
+:func:`medial_components` traces, with windings on a voltage quotient:
 
 - ``medial-crossings``: the medial strands cross every edge exactly twice.
 - ``medial-gf2-degree`` (rank 1): deg Delta_s over GF(2) equals the number of
@@ -54,7 +55,7 @@ Graphs with a rotation system:
   text when the extension fails, as on a rotation system that is not
   planar.  SKIP on a disconnected graph.
 
-Every input:
+Every input, on its finite graph ``obj.base``:
 
 - ``bicycle-two-method``: :func:`bicycle_basis` (the image of ker L) equals
   :func:`bicycle_basis_meet` (row(Q) meet ker Q, computed as the kernel of
@@ -79,7 +80,6 @@ from .planar import (
     dehn_extend,
     dehn_restrict,
     medial_components,
-    medial_components_voltage,
     noncompact_count,
     shank_basis,
 )
@@ -112,12 +112,9 @@ def run_verify(
     fibers: int = 512,
 ) -> list[CheckResult]:
     plane = obj if isinstance(obj, PlaneGraph) else None
-    vg = None
-    if isinstance(obj, VoltageGraph):
-        vg = obj
-    elif plane is not None and isinstance(plane.graph, VoltageGraph):
-        vg = plane.graph
-    base = obj.base if plane is not None else (vg.base if vg is not None else obj)
+    vg = obj.graph if plane is not None else obj
+    vg = vg if isinstance(vg, VoltageGraph) else None
+    base = obj.base
 
     out: list[CheckResult] = []
 
@@ -235,10 +232,7 @@ def run_verify(
 
     # ---- planar checks ---------------------------------------------------------
     if plane is not None:
-        if plane.is_voltage:
-            comps = medial_components_voltage(plane)
-        else:
-            comps = medial_components(plane)
+        comps = medial_components(plane)
         counts: dict[str, int] = {}
         for c in comps:
             for name in c.crossings:

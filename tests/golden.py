@@ -106,7 +106,7 @@ def corpus() -> dict[str, list[list[str]]]:
     out = {}
     for p in INPUTS:
         obj = parse_graph_file(p.read_text(encoding="utf-8"))
-        order = len(getattr(obj, "base", obj).vertices)  # of the Laplacian
+        order = len(obj.base.vertices)  # of the Laplacian
         out[p.stem] = _graph_commands(str(p.relative_to(ROOT)), order)
     out["mahler-poly"] = [
         ["mahler", f"--poly={p}", "--fibers", "16", *j] for p in POLYS for j in ([], ["--json"])

@@ -2,19 +2,20 @@
 
 import json
 import math
+import random
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import GRAPHS, elementary_divisor_reduce_first, example, single_loop_quotient
+from conftest import GRAPHS, elementary_divisor_reduce_first, example, random_multigraph, single_loop_quotient
 from lapgraph import cli, graphs, spanning
 from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
-from lapgraph.graphs import FiniteGraph, VoltageGraph, voltage_laplacian
-from lapgraph.laurent import format_poly, parse_poly
+from lapgraph.graphs import FiniteGraph, VoltageGraph, laplacian_finite, voltage_laplacian
+from lapgraph.laurent import LaurentPoly, format_poly, parse_poly
 from lapgraph.planar import PlaneGraph, faces
 from lapgraph.spanning import GrowthReport
 
@@ -414,6 +415,34 @@ def test_cli_usage_errors_exit_2_not_the_fail_code(graph_dir, tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["ladder", "grid"])
+def test_cli_fibers_below_4_exit_2_for_one_and_two_variables(name, graph_dir, capsys):
+    # the ladder's Delta_0 has one variable, the grid's two
+    path = str(graph_dir / f"{name}.lapgraph")
+    for argv in (["growth", path, "--fibers", "0"], ["verify", path, "--fibers", "2"]):
+        assert main(argv) == 2, argv
+        assert "fibers must be an integer at least 4" in capsys.readouterr().err
+
+
+def test_cli_delta_of_a_finite_graph_reads_its_zero_voltage_quotient(tmp_path, capsys):
+    """A finite graph is the trivial action: its zero-voltage rank-1 quotient
+    has the integer Laplacian, and delta prints the gcds of its minors."""
+    rng = random.Random(3200)
+    corpus = [FiniteGraph((), ())] + [random_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(12)]
+    assert sum(any(e.tail == e.head for e in g.edges) for g in corpus) >= 3  # graphs with loops
+    path = tmp_path / "g.lapgraph"
+    for g in corpus:
+        rows = laplacian_finite(g)
+        L = [[LaurentPoly.constant(row.get(j, 0), 1) for j in range(len(rows))] for row in rows]
+        assert voltage_laplacian(VoltageGraph(g, 1, ((0,),) * len(g.edges))) == L
+        path.write_text(format_graph_file(g))
+        for field in ("z", "q", "gf:2", "gf:3"):
+            for k in range(len(rows) + 1):
+                code, out = run_cli(capsys, "delta", str(path), "--field", field, "--k", str(k), "--json")
+                want = elementary_divisor_reduce_first(L, k, domain_from_spec(field))
+                assert code == 0 and json.loads(out)["delta"] == format_poly(want), (g, field, k)
 
 
 @pytest.mark.parametrize(

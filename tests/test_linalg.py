@@ -205,7 +205,7 @@ def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
     # the corpus graphs, and a cover and a box restriction of each voltage graph
     names = ("circulant12", "girder", "grid", "k4", "ladder", "mitsubishi", "single_loop")
     bases = [getattr(g, "graph", g) for g in map(example, names)]
-    finite = [getattr(b, "base", b) for b in bases]
+    finite = [b.base for b in bases]
     rng = random.Random(26)
     for vg in bases:
         if isinstance(vg, FiniteGraph):

@@ -87,6 +87,9 @@ def test_non_integer_fibers_are_rejected_at_entry(bad):
     for call in (mahler_2var, mahler, functools.partial(mahler_limit_check, s=2)):
         with pytest.raises(ValueError, match="fibers must be an integer"):
             call(f, fibers=bad)
+    # the dispatcher checks fibers for one variable too, though mahler_1var takes none
+    with pytest.raises(ValueError, match="fibers must be an integer"):
+        mahler(poly1("x^2 - 4x + 1"), fibers=bad)
 
 
 @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
@@ -676,9 +679,10 @@ def _bits(roots):
 
 
 def _measured(f, fibers):
-    """float.hex of m(f) and its error estimate, or the RootFindingError message."""
+    """float.hex of m(f) and its error estimate, or the RootFindingError message;
+    fibers None marks a one-variable f, measured at the default fiber count."""
     try:
-        res = mahler(f, fibers)
+        res = mahler(f) if fibers is None else mahler(f, fibers)
     except RootFindingError as e:
         return str(e)
     return res.value.hex(), res.error_estimate.hex()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    GRAPHS,
     _grid_plane,
     cover_plane_graph,
     euler_characteristic,
@@ -25,7 +26,7 @@ from lapgraph.colorings import (
 )
 from lapgraph.fields import GF2, QQ, PrimeField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.graphs import FiniteGraph, connected_components, voltage_laplacian
+from lapgraph.graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from lapgraph.linalg import row_space_canonical
 from lapgraph.planar import (
     Face,
@@ -299,9 +300,35 @@ def test_gf2_degree_equals_noncompact_count_random(seed):
 
 def test_medial_dispatch_errors():
     with pytest.raises(ValueError):
-        medial_components(example("ladder"))
-    with pytest.raises(ValueError):
         medial_components_voltage(example("k4"))
+
+
+def _plane_graphs_on_disk():
+    data = Path(__file__).with_name("data")
+    paths = sorted(GRAPHS.glob("*.lapgraph")) + sorted(data.glob("*.lapgraph"))
+    objs = [parse_graph_file(p.read_text()) for p in paths]
+    return [o for o in objs if isinstance(o, PlaneGraph)]
+
+
+def test_one_tracer_serves_every_voltage_plane_graph():
+    quotients = [pg for pg in _plane_graphs_on_disk() if pg.is_voltage]
+    assert len(quotients) >= 4  # ladder, girder, single_loop, ladder_lone_vertex
+    for pg in quotients:
+        assert medial_components(pg) == medial_components_voltage(pg)
+        assert all(c.winding is not None for c in medial_components(pg))
+
+
+def test_shank_basis_rejects_a_voltage_quotient():
+    with pytest.raises(ValueError, match="Shank basis needs a finite plane graph"):
+        shank_basis(example("ladder"))
+
+
+def test_base_is_the_same_finite_graph_for_every_kind():
+    pg = triangle_plane()
+    g = pg.graph
+    vg = VoltageGraph(g, 1, ((1,), (0,), (0,)))
+    for obj in (g, vg, pg, PlaneGraph(vg, pg.rotations)):
+        assert obj.base is g
 
 
 # -- Shank basis ---------------------------------------------------------------------------

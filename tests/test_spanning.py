@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from conftest import (
     wrapping_edge_count,
 )
 from lapgraph.fields import QQ, ZZ
+from lapgraph.graphio import parse_graph_file
 from lapgraph.graphs import (
     FiniteGraph,
     RectangleSpec,
@@ -604,14 +606,29 @@ def test_mitsubishi_growth_matches_two_variable_mahler():
     assert abs(lg - report.reference) < 0.05
 
 
-def test_growth_restrictions_rejects_disconnected():
+def test_growth_restrictions_counts_each_box_by_its_complexity():
+    # the box of size 1 holds a@0 and b@0 and no edge: it is disconnected
     vg = VoltageGraph.build(
         ["a", "b"],
         [("la", "a", "a", (1,)), ("lb", "b", "b", (1,)), ("c", "a", "b", (1,))],
         rank=1,
     )
-    with pytest.raises(ValueError):
-        growth_restrictions(vg, [1])
+    assert len(connected_components(restriction_subgraph(vg, RectangleSpec((1,))))) == 2
+    data = Path(__file__).with_name("data")
+    sized = [parse_graph_file((data / f"{n}.lapgraph").read_text()) for n in ("sized_rank1_8", "sized_rank2_4")]
+    for g in [vg, *sized]:
+        schedule = [1, 2, 3]
+        report = growth_restrictions(g, schedule, fibers=64)
+        boxes = [restriction_subgraph(g, RectangleSpec((n,) * g.rank)) for n in schedule]
+        assert [(s, t) for s, t, _ in report.rows] == [(len(b.vertices), complexity(b)) for b in boxes]
+    # sized_rank1_8's first box at the CLI's schedule is disconnected too
+    assert len(connected_components(restriction_subgraph(sized[0], RectangleSpec((2,))))) > 1
+
+
+def test_growth_restrictions_rejects_a_quotient_with_no_vertices():
+    for rank in (1, 2):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            growth_restrictions(VoltageGraph.build([], [], rank), [2])
 
 
 def test_disconnected_cover_uses_complexity_product():

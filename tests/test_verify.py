@@ -39,7 +39,7 @@ BREAKERS = {
     "forman-reconstruction": ("ladder", "det_laurent", lambda M: LaurentPoly.zero(1)),
     "grimmett-bound": ("ladder", "grimmett_bound", lambda vg: -1.0),
     "growth-vs-mahler": ("ladder", "cover_rows", lambda vg, schedule, d0: ((8, 1, 100.0),)),
-    "medial-crossings": ("ladder", "medial_components_voltage", lambda pg: []),
+    "medial-crossings": ("ladder", "medial_components", lambda pg: []),
     "medial-gf2-degree": ("ladder", "noncompact_count", lambda comps: -1),
     "degree-connectivity": ("ladder", "annular_connectivity", lambda vg: 99),
     "medial-component-count": ("k4", "conservative_vertex_basis", lambda g, fld: []),
