@@ -4,9 +4,10 @@ Subcommands: delta, bicycle, medial, trees, growth, crsf, kappa, mahler,
 verify.  Every subcommand reads the lapgraph v1 file format and offers a
 --json twin of its table output; all outputs are deterministic for a given
 input.  A command reads what it needs through the graph layer: ``obj.base``
-is the finite graph under every input kind, :func:`medial_components` traces
-either kind of plane graph, and ``delta`` reads a finite graph as its
-zero-voltage rank-1 quotient (the trivial action).  Bad input or usage
+is the finite graph under every input kind, ``obj.quotient`` its voltage
+quotient (None for a finite graph), :func:`medial_components` traces either
+kind of plane graph, and ``delta`` reads a finite graph as its zero-voltage
+rank-1 quotient (the trivial action).  Bad input or usage
 exits 2; a failed check (verify's FAIL, crsf's MISMATCH) exits 1.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 from .colorings import bicycle_basis
 from .fields import ZZ, domain_from_spec
 from .graphio import parse_graph_file
-from .graphs import FiniteGraph, SublatticeSpec, VoltageGraph, voltage_laplacian
+from .graphs import SublatticeSpec, VoltageGraph, voltage_laplacian
 from .laurent import format_poly, normalize, parse_poly
 from .linalg import det_laurent, elementary_divisor
 from .mahler import mahler
@@ -42,19 +43,16 @@ def _load(path: str):
 
 
 def _voltage_of(obj) -> VoltageGraph:
-    if isinstance(obj, PlaneGraph) and isinstance(obj.graph, VoltageGraph):
-        return obj.graph
-    if isinstance(obj, VoltageGraph):
-        return obj
-    raise ValueError("this command needs a voltage graph (d >= 1)")
+    if obj.quotient is None:
+        raise ValueError("this command needs a voltage graph (d >= 1)")
+    return obj.quotient
 
 
 def cmd_delta(obj, args) -> tuple[int, dict, str]:
     dom = domain_from_spec(args.field)
-    g = obj.graph if isinstance(obj, PlaneGraph) else obj
-    if isinstance(g, FiniteGraph):  # the trivial action: the zero-voltage rank-1 quotient
-        g = VoltageGraph(g, 1, ((0,),) * len(g.edges))
-    text = format_poly(elementary_divisor(voltage_laplacian(g), args.k, dom))
+    # a finite graph carries the trivial action: its zero-voltage rank-1 quotient
+    vg = obj.quotient or VoltageGraph(obj.base, 1, ((0,),) * len(obj.base.edges))
+    text = format_poly(elementary_divisor(voltage_laplacian(vg), args.k, dom))
     payload = {"k": args.k, "field": args.field, "delta": text}
     return 0, payload, f"Delta_{args.k} over {args.field}: {text}"
 
@@ -79,7 +77,7 @@ def cmd_bicycle(obj, args) -> tuple[int, dict, str]:
 def cmd_medial(obj, args) -> tuple[int, dict, str]:
     if not isinstance(obj, PlaneGraph):
         raise ValueError("medial needs rotation lines in the graph file")
-    if obj.is_voltage and args.base_component is not None:
+    if obj.quotient is not None and args.base_component is not None:
         raise ValueError("--base-component needs a finite plane graph: a voltage quotient has no Shank basis")
     comps = medial_components(obj)
     payload = {"components": []}
@@ -91,7 +89,7 @@ def cmd_medial(obj, args) -> tuple[int, dict, str]:
         wind = "" if c.winding is None else f" winding {c.winding}"
         lines.append(f"component {i}: crossings {' '.join(c.crossings) or '(empty)'}{wind}")
         lines.append(f"  residue: {' '.join(c.residue) if c.residue else '(empty)'}")
-    if not obj.is_voltage:
+    if obj.quotient is None:
         base = args.base_component or 0
         try:
             basis = shank_basis(obj, base)

@@ -15,7 +15,9 @@ with optional Z^d voltages, and optional rotation lines:
 
 The voltage field carries d integers (omitted means all zero); the d line may
 be omitted for d = 0.  Rotation lines promote the result to a PlaneGraph.
-Whatever the kind, ``obj.base`` is the graph the vertex and edge lines spell.
+Whatever the kind, ``obj.base`` is the graph the vertex and edge lines spell,
+and ``obj.quotient`` the voltage quotient the d line and voltages give (None
+for d = 0).
 """
 
 from __future__ import annotations
@@ -148,13 +150,12 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
 
 def format_graph_file(obj: FiniteGraph | VoltageGraph | PlaneGraph) -> str:
     """Serialize back to lapgraph v1 text (inverse of parse up to comments)."""
-    base = obj.base
-    inner = obj.graph if isinstance(obj, PlaneGraph) else obj
+    base, vg = obj.base, obj.quotient
     lines = ["lapgraph v1"]
     volts = [()] * len(base.edges)
-    if isinstance(inner, VoltageGraph):
-        lines.append(f"d {inner.rank}")
-        volts = inner.voltages
+    if vg is not None:
+        lines.append(f"d {vg.rank}")
+        volts = vg.voltages
     for v in base.vertices:
         lines.append(f"vertex {v}")
     for e, s in zip(base.edges, volts):

@@ -30,6 +30,7 @@ class FiniteGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     _vindex: dict = field(init=False, repr=False, compare=False)
+    quotient = None  # no voltage quotient: the trivial action, d = 0
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -109,6 +110,12 @@ class VoltageGraph:
             es.append(Edge(name, tail, head))
             volts.append(tuple(s))
         return cls(FiniteGraph(tuple(vertices), tuple(es)), rank, tuple(volts))
+
+    @property
+    def quotient(self) -> "VoltageGraph":
+        """The graph itself, so that ``obj.quotient`` is the voltage quotient
+        of every graph kind (None for a finite graph)."""
+        return self
 
 
 @dataclass(frozen=True)

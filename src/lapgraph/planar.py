@@ -22,7 +22,9 @@ component absorb both directed orbits.  In the voltage case each crossing
 from the tail end accumulates +s and from the head end -s; the net winding of
 a closed quotient trace counts how its lifts wrap the annulus.  One tracer,
 :func:`medial_components`, serves both kinds of plane graph: it reports that
-winding on a voltage quotient and None on a finite plane graph.
+winding on a voltage quotient and None on a finite plane graph.  Which kind a
+plane graph is, every reader asks ``pg.quotient``: the rank-1 voltage quotient
+it carries, or None when it is finite.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class PlaneGraph:
     rotations: dict[str, tuple[Dart, ...]] = field(compare=False)
 
     def __post_init__(self):
-        if isinstance(self.graph, VoltageGraph) and self.graph.rank > 1:
+        if self.quotient is not None and self.quotient.rank > 1:
             raise ValueError("plane graphs carry voltages of rank at most 1")
         g = self.base
         expected: dict[Dart, str] = {}
@@ -77,8 +79,8 @@ class PlaneGraph:
         return self.graph.base
 
     @property
-    def is_voltage(self) -> bool:
-        return isinstance(self.graph, VoltageGraph)
+    def quotient(self) -> VoltageGraph | None:
+        return self.graph.quotient
 
     def _maps(self):
         """next/prev in rotation, and the opposite-end involution."""
@@ -232,8 +234,9 @@ def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
     windings on a voltage quotient, with winding None on a finite one."""
     g = pg.base
     nxt, prv, opp = pg._maps()
-    with_winding = pg.is_voltage
-    volt = {e.name: s[0] for e, s in zip(g.edges, pg.graph.voltages)} if with_winding else None
+    vg = pg.quotient
+    with_winding = vg is not None
+    volt = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)} if with_winding else None
     edge_order = {e.name: i for i, e in enumerate(g.edges)}
 
     def step(state: State) -> tuple[State, str, int]:
@@ -285,7 +288,7 @@ def medial_components_voltage(pg: PlaneGraph) -> list[MedialComponent]:
     periodic graph's medial; a trace with winding 0 lifts to one Z-orbit of
     compact strands.
     """
-    if not pg.is_voltage:
+    if pg.quotient is None:
         raise ValueError("finite plane graph: use medial_components")
     return medial_components(pg)
 
@@ -318,7 +321,7 @@ def shank_basis(pg: PlaneGraph, base_component: int = 0) -> list[list[int]]:
     to be a basis of the bicycle space, which would contradict the rotation
     system being planar.
     """
-    if pg.is_voltage:
+    if pg.quotient is not None:
         raise ValueError("voltage quotient: a Shank basis needs a finite plane graph")
     g = pg.base
     comps = medial_components(pg)

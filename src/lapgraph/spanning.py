@@ -341,8 +341,9 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     d0, the normalized Delta_0 of vg, is used when vg is connected, so a
     caller that holds it takes no second determinant of L.
     """
-    if vg.rank != 1 or n < 1:
-        raise ValueError("cyclic covers need a rank-1 quotient and an index n >= 1")
+    if vg.rank != 1:
+        raise ValueError("cyclic covers need a rank-1 quotient")
+    SublatticeSpec.cyclic(n)  # the index rule: an integer at least 1
     g = vg.base
     ends = [(e.tail, e.head) for e in g.edges]
     volts = [s[0] for s in vg.voltages]
@@ -444,9 +445,11 @@ def growth_covers(
     vg: VoltageGraph, schedule: list[int], fibers: int = 512
 ) -> GrowthReport:
     """Complexity of finite covers along a schedule (see :func:`cover_rows`),
-    with m(Delta_0) as the reference."""
+    with m(Delta_0) as the reference, taken first so that a bad fibers or
+    Delta_0 = 0 fails before any cover is counted."""
     d0 = laplacian_determinant_polynomial(vg)
-    return GrowthReport("covers", cover_rows(vg, schedule, d0), _mahler_reference(d0, fibers))
+    reference = _mahler_reference(d0, fibers)
+    return GrowthReport("covers", cover_rows(vg, schedule, d0), reference)
 
 
 def growth_restrictions(
@@ -456,20 +459,20 @@ def growth_restrictions(
 
     A box is counted by its :func:`complexity`, so a disconnected box counts
     as covers count a disconnected cover.  A quotient with no vertices is
-    rejected: its boxes are empty, and (1/s) log T has s = 0.
+    rejected: its boxes are empty, and (1/s) log T has s = 0.  The reference
+    is taken before any box is counted, as in :func:`growth_covers`.
     """
     k = len(vg.base.vertices)
     if not k:
         raise ValueError("restrictions need a quotient with at least one vertex")
+    reference = _mahler_reference(laplacian_determinant_polynomial(vg), fibers) / k
     rows = []
     for n in schedule:
         sub = restriction_subgraph(vg, RectangleSpec((n,) * vg.rank))
         tau = complexity(sub)
         s = len(sub.vertices)
         rows.append((s, tau, math.log(tau) / s))
-    return GrowthReport(
-        "restrictions", tuple(rows), _mahler_reference(laplacian_determinant_polynomial(vg), fibers) / k
-    )
+    return GrowthReport("restrictions", tuple(rows), reference)
 
 
 def grimmett_bound(vg: VoltageGraph) -> float:

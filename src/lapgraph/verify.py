@@ -12,6 +12,9 @@ count-divisibility and delta-chain, (x - 1)^2 and Delta_k over the rationals,
 are primitive integer polynomials, so by Gauss's lemma both checks divide
 over the integers, and no Fraction is built between L and any Laurent check.
 
+``fibers`` must be an integer at least 4 on every input, checked before any
+work.  The voltage checks read the input's quotient ``obj.quotient``.
+
 Voltage graphs of rank 1 or 2, plain or with a rotation system:
 
 - ``laplacian-transpose``: L(1/x) equals L(x)^T.
@@ -73,7 +76,7 @@ from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import divides, normalize
 from .linalg import det_laurent, elementary_divisor, transpose
-from .mahler import mahler
+from .mahler import _check_int, mahler
 from .planar import (
     PlaneGraph,
     compact_orbit_count,
@@ -111,10 +114,8 @@ def run_verify(
     max_cover: int = 64,
     fibers: int = 512,
 ) -> list[CheckResult]:
-    plane = obj if isinstance(obj, PlaneGraph) else None
-    vg = obj.graph if plane is not None else obj
-    vg = vg if isinstance(vg, VoltageGraph) else None
-    base = obj.base
+    _check_int("fibers", fibers, 4)  # before any work, whether or not a measure is taken
+    vg, base = obj.quotient, obj.base
 
     out: list[CheckResult] = []
 
@@ -231,8 +232,8 @@ def run_verify(
             skip("growth-vs-mahler", "needs a connected quotient with nonzero Delta_0")
 
     # ---- planar checks ---------------------------------------------------------
-    if plane is not None:
-        comps = medial_components(plane)
+    if isinstance(obj, PlaneGraph):
+        comps = medial_components(obj)
         counts: dict[str, int] = {}
         for c in comps:
             for name in c.crossings:
@@ -240,7 +241,7 @@ def run_verify(
         ok = all(counts.get(e.name, 0) == 2 for e in base.edges)
         record("medial-crossings", ok, "every edge is crossed exactly twice")
 
-        if plane.is_voltage:  # vg is plane.graph: reuse its s, Delta_s and Delta_0
+        if vg is not None:  # reuse the quotient's s, Delta_s and Delta_0
             deg = ds.degree_span()[0]
             nc = noncompact_count(comps)
             zo = compact_orbit_count(comps)
@@ -252,7 +253,7 @@ def run_verify(
             if d0q.is_zero():
                 skip("degree-connectivity", "Delta_0 vanishes over the rationals")
             else:
-                kappa = annular_connectivity(plane.graph)
+                kappa = annular_connectivity(vg)
                 record(
                     "degree-connectivity",
                     d0q.degree_span()[0] == 2 * kappa,
@@ -267,13 +268,13 @@ def run_verify(
             )
             if len(connected_components(base)) == 1:
                 try:
-                    shank_basis(plane, 0)
+                    shank_basis(obj, 0)
                     record("shank-basis", True, "residues of non-base components form a bicycle basis")
                 except AssertionError as exc:
                     record("shank-basis", False, str(exc))
                 try:
                     ok = all(
-                        dehn_restrict(dehn_extend(plane, alpha, 0, GF5)) == [GF5.of(a) for a in alpha]
+                        dehn_restrict(dehn_extend(obj, alpha, 0, GF5)) == [GF5.of(a) for a in alpha]
                         for alpha in conservative_vertex_basis(base, GF5)
                     )
                     record("dehn-roundtrip", ok, "extend then restrict is the identity over GF(5)")

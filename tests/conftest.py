@@ -117,9 +117,9 @@ def cover_plane_graph(pg: PlaneGraph, n: int) -> PlaneGraph:
     The dart (e, t) at the level-c copy of a vertex belongs to edge instance
     e@c; the dart (e, h) to instance e@(c - s) where s is e's voltage.
     """
-    if not pg.is_voltage:
+    vg = pg.quotient
+    if vg is None:
         raise ValueError("cover_plane_graph needs a rank-1 voltage quotient")
-    vg = pg.graph
     cov = cover_graph(vg, SublatticeSpec.cyclic(n))
     volt = {e.name: s[0] for e, s in zip(vg.base.edges, vg.voltages)}
     rot: dict[str, tuple[Dart, ...]] = {}

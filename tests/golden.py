@@ -91,6 +91,9 @@ def _usage_commands() -> list[list[str]]:
         ["growth", "graphs/grid.lapgraph", "--mode", "restrictions", "--max", "1"],
         ["trees", ladder, "--cover", "1,2"],
         ["medial", ladder, "--base-component", "7"],
+        # a bad --fibers fails on inputs that take no Mahler measure too
+        ["verify", "tests/data/ladder_lone_vertex.lapgraph", "--fibers", "2"],
+        ["verify", "graphs/k4.lapgraph", "--fibers", "0"],
         ["mahler"],
         ["mahler", "--poly", "x", "--from-graph", "no-such-file.lapgraph"],
     ]

@@ -94,6 +94,25 @@ def test_round_trip_all_named_graphs():
         assert format_graph_file(parse_graph_file(text)) == text
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(GRAPHS.glob("*.lapgraph")) + sorted((Path(__file__).parent / "data").glob("*.lapgraph")),
+    ids=lambda p: p.stem,
+)
+def test_format_then_parse_keeps_base_quotient_and_rotations(path):
+    obj = parse_graph_file(path.read_text())
+    text = format_graph_file(obj)
+    again = parse_graph_file(text)
+    assert format_graph_file(again) == text
+    assert again.base == obj.base
+    assert (obj.quotient is None) == (again.quotient is None)
+    if obj.quotient is not None:  # the edgeless quotients keep their rank through the d line
+        assert (again.quotient.rank, again.quotient.voltages) == (obj.quotient.rank, obj.quotient.voltages)
+    assert isinstance(again, PlaneGraph) == isinstance(obj, PlaneGraph)
+    if isinstance(obj, PlaneGraph):
+        assert again.rotations == obj.rotations
+
+
 # -- CLI -------------------------------------------------------------------------
 
 

@@ -311,7 +311,7 @@ def _plane_graphs_on_disk():
 
 
 def test_one_tracer_serves_every_voltage_plane_graph():
-    quotients = [pg for pg in _plane_graphs_on_disk() if pg.is_voltage]
+    quotients = [pg for pg in _plane_graphs_on_disk() if pg.quotient is not None]
     assert len(quotients) >= 4  # ladder, girder, single_loop, ladder_lone_vertex
     for pg in quotients:
         assert medial_components(pg) == medial_components_voltage(pg)
@@ -327,8 +327,9 @@ def test_base_is_the_same_finite_graph_for_every_kind():
     pg = triangle_plane()
     g = pg.graph
     vg = VoltageGraph(g, 1, ((1,), (0,), (0,)))
-    for obj in (g, vg, pg, PlaneGraph(vg, pg.rotations)):
+    for obj, quotient in ((g, None), (vg, vg), (pg, None), (PlaneGraph(vg, pg.rotations), vg)):
         assert obj.base is g
+        assert obj.quotient is quotient
 
 
 # -- Shank basis ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from lapgraph.spanning import (
     annular_connectivity,
     complexity,
     cover_complexity,
+    cover_rows,
     crsf_coefficients,
     cyclic_cover_complexity,
     grimmett_bound,
@@ -165,9 +166,12 @@ def test_cyclic_cover_complexity_of_degenerate_quotients():
     assert cyclic_cover_complexity(lone, 7) == 1
     with pytest.raises(ValueError):
         cyclic_cover_complexity(example("grid"), 2)
-    for bad in (0, -3):
+    for bad in (0, -3, 2.0, 4.5, "4"):
+        for vg in (lone, example("ladder").graph):
+            with pytest.raises(ValueError, match="sublattice index must be an integer at least 1"):
+                cyclic_cover_complexity(vg, bad)
         with pytest.raises(ValueError):
-            cyclic_cover_complexity(lone, bad)
+            cover_rows(example("ladder").graph, [bad])
         with pytest.raises(ValueError):
             growth_covers(example("ladder").graph, [bad], fibers=16)
 
