@@ -247,21 +247,23 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
 
     A(x)_ij collects x^s for every edge from v_i to the level-s copy of v_j;
     a self-loop with voltage s contributes x^s + x^-s to its diagonal entry.
-    Satisfies L(1/x) = L(x)^T.
+    Satisfies L(1/x) = L(x)^T.  Each row's coefficients are tallied as
+    {column: {exponent: coefficient}} and each nonzero entry is built once;
+    the others share one zero, which carries the variable count.
     """
     g = vg.base
-    n = len(g.vertices)
     d = vg.rank
-    zero = LaurentPoly.zero(d)
-    L = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        L[i][i] = LaurentPoly.constant(g.degree(g.vertices[i]), d)
+    rows = [{i: {(0,) * d: g.degree(v)}} for i, v in enumerate(g.vertices)]
     for e, s in zip(g.edges, vg.voltages):
-        i = g.vertex_index(e.tail)
-        j = g.vertex_index(e.head)
-        neg_s = tuple(-a for a in s)
-        L[i][j] = L[i][j] - LaurentPoly.monomial(1, s)
-        L[j][i] = L[j][i] - LaurentPoly.monomial(1, neg_s)
+        i, j = g.vertex_index(e.tail), g.vertex_index(e.head)
+        for r, c, t in ((i, j, s), (j, i, tuple(-a for a in s))):
+            entry = rows[r].setdefault(c, {})
+            entry[t] = entry.get(t, 0) - 1
+    zero = LaurentPoly.zero(d)
+    L = [[zero] * len(rows) for _ in rows]
+    for row, tally in zip(L, rows):
+        for j, coeffs in tally.items():
+            row[j] = LaurentPoly(d, coeffs)
     return L
 
 

@@ -11,9 +11,13 @@ integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
 on the upper triangle alone when they are symmetric, in the pivot order
 (:func:`_elimination_order`) that the caller permutes each matrix into once.
-A Laurent matrix is encoded and ordered once (:func:`_laurent_minors`), and
-its minors inherit that order: :func:`det_laurent` is its full minor, and
-:func:`elementary_divisor` folds its (n - k)-minors up to the first unit gcd.
+A Laurent matrix is checked, Kronecker-encoded and ordered once
+(:class:`LaurentEncoding`), with K and b sized by the largest minor the
+encoding serves, and its minors (:func:`_laurent_minors`) inherit that order:
+:func:`det_laurent` is its full minor, and :func:`elementary_divisor` folds
+its (n - k)-minors up to the first unit gcd.  A caller that needs Delta_0 and
+several Delta_k of one matrix encodes it once, for its determinant, and
+passes the encoding to each; a raw matrix is encoded on entry.
 """
 
 from __future__ import annotations
@@ -387,47 +391,71 @@ def int_det(rows: list[dict[int, int]]) -> int:
 # -- Laurent-polynomial determinants and elementary divisors --------------------
 
 
-def _laurent_minors(M: Matrix, size: int):
-    """The size x size minors of a square matrix of integer Laurent
-    polynomials in one or two variables, lazily, in rows-major order.
+class LaurentEncoding:
+    """A square matrix of integer Laurent polynomials in one or two variables,
+    checked, Kronecker-encoded and ordered once for all its minors of order
+    at most ``size`` (n for every minor, the determinant included).
 
-    M is checked and Kronecker-encoded once: row i times x^-a_i y^-c_i (its
-    least exponents) has x-degree at most s_i, y = x^K with K = 1 + the sum
-    of the ``size`` largest s_i keeps a minor's monomials apart, and x = 2^b
-    gives integer rows.  A minor's coefficients are at most the product of
-    the ``size`` largest row 1-norms (each at least 1), below 2^(b-1), so
-    they are the balanced base-2^b digits of :func:`_bareiss` of its integer
-    sub-rows, about b K (Dy + 1) bits, Dy the sum of the ``size`` largest
-    y-spans.  The encoded M is ordered once (:func:`_elimination_order`); a
-    minor's t-th row and column are paired, and the pairs sorted by the
-    column's place in that order, so rows and columns move alike and the
-    value stays.  A non-square M, or a non-int coefficient, raises ValueError.
+    Row i times x^-a_i y^-c_i (``lows``, its least exponents) has x-degree
+    at most s_i; y = x^K with K = 1 + the sum of the ``size`` largest s_i
+    keeps a minor's monomials apart, and x = 2^b gives the integer ``rows``.
+    A minor's coefficients are at most the product of the ``size`` largest
+    row 1-norms (each at least 1), below 2^(b-1).  An r-minor with r <= size
+    is bounded by its r widest spans and r largest norms, below those, so
+    one K and b, sized by the largest minor served, serve them all.
+    ``where`` is each index's place in the pivot order
+    (:func:`_elimination_order`) of the integer rows.  A non-square matrix,
+    or a non-int coefficient, raises ValueError.
     """
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ValueError("determinant needs a square matrix")
-    nvars = M[0][0].nvars if n else 1
-    lows, spans, norms = [], [], []
-    for row in M:
-        terms = [t for f in row for t in f.coeffs.items()]
-        for _, c in terms:
-            if not isinstance(c, int):
-                raise ValueError(f"determinant needs integer coefficients, got {c!r}")
-        lows.append([min((e[v] for e, _ in terms), default=0) for v in range(nvars)])
-        spans.append(max((e[0] for e, _ in terms), default=0) - lows[-1][0])
-        norms.append(max(sum(abs(c) for _, c in terms), 1))
-    K = 1 + sum(sorted(spans)[n - size :])
-    b = prod(sorted(norms)[n - size :]).bit_length() + 1
 
-    def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
-        return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
+    __slots__ = ("nvars", "size", "lows", "K", "b", "rows", "where")
 
-    rows = [
-        {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
-        for row, low in zip(M, lows)
-    ]
-    order = _elimination_order(rows)
-    where = sorted(range(n), key=order.__getitem__)
+    def __init__(self, M: Matrix, size: int):
+        n = len(M)
+        if any(len(r) != n for r in M):
+            raise ValueError("determinant needs a square matrix")
+        self.nvars = nvars = M[0][0].nvars if n else 1
+        self.size = size
+        self.lows = lows = []
+        spans, norms = [], []
+        for row in M:
+            terms = [t for f in row for t in f.coeffs.items()]
+            for _, c in terms:
+                if not isinstance(c, int):
+                    raise ValueError(f"determinant needs integer coefficients, got {c!r}")
+            lows.append([min((e[v] for e, _ in terms), default=0) for v in range(nvars)])
+            spans.append(max((e[0] for e, _ in terms), default=0) - lows[-1][0])
+            norms.append(max(sum(abs(c) for _, c in terms), 1))
+        self.K = K = 1 + sum(sorted(spans)[n - size :])
+        self.b = b = prod(sorted(norms)[n - size :]).bit_length() + 1
+
+        def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
+            return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
+
+        self.rows = [
+            {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
+            for row, low in zip(M, lows)
+        ]
+        order = _elimination_order(self.rows)
+        self.where = sorted(range(n), key=order.__getitem__)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _laurent_minors(A: LaurentEncoding, size: int):
+    """The size x size minors of an encoded matrix, lazily, in rows-major order.
+
+    A minor's value is :func:`_bareiss` of its integer sub-rows, whose
+    balanced base-2^b digits are its coefficients, about b K (Dy + 1) bits,
+    Dy the sum of the ``size`` largest y-spans.  A minor inherits A's order:
+    its t-th row and column are paired, and the pairs sorted by the column's
+    place in that order, so rows and columns move alike and the value stays.
+    A size above the one A was encoded for raises ValueError.
+    """
+    if size > A.size:
+        raise ValueError(f"an encoding for minors of order {A.size} cannot give order {size}")
+    n, nvars, lows, K, b, rows, where = len(A), A.nvars, A.lows, A.K, A.b, A.rows, A.where
     for rs in combinations(range(n), size):
         shift = [sum(lows[i][v] for i in rs) for v in range(nvars)]
         for cs in combinations(range(n), size):
@@ -446,17 +474,22 @@ def _laurent_minors(M: Matrix, size: int):
             yield LaurentPoly(nvars, coeffs)
 
 
-def det_laurent(M: Matrix) -> LaurentPoly:
+def det_laurent(M: Matrix | LaurentEncoding) -> LaurentPoly:
     """Exact determinant of a square matrix of integer Laurent polynomials in
-    one or two variables: :func:`_laurent_minors`' full minor, in its order."""
-    return next(_laurent_minors(M, len(M)))
+    one or two variables: the full minor of its :class:`LaurentEncoding`,
+    M itself if M is one, else M's encoding sized for its determinant."""
+    A = M if isinstance(M, LaurentEncoding) else LaurentEncoding(M, len(M))
+    return next(_laurent_minors(A, len(A)))
 
 
-def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
+def elementary_divisor(M: Matrix | LaurentEncoding, k: int, dom: Domain) -> LaurentPoly:
     """k-th elementary divisor: gcd over the domain of all (n-k) x (n-k) minors.
 
-    M has integer coefficients.  Its minors come from one encoding
-    (:func:`_laurent_minors`), one at a time, into a single fold,
+    M has integer coefficients.  Its minors come from one encoding, M itself
+    if M is a :class:`LaurentEncoding` (so a caller that encodes once shares
+    the check, the encoding and the order among Delta_0 and every Delta_k),
+    else M's encoding sized for its (n-k)-minors.  They come one at a time
+    (:func:`_laurent_minors`) into a single fold,
     :func:`~lapgraph.laurent.gcd_many`, which reduces each into the domain;
     since reduction mod p is a ring map, a prime-field divisor is the gcd of
     the minors of M mod p.  The fold stops at the first minor after which
@@ -466,6 +499,7 @@ def elementary_divisor(M: Matrix, k: int, dom: Domain) -> LaurentPoly:
     n = len(M)
     if not 0 <= k <= n:
         raise ValueError(f"divisor index {k} out of range for a {n} x {n} matrix")
+    A = M if isinstance(M, LaurentEncoding) else LaurentEncoding(M, n - k)
     if k == n:
-        return LaurentPoly.constant(1, M[0][0].nvars if n else 1)  # normalized in every domain
-    return gcd_many(_laurent_minors(M, n - k), dom)
+        return LaurentPoly.constant(1, A.nvars)  # normalized in every domain
+    return gcd_many(_laurent_minors(A, n - k), dom)

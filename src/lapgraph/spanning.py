@@ -4,7 +4,8 @@ and growth-rate experiments over covers and restrictions.
 Every cover's complexity is read off Delta_0 by one integer resultant
 (:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded along
 its Hermite form onto a rank-1 quotient, :func:`cover_complexity`), so no
-cover is built.  Finite graphs and box restrictions are counted by the
+cover is built; the 2-part of the cover index goes by Graeffe root
+squaring.  Finite graphs and box restrictions are counted by the
 matrix-tree theorem with one sparse Bareiss elimination per graph, however
 many components it has (:func:`complexity`; :func:`tree_count` and the
 quotient's components in a cover count reuse a component pass already
@@ -282,20 +283,49 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
 X_MINUS_1_SQ = LaurentPoly(1, {(0,): 1, (1,): -2, (2,): 1})
 
 
-def _root_of_unity_norm(h: list[int], m: int) -> int:
-    """|prod over zeta^m = 1 of h(zeta)| for h in Z[x], coefficients lowest first.
+def _square(f: list[int]) -> list[int]:
+    """f^2 for a dense coefficient list f, lowest first, by schoolbook squaring."""
+    sq = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        sq[2 * i] += a * a
+        for j in range(i + 1, len(f)):
+            sq[i + j] += 2 * a * f[j]
+    return sq
 
-    With lc the leading coefficient and d the degree, H(x) = lc^(d-1) h(x/lc)
-    is monic in Z[x] and its roots are lc times those of h, alpha_i.  The
-    product is |lc^m prod_i (alpha_i^m - 1)| = |N(x^m - lc^m)| / |lc|^(m(d-1)),
-    where N(q) is the determinant of multiplication by q on Z[x]/(H): one
-    d x d integer determinant of the remainders of q x^j mod H, with x^m mod H
-    taken by repeated squaring, all on dense lists (``laurent._list_divmod``).
+
+def _root_of_unity_norm(h: list[int], m: int) -> int:
+    """N(h, m) = |prod over zeta^m = 1 of h(zeta)| for h in Z[x], coefficients
+    lowest first.
+
+    The 2-part of m goes by Graeffe root squaring.  For h of degree d >= 1,
+    g(x^2) = (-1)^d h(x) h(-x) has the squares of h's roots as its roots, and
+    the 2m-th roots of unity are the square roots +-omega of the m-th ones,
+    so N(h, 2m) = N(g, m).  With h(x) = E(x^2) + x O(x^2),
+    g = (-1)^d (E^2 - x O^2): two squarings of degree d/2 per step, and no
+    determinant.  N(h, 1) = |h(1)| and N(c, m) = |c|^m for a constant c.
+
+    The odd part m > 1 takes the monic norm.  With lc the leading coefficient,
+    H(x) = lc^(d-1) h(x/lc) is monic in Z[x] and its roots are lc times those
+    of h, alpha_i.  The product is |lc^m prod_i (alpha_i^m - 1)| =
+    |N(x^m - lc^m)| / |lc|^(m(d-1)), where N(q) is the determinant of
+    multiplication by q on Z[x]/(H): one d x d integer determinant of the
+    remainders of q x^j mod H, with x^m mod H taken by repeated squaring, all
+    on dense lists (``laurent._list_divmod``).
     """
+    while m % 2 == 0 and len(h) > 1:
+        g = [0] * len(h)
+        for i, c in enumerate(_square(h[::2])):
+            g[i] += c
+        for i, c in enumerate(_square(h[1::2])):
+            g[i + 1] -= c
+        h = g if len(h) % 2 else [-c for c in g]
+        m //= 2
     d = len(h) - 1
     lc = h[d]
     if d == 0:
         return abs(lc) ** m
+    if m == 1:
+        return abs(sum(h))
     H = [c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])] + [1]
 
     def mod(f: list[int]) -> list[int]:
@@ -303,12 +333,7 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
 
     r = [1]
     for bit in bin(m)[2:]:
-        sq = [0] * (2 * len(r) - 1)
-        for i, a in enumerate(r):
-            sq[2 * i] += a * a
-            for j in range(i + 1, len(r)):
-                sq[i + j] += 2 * a * r[j]
-        r = mod(sq)
+        r = mod(_square(r))
         if bit == "1":
             r = mod([0] + r)
     r = r + [0] * (d - len(r))
@@ -332,8 +357,13 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     the connected m = n/c-fold cover of C with every voltage divided by c,
     whose Delta_0 is Delta_0 of C with every exponent divided by c (det L lies
     in Z[x^(+-g)]).  Writing that as (x - 1)^2 h, the copy has
-    tau(C) m |prod_{zeta^m = 1} h(zeta)| / |h(1)| spanning trees
-    (Boesch-Prodinger 1986, Lyons 2005), and tau(C) when m = 1.  h(1) is
+    tau(C) m N(h, m) / |h(1)| spanning trees, with
+    N(h, m) = |prod_{zeta^m = 1} h(zeta)| (Boesch-Prodinger 1986, Lyons
+    2005), and tau(C) when m = 1.  The norm
+    (:func:`_root_of_unity_norm`) takes the 2-part of m by Graeffe root
+    squaring, N(h, 2m) = N(g, m) with g(x^2) = (-1)^d h(x) h(-x), so a
+    power-of-two index takes no determinant (Householder, Amer. Math.
+    Monthly 66, 1959), and only the odd part a monic norm.  h(1) is
     nonzero: every one-cycle CRSF adds -w^2 (x - 1)^2 to det L near x = 1,
     all with the same sign.  The complexity is the product over C of the
     copies' counts to the power c.

@@ -4,8 +4,11 @@ Each check reports PASS, FAIL, or SKIP.  The suite is the CLI's ``verify``
 subcommand; any FAIL gives exit status 1.  L is the voltage Laplacian,
 Delta_k its k-th elementary divisor, and s the first k with Delta_k nonzero
 over GF(2).  L and det L are computed once per input and shared by the checks
-below.  det L is taken over the integers; its normalized form is Delta_0 over
-the integers and the rationals, and reduced mod 2 it gives Delta_0 over GF(2).
+below.  L is checked, Kronecker-encoded and ordered once
+(:class:`~lapgraph.linalg.LaurentEncoding`, sized for det L), and det L and
+every Delta_k are minors of that one encoding.  det L is taken over the
+integers; its normalized form is Delta_0 over the integers and the
+rationals, and reduced mod 2 it gives Delta_0 over GF(2).
 Delta_k over GF(2) for k >= 1 is computed only while the divisors before it
 vanish, so s and Delta_s cost no second determinant of L.  The divisors in
 count-divisibility and delta-chain, (x - 1)^2 and Delta_k over the rationals,
@@ -75,7 +78,7 @@ from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_ba
 from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import divides, normalize
-from .linalg import det_laurent, elementary_divisor, transpose
+from .linalg import LaurentEncoding, det_laurent, elementary_divisor, transpose
 from .mahler import _check_int, mahler
 from .planar import (
     PlaneGraph,
@@ -132,13 +135,14 @@ def run_verify(
         lt = [[e.reciprocal() for e in row] for row in transpose(L)]
         record("laplacian-transpose", lt == L, "L(1/x) equals L(x)^T")
 
-        det = det_laurent(L)
+        A = LaurentEncoding(L, n)
+        det = det_laurent(A)
         d0 = normalize(det, ZZ)  # Delta_0 over the integers
         d0q = normalize(d0, QQ)  # Delta_0 over the rationals
         s, ds = 0, normalize(det, GF2)  # Delta_0 over GF(2)
         while ds.is_zero():
             s += 1
-            ds = elementary_divisor(L, s, GF2)
+            ds = elementary_divisor(A, s, GF2)
         if d0.is_zero():
             record("gf2-vanishing", True, "Delta_0 = 0 over the integers")
         elif s > 0:
@@ -177,7 +181,7 @@ def run_verify(
         max_k = n if n <= 5 else 3
         prev = d0q
         for k in range(1, max_k + 1):
-            cur = elementary_divisor(L, k, QQ)
+            cur = elementary_divisor(A, k, QQ)
             if not prev.is_zero() and cur.is_zero():
                 chain_ok = False
                 details.append(f"Delta_{k} = 0 after nonzero Delta_{k - 1}")

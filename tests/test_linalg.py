@@ -567,6 +567,25 @@ def _coeff_types(f):
     return {e: (c, type(c)) for e, c in f.coeffs.items()}
 
 
+def _exact(f):
+    return f.nvars, _coeff_types(f)
+
+
+def _assert_the_shared_encoding_equals_the_raw_matrix_and_the_oracles(L):
+    """det_laurent and every elementary_divisor give the same answers on one
+    LaurentEncoding of L, sized for det L, as on L itself, which each call
+    encodes for its own minors; and those are the dense oracles' answers,
+    down to the variable count and the coefficient types."""
+    A = linalg_module.LaurentEncoding(L, len(L))
+    assert len(A) == len(L)
+    det = bareiss_det_laurent(L, ZZ) if L else LaurentPoly.constant(1, 1)
+    assert _exact(det_laurent(A)) == _exact(det_laurent(L)) == _exact(det)
+    for dom in (ZZ, QQ, GF2, GF3):
+        for k in range(len(L) + 1):
+            shared, raw = elementary_divisor(A, k, dom), elementary_divisor(L, k, dom)
+            assert _exact(shared) == _exact(raw) == _exact(elementary_divisor_reduce_first(L, k, dom)), (dom, k)
+
+
 @pytest.mark.parametrize("rank, vertices", [(1, 12), (1, 16), (1, 20), (2, 6), (2, 8), (2, 10)])
 def test_det_laurent_matches_dense_oracle_on_large_quotients(rank, vertices):
     rng = random.Random(100 * rank + vertices)
@@ -739,7 +758,9 @@ def _coefficient_types(f):
 def test_elementary_divisor_equals_reduce_first_oracle(seed):
     """Integer minors reduced into the domain give the divisors of the matrix
     reduced first, in every domain, for every k, down to coefficient types,
-    and those are the types normalize gives (int, k = n included)."""
+    and those are the types normalize gives (int, k = n included).  One
+    encoding of the matrix, sized for its determinant, gives the same
+    determinant and divisors as the matrix itself."""
     rng = random.Random(1300 + seed)
     vgs = [
         random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9),
@@ -754,19 +775,25 @@ def test_elementary_divisor_equals_reduce_first_oracle(seed):
                 assert mine == want, (vg, dom, k)
                 assert _coefficient_types(mine) == _coefficient_types(want)
                 assert _coefficient_types(mine) == _coefficient_types(normalize(mine, dom))
+        _assert_the_shared_encoding_equals_the_raw_matrix_and_the_oracles(L)
+
+
+def _fields(A):
+    return [getattr(A, name) for name in linalg_module.LaurentEncoding.__slots__]
 
 
 def _count_minors(L, k, dom, monkeypatch):
     """(Delta_k, the minors elementary_divisor drew from _laurent_minors).
 
-    It draws them from one generator, makes no det_laurent call, and takes
-    one integer determinant per minor drawn, so none is computed ahead."""
+    It draws them from one generator, on L's encoding for its (n - k)-minors,
+    makes no det_laurent call, and takes one integer determinant per minor
+    drawn, so none is computed ahead."""
     computed, eliminated, det_calls = [], [], []
     minors, bareiss = linalg_module._laurent_minors, linalg_module._bareiss
 
-    def spy(M, size):
-        assert M is L and size == len(L) - k
-        for d in minors(M, size):
+    def spy(A, size):
+        assert size == len(L) - k and _fields(A) == _fields(linalg_module.LaurentEncoding(L, size))
+        for d in minors(A, size):
             computed.append(d)
             yield d
 
@@ -820,8 +847,9 @@ def _edges(g):
 @pytest.mark.parametrize("seed", range(3))
 def test_one_wide_row_bounds_every_minor(seed, monkeypatch):
     """A loop of voltage 1000 makes one row 2000 wide.  K and b come from
-    the n - k widest rows and largest 1-norms, so the minors with and
-    without that row decode to the cofactor minors."""
+    the n - k widest rows and largest 1-norms, or from all n rows in an
+    encoding sized for det L, so the minors with and without that row
+    decode to the cofactor minors in either encoding."""
     rng = random.Random(1700 + seed)
     vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=8)
     while len(vg.base.vertices) < 3:
@@ -830,39 +858,59 @@ def test_one_wide_row_bounds_every_minor(seed, monkeypatch):
     g = FiniteGraph.build(vg.base.vertices, _edges(vg.base) + [("wide", v, v)])
     L = voltage_laplacian(VoltageGraph(g, 1, vg.voltages + ((1000,),)))
     for size in (len(L) - 1, len(L) - 2):
-        minors = list(linalg_module._laurent_minors(L, size))
-        assert minors == all_minor_dets(L, size)
-        assert all(type(c) is int for d in minors for c in d.coeffs.values())
+        for A in (linalg_module.LaurentEncoding(L, size), linalg_module.LaurentEncoding(L, len(L))):
+            minors = list(linalg_module._laurent_minors(A, size))
+            assert minors == all_minor_dets(L, size)
+            assert all(type(c) is int for d in minors for c in d.coeffs.values())
     _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch, ks=(1, 2))
+    _assert_the_shared_encoding_equals_the_raw_matrix_and_the_oracles(L)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_laurent_minors_inherit_the_order_of_their_matrix(seed, monkeypatch):
-    """_laurent_minors orders the encoded matrix once, and each minor reaches
+    """A LaurentEncoding orders its integer rows once, and each minor reaches
     _bareiss in that order: its t-th row and t-th column are paired, and the
     pairs are sorted by the column's place in the order, so a principal minor
-    takes the order restricted to its indices."""
+    takes the order restricted to its indices.  An encoding for the minors
+    of one size and one sized for det L share that order, and the latter
+    serves every size with no second order; a larger size is refused."""
     rng = random.Random(1800 + seed)
     L = voltage_laplacian(random_voltage_graph(rng, rank=1 + seed % 2, max_vertices=5, max_edges=9))
     n = len(L)
-    for size in range(n + 1):
-        kernels = []
+    shared = []
+    ((shared_rows, shared_order),) = _order_calls(
+        monkeypatch, lambda: shared.append(linalg_module.LaurentEncoding(L, n))
+    )
 
-        def minors():
-            kernels.extend(_kernel_calls(monkeypatch, lambda: list(linalg_module._laurent_minors(L, size))))
+    def received(A, size):
+        kernels = _kernel_calls(monkeypatch, lambda: list(linalg_module._laurent_minors(A, size)))
+        return [(name, rows) for name, _, rows in kernels]
 
-        ((encoded, order),) = _order_calls(monkeypatch, minors)
-        assert sorted(order) == list(range(n))
+    def expected(encoded, order, size):
         place = {j: t for t, j in enumerate(order)}
-        expected = []
+        out = []
         for rs in combinations(range(n), size):
             for cs in combinations(range(n), size):
                 pairs = sorted(zip(rs, cs), key=lambda rc: place[rc[1]])
                 if rs == cs:
                     assert [i for i, _ in pairs] == [i for i in order if i in rs]
                 col = {j: t for t, (_, j) in enumerate(pairs)}
-                expected.append([{col[j]: v for j, v in encoded[i].items() if j in col} for i, _ in pairs])
-        assert [(name, received) for name, _, received in kernels] == [("_bareiss", sub) for sub in expected]
+                sub = [{col[j]: v for j, v in encoded[i].items() if j in col} for i, _ in pairs]
+                out.append(("_bareiss", sub))
+        return out
+
+    for size in range(n + 1):
+        kernels = []
+        ((encoded, order),) = _order_calls(
+            monkeypatch, lambda: kernels.extend(received(linalg_module.LaurentEncoding(L, size), size))
+        )
+        assert sorted(order) == list(range(n)) and order == shared_order
+        assert kernels == expected(encoded, order, size)
+        assert _order_calls(monkeypatch, lambda: kernels.extend(received(shared[0], size))) == []
+        assert kernels[len(kernels) // 2 :] == expected(shared_rows, shared_order, size)
+    if n:
+        with pytest.raises(ValueError, match="cannot give order"):
+            next(linalg_module._laurent_minors(linalg_module.LaurentEncoding(L, n - 1), n))
 
 
 def test_zero_rows_and_the_empty_matrix_give_the_oracles_minors(monkeypatch):
@@ -875,7 +923,10 @@ def test_zero_rows_and_the_empty_matrix_give_the_oracles_minors(monkeypatch):
         L = voltage_laplacian(vg)
         assert not any(L[-1])
         _assert_minors_stop_at_the_first_unit_gcd(L, monkeypatch)
-    assert [_coeff_types(d) for d in linalg_module._laurent_minors([], 0)] == [{(0,): (1, int)}]
+        _assert_the_shared_encoding_equals_the_raw_matrix_and_the_oracles(L)
+    empty = linalg_module.LaurentEncoding([], 0)
+    assert [_coeff_types(d) for d in linalg_module._laurent_minors(empty, 0)] == [{(0,): (1, int)}]
+    _assert_the_shared_encoding_equals_the_raw_matrix_and_the_oracles([])
 
 
 def test_girder_delta1_over_gf2_computes_every_minor(monkeypatch):

@@ -128,7 +128,7 @@ def test_cyclic_cover_complexity_matches_the_built_cover(batch):
         vg = VoltageGraph(vg.base, 1, tuple((scale * s,) for (s,) in vg.voltages))
         parts = len(connected_components(vg.base))
         kinds.add("disconnected quotient" if parts > 1 else "connected quotient")
-        for n in range(1, 14):
+        for n in (*range(1, 14), 16):
             cov = cover_graph(vg, SublatticeSpec.cyclic(n))
             if n > 1 and len(connected_components(cov)) > parts:
                 kinds.add("disconnected cover")
@@ -147,10 +147,14 @@ def test_cyclic_cover_complexity_closed_forms_at_ten_thousand_sheets():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_root_of_unity_norm_matches_the_long_division_oracle(seed):
+    # m = 2^k o takes k Graeffe steps, then the monic norm when o > 1; every
+    # such m with k <= 6 meets a constant h and a random one of degree 1 to 7
     rng = random.Random(5200 + seed)
-    for _ in range(30):
-        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))] + [rng.choice([1, -1, 2, -3, 7, 60])]
-        m = rng.randint(1, 40)
+    leads = [1, -1, 2, -3, 7, 60]
+    cases = [(rng.randint(0, 7), rng.randint(1, 40)) for _ in range(30)]
+    cases += [(d, 2**k * o) for k in range(7) for o in (1, 3, 5, 7) for d in (0, rng.randint(1, 7))]
+    for d, m in cases:
+        h = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice(leads)]
         assert spanning._root_of_unity_norm(h, m) == root_of_unity_norm_by_division(h, m), (h, m)
 
 
@@ -195,8 +199,9 @@ def _random_lattice_rows(rng) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 # Hermite forms (a, b, c): index 1; a = 1 with b != 0, where the fold is the
-# quotient with voltages s2 - b s1; and negative entries with a = 2, b != 0.
-FIXED_LATTICES = (((1, 0), (0, 1)), ((1, 0), (2, 5)), ((-2, 4), (3, -1)))
+# quotient with voltages s2 - b s1; negative entries with a = 2, b != 0; and
+# (2, 0, 2) and (4, 0, 4), whose folds' indices c take Graeffe steps alone.
+FIXED_LATTICES = (((1, 0), (0, 1)), ((1, 0), (2, 5)), ((-2, 4), (3, -1)), ((2, 0), (0, 2)), ((4, 0), (0, 4)))
 
 
 @pytest.mark.parametrize("batch", range(8))

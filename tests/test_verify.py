@@ -128,6 +128,47 @@ def test_verify_computes_each_invariant_once(monkeypatch):
         assert calls[("det", len(L))] == 1
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_orders_each_voltage_laplacian_once(seed, monkeypatch):
+    """Delta_0 and every Delta_k over GF(2) and QQ are minors of one
+    LaurentEncoding of L, so _elimination_order runs once for all of them; a
+    rank-2 cover count's fold is another voltage Laplacian, ordered once in
+    its own det_laurent."""
+    scope, orders, calls = [], [], Counter()
+    elimination_order = linalg._elimination_order
+
+    def order(rows):
+        orders.append(scope[-1] if scope else None)
+        return elimination_order(rows)
+
+    monkeypatch.setattr(linalg, "_elimination_order", order)
+    laurent_calls = ("LaurentEncoding", "det_laurent", "elementary_divisor")
+    for module, attr in [(verify, attr) for attr in laurent_calls] + [(spanning, "det_laurent")]:
+
+        def scoped(*args, f=getattr(module, attr), name=module.__name__, **kwargs):
+            scope.append(name)
+            calls[name] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                scope.pop()
+
+        monkeypatch.setattr(module, attr, scoped)
+    rng = random.Random(2600 + seed)
+    inputs = [example("ladder"), example("mitsubishi")]
+    inputs += [random_voltage_graph(rng, rank, max_vertices=5, max_edges=9) for rank in (1, 2)]
+    folds = 0
+    for obj in inputs:
+        orders.clear()
+        calls.clear()
+        verify.run_verify(obj, max_cover=8, fibers=16)
+        assert calls["lapgraph.verify"] >= 3  # the encoding, Delta_0 and Delta_1 over QQ at least
+        assert orders.count("lapgraph.verify") == 1
+        assert orders.count("lapgraph.spanning") == calls["lapgraph.spanning"]
+        folds += calls["lapgraph.spanning"]
+    assert folds  # Mitsubishi's 2 x 2 cover count takes Delta_0 of its fold
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_delta0_over_q_is_the_normalized_integer_delta0(seed):
     rng = random.Random(7000 + seed)
