@@ -7,13 +7,8 @@ last sweep moved every root by less than 1e-14, relative, has converged and
 keeps its roots as they are.  Only a run that stops short of that, at
 ``ABERTH_MAX_ITER`` sweeps or when a shift below ``STALL_SHIFT`` no longer
 halves per sweep, gets a float Newton polish.  Every root set then passes a
-residual and coefficient-identity validation.  Float Aberth meets a k-fold root
-only to about eps^(1/k), so repeated roots are split off exactly first (the
-repeated-gcd squarefree split, see Yun 1976): g_(i+1) = gcd(g_i, g_i') over
-the integers until g is constant, and each part g_i / g_(i+1) has simple
-roots.  A root of multiplicity k lies in k of the parts, so m(g_0) is the sum
-of their measures plus log|the final constant|.  Roots on the unit circle,
-like the double root 1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).
+residual and coefficient-identity validation.  Roots on the unit circle, like
+the double root 1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
@@ -23,10 +18,17 @@ error estimate compares the N- and N/2-point grids.  The conjugate fibers at
 theta and 1 - theta are solved once, walking theta up with Aberth started from
 the last fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides
 f, decided exactly (rounding leaves it tiny, not zero); it takes the mean of
-the fibers half a step to either side.  A factor repeated in y would hand
-every fiber a multiple root, so f is split first, as in one variable: with
-h = gcd(f, df/dy) over the integers, m(f) = m(f/h) + m(h) while h has y in
-it.  An h free of y, such as a content (1 + x)^4, leaves f to the grid.
+the fibers half a step to either side.
+
+Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
+root only to about eps^(1/k), so f is split exactly first in its last
+variable v, x in one variable and y in two (the repeated-gcd squarefree
+split, see Yun 1976): while h = gcd(f, df/dv) has v in it, f / h is a part
+and the split goes on with h; once h is free of v, f is the last part.  Each
+part is squarefree in v, the parts multiply to f, and m is additive, so m(f)
+is the sum of the parts' measures.  One variable splits the primitive integer
+polynomial p of f = c x^a p and adds log|c|; two variables split f itself, so
+an h free of y, such as a content (1 + x)^4, stays in the last part's grid.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
 int 0 as ``sum`` does, so its floats are those of a call per evaluation; the
@@ -39,10 +41,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .fields import QQ, ZZ
-from .laurent import LaurentPoly, divexact, divides, laurent_gcd
+from .laurent import LaurentPoly, divexact, divides, laurent_gcd, normalize
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
@@ -108,7 +109,7 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     (a sweep moved each by less than 1e-14, relative) stand as they are; a run
     cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
     that did not halve) gets ``_refine_float``.  Every result is validated.  A
-    k-fold root comes out only to about eps^(1/k), so ``mahler_1var`` hands it
+    k-fold root comes out only to about eps^(1/k), so both measures hand it
     squarefree parts.
     """
     s = len(coeffs) - 1
@@ -208,39 +209,41 @@ def _strip_complex(coeffs: list[complex], big: float) -> list[complex]:
     return out[kept[0] : kept[-1] + 1] if kept else []
 
 
+def _squarefree_parts(f: LaurentPoly):
+    """The squarefree parts of f in its last variable v, in the module docstring's
+    order; their product is f.  Each gcd runs over QQ if a coefficient of the
+    polynomial it splits is a Fraction, over ZZ otherwise."""
+    v = f.nvars - 1
+    while True:
+        dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
+        df = LaurentPoly(f.nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in f.coeffs.items() if e[v]})
+        h = laurent_gcd(f, df, dom)
+        if h.min_exp(v) == h.max_exp(v):
+            yield f
+            return
+        yield divexact(f, h, dom)
+        f = h
+
+
 # -- one variable ----------------------------------------------------------------
 
 
-def _int_coeff_list(f: LaurentPoly) -> tuple[list[int], float]:
-    """Integer dense coefficients of a 1-variable poly and a log offset.
-
-    Fractions are cleared by a common positive factor c, so
-    m(f) = m(c f) - log c.
-    """
-    coeffs = f.coefficient_list()
-    if any(isinstance(c, Fraction) for c in coeffs):
-        denom = lcm(*(Fraction(c).denominator for c in coeffs))
-        ints = [int(Fraction(c) * denom) for c in coeffs]
-        return ints, math.log(denom)
-    return [int(c) for c in coeffs], 0.0
-
-
 def mahler_1var(f: LaurentPoly) -> MahlerResult:
-    """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial."""
+    """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial.
+
+    f is normalized first, f = c x^a p with p primitive over the integers;
+    log|c| comes from c's integer numerator and denominator, so a content too
+    large for a float is measured, and p is split as in the module docstring."""
     if f.nvars != 1:
         raise ValueError("mahler_1var needs a one-variable polynomial")
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
-    coeffs, offset = _int_coeff_list(f)
-    # the squarefree split of the module docstring
-    g = LaurentPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    value = -offset
-    while g.max_exp(0) > 0:
-        h = laurent_gcd(g, LaurentPoly(1, {(a - 1,): a * c for (a,), c in g.coeffs.items()}), ZZ)
-        s = divexact(g, h, ZZ).coefficient_list()
-        value += _jensen(s, _aberth_roots([complex(c) for c in s]))
-        g = h
-    value += math.log(abs(g.coeffs[(0,)]))
+    p = normalize(f, QQ)
+    c = Fraction(f.coefficient_list()[0]) / p.coefficient_list()[0]
+    value = math.log(abs(c.numerator)) - math.log(c.denominator)
+    for part in _squarefree_parts(p):
+        s = part.coefficient_list()
+        value += _jensen(s, _aberth_roots([complex(a) for a in s]))
     return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
 
 
@@ -316,33 +319,21 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
     The error estimate is the difference against the half-resolution grid,
-    summed over the parts of a repeated factor in y.  Conjugate fibers are
-    solved once, warm-started; the module docstring has the zero rule.
+    summed over f's squarefree parts in y.  Conjugate fibers are solved
+    once, warm-started; the module docstring has the zero rule.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     _check_int("fibers", fibers, 4)
-    value, error = _split_2var(f, fibers)
+    value = error = 0.0
+    for part in _squarefree_parts(f):
+        plan = _fiber_plan(part)
+        m = _grid_average(plan, fibers)
+        value += m
+        error += abs(m - _grid_average(plan, fibers // 2))
     return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
-
-
-def _split_2var(f: LaurentPoly, fibers: int) -> tuple[float, float]:
-    """(m(f), error estimate): m(f / h) + m(h) with h = gcd(f, df/dy) while h has
-    y in it, as in the module docstring, and the fiber grid once it has not.
-    f / h is squarefree in y, so it goes to the grid with no gcd of its own.
-    Only a Fraction coefficient makes the gcd run over QQ."""
-    dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
-    h = laurent_gcd(f, LaurentPoly(2, {(a, b - 1): b * c for (a, b), c in f.coeffs.items() if b}), dom)
-    split = h.min_exp(1) != h.max_exp(1)
-    plan = _fiber_plan(divexact(f, h, dom) if split else f)
-    value = _grid_average(plan, fibers)
-    error = abs(value - _grid_average(plan, fibers // 2))
-    if split:
-        m2, e2 = _split_2var(h, fibers)
-        return value + m2, error + e2
-    return value, error
 
 
 def mahler_limit_check(

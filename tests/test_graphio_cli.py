@@ -84,6 +84,36 @@ def test_bad_rotation_rejected():
         parse_graph_file(text)
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("lapgraph v1\nd 1\nd 1\n", 3, "duplicate d line"),
+        ("lapgraph v1\nd one\n", 2, "d line needs one integer"),
+        ("lapgraph v1\nd 3\n", 2, "rank 3 not supported (0, 1 or 2)"),
+        ("lapgraph v1\nvertex a b\n", 2, "vertex line needs exactly one name"),
+        ("lapgraph v1\nvertex v\nedge e v\n", 3, "edge line needs: edge NAME TAIL HEAD [voltage...]"),
+        ("lapgraph v1\nvertex v\nedge e w v\n", 3, "unknown vertex 'w' in edge 'e'"),
+        ("lapgraph v1\nd 1\nvertex v\nedge e v v one\n", 4, "bad voltage 'one'"),
+        ("lapgraph v1\nvertex v\nrot v\n", 3, "rot line needs: rot VERTEX: end end ..."),
+        ("lapgraph v1\nvertex v\nrot w:\n", 3, "unknown vertex 'w' in rot line"),
+        ("lapgraph v1\nvertex v\nrot v:\nrot v:\n", 4, "duplicate rot line for 'v'"),
+        ("lapgraph v1\nvertex v\nface f\n", 3, "unknown directive 'face'"),
+        ("# no header, only a comment\n", 1, "missing header 'lapgraph v1'"),
+    ],
+)
+def test_parse_errors_name_their_line(text, line_no, message):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_file(text)
+    assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def test_cli_reports_a_parse_error_with_its_line(tmp_path, capsys):
+    path = tmp_path / "rank3.lapgraph"
+    path.write_text("lapgraph v1\nvertex v\nd 3\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 3: rank 3 not supported (0, 1 or 2)\n"
+
+
 def test_round_trip_all_named_graphs():
     paths = sorted(GRAPHS.glob("*.lapgraph"))
     assert [p.stem for p in paths] == [

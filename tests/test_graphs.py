@@ -401,6 +401,18 @@ def test_graph_validation_errors():
         VoltageGraph.build(["v"], [("e", "v", "v", (1, 0))], rank=1)
 
 
+def test_voltage_graph_needs_one_voltage_per_edge():
+    with pytest.raises(ValueError, match="one voltage vector per edge required"):
+        VoltageGraph(FiniteGraph.build(["v"], [("e", "v", "v")]), 1, ())
+
+
+def test_covers_and_restrictions_reject_a_rank_mismatch():
+    with pytest.raises(ValueError, match="sublattice rank does not match voltage rank"):
+        cover_graph(example("grid"), SublatticeSpec.cyclic(3))
+    with pytest.raises(ValueError, match="rectangle rank does not match voltage rank"):
+        restriction_subgraph(example("ladder").graph, RectangleSpec((2, 2)))
+
+
 def test_bfs_potentials_forest_roots_and_loops():
     # a -> b (2), b -> c (3), c -> a (7) closes a cycle; the loop on c and the
     # isolated d are skipped and rooted on their own.

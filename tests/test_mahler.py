@@ -20,7 +20,7 @@ from conftest import (
     mahler_1var_exact_refined,
     refine_float_four_steps,
 )
-from lapgraph.fields import ZZ
+from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
 from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
@@ -31,6 +31,7 @@ from lapgraph.mahler import (
     _fiber_plan,
     _poly_deriv,
     _refine_float,
+    _squarefree_parts,
     _strip_complex,
     mahler,
     mahler_1var,
@@ -72,6 +73,21 @@ def test_monomial_and_content_invariance():
     assert abs(mahler_1var(shifted).value - mahler_1var(f).value) < 1e-12
     scaled = 6 * f
     assert abs(mahler_1var(scaled).value - math.log(6) - mahler_1var(f).value) < 1e-12
+
+
+def test_entry_points_reject_the_wrong_variable_count():
+    with pytest.raises(ValueError, match="mahler_1var needs a one-variable polynomial"):
+        mahler_1var(poly2("4 - x - x^-1 - y - y^-1"))
+    with pytest.raises(ValueError, match="mahler_2var needs a two-variable polynomial"):
+        mahler_2var(poly1("x^2 - 4x + 1"))
+    with pytest.raises(ValueError, match="mahler_limit_check needs a two-variable polynomial"):
+        mahler_limit_check(poly1("x^2 - 4x + 1"), 2)
+
+
+def test_a_content_too_large_for_a_float_is_measured():
+    c = int("7" * 400)
+    res = mahler_1var(c * poly1("x^2 - 4x + 1"))
+    assert abs(res.value - (math.log(c) + LOG_2_PLUS_SQRT3)) <= res.error_estimate
 
 
 def test_zero_polynomial_rejected():
@@ -369,6 +385,36 @@ def test_fraction_coefficients_split_over_the_rationals():
     half = LaurentPoly(2, {(0, 1): Fraction(1, 2), (0, 0): 3, (1, 0): 1})  # no repeated factor
     res = mahler_2var(half, 16)
     assert abs(res.value - math.log(3)) <= res.error_estimate
+
+
+def _random_factor(rng, nvars):
+    """A nonzero Laurent polynomial with up to three terms, exponents in [-1, 1]
+    and now and then a Fraction coefficient."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            e = tuple(rng.randint(-1, 1) for _ in range(nvars))
+            terms[e] = Fraction(c, rng.randint(2, 5)) if rng.random() < 0.2 else c
+    return LaurentPoly(nvars, terms)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_squarefree_parts_are_squarefree_and_multiply_to_the_input(seed):
+    rng = random.Random(3500 + seed)
+    nvars = 1 + seed % 2
+    v = nvars - 1
+    f = LaurentPoly(nvars, {(0,) * nvars: 1})
+    for _ in range(rng.randint(1, 3 if nvars == 1 else 2)):
+        f = f * _random_factor(rng, nvars) ** rng.randint(1, 3)
+    parts = list(_squarefree_parts(f))
+    product = LaurentPoly(nvars, {(0,) * nvars: 1})
+    for p in parts:
+        dp = LaurentPoly(nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in p.coeffs.items() if e[v]})
+        h = laurent_gcd(p, dp, QQ)
+        assert h.min_exp(v) == h.max_exp(v)
+        product = product * p
+    assert product == f
 
 
 def test_dispatch_helper():

@@ -1,5 +1,6 @@
 """Faces, Dehn colorings, medial components, residues, Shank basis."""
 
+import itertools
 import random
 import time
 from pathlib import Path
@@ -135,6 +136,17 @@ def test_rotation_validation():
         PlaneGraph(g, {"a": (("e", "h"),), "b": (("e", "t"),)})
 
 
+def test_rotation_validation_messages():
+    with pytest.raises(ValueError, match="plane graphs carry voltages of rank at most 1"):
+        PlaneGraph(example("grid"), {})
+    g = FiniteGraph.build(["a", "b"], [("e", "a", "b"), ("f", "a", "b")])
+    with pytest.raises(ValueError, match=r"edge end \('e', 't'\) appears twice"):
+        PlaneGraph(g, {"a": (("e", "t"), ("e", "t")), "b": (("e", "h"), ("f", "h"))})
+    # an edge end left out of every rotation shortens its vertex's rotation
+    with pytest.raises(ValueError, match="rotation at a has length 1, degree is 2"):
+        PlaneGraph(g, {"a": (("e", "t"),), "b": (("e", "h"), ("f", "h"))})
+
+
 # -- Dehn colorings -------------------------------------------------------------------
 
 
@@ -174,6 +186,11 @@ def test_nonconservative_coloring_rejected():
         dehn_extend(pg, [1, 0, 0], 0, QQ)
 
 
+def test_dehn_extend_rejects_a_base_face_out_of_range():
+    with pytest.raises(ValueError, match=r"base face 2 out of range \(have 2 faces\)"):
+        dehn_extend(triangle_plane(), [1, 1, 1], 2, QQ)
+
+
 def test_dehn_roundtrip_k4():
     pg = example("k4")
     dc = dehn_extend(pg, [0, 1, 1, 0], 0, GF2)
@@ -206,6 +223,24 @@ def test_dehn_roundtrip_on_random_plane_graphs_gf5(batch):
             step = (alpha[g.vertex_index(e.tail)] - alpha[g.vertex_index(e.head)]) % 5
             assert (left - right) % 5 == step
         done += 1
+
+
+def test_dehn_extend_colors_every_dual_component_of_a_disconnected_plane_graph():
+    # a triangle and a 5-cycle: the faces off the base face's dual component
+    # start at zero from their own first face, so every coloring extends
+    pg = parse_graph_file((Path(__file__).with_name("data") / "triangle_and_pentagon.lapgraph").read_text())
+    g = pg.base
+    basis = conservative_vertex_basis(g, GF5)
+    assert len(basis) == 3
+    fidx = face_index_of_darts(faces(pg))
+    for coeffs in itertools.product(range(5), repeat=len(basis)):
+        alpha = [sum(c * v[i] for c, v in zip(coeffs, basis)) % 5 for i in range(len(g.vertices))]
+        dc = dehn_extend(pg, alpha, 0, GF5)
+        assert dehn_restrict(dc) == alpha
+        for e in g.edges:
+            left = dc.face_colors[fidx[(e.name, "t")]]
+            right = dc.face_colors[fidx[(e.name, "h")]]
+            assert (left - right) % 5 == (alpha[g.vertex_index(e.tail)] - alpha[g.vertex_index(e.head)]) % 5
 
 
 # -- medial components -----------------------------------------------------------------
@@ -321,6 +356,12 @@ def test_one_tracer_serves_every_voltage_plane_graph():
 def test_shank_basis_rejects_a_voltage_quotient():
     with pytest.raises(ValueError, match="Shank basis needs a finite plane graph"):
         shank_basis(example("ladder"))
+
+
+def test_shank_basis_rejects_a_base_component_out_of_range():
+    pg = example("k4")
+    with pytest.raises(ValueError, match="base component 3 out of range"):
+        shank_basis(pg, len(medial_components(pg)))
 
 
 def test_base_is_the_same_finite_graph_for_every_kind():

@@ -576,6 +576,23 @@ def test_split_rejects_kappa_two():
         split_at_annular_cut(example("ladder").graph)
 
 
+@pytest.mark.parametrize(
+    "vg, message",
+    [
+        (example("grid"), "the vertex split applies to rank-1 quotients"),
+        (single_loop_quotient(2), "loop winds more than once; not an embedded kappa = 1 quotient"),
+        (  # u meets the cut vertex v at the levels 0, -1 and -2
+            VoltageGraph.build(["v", "u"], [(f"e{s}", "v", "u", (s,)) for s in range(3)], rank=1),
+            "component attaches to more than two consecutive levels",
+        ),
+    ],
+    ids=["rank-2", "loop-winding-twice", "three-levels"],
+)
+def test_split_rejects_quotients_it_cannot_open(vg, message):
+    with pytest.raises(ValueError, match=message):
+        split_at_annular_cut(vg)
+
+
 # -- growth ------------------------------------------------------------------------------
 
 

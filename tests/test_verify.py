@@ -19,7 +19,7 @@ from lapgraph import laurent, linalg, spanning, verify
 from lapgraph.cli import main
 from lapgraph.fields import QQ, ZZ, RationalField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.graphs import voltage_laplacian
+from lapgraph.graphs import VoltageGraph, voltage_laplacian
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.planar import PlaneGraph
 
@@ -188,6 +188,13 @@ def test_growth_check_skips_when_no_cover_fits(capsys):
     assert "PASS grimmett-bound" in out
 
 
+def test_forman_check_skips_a_quotient_past_the_brute_force_limit():
+    # 17 loops of voltage 1 at one vertex: one edge past CRSF_MAX_EDGES
+    vg = VoltageGraph.build(["v"], [(f"l{k}", "v", "v", (1,)) for k in range(17)], rank=1)
+    (res,) = [r for r in verify.run_verify(vg, 8, 64) if r.name == "forman-reconstruction"]
+    assert (res.status, res.detail) == ("SKIP", "quotient too large for brute force")
+
+
 def test_verify_has_no_base_options():
     with pytest.raises(SystemExit):
         main(["verify", graph_file("k4"), "--base-face", "0"])
@@ -269,11 +276,11 @@ def test_verify_passes_plane_graphs_with_isolated_vertices(name, line, capsys):
 
 def test_dehn_roundtrip_reports_a_failed_edge_check(monkeypatch):
     def fails_its_edge_check(*args):
-        raise AssertionError("Dehn condition fails at edge e1")
+        raise ValueError("face coloring is path dependent")
 
     monkeypatch.setattr(verify, "dehn_extend", fails_its_edge_check)
     (res,) = [r for r in verify.run_verify(example("k4"), 8, 64) if r.name == "dehn-roundtrip"]
-    assert (res.status, res.detail) == ("FAIL", "Dehn condition fails at edge e1")
+    assert (res.status, res.detail) == ("FAIL", "face coloring is path dependent")
 
 
 @pytest.mark.parametrize("seed", range(4))
