@@ -24,17 +24,17 @@ coefficient lists, lowest degree first (``_list_divmod``), the kernel that
 the gcds and the cover norm of :mod:`lapgraph.spanning` share.
 
 The gcd is the gcd of the contents in x times a primitive part, and it is
-normalized.  One variable runs on dense lists: Euclid over GF(p), and over
-the integers a gcd mod P = 2^61 - 1 that is a proof when it is constant and
-is lifted and checked by trial division otherwise.  Two variables over the
-integers are first tested for a gcd free of x and y by evaluation mod P.
-Whatever no certificate settles, and every two-variable gcd over GF(p),
-takes a primitive pseudo-remainder sequence in x, whose pseudo-remainders
-come from the long division above.  ``gcd_many`` folds the gcd lazily over
-any iterable and stops reading at the first input after which the gcd is
-the unit 1.  Over the rationals the inputs are cleared to primitive integer
-polynomials and the gcd is taken over the integers (Gauss's lemma).  Zero is
-its own unit class: ``normalize`` returns it unchanged, so it needs no guard.
+normalized.  One variable runs on dense lists to the end: Euclid over GF(p),
+and over the integers gcds modulo the primes below 2^61, largest first,
+joined by the Chinese remainder theorem until the lift divides both inputs.
+Only two-variable gcds take a primitive pseudo-remainder sequence in x (by
+the long division above): over GF(p), and over the integers unless
+evaluation mod 2^61 - 1 proves the gcd free of x and y.  ``gcd_many`` folds
+the gcd lazily over any iterable and stops reading at the first input after
+which the gcd is the unit 1.  Over the rationals the inputs are cleared to
+primitive integer polynomials and the gcd is taken over the integers (Gauss's
+lemma).  Zero is its own unit class: ``normalize`` returns it unchanged, so
+it needs no guard.
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from .fields import ZZ, Domain, PrimeField, RationalField
+from .fields import ZZ, Domain, PrimeField, RationalField, is_prime
 
 Exponent = tuple[int, ...]
 
@@ -432,14 +432,8 @@ def _x_lead(f: LaurentPoly) -> tuple[int, LaurentPoly]:
 
 
 def _content(dom: Domain, *polys: LaurentPoly) -> LaurentPoly:
-    """gcd of the coefficients in x of nonzero polynomials, free of x.
-
-    In one variable it is the integer gcd over ZZ and 1 over a field; in two it
-    is ``_gcd`` in one variable of the x-slices, a polynomial in y.
-    """
-    if polys[0].nvars == 1:
-        coeffs = (c for f in polys for c in f.coeffs.values())
-        return LaurentPoly.constant(1 if dom.is_field else int_gcd(*coeffs), 1)
+    """gcd of the coefficients in x of nonzero two-variable polynomials, free
+    of x: ``_gcd`` in one variable of their x-slices, a polynomial in y."""
     slices: dict[tuple[int, int], dict[Exponent, object]] = {}
     for i, f in enumerate(polys):
         for (a, b), c in f.coeffs.items():
@@ -459,7 +453,7 @@ def _primitive(f: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 def _prs_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd of nonzero ordinary polynomials over ZZ or GF(p), normalized.
+    """gcd of nonzero ordinary two-variable polynomials over ZZ or GF(p), normalized.
 
     The content gcd times the last term of the primitive pseudo-remainder
     sequence in x.  The pseudo-remainder r of a by b is the remainder of
@@ -486,40 +480,58 @@ def _prs_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         a, b = b, _primitive(r, dom)[1]
 
 
-# A Mersenne prime for the gcds mod P, and the fixed points (y, then x) at
-# which the two-variable certificate evaluates.
-_GFP = PrimeField(2**61 - 1)
+# The primes below 2^61 found so far, largest first, with their fields; and
+# the fixed points (y, then x) at which the two-variable certificate evaluates.
+_PRIMES = [PrimeField(2**61 - 1)]
 _POINTS = (1_000_000_007, 998_244_353)
 
 
-def _zz_gcd_1var(a: list, b: list) -> LaurentPoly | None:
-    """gcd over ZZ of integer lists with nonzero constant terms, normalized, or
-    None when the modular gcd proves nothing.
+def _word_primes():
+    """The fields of the primes below 2^61, largest first, each found once."""
+    for i in count():
+        if i == len(_PRIMES):
+            n = next(n for n in range(_PRIMES[-1].p - 2, 2, -2) if is_prime(n))
+            _PRIMES.append(PrimeField(n))
+        yield _PRIMES[i]
 
-    With c the gcd of the contents and a, b made primitive: when P divides
-    neither leading coefficient, the true gcd G stays of full degree mod P, so
-    it divides h = gcd(a, b) mod P and deg h >= deg G.  A constant h proves the
-    gcd is c.  Otherwise gcd(lc a, lc b) * h, made to have that leading
-    coefficient, is lifted to symmetric residues; if its primitive part H
-    divides a and b over ZZ, then H divides G, so H = +-G by degree.
+
+def _zz_gcd_1var(a: list, b: list) -> LaurentPoly:
+    """gcd over ZZ of integer lists with nonzero constant terms, normalized.
+
+    With c the gcd of the contents and a, b made primitive with gcd G: if a
+    prime p divides neither leading coefficient, G divides h = gcd(a, b) mod
+    p and deg h >= deg G.  A constant h proves the gcd is c.  Otherwise h is
+    scaled to l = gcd(lc a, lc b), and the images of least degree are joined
+    by the Chinese remainder theorem (a lower one shows the others unlucky).
+    If the primitive part H of their symmetric lift divides a and b, then H
+    divides G, so H = +-G by degree.  Finitely many primes are unlucky, and
+    the lift of (l / lc G) * G is exact once the modulus passes twice its
+    coefficients, so the loop ends.
     """
-    P = _GFP.p
     ca, cb = int_gcd(*a), int_gcd(*b)
     a, b, c = [x // ca for x in a], [x // cb for x in b], int_gcd(ca, cb)
-    if not (a[-1] % P and b[-1] % P):
-        return None
-    h = _list_gcd([x % P for x in a], [x % P for x in b], _GFP)
-    if len(h) == 1:
-        return LaurentPoly.constant(c, 1)
-    scale = int_gcd(a[-1], b[-1]) * pow(h[-1], -1, P)
-    h = [(x * scale + P // 2) % P - P // 2 for x in h]  # symmetric residues
-    ch = int_gcd(*h) if h[0] > 0 else -int_gcd(*h)
-    h = [x // ch for x in h]
-    for x in (a, b):
-        qr = _list_divmod(x, h, ZZ)
-        if qr is None or qr[1]:
-            return None
-    return LaurentPoly(1, {(i,): c * x for i, x in enumerate(h)})
+    g, m = [], 1  # the kept images joined: residues mod m
+    for fld in _word_primes():
+        p = fld.p
+        if not (a[-1] % p and b[-1] % p):
+            continue
+        h = _list_gcd([x % p for x in a], [x % p for x in b], fld)
+        if len(h) == 1:
+            return LaurentPoly.constant(c, 1)
+        if g and len(h) > len(g):
+            continue  # unlucky
+        scale = int_gcd(a[-1], b[-1]) * pow(h[-1], -1, p) % p
+        h = [x * scale % p for x in h]
+        if len(h) == len(g):
+            t = pow(m, -1, p)
+            g, m = [x + m * ((y - x) * t % p) for x, y in zip(g, h)], m * p
+        else:
+            g, m = h, p
+        h = [(x + m // 2) % m - m // 2 for x in g]  # symmetric residues
+        ch = int_gcd(*h) if h[0] > 0 else -int_gcd(*h)
+        h = [x // ch for x in h]
+        if all((qr := _list_divmod(x, h, ZZ)) and not qr[1] for x in (a, b)):
+            return LaurentPoly(1, {(i,): c * x for i, x in enumerate(h)})
 
 
 def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -527,21 +539,22 @@ def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
     a gcd free of both variables.
 
     For each variable v in turn, the other is set to its point in ``_POINTS``
-    mod P.  If f and g keep their v-leading coefficients there and their gcd
-    mod P is a constant, the true gcd has v-degree 0: its v-leading
-    coefficient divides f's and so does not vanish there either.
+    mod P, the first of ``_PRIMES``.  If f and g keep their v-leading
+    coefficients there and their gcd mod P is a constant, the true gcd has
+    v-degree 0: its v-leading coefficient divides f's and so does not vanish
+    there either.
     """
     for v, point in enumerate(_POINTS):
         lists = []
         for p in (f, g):
             out = [0] * (p.max_exp(v) + 1)
             for e, c in p.coeffs.items():
-                out[e[v]] += c * pow(point, e[1 - v], _GFP.p)
-            out = [x % _GFP.p for x in out]
+                out[e[v]] += c * pow(point, e[1 - v], _PRIMES[0].p)
+            out = [x % _PRIMES[0].p for x in out]
             if not out[-1]:
                 return False
             lists.append(out)
-        if len(_list_gcd(*lists, _GFP)) > 1:
+        if len(_list_gcd(*lists, _PRIMES[0])) > 1:
             return False
     return True
 
@@ -549,25 +562,22 @@ def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
 def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     """gcd of nonzero polynomials over ZZ or GF(p), normalized.
 
-    Both are shifted to ordinary polynomials.  One variable runs on dense
-    lists: Euclid over GF(p), and over ZZ the modular gcd of
-    ``_zz_gcd_1var``.  Two variables over ZZ return the gcd of the integer
-    contents when ``_coprime_mod_p`` certifies it.  Everything else takes the
-    primitive pseudo-remainder sequence ``_prs_gcd``: two-variable gcds over
-    GF(p), whose small fields have too few evaluation points, and every gcd a
-    certificate leaves unproven.
+    One variable runs on dense lists to the end: Euclid over GF(p), and over
+    ZZ the modular gcd of ``_zz_gcd_1var``.  Two variables are shifted to
+    ordinary polynomials; over ZZ the gcd of the integer contents is returned
+    when ``_coprime_mod_p`` certifies it, and every other two-variable gcd
+    takes the primitive pseudo-remainder sequence ``_prs_gcd`` (over GF(p)
+    always: small fields have too few evaluation points).
     """
+    if f.nvars == 1 and not dom.is_field:
+        return _zz_gcd_1var(f.coefficient_list(), g.coefficient_list())
     if f.nvars == 1:
-        if dom.is_field:
-            h = _list_gcd(f.coefficient_list(), g.coefficient_list(), dom)
-            inv = dom.inv(h[0])
-            return LaurentPoly(1, {(i,): x * inv % dom.p for i, x in enumerate(h)})
-        h = _zz_gcd_1var(f.coefficient_list(), g.coefficient_list())
-        if h is not None:
-            return h
-    f = f.shift(tuple(-f.min_exp(v) for v in range(f.nvars)))
-    g = g.shift(tuple(-g.min_exp(v) for v in range(g.nvars)))
-    if f.nvars == 2 and not dom.is_field and _coprime_mod_p(f, g):
+        h = _list_gcd(f.coefficient_list(), g.coefficient_list(), dom)
+        inv = dom.inv(h[0])
+        return LaurentPoly(1, {(i,): x * inv % dom.p for i, x in enumerate(h)})
+    f = f.shift(tuple(-f.min_exp(v) for v in range(2)))
+    g = g.shift(tuple(-g.min_exp(v) for v in range(2)))
+    if not dom.is_field and _coprime_mod_p(f, g):
         return LaurentPoly.constant(int_gcd(*f.coeffs.values(), *g.coeffs.values()), 2)
     return _prs_gcd(f, g, dom)
 
@@ -575,10 +585,10 @@ def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     """gcd in the Laurent ring over the domain, in normalized form (zero if both vanish in it).
 
-    Over ZZ and GF(p), in one or two variables, by ``_gcd``: dense lists and
-    a gcd mod 2^61 - 1 checked by trial division in one variable, a unit
-    certificate mod 2^61 - 1 in two, and the primitive pseudo-remainder
-    sequence where neither applies.  Over QQ it goes through ``gcd_many``,
+    Over ZZ and GF(p), in one or two variables, by ``_gcd``: in one variable
+    dense lists and over ZZ gcds modulo the primes below 2^61; in two a unit
+    certificate mod 2^61 - 1 over ZZ, and the primitive pseudo-remainder
+    sequence where it proves nothing.  Over QQ it goes through ``gcd_many``,
     which takes it over ZZ (Gauss's lemma).
     """
     if isinstance(dom, RationalField):

@@ -56,7 +56,7 @@ from lapgraph.graphs import (
 )
 from lapgraph.fields import QQ, ZZ, PrimeField, RationalField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.laurent import LaurentPoly, _divmod, _x_lead, divexact, laurent_gcd, normalize
+from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_canonical, sparse_rows, transpose
 from lapgraph.mahler import (
     ABERTH_MAX_ITER,
@@ -835,6 +835,29 @@ def laurent_gcd_pseudo_rem(f, g, dom):
     return normalize((a * _from_x_slices({0: c})).reduce_to(dom), dom)
 
 
+def _long_divmod(f, g, dom):
+    """(q, r) with f = q*g + r for ordinary polynomials (test oracle): g's
+    lex-leading term is divided into the remainder's, one LaurentPoly
+    subtraction at a time, until it does not divide it (over ZZ also when the
+    coefficient quotient is inexact)."""
+    lead = max(g.coeffs)
+    q, r = LaurentPoly.zero(f.nvars), f
+    while r:
+        top = max(r.coeffs)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            break
+        if dom.is_field:
+            c = dom.of(r.coeffs[top] * dom.inv(g.coeffs[lead]))
+        elif r.coeffs[top] % g.coeffs[lead]:
+            break
+        else:
+            c = r.coeffs[top] // g.coeffs[lead]
+        t = LaurentPoly.monomial(c, shift)
+        q, r = q + t, (r - t * g).reduce_to(dom)
+    return q, r
+
+
 def _prs_content(dom, *polys):
     """gcd of the coefficients in x of nonzero polynomials, free of x."""
     if polys[0].nvars == 1:
@@ -854,7 +877,7 @@ def _prs_content(dom, *polys):
 
 def _prs_primitive(f, dom):
     cont = _prs_content(dom, f)
-    return cont, f if cont == 1 else _divmod(f, cont, dom)[0]
+    return cont, f if cont == 1 else _long_divmod(f, cont, dom)[0]
 
 
 def _prs_gcd(f, g, dom):
@@ -866,12 +889,13 @@ def _prs_gcd(f, g, dom):
     if max(a.coeffs)[0] < max(b.coeffs)[0]:
         a, b = b, a
     while True:
-        d, lc = _x_lead(b)
+        d = max(b.coeffs)[0]
+        lc = LaurentPoly(b.nvars, {(0,) + e[1:]: c for e, c in b.coeffs.items() if e[0] == d})
         if d == 0:
             return normalize(cont, dom)
         if lc != 1:
             a = (lc ** (max(a.coeffs)[0] - d + 1) * a).reduce_to(dom)
-        r = _divmod(a, b, dom)[1]
+        r = _long_divmod(a, b, dom)[1]
         if r.is_zero():
             return normalize(b if cont == 1 else (cont * b).reduce_to(dom), dom)
         a, b = b, _prs_primitive(r, dom)[1]
@@ -880,7 +904,7 @@ def _prs_gcd(f, g, dom):
 def laurent_gcd_prs(f, g, dom):
     """gcd by the primitive pseudo-remainder sequence alone, in one and two
     variables (test oracle): the content gcd in x times the sequence's last
-    term, every division a LaurentPoly long division (``_divmod``), recursing
+    term, every division a long division by LaurentPoly arithmetic, recursing
     into one-variable sequences for contents in y.  Over QQ, the inputs are
     cleared to primitive integer polynomials first."""
     if isinstance(dom, RationalField):
@@ -896,7 +920,7 @@ def laurent_gcd_prs(f, g, dom):
 def root_of_unity_norm_by_division(h, m):
     """|prod over zeta^m = 1 of h(zeta)| for h in Z[x], lowest first (test
     oracle): x^m mod the monic H = lc^(d-1) h(x/lc) and its shifts by
-    LaurentPoly long division (``_divmod``), then one integer determinant."""
+    long division by LaurentPoly arithmetic, then one integer determinant."""
     d = len(h) - 1
     lc = h[d]
     if d == 0:
@@ -904,14 +928,14 @@ def root_of_unity_norm_by_division(h, m):
     H = LaurentPoly(1, {(i,): c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])} | {(d,): 1})
     r = LaurentPoly.constant(1, 1)
     for bit in bin(m)[2:]:
-        r = _divmod(r * r, H, ZZ)[1]
+        r = _long_divmod(r * r, H, ZZ)[1]
         if bit == "1":
-            r = _divmod(r.shift((1,)), H, ZZ)[1]
+            r = _long_divmod(r.shift((1,)), H, ZZ)[1]
     r = r - lc**m
     rows = []
     for _ in range(d):
         rows.append({i: c for (i,), c in r.coeffs.items()})
-        r = _divmod(r.shift((1,)), H, ZZ)[1]
+        r = _long_divmod(r.shift((1,)), H, ZZ)[1]
     norm, rem = divmod(int_det(rows), lc ** (m * (d - 1)))
     if rem:
         raise ArithmeticError("lc^(m(d-1)) does not divide the norm")

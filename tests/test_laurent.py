@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_prs, laurent_gcd_pseudo_rem
+from lapgraph import fields as fields_module
 from lapgraph import laurent as laurent_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
 from lapgraph.laurent import (
@@ -356,10 +357,19 @@ def _gcd_case(rng, nvars, dom, kind):
     return f * h, g * h
 
 
+def _spy_prs_gcd(monkeypatch):
+    """The variable counts of the inputs that ``_prs_gcd`` is called with."""
+    calls = []
+    prs = laurent_module._prs_gcd
+    monkeypatch.setattr(laurent_module, "_prs_gcd", lambda a, b, dom: calls.append(a.nvars) or prs(a, b, dom))
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF2, PrimeField(3), GF5, GF_P61], ids=repr)
-def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
+def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom, monkeypatch):
     rng = random.Random(9000 + seed)
+    calls = _spy_prs_gcd(monkeypatch)
     for nvars, oracle in ((1, laurent_gcd_euclid), (2, laurent_gcd_pseudo_rem)):
         for kind in ("plain", "integer content", "content in y", "free of x", "unit"):
             a, b = _gcd_case(rng, nvars, dom, kind)
@@ -369,22 +379,27 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom):
             for want in (oracle(a, b, dom), laurent_gcd_prs(a, b, dom)):
                 assert got.coeffs == want.coeffs, (dom, kind, a, b)
                 assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+    assert 1 not in calls  # one-variable gcds never take the pseudo-remainder sequence
 
 
 _A, _B = laurent_module._POINTS  # the certificate's points y = _A and x = _B
 _P61 = GF_P61.p
 _BELOW = LaurentPoly(1, {(0,): 2**59, (1,): 2})  # lifts correctly
 _ABOVE = LaurentPoly(1, {(0,): 2**61, (1,): 1})  # x + 1 mod P, which divides neither input
+_P61_2 = 2**61 - 31
 # (x - B)(y - A) + 1 is 1 at y = A and at x = B, so only the leading-coefficient test
 # keeps a common factor of it from passing for a unit
 _ONE_AT_BOTH = LaurentPoly(2, {(1, 1): 1, (1, 0): -_A, (0, 1): -_B, (0, 0): _A * _B + 1})
-# (name, f, g, whether the pseudo-remainder sequence runs on the pair itself)
+# (name, f, g, whether the pseudo-remainder sequence runs on the pair itself);
+# a one-variable gcd never does, and the primes after P are _P61_2 and 2^61 - 45
 CERTIFICATE_CASES = [
     ("1var unit", poly1("x + 2") * poly1("3x - 1"), poly1("x - 5") * 7, False),
     ("1var lifted gcd", poly1("6x - 4") * poly1("x + 3"), poly1("2x^2 + 3") * poly1("3x - 2"), False),
     ("1var gcd below 2^60", _BELOW * poly1("x + 3"), _BELOW * poly1("3x - 5"), False),
-    ("1var lc divisible by P", (_P61 * X + 1) * poly1("x + 2"), poly1("x + 2") * poly1("x - 3"), True),
-    ("1var lift wrong above 2^60", _ABOVE * poly1("x + 3"), _ABOVE * poly1("x - 5"), True),
+    ("1var lc divisible by P", (_P61 * X + 1) * poly1("x + 2"), poly1("x + 2") * poly1("x - 3"), False),
+    ("1var lift wrong above 2^60", _ABOVE * poly1("x + 3"), _ABOVE * poly1("x - 5"), False),
+    ("1var unlucky first prime", poly1("x - 1") * poly1("x + 5"), poly1("x - 1") * (X + 5 + _P61), False),
+    ("1var unlucky second prime", _ABOVE * poly1("x + 5"), _ABOVE * (X + 5 + _P61_2), False),
     ("2var unit", poly2("x + y + 1") * 6, poly2("x*y - 2") * 4, False),
     ("2var x-lead vanishes at y = A", poly2("x*y + 1") - _A * poly2("x"), poly2("x + y"), True),
     ("2var y-lead vanishes at x = B", poly2("x*y + 1") - _B * poly2("y"), poly2("x + y"), True),
@@ -397,15 +412,25 @@ CERTIFICATE_CASES = [
 def test_each_certificate_that_proves_nothing_falls_back_to_pseudo_remainders(
     name, f, g, fallback, monkeypatch
 ):
-    calls = []
-    prs = laurent_module._prs_gcd
-    monkeypatch.setattr(laurent_module, "_prs_gcd", lambda a, b, dom: calls.append(a.nvars) or prs(a, b, dom))
+    calls = _spy_prs_gcd(monkeypatch)
     for a, b in ((f, g), (g, f), (f.shift((-3,) * f.nvars), g.shift((1,) * g.nvars))):
         calls.clear()
         got = laurent_gcd(a, b, ZZ)
-        want = laurent_gcd_prs(a, b, ZZ)
-        assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), name
+        for oracle in (laurent_gcd_prs, laurent_gcd_euclid) if f.nvars == 1 else (laurent_gcd_prs,):
+            want = oracle(a, b, ZZ)
+            assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), name
         assert (f.nvars in calls) == fallback, name
+
+
+def test_the_primes_of_the_modular_gcd_are_found_once(monkeypatch):
+    f, g, want = _ABOVE * poly1("x + 5"), _ABOVE * (X + 5 + _P61_2), _ABOVE
+    assert laurent_gcd(f, g, ZZ) == want  # finds the first three primes, if nothing has yet
+    tests, is_prime = [], fields_module.is_prime
+    for module in (fields_module, laurent_module):
+        monkeypatch.setattr(module, "is_prime", lambda n: tests.append(n) or is_prime(n))
+    assert laurent_gcd(f, g, ZZ) == want
+    assert not tests
+    assert [fld.p - 2**61 for fld in laurent_module._PRIMES[:3]] == [-1, -31, -45]
 
 
 def _fold_cases(rng):
