@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .laurent import LaurentPoly, format_poly, laurent_gcd, normalize, parse_poly
 from .linalg import det_laurent, elementary_divisor, int_det, nullspace
-from .mahler import MahlerResult, mahler, mahler_1var, mahler_2var, mahler_limit_check
+from .mahler import MahlerResult, mahler, mahler_1var, mahler_2var, mahler_limit_check, mahler_value
 from .planar import (
     DehnColoring,
     Face,

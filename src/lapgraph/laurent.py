@@ -297,6 +297,7 @@ def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, L
     """
     lead = max(g.coeffs)
     lc = g.coeffs[lead]
+    reduce = dom.of if dom.is_field else None  # over ZZ an int minus an int is an int
     rem = dict(f.coeffs)
     quot: dict[Exponent, object] = {}
     while rem:
@@ -313,7 +314,9 @@ def _divmod(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> tuple[LaurentPoly, L
         quot[shift] = qc
         for e, c in g.coeffs.items():
             t = tuple(a + b for a, b in zip(e, shift))
-            s = dom.of(rem.get(t, 0) - c * qc)
+            s = rem.get(t, 0) - c * qc
+            if reduce:
+                s = reduce(s)
             if s:
                 rem[t] = s
             else:

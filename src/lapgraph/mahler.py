@@ -14,21 +14,27 @@ Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
 measure in y (complex coefficients) is taken; the node average converges to
 the torus integral, with the inner log-singularities absorbed exactly.  The
-error estimate compares the N- and N/2-point grids.  The conjugate fibers at
-theta and 1 - theta are solved once, walking theta up with Aberth started from
-the last fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides
-f, decided exactly (rounding leaves it tiny, not zero); it takes the mean of
-the fibers half a step to either side.
+error estimate compares the N- and N/2-point grids.  Only ``mahler_2var``,
+and so ``mahler``, pays for the N/2 grid, a third of the fiber solves;
+``mahler_value``, for callers that read the value alone, solves the N-point
+grid only and returns the same float.  The conjugate fibers at theta and
+1 - theta are solved once, walking theta up with Aberth started from the last
+fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides f,
+decided exactly (rounding leaves it tiny, not zero); it takes the mean of the
+fibers half a step to either side.
 
 Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
 root only to about eps^(1/k), so f is split exactly first in its last
 variable v, x in one variable and y in two (the repeated-gcd squarefree
 split, see Yun 1976): while h = gcd(f, df/dv) has v in it, f / h is a part
-and the split goes on with h; once h is free of v, f is the last part.  Each
-part is squarefree in v, the parts multiply to f, and m is additive, so m(f)
-is the sum of the parts' measures.  One variable splits the primitive integer
-polynomial p of f = c x^a p and adds log|c|; two variables split f itself, so
-an h free of y, such as a content (1 + x)^4, stays in the last part's grid.
+and the split goes on with h; once h is free of v, f is the last part.  An f
+of degree at most 1 in v is the last part without a gcd, since its h is
+always free of v; x - 1, which ends the split of a rank-1 Delta_0 whose only
+repeated factor is (x - 1)^2, is one.  Each part is squarefree in v, the
+parts multiply to f, and m is additive, so m(f) is the sum of the parts'
+measures.  One variable splits the primitive integer polynomial p of
+f = c x^a p and adds log|c|; two variables split f itself, so an h free of y,
+such as a content (1 + x)^4, stays in the last part's grid.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
 int 0 as ``sum`` does, so its floats are those of a call per evaluation; the
@@ -215,6 +221,9 @@ def _squarefree_parts(f: LaurentPoly):
     polynomial it splits is a Fraction, over ZZ otherwise."""
     v = f.nvars - 1
     while True:
+        if f.max_exp(v) - f.min_exp(v) <= 1:  # gcd(f, df/dv) is free of v
+            yield f
+            return
         dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
         df = LaurentPoly(f.nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in f.coeffs.items() if e[v]})
         h = laurent_gcd(f, df, dom)
@@ -315,12 +324,21 @@ def _check_int(name: str, v, least: int) -> None:
         raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
 
 
+def _part_measures(f: LaurentPoly, fibers: int):
+    """(fiber plan, grid average on ``fibers`` nodes) of each squarefree part of f in y."""
+    for part in _squarefree_parts(f):
+        plan = _fiber_plan(part)
+        yield plan, _grid_average(plan, fibers)
+
+
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
 
     The error estimate is the difference against the half-resolution grid,
-    summed over f's squarefree parts in y.  Conjugate fibers are solved
-    once, warm-started; the module docstring has the zero rule.
+    summed over f's squarefree parts in y.  That grid costs a third of the
+    fiber solves and is run here only, for callers that read the estimate;
+    :func:`mahler_value` skips it.  Conjugate fibers are solved once,
+    warm-started; the module docstring has the zero rule.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")
@@ -328,9 +346,7 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     _check_int("fibers", fibers, 4)
     value = error = 0.0
-    for part in _squarefree_parts(f):
-        plan = _fiber_plan(part)
-        m = _grid_average(plan, fibers)
+    for plan, m in _part_measures(f, fibers):
         value += m
         error += abs(m - _grid_average(plan, fibers // 2))
     return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
@@ -354,3 +370,17 @@ def mahler(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     if f.nvars == 1:
         return mahler_1var(f)
     return mahler_2var(f, fibers)
+
+
+def mahler_value(f: LaurentPoly, fibers: int = 1024) -> float:
+    """``mahler(f, fibers).value``, the same float, without the half-resolution
+    grid that only the error estimate reads."""
+    _check_int("fibers", fibers, 4)
+    if f.is_zero():
+        raise ValueError("Mahler measure of the zero polynomial is undefined")
+    if f.nvars == 1:
+        return mahler_1var(f).value
+    value = 0.0
+    for _, m in _part_measures(f, fibers):
+        value += m
+    return value

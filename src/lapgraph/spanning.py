@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .laurent import LaurentPoly, _list_divmod, divexact, normalize
 from .linalg import det_laurent, int_det
-from .mahler import mahler
+from .mahler import mahler_value
 
 
 def complexity(g: FiniteGraph) -> int:
@@ -448,7 +448,7 @@ def laplacian_determinant_polynomial(vg: VoltageGraph) -> LaurentPoly:
 def _mahler_reference(d0: LaurentPoly, fibers: int) -> float:
     if d0.is_zero():
         raise ValueError("Delta_0 vanishes; no growth reference")
-    return mahler(d0, fibers).value
+    return mahler_value(d0, fibers)
 
 
 def cover_rows(

@@ -42,7 +42,9 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   Bareiss count of the built cover is its test oracle.
   Both SKIP unless the quotient is connected with Delta_0 nonzero, and the
   growth check also when no cover index fits ``max_cover``; they share one
-  Mahler measure.
+  value of m(Delta_0), taken on one grid of ``fibers`` nodes by
+  :func:`~lapgraph.mahler.mahler_value` (no error estimate, so no
+  half-resolution grid).
 
 Graphs with a rotation system, whose strands one call of
 :func:`medial_components` traces, with windings on a voltage quotient:
@@ -81,7 +83,7 @@ from .fields import GF2, QQ, ZZ, PrimeField
 from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import divides, normalize
 from .linalg import LaurentEncoding, det_laurent, elementary_divisor, transpose
-from .mahler import _check_int, mahler
+from .mahler import _check_int, mahler_value
 from .planar import (
     PlaneGraph,
     compact_orbit_count,
@@ -204,7 +206,7 @@ def run_verify(
 
         if len(connected_components(vg.base)) == 1 and not d0.is_zero():
             bound = grimmett_bound(vg)
-            m0 = mahler(d0, fibers).value
+            m0 = mahler_value(d0, fibers)
             record(
                 "grimmett-bound",
                 bound >= m0 - 1e-9,

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_prs, laurent_gcd_pseudo_rem
+from conftest import _long_divmod, gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_prs, laurent_gcd_pseudo_rem
 from lapgraph import fields as fields_module
 from lapgraph import laurent as laurent_module
-from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
+from lapgraph.fields import GF2, QQ, ZZ, IntegerRing, PrimeField, RationalField
 from lapgraph.laurent import (
     LaurentPoly,
     PolyParseError,
@@ -268,6 +268,34 @@ def test_divmod_gives_the_euclidean_remainder(seed):
         q = LaurentPoly(1, {(i,): rng.randint(-4, 4) for i in range(rng.randint(0, 4))}).reduce_to(dom)
         r = LaurentPoly(1, {(i,): rng.randint(-4, 4) for i in range(deg)}).reduce_to(dom)
         assert _divmod((q * g + r).reduce_to(dom), g, dom) == (q, r)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("dom", [ZZ, GF5, GF_P61], ids=repr)
+def test_divmod_makes_no_integer_coercion_and_keeps_prime_fields_reduced(seed, dom, monkeypatch):
+    # over ZZ an int minus an int is an int, so no IntegerRing.of; over GF(p)
+    # every updated coefficient is reduced
+    rng = random.Random(5100 + seed)
+    polys = []
+    while len(polys) < 3:
+        p = _random_poly(rng, 2, max_terms=5).reduce_to(dom)
+        if p:
+            polys.append(p.shift(tuple(-p.min_exp(v) for v in range(2))))
+    q, g, r = polys
+    if dom == ZZ:
+        g = g * rng.choice([1, 1, 2, -3])  # a leading coefficient that may not divide
+    f = (q * g + r).reduce_to(dom)
+    want = _long_divmod(f, g, dom)
+    coerced = []
+    of = IntegerRing.of
+    monkeypatch.setattr(IntegerRing, "of", lambda self, n: coerced.append(n) or of(self, n))
+    got = _divmod(f, g, dom)
+    assert not coerced
+    assert got == want
+    for poly in got:
+        assert all(type(c) is int for c in poly.coeffs.values())
+        if dom != ZZ:
+            assert all(0 < c < dom.p for c in poly.coeffs.values())
 
 
 def _random_poly(rng, nvars, max_terms=4, max_exp=2):

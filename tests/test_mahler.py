@@ -20,6 +20,7 @@ from conftest import (
     mahler_1var_exact_refined,
     refine_float_four_steps,
 )
+from lapgraph import verify
 from lapgraph.fields import QQ, ZZ
 from lapgraph.laurent import LaurentPoly, divexact, divides, gcd_many, laurent_gcd, parse_poly
 from lapgraph.linalg import det_laurent
@@ -37,8 +38,9 @@ from lapgraph.mahler import (
     mahler_1var,
     mahler_2var,
     mahler_limit_check,
+    mahler_value,
 )
-from lapgraph.spanning import laplacian_determinant_polynomial
+from lapgraph.spanning import growth_covers, growth_restrictions, laplacian_determinant_polynomial
 
 mahler_module = importlib.import_module("lapgraph.mahler")  # lapgraph.mahler is also a function
 
@@ -95,17 +97,23 @@ def test_zero_polynomial_rejected():
         mahler_1var(LaurentPoly.zero(1))
     with pytest.raises(ValueError):
         mahler_2var(LaurentPoly.zero(2))
+    for nvars in (1, 2):
+        with pytest.raises(ValueError, match="Mahler measure of the zero polynomial is undefined"):
+            mahler_value(LaurentPoly.zero(nvars))
 
 
 @pytest.mark.parametrize("bad", [1024.0, Fraction(1024), "1024"])
 def test_non_integer_fibers_are_rejected_at_entry(bad):
     f = poly2("4 - x - x^-1 - y - y^-1")
-    for call in (mahler_2var, mahler, functools.partial(mahler_limit_check, s=2)):
+    for call in (mahler_2var, mahler, mahler_value, functools.partial(mahler_limit_check, s=2)):
         with pytest.raises(ValueError, match="fibers must be an integer"):
             call(f, fibers=bad)
-    # the dispatcher checks fibers for one variable too, though mahler_1var takes none
-    with pytest.raises(ValueError, match="fibers must be an integer"):
-        mahler(poly1("x^2 - 4x + 1"), fibers=bad)
+    # the dispatchers check fibers for one variable too, though mahler_1var takes none,
+    # and before the zero polynomial
+    for call in (mahler, mahler_value):
+        for g in (poly1("x^2 - 4x + 1"), LaurentPoly.zero(1), LaurentPoly.zero(2)):
+            with pytest.raises(ValueError, match="fibers must be an integer"):
+                call(g, fibers=bad)
 
 
 @pytest.mark.parametrize("bad", [2.0, Fraction(2), "2"])
@@ -626,6 +634,90 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 4096)
     assert len(built) == 2048 + 1024
     assert len(warm_starts) == 2048 + 1024 and sum(warm_starts) == 2047 + 1023
+
+
+# -- the value alone: one grid, the same float ----------------------------------------
+
+
+def _value_cases():
+    """(f, fibers): random one- and two-variable products of two factors, one
+    of them half the time with more terms and larger exponents, some with
+    Fraction coefficients and every third squared; then the zero-fiber cases
+    and the two polynomials on which a warm start stalls."""
+    rng = random.Random(3700)
+    cases = []
+    for k in range(120):
+        nvars = 1 + k % 2
+        wide = _random_int_poly(rng, rng.randint(1, 6)) if nvars == 1 else _random_poly2(rng)
+        f = _random_factor(rng, nvars) * (wide if k % 4 < 2 else _random_factor(rng, nvars))
+        cases.append((f**2 if k % 3 == 2 else f, rng.choice((4, 5, 6, 7, 8, 16, 32))))
+    return cases + ZERO_FIBER_CASES + [(poly2("-4x^-2 + 3x^2y^2"), 8), (poly2("2x^-2 - 5y^2"), 8)]
+
+
+@pytest.mark.parametrize("f, fibers", _value_cases())
+def test_value_path_keeps_the_bits_of_the_full_measure(f, fibers):
+    assert mahler_value(f, fibers).hex() == mahler(f, fibers).value.hex()
+
+
+@pytest.mark.parametrize("quotient, fibers", list(DELTA0_BITS))
+def test_value_path_keeps_the_bits_of_delta0(quotient, fibers):
+    assert mahler_value(laplacian_determinant_polynomial(example(quotient)), fibers).hex() == (
+        DELTA0_BITS[quotient, fibers][0]
+    )
+
+
+def test_value_path_measures_an_input_whose_half_grid_alone_raises():
+    # 25 y^4 (x^2 - x^-2)^2 vanishes at x = 1, i, -1 and -i.  At 5 fibers node
+    # 1/2 does and takes the mean of its neighbours 2/5 and 3/5, which do not;
+    # node 1/4 of the 2-node half grid does too, but so do both its neighbours,
+    # 0 and 1/2.  Only the error estimate reads that grid.
+    f = poly2("25x^-4y^4 - 50y^4 + 25x^4y^4")
+    with pytest.raises(ArithmeticError, match="fiber polynomial vanished at node 0.0"):
+        mahler(f, 5)
+    assert mahler_value(f, 5) == mahler_module._grid_average(_fiber_plan(f), 5)
+
+
+def _grid_spy(monkeypatch):
+    """The denominators 2N of the grid nodes solved (not the zero-fiber neighbours),
+    the squarefree parts planned, and the ``mahler_2var`` calls."""
+    log = {"nodes": [], "parts": 0, "mahler_2var": 0}
+    measure, plan, full = mahler_module._fiber_measure, mahler_module._fiber_plan, mahler_module.mahler_2var
+
+    def node(plan, num, den, warm, step=1):
+        if step:
+            log["nodes"].append(den)
+        return measure(plan, num, den, warm, step)
+
+    def part(f):
+        log["parts"] += 1
+        return plan(f)
+
+    def estimate(*args):
+        log["mahler_2var"] += 1
+        return full(*args)
+
+    monkeypatch.setattr(mahler_module, "_fiber_measure", node)
+    monkeypatch.setattr(mahler_module, "_fiber_plan", part)
+    monkeypatch.setattr(mahler_module, "mahler_2var", estimate)
+    return log
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda vg, n: verify.run_verify(vg, 8, n),
+        lambda vg, n: growth_covers(vg, [2], n),
+        lambda vg, n: growth_restrictions(vg, [2], n),
+    ],
+    ids=["verify", "growth-covers", "growth-restrictions"],
+)
+@pytest.mark.parametrize("quotient", ["grid", "mitsubishi"])
+def test_verify_and_growth_solve_one_grid_of_half_the_fibers_per_part(monkeypatch, run, quotient):
+    # conjugate nodes are solved once, so a grid of N fibers solves N/2 nodes
+    log = _grid_spy(monkeypatch)
+    run(example(quotient).quotient, 64)
+    assert log["parts"] >= 1 and log["mahler_2var"] == 0
+    assert log["nodes"] == [2 * 64] * (32 * log["parts"])
 
 
 def _fiber_solves(f, fibers):

@@ -108,15 +108,15 @@ def test_verify_computes_each_invariant_once(monkeypatch):
         count(module, "elementary_divisor", lambda M, k, dom: ("delta", k, repr(dom)))
     for module in (linalg, spanning, verify):
         count(module, "det_laurent", lambda M: ("det", len(M)))
-    # mahler() dispatches through the mahler module's own bindings.
-    count(mahler_module, "mahler_1var", lambda *a: "mahler")
-    count(mahler_module, "mahler_2var", lambda *a: "mahler")
+    # verify reads the value alone, never the estimate's half grid in mahler_2var.
+    count(verify, "mahler_value", lambda *a: "mahler")
+    count(mahler_module, "mahler_2var", lambda *a: "estimate")
 
     # s is the first k with Delta_k nonzero over GF(2); Mitsubishi's Delta_0 vanishes mod 2.
     for obj, s in ((example("ladder"), 0), (example("mitsubishi"), 1)):
         calls.clear()
         verify.run_verify(obj, max_cover=8, fibers=64)
-        assert calls["mahler"] == 1
+        assert (calls["mahler"], calls["estimate"]) == (1, 0)
         # Delta_0 in every domain is det L, normalized or reduced mod 2; over
         # GF(2) only Delta_1, ..., Delta_s are asked for, each once.
         assert not [key for key in calls if key[:2] == ("delta", 0)]
