@@ -8,8 +8,6 @@ construction and all operations are pure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -23,26 +21,71 @@ class Edge(NamedTuple):
     head: str
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class Record:
+    """Base of the immutable types that validate their fields.
+
+    The fields are the ``__slots__`` without a leading underscore, in
+    constructor order.  ``__init__`` validates them and stores each once with
+    ``_store``; assigning or deleting an attribute afterwards raises
+    AttributeError.  Two records of one type are equal, and hash alike, when
+    the fields named in ``_compared`` are; a record equals no other type's.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        names = [name for name in self.__slots__ if name[0] != "_"]
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class FiniteGraph(Record):
     """A finite multigraph; multi-edges and self-loops are allowed."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    _vindex: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "_vindex", "_degrees")
+    _compared = ("vertices", "edges")
     quotient = None  # no voltage quotient: the trivial action, d = 0
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        names = [e.name for e in self.edges]
+        names = [e.name for e in edges]
         if len(set(names)) != len(names):
             raise ValueError("duplicate edge names")
-        vset = set(self.vertices)
-        for e in self.edges:
+        vset = set(vertices)
+        for e in edges:
             if e.tail not in vset or e.head not in vset:
                 raise ValueError(f"edge {e.name} references an unknown vertex")
-        object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertices)})
+        vindex = {v: i for i, v in enumerate(vertices)}
+        self._store(vertices=vertices, edges=edges, _vindex=vindex, _degrees=None)
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "FiniteGraph":
@@ -57,25 +100,21 @@ class FiniteGraph:
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
 
-    @cached_property
-    def _degrees(self) -> dict[str, int]:
-        # built on the first degree() call, not per graph: covers never ask for one
-        deg = dict.fromkeys(self.vertices, 0)
-        for e in self.edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
-        return deg
-
     def degree(self, v: str) -> int:
         """Vertex degree; a self-loop counts as two edges."""
+        if self._degrees is None:  # built on the first call, not per graph: covers never ask
+            deg = dict.fromkeys(self.vertices, 0)
+            for e in self.edges:
+                deg[e.tail] += 1
+                deg[e.head] += 1
+            self._store(_degrees=deg)
         return self._degrees[v]
 
     def __str__(self):
         return f"FiniteGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class VoltageGraph:
+class VoltageGraph(Record):
     """A finite quotient graph with Z^d voltages (d = 1 or 2) on its
     oriented edges.
 
@@ -84,18 +123,17 @@ class VoltageGraph:
     voltages is a :class:`FiniteGraph`.
     """
 
-    base: FiniteGraph
-    rank: int
-    voltages: tuple[tuple[int, ...], ...]
+    __slots__ = _compared = ("base", "rank", "voltages")
 
-    def __post_init__(self):
-        if self.rank not in (1, 2):
+    def __init__(self, base: FiniteGraph, rank: int, voltages: tuple[tuple[int, ...], ...]):
+        if rank not in (1, 2):
             raise ValueError("voltage rank must be 1 or 2")
-        if len(self.voltages) != len(self.base.edges):
+        if len(voltages) != len(base.edges):
             raise ValueError("one voltage vector per edge required")
-        for s in self.voltages:
-            if len(s) != self.rank:
-                raise ValueError(f"voltage {s} has wrong arity for rank {self.rank}")
+        for s in voltages:
+            if len(s) != rank:
+                raise ValueError(f"voltage {s} has wrong arity for rank {rank}")
+        self._store(base=base, rank=rank, voltages=voltages)
 
     @classmethod
     def build(
@@ -118,8 +156,7 @@ class VoltageGraph:
         return self
 
 
-@dataclass(frozen=True)
-class SublatticeSpec:
+class SublatticeSpec(NamedTuple):
     """A finite-index sublattice of Z^d in Hermite form: (n,) for nZ, and
     (a, b, c) with a, c > 0 and 0 <= b < c for the span of the columns (a, b)
     and (0, c).  The form is canonical, so equal lattices give equal specs."""
@@ -191,15 +228,15 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class RectangleSpec:
+class RectangleSpec(Record):
     """A box of coset representatives [0, n_1 - 1] x ... defining a restriction."""
 
-    sizes: tuple[int, ...]
+    __slots__ = _compared = ("sizes",)
 
-    def __post_init__(self):
-        if not self.sizes or not all(isinstance(n, int) and n >= 1 for n in self.sizes):
-            raise ValueError(f"rectangle sizes must be positive integers, got {self.sizes!r}")
+    def __init__(self, sizes: tuple[int, ...]):
+        if not sizes or not all(isinstance(n, int) and n >= 1 for n in sizes):
+            raise ValueError(f"rectangle sizes must be positive integers, got {sizes!r}")
+        self._store(sizes=sizes)
 
     def points(self) -> list[tuple[int, ...]]:
         return list(product(*(range(n) for n in self.sizes)))

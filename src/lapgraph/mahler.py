@@ -21,7 +21,8 @@ grid only and returns the same float.  The conjugate fibers at theta and
 1 - theta are solved once, walking theta up with Aberth started from the last
 fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides f,
 decided exactly (rounding leaves it tiny, not zero); it takes the mean of the
-fibers half a step to either side.
+fibers half a step to either side, or, where one of those vanishes too, of
+the pair at half that offset, halving until neither vanishes.
 
 Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
 root only to about eps^(1/k), so f is split exactly first in its last
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import QQ, ZZ
 from .laurent import LaurentPoly, divexact, divides, laurent_gcd, normalize
@@ -58,8 +59,7 @@ STALL_SHIFT = 1e-10  # a sweep shift below this that no longer halves ends Abert
 STRIP_REL_TOL = 1e-13  # fiber coefficients this small next to the largest are zero
 
 
-@dataclass(frozen=True)
-class MahlerResult:
+class MahlerResult(NamedTuple):
     value: float
     method: str
     error_estimate: float
@@ -288,8 +288,10 @@ def _cyclotomic(q: int) -> LaurentPoly:
     return up(phi, q // m)
 
 
-def _fiber_measure(plan: tuple, num: int, den: int, warm: list, step: int = 1) -> float:
-    """m(f(exp(2 pi i num/den), y)); a zero fiber takes the mean at (num -+ step)/den (step 0 raises).
+def _fiber_measure(plan: tuple, num: int, den: int, warm: list, node: bool = True) -> float | None:
+    """m(f(exp(2 pi i num/den), y)).  A zero fiber at a grid node takes the mean at (num -+ 1)/den,
+    or where either of those vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the
+    nodes gives None.  The halving ends, as f has finitely many cyclotomic factors in x.
     Phi_q | f is tested only below RESIDUAL_GATE, far above the rounding a common root leaves.
     Aberth starts from warm, the roots solved last, when the degree matches, and leaves these."""
     fiber = _fiber_coeffs(plan, num / den)
@@ -298,9 +300,11 @@ def _fiber_measure(plan: tuple, num: int, den: int, warm: list, step: int = 1) -
     f, _, _, total = plan
     small = big <= RESIDUAL_GATE * total
     if not coeffs or small and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
-        if not step:
-            raise ArithmeticError(f"fiber polynomial vanished at node {num / den}")
-        return math.fsum(_fiber_measure(plan, num + s, den, warm, 0) for s in (-step, step)) / 2
+        if not node:
+            return None
+        while None in (near := [_fiber_measure(plan, num + s, den, warm, False) for s in (-1, 1)]):
+            num, den = 2 * num, 2 * den
+        return math.fsum(near) / 2
     start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = _aberth_roots(coeffs, start)

@@ -29,12 +29,13 @@ it carries, or None when it is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .colorings import bicycle_basis
 from .fields import GF2, Domain
 from .graphs import (
     FiniteGraph,
+    Record,
     VoltageGraph,
     bfs_potentials,
     connected_components,
@@ -45,24 +46,24 @@ from .linalg import row_space_canonical
 Dart = tuple[str, str]  # (edge name, "t" | "h")
 
 
-@dataclass(frozen=True)
-class PlaneGraph:
-    """A finite graph or a rank-1 voltage graph with a rotation system."""
+class PlaneGraph(Record):
+    """A finite graph or a rank-1 voltage graph with a rotation system;
+    equality and hashing read the graph alone."""
 
-    graph: FiniteGraph | VoltageGraph
-    rotations: dict[str, tuple[Dart, ...]] = field(compare=False)
+    __slots__ = ("graph", "rotations")
+    _compared = ("graph",)
 
-    def __post_init__(self):
-        if self.quotient is not None and self.quotient.rank > 1:
+    def __init__(self, graph: FiniteGraph | VoltageGraph, rotations: dict[str, tuple[Dart, ...]]):
+        if graph.quotient is not None and graph.quotient.rank > 1:
             raise ValueError("plane graphs carry voltages of rank at most 1")
-        g = self.base
+        g = graph.base
         expected: dict[Dart, str] = {}
         for e in g.edges:
             expected[(e.name, "t")] = e.tail
             expected[(e.name, "h")] = e.head
         seen: set[Dart] = set()
         for v in g.vertices:
-            rot = self.rotations.get(v, ())
+            rot = rotations.get(v, ())
             if len(rot) != g.degree(v):
                 raise ValueError(f"rotation at {v} has length {len(rot)}, degree is {g.degree(v)}")
             for d in rot:
@@ -71,6 +72,7 @@ class PlaneGraph:
                 if expected.get(d) != v:
                     raise ValueError(f"edge end {d} does not belong at vertex {v}")
                 seen.add(d)
+        self._store(graph=graph, rotations=rotations)
 
     @property
     def base(self) -> FiniteGraph:
@@ -108,11 +110,13 @@ def parse_dart(tok: str) -> Dart:
 # -- faces ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face boundary walk: the cyclic sequence of darts kept on the left."""
 
-    darts: tuple[Dart, ...]
+    __slots__ = _compared = ("darts",)
+
+    def __init__(self, darts: tuple[Dart, ...]):
+        self._store(darts=darts)
 
     def __len__(self):
         return len(self.darts)
@@ -156,8 +160,7 @@ def face_index_of_darts(face_list: list[Face]) -> dict[Dart, int]:
 # -- Dehn colorings --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DehnColoring:
+class DehnColoring(NamedTuple):
     """Vertex and face colors; every dual component starts at zero from its
     first face, the base face first and then the others in face order."""
 
@@ -210,8 +213,7 @@ def dehn_restrict(dc: DehnColoring) -> list:
 # -- medial components -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MedialComponent:
+class MedialComponent(NamedTuple):
     """One closed strand of the medial graph.
 
     crossings: edge names in traversal order (each edge appears as often as

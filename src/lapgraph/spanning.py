@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .fields import ZZ
 from .graphs import (
@@ -80,8 +80,7 @@ def tree_count(g: FiniteGraph) -> int:
 # -- cycle-rooted spanning forests ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrsfReport:
+class CrsfReport(NamedTuple):
     """Counts C_k of essential cycle-rooted spanning forests with k components.
 
     reconstruction is the annulus specialization sum C_k (2 - x - 1/x)^k,
@@ -431,8 +430,7 @@ def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec) -> int:
 # -- growth experiments --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Rows (scale, exact complexity, normalized log) with a Mahler reference."""
 
     mode: str  # "covers" | "restrictions"

@@ -76,7 +76,7 @@ Every input, on its finite graph ``obj.base``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_basis
 from .fields import GF2, QQ, ZZ, PrimeField
@@ -105,8 +105,7 @@ from .spanning import (
 GF5 = PrimeField(5)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # PASS | FAIL | SKIP
     detail: str
@@ -154,11 +153,9 @@ def run_verify(
 
         # reciprocity of Delta_0 and the first nonzero divisor
         checked = []
-        for label, poly in (("Delta_0", d0), (f"Delta_{s}", ds)):
-            if poly.is_zero():
-                continue
-            ok = normalize(poly, QQ) == normalize(poly.reciprocal(), QQ)
-            checked.append((label, ok))
+        for label, poly in (("Delta_0", d0q), (f"Delta_{s}", normalize(ds, QQ))):
+            if not poly.is_zero():
+                checked.append((label, poly == normalize(poly.reciprocal(), QQ)))
         record(
             "reciprocity",
             all(ok for _, ok in checked),

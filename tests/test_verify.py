@@ -111,6 +111,7 @@ def test_verify_computes_each_invariant_once(monkeypatch):
     # verify reads the value alone, never the estimate's half grid in mahler_2var.
     count(verify, "mahler_value", lambda *a: "mahler")
     count(mahler_module, "mahler_2var", lambda *a: "estimate")
+    count(verify, "normalize", lambda f, dom: ("normalize", f, repr(dom)))
 
     # s is the first k with Delta_k nonzero over GF(2); Mitsubishi's Delta_0 vanishes mod 2.
     for obj, s in ((example("ladder"), 0), (example("mitsubishi"), 1)):
@@ -124,8 +125,11 @@ def test_verify_computes_each_invariant_once(monkeypatch):
         assert gf2 == {k: 1 for k in range(1, s + 1)}
         # The full-L determinant over the integers is computed once, for
         # Delta_0, Delta_s and the Forman reconstruction alike.
-        L = voltage_laplacian(obj.graph if isinstance(obj, PlaneGraph) else obj)
+        vg = obj.graph if isinstance(obj, PlaneGraph) else obj
+        L = voltage_laplacian(vg)
         assert calls[("det", len(L))] == 1
+        # Delta_0 over QQ is normalized once, for the chain and reciprocity alike.
+        assert calls[("normalize", spanning.laplacian_determinant_polynomial(vg), "QQ")] == 1
 
 
 @pytest.mark.parametrize("seed", range(3))
