@@ -42,10 +42,7 @@ def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[li
 def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
     """The cut-space edge coloring Q^T alpha: each edge gets head minus tail color."""
     alpha = [fld.of(a) for a in alpha]
-    return [
-        fld.of(alpha[g.vertex_index(e.head)] - alpha[g.vertex_index(e.tail)])
-        for e in g.edges
-    ]
+    return [fld.of(alpha[h] - alpha[t]) for t, h in g._ends]
 
 
 def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:

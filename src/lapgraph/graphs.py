@@ -2,7 +2,9 @@
 
 Vertices and edges keep their input order throughout, so every derived matrix
 is reproducible byte for byte.  All structures are immutable after
-construction and all operations are pure.
+construction and all operations are pure.  A :class:`FiniteGraph` resolves
+its edge ends to vertex indices once, when it is validated, and every
+per-edge pass, lifts included, reads those indices instead of names.
 """
 
 from __future__ import annotations
@@ -68,24 +70,29 @@ class Record:
 
 
 class FiniteGraph(Record):
-    """A finite multigraph; multi-edges and self-loops are allowed."""
+    """A finite multigraph; multi-edges and self-loops are allowed.
 
-    __slots__ = ("vertices", "edges", "_vindex", "_degrees")
+    ``_ends`` holds each edge's (tail index, head index), resolved by the
+    validation; equality, hashing and pickling see only the fields.
+    """
+
+    __slots__ = ("vertices", "edges", "_vindex", "_ends", "_degrees")
     _compared = ("vertices", "edges")
     quotient = None  # no voltage quotient: the trivial action, d = 0
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex names")
-        names = [e.name for e in edges]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate edge names")
-        vset = set(vertices)
-        for e in edges:
-            if e.tail not in vset or e.head not in vset:
-                raise ValueError(f"edge {e.name} references an unknown vertex")
         vindex = {v: i for i, v in enumerate(vertices)}
-        self._store(vertices=vertices, edges=edges, _vindex=vindex, _degrees=None)
+        if len(vindex) != len(vertices):
+            raise ValueError("duplicate vertex names")
+        if len({e.name for e in edges}) != len(edges):
+            raise ValueError("duplicate edge names")
+        ends = []
+        for e in edges:
+            t, h = vindex.get(e.tail), vindex.get(e.head)
+            if t is None or h is None:
+                raise ValueError(f"edge {e.name} references an unknown vertex")
+            ends.append((t, h))
+        self._store(vertices=vertices, edges=edges, _vindex=vindex, _ends=tuple(ends), _degrees=None)
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "FiniteGraph":
@@ -103,11 +110,11 @@ class FiniteGraph(Record):
     def degree(self, v: str) -> int:
         """Vertex degree; a self-loop counts as two edges."""
         if self._degrees is None:  # built on the first call, not per graph: covers never ask
-            deg = dict.fromkeys(self.vertices, 0)
-            for e in self.edges:
-                deg[e.tail] += 1
-                deg[e.head] += 1
-            self._store(_degrees=deg)
+            deg = [0] * len(self.vertices)
+            for t, h in self._ends:
+                deg[t] += 1
+                deg[h] += 1
+            self._store(_degrees=dict(zip(self.vertices, deg)))
         return self._degrees[v]
 
     def __str__(self):
@@ -255,10 +262,10 @@ def incidence_matrix(g: FiniteGraph) -> list[dict[int, int]]:
     A self-loop's column is empty (its +1 and -1 coincide).
     """
     Q: list[dict[int, int]] = [{} for _ in g.vertices]
-    for j, e in enumerate(g.edges):
-        if e.tail != e.head:
-            Q[g.vertex_index(e.head)][j] = 1
-            Q[g.vertex_index(e.tail)][j] = -1
+    for j, (t, h) in enumerate(g._ends):
+        if t != h:
+            Q[h][j] = 1
+            Q[t][j] = -1
     return Q
 
 
@@ -266,10 +273,8 @@ def laplacian_finite(g: FiniteGraph) -> list[dict[int, int]]:
     """Laplacian D - A of a finite multigraph as sparse rows {vertex index:
     entry}, one per vertex, holding only its nonzeros.  A self-loop adds
     nothing (its 2 in D cancels its 2 in A)."""
-    index = g._vindex
     L: list[dict[int, int]] = [{} for _ in g.vertices]
-    for e in g.edges:
-        i, j = index[e.tail], index[e.head]
+    for i, j in g._ends:
         if i != j:
             Li, Lj = L[i], L[j]
             Li[i] = Li.get(i, 0) + 1
@@ -291,8 +296,7 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
     g = vg.base
     d = vg.rank
     rows = [{i: {(0,) * d: g.degree(v)}} for i, v in enumerate(g.vertices)]
-    for e, s in zip(g.edges, vg.voltages):
-        i, j = g.vertex_index(e.tail), g.vertex_index(e.head)
+    for (i, j), s in zip(g._ends, vg.voltages):
         for r, c, t in ((i, j, s), (j, i, tuple(-a for a in s))):
             entry = rows[r].setdefault(c, {})
             entry[t] = entry.get(t, 0) - 1
@@ -307,21 +311,49 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
 # -- covers and restrictions -----------------------------------------------------
 
 
-def _lift(
-    vg: VoltageGraph, cells: list[tuple[int, ...]], land: Callable[[tuple[int, ...]], tuple[int, ...] | None]
-) -> FiniteGraph:
+def _lift(vg: VoltageGraph, cells: list[tuple[int, ...]], move: Callable[[tuple[int, ...]], list]) -> FiniteGraph:
     """Vertices v@c for each base vertex v and cell c (base-vertex major), and
-    one edge e@c from tail@c to head@land(c + s) for each base edge e with
-    voltage s and each cell c, skipped where land gives None."""
-    names = {c: ",".join(map(str, c)) for c in cells}
-    vertices = [f"{v}@{names[c]}" for v in vg.base.vertices for c in cells]
+    one edge e@c from tail@c to head@c' for each base edge e with voltage s
+    and each cell c, c' the cell numbered move(s)[k] for the k-th cell c;
+    none where that is None.  Lifted ends are read off the vertex list."""
+    names = [",".join(map(str, c)) for c in cells]
+    m = len(cells)
+    vertices = [f"{v}@{c}" for v in vg.base.vertices for c in names]
     edges = []
-    for e, s in zip(vg.base.edges, vg.voltages):
-        for c in cells:
-            c2 = land(tuple(a + b for a, b in zip(c, s)))
-            if c2 is not None:
-                edges.append(Edge(f"{e.name}@{names[c]}", f"{e.tail}@{names[c]}", f"{e.head}@{names[c2]}"))
+    for e, (t, h), s in zip(vg.base.edges, vg.base._ends, vg.voltages):
+        tail, head = t * m, h * m  # the places of tail@c and head@c for the first cell c
+        for k, (c, k2) in enumerate(zip(names, move(s))):
+            if k2 is not None:
+                edges.append(Edge(f"{e.name}@{c}", vertices[tail + k], vertices[head + k2]))
     return FiniteGraph(tuple(vertices), tuple(edges))
+
+
+def _coset_move(lam: SublatticeSpec, s: tuple[int, ...]) -> list[int]:
+    """The place in ``lam.coset_reps()`` of the coset of c + s, for each
+    representative c in turn: a rotation of each run (i, 0), ..., (i, c - 1)
+    of reps onto the run of the coset of (i + s_0, s_1)."""
+    if lam.rank == 1:
+        n = lam.form[0]
+        r = s[0] % n
+        return [*range(r, n), *range(r)]
+    a, _, c = lam.form
+    out = []
+    for i in range(a):
+        t, y = lam.fold(i + s[0], s[1])
+        start, r = t * c, y % c
+        out += range(start + r, start + c)
+        out += range(start, start + r)
+    return out
+
+
+def _box_move(rect: RectangleSpec, s: tuple[int, ...]) -> list[int | None]:
+    """The place in ``rect.points()`` of c + s for each point c in turn, or
+    None where c + s leaves the box."""
+    out: list[int | None] = [0]
+    for n, t in zip(rect.sizes, s):
+        axis = [x + t if 0 <= x + t < n else None for x in range(n)]
+        out = [None if p is None or q is None else p * n + q for p in out for q in axis]
+    return out
 
 
 def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
@@ -333,14 +365,14 @@ def cover_graph(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
     """
     if lam.rank != vg.rank:
         raise ValueError("sublattice rank does not match voltage rank")
-    return _lift(vg, lam.coset_reps(), lam.reduce)
+    return _lift(vg, lam.coset_reps(), lambda s: _coset_move(lam, s))
 
 
 def restriction_subgraph(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
     """Full subgraph of the periodic lift on the box of translates in rect."""
     if len(rect.sizes) != vg.rank:
         raise ValueError("rectangle rank does not match voltage rank")
-    return _lift(vg, rect.points(), lambda c: c if c in rect else None)
+    return _lift(vg, rect.points(), lambda s: _box_move(rect, s))
 
 
 # -- components ------------------------------------------------------------------
@@ -348,27 +380,27 @@ def restriction_subgraph(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
 
 def connected_components(g: FiniteGraph) -> list[list[str]]:
     """Vertex partition into connected components, ordered by least vertex index."""
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    seen: set[str] = set()
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    for t, h in g._ends:
+        adj[t].append(h)
+        adj[h].append(t)
+    seen = [False] * len(adj)
     comps: list[list[str]] = []
-    for v in g.vertices:
-        if v in seen:
+    for v in range(len(adj)):
+        if seen[v]:
             continue
         comp = []
         stack = [v]
-        seen.add(v)
+        seen[v] = True
         while stack:
             u = stack.pop()
             comp.append(u)
             for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-        comp.sort(key=g.vertex_index)
-        comps.append(comp)
+        comp.sort()
+        comps.append([g.vertices[u] for u in comp])
     return comps
 
 

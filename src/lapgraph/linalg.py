@@ -10,7 +10,9 @@ since a zero entry carries the variable count.  :func:`rref` eliminates on
 integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
 on the upper triangle alone when they are symmetric, in the pivot order
-(:func:`_elimination_order`) that the caller permutes each matrix into once.
+(:func:`_elimination_order`, of the symmetrised nonzero pattern) that the
+caller permutes each matrix into once; :func:`int_det` checks its rows,
+builds that pattern and tests symmetry in one pass before it eliminates.
 A Laurent matrix is checked, Kronecker-encoded and ordered once
 (:class:`LaurentEncoding`), with K and b sized by the largest minor the
 encoding serves, and its minors (:func:`_laurent_minors`) inherit that order:
@@ -233,11 +235,11 @@ def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
     return order, cost
 
 
-def _elimination_order(rows: list[dict]) -> list[int]:
-    """The pivot order of a square matrix (see :func:`int_det`): minimum
-    degree if its predicted cost is below Cuthill–McKee's envelope bound,
-    else Cuthill–McKee.  Both are the identity on a complete pattern."""
-    adj = _pattern(rows)
+def _elimination_order(adj: list[set[int]]) -> list[int]:
+    """The pivot order of a square matrix with the symmetrised pattern adj
+    (see :func:`int_det`): minimum degree if its predicted cost is below
+    Cuthill–McKee's envelope bound, else Cuthill–McKee.  Both are the
+    identity on a complete pattern."""
     cm, cm_cost = _cuthill_mckee(adj)
     md, md_cost = _minimum_degree(adj)
     return md if md_cost < cm_cost else cm
@@ -257,8 +259,8 @@ def _bareiss(rows: list[dict]) -> int:
     touched.  Every Bareiss entry is a minor of the matrix, so each division
     is exact.  A zero pivot is swapped with the first lower row that has a
     nonzero in its column.  This is the kernel of :func:`_laurent_minors`, of
-    non-symmetric :func:`int_det` input, and of symmetric input that meets a
-    zero pivot.
+    non-symmetric :func:`int_det` input, and of symmetric input on which
+    :func:`_bareiss_symmetric` meets a zero pivot.
     """
     n = len(rows)
     # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
@@ -307,8 +309,10 @@ def _bareiss(rows: list[dict]) -> int:
     return sign * p[n]
 
 
-def _bareiss_symmetric(rows: list[dict]) -> int:
-    """:func:`_bareiss` of symmetric sparse rows, on a copy of their upper triangle.
+def _bareiss_symmetric(upper: list[dict]) -> int | None:
+    """:func:`_bareiss` of a symmetric matrix given by its upper triangle,
+    row i holding its nonzeros in columns j >= i, eliminated in place; None
+    at a zero pivot.
 
     Every Bareiss entry a_ij^(k) = det A[1..k,i; 1..k,j] of a symmetric
     matrix is symmetric too, so row i keeps only its columns j >= i, and the
@@ -316,11 +320,11 @@ def _bareiss_symmetric(rows: list[dict]) -> int:
     j >= i.  Each such row is scaled by p_k / p_{k-1} in its other columns,
     and lazy catch-up scales the rows that step k skips, as in
     :func:`_bareiss`.  Step k does about half of the general kernel's work.
-    A zero pivot, which a positive-definite matrix never has, hands the
-    untouched rows to :func:`_bareiss`, which swaps rows.
+    A zero pivot, which a positive-definite matrix never has, needs a row
+    swap, which the triangle cannot hold: the caller then eliminates the
+    full rows with :func:`_bareiss`.
     """
-    n = len(rows)
-    upper = [{j: v for j, v in row.items() if j >= i} for i, row in enumerate(rows)]
+    n = len(upper)
     p = [1]
     level = [0] * n
 
@@ -335,7 +339,7 @@ def _bareiss_symmetric(rows: list[dict]) -> int:
     for k in range(n):
         row_k = catch_up(k, k)
         if k not in row_k:
-            return _bareiss(rows)
+            return None
         pivot = row_k.pop(k)
         prev = p[k]
         p.append(pivot)
@@ -356,13 +360,15 @@ def _bareiss_symmetric(rows: list[dict]) -> int:
 
 def int_det(rows: list[dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix given as sparse rows
-    {column: entry}, eliminated on a copy without the zero entries, built in
-    one pass in :func:`_elimination_order`, rows and columns alike.  Rows
-    that are symmetric (one pass over the nonzeros), as a reduced Laplacian's
-    are, go to :func:`_bareiss_symmetric`; any others to :func:`_bareiss`.
-    The order is the number of rows.  A column outside 0..n-1, or a nonzero
-    entry that is not an int, raises ValueError: a Fraction or float would be
-    truncated.
+    {column: entry}; the order is the number of rows, and the input is left
+    alone.  One pass over the entries checks them, builds the symmetrised
+    pattern that :func:`_elimination_order` orders, and tests symmetry.  A
+    column outside 0..n-1, or a nonzero entry that is not an int, raises
+    ValueError there, before any elimination: a Fraction or float would be
+    truncated.  Symmetric rows, as a reduced Laplacian's are, go to
+    :func:`_bareiss_symmetric` as their upper triangle, without the zeros,
+    in that order, rows and columns alike; the full rows go to
+    :func:`_bareiss` only if the rows are not symmetric or a pivot is zero.
 
     The pivot order is the one of lower predicted cost, sum_k m_k^2 (k+1)^2
     with m_k the later neighbours of the k-th pivot in the filled symmetrised
@@ -374,18 +380,29 @@ def int_det(rows: list[dict[int, int]]) -> int:
     irregular graphs, and gets m_k exactly.  Ties go to Cuthill–McKee.
     """
     n = len(rows)
-    for row in rows:
+    adj: list[set[int]] = [set() for _ in rows]
+    symmetric = True
+    for i, row in enumerate(rows):
         for j, v in row.items():
             if not (isinstance(j, int) and 0 <= j < n):
                 raise ValueError(f"determinant needs columns in 0..{n - 1}, got {j!r}")
-            if v and not isinstance(v, int):
+            if not v:
+                continue
+            if not isinstance(v, int):
                 raise ValueError(f"determinant needs integer entries, got {v!r}")
-    order = _elimination_order(rows)
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+                if symmetric and rows[j].get(i) != v:
+                    symmetric = False
+    order = _elimination_order(adj)
     where = sorted(range(n), key=order.__getitem__)  # the position of each index in order
-    rows = [{where[j]: v for j, v in rows[i].items() if v} for i in order]
-    if all(rows[j].get(i) == v for i, row in enumerate(rows) for j, v in row.items()):
-        return _bareiss_symmetric(rows)
-    return _bareiss(rows)
+    if symmetric:
+        upper = [{w: v for j, v in rows[i].items() if v and (w := where[j]) >= k} for k, i in enumerate(order)]
+        det = _bareiss_symmetric(upper)
+        if det is not None:
+            return det
+    return _bareiss([{where[j]: v for j, v in rows[i].items() if v} for i in order])
 
 
 # -- Laurent-polynomial determinants and elementary divisors --------------------
@@ -436,7 +453,7 @@ class LaurentEncoding:
             {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
             for row, low in zip(M, lows)
         ]
-        order = _elimination_order(self.rows)
+        order = _elimination_order(_pattern(self.rows))
         self.where = sorted(range(n), key=order.__getitem__)
 
     def __len__(self) -> int:

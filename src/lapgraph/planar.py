@@ -189,11 +189,10 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     if not 0 <= base_face < len(fl):
         raise ValueError(f"base face {base_face} out of range (have {len(fl)} faces)")
     fidx = face_index_of_darts(fl)
-    vidx = g.vertex_index
     # Dual edge e runs from the face right of tail -> head to the face on its
     # left; crossing it that way adds alpha(tail) - alpha(head).
     ends = [(fidx[(e.name, "h")], fidx[(e.name, "t")]) for e in g.edges]
-    incs = [fld.of(alpha[vidx(e.tail)] - alpha[vidx(e.head)]) for e in g.edges]
+    incs = [fld.of(alpha[t] - alpha[h]) for t, h in g._ends]
     order = [base_face] + [f for f in range(len(fl)) if f != base_face]
     pot, _, _ = bfs_potentials(order, ends, incs, fld)
     colors = [pot[f] for f in range(len(fl))]

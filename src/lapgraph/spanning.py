@@ -9,10 +9,12 @@ squaring.  Finite graphs and box restrictions are counted by the
 matrix-tree theorem with one sparse Bareiss elimination per graph, however
 many components it has (:func:`complexity`; :func:`tree_count` and the
 quotient's components in a cover count reuse a component pass already
-made).  The reduced Laplacian is symmetric and positive definite, so
-:func:`~lapgraph.linalg.int_det` eliminates its upper triangle alone and
-never meets a zero pivot.  On a built cover this count is also the test
-oracle for the resultant count.
+made).  The component pass and the Laplacian read the edge ends the graph
+resolved to vertex indices when it was built.  The reduced Laplacian is
+symmetric and positive definite, so :func:`~lapgraph.linalg.int_det`, after
+one pass that checks it, builds its pattern and finds it symmetric,
+eliminates its upper triangle alone and never meets a zero pivot.  On a
+built cover this count is also the test oracle for the resultant count.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ def complexity(g: FiniteGraph) -> int:
     column of the last vertex of each component leaves one matrix whose
     determinant is that product: one :func:`int_det` call on the rows of
     :func:`~lapgraph.graphs.laplacian_finite` with those vertices sliced out,
-    of the empty matrix (1) when every component is a single vertex.
+    of the empty matrix (1) when every component is a single vertex.  The
+    components and the Laplacian come from the graph's edge ends by vertex
+    index, and int_det checks and patterns the rows in one pass before it
+    eliminates.
     """
     return _complexity(g, connected_components(g))
 

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library code paths they
 check: spanning trees by edge-subset enumeration, determinants by cofactor
 expansion, dense Bareiss elimination or Gaussian elimination over the
-rationals, elementary divisors from minors taken in the coefficient domain
+rationals, complexity by a dense reduced Laplacian per union-find component,
+covers and restrictions by a lift that formats every vertex name afresh, elementary divisors from minors taken in the coefficient domain
 itself and a gcd fold over every one of them (no stop at a unit),
 connectivity by union-find, the bicycle space as an intersection of the
 cut and cycle spans, reduced row echelon forms in the field's own
@@ -180,6 +181,26 @@ def brute_force_tree_count(g: FiniteGraph) -> int:
         if acyclic:
             count += 1
     return count
+
+
+def dense_complexity(g: FiniteGraph) -> int:
+    """Product over the components of the spanning-tree counts, each the
+    dense Bareiss determinant of the component's Laplacian, built from the
+    edges' vertex names, without its last row and column; components by
+    union-find (test oracle for ``spanning.complexity``)."""
+    out = 1
+    for comp in _components_list(g):
+        where = {v: i for i, v in enumerate(comp)}
+        L = [[0] * len(comp) for _ in comp]
+        for e in g.edges:
+            if e.tail in where and e.tail != e.head:
+                i, j = where[e.tail], where[e.head]
+                L[i][i] += 1
+                L[j][j] += 1
+                L[i][j] -= 1
+                L[j][i] -= 1
+        out *= bareiss_det([row[:-1] for row in L[:-1]])
+    return out
 
 
 def brute_force_components(g: FiniteGraph) -> int:
@@ -947,6 +968,33 @@ def root_of_unity_norm_by_division(h, m):
 
 def mat_mul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def lift_by_names(vg: VoltageGraph, cells: list[tuple[int, ...]], land) -> FiniteGraph:
+    """The lift of a voltage graph onto cells, every name formatted afresh
+    (test oracle for ``graphs._lift``): vertices v@c for each base vertex v
+    and cell c (base-vertex major), and one edge e@c from tail@c to
+    head@land(c + s) for each base edge e with voltage s and each cell c,
+    skipped where land gives None."""
+    names = {c: ",".join(map(str, c)) for c in cells}
+    vertices = [f"{v}@{names[c]}" for v in vg.base.vertices for c in cells]
+    edges = []
+    for e, s in zip(vg.base.edges, vg.voltages):
+        for c in cells:
+            c2 = land(tuple(a + b for a, b in zip(c, s)))
+            if c2 is not None:
+                edges.append(Edge(f"{e.name}@{names[c]}", f"{e.tail}@{names[c]}", f"{e.head}@{names[c2]}"))
+    return FiniteGraph(tuple(vertices), tuple(edges))
+
+
+def cover_by_names(vg: VoltageGraph, lam: SublatticeSpec) -> FiniteGraph:
+    """``cover_graph`` by :func:`lift_by_names`, each end reduced by ``lam.reduce``."""
+    return lift_by_names(vg, lam.coset_reps(), lam.reduce)
+
+
+def restriction_by_names(vg: VoltageGraph, rect: RectangleSpec) -> FiniteGraph:
+    """``restriction_subgraph`` by :func:`lift_by_names`, each end kept if it lies in rect."""
+    return lift_by_names(vg, rect.points(), lambda c: c if c in rect else None)
 
 
 def with_reversed_edge(vg: VoltageGraph, edge_name: str) -> VoltageGraph:

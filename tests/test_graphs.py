@@ -8,12 +8,14 @@ import pytest
 
 from conftest import (
     brute_force_components,
+    cover_by_names,
     degree_certificate,
     dense,
     example,
     mat_mul,
     random_multigraph,
     random_voltage_graph,
+    restriction_by_names,
     with_reversed_edge,
     wrapping_edge_count,
 )
@@ -270,6 +272,65 @@ def test_restriction_edges_plus_wrapping_count(seed):
     for s in sizes:
         total *= s
     assert len(sub.edges) + wrapping_edge_count(vg, rect) == total
+
+
+def _random_lattice(rng) -> SublatticeSpec:
+    while True:
+        rows = ((rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), rng.randint(-3, 3)))
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            return SublatticeSpec.lattice2(rows)
+
+
+def _lift_cases(rng) -> list[tuple[VoltageGraph, SublatticeSpec | RectangleSpec]]:
+    """Random quotients with rank-1 covers and boxes, and rank-2 covers (one
+    Hermite form (a, b, c) with b != 0 each round, and one from a random
+    matrix) and boxes."""
+    cases = []
+    for _ in range(5):
+        vg = random_voltage_graph(rng, rank=1, max_vertices=5, max_edges=9)
+        cases += [(vg, SublatticeSpec.cyclic(rng.randint(1, 9))), (vg, RectangleSpec((rng.randint(1, 9),)))]
+        vg = random_voltage_graph(rng, rank=2, max_vertices=4, max_edges=8)
+        c = rng.randint(2, 5)
+        skew = SublatticeSpec.lattice2(((rng.randint(1, 4), 0), (rng.randint(1, c - 1), c)))
+        assert skew.form[1] != 0
+        box = RectangleSpec((rng.randint(1, 5), rng.randint(1, 5)))
+        cases += [(vg, skew), (vg, _random_lattice(rng)), (vg, box)]
+    return cases
+
+
+def _lift(vg, spec) -> FiniteGraph:
+    return cover_graph(vg, spec) if isinstance(spec, SublatticeSpec) else restriction_subgraph(vg, spec)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_ends_are_the_vertex_indices_of_each_edge(seed):
+    rng = random.Random(3900 + seed)
+    graphs = [random_multigraph(rng, 8, 14) for _ in range(10)]
+    graphs += [_lift(vg, spec) for vg, spec in _lift_cases(rng)]
+    for g in graphs:
+        assert g._ends == tuple((g.vertex_index(e.tail), g.vertex_index(e.head)) for e in g.edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_covers_and_restrictions_match_the_name_formatting_lift(seed):
+    for vg, spec in _lift_cases(random.Random(4000 + seed)):
+        want = cover_by_names(vg, spec) if isinstance(spec, SublatticeSpec) else restriction_by_names(vg, spec)
+        got = _lift(vg, spec)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+
+
+def test_example_covers_and_restrictions_match_the_name_formatting_lift():
+    rng = random.Random(41)
+    for name in ("circulant12", "girder", "grid", "ladder", "mitsubishi", "single_loop"):
+        vg = example(name).quotient
+        if vg.rank == 1:
+            specs = [SublatticeSpec.cyclic(n) for n in (1, 2, 7)] + [RectangleSpec((n,)) for n in (1, 2, 7)]
+        else:
+            specs = [SublatticeSpec.lattice2(((3, 0), (2, 4))), _random_lattice(rng), RectangleSpec((3, 4))]
+        for spec in specs:
+            want = cover_by_names(vg, spec) if isinstance(spec, SublatticeSpec) else restriction_by_names(vg, spec)
+            assert _lift(vg, spec) == want
+            assert _lift(vg, spec).vertices == want.vertices  # equal graphs: the same order too
 
 
 def test_empty_rectangle_rejected():

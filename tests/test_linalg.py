@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -68,6 +69,18 @@ def permuted(rows, order):
     return [{place[j]: v for j, v in rows[i].items()} for i in order]
 
 
+def upper_triangle(rows):
+    """The entries of square sparse rows in columns j >= i of row i."""
+    return [{j: v for j, v in row.items() if j >= i} for i, row in enumerate(rows)]
+
+
+def symmetric_kernel(rows):
+    """_bareiss_symmetric on the upper triangle of symmetric sparse rows, and
+    _bareiss on the rows themselves where it meets a zero pivot."""
+    det = linalg_module._bareiss_symmetric(upper_triangle(rows))
+    return linalg_module._bareiss(rows) if det is None else det
+
+
 def dets_by_order(M) -> set[int]:
     """The determinants of a dense integer matrix by int_det, and by _bareiss
     (and _bareiss_symmetric, if M is symmetric) on its rows permuted into
@@ -76,7 +89,7 @@ def dets_by_order(M) -> set[int]:
     rows = sparse_rows(M)
     adj = linalg_module._pattern(rows)
     orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj)[0])
-    kernels = [linalg_module._bareiss] + [linalg_module._bareiss_symmetric] * (M == transpose(M))
+    kernels = [linalg_module._bareiss] + [symmetric_kernel] * (M == transpose(M))
     dets = {int_det(rows)} | {kernel(permuted(rows, order)) for kernel in kernels for order in orders}
     assert rows == sparse_rows(M)
     return dets
@@ -196,9 +209,14 @@ def test_a_symmetric_zero_pivot_hands_the_untouched_rows_to_the_general_kernel(m
     assert int_det(sparse_rows(M)) == bareiss_det(M) == -1
     for M in ([[0, 1], [1, 0]], M):
         rows = sparse_rows(M)
-        calls = _kernel_calls(monkeypatch, lambda: linalg_module._bareiss_symmetric(rows))
-        assert calls == [("_bareiss_symmetric", rows, sparse_rows(M)), ("_bareiss", rows, sparse_rows(M))]
-        assert calls[1][1] is rows
+        full = permuted(rows, linalg_module._elimination_order(linalg_module._pattern(rows)))
+        assert linalg_module._bareiss_symmetric(upper_triangle(full)) is None
+        calls = _kernel_calls(monkeypatch, int_det, rows)
+        assert [(name, received) for name, _, received in calls] == [
+            ("_bareiss_symmetric", upper_triangle(full)),
+            ("_bareiss", full),
+        ]
+        assert rows == sparse_rows(M)
 
 
 def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
@@ -252,14 +270,14 @@ def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[dic
     return calls
 
 
-def _order_calls(monkeypatch, f, *args) -> list[tuple[list[dict], list[int]]]:
-    """The calls of _elimination_order that f(*args) makes, each with the rows
-    it receives and the order it returns."""
+def _order_calls(monkeypatch, f, *args) -> list[tuple[list[set[int]], list[int]]]:
+    """The calls of _elimination_order that f(*args) makes, each with the
+    nonzero pattern it receives and the order it returns."""
     calls = []
     elimination_order = linalg_module._elimination_order
 
-    def spy(rows):
-        calls.append((rows, elimination_order(rows)))
+    def spy(adj):
+        calls.append((adj, elimination_order(adj)))
         return calls[-1][1]
 
     with monkeypatch.context() as m:
@@ -272,10 +290,10 @@ def _bareiss_pattern_and_order(monkeypatch, f, *args):
     """The nonzero pattern that f(*args) orders once, and its order, after
     checking that its one Bareiss kernel receives the rows in that order."""
     kernels = []
-    ((rows, order),) = _order_calls(monkeypatch, lambda: kernels.extend(_kernel_calls(monkeypatch, f, *args)))
+    ((adj, order),) = _order_calls(monkeypatch, lambda: kernels.extend(_kernel_calls(monkeypatch, f, *args)))
     ((_, _, received),) = kernels
-    assert received == permuted(rows, order)
-    return linalg_module._pattern(rows), order
+    assert [{order[j] for j in nbrs} for nbrs in linalg_module._pattern(received)] == [adj[i] for i in order]
+    return adj, order
 
 
 def test_int_det_picks_minimum_degree_on_a_torus_and_cuthill_mckee_on_a_box(monkeypatch):
@@ -318,7 +336,7 @@ def test_a_dense_pattern_is_eliminated_in_index_order():
         adj = linalg_module._pattern(rows)
         identity = list(range(n))
         assert linalg_module._cuthill_mckee(adj)[0] == linalg_module._minimum_degree(adj)[0] == identity
-        assert linalg_module._elimination_order(rows) == identity
+        assert linalg_module._elimination_order(adj) == identity
 
 
 def test_tree_count_of_a_random_400_vertex_graph_in_under_a_second():
@@ -367,6 +385,60 @@ def test_int_det_checks_sparse_rows():
     rows = [{0: 2, 1: 0}, {0: 1, 1: 3}]
     assert int_det(rows) == 6
     assert rows == [{0: 2, 1: 0}, {0: 1, 1: 3}]  # dropped zeros from a copy
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{0: 1, 1: 2}, {0: 3, 1: 1, 5: 1}], "determinant needs columns in 0..1, got 5"),
+        ([{0: 1, 1: 2}, {0: 3, 1: 1, 0.5: 0}], "determinant needs columns in 0..1, got 0.5"),
+        ([{1: 2}, {0: 3}, {2: 1, -1: 0}], "determinant needs columns in 0..2, got -1"),
+        ([{0: 1, 1: 2}, {0: 3, 1: Fraction(1, 2)}], "determinant needs integer entries, got Fraction(1, 2)"),
+        ([{0: 1, 1: 2}, {0: 2.0, 1: 1}], "determinant needs integer entries, got 2.0"),
+        ([{0: 1, 2: -1}, {1: 4}, {0: -2, 2: 1.5}], "determinant needs integer entries, got 1.5"),
+    ],
+)
+def test_int_det_checks_every_entry_before_any_elimination(rows, message, monkeypatch):
+    # each bad entry comes after an asymmetric one, which settles the kernel
+    # but must not end the check
+    reached = []
+    monkeypatch.setattr(linalg_module, "_elimination_order", lambda adj: reached.append("order"))
+    for name in ("_bareiss", "_bareiss_symmetric"):
+        monkeypatch.setattr(linalg_module, name, lambda rows, name=name: reached.append(name))
+    with pytest.raises(ValueError) as raised:
+        int_det(rows)
+    assert str(raised.value) == message
+    assert reached == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_det_takes_the_symmetric_kernel_exactly_on_symmetric_matrices(seed, monkeypatch):
+    # nearly symmetric: one entry of a symmetric matrix perturbed, set to
+    # zero, or stored as an explicit zero on one side only
+    rng = random.Random(3300 + seed)
+    kinds = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        M = _random_symmetric_matrix(rng, n, rng.choice((0.3, 0.7)))
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = sparse_rows(M)
+        kind = rng.choice(("perturbed", "zeroed", "explicit zero", "untouched"))
+        if kind == "perturbed":
+            M[i][j] += rng.choice((-2, -1, 1, 2))
+            rows = sparse_rows(M)
+        elif kind == "zeroed":
+            M[i][j] = 0
+            rows = sparse_rows(M)
+        elif kind == "explicit zero":
+            rows[i].setdefault(j, 0)
+        symmetric = M == transpose(M)
+        kinds[kind, symmetric] += 1
+        calls = _kernel_calls(monkeypatch, int_det, rows)
+        assert calls[0][0] == ("_bareiss_symmetric" if symmetric else "_bareiss")
+        assert len(calls) == 1 or calls[1][0] == "_bareiss" and symmetric
+        assert int_det(rows) == bareiss_det(M)
+    assert {symmetric for _, symmetric in kinds} == {True, False}
+    assert kinds["perturbed", False] and kinds["zeroed", False] and kinds["explicit zero", True]
 
 
 def test_nullspace_k4_examples():
@@ -878,9 +950,8 @@ def test_laurent_minors_inherit_the_order_of_their_matrix(seed, monkeypatch):
     L = voltage_laplacian(random_voltage_graph(rng, rank=1 + seed % 2, max_vertices=5, max_edges=9))
     n = len(L)
     shared = []
-    ((shared_rows, shared_order),) = _order_calls(
-        monkeypatch, lambda: shared.append(linalg_module.LaurentEncoding(L, n))
-    )
+    ((_, shared_order),) = _order_calls(monkeypatch, lambda: shared.append(linalg_module.LaurentEncoding(L, n)))
+    shared_rows = shared[0].rows
 
     def received(A, size):
         kernels = _kernel_calls(monkeypatch, lambda: list(linalg_module._laurent_minors(A, size)))
@@ -900,10 +971,14 @@ def test_laurent_minors_inherit_the_order_of_their_matrix(seed, monkeypatch):
         return out
 
     for size in range(n + 1):
-        kernels = []
-        ((encoded, order),) = _order_calls(
-            monkeypatch, lambda: kernels.extend(received(linalg_module.LaurentEncoding(L, size), size))
-        )
+        kernels, encodings = [], []
+
+        def encode_and_eliminate():
+            encodings.append(linalg_module.LaurentEncoding(L, size))
+            kernels.extend(received(encodings[0], size))
+
+        ((_, order),) = _order_calls(monkeypatch, encode_and_eliminate)
+        encoded = encodings[0].rows
         assert sorted(order) == list(range(n)) and order == shared_order
         assert kernels == expected(encoded, order, size)
         assert _order_calls(monkeypatch, lambda: kernels.extend(received(shared[0], size))) == []

@@ -77,6 +77,16 @@ def test_graphs_compare_by_vertices_and_edges_alone():
     assert FiniteGraph(("b", "a"), THETA.edges) != THETA  # vertex order is part of the graph
 
 
+def test_graphs_ignore_their_edge_ends_in_equality_hashing_and_pickling():
+    cov = cover_graph(VoltageGraph(THETA, 1, ((1,), (0,), (-1,))), SublatticeSpec.cyclic(3))
+    stale = FiniteGraph(cov.vertices, cov.edges)
+    object.__setattr__(stale, "_ends", ())  # only vertices and edges are compared
+    assert stale == cov and hash(stale) == hash(cov)
+    assert cov.__reduce__() == (FiniteGraph, (cov.vertices, cov.edges))  # the ends are not pickled
+    for twin in (pickle.loads(pickle.dumps(cov)), copy.deepcopy(cov)):
+        assert twin == cov and twin._ends == cov._ends == ((0, 4), (1, 5), (2, 3), (0, 3), (1, 4), (2, 5), (0, 5), (1, 3), (2, 4))
+
+
 @pytest.mark.parametrize("cls, args, other", CASES, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, args, other):
     rec = cls(*args)

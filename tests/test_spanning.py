@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     brute_force_tree_count,
     crsf_tally_by_bfs,
     dense,
+    dense_complexity,
     example,
     random_annulus_quotient,
     random_multigraph,
@@ -312,6 +314,23 @@ def test_complexity_is_the_product_over_components(batch):
                 FiniteGraph(tuple(comp), tuple(e for e in g.edges if e.tail in keep))
             )
         assert complexity(g) == want
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_complexity_matches_the_dense_oracle_on_random_multigraphs(batch):
+    # larger than edge-subset enumeration allows
+    rng = random.Random(3500 + batch)
+    seen = Counter()
+    for _ in range(40):
+        g = random_multigraph(rng, 16, 26)
+        ends = [frozenset((e.tail, e.head)) for e in g.edges]
+        touched = {v for e in g.edges for v in (e.tail, e.head)}
+        seen["loops"] += any(len(pair) == 1 for pair in ends)
+        seen["parallel edges"] += len(set(ends)) < len(ends)
+        seen["isolated vertices"] += len(touched) < len(g.vertices)
+        seen["components"] += len(connected_components(g)) > 1
+        assert complexity(g) == dense_complexity(g)
+    assert min(seen.values()) > 0 and len(seen) == 4
 
 
 def test_complexity_takes_one_determinant_whatever_the_components(monkeypatch):
