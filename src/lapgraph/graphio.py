@@ -22,8 +22,15 @@ for d = 0).
 
 from __future__ import annotations
 
+import re
+
 from .graphs import Edge, FiniteGraph, VoltageGraph
 from .planar import PlaneGraph, parse_dart
+
+
+# ASCII digits only: str.isdigit and int() also take '²', Arabic-Indic digits and '1_0'
+_RANK = re.compile("[0-9]+")
+_VOLTAGE = re.compile("[+-]?[0-9]+")
 
 
 class GraphParseError(ValueError):
@@ -59,7 +66,7 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
         if kind == "d":
             if rank is not None:
                 raise GraphParseError(line_no, "duplicate d line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _RANK.fullmatch(tokens[1]):
                 raise GraphParseError(line_no, "d line needs one integer")
             rank = int(tokens[1])
             if rank not in (0, 1, 2):
@@ -83,10 +90,9 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
             if head not in vseen:
                 raise GraphParseError(line_no, f"unknown vertex {head!r} in edge {name!r}")
             volt_tokens = tokens[4:]
-            try:
-                volt = tuple(int(t) for t in volt_tokens)
-            except ValueError:
-                raise GraphParseError(line_no, f"bad voltage {' '.join(volt_tokens)!r}") from None
+            if not all(map(_VOLTAGE.fullmatch, volt_tokens)):
+                raise GraphParseError(line_no, f"bad voltage {' '.join(volt_tokens)!r}")
+            volt = tuple(map(int, volt_tokens))
             eseen.add(name)
             edges.append((name, tail, head))
             voltages.append(volt)

@@ -9,12 +9,12 @@ the rationals).  Polynomial matrices are dense lists of row lists of
 since a zero entry carries the variable count.  :func:`rref` eliminates on
 integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
-on the upper triangle alone when they are symmetric, in the pivot order
-(:func:`_elimination_order`, of the symmetrised nonzero pattern) that the
-caller permutes each matrix into once; :func:`int_det` checks its rows,
-builds that pattern and tests symmetry in one pass before it eliminates.
-A Laurent matrix is checked, Kronecker-encoded and ordered once
-(:class:`LaurentEncoding`), with K and b sized by the largest minor the
+on the upper triangle alone when they are symmetric, in the minimum-degree
+pivot order (:func:`_elimination_order`, of the symmetrised nonzero pattern)
+that the caller permutes each matrix into once; :func:`int_det` checks its
+rows, builds that pattern and tests symmetry in one pass before it
+eliminates.  A Laurent matrix is checked, Kronecker-encoded and ordered
+once (:class:`LaurentEncoding`), with K and b sized by the largest minor the
 encoding serves, and its minors (:func:`_laurent_minors`) inherit that order:
 :func:`det_laurent` is its full minor, and :func:`elementary_divisor` folds
 its (n - k)-minors up to the first unit gcd.  A caller that needs Delta_0 and
@@ -155,54 +155,15 @@ def _pattern(rows: list[dict]) -> list[set[int]]:
     return adj
 
 
-def _cuthill_mckee(adj: list[set[int]]) -> tuple[list[int], int]:
-    """Cuthill–McKee order of a symmetric nonzero pattern, and its predicted
-    cost (see :func:`int_det`) by the envelope bound.
-
-    Breadth-first search from a least-degree index of each component, visiting
-    unseen neighbours by increasing degree (ties by index).  A graph-like
-    matrix, such as a cover's or a box's Laplacian, gets a small bandwidth.
-    Fill never leaves the envelope, so m_k is at most the number of rows after
-    k whose first nonzero lies at or before column k.  A row's first nonzero
-    is at the vertex that discovered it, so the bound costs O(n).
-    """
-    by_degree = sorted(range(len(adj)), key=lambda v: len(adj[v]))  # stable: ties by index
-    rank = [0] * len(adj)
-    for r, v in enumerate(by_degree):
-        rank[v] = r
-    seen = [False] * len(adj)
-    order: list[int] = []
-    opened = [0] * (len(adj) + 1)  # difference array of the envelope's m_k
-    for start in by_degree:
-        if seen[start]:
-            continue
-        seen[start] = True
-        order.append(start)
-        head = len(order) - 1
-        while head < len(order):
-            for w in sorted(adj[order[head]], key=rank.__getitem__):
-                if not seen[w]:
-                    seen[w] = True
-                    opened[head] += 1
-                    opened[len(order)] -= 1
-                    order.append(w)
-            head += 1
-    cost = m = 0
-    for k in range(len(order)):
-        m += opened[k]
-        cost += (m * (k + 1)) ** 2
-    return order, cost
-
-
-def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
-    """Greedy minimum-degree order of a symmetric nonzero pattern, and its
-    predicted cost (see :func:`int_det`).
+def _elimination_order(adj: list[set[int]]) -> list[int]:
+    """The pivot order of a square matrix with the symmetrised nonzero
+    pattern adj: greedy minimum degree.
 
     Each step eliminates a vertex of least degree in the filled pattern, ties
-    by index, and joins its remaining neighbours into a clique.  Its degree
-    then is m_k exactly, so the cost sum_k m_k^2 (k+1)^2 comes as a
-    by-product.  Once the remaining vertices form a clique, they follow by
-    index.
+    by index, and joins its remaining neighbours into a clique, which keeps
+    the fill, and with it the rows each Bareiss step updates, small on tori
+    and irregular graphs alike.  Once the remaining vertices form a clique,
+    they follow by index, so a complete pattern gets the index order.
     """
     n = len(adj)
     adj = [set(a) for a in adj]
@@ -210,17 +171,13 @@ def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
     heapify(heap)
     done = [False] * n
     order: list[int] = []
-    cost = 0
     while heap:
         d, v = heappop(heap)
         if done[v] or d != len(adj[v]):
             continue  # a stale degree
-        k = len(order)
-        if d == n - k - 1:  # the rest is a clique: by index, one less each step
-            cost += sum(((d - i) * (k + i + 1)) ** 2 for i in range(d))
+        if d == n - len(order) - 1:  # the rest is a clique: by index
             order += (u for u in range(n) if not done[u])
             break
-        cost += (d * (k + 1)) ** 2
         done[v] = True
         order.append(v)
         nbrs = adj[v]
@@ -232,17 +189,7 @@ def _minimum_degree(adj: list[set[int]]) -> tuple[list[int], int]:
             a.discard(v)
             if len(a) != before:
                 heappush(heap, (len(a), u))
-    return order, cost
-
-
-def _elimination_order(adj: list[set[int]]) -> list[int]:
-    """The pivot order of a square matrix with the symmetrised pattern adj
-    (see :func:`int_det`): minimum degree if its predicted cost is below
-    Cuthill–McKee's envelope bound, else Cuthill–McKee.  Both are the
-    identity on a complete pattern."""
-    cm, cm_cost = _cuthill_mckee(adj)
-    md, md_cost = _minimum_degree(adj)
-    return md if md_cost < cm_cost else cm
+    return order
 
 
 def _bareiss(rows: list[dict]) -> int:
@@ -251,15 +198,15 @@ def _bareiss(rows: list[dict]) -> int:
     Fraction-free (Bareiss) elimination in place, pivots in index order: each
     caller permutes rows and columns alike into :func:`_elimination_order`
     once per matrix, which keeps the determinant, and barring zero pivots the
-    fill stays inside that order's filled symmetrised pattern (see
-    :func:`int_det`).  Step k updates only the rows with a nonzero in column k,
-    found by a scan: every caller is small, so no column index would pay its
-    upkeep.  Every other row owes the factor p_k / p_{k-1} (p_k the k-th
-    pivot) and is scaled once, by the telescoped product, when it is next
-    touched.  Every Bareiss entry is a minor of the matrix, so each division
-    is exact.  A zero pivot is swapped with the first lower row that has a
-    nonzero in its column.  This is the kernel of :func:`_laurent_minors`, of
-    non-symmetric :func:`int_det` input, and of symmetric input on which
+    fill stays inside that order's filled symmetrised pattern.  Step k
+    updates only the rows with a nonzero in column k, found by a scan: every
+    caller is small, so no column index would pay its upkeep.  Every other
+    row owes the factor p_k / p_{k-1} (p_k the k-th pivot) and is scaled
+    once, by the telescoped product, when it is next touched.  Every Bareiss
+    entry is a minor of the matrix, so each division is exact.  A zero pivot
+    is swapped with the first lower row that has a nonzero in its column.
+    This is the kernel of :func:`_laurent_minors`, of non-symmetric
+    :func:`int_det` input, and of symmetric input on which
     :func:`_bareiss_symmetric` meets a zero pivot.
     """
     n = len(rows)
@@ -362,22 +309,13 @@ def int_det(rows: list[dict[int, int]]) -> int:
     """Exact determinant of a square integer matrix given as sparse rows
     {column: entry}; the order is the number of rows, and the input is left
     alone.  One pass over the entries checks them, builds the symmetrised
-    pattern that :func:`_elimination_order` orders, and tests symmetry.  A
-    column outside 0..n-1, or a nonzero entry that is not an int, raises
-    ValueError there, before any elimination: a Fraction or float would be
-    truncated.  Symmetric rows, as a reduced Laplacian's are, go to
-    :func:`_bareiss_symmetric` as their upper triangle, without the zeros,
-    in that order, rows and columns alike; the full rows go to
+    pattern that :func:`_elimination_order` orders by minimum degree, and
+    tests symmetry.  A column outside 0..n-1, or a nonzero entry that is not
+    an int, raises ValueError there, before any elimination: a Fraction or
+    float would be truncated.  Symmetric rows, as a reduced Laplacian's are,
+    go to :func:`_bareiss_symmetric` as their upper triangle, without the
+    zeros, in that order, rows and columns alike; the full rows go to
     :func:`_bareiss` only if the rows are not symmetric or a pivot is zero.
-
-    The pivot order is the one of lower predicted cost, sum_k m_k^2 (k+1)^2
-    with m_k the later neighbours of the k-th pivot in the filled symmetrised
-    pattern: step k updates m_k rows in m_k columns (about half as many
-    entries on the upper triangle), every entry then is a (k+1)-minor with
-    O(k) bits, and multiplication at these sizes is quadratic.  The
-    candidates are Cuthill–McKee, costed by its envelope bound, which suits
-    strips and boxes, and greedy minimum degree, which suits tori and
-    irregular graphs, and gets m_k exactly.  Ties go to Cuthill–McKee.
     """
     n = len(rows)
     adj: list[set[int]] = [set() for _ in rows]

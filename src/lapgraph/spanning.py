@@ -444,7 +444,10 @@ class GrowthReport(NamedTuple):
 
 
 def laplacian_determinant_polynomial(vg: VoltageGraph) -> LaurentPoly:
-    """Delta_0 over the integers, in normalized form: det L(x) up to a unit."""
+    """Delta_0 over the integers, in normalized form: det L(x) up to a unit,
+    in vg.rank variables (1 without vertices, where L is 0 x 0)."""
+    if not vg.base.vertices:
+        return LaurentPoly.constant(1, vg.rank)
     return normalize(det_laurent(voltage_laplacian(vg)), ZZ)
 
 

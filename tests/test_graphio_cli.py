@@ -89,11 +89,18 @@ def test_bad_rotation_rejected():
     [
         ("lapgraph v1\nd 1\nd 1\n", 3, "duplicate d line"),
         ("lapgraph v1\nd one\n", 2, "d line needs one integer"),
+        ("lapgraph v1\nd \u00b2\n", 2, "d line needs one integer"),
+        ("lapgraph v1\nd \u0661\n", 2, "d line needs one integer"),
+        ("lapgraph v1\nd +1\n", 2, "d line needs one integer"),
         ("lapgraph v1\nd 3\n", 2, "rank 3 not supported (0, 1 or 2)"),
         ("lapgraph v1\nvertex a b\n", 2, "vertex line needs exactly one name"),
         ("lapgraph v1\nvertex v\nedge e v\n", 3, "edge line needs: edge NAME TAIL HEAD [voltage...]"),
         ("lapgraph v1\nvertex v\nedge e w v\n", 3, "unknown vertex 'w' in edge 'e'"),
         ("lapgraph v1\nd 1\nvertex v\nedge e v v one\n", 4, "bad voltage 'one'"),
+        ("lapgraph v1\nd 1\nvertex v\nedge e v v \u0661\n", 4, "bad voltage '\u0661'"),
+        ("lapgraph v1\nd 1\nvertex v\nedge e v v 1_0\n", 4, "bad voltage '1_0'"),
+        ("lapgraph v1\nd 2\nvertex v\nedge e v v 1 \u00b2\n", 4, "bad voltage '1 \u00b2'"),
+        ("lapgraph v1\nd 1\nvertex v\nedge e v v +-1\n", 4, "bad voltage '+-1'"),
         ("lapgraph v1\nvertex v\nrot v\n", 3, "rot line needs: rot VERTEX: end end ..."),
         ("lapgraph v1\nvertex v\nrot w:\n", 3, "unknown vertex 'w' in rot line"),
         ("lapgraph v1\nvertex v\nrot v:\nrot v:\n", 4, "duplicate rot line for 'v'"),
@@ -105,6 +112,11 @@ def test_parse_errors_name_their_line(text, line_no, message):
     with pytest.raises(GraphParseError) as err:
         parse_graph_file(text)
     assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def test_voltages_take_a_sign_and_leading_zeros():
+    vg = parse_graph_file("lapgraph v1\nd 2\nvertex v\nedge e v v +2 -03\nedge f v v -0 007\n")
+    assert vg.voltages == ((2, -3), (0, 7))
 
 
 def test_cli_reports_a_parse_error_with_its_line(tmp_path, capsys):

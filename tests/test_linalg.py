@@ -25,6 +25,7 @@ from conftest import (
     random_voltage_graph,
     rref_dense,
     rref_fraction,
+    single_loop_quotient,
     sized_voltage_graph,
     sparse_rows,
 )
@@ -84,11 +85,12 @@ def symmetric_kernel(rows):
 def dets_by_order(M) -> set[int]:
     """The determinants of a dense integer matrix by int_det, and by _bareiss
     (and _bareiss_symmetric, if M is symmetric) on its rows permuted into
-    Cuthill–McKee and into minimum-degree order; one value when they agree.
-    int_det leaves the rows alone."""
+    minimum-degree order and into a random order, seeded by M, that no
+    production caller picks; one value when they agree.  int_det leaves the
+    rows alone."""
     rows = sparse_rows(M)
-    adj = linalg_module._pattern(rows)
-    orders = (linalg_module._cuthill_mckee(adj)[0], linalg_module._minimum_degree(adj)[0])
+    shuffled = random.Random(str(M)).sample(range(len(rows)), len(rows))
+    orders = (linalg_module._elimination_order(linalg_module._pattern(rows)), shuffled)
     kernels = [linalg_module._bareiss] + [symmetric_kernel] * (M == transpose(M))
     dets = {int_det(rows)} | {kernel(permuted(rows, order)) for kernel in kernels for order in orders}
     assert rows == sparse_rows(M)
@@ -240,19 +242,6 @@ def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
         assert call[0] == "_bareiss_symmetric"
 
 
-def _filled_cost(adj, order):
-    """sum_k m_k^2 (k+1)^2, with m_k the later neighbours of the k-th pivot in
-    the pattern filled by eliminating in order (symbolic elimination)."""
-    where = {v: k for k, v in enumerate(order)}
-    later = [{where[u] for u in adj[v] if where[u] > k} for k, v in enumerate(order)]
-    cost = 0
-    for k, nbrs in enumerate(later):
-        cost += (len(nbrs) * (k + 1)) ** 2
-        for u in nbrs:
-            later[u] |= {w for w in nbrs if w > u}
-    return cost
-
-
 def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[dict]]]:
     """The Bareiss kernels that f(*args) calls, in call order, each with the
     rows it receives and a copy of them as received (_bareiss eliminates in
@@ -296,37 +285,68 @@ def _bareiss_pattern_and_order(monkeypatch, f, *args):
     return adj, order
 
 
-def test_int_det_picks_minimum_degree_on_a_torus_and_cuthill_mckee_on_a_box(monkeypatch):
+def assert_minimum_degree(adj, order):
+    """order eliminates the pattern adj greedily: each pivot has least degree
+    in the pattern filled by the pivots before it, ties by index, until the
+    rest is a clique, which follows by index."""
+    adj = [set(a) for a in adj]
+    left = set(range(len(adj)))
+    for k, v in enumerate(order):
+        if all(len(adj[u]) == len(left) - 1 for u in left):
+            assert order[k:] == sorted(left)
+            return
+        assert (len(adj[v]), v) == min((len(adj[u]), u) for u in left)
+        left.remove(v)
+        for u in adj[v]:
+            adj[u] |= adj[v] - {u}
+            adj[u].discard(v)
+    assert not left
+
+
+def test_complexity_eliminates_a_torus_and_a_box_in_minimum_degree_order(monkeypatch):
     torus = cover_graph(example("mitsubishi"), SublatticeSpec.lattice2(((8, 0), (0, 8))))
-    adj, order = _bareiss_pattern_and_order(monkeypatch, complexity, torus)
-    (md, _), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
-    assert order == md != cm
-    assert _filled_cost(adj, md) < _filled_cost(adj, cm) <= envelope
     box = restriction_subgraph(example("grid"), RectangleSpec((16, 16)))
-    adj, order = _bareiss_pattern_and_order(monkeypatch, complexity, box)
-    (md, _), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
-    assert order == cm != md
-    assert _filled_cost(adj, cm) <= envelope < _filled_cost(adj, md)
+    for g in (torus, box):
+        adj, order = _bareiss_pattern_and_order(monkeypatch, complexity, g)
+        assert len(adj) == len(g.vertices) - 1
+        assert_minimum_degree(adj, order)
 
 
 def test_det_laurent_takes_minimum_degree_on_a_forty_vertex_quotient(monkeypatch):
-    # predicted costs: 538,549 in minimum-degree order, 1,450,683 by Cuthill–McKee's envelope
     L = voltage_laplacian(sized_voltage_graph(random.Random(40), 1, 40, 80))
     adj, order = _bareiss_pattern_and_order(monkeypatch, det_laurent, L)
-    (md, cost), (cm, envelope) = linalg_module._minimum_degree(adj), linalg_module._cuthill_mckee(adj)
-    assert order == md != cm
-    assert cost == _filled_cost(adj, md) < envelope
+    assert len(adj) == 40
+    assert_minimum_degree(adj, order)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_minimum_degree_returns_a_permutation_and_its_filled_cost(seed):
-    rng = random.Random(40 + seed)
-    g = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
-    cover = cover_graph(g, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
-    adj = linalg_module._pattern(laplacian_finite(cover))
-    md, cost = linalg_module._minimum_degree(adj)
-    assert cost == _filled_cost(adj, md)
-    assert sorted(md) == list(range(len(adj)))
+def _pattern_case(case):
+    """The nonzero pattern of a Laplacian: of a random rank-2 torus cover for
+    an int case (its seed), of a cover with three components, of a cover with
+    five isolated vertices, or of no vertices."""
+    if case == "disconnected-cover":
+        g = cover_graph(single_loop_quotient(3), SublatticeSpec.cyclic(12))
+    elif case == "isolated-indices":
+        ladder = parse_graph_file((Path(__file__).with_name("data") / "ladder_lone_vertex.lapgraph").read_text())
+        g = cover_graph(ladder.quotient, SublatticeSpec.cyclic(5))
+    elif case == "empty":
+        return []
+    else:
+        rng = random.Random(40 + case)
+        vg = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
+        g = cover_graph(vg, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
+    return linalg_module._pattern(laplacian_finite(g))
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "disconnected-cover", "isolated-indices", "empty"])
+def test_elimination_order_returns_a_permutation(case):
+    adj = _pattern_case(case)
+    if case == "disconnected-cover":
+        assert len(adj) == 12 and sum(map(len, adj)) == 24  # three 4-cycles
+    if case == "isolated-indices":
+        assert sum(not a for a in adj) == 5
+    order = linalg_module._elimination_order(adj)
+    assert sorted(order) == list(range(len(adj)))
+    assert_minimum_degree(adj, order)
 
 
 def test_a_dense_pattern_is_eliminated_in_index_order():
@@ -334,13 +354,12 @@ def test_a_dense_pattern_is_eliminated_in_index_order():
     for n in (1, 2, 5, 30):
         rows = [{j: rng.choice((-2, -1, 1, 2)) for j in range(n)} for _ in range(n)]
         adj = linalg_module._pattern(rows)
-        identity = list(range(n))
-        assert linalg_module._cuthill_mckee(adj)[0] == linalg_module._minimum_degree(adj)[0] == identity
-        assert linalg_module._elimination_order(adj) == identity
+        assert linalg_module._elimination_order(adj) == list(range(n))
 
 
 def test_tree_count_of_a_random_400_vertex_graph_in_under_a_second():
-    # over 3 s in Cuthill–McKee order alone (2-vCPU VM): a random graph has no narrow band
+    # a random graph has no narrow band, so a bandwidth order such as
+    # Cuthill–McKee took over 3 s on a 2-vCPU VM; minimum degree keeps its fill small
     rng = random.Random(400)
     names = [f"v{i}" for i in range(400)]
     pairs = {(rng.randrange(i), i) for i in range(1, 400)}  # a random spanning tree

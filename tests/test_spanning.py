@@ -34,7 +34,7 @@ from lapgraph.graphs import (
     restriction_subgraph,
     voltage_laplacian,
 )
-from lapgraph.laurent import normalize, parse_poly
+from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
 from lapgraph import spanning
 from lapgraph.spanning import (
@@ -588,6 +588,13 @@ def test_kappa_one_corollary(case):
     d0 = laplacian_determinant_polynomial(vg)
     assert d0 == normalize(tau * X_MINUS_1_SQ, ZZ)
     assert d0 == tau * X_MINUS_1_SQ  # normalized form keeps the content
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_delta0_without_vertices_is_one_in_every_variable(rank):
+    vg = VoltageGraph.build([], [], rank=rank)
+    assert laplacian_determinant_polynomial(vg) == LaurentPoly.constant(1, rank)
+    assert growth_covers(vg, [2, 3], fibers=8).reference == 0.0
 
 
 def test_split_rejects_kappa_two():
