@@ -7,8 +7,9 @@ input.  A command reads what it needs through the graph layer: ``obj.base``
 is the finite graph under every input kind, ``obj.quotient`` its voltage
 quotient (None for a finite graph), :func:`medial_components` traces either
 kind of plane graph, and ``delta`` reads a finite graph as its zero-voltage
-rank-1 quotient (the trivial action).  Bad input or usage
-exits 2; a failed check (verify's FAIL, crsf's MISMATCH) exits 1.
+rank-1 quotient (the trivial action).  Bad input or usage, and input too
+large for the memory at hand, exits 2; a failed check (verify's FAIL,
+crsf's MISMATCH) exits 1.
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # input too large for this machine, not a failed check
+        print("error: out of memory (MemoryError)", file=sys.stderr)
         return 2
     finally:
         if has_limit:

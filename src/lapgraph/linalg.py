@@ -9,17 +9,21 @@ the rationals).  Polynomial matrices are dense lists of row lists of
 since a zero entry carries the variable count.  :func:`rref` eliminates on
 integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
-on the upper triangle alone when they are symmetric, in the minimum-degree
-pivot order (:func:`_elimination_order`, of the symmetrised nonzero pattern)
-that the caller permutes each matrix into once; :func:`int_det` checks its
-rows, builds that pattern and tests symmetry in one pass before it
-eliminates.  A Laurent matrix is checked, Kronecker-encoded and ordered
-once (:class:`LaurentEncoding`), with K and b sized by the largest minor the
-encoding serves, and its minors (:func:`_laurent_minors`) inherit that order:
-:func:`det_laurent` is its full minor, and :func:`elementary_divisor` folds
-its (n - k)-minors up to the first unit gcd.  A caller that needs Delta_0 and
-several Delta_k of one matrix encodes it once, for its determinant, and
-passes the encoding to each; a raw matrix is encoded on entry.
+in the minimum-degree pivot order (:func:`_elimination_order`, of the
+symmetrised nonzero pattern) that the caller permutes each matrix into
+once; :func:`int_det` checks its rows, builds that pattern and tests
+symmetry in one pass before it eliminates.  Symmetric rows are eliminated
+on their upper triangle alone, each row scaled only by the determinants of
+the eliminated pieces it touches (:func:`_bareiss_symmetric`); other rows,
+and symmetric rows whose pivot is zero or whose fill cancels, by global
+Bareiss (:func:`_bareiss`).  A Laurent matrix is checked,
+Kronecker-encoded and ordered once (:class:`LaurentEncoding`), with K and b
+sized by the largest minor the encoding serves, and its minors
+(:func:`_laurent_minors`) inherit that order: :func:`det_laurent` is its
+full minor, and :func:`elementary_divisor` folds its (n - k)-minors up to
+the first unit gcd.  A caller that needs Delta_0 and several Delta_k of one
+matrix encodes it once, for its determinant, and passes the encoding to
+each; a raw matrix is encoded on entry.
 """
 
 from __future__ import annotations
@@ -205,9 +209,12 @@ def _bareiss(rows: list[dict]) -> int:
     once, by the telescoped product, when it is next touched.  Every Bareiss
     entry is a minor of the matrix, so each division is exact.  A zero pivot
     is swapped with the first lower row that has a nonzero in its column.
-    This is the kernel of :func:`_laurent_minors`, of non-symmetric
-    :func:`int_det` input, and of symmetric input on which
-    :func:`_bareiss_symmetric` meets a zero pivot.
+    The denominator is global, the product of all earlier pivots whether or
+    not a row touches their pieces, which a row swap needs; the symmetric
+    kernel, which never swaps, keeps it local instead.  This is the kernel
+    of :func:`_laurent_minors`, of non-symmetric :func:`int_det` input, and
+    of symmetric input on which :func:`_bareiss_symmetric` meets a zero
+    pivot or a cancelled update.
     """
     n = len(rows)
     # p[t] is the pivot of step t - 1 (p[0] = 1); a row at level t holds the
@@ -257,52 +264,60 @@ def _bareiss(rows: list[dict]) -> int:
 
 
 def _bareiss_symmetric(upper: list[dict]) -> int | None:
-    """:func:`_bareiss` of a symmetric matrix given by its upper triangle,
-    row i holding its nonzeros in columns j >= i, eliminated in place; None
-    at a zero pivot.
+    """Determinant of a symmetric integer matrix given by its upper triangle,
+    row i holding its nonzeros in columns j >= i, eliminated in place in
+    index order with denominators local to the eliminated pieces; None at a
+    zero pivot or at an update that cancels to zero.
 
-    Every Bareiss entry a_ij^(k) = det A[1..k,i; 1..k,j] of a symmetric
-    matrix is symmetric too, so row i keeps only its columns j >= i, and the
-    rows that step k updates are the keys i of row k, in row k's columns
-    j >= i.  Each such row is scaled by p_k / p_{k-1} in its other columns,
-    and lazy catch-up scales the rows that step k skips, as in
-    :func:`_bareiss`.  Step k does about half of the general kernel's work.
-    A zero pivot, which a positive-definite matrix never has, needs a row
-    swap, which the triangle cannot hold: the caller then eliminates the
-    full rows with :func:`_bareiss`.
+    The eliminated vertices form the components C of their filled pattern,
+    each with D_C = det A[C, C], the pivot of the step that formed it (a
+    component is labelled by that step).  Row i of the Schur complement S
+    owes only the D_C of the components it touches, so it holds
+    N_ij = den_i S_ij for j >= i, den_i the product of those D_C: a row
+    that step k skips keeps its entries, and the rows it updates are the
+    keys i of row k.  With p = N_kk, K the components that k touches and g
+    the product of the D_C they share with row i, row i takes
+    (p N_ij - a N_kj) / g in row k's columns j >= i, a = N_ki den_i / den_k,
+    and N_ij p / g in its other columns, each division exact, and
+    den_i <- den_i p / g.  The determinant is the product of the D_C of the
+    components that touch nothing left, the pivots whose row is empty.
+
+    The components must be those of the numerical fill, so an update that
+    cancels to zero returns None, as a zero pivot does, whose row swap the
+    triangle cannot hold: the caller then eliminates the full rows with
+    :func:`_bareiss`.  A reduced Laplacian is a nonsingular M-matrix on
+    each component, whose fill never cancels and whose pivots are positive.
     """
     n = len(upper)
-    p = [1]
-    level = [0] * n
-
-    def catch_up(i: int, k: int) -> dict:
-        row = upper[i]
-        if p[level[i]] != p[k]:
-            num, den = p[k], p[level[i]]
-            for j, v in row.items():
-                row[j] = v * num // den
-        return row
-
+    pivots, den, comps = [0] * n, [1] * n, [set() for _ in upper]
+    det = 1
     for k in range(n):
-        row_k = catch_up(k, k)
-        if k not in row_k:
+        row_k = upper[k]
+        pivot = pivots[k] = row_k.pop(k, 0)
+        if not pivot:
             return None
-        pivot = row_k.pop(k)
-        prev = p[k]
-        p.append(pivot)
+        if not row_k:  # k closes a component of the whole matrix
+            det *= pivot
+        K, den_k = comps[k], den[k]
         items = sorted(row_k.items())
         for t, (i, a) in enumerate(items):
-            row_i = catch_up(i, k)
+            row_i, touched = upper[i], comps[i]
+            shared = touched & K
+            g = 1
+            for c in shared:  # mostly one piece, or none: cheaper than prod() of a generator
+                g *= pivots[c]
+            a = a // (den_k // g) * (den[i] // g)
             for j in row_i.keys() - row_k.keys():
-                row_i[j] = row_i[j] * pivot // prev
+                row_i[j] = row_i[j] * pivot // g
             for j, v in items[t:]:
-                w = (pivot * row_i.get(j, 0) - a * v) // prev
-                if w:
-                    row_i[j] = w
-                else:
-                    del row_i[j]
-            level[i] = k + 1
-    return p[n]
+                w = (pivot * row_i.get(j, 0) - a * v) // g
+                if not w:
+                    return None
+                row_i[j] = w
+            den[i] = den[i] // g * pivot
+            touched -= shared
+            touched.add(k)
+    return det
 
 
 def int_det(rows: list[dict[int, int]]) -> int:
@@ -315,7 +330,8 @@ def int_det(rows: list[dict[int, int]]) -> int:
     float would be truncated.  Symmetric rows, as a reduced Laplacian's are,
     go to :func:`_bareiss_symmetric` as their upper triangle, without the
     zeros, in that order, rows and columns alike; the full rows go to
-    :func:`_bareiss` only if the rows are not symmetric or a pivot is zero.
+    :func:`_bareiss` only if the rows are not symmetric, or if a pivot is
+    zero or an update cancels (never on a reduced Laplacian).
     """
     n = len(rows)
     adj: list[set[int]] = [set() for _ in rows]
@@ -360,7 +376,8 @@ class LaurentEncoding:
     one K and b, sized by the largest minor served, serve them all.
     ``where`` is each index's place in the pivot order
     (:func:`_elimination_order`) of the integer rows.  A non-square matrix,
-    or a non-int coefficient, raises ValueError.
+    a non-int coefficient, or a shift too large for an int (the message
+    names K and b), raises ValueError.
     """
 
     __slots__ = ("nvars", "size", "lows", "K", "b", "rows", "where")
@@ -387,10 +404,15 @@ class LaurentEncoding:
         def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
             return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
 
-        self.rows = [
-            {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
-            for row, low in zip(M, lows)
-        ]
+        try:
+            self.rows = [
+                {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
+                for row, low in zip(M, lows)
+            ]
+        except OverflowError:  # a shift past the largest int
+            raise ValueError(
+                f"Laurent matrix too wide to encode: x-span K = {K} at b = {b} bits per coefficient"
+            ) from None
         order = _elimination_order(_pattern(self.rows))
         self.where = sorted(range(n), key=order.__getitem__)
 

@@ -11,10 +11,12 @@ many components it has (:func:`complexity`; :func:`tree_count` and the
 quotient's components in a cover count reuse a component pass already
 made).  The component pass and the Laplacian read the edge ends the graph
 resolved to vertex indices when it was built.  The reduced Laplacian is
-symmetric and positive definite, so :func:`~lapgraph.linalg.int_det`, after
-one pass that checks it, builds its pattern and finds it symmetric,
-eliminates its upper triangle alone and never meets a zero pivot.  On a
-built cover this count is also the test oracle for the resultant count.
+symmetric, and a nonsingular M-matrix on each component, so
+:func:`~lapgraph.linalg.int_det`, after one pass that checks it, builds its
+pattern and finds it symmetric, eliminates its upper triangle alone, each
+row scaled only by the determinants of the eliminated pieces it touches,
+and never meets a zero pivot or a fill that cancels.  On a built cover this
+count is also the test oracle for the resultant count.
 """
 
 from __future__ import annotations

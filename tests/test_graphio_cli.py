@@ -338,6 +338,26 @@ def test_cli_reports_an_inexact_cover_count_as_an_error(tmp_path, capsys, monkey
     assert "Delta_0 is not a polynomial in x^c" in capsys.readouterr().err
 
 
+def test_cli_reports_an_exhausted_memory_as_an_error_not_a_failed_check(capsys, monkeypatch):
+    def cmd_mahler(obj, args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_mahler", cmd_mahler)
+    assert main(["mahler", "--poly", "x^100000000-2"]) == 2
+    assert capsys.readouterr().err == "error: out of memory (MemoryError)\n"
+
+
+@pytest.mark.parametrize("argv", [["delta"], ["mahler", "--from-graph"], ["verify"]])
+def test_cli_refuses_a_voltage_too_wide_to_encode(argv, tmp_path, capsys):
+    # x^(10^30) cannot be shifted into an int: the encoding names its span and bit size
+    path = tmp_path / "loop_e30.lapgraph"
+    path.write_text(format_graph_file(single_loop_quotient(10**30)))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: Laurent matrix too wide to encode: x-span K = {2 * 10**30 + 1} at b = 4 bits per coefficient\n"
+    )
+
+
 def test_cli_trees_matrix_cover(graph_dir, capsys):
     code, out = run_cli(
         capsys, "trees", "--cover", "2,0,0,2", str(graph_dir / "grid.lapgraph"), "--json"

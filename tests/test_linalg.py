@@ -22,6 +22,7 @@ from conftest import (
     fraction_det,
     gcd_fold_all,
     gcd_fold_prefixes,
+    random_multigraph,
     random_voltage_graph,
     rref_dense,
     rref_fraction,
@@ -37,6 +38,7 @@ from lapgraph.graphs import (
     RectangleSpec,
     SublatticeSpec,
     VoltageGraph,
+    connected_components,
     cover_graph,
     incidence_matrix,
     laplacian_finite,
@@ -209,7 +211,10 @@ def test_a_symmetric_zero_pivot_hands_the_untouched_rows_to_the_general_kernel(m
     # the second pivot is zero after one step: 1 * 1 - 1 * 1
     M = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     assert int_det(sparse_rows(M)) == bareiss_det(M) == -1
-    for M in ([[0, 1], [1, 0]], M):
+    # positive definite, but the first step cancels the fill at (1, 2): 1 * 1 - 1 * 1
+    C = [[1, 1, 1], [1, 2, 1], [1, 1, 3]]
+    assert int_det(sparse_rows(C)) == bareiss_det(C) == 2
+    for M in ([[0, 1], [1, 0]], M, C):
         rows = sparse_rows(M)
         full = permuted(rows, linalg_module._elimination_order(linalg_module._pattern(rows)))
         assert linalg_module._bareiss_symmetric(upper_triangle(full)) is None
@@ -240,6 +245,64 @@ def test_reduced_laplacians_take_the_symmetric_kernel(monkeypatch):
     for g in finite:
         (call,) = _kernel_calls(monkeypatch, complexity, g)
         assert call[0] == "_bareiss_symmetric"
+
+
+def reduced_laplacian(g) -> list[list[int]]:
+    """The dense Laplacian of g without the last vertex of each component."""
+    n = len(g.vertices)
+    L = dense(laplacian_finite(g), n)
+    last = {g.vertex_index(comp[-1]) for comp in connected_components(g)}
+    keep = [i for i in range(n) if i not in last]
+    return [[L[i][j] for j in keep] for i in keep]
+
+
+def test_a_block_diagonal_matrix_keeps_each_block_to_its_own_pivots():
+    # two reduced Laplacians, their indices interleaved at random: each row
+    # comes out of the elimination as it does from its block alone, so no
+    # pivot of the other block ever scales it
+    rng = random.Random(41)
+    grid = example("grid")
+    for _ in range(20):
+        blocks = [
+            reduced_laplacian(restriction_subgraph(grid, RectangleSpec((rng.randint(1, 4), rng.randint(1, 4)))))
+            for _ in range(2)
+        ]
+        n = sum(map(len, blocks))
+        first = sorted(rng.sample(range(n), len(blocks[0])))
+        places = [first, [t for t in range(n) if t not in first]]
+        M = [[0] * n for _ in range(n)]
+        for B, place in zip(blocks, places):
+            for i, row in enumerate(B):
+                for j, v in enumerate(row):
+                    M[place[i]][place[j]] = v
+        upper = upper_triangle(sparse_rows(M))
+        det = linalg_module._bareiss_symmetric(upper)
+        alone = [upper_triangle(sparse_rows(B)) for B in blocks]
+        assert det == math.prod(linalg_module._bareiss_symmetric(rows) for rows in alone) == bareiss_det(M) > 0
+        for rows, place in zip(alone, places):
+            index = {t: i for i, t in enumerate(place)}
+            assert [{index[j]: v for j, v in upper[t].items()} for t in place] == rows
+
+
+def test_the_symmetric_kernel_takes_reduced_laplacians_in_any_order():
+    # a reduced Laplacian is a nonsingular M-matrix on each component: its
+    # pivots are positive and its fill never cancels, whatever the order
+    rng = random.Random(15)
+    graphs = [random_multigraph(rng, max_vertices=9, max_edges=14) for _ in range(150)]
+    grid = example("grid")
+    graphs += [restriction_subgraph(grid, RectangleSpec((a, a))) for a in range(1, 13)]
+    graphs += [restriction_subgraph(grid, RectangleSpec((rng.randint(1, 12), rng.randint(1, 12)))) for _ in range(6)]
+    disconnected = 0
+    for g in graphs:
+        R = reduced_laplacian(g)
+        rows = sparse_rows(R)
+        shuffled = rng.sample(range(len(rows)), len(rows))
+        d = bareiss_det(R)
+        assert d == complexity(g) > 0
+        for order in (linalg_module._elimination_order(linalg_module._pattern(rows)), shuffled):
+            assert linalg_module._bareiss_symmetric(upper_triangle(permuted(rows, order))) == d
+        disconnected += len(connected_components(g)) > 1
+    assert disconnected > 50
 
 
 def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[dict]]]:
