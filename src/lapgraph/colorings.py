@@ -48,17 +48,15 @@ def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
 def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     """Classify an edge coloring: conservative, or which condition fails.
 
-    The cycle condition is checked on a fundamental cycle basis from a
-    spanning forest (sufficient by linearity) and is reported first; the
-    Kirchhoff condition is the vanishing of Q beta at every vertex.
+    The cycle condition, reported first, is checked on a fundamental cycle
+    basis from a spanning forest (sufficient by linearity): each edge's value
+    less its ends' potential difference along the forest must vanish, as a
+    forest edge's does.  The Kirchhoff condition is Q beta = 0.
     """
     beta = [fld.of(b) for b in beta]
-    pot, tree_edges, _ = bfs_potentials(g.vertices, [(e.tail, e.head) for e in g.edges], beta, fld)
-    for j, e in enumerate(g.edges):
-        if j in tree_edges:
-            continue
-        if fld.of(beta[j] + pot[e.tail] - pot[e.head]):
-            return FAILS_CYCLE
+    pot, _, _ = bfs_potentials(range(len(g.vertices)), g._ends, beta, fld)
+    if any(fld.of(b + pot[t] - pot[h]) for (t, h), b in zip(g._ends, beta)):
+        return FAILS_CYCLE
     for row in incidence_matrix(g):
         if fld.of(sum(q * beta[j] for j, q in row.items())):
             return FAILS_KIRCHHOFF

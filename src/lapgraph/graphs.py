@@ -1,10 +1,10 @@
 """Finite multigraphs, voltage graphs over Z^d, covers and restrictions.
 
 Vertices and edges keep their input order throughout, so every derived matrix
-is reproducible byte for byte.  All structures are immutable after
-construction and all operations are pure.  A :class:`FiniteGraph` resolves
-its edge ends to vertex indices once, when it is validated, and every
-per-edge pass, lifts included, reads those indices instead of names.
+is reproducible byte for byte.  No structure is written after construction
+and all operations are pure.  A :class:`FiniteGraph` resolves its edge ends
+to vertex indices once, when it is validated, and every per-edge pass, lifts
+and degrees included, reads those indices instead of names.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class FiniteGraph(Record):
     validation; equality, hashing and pickling see only the fields.
     """
 
-    __slots__ = ("vertices", "edges", "_vindex", "_ends", "_degrees")
+    __slots__ = ("vertices", "edges", "_vindex", "_ends")
     _compared = ("vertices", "edges")
     quotient = None  # no voltage quotient: the trivial action, d = 0
 
@@ -92,7 +92,7 @@ class FiniteGraph(Record):
             if t is None or h is None:
                 raise ValueError(f"edge {e.name} references an unknown vertex")
             ends.append((t, h))
-        self._store(vertices=vertices, edges=edges, _vindex=vindex, _ends=tuple(ends), _degrees=None)
+        self._store(vertices=vertices, edges=edges, _vindex=vindex, _ends=tuple(ends))
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> "FiniteGraph":
@@ -108,14 +108,9 @@ class FiniteGraph(Record):
         return self._vindex[v]
 
     def degree(self, v: str) -> int:
-        """Vertex degree; a self-loop counts as two edges."""
-        if self._degrees is None:  # built on the first call, not per graph: covers never ask
-            deg = [0] * len(self.vertices)
-            for t, h in self._ends:
-                deg[t] += 1
-                deg[h] += 1
-            self._store(_degrees=dict(zip(self.vertices, deg)))
-        return self._degrees[v]
+        """Vertex degree, one pass over the edge ends; a self-loop counts twice."""
+        i = self._vindex[v]
+        return sum((t == i) + (h == i) for t, h in self._ends)
 
     def __str__(self):
         return f"FiniteGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -289,14 +284,17 @@ def voltage_laplacian(vg: VoltageGraph) -> list[list[LaurentPoly]]:
 
     A(x)_ij collects x^s for every edge from v_i to the level-s copy of v_j;
     a self-loop with voltage s contributes x^s + x^-s to its diagonal entry.
-    Satisfies L(1/x) = L(x)^T.  Each row's coefficients are tallied as
-    {column: {exponent: coefficient}} and each nonzero entry is built once;
-    the others share one zero, which carries the variable count.
+    Satisfies L(1/x) = L(x)^T.  One pass over the edge ends tallies each row
+    as {column: {exponent: coefficient}}, degrees included, and each nonzero
+    entry is built once; the others share one zero, carrying the variable count.
     """
     g = vg.base
     d = vg.rank
-    rows = [{i: {(0,) * d: g.degree(v)}} for i, v in enumerate(g.vertices)]
+    origin = (0,) * d
+    rows = [{i: {origin: 0}} for i in range(len(g.vertices))]
     for (i, j), s in zip(g._ends, vg.voltages):
+        rows[i][i][origin] += 1
+        rows[j][j][origin] += 1
         for r, c, t in ((i, j, s), (j, i, tuple(-a for a in s))):
             entry = rows[r].setdefault(c, {})
             entry[t] = entry.get(t, 0) - 1

@@ -22,7 +22,8 @@ grid only and returns the same float.  The conjugate fibers at theta and
 fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides f,
 decided exactly (rounding leaves it tiny, not zero); it takes the mean of the
 fibers half a step to either side, or, where one of those vanishes too, of
-the pair at half that offset, halving until neither vanishes.
+the pair at half that offset, halving until neither vanishes.  An f with
+int coefficients measures at least 0, so a grid sum below 0 reads as 0.0.
 
 Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
 root only to about eps^(1/k), so f is split exactly first in its last
@@ -328,6 +329,11 @@ def _check_int(name: str, v, least: int) -> None:
         raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
 
 
+def _nonnegative_on_integers(f: LaurentPoly, value: float) -> float:
+    """value, or 0.0 where it is negative and every coefficient of f is an int."""
+    return max(0.0, value) if all(isinstance(c, int) for c in f.coeffs.values()) else value
+
+
 def _part_measures(f: LaurentPoly, fibers: int):
     """(fiber plan, grid average on ``fibers`` nodes) of each squarefree part of f in y."""
     for part in _squarefree_parts(f):
@@ -353,6 +359,7 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     for plan, m in _part_measures(f, fibers):
         value += m
         error += abs(m - _grid_average(plan, fibers // 2))
+    value = _nonnegative_on_integers(f, value)
     return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
 
 
@@ -385,6 +392,6 @@ def mahler_value(f: LaurentPoly, fibers: int = 1024) -> float:
     if f.nvars == 1:
         return mahler_1var(f).value
     value = 0.0
-    for _, m in _part_measures(f, fibers):
+    for _, m in _part_measures(f, fibers):  # as mahler_2var adds: sum() compensates since 3.12
         value += m
-    return value
+    return _nonnegative_on_integers(f, value)

@@ -3,6 +3,8 @@
 A rotation system lists the edge-ends (darts) counterclockwise around each
 vertex.  A dart is a pair (edge name, end) with end "t" at the tail and "h"
 at the head; a loop contributes both of its ends to its vertex's rotation.
+Each dart's successor and predecessor are resolved when :class:`PlaneGraph`
+validates its copy of the rotations; faces and strands read those maps.
 
 Faces are orbits of the next-corner permutation.  A dart d inside a face
 means the boundary walk traverses d's edge away from d's end with the face on
@@ -29,6 +31,7 @@ it carries, or None when it is finite.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .colorings import bicycle_basis
@@ -47,10 +50,11 @@ Dart = tuple[str, str]  # (edge name, "t" | "h")
 
 
 class PlaneGraph(Record):
-    """A finite graph or a rank-1 voltage graph with a rotation system;
-    equality and hashing read the graph alone."""
+    """A finite graph or a rank-1 voltage graph with a rotation system, kept
+    as {vertex: tuple of darts}; equality and hashing read the graph alone,
+    and pickling ignores the resolved ``_next`` and ``_prev`` maps."""
 
-    __slots__ = ("graph", "rotations")
+    __slots__ = ("graph", "rotations", "_next", "_prev")
     _compared = ("graph",)
 
     def __init__(self, graph: FiniteGraph | VoltageGraph, rotations: dict[str, tuple[Dart, ...]]):
@@ -61,18 +65,22 @@ class PlaneGraph(Record):
         for e in g.edges:
             expected[(e.name, "t")] = e.tail
             expected[(e.name, "h")] = e.head
-        seen: set[Dart] = set()
+        darts_at = Counter(expected.values())
+        rotations = {v: tuple(rot) for v, rot in rotations.items()}
+        nxt: dict[Dart, Dart] = {}
+        prv: dict[Dart, Dart] = {}
         for v in g.vertices:
             rot = rotations.get(v, ())
-            if len(rot) != g.degree(v):
-                raise ValueError(f"rotation at {v} has length {len(rot)}, degree is {g.degree(v)}")
-            for d in rot:
-                if d in seen:
+            if len(rot) != darts_at[v]:
+                raise ValueError(f"rotation at {v} has length {len(rot)}, degree is {darts_at[v]}")
+            for i, d in enumerate(rot):
+                if d in nxt:
                     raise ValueError(f"edge end {d} appears twice")
                 if expected.get(d) != v:
                     raise ValueError(f"edge end {d} does not belong at vertex {v}")
-                seen.add(d)
-        self._store(graph=graph, rotations=rotations)
+                nxt[d] = rot[(i + 1) % len(rot)]
+                prv[d] = rot[i - 1]
+        self._store(graph=graph, rotations=rotations, _next=nxt, _prev=prv)
 
     @property
     def base(self) -> FiniteGraph:
@@ -81,22 +89,6 @@ class PlaneGraph(Record):
     @property
     def quotient(self) -> VoltageGraph | None:
         return self.graph.quotient
-
-    def _maps(self):
-        """next/prev in rotation, and the opposite-end involution."""
-        nxt: dict[Dart, Dart] = {}
-        prv: dict[Dart, Dart] = {}
-        for v in self.base.vertices:
-            rot = self.rotations.get(v, ())
-            k = len(rot)
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % k]
-                prv[d] = rot[(i - 1) % k]
-        opp = {}
-        for e in self.base.edges:
-            opp[(e.name, "t")] = (e.name, "h")
-            opp[(e.name, "h")] = (e.name, "t")
-        return nxt, prv, opp
 
 
 def parse_dart(tok: str) -> Dart:
@@ -133,7 +125,7 @@ def faces(pg: PlaneGraph) -> list[Face]:
     The orbits come in edge order, then one empty face for each isolated
     vertex (the sphere around it), so a lone vertex has Euler characteristic 2.
     """
-    nxt, _, opp = pg._maps()
+    nxt = pg._next
     order = [(e.name, end) for e in pg.base.edges for end in ("t", "h")]
     seen: set[Dart] = set()
     out: list[Face] = []
@@ -145,7 +137,7 @@ def faces(pg: PlaneGraph) -> list[Face]:
         while True:
             walk.append(d)
             seen.add(d)
-            d = nxt[opp[d]]
+            d = nxt[(d[0], "h" if d[1] == "t" else "t")]  # on from the far end of d's edge
             if d == start:
                 break
         out.append(Face(tuple(walk)))
@@ -232,7 +224,7 @@ def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
     """Strand components of the medial graph of a plane graph: with their
     windings on a voltage quotient, with winding None on a finite one."""
     g = pg.base
-    nxt, prv, opp = pg._maps()
+    nxt, prv = pg._next, pg._prev
     vg = pg.quotient
     with_winding = vg is not None
     volt = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)} if with_winding else None
@@ -240,11 +232,11 @@ def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
 
     def step(state: State) -> tuple[State, str, int]:
         d, sign = state
-        target = nxt[d] if sign > 0 else prv[d]
+        name, end = nxt[d] if sign > 0 else prv[d]
         w = 0
         if with_winding:
-            w = volt[target[0]] if target[1] == "t" else -volt[target[0]]
-        return (opp[target], -sign), target[0], w
+            w = volt[name] if end == "t" else -volt[name]
+        return ((name, "h" if end == "t" else "t"), -sign), name, w
 
     def reverse(state: State) -> State:
         d, sign = state

@@ -129,8 +129,7 @@ def _crsf_tally(vg: VoltageGraph) -> Counter:
     """
     g = vg.base
     n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    edges = [(index[e.tail], index[e.head], s[0]) for e, s in zip(g.edges, vg.voltages)]
+    edges = [(t, h, s[0]) for (t, h), s in zip(g._ends, vg.voltages)]
     tally: Counter = Counter()
     for subset in combinations(edges, n):
         parent = list(range(n))
@@ -193,32 +192,33 @@ def crsf_coefficients(vg: VoltageGraph) -> CrsfReport:
 # -- annular connectivity -----------------------------------------------------------
 
 
-def _has_essential_cycle(vg: VoltageGraph, removed: set[str]) -> bool:
-    """Whether some cycle avoiding the removed vertices has nonzero voltage.
+def _has_essential_cycle(vg: VoltageGraph, removed: set[int]) -> bool:
+    """Whether some cycle avoiding the removed vertex indices has nonzero voltage.
 
     Tree edges close no cycle and a loop closes its own, so an edge is
     essential exactly when its voltage differs from its endpoints' potential
     difference.
     """
-    kept = [v for v in vg.base.vertices if v not in removed]
+    kept = [i for i in range(len(vg.base.vertices)) if i not in removed]
     ends, volts = [], []
-    for e, s in zip(vg.base.edges, vg.voltages):
-        if e.tail not in removed and e.head not in removed:
-            ends.append((e.tail, e.head))
+    for (t, h), s in zip(vg.base._ends, vg.voltages):
+        if t not in removed and h not in removed:
+            ends.append((t, h))
             volts.append(s[0])
     pot, _, _ = bfs_potentials(kept, ends, volts, ZZ)
     return any(s + pot[t] - pot[h] != 0 for (t, h), s in zip(ends, volts))
 
 
 def minimum_annular_cut(vg: VoltageGraph) -> list[str]:
-    """Smallest vertex set whose deletion leaves no cycle with nonzero voltage."""
+    """Smallest vertex set whose deletion leaves no cycle with nonzero voltage,
+    the first by size and then in vertex order."""
     if vg.rank != 1:
         raise ValueError("annular cuts are defined for rank-1 quotients")
     vs = vg.base.vertices
     for size in range(len(vs) + 1):
-        for subset in combinations(vs, size):
+        for subset in combinations(range(len(vs)), size):
             if not _has_essential_cycle(vg, set(subset)):
-                return list(subset)
+                return [vs[i] for i in subset]
     raise AssertionError("unreachable: deleting all vertices leaves no cycles")
 
 
@@ -381,13 +381,12 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
         raise ValueError("cyclic covers need a rank-1 quotient")
     SublatticeSpec.cyclic(n)  # the index rule: an integer at least 1
     g = vg.base
-    ends = [(e.tail, e.head) for e in g.edges]
     volts = [s[0] for s in vg.voltages]
-    pot, _, root = bfs_potentials(g.vertices, ends, volts, ZZ)
-    parts: dict = {}  # root -> [vertices, edge indices, gcd of cycle voltages]
-    for v in g.vertices:
-        parts.setdefault(root[v], [[], [], 0])[0].append(v)
-    for j, (t, h) in enumerate(ends):
+    pot, _, root = bfs_potentials(range(len(g.vertices)), g._ends, volts, ZZ)
+    parts: dict = {}  # root index -> [vertices, edge indices, gcd of cycle voltages]
+    for i, v in enumerate(g.vertices):
+        parts.setdefault(root[i], [[], [], 0])[0].append(v)
+    for j, (t, h) in enumerate(g._ends):
         part = parts[root[t]]
         part[1].append(j)
         part[2] = math.gcd(part[2], volts[j] + pot[t] - pot[h])  # 0 on tree edges

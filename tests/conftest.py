@@ -9,7 +9,8 @@ itself and a gcd fold over every one of them (no stop at a unit),
 connectivity by union-find, the bicycle space as an intersection of the
 cut and cycle spans, reduced row echelon forms in the field's own
 arithmetic (Fraction over QQ), essential CRSFs by one BFS forest per edge
-subset, Newton root refinement in exact rationals
+subset, the minimum annular cut by a search over named vertex subsets, the
+rotation maps of a plane graph rebuilt from its rotation system by names, Newton root refinement in exact rationals
 (Fraction) and in floats with every step taken, the generic float kernel of
 ``lapgraph.mahler`` (Aberth, refinement, validation and fiber coefficients by
 one call per polynomial value, with builtin sum and max), the
@@ -110,6 +111,25 @@ def parse_rotations(g: FiniteGraph, spec: dict[str, str]) -> dict[str, tuple[Dar
 def euler_characteristic(pg: PlaneGraph) -> int:
     g = pg.base
     return len(g.vertices) - len(g.edges) + len(faces(pg))
+
+
+def rotation_maps_by_names(pg: PlaneGraph) -> tuple[dict, dict, dict]:
+    """next and prev in each vertex's rotation, and the opposite-end
+    involution, rebuilt from the rotation system and the edge names (test
+    oracle for the maps ``PlaneGraph`` resolves when it validates)."""
+    nxt: dict[Dart, Dart] = {}
+    prv: dict[Dart, Dart] = {}
+    for v in pg.base.vertices:
+        rot = pg.rotations.get(v, ())
+        k = len(rot)
+        for i, d in enumerate(rot):
+            nxt[d] = rot[(i + 1) % k]
+            prv[d] = rot[(i - 1) % k]
+    opp = {}
+    for e in pg.base.edges:
+        opp[(e.name, "t")] = (e.name, "h")
+        opp[(e.name, "h")] = (e.name, "t")
+    return nxt, prv, opp
 
 
 def cover_plane_graph(pg: PlaneGraph, n: int) -> PlaneGraph:
@@ -354,6 +374,29 @@ def crsf_tally_by_bfs(vg: VoltageGraph) -> Counter:
             continue
         tally[tuple(sorted(windings))] += 1
     return tally
+
+
+def minimum_annular_cut_by_names(vg: VoltageGraph) -> list[str]:
+    """The first vertex subset, by size and then in combination order, whose
+    deletion leaves no cycle of nonzero voltage, each subset tried by name
+    (test oracle for ``spanning.minimum_annular_cut``)."""
+
+    def has_essential_cycle(removed: set[str]) -> bool:
+        kept = [v for v in vg.base.vertices if v not in removed]
+        ends, volts = [], []
+        for e, s in zip(vg.base.edges, vg.voltages):
+            if e.tail not in removed and e.head not in removed:
+                ends.append((e.tail, e.head))
+                volts.append(s[0])
+        pot, _, _ = bfs_potentials(kept, ends, volts, ZZ)
+        return any(s + pot[t] - pot[h] != 0 for (t, h), s in zip(ends, volts))
+
+    vs = vg.base.vertices
+    for size in range(len(vs) + 1):
+        for subset in combinations(vs, size):
+            if not has_essential_cycle(set(subset)):
+                return list(subset)
+    raise AssertionError("deleting every vertex leaves no cycle")
 
 
 def cofactor_det_poly(M):

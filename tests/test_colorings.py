@@ -90,6 +90,17 @@ def test_conservative_edge_classification():
     # (1,0,0) fails both; the cycle condition is reported first
     assert is_conservative_edge(tri, [1, 0, 0], QQ) == FAILS_CYCLE
     assert is_conservative_edge(tri, [0, 0, 0], QQ) == YES
+    # a loop l at u, parallel edges p and q from u to v, and r back from v to u
+    g = FiniteGraph.build("uv", [("l", "u", "u"), ("p", "u", "v"), ("q", "u", "v"), ("r", "v", "u")])
+    for beta, over_gf2_gf3_qq in (
+        ([0, 0, 0, 0], (YES, YES, YES)),
+        ([1, 0, 0, 0], (FAILS_CYCLE, FAILS_CYCLE, FAILS_CYCLE)),
+        ([2, 0, 0, 0], (YES, FAILS_CYCLE, FAILS_CYCLE)),  # the loop's 2 is 0 in GF(2)
+        ([0, 1, 1, -1], (FAILS_KIRCHHOFF, YES, FAILS_KIRCHHOFF)),  # -3 at u is 0 in GF(3)
+        ([0, 1, -1, -1], (FAILS_KIRCHHOFF, FAILS_CYCLE, FAILS_CYCLE)),  # p - q = 2 is 0 in GF(2)
+    ):
+        for fld, want in zip((GF2, GF3, QQ), over_gf2_gf3_qq):
+            assert is_conservative_edge(g, beta, fld) == want, (beta, fld)
 
 
 def test_conservative_edge_kirchhoff_failure():
@@ -103,6 +114,7 @@ def test_loop_edge_coloring_must_vanish():
     g = FiniteGraph.build(["v"], [("l", "v", "v")])
     assert is_conservative_edge(g, [1], GF2) == FAILS_CYCLE
     assert is_conservative_edge(g, [0], GF2) == YES
+
 
 
 def test_k4_bicycle_space():

@@ -353,6 +353,23 @@ def test_x_only_factor_on_the_circle_measures_zero():
     assert abs(res.value) < 1e-12
 
 
+@pytest.mark.parametrize("fibers", [256, 1024])
+def test_an_integer_polynomial_never_measures_below_zero(fibers):
+    # (1 - xy)^2 measures 0; the grid's sum came out -1.7e-18 and -3.9e-18
+    f = poly2("1 - 2*x*y + x^2*y^2")
+    res = mahler_2var(f, fibers)
+    assert res.value == 0.0 and abs(res.value) <= res.error_estimate
+    assert mahler_value(f, fibers).hex() == res.value.hex()
+
+
+def test_rational_coefficients_keep_a_negative_measure():
+    # m((1 + x + y)/3) = m(1 + x + y) - log 3, with m(1 + x + y) = 0.3230659472... (Smyth)
+    f = LaurentPoly(2, {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)})
+    res = mahler_2var(f, 256)
+    assert abs(res.value - (0.32306594721945 - math.log(3))) <= res.error_estimate
+    assert res.value < -0.7755 and mahler_value(f, 256).hex() == res.value.hex()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_a_power_of_the_grid_polynomial_measures_k_times_its_measure(k):
     # a factor repeated in y gives every fiber a k-fold root, which Aberth

@@ -17,6 +17,7 @@ from conftest import (
     parse_rotations,
     random_annulus_quotient,
     random_plane_graph,
+    rotation_maps_by_names,
     triangle_plane,
 )
 from lapgraph.colorings import (
@@ -49,7 +50,7 @@ GF5 = PrimeField(5)
 
 
 def test_a_60_by_60_plane_grid_builds_in_under_a_second():
-    # 3600 vertices and 7080 edges: the rotation check asks every vertex's degree
+    # 3600 vertices and 7080 edges: the rotation check compares every vertex's rotation with its dart count
     vertices, edges, rot = _grid_plane(60, 60, wrap=False)
     t0 = time.perf_counter()
     PlaneGraph(FiniteGraph.build(vertices, [(n, t, h) for n, t, h, _ in edges]), rot)
@@ -116,6 +117,36 @@ def test_isolated_vertices_leave_the_rest_of_a_plane_graph_alone(seed):
     assert comps == medial_components(pg) + [MedialComponent((), (), None)] * len(lone)
     assert len(comps) == len(conservative_vertex_basis(g, GF2))
     assert shank_basis(pg2) == shank_basis(pg)
+
+
+def test_resolved_rotation_maps_equal_the_maps_rebuilt_by_names():
+    rng = random.Random(4300)
+    loops = lone = 0
+    for _ in range(60):
+        for pg in (random_plane_graph(rng, connected=False), random_annulus_quotient(rng)):
+            extra = tuple(f"lone{i}" for i in range(rng.randint(0, 2)))
+            g = FiniteGraph(pg.base.vertices + extra, pg.base.edges)
+            graph = g if pg.quotient is None else VoltageGraph(g, 1, pg.quotient.voltages)
+            pg = PlaneGraph(graph, {**pg.rotations, **dict.fromkeys(extra, ())})
+            nxt, prv, opp = rotation_maps_by_names(pg)
+            assert pg._next == nxt and pg._prev == prv
+            assert all(opp[(name, end)] == (name, "h" if end == "t" else "t") for name, end in nxt)
+            loops += any(e.tail == e.head for e in g.edges)
+            lone += any(not pg.rotations.get(v) for v in g.vertices)
+    assert loops >= 20 and lone >= 20  # the corpus has loops and isolated vertices
+
+
+def test_mutating_the_callers_rotations_leaves_the_plane_graph_alone():
+    pg = example("k4")
+    rot = {v: list(darts) for v, darts in pg.rotations.items()}
+    own = PlaneGraph(pg.graph, rot)
+    fl, comps = faces(own), medial_components(own)
+    assert fl == faces(pg)
+    for darts in rot.values():
+        darts.reverse()
+    rot[pg.base.vertices[0]] = ()
+    assert own.rotations == pg.rotations
+    assert faces(own) == fl and medial_components(own) == comps
 
 
 def test_face_walks_partition_the_darts():

@@ -1,6 +1,7 @@
 """The value types: equality, hashing, immutability, validation, and a cold
 import that loads no code generator."""
 
+import ast
 import copy
 import inspect
 import os
@@ -12,11 +13,14 @@ from pathlib import Path
 import pytest
 
 import lapgraph
-from lapgraph.graphs import FiniteGraph, RectangleSpec, SublatticeSpec, VoltageGraph, cover_graph
+from conftest import example
+from lapgraph.colorings import conservative_vertex_basis
+from lapgraph.fields import PrimeField
+from lapgraph.graphs import FiniteGraph, RectangleSpec, SublatticeSpec, VoltageGraph, cover_graph, voltage_laplacian
 from lapgraph.laurent import LaurentPoly
 from lapgraph.mahler import MahlerResult
-from lapgraph.planar import DehnColoring, Face, MedialComponent, PlaneGraph
-from lapgraph.spanning import CrsfReport, GrowthReport
+from lapgraph.planar import DehnColoring, Face, MedialComponent, PlaneGraph, dehn_extend, faces, medial_components, shank_basis
+from lapgraph.spanning import CrsfReport, GrowthReport, complexity
 from lapgraph.verify import CheckResult
 
 # Two vertices joined by three parallel edges: each vertex has two cyclic orders.
@@ -72,7 +76,7 @@ def test_plane_graphs_compare_by_graph_alone():
 
 def test_graphs_compare_by_vertices_and_edges_alone():
     g = FiniteGraph(THETA.vertices, THETA.edges)
-    g.degree("a")  # g now holds its degree table and THETA may not
+    g.degree("a")  # a reader that THETA has not run
     assert g == THETA and hash(g) == hash(THETA)
     assert FiniteGraph(("b", "a"), THETA.edges) != THETA  # vertex order is part of the graph
 
@@ -116,11 +120,40 @@ def test_defaults_and_repr():
     assert repr(FiniteGraph((), ())) == "FiniteGraph(vertices=(), edges=())"  # the index is not shown
 
 
-def test_degrees_are_built_on_the_first_degree_call():
-    cov = cover_graph(VoltageGraph(THETA, 1, ((1,), (0,), (0,))), SublatticeSpec.cyclic(4))
-    assert cov._degrees is None
-    assert cov.degree("a@0") == 3
-    assert cov._degrees == dict.fromkeys(cov.vertices, 3)
+def test_no_record_writes_a_field_after_construction():
+    """Every slot of a finite and a voltage plane graph, of the graphs under
+    them, and of a finite and a voltage graph that no plane graph has read,
+    holds the same object after every reader has run."""
+    plane, annulus = example("k4"), example("ladder")
+    cov = cover_graph(annulus.graph, SublatticeSpec.cyclic(3))
+    g, vg = FiniteGraph(plane.base.vertices, plane.base.edges), VoltageGraph(cov, 1, ((1,),) * len(cov.edges))
+    records = [g, vg, vg.base] + [rec for pg in (plane, annulus) for rec in (pg, pg.graph, pg.base)]
+    before = [(rec, slot, getattr(rec, slot)) for rec in records for slot in type(rec).__slots__]
+    for graph in (g, vg.base, plane.base, annulus.base):
+        assert [graph.degree(v) for v in graph.vertices]
+        complexity(graph)
+    for pg in (plane, annulus):
+        faces(pg)
+        medial_components(pg)
+    voltage_laplacian(vg)
+    voltage_laplacian(annulus.graph)
+    gf5 = PrimeField(5)
+    dehn_extend(plane, conservative_vertex_basis(plane.base, gf5)[0], 0, gf5)
+    shank_basis(plane)
+    for rec, slot, value in before:
+        assert getattr(rec, slot) is value, (type(rec).__name__, slot)
+
+
+def test_fields_are_stored_by_constructors_alone():
+    """``Record._store`` is called from an ``__init__`` and from nowhere else."""
+    for path in Path(lapgraph.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name != "__init__":
+                calls = [
+                    node.lineno for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_store"
+                ]
+                assert not calls, f"{path.name}:{calls} stores a field in {fn.name}"
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from conftest import (
     dense,
     dense_complexity,
     example,
+    minimum_annular_cut_by_names,
     random_annulus_quotient,
     random_multigraph,
     random_voltage_graph,
@@ -522,6 +523,21 @@ def test_kappa_examples():
     assert minimum_annular_cut(example("ladder").graph) == ["v1", "v2"]
     assert annular_connectivity(example("girder").graph) == 2
     assert annular_connectivity(example("single_loop").graph) == 1
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_minimum_annular_cut_equals_the_search_by_names(batch):
+    """Loops, multi-edges, isolated vertices and zero voltages; the same cut,
+    list and order, as the search over named subsets."""
+    rng = random.Random(2200 + batch)
+    loops = lone = 0
+    for _ in range(100):
+        g = random_multigraph(rng, 6, 9, connected=rng.random() < 0.5)
+        vg = VoltageGraph(g, 1, tuple((rng.randint(-2, 2),) for _ in g.edges))
+        assert minimum_annular_cut(vg) == minimum_annular_cut_by_names(vg), vg
+        loops += any(e.tail == e.head for e in g.edges)
+        lone += any(g.degree(v) == 0 for v in g.vertices)
+    assert loops >= 20 and lone >= 20
 
 
 def test_degree_equals_twice_kappa_on_plane_quotients():
