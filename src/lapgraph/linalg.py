@@ -281,6 +281,8 @@ def _bareiss_symmetric(upper: list[dict]) -> int | None:
     and N_ij p / g in its other columns, each division exact, and
     den_i <- den_i p / g.  The determinant is the product of the D_C of the
     components that touch nothing left, the pivots whose row is empty.
+    A step or row that touches no component shares none: g = 1, with no
+    set work.  The rescale walks row i and skips row k's columns.
 
     The components must be those of the numerical fill, so an update that
     cancels to zero returns None, as a zero pivot does, whose row swap the
@@ -302,20 +304,22 @@ def _bareiss_symmetric(upper: list[dict]) -> int | None:
         items = sorted(row_k.items())
         for t, (i, a) in enumerate(items):
             row_i, touched = upper[i], comps[i]
-            shared = touched & K
             g = 1
-            for c in shared:  # mostly one piece, or none: cheaper than prod() of a generator
-                g *= pivots[c]
+            if K and touched:  # else no piece is shared: g = 1, and no set work
+                shared = touched & K
+                for c in shared:  # mostly one piece, or none: cheaper than prod() of a generator
+                    g *= pivots[c]
+                touched -= shared
             a = a // (den_k // g) * (den[i] // g)
-            for j in row_i.keys() - row_k.keys():
-                row_i[j] = row_i[j] * pivot // g
+            for j, v in row_i.items():
+                if j not in row_k:
+                    row_i[j] = v * pivot // g
             for j, v in items[t:]:
                 w = (pivot * row_i.get(j, 0) - a * v) // g
                 if not w:
                     return None
                 row_i[j] = w
             den[i] = den[i] // g * pivot
-            touched -= shared
             touched.add(k)
     return det
 
@@ -373,11 +377,13 @@ class LaurentEncoding:
     A minor's coefficients are at most the product of the ``size`` largest
     row 1-norms (each at least 1), below 2^(b-1).  An r-minor with r <= size
     is bounded by its r widest spans and r largest norms, below those, so
-    one K and b, sized by the largest minor served, serve them all.
-    ``where`` is each index's place in the pivot order
-    (:func:`_elimination_order`) of the integer rows.  A non-square matrix,
-    a non-int coefficient, or a shift too large for an int (the message
-    names K and b), raises ValueError.
+    one K and b, sized by the largest minor served (at least an entry),
+    serve them all, and bound every minor and entry by b K (Dy + 1) bits, Dy
+    the sum of the same largest y-spans.  ``where`` is each index's place in
+    the pivot order (:func:`_elimination_order`) of the integer rows.  A
+    non-square matrix, a non-int coefficient, or a bound above 2^30 bits,
+    before any entry is built (the message names K, b and the bound), raises
+    ValueError.
     """
 
     __slots__ = ("nvars", "size", "lows", "K", "b", "rows", "where")
@@ -396,23 +402,25 @@ class LaurentEncoding:
                 if not isinstance(c, int):
                     raise ValueError(f"determinant needs integer coefficients, got {c!r}")
             lows.append([min((e[v] for e, _ in terms), default=0) for v in range(nvars)])
-            spans.append(max((e[0] for e, _ in terms), default=0) - lows[-1][0])
+            spans.append([max((e[v] for e, _ in terms), default=0) - a for v, a in enumerate(lows[-1])])
             norms.append(max(sum(abs(c) for _, c in terms), 1))
-        self.K = K = 1 + sum(sorted(spans)[n - size :])
-        self.b = b = prod(sorted(norms)[n - size :]).bit_length() + 1
+        top = n - max(size, 1)  # the rows of the largest minor served
+        self.K = K = 1 + sum(sorted(s[0] for s in spans)[top:])
+        self.b = b = prod(sorted(norms)[top:]).bit_length() + 1
+        bits = b * K * (1 + sum(sorted(s[1] for s in spans)[top:]) if nvars == 2 else 1)
+        if bits > 1 << 30:  # 128 MB per minor, far past any elimination that ends
+            raise ValueError(
+                f"Laurent matrix too wide to encode: x-span K = {K} at b = {b} bits per coefficient,"
+                f" minors of up to {bits} bits"
+            )
 
         def power(e, low):  # x^e y^f in row i goes to 2^(b (e - a_i + K (f - c_i)))
             return b * sum((u - v) * s for u, v, s in zip(e, low, (1, K)))
 
-        try:
-            self.rows = [
-                {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
-                for row, low in zip(M, lows)
-            ]
-        except OverflowError:  # a shift past the largest int
-            raise ValueError(
-                f"Laurent matrix too wide to encode: x-span K = {K} at b = {b} bits per coefficient"
-            ) from None
+        self.rows = [
+            {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
+            for row, low in zip(M, lows)
+        ]
         order = _elimination_order(_pattern(self.rows))
         self.where = sorted(range(n), key=order.__getitem__)
 
@@ -476,7 +484,7 @@ def elementary_divisor(M: Matrix | LaurentEncoding, k: int, dom: Domain) -> Laur
     n = len(M)
     if not 0 <= k <= n:
         raise ValueError(f"divisor index {k} out of range for a {n} x {n} matrix")
+    if k == n:  # the empty minor, before any encoding: normalized in every domain
+        return LaurentPoly.constant(1, M.nvars if isinstance(M, LaurentEncoding) else M[0][0].nvars if n else 1)
     A = M if isinstance(M, LaurentEncoding) else LaurentEncoding(M, n - k)
-    if k == n:
-        return LaurentPoly.constant(1, A.nvars)  # normalized in every domain
     return gcd_many(_laurent_minors(A, n - k), dom)

@@ -67,6 +67,9 @@ class PlaneGraph(Record):
             expected[(e.name, "h")] = e.head
         darts_at = Counter(expected.values())
         rotations = {v: tuple(rot) for v, rot in rotations.items()}
+        for v in rotations:
+            if v not in g._vindex:
+                raise ValueError(f"rotation at unknown vertex {v!r}")
         nxt: dict[Dart, Dart] = {}
         prv: dict[Dart, Dart] = {}
         for v in g.vertices:

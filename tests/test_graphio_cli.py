@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -349,13 +350,41 @@ def test_cli_reports_an_exhausted_memory_as_an_error_not_a_failed_check(capsys, 
 
 @pytest.mark.parametrize("argv", [["delta"], ["mahler", "--from-graph"], ["verify"]])
 def test_cli_refuses_a_voltage_too_wide_to_encode(argv, tmp_path, capsys):
-    # x^(10^30) cannot be shifted into an int: the encoding names its span and bit size
+    # x^(10^30) cannot be shifted into an int: the encoding names its span and bit sizes
     path = tmp_path / "loop_e30.lapgraph"
     path.write_text(format_graph_file(single_loop_quotient(10**30)))
     assert main([*argv, str(path)]) == 2
+    K = 2 * 10**30 + 1
     assert capsys.readouterr().err == (
-        f"error: Laurent matrix too wide to encode: x-span K = {2 * 10**30 + 1} at b = 4 bits per coefficient\n"
+        f"error: Laurent matrix too wide to encode: x-span K = {K} at b = 4 bits per coefficient,"
+        f" minors of up to {4 * K} bits\n"
     )
+
+
+def _peak_of(argv):
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_refuses_a_voltage_too_wide_to_encode_before_encoding_it(tmp_path, capsys):
+    # x^(10^9) fits a shift, but each encoded entry would take 1 GB: the
+    # bit size of a minor is refused before any entry is built
+    path = tmp_path / "loop_e9.lapgraph"
+    path.write_text(format_graph_file(single_loop_quotient(10**9)))
+    code, peak = _peak_of(["delta", str(path)])
+    assert (code, peak < 10**7) == (2, True)
+    K = 2 * 10**9 + 1
+    assert capsys.readouterr().err == (
+        f"error: Laurent matrix too wide to encode: x-span K = {K} at b = 4 bits per coefficient,"
+        f" minors of up to {4 * K} bits\n"
+    )
+    # Delta_1 of a 1 x 1 matrix is the empty minor, 1, which needs no encoding
+    code, peak = _peak_of(["delta", str(path), "--k", "1"])
+    assert (code, peak < 10**7) == (0, True)
+    assert capsys.readouterr().out == "Delta_1 over z: 1\n"
 
 
 def test_cli_trees_matrix_cover(graph_dir, capsys):

@@ -178,6 +178,21 @@ def test_rotation_validation_messages():
         PlaneGraph(g, {"a": (("e", "t"),), "b": (("e", "h"), ("f", "h"))})
 
 
+def test_a_rotation_at_an_unknown_vertex_is_refused():
+    # a key outside the graph would carry darts no vertex check ever reads
+    g = FiniteGraph.build(["a", "b"], [("e", "a", "b")])
+    rot = {"a": (("e", "t"),), "b": (("e", "h"),)}
+    assert PlaneGraph(g, rot).rotations == rot
+    for extra in ((("nope", "t"), ("e", "t")), ()):
+        with pytest.raises(ValueError, match="rotation at unknown vertex 'zz'"):
+            PlaneGraph(g, {**rot, "zz": extra})
+    with pytest.raises(ValueError, match="rotation at unknown vertex 'zz'"):
+        PlaneGraph(VoltageGraph.build(["a", "b"], [("e", "a", "b", (1,))], 1), {**rot, "zz": ()})
+    text = "lapgraph v1\nvertex a\nvertex b\nedge e a b\nrot a: e.t\nrot b: e.h\nrot zz: nope.t e.t\n"
+    with pytest.raises(ValueError, match="unknown vertex 'zz' in rot line"):
+        parse_graph_file(text)
+
+
 # -- Dehn colorings -------------------------------------------------------------------
 
 

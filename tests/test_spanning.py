@@ -37,7 +37,7 @@ from lapgraph.graphs import (
 )
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.linalg import det_laurent, elementary_divisor, int_det
-from lapgraph import spanning
+from lapgraph import linalg, spanning
 from lapgraph.spanning import (
     CRSF_MAX_EDGES,
     annular_connectivity,
@@ -416,6 +416,43 @@ def test_complexity_builds_no_dense_laplacian(monkeypatch):
     n = 64
     cover = cover_graph(example("ladder").graph, SublatticeSpec.cyclic(n))
     assert complexity(cover) == n * _fourth_order(2, 4, n) // 2 - n
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_complexity_rows_are_the_reduced_laplacian(monkeypatch, batch):
+    # oracle: laplacian_finite without the row and column of each component's
+    # last vertex, renumbered in vertex order
+    seen = []
+    monkeypatch.setattr(spanning, "int_det", lambda rows: seen.append(rows) or 1)
+    rng = random.Random(4400 + batch)
+    kinds = Counter()
+    for _ in range(60):
+        g = random_multigraph(rng, 12, 20)
+        comps = connected_components(g)
+        ends = [frozenset((e.tail, e.head)) for e in g.edges]
+        kinds["loops"] += any(len(pair) == 1 for pair in ends)
+        kinds["parallel edges"] += len(set(ends)) < len(ends)
+        kinds["isolated vertices"] += len({v for e in g.edges for v in (e.tail, e.head)}) < len(g.vertices)
+        kinds["components"] += len(comps) > 1
+        last = {g.vertex_index(comp[-1]) for comp in comps}
+        kept = [i for i in range(len(g.vertices)) if i not in last]
+        col = {i: k for k, i in enumerate(kept)}
+        L = laplacian_finite(g)
+        seen.clear()
+        complexity(g)
+        assert seen == [[{col[j]: v for j, v in L[i].items() if j in col} for i in kept]]
+    assert min(kinds.values()) > 0 and len(kinds) == 4
+
+
+def test_complexity_falls_back_to_global_bareiss(monkeypatch):
+    # a symmetric kernel that gives up hands the untouched rows to _bareiss
+    monkeypatch.setattr(linalg, "_bareiss_symmetric", lambda upper: None)
+    rng = random.Random(162)
+    for _ in range(40):
+        g = random_multigraph(rng, 10, 16)
+        assert complexity(g) == dense_complexity(g)
+    girder, lam = example("girder").graph, SublatticeSpec.cyclic(16)
+    assert complexity(cover_graph(girder, lam)) == cover_complexity(girder, lam)
 
 
 # -- CRSFs ------------------------------------------------------------------------
