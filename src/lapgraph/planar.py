@@ -3,8 +3,9 @@
 A rotation system lists the edge-ends (darts) counterclockwise around each
 vertex.  A dart is a pair (edge name, end) with end "t" at the tail and "h"
 at the head; a loop contributes both of its ends to its vertex's rotation.
-Each dart's successor and predecessor are resolved when :class:`PlaneGraph`
-validates its copy of the rotations; faces and strands read those maps.
+:class:`PlaneGraph` numbers each dart once, 2j for edge j's tail end and
+2j + 1 for its head end, when it validates its copy of the rotations.  Faces
+and strands walk those numbers and name only the darts and edges they return.
 
 Faces are orbits of the next-corner permutation.  A dart d inside a face
 means the boundary walk traverses d's edge away from d's end with the face on
@@ -52,7 +53,10 @@ Dart = tuple[str, str]  # (edge name, "t" | "h")
 class PlaneGraph(Record):
     """A finite graph or a rank-1 voltage graph with a rotation system, kept
     as {vertex: tuple of darts}; equality and hashing read the graph alone,
-    and pickling ignores the resolved ``_next`` and ``_prev`` maps."""
+    and pickling ignores the resolved ``_next`` and ``_prev`` maps.  Dart k
+    lies on edge k >> 1 at vertex ``_ends[k >> 1][k & 1]``, its opposite end
+    is k ^ 1, and ``_next[k]`` and ``_prev[k]`` number its rotation
+    successor and predecessor."""
 
     __slots__ = ("graph", "rotations", "_next", "_prev")
     _compared = ("graph",)
@@ -61,29 +65,38 @@ class PlaneGraph(Record):
         if graph.quotient is not None and graph.quotient.rank > 1:
             raise ValueError("plane graphs carry voltages of rank at most 1")
         g = graph.base
-        expected: dict[Dart, str] = {}
-        for e in g.edges:
-            expected[(e.name, "t")] = e.tail
-            expected[(e.name, "h")] = e.head
-        darts_at = Counter(expected.values())
+        ends = g._ends
+        number: dict[Dart, int] = {}
+        darts_at = [0] * len(g.vertices)
+        for j, (e, (t, h)) in enumerate(zip(g.edges, ends)):
+            number[(e.name, "t")] = 2 * j
+            number[(e.name, "h")] = 2 * j + 1
+            darts_at[t] += 1
+            darts_at[h] += 1
         rotations = {v: tuple(rot) for v, rot in rotations.items()}
         for v in rotations:
             if v not in g._vindex:
                 raise ValueError(f"rotation at unknown vertex {v!r}")
-        nxt: dict[Dart, Dart] = {}
-        prv: dict[Dart, Dart] = {}
-        for v in g.vertices:
+        nxt = [0] * len(number)
+        prv = [0] * len(number)
+        placed = bytearray(len(number))
+        for i, v in enumerate(g.vertices):
             rot = rotations.get(v, ())
-            if len(rot) != darts_at[v]:
-                raise ValueError(f"rotation at {v} has length {len(rot)}, degree is {darts_at[v]}")
-            for i, d in enumerate(rot):
-                if d in nxt:
+            if len(rot) != darts_at[i]:
+                raise ValueError(f"rotation at {v} has length {len(rot)}, degree is {darts_at[i]}")
+            ks = []
+            for d in rot:
+                k = number.get(d)
+                if k is not None and placed[k]:
                     raise ValueError(f"edge end {d} appears twice")
-                if expected.get(d) != v:
+                if k is None or ends[k >> 1][k & 1] != i:
                     raise ValueError(f"edge end {d} does not belong at vertex {v}")
-                nxt[d] = rot[(i + 1) % len(rot)]
-                prv[d] = rot[i - 1]
-        self._store(graph=graph, rotations=rotations, _next=nxt, _prev=prv)
+                placed[k] = 1
+                ks.append(k)
+            for a, b in zip(ks, ks[1:] + ks[:1]):
+                nxt[a] = b
+                prv[b] = a
+        self._store(graph=graph, rotations=rotations, _next=tuple(nxt), _prev=tuple(prv))
 
     @property
     def base(self) -> FiniteGraph:
@@ -129,21 +142,21 @@ def faces(pg: PlaneGraph) -> list[Face]:
     vertex (the sphere around it), so a lone vertex has Euler characteristic 2.
     """
     nxt = pg._next
-    order = [(e.name, end) for e in pg.base.edges for end in ("t", "h")]
-    seen: set[Dart] = set()
+    edges = pg.base.edges
+    seen = bytearray(len(nxt))
     out: list[Face] = []
-    for start in order:
-        if start in seen:
+    for start in range(len(nxt)):
+        if seen[start]:
             continue
         walk = []
-        d = start
+        k = start
         while True:
-            walk.append(d)
-            seen.add(d)
-            d = nxt[(d[0], "h" if d[1] == "t" else "t")]  # on from the far end of d's edge
-            if d == start:
+            walk.append(k)
+            seen[k] = 1
+            k = nxt[k ^ 1]  # on from the far end of k's edge
+            if k == start:
                 break
-        out.append(Face(tuple(walk)))
+        out.append(Face(tuple((edges[k >> 1].name, "th"[k & 1]) for k in walk)))
     out.extend(Face(()) for _ in _isolated(pg))
     return out
 
@@ -220,57 +233,36 @@ class MedialComponent(NamedTuple):
     winding: int | None = None
 
 
-State = tuple[Dart, int]
-
-
 def medial_components(pg: PlaneGraph) -> list[MedialComponent]:
     """Strand components of the medial graph of a plane graph: with their
     windings on a voltage quotient, with winding None on a finite one."""
-    g = pg.base
     nxt, prv = pg._next, pg._prev
+    edges = pg.base.edges
     vg = pg.quotient
-    with_winding = vg is not None
-    volt = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)} if with_winding else None
-    edge_order = {e.name: i for i, e in enumerate(g.edges)}
-
-    def step(state: State) -> tuple[State, str, int]:
-        d, sign = state
-        name, end = nxt[d] if sign > 0 else prv[d]
-        w = 0
-        if with_winding:
-            w = volt[name] if end == "t" else -volt[name]
-        return ((name, "h" if end == "t" else "t"), -sign), name, w
-
-    def reverse(state: State) -> State:
-        d, sign = state
-        return (nxt[d], -1) if sign > 0 else (prv[d], 1)
-
-    seeds = [((e.name, end), sign) for e in g.edges for end in ("t", "h") for sign in (1, -1)]
-    seen: set[State] = set()
+    volts = [s[0] for s in vg.voltages] if vg is not None else [0] * len(edges)
+    seen: set[tuple[int, int]] = set()
     out: list[MedialComponent] = []
-    for seed in seeds:
+    for seed in ((k, sign) for k in range(len(nxt)) for sign in (1, -1)):
         if seed in seen:
             continue
-        crossings: list[str] = []
+        crossings: list[int] = []  # edge indices
         winding = 0
-        s = seed
+        k, sign = seed
         while True:
-            seen.add(s)
-            seen.add(reverse(s))
-            s, edge, w = step(s)
-            crossings.append(edge)
-            winding += w
-            if s == seed:
+            d = nxt[k] if sign > 0 else prv[k]
+            seen.add((k, sign))
+            seen.add((d, -sign))
+            crossings.append(d >> 1)
+            winding += -volts[d >> 1] if d & 1 else volts[d >> 1]  # +s from the tail end
+            k, sign = d ^ 1, -sign
+            if (k, sign) == seed:
                 break
-        counts: dict[str, int] = {}
-        for name in crossings:
-            counts[name] = counts.get(name, 0) + 1
-        residue = tuple(sorted((n for n, c in counts.items() if c == 1), key=edge_order.get))
-        out.append(
-            MedialComponent(tuple(crossings), residue, winding if with_winding else None)
-        )
+        once = sorted(j for j, c in Counter(crossings).items() if c == 1)
+        names = tuple(edges[j].name for j in crossings)
+        residue = tuple(edges[j].name for j in once)
+        out.append(MedialComponent(names, residue, None if vg is None else winding))
     # an isolated vertex is circled by one strand that crosses nothing
-    out.extend(MedialComponent((), (), 0 if with_winding else None) for _ in _isolated(pg))
+    out.extend(MedialComponent((), (), None if vg is None else 0) for _ in _isolated(pg))
     return out
 
 

@@ -244,44 +244,42 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
         raise ValueError(f"annular connectivity is {len(cut)}, not 1")
     (v,) = cut
     g = vg.base
-    volts = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)}
-    others = [u for u in g.vertices if u != v]
+    names, ends = g.vertices, g._ends
+    c = g.vertex_index(v)
+    volts = [s[0] for s in vg.voltages]
+    others = [u for u in range(len(names)) if u != c]
     # potentials per component of the quotient minus v, keyed by tree root
-    inner = [e for e in g.edges if e.tail != v and e.head != v]
-    pot, _, comp_of = bfs_potentials(
-        others, [(e.tail, e.head) for e in inner], [volts[e.name] for e in inner], ZZ
-    )
-    # the level at which each edge from u meets v, seen from u's level-0 lift;
+    inner = [j for j, (t, h) in enumerate(ends) if t != c and h != c]
+    pot, _, comp_of = bfs_potentials(others, [ends[j] for j in inner], [volts[j] for j in inner], ZZ)
+    # edge j from u -> (u, the level at which j meets v, seen from u's level-0 lift);
     # minimum_annular_cut found no essential cycle on these same potentials
-    at_v: dict[str, tuple[str, int]] = {}
-    for e in g.edges:
-        s = volts[e.name]
-        if e.tail == v == e.head:
+    at_v: dict[int, tuple[int, int]] = {}
+    for j, ((t, h), s) in enumerate(zip(ends, volts)):
+        if t == c == h:
             if abs(s) > 1:
                 raise ValueError("loop winds more than once; not an embedded kappa = 1 quotient")
-        elif e.tail == v:
-            at_v[e.name] = (e.head, pot[e.head] - s)
-        elif e.head == v:
-            at_v[e.name] = (e.tail, s + pot[e.tail])
-    levels: dict[str, set[int]] = {}
-    for u, t in at_v.values():
-        levels.setdefault(comp_of[u], set()).add(t)
+        elif t == c:
+            at_v[j] = (h, pot[h] - s)
+        elif h == c:
+            at_v[j] = (t, s + pot[t])
+    levels: dict[int, set[int]] = {}
+    for u, level in at_v.values():
+        levels.setdefault(comp_of[u], set()).add(level)
     if any(max(ls) - min(ls) > 1 for ls in levels.values()):
         raise ValueError("component attaches to more than two consecutive levels")
-    base_level = {c: min(ls) for c, ls in levels.items()}
+    base_level = {r: min(ls) for r, ls in levels.items()}
     v0, v1 = f"{v}@0", f"{v}@1"
-    vertices = [v0, v1] + others
     edges = []
-    for e in g.edges:
-        if e.name in at_v:
-            u, t = at_v[e.name]
-            w = v0 if t == base_level[comp_of[u]] else v1
-            edges.append((e.name, w, u) if e.tail == v else (e.name, u, w))
-        elif e.tail == v == e.head:
-            edges.append((e.name, v0, v0 if volts[e.name] == 0 else v1))
+    for j, (e, (t, h)) in enumerate(zip(g.edges, ends)):
+        if j in at_v:
+            u, level = at_v[j]
+            w = v0 if level == base_level[comp_of[u]] else v1
+            edges.append((e.name, w, names[u]) if t == c else (e.name, names[u], w))
+        elif t == c == h:
+            edges.append((e.name, v0, v0 if volts[j] == 0 else v1))
         else:
-            edges.append((e.name, e.tail, e.head))
-    return FiniteGraph.build(vertices, edges)
+            edges.append(e)
+    return FiniteGraph.build([v0, v1] + [names[u] for u in others], edges)
 
 
 # -- cyclic covers from Delta_0 ------------------------------------------------------
@@ -374,14 +372,16 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     all with the same sign.  The complexity is the product over C of the
     copies' counts to the power c.
 
-    d0, the normalized Delta_0 of vg, is used when vg is connected, so a
-    caller that holds it takes no second determinant of L.
+    Voltages are read modulo n, as residues in [-n/2, n/2), so a voltage of
+    10^30 costs no more than one of 1.  d0, the normalized Delta_0 of vg,
+    counts the same cover and is used when vg is connected, so a caller that
+    holds it takes no second determinant of L.
     """
     if vg.rank != 1:
         raise ValueError("cyclic covers need a rank-1 quotient")
     SublatticeSpec.cyclic(n)  # the index rule: an integer at least 1
     g = vg.base
-    volts = [s[0] for s in vg.voltages]
+    volts = [(s + n // 2) % n - n // 2 for (s,) in vg.voltages]
     pot, _, root = bfs_potentials(range(len(g.vertices)), g._ends, volts, ZZ)
     parts: dict = {}  # root index -> [vertices, edge indices, gcd of cycle voltages]
     for i, v in enumerate(g.vertices):
@@ -393,7 +393,7 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     total = 1
     for vs, js, cycle_gcd in parts.values():
         comp = VoltageGraph(
-            FiniteGraph(tuple(vs), tuple(g.edges[j] for j in js)), 1, tuple(vg.voltages[j] for j in js)
+            FiniteGraph(tuple(vs), tuple(g.edges[j] for j in js)), 1, tuple((volts[j],) for j in js)
         )
         c = math.gcd(n, cycle_gcd)
         m = n // c

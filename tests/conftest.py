@@ -10,7 +10,9 @@ connectivity by union-find, the bicycle space as an intersection of the
 cut and cycle spans, reduced row echelon forms in the field's own
 arithmetic (Fraction over QQ), essential CRSFs by one BFS forest per edge
 subset, the minimum annular cut by a search over named vertex subsets, the
-rotation maps of a plane graph rebuilt from its rotation system by names, Newton root refinement in exact rationals
+rotation maps of a plane graph rebuilt from its rotation system by names,
+faces, medial strands and the kappa = 1 vertex split walked on those names
+(edge-name darts, name-keyed voltages and levels), Newton root refinement in exact rationals
 (Fraction) and in floats with every step taken, the generic float kernel of
 ``lapgraph.mahler`` (Aberth, refinement, validation and fiber coefficients by
 one call per polynomial value, with builtin sum and max), the
@@ -70,7 +72,7 @@ from lapgraph.mahler import (
     _aberth_roots,
     _poly_deriv,
 )
-from lapgraph.planar import Dart, PlaneGraph, faces, parse_dart
+from lapgraph.planar import Dart, Face, MedialComponent, PlaneGraph, faces, parse_dart
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -90,6 +92,14 @@ def example(name: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
 def single_loop_quotient(voltage: int) -> VoltageGraph:
     """One vertex with one loop of the given voltage; graphs/single_loop has voltage 1."""
     return VoltageGraph.build(["v"], [("l", "v", "v", (voltage,))], rank=1)
+
+
+def huge_loop_quotient() -> VoltageGraph:
+    """A loop of voltage 10^30 at v, an edge v -> u of voltage 0 and a loop of
+    voltage 1 at u; its 3-fold cover has 75 spanning trees."""
+    return VoltageGraph.build(
+        ["v", "u"], [("a", "v", "v", (10**30,)), ("b", "v", "u", (0,)), ("c", "u", "u", (1,))], rank=1
+    )
 
 
 def triangle_plane() -> PlaneGraph:
@@ -130,6 +140,117 @@ def rotation_maps_by_names(pg: PlaneGraph) -> tuple[dict, dict, dict]:
         opp[(e.name, "t")] = (e.name, "h")
         opp[(e.name, "h")] = (e.name, "t")
     return nxt, prv, opp
+
+
+def faces_by_names(pg: PlaneGraph) -> list[Face]:
+    """Face orbits walked on (edge name, end) darts through the maps of
+    :func:`rotation_maps_by_names`, in edge order and then one empty face per
+    isolated vertex (test oracle for ``planar.faces``)."""
+    nxt, _, opp = rotation_maps_by_names(pg)
+    seen: set[Dart] = set()
+    out = []
+    for start in [(e.name, end) for e in pg.base.edges for end in ("t", "h")]:
+        if start in seen:
+            continue
+        walk = []
+        d = start
+        while True:
+            walk.append(d)
+            seen.add(d)
+            d = nxt[opp[d]]
+            if d == start:
+                break
+        out.append(Face(tuple(walk)))
+    out.extend(Face(()) for v in pg.base.vertices if not pg.rotations.get(v))
+    return out
+
+
+def medial_components_by_names(pg: PlaneGraph) -> list[MedialComponent]:
+    """Straight-ahead strand walks on ((edge name, end), sign) states, with
+    windings from a voltage dict keyed by edge name on a quotient (test
+    oracle for ``planar.medial_components``)."""
+    nxt, prv, opp = rotation_maps_by_names(pg)
+    g, vg = pg.base, pg.quotient
+    volt = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)} if vg is not None else None
+    edge_order = {e.name: i for i, e in enumerate(g.edges)}
+
+    def step(state):
+        d, sign = state
+        name, end = nxt[d] if sign > 0 else prv[d]
+        w = 0 if volt is None else (volt[name] if end == "t" else -volt[name])
+        return (opp[(name, end)], -sign), name, w
+
+    def reverse(state):
+        d, sign = state
+        return (nxt[d], -1) if sign > 0 else (prv[d], 1)
+
+    seen: set = set()
+    out = []
+    for seed in [((e.name, end), sign) for e in g.edges for end in ("t", "h") for sign in (1, -1)]:
+        if seed in seen:
+            continue
+        crossings, winding, s = [], 0, seed
+        while True:
+            seen.add(s)
+            seen.add(reverse(s))
+            s, name, w = step(s)
+            crossings.append(name)
+            winding += w
+            if s == seed:
+                break
+        counts = Counter(crossings)
+        residue = tuple(sorted((n for n, c in counts.items() if c == 1), key=edge_order.get))
+        out.append(MedialComponent(tuple(crossings), residue, None if vg is None else winding))
+    lone = [v for v in g.vertices if not pg.rotations.get(v)]
+    out.extend(MedialComponent((), (), None if vg is None else 0) for _ in lone)
+    return out
+
+
+def split_at_annular_cut_by_names(vg: VoltageGraph) -> FiniteGraph:
+    """The kappa = 1 vertex split with vertices, voltages and levels keyed by
+    name, at the cut of :func:`minimum_annular_cut_by_names`, raising the
+    library's messages (test oracle for ``spanning.split_at_annular_cut``)."""
+    if vg.rank != 1:
+        raise ValueError("the vertex split applies to rank-1 quotients")
+    cut = minimum_annular_cut_by_names(vg)
+    if len(cut) != 1:
+        raise ValueError(f"annular connectivity is {len(cut)}, not 1")
+    (v,) = cut
+    g = vg.base
+    volts = {e.name: s[0] for e, s in zip(g.edges, vg.voltages)}
+    others = [u for u in g.vertices if u != v]
+    inner = [e for e in g.edges if e.tail != v and e.head != v]
+    pot, _, comp_of = bfs_potentials(
+        others, [(e.tail, e.head) for e in inner], [volts[e.name] for e in inner], ZZ
+    )
+    at_v: dict[str, tuple[str, int]] = {}
+    for e in g.edges:
+        s = volts[e.name]
+        if e.tail == v == e.head:
+            if abs(s) > 1:
+                raise ValueError("loop winds more than once; not an embedded kappa = 1 quotient")
+        elif e.tail == v:
+            at_v[e.name] = (e.head, pot[e.head] - s)
+        elif e.head == v:
+            at_v[e.name] = (e.tail, s + pot[e.tail])
+    levels: dict[str, set[int]] = {}
+    for u, t in at_v.values():
+        levels.setdefault(comp_of[u], set()).add(t)
+    if any(max(ls) - min(ls) > 1 for ls in levels.values()):
+        raise ValueError("component attaches to more than two consecutive levels")
+    base_level = {c: min(ls) for c, ls in levels.items()}
+    v0, v1 = f"{v}@0", f"{v}@1"
+    edges = []
+    for e in g.edges:
+        if e.name in at_v:
+            u, t = at_v[e.name]
+            w = v0 if t == base_level[comp_of[u]] else v1
+            edges.append((e.name, w, u) if e.tail == v else (e.name, u, w))
+        elif e.tail == v == e.head:
+            edges.append((e.name, v0, v0 if volts[e.name] == 0 else v1))
+        else:
+            edges.append((e.name, e.tail, e.head))
+    return FiniteGraph.build([v0, v1] + others, edges)
 
 
 def cover_plane_graph(pg: PlaneGraph, n: int) -> PlaneGraph:

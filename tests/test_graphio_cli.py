@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRAPHS, elementary_divisor_reduce_first, example, random_multigraph, single_loop_quotient
+from conftest import (
+    GRAPHS,
+    elementary_divisor_reduce_first,
+    example,
+    huge_loop_quotient,
+    random_multigraph,
+    single_loop_quotient,
+)
 from lapgraph import cli, graphs, spanning
 from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
@@ -385,6 +392,14 @@ def test_cli_refuses_a_voltage_too_wide_to_encode_before_encoding_it(tmp_path, c
     code, peak = _peak_of(["delta", str(path), "--k", "1"])
     assert (code, peak < 10**7) == (0, True)
     assert capsys.readouterr().out == "Delta_1 over z: 1\n"
+
+
+def test_cli_counts_the_cover_of_a_quotient_with_a_huge_voltage(tmp_path, capsys):
+    # the 3-fold cover sees the loop's voltage 10^30 as 1: Delta_0 is taken of the residues
+    path = tmp_path / "loop_e30_pendant.lapgraph"
+    path.write_text(format_graph_file(huge_loop_quotient()))
+    assert main(["trees", str(path), "--cover", "3"]) == 0
+    assert capsys.readouterr().out == "cover index 3: 6 vertices, 9 edges\ncomplexity T = 75\n"
 
 
 def test_cli_trees_matrix_cover(graph_dir, capsys):

@@ -13,7 +13,9 @@ from conftest import (
     cover_plane_graph,
     euler_characteristic,
     example,
+    faces_by_names,
     first_nonzero_divisor,
+    medial_components_by_names,
     parse_rotations,
     random_annulus_quotient,
     random_plane_graph,
@@ -119,21 +121,67 @@ def test_isolated_vertices_leave_the_rest_of_a_plane_graph_alone(seed):
     assert shank_basis(pg2) == shank_basis(pg)
 
 
-def test_resolved_rotation_maps_equal_the_maps_rebuilt_by_names():
-    rng = random.Random(4300)
-    loops = lone = 0
-    for _ in range(60):
+def _plane_corpus(seed, count=60):
+    """Random finite plane graphs (not always connected) and annulus
+    quotients, with loops and parallel edges, each with 0 to 2 isolated
+    vertices added."""
+    rng = random.Random(seed)
+    for _ in range(count):
         for pg in (random_plane_graph(rng, connected=False), random_annulus_quotient(rng)):
             extra = tuple(f"lone{i}" for i in range(rng.randint(0, 2)))
             g = FiniteGraph(pg.base.vertices + extra, pg.base.edges)
             graph = g if pg.quotient is None else VoltageGraph(g, 1, pg.quotient.voltages)
-            pg = PlaneGraph(graph, {**pg.rotations, **dict.fromkeys(extra, ())})
-            nxt, prv, opp = rotation_maps_by_names(pg)
-            assert pg._next == nxt and pg._prev == prv
-            assert all(opp[(name, end)] == (name, "h" if end == "t" else "t") for name, end in nxt)
-            loops += any(e.tail == e.head for e in g.edges)
-            lone += any(not pg.rotations.get(v) for v in g.vertices)
+            yield PlaneGraph(graph, {**pg.rotations, **dict.fromkeys(extra, ())})
+
+
+def test_resolved_rotation_maps_equal_the_maps_rebuilt_by_names():
+    loops = lone = 0
+    for pg in _plane_corpus(4300):
+        g = pg.base
+        names = [(e.name, end) for e in g.edges for end in ("t", "h")]  # dart k is names[k]
+        nxt, prv, opp = rotation_maps_by_names(pg)
+        assert {names[k]: names[pg._next[k]] for k in range(len(names))} == nxt
+        assert {names[k]: names[pg._prev[k]] for k in range(len(names))} == prv
+        assert all(opp[names[k]] == names[k ^ 1] for k in range(len(names)))
+        at = {d: v for v in g.vertices for d in pg.rotations.get(v, ())}
+        assert all(g.vertices[g._ends[k >> 1][k & 1]] == at[names[k]] for k in range(len(names)))
+        loops += any(e.tail == e.head for e in g.edges)
+        lone += any(not pg.rotations.get(v) for v in g.vertices)
     assert loops >= 20 and lone >= 20  # the corpus has loops and isolated vertices
+
+
+def test_dart_index_walks_equal_the_walks_by_names():
+    loops = parallel = lone = quotients = 0
+    for pg in _plane_corpus(4500, count=150):
+        assert faces(pg) == faces_by_names(pg)
+        assert medial_components(pg) == medial_components_by_names(pg)
+        g = pg.base
+        loops += any(t == h for t, h in g._ends)
+        parallel += len(set(map(frozenset, g._ends))) < len(g._ends)
+        lone += any(not pg.rotations.get(v) for v in g.vertices)
+        quotients += pg.quotient is not None
+    assert min(loops, parallel, lone) >= 150 and quotients == 150
+
+
+def _grid(rows, cols, wrap):
+    vertices, edges, rot = _grid_plane(rows, cols, wrap)
+    if wrap:
+        return PlaneGraph(VoltageGraph.build(vertices, [(n, t, h, (s,)) for n, t, h, s in edges], 1), rot)
+    return PlaneGraph(FiniteGraph.build(vertices, [(n, t, h) for n, t, h, _ in edges]), rot)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["k4", "ladder", "girder", "single_loop", "lone_vertex", "two_lone_vertices", "ladder_lone_vertex",
+     "plane_grid_12x12", "annulus_grid_12x12"],
+)
+def test_dart_index_walks_equal_the_walks_by_names_on_bundled_and_grid_graphs(name):
+    if name.endswith("grid_12x12"):
+        pg = _grid(12, 12, wrap=name.startswith("annulus"))
+    else:
+        pg = example(name) if (GRAPHS / f"{name}.lapgraph").exists() else _data_graph(name)
+    assert faces(pg) == faces_by_names(pg)
+    assert medial_components(pg) == medial_components_by_names(pg)
 
 
 def test_mutating_the_callers_rotations_leaves_the_plane_graph_alone():

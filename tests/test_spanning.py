@@ -13,6 +13,7 @@ from conftest import (
     dense,
     dense_complexity,
     example,
+    huge_loop_quotient,
     minimum_annular_cut_by_names,
     random_annulus_quotient,
     random_multigraph,
@@ -20,6 +21,7 @@ from conftest import (
     root_of_unity_norm_by_division,
     single_loop_quotient,
     sparse_rows,
+    split_at_annular_cut_by_names,
     wrapping_edge_count,
 )
 from lapgraph.fields import QQ, ZZ
@@ -241,6 +243,41 @@ def test_rank2_cover_complexity_matches_the_built_cover(batch):
         "negative entries",
         "disconnected cover",
     }
+
+
+def test_cover_counts_of_a_huge_loop_quotient_match_the_built_covers():
+    vg = huge_loop_quotient()
+    counts = [cyclic_cover_complexity(vg, n) for n in (2, 3, 7, 10, 12)]
+    assert counts == [2, 75, 35287, 10, 78336300]
+    assert counts == [complexity(cover_graph(vg, SublatticeSpec.cyclic(n))) for n in (2, 3, 7, 10, 12)]
+
+
+def _offset_voltages(rng, vg: VoltageGraph) -> VoltageGraph:
+    """vg with each voltage coordinate moved by -1, 0 or 1 times one offset,
+    0, 10^30, -10^20 or 7 * 10^25, drawn once per quotient."""
+    off = rng.choice((0, 10**30, -(10**20), 7 * 10**25))
+    moved = tuple(tuple(a + rng.randint(-1, 1) * off for a in s) for s in vg.voltages)
+    return VoltageGraph(vg.base, vg.rank, moved)
+
+
+@pytest.mark.parametrize("batch", range(6))
+def test_cover_counts_read_huge_voltages_modulo_the_index(batch):
+    # 50 random rank-1 and rank-2 quotients per batch at lattice index <= 12,
+    # against the built cover, which reduces every voltage modulo the lattice
+    rng = random.Random(9500 + batch)
+    huge = 0
+    for _ in range(25):
+        for rank in (1, 2):
+            vg = _offset_voltages(rng, random_voltage_graph(rng, rank, 4, 7, connected=rng.random() < 0.5))
+            huge += any(abs(a) > 10**19 for s in vg.voltages for a in s)
+            if rank == 1:
+                lam = SublatticeSpec.cyclic(rng.randint(1, 12))
+            else:
+                lam = SublatticeSpec.lattice2(_random_lattice_rows(rng))
+                while lam.index > 12:
+                    lam = SublatticeSpec.lattice2(_random_lattice_rows(rng))
+            assert cover_complexity(vg, lam) == complexity(cover_graph(vg, lam))
+    assert huge >= 20
 
 
 def test_cover_count_from_an_inconsistent_delta0_raises_arithmetic_error():
@@ -653,6 +690,34 @@ def test_delta0_without_vertices_is_one_in_every_variable(rank):
 def test_split_rejects_kappa_two():
     with pytest.raises(ValueError):
         split_at_annular_cut(example("ladder").graph)
+
+
+def _split_or_message(split, vg):
+    try:
+        return split(vg)
+    except ValueError as err:
+        return str(err)
+
+
+def test_split_by_index_equals_the_split_by_names():
+    # 360 random rank-1 quotients: with voltages in [-2, 2] (loops that wind
+    # twice), the same graphs with voltages in [-1, 1], and annulus quotients
+    rng = random.Random(4400)
+    outcomes = Counter()
+    for i in range(360):
+        if i % 3 == 2:
+            vg = random_annulus_quotient(rng).graph
+        else:
+            vg = random_voltage_graph(rng, 1, 4, 7, connected=rng.random() < 0.7)
+            if i % 3:
+                vg = VoltageGraph(vg.base, 1, tuple((rng.randint(-1, 1),) for _ in vg.voltages))
+        got = _split_or_message(split_at_annular_cut, vg)
+        assert got == _split_or_message(split_at_annular_cut_by_names, vg)
+        outcomes[got if isinstance(got, str) else "graph"] += 1
+    assert outcomes["graph"] >= 100
+    assert outcomes["loop winds more than once; not an embedded kappa = 1 quotient"] >= 20
+    assert outcomes["component attaches to more than two consecutive levels"] >= 20
+    assert outcomes["annular connectivity is 2, not 1"] >= 50
 
 
 @pytest.mark.parametrize(
