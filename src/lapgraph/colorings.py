@@ -22,6 +22,11 @@ FAILS_CYCLE = "fails-cycle"
 FAILS_KIRCHHOFF = "fails-kirchhoff"
 
 
+def _check_length(coloring: list, n: int, kind: str) -> None:
+    if len(coloring) != n:
+        raise ValueError(f"{kind} coloring needs {n} entries, one per {kind}, got {len(coloring)}")
+
+
 def conservative_vertex_basis(g: FiniteGraph, fld: Domain) -> list[list]:
     """Basis of the conservative vertex colorings: the kernel of the Laplacian."""
     return nullspace(laplacian_finite(g), len(g.vertices), fld)
@@ -40,7 +45,9 @@ def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[li
 
 
 def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
-    """The cut-space edge coloring Q^T alpha: each edge gets head minus tail color."""
+    """The cut-space edge coloring Q^T alpha: each edge gets head minus tail
+    color.  alpha needs one entry per vertex, else ValueError."""
+    _check_length(alpha, len(g.vertices), "vertex")
     alpha = [fld.of(a) for a in alpha]
     return [fld.of(alpha[h] - alpha[t]) for t, h in g._ends]
 
@@ -51,8 +58,10 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     The cycle condition, reported first, is checked on a fundamental cycle
     basis from a spanning forest (sufficient by linearity): each edge's value
     less its ends' potential difference along the forest must vanish, as a
-    forest edge's does.  The Kirchhoff condition is Q beta = 0.
+    forest edge's does.  The Kirchhoff condition is Q beta = 0.  beta needs
+    one entry per edge, else ValueError.
     """
+    _check_length(beta, len(g.edges), "edge")
     beta = [fld.of(b) for b in beta]
     pot, _, _ = bfs_potentials(range(len(g.vertices)), g._ends, beta, fld)
     if any(fld.of(b + pot[t] - pot[h]) for (t, h), b in zip(g._ends, beta)):

@@ -11,8 +11,9 @@ integer rows over every field and divides by the pivots only at the end.
 Every determinant is one fraction-free elimination on sparse integer rows,
 in the minimum-degree pivot order (:func:`_elimination_order`, of the
 symmetrised nonzero pattern) that the caller permutes each matrix into
-once; :func:`int_det` checks its rows, builds that pattern and tests
-symmetry in one pass before it eliminates.  Symmetric rows are eliminated
+once.  One pass (:func:`_ordered`) checks the rows, builds that pattern,
+tests symmetry and takes the order, for :func:`int_det` and
+:class:`LaurentEncoding` alike.  Symmetric rows are eliminated
 on their upper triangle alone, each row scaled only by the determinants of
 the eliminated pieces it touches (:func:`_bareiss_symmetric`); other rows,
 and symmetric rows whose pivot is zero or whose fill cancels, by global
@@ -147,18 +148,6 @@ def row_space_canonical(vectors: list[list], field: Domain) -> list[list]:
 # -- sparse fraction-free determinants -----------------------------------------
 
 
-def _pattern(rows: list[dict]) -> list[set[int]]:
-    """Symmetrised off-diagonal nonzero pattern of square sparse rows, as
-    neighbour sets."""
-    adj: list[set[int]] = [set() for _ in rows]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if v and j != i:
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
-
-
 def _elimination_order(adj: list[set[int]]) -> list[int]:
     """The pivot order of a square matrix with the symmetrised nonzero
     pattern adj: greedy minimum degree.
@@ -167,10 +156,10 @@ def _elimination_order(adj: list[set[int]]) -> list[int]:
     by index, and joins its remaining neighbours into a clique, which keeps
     the fill, and with it the rows each Bareiss step updates, small on tori
     and irregular graphs alike.  Once the remaining vertices form a clique,
-    they follow by index, so a complete pattern gets the index order.
+    they follow by index, so a complete pattern gets the index order.  The
+    fill goes into adj itself, which the caller does not read again.
     """
     n = len(adj)
-    adj = [set(a) for a in adj]
     heap = [(len(a), v) for v, a in enumerate(adj)]
     heapify(heap)
     done = [False] * n
@@ -324,18 +313,14 @@ def _bareiss_symmetric(upper: list[dict]) -> int | None:
     return det
 
 
-def int_det(rows: list[dict[int, int]]) -> int:
-    """Exact determinant of a square integer matrix given as sparse rows
-    {column: entry}; the order is the number of rows, and the input is left
-    alone.  One pass over the entries checks them, builds the symmetrised
-    pattern that :func:`_elimination_order` orders by minimum degree, and
-    tests symmetry.  A column outside 0..n-1, or a nonzero entry that is not
-    an int, raises ValueError there, before any elimination: a Fraction or
-    float would be truncated.  Symmetric rows, as a reduced Laplacian's are,
-    go to :func:`_bareiss_symmetric` as their upper triangle, without the
-    zeros, in that order, rows and columns alike; the full rows go to
-    :func:`_bareiss` only if the rows are not symmetric, or if a pivot is
-    zero or an update cancels (never on a reduced Laplacian).
+def _ordered(rows: list[dict[int, int]]) -> tuple[list[int], list[int], bool]:
+    """The pivot order of square sparse integer rows, each index's place in
+    it, and whether the rows are symmetric, from one pass over the entries.
+
+    The pass checks each entry and builds the symmetrised off-diagonal
+    pattern of the nonzeros, which :func:`_elimination_order` orders by
+    minimum degree.  A column outside 0..n-1, or a nonzero entry that is not
+    an int, raises ValueError there, before any order is taken.
     """
     n = len(rows)
     adj: list[set[int]] = [set() for _ in rows]
@@ -354,7 +339,20 @@ def int_det(rows: list[dict[int, int]]) -> int:
                 if symmetric and rows[j].get(i) != v:
                     symmetric = False
     order = _elimination_order(adj)
-    where = sorted(range(n), key=order.__getitem__)  # the position of each index in order
+    return order, sorted(range(n), key=order.__getitem__), symmetric
+
+
+def int_det(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of a square integer matrix given as sparse rows
+    {column: entry}; the order is the number of rows, and the input is left
+    alone.  :func:`_ordered` checks every entry (a Fraction or float would
+    be truncated) and picks the pivot order.  Symmetric rows, as a reduced
+    Laplacian's are, go to :func:`_bareiss_symmetric` as their upper
+    triangle, without the zeros, in that order, rows and columns alike; the
+    full rows go to :func:`_bareiss` only if the rows are not symmetric, or
+    if a pivot is zero or an update cancels (never on a reduced Laplacian).
+    """
+    order, where, symmetric = _ordered(rows)
     if symmetric:
         upper = [{w: v for j, v in rows[i].items() if v and (w := where[j]) >= k} for k, i in enumerate(order)]
         det = _bareiss_symmetric(upper)
@@ -380,10 +378,10 @@ class LaurentEncoding:
     one K and b, sized by the largest minor served (at least an entry),
     serve them all, and bound every minor and entry by b K (Dy + 1) bits, Dy
     the sum of the same largest y-spans.  ``where`` is each index's place in
-    the pivot order (:func:`_elimination_order`) of the integer rows.  A
-    non-square matrix, a non-int coefficient, or a bound above 2^30 bits,
-    before any entry is built (the message names K, b and the bound), raises
-    ValueError.
+    the pivot order of the integer rows, taken as :func:`int_det` takes it
+    (:func:`_ordered`).  A non-square matrix, a non-int coefficient, or a
+    bound above 2^30 bits, before any entry is built (the message names K, b
+    and the bound), raises ValueError.
     """
 
     __slots__ = ("nvars", "size", "lows", "K", "b", "rows", "where")
@@ -421,8 +419,7 @@ class LaurentEncoding:
             {j: sum(c << power(e, low) for e, c in f.coeffs.items()) for j, f in enumerate(row) if f}
             for row, low in zip(M, lows)
         ]
-        order = _elimination_order(_pattern(self.rows))
-        self.where = sorted(range(n), key=order.__getitem__)
+        _, self.where, _ = _ordered(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .colorings import bicycle_basis
+from .colorings import _check_length, bicycle_basis
 from .fields import GF2, Domain
 from .graphs import (
     FiniteGraph,
@@ -187,9 +187,11 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     of the traversal order.  Every dual component, one per component of the
     graph, starts at zero from its first face in the order base face, then the
     other faces in face order.  When the integration depends on the path, as
-    it can on a rotation system of higher genus, it raises ValueError.
+    it can on a rotation system of higher genus, or alpha has not one entry
+    per vertex, it raises ValueError.
     """
     g = pg.base
+    _check_length(alpha, len(g.vertices), "vertex")
     alpha = [fld.of(a) for a in alpha]
     if any(fld.of(sum(v * alpha[j] for j, v in row.items())) for row in laplacian_finite(g)):
         raise ValueError("vertex coloring is not conservative; integration would be path dependent")

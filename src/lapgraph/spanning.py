@@ -234,8 +234,10 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
 
     The cut vertex v is the minimum annular cut.  Gauges all voltages off v
     to zero, then opens v into two copies v@0 and v@1 so each former edge
-    into v lands on the copy its lift meets.  Spanning trees of H biject with
-    essential one-component CRSFs of the quotient.
+    into v lands on the copy its lift meets; if another vertex has either
+    name, the copies are v@@0 and v@@1, with one more @ until neither
+    clashes.  Spanning trees of H biject with essential one-component CRSFs
+    of the quotient.
     """
     if vg.rank != 1:
         raise ValueError("the vertex split applies to rank-1 quotients")
@@ -268,7 +270,10 @@ def split_at_annular_cut(vg: VoltageGraph) -> FiniteGraph:
     if any(max(ls) - min(ls) > 1 for ls in levels.values()):
         raise ValueError("component attaches to more than two consecutive levels")
     base_level = {r: min(ls) for r, ls in levels.items()}
-    v0, v1 = f"{v}@0", f"{v}@1"
+    tag = "@"
+    while f"{v}{tag}0" in g._vindex or f"{v}{tag}1" in g._vindex:
+        tag += "@"
+    v0, v1 = f"{v}{tag}0", f"{v}{tag}1"
     edges = []
     for j, (e, (t, h)) in enumerate(zip(g.edges, ends)):
         if j in at_v:

@@ -239,7 +239,10 @@ def split_at_annular_cut_by_names(vg: VoltageGraph) -> FiniteGraph:
     if any(max(ls) - min(ls) > 1 for ls in levels.values()):
         raise ValueError("component attaches to more than two consecutive levels")
     base_level = {c: min(ls) for c, ls in levels.items()}
-    v0, v1 = f"{v}@0", f"{v}@1"
+    tag = "@"
+    while {f"{v}{tag}0", f"{v}{tag}1"} & set(g.vertices):
+        tag += "@"
+    v0, v1 = f"{v}{tag}0", f"{v}{tag}1"
     edges = []
     for e in g.edges:
         if e.name in at_v:
@@ -560,6 +563,15 @@ def bareiss_det(M) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def symmetrised_pattern(rows) -> list[set[int]]:
+    """The symmetrised off-diagonal nonzero pattern of square sparse rows:
+    j neighbours i when entry (i, j) or (j, i) is a nonzero, stored zeros
+    and the diagonal left out (test oracle for the pattern that
+    ``linalg._ordered`` hands ``_elimination_order``)."""
+    nonzero = {(i, j) for i, row in enumerate(rows) for j, v in row.items() if v and j != i}
+    return [{j for j in range(len(rows)) if (i, j) in nonzero or (j, i) in nonzero} for i in range(len(rows))]
 
 
 def fraction_det(M) -> Fraction:

@@ -29,6 +29,7 @@ from lapgraph.colorings import (
 from lapgraph.fields import GF2, QQ, PrimeField
 from lapgraph.graphs import FiniteGraph, SublatticeSpec, cover_graph, incidence_matrix, laplacian_finite
 from lapgraph.linalg import nullspace, row_space_canonical, sparse_rows, transpose
+from lapgraph.planar import dehn_extend
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -114,6 +115,22 @@ def test_loop_edge_coloring_must_vanish():
     g = FiniteGraph.build(["v"], [("l", "v", "v")])
     assert is_conservative_edge(g, [1], GF2) == FAILS_CYCLE
     assert is_conservative_edge(g, [0], GF2) == YES
+
+
+@pytest.mark.parametrize("extra", [-4, -1, 1, 3])
+def test_colorings_of_the_wrong_length_are_rejected(extra):
+    # a long coloring was truncated without a word, a short one raised IndexError
+    pg = example("k4")
+    k4 = pg.graph
+    alpha = [0, 1, 1, 0] + [1] * extra if extra > 0 else [0, 1, 1, 0][:extra]
+    beta = [1, 0, 1, 0, 1, 1] + [0] * extra if extra > 0 else [1, 0, 1, 0, 1, 1][:extra]
+    vertex_message = f"vertex coloring needs 4 entries, one per vertex, got {4 + extra}"
+    with pytest.raises(ValueError, match=vertex_message):
+        edge_from_vertex(k4, alpha, GF2)
+    with pytest.raises(ValueError, match=vertex_message):
+        dehn_extend(pg, alpha, 0, GF2)
+    with pytest.raises(ValueError, match=f"edge coloring needs 6 entries, one per edge, got {6 + extra}"):
+        is_conservative_edge(k4, beta, GF2)
 
 
 

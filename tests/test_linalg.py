@@ -29,6 +29,7 @@ from conftest import (
     single_loop_quotient,
     sized_voltage_graph,
     sparse_rows,
+    symmetrised_pattern,
 )
 from lapgraph import linalg as linalg_module
 from lapgraph.fields import GF2, QQ, ZZ, PrimeField, RationalField
@@ -92,7 +93,7 @@ def dets_by_order(M) -> set[int]:
     rows alone."""
     rows = sparse_rows(M)
     shuffled = random.Random(str(M)).sample(range(len(rows)), len(rows))
-    orders = (linalg_module._elimination_order(linalg_module._pattern(rows)), shuffled)
+    orders = (linalg_module._elimination_order(symmetrised_pattern(rows)), shuffled)
     kernels = [linalg_module._bareiss] + [symmetric_kernel] * (M == transpose(M))
     dets = {int_det(rows)} | {kernel(permuted(rows, order)) for kernel in kernels for order in orders}
     assert rows == sparse_rows(M)
@@ -216,7 +217,7 @@ def test_a_symmetric_zero_pivot_hands_the_untouched_rows_to_the_general_kernel(m
     assert int_det(sparse_rows(C)) == bareiss_det(C) == 2
     for M in ([[0, 1], [1, 0]], M, C):
         rows = sparse_rows(M)
-        full = permuted(rows, linalg_module._elimination_order(linalg_module._pattern(rows)))
+        full = permuted(rows, linalg_module._elimination_order(symmetrised_pattern(rows)))
         assert linalg_module._bareiss_symmetric(upper_triangle(full)) is None
         calls = _kernel_calls(monkeypatch, int_det, rows)
         assert [(name, received) for name, _, received in calls] == [
@@ -299,7 +300,7 @@ def test_the_symmetric_kernel_takes_reduced_laplacians_in_any_order():
         shuffled = rng.sample(range(len(rows)), len(rows))
         d = bareiss_det(R)
         assert d == complexity(g) > 0
-        for order in (linalg_module._elimination_order(linalg_module._pattern(rows)), shuffled):
+        for order in (linalg_module._elimination_order(symmetrised_pattern(rows)), shuffled):
             assert linalg_module._bareiss_symmetric(upper_triangle(permuted(rows, order))) == d
         disconnected += len(connected_components(g)) > 1
     assert disconnected > 50
@@ -323,13 +324,14 @@ def _kernel_calls(monkeypatch, f, *args) -> list[tuple[str, list[dict], list[dic
 
 
 def _order_calls(monkeypatch, f, *args) -> list[tuple[list[set[int]], list[int]]]:
-    """The calls of _elimination_order that f(*args) makes, each with the
-    nonzero pattern it receives and the order it returns."""
+    """The calls of _elimination_order that f(*args) makes, each with a copy
+    of the nonzero pattern it receives, taken before the call fills it, and
+    the order it returns."""
     calls = []
     elimination_order = linalg_module._elimination_order
 
     def spy(adj):
-        calls.append((adj, elimination_order(adj)))
+        calls.append(([set(a) for a in adj], elimination_order(adj)))
         return calls[-1][1]
 
     with monkeypatch.context() as m:
@@ -344,7 +346,7 @@ def _bareiss_pattern_and_order(monkeypatch, f, *args):
     kernels = []
     ((adj, order),) = _order_calls(monkeypatch, lambda: kernels.extend(_kernel_calls(monkeypatch, f, *args)))
     ((_, _, received),) = kernels
-    assert [{order[j] for j in nbrs} for nbrs in linalg_module._pattern(received)] == [adj[i] for i in order]
+    assert [{order[j] for j in nbrs} for nbrs in symmetrised_pattern(received)] == [adj[i] for i in order]
     return adj, order
 
 
@@ -397,7 +399,7 @@ def _pattern_case(case):
         rng = random.Random(40 + case)
         vg = random_voltage_graph(rng, rank=2, max_vertices=3, max_edges=7)
         g = cover_graph(vg, SublatticeSpec.lattice2(((rng.randint(2, 5), 0), (0, rng.randint(2, 5)))))
-    return linalg_module._pattern(laplacian_finite(g))
+    return symmetrised_pattern(laplacian_finite(g))
 
 
 @pytest.mark.parametrize("case", [0, 1, 2, 3, "disconnected-cover", "isolated-indices", "empty"])
@@ -407,7 +409,7 @@ def test_elimination_order_returns_a_permutation(case):
         assert len(adj) == 12 and sum(map(len, adj)) == 24  # three 4-cycles
     if case == "isolated-indices":
         assert sum(not a for a in adj) == 5
-    order = linalg_module._elimination_order(adj)
+    order = linalg_module._elimination_order([set(a) for a in adj])  # it fills the pattern it is handed
     assert sorted(order) == list(range(len(adj)))
     assert_minimum_degree(adj, order)
 
@@ -416,8 +418,49 @@ def test_a_dense_pattern_is_eliminated_in_index_order():
     rng = random.Random(5)
     for n in (1, 2, 5, 30):
         rows = [{j: rng.choice((-2, -1, 1, 2)) for j in range(n)} for _ in range(n)]
-        adj = linalg_module._pattern(rows)
-        assert linalg_module._elimination_order(adj) == list(range(n))
+        assert linalg_module._elimination_order(symmetrised_pattern(rows)) == list(range(n))
+
+
+@pytest.mark.parametrize("case", ["symmetric", "non-symmetric", "stored-zeros", "empty"])
+def test_int_det_and_each_encoding_order_once_on_the_symmetrised_pattern(case, monkeypatch):
+    """int_det and LaurentEncoding share one ordering pass: each makes one
+    call of _elimination_order, on the oracle's pattern of the rows it
+    orders (stored zeros and the diagonal left out), and ``where`` inverts
+    the order it returns."""
+    rng = random.Random(f"ordered-{case}")
+    n = 0 if case == "empty" else 12
+    M = [[rng.choice((0, 0, 0, -1, 2)) for _ in range(n)] for _ in range(n)]
+    if case != "non-symmetric":
+        M = [[M[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    rows = sparse_rows(M)
+    if case == "stored-zeros":  # on the diagonal and on one side of it only
+        for i, j in [(i, j) for i in range(n) for j in range(i, n) if not M[i][j] and (i == j or (i + j) % 3 == 0)]:
+            rows[i][j] = 0
+        assert any(rows[i].get(i) == 0 for i in range(n))
+    if case == "non-symmetric":
+        assert M != transpose(M)
+    L = voltage_laplacian(sized_voltage_graph(rng, 1 + (case == "symmetric"), n, 2 * n))
+    before = [dict(row) for row in rows]
+    ordered, results = linalg_module._ordered, []
+
+    def spy(rows):
+        results.append(ordered(rows))
+        return results[-1]
+
+    monkeypatch.setattr(linalg_module, "_ordered", spy)
+    calls = _order_calls(monkeypatch, int_det, rows)
+    encodings = []
+    for matrix in (constant_matrix(M), L):
+        calls += _order_calls(monkeypatch, lambda: encodings.append(linalg_module.LaurentEncoding(matrix, n)))
+    assert len(calls) == len(results) == 3
+    assert [adj for adj, _ in calls] == [symmetrised_pattern(r) for r in [rows] + [A.rows for A in encodings]]
+    assert calls[0][0] == calls[1][0] == symmetrised_pattern(sparse_rows(M))
+    for (_, order), (ordered_order, where, _), A in zip(calls, results, [None] + encodings):
+        assert ordered_order == order and sorted(order) == list(range(n))
+        assert [where[i] for i in order] == list(range(n))
+        assert A is None or A.where == where
+    assert results[0][2] == (M == transpose(M)) == (case != "non-symmetric")
+    assert rows == before
 
 
 def test_tree_count_of_a_random_400_vertex_graph_in_under_a_second():

@@ -737,6 +737,27 @@ def test_split_rejects_quotients_it_cannot_open(vg, message):
         split_at_annular_cut(vg)
 
 
+@pytest.mark.parametrize(
+    "taken, copies",
+    [
+        ((), ("v@0", "v@1")),
+        (("v@0",), ("v@@0", "v@@1")),
+        (("v@1",), ("v@@0", "v@@1")),
+        (("v@0", "v@@1", "v@@@0"), ("v@@@@0", "v@@@@1")),
+        (("v@@0", "u@0"), ("v@0", "v@1")),
+    ],
+)
+def test_split_names_the_copies_of_the_cut_vertex_apart_from_every_vertex(taken, copies):
+    # a loop of voltage 1 at v, and an edge v -> w for each other vertex w
+    names = ["v", *taken]
+    edges = [("loop", "v", "v", (1,))] + [(f"e{i}", "v", w, (0,)) for i, w in enumerate(taken)]
+    vg = VoltageGraph.build(names, edges, rank=1)
+    H = split_at_annular_cut(vg)
+    assert H.vertices == copies + taken
+    assert H == split_at_annular_cut_by_names(vg)
+    assert laplacian_determinant_polynomial(vg) == tree_count(H) * X_MINUS_1_SQ
+
+
 # -- growth ------------------------------------------------------------------------------
 
 
