@@ -36,8 +36,10 @@ def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[li
     """Basis of the conservative colorings that vanish at the base vertex.
 
     Requires a connected graph, where this subspace represents colorings up to
-    an additive constant.
+    an additive constant, and a base vertex of it, else ValueError.
     """
+    if base_vertex not in g._vindex:
+        raise ValueError(f"base vertex {base_vertex!r} is not a vertex of the graph")
     if len(connected_components(g)) != 1:
         raise ValueError("based colorings need a connected graph")
     base_row = {g.vertex_index(base_vertex): 1}

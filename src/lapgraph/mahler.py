@@ -39,8 +39,12 @@ f = c x^a p and adds log|c|; two variables split f itself, so an h free of y,
 such as a content (1 + x)^4, stays in the last part's grid.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
-int 0 as ``sum`` does, so its floats are those of a call per evaluation; the
-grid reads a fiber plan built once per polynomial instead of rescanning f.
+int 0 as ``sum`` does, so its floats are those of a call per evaluation.  The
+grid reads a fiber plan built once per polynomial instead of rescanning f and
+takes each node in one pass: x, each distinct x^a once, the y-coefficients, the
+strip (skipped when no coefficient is small), Aberth, which validates its roots
+at its end, and Jensen's sum.  Every float comes from the same operations, in
+the same order, as a helper call per step would give.
 """
 
 from __future__ import annotations
@@ -115,22 +119,22 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     Aberth starts from start, by default a perturbed circle.  Converged roots
     (a sweep moved each by less than 1e-14, relative) stand as they are; a run
     cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
-    that did not halve) gets ``_refine_float``.  Every result is validated.  A
-    k-fold root comes out only to about eps^(1/k), so both measures hand it
-    squarefree parts.
+    that did not halve) gets ``_refine_float``.  Every result then passes the
+    residual gate at each root and the root sum and product identities, else
+    RootFindingError.  A k-fold root comes out only to about eps^(1/k), so both
+    measures hand it squarefree parts.
     """
     s = len(coeffs) - 1
     if s < 1:
         return []
     lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    deriv = _poly_deriv(monic)
+    rmonic = [c / lead for c in reversed(coeffs)]  # highest degree first, as Horner reads them
+    rderiv = [k * c for k, c in zip(range(s, 0, -1), rmonic)]
     if start:
         roots = list(start)
     else:
-        radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
+        radius = max(1e-3, abs(rmonic[-1]) ** (1.0 / s))
         roots = [radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5)) for k in range(s)]
-    rmonic, rderiv = monic[::-1], deriv[::-1]
     last = math.inf
     for _ in range(ABERTH_MAX_ITER):
         shift = 0.0
@@ -150,9 +154,10 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
                 continue
             w = pv / dv
             rep = 0
-            for j, zj in enumerate(roots):
-                if j != k:
-                    rep = rep + 1 / (z - zj)
+            for zj in roots[:k]:
+                rep = rep + 1 / (z - zj)
+            for zj in roots[k + 1 :]:
+                rep = rep + 1 / (z - zj)
             denom = 1 - w * rep
             if denom == 0:
                 new_roots[k] = z * (1 + 1e-8)
@@ -160,39 +165,33 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
                 continue
             corr = w / denom
             new_roots[k] = z - corr
-            r = abs(corr) / (abs(z) if abs(z) > 1.0 else 1.0)
+            az = abs(z)
+            r = abs(corr) / (az if az > 1.0 else 1.0)
             shift = r if r > shift else shift
         roots = new_roots
         if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:  # converged, or the shift stopped halving
             break
         last = shift
     if shift >= 1e-14:  # only a run that did not converge is polished
-        _refine_float(monic, deriv, roots)
-    _validate_roots(coeffs, roots)
-    return roots
-
-
-def _validate_roots(coeffs: list[complex], roots: list[complex]):
-    s = len(coeffs) - 1
-    scale = max(map(abs, coeffs))
+        monic = rmonic[::-1]
+        _refine_float(monic, _poly_deriv(monic), roots)
+    # validation: the residual at each root, then the root sum and product against the coefficients
+    gate, rcoeffs, prod = RESIDUAL_GATE * max(map(abs, coeffs)), coeffs[::-1], 1 + 0j
     for z in roots:
-        bound = RESIDUAL_GATE * scale * max(1.0, abs(z)) ** s * (s + 1)
+        r = abs(z)
         pv = 0j
-        for c in reversed(coeffs):
+        for c in rcoeffs:
             pv = pv * z + c
-        if abs(pv) > bound:
+        if abs(pv) > gate * (r if r > 1.0 else 1.0) ** s * (s + 1):
             raise RootFindingError("root residual exceeds tolerance")
-    # coefficient identities: sum and product of roots
-    sum_expect = -coeffs[-2] / coeffs[-1]
-    sum_got = sum(roots)
-    if abs(sum_got - sum_expect) > 1e-6 * (1 + abs(sum_expect)):
+        prod *= z
+    expect = -coeffs[-2] / lead
+    if abs(sum(roots) - expect) > 1e-6 * (1 + abs(expect)):
         raise RootFindingError("root sum disagrees with coefficients")
-    prod_expect = coeffs[0] / coeffs[-1] * (-1) ** s
-    prod_got = 1 + 0j
-    for z in roots:
-        prod_got *= z
-    if abs(prod_got - prod_expect) > 1e-6 * (1 + abs(prod_expect)):
+    expect = coeffs[0] / lead * (-1) ** s
+    if abs(prod - expect) > 1e-6 * (1 + abs(expect)):
         raise RootFindingError("root product disagrees with coefficients")
+    return roots
 
 
 def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
@@ -207,13 +206,6 @@ def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
         if r > 1 + UNIT_CIRCLE_TOL:
             value += math.log(r)
     return value
-
-
-def _strip_complex(coeffs: list[complex], big: float) -> list[complex]:
-    """coeffs with each |c| <= STRIP_REL_TOL * big set to 0 and the zero ends cut off."""
-    out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
-    kept = [k for k, c in enumerate(out) if c != 0]
-    return out[kept[0] : kept[-1] + 1] if kept else []
 
 
 def _squarefree_parts(f: LaurentPoly):
@@ -261,21 +253,13 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
 
 
 def _fiber_plan(f: LaurentPoly) -> tuple:
-    """What every fiber of f reads: (f, its width in y, the terms c x^a y^b as (b - min b, a, c)
-    in dict order, the sum of |c|)."""
+    """What every fiber of f reads: (f, its width in y, the distinct x-exponents a, the terms
+    c x^a y^b as (b - min b, the index of a, c) in dict order, the sum of |c|)."""
     lo = f.min_exp(1)
-    terms = [(b - lo, a, c) for (a, b), c in f.coeffs.items()]
-    return f, f.max_exp(1) - lo + 1, terms, sum(map(abs, f.coeffs.values()))
-
-
-def _fiber_coeffs(plan: tuple, theta: float) -> list[complex]:
-    """Dense y-coefficients of the plan's f with x pinned to exp(2 pi i theta)."""
-    x = cmath.exp(2j * math.pi * theta)
-    _, width, terms, _ = plan
-    out = [0j] * width
-    for row, a, c in terms:
-        out[row] += c * x**a
-    return out
+    exps = list(dict.fromkeys(a for a, _ in f.coeffs))
+    at = {a: i for i, a in enumerate(exps)}
+    terms = [(b - lo, at[a], c) for (a, b), c in f.coeffs.items()]
+    return f, f.max_exp(1) - lo + 1, exps, terms, sum(map(abs, f.coeffs.values()))
 
 
 def _cyclotomic(q: int) -> LaurentPoly:
@@ -289,38 +273,52 @@ def _cyclotomic(q: int) -> LaurentPoly:
     return up(phi, q // m)
 
 
-def _fiber_measure(plan: tuple, num: int, den: int, warm: list, node: bool = True) -> float | None:
-    """m(f(exp(2 pi i num/den), y)).  A zero fiber at a grid node takes the mean at (num -+ 1)/den,
-    or where either of those vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the
-    nodes gives None.  The halving ends, as f has finitely many cyclotomic factors in x.
-    Phi_q | f is tested only below RESIDUAL_GATE, far above the rounding a common root leaves.
-    Aberth starts from warm, the roots solved last, when the degree matches, and leaves these."""
-    fiber = _fiber_coeffs(plan, num / den)
-    big = max(map(abs, fiber))
-    coeffs = _strip_complex(fiber, big)
-    f, _, _, total = plan
-    small = big <= RESIDUAL_GATE * total
-    if not coeffs or small and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
-        if not node:
-            return None
-        while None in (near := [_fiber_measure(plan, num + s, den, warm, False) for s in (-1, 1)]):
-            num, den = 2 * num, 2 * den
-        return math.fsum(near) / 2
-    start = warm if len(warm) == len(coeffs) - 1 else None
-    try:
-        roots = _aberth_roots(coeffs, start)
-    except RootFindingError:  # a warm start can stall on a symmetric configuration
-        if start is None:
-            raise
-        roots = _aberth_roots(coeffs)
-    warm[:] = roots
-    return _jensen(coeffs, roots)
+def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) -> list:
+    """m(f(exp(2 pi i num/den), y)) for each num, one pass per fiber: x, the y-coefficients with
+    each x^a taken once, each |c| <= STRIP_REL_TOL * max |c| set to 0 and the zero ends cut off,
+    Aberth started from warm, the roots solved last, when the degree matches (it leaves these),
+    and Jensen's sum.  A zero fiber at a grid node takes the mean at (num -+ 1)/den, or where
+    either of those vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes
+    gives None.  The halving ends, as f has finitely many cyclotomic factors in x.  Phi_q | f
+    is tested only below RESIDUAL_GATE, far above the rounding a common root leaves."""
+    f, width, exps, terms, total = plan
+    out = []
+    for num in nums:
+        x = cmath.exp(2j * math.pi * (num / den))
+        powers = [x**a for a in exps]
+        coeffs = [0j] * width
+        for row, i, c in terms:
+            coeffs[row] += c * powers[i]
+        mags = list(map(abs, coeffs))
+        big = max(mags)
+        tol = STRIP_REL_TOL * big
+        if min(mags) <= tol:
+            kept = [k for k, m in enumerate(mags) if m > tol]
+            coeffs = [c if m > tol else 0 for c, m in zip(coeffs, mags)][kept[0] : kept[-1] + 1] if kept else []
+        if not coeffs or big <= RESIDUAL_GATE * total and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
+            if not node:
+                out.append(None)
+                continue
+            k, d = num, den
+            while None in (near := _fiber_measures(plan, (k - 1, k + 1), d, warm, False)):
+                k, d = 2 * k, 2 * d
+            out.append(math.fsum(near) / 2)
+            continue
+        start = warm if len(warm) == len(coeffs) - 1 else None
+        try:
+            roots = _aberth_roots(coeffs, start)
+        except RootFindingError:  # a warm start can stall on a symmetric configuration
+            if start is None:
+                raise
+            roots = _aberth_roots(coeffs)
+        warm[:] = roots
+        out.append(_jensen(coeffs, roots))
+    return out
 
 
 def _grid_average(plan: tuple, n: int) -> float:
     """Mean fiber measure over the nodes (2j + 1)/2n; nodes j < n//2 stand for 1 - theta too."""
-    warm: list[complex] = []
-    vals = [_fiber_measure(plan, 2 * j + 1, 2 * n, warm) for j in range((n + 1) // 2)]
+    vals = _fiber_measures(plan, range(1, n + 1, 2), 2 * n, [])
     return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 

@@ -17,7 +17,8 @@ faces, medial strands and the kappa = 1 vertex split walked on those names
 ``lapgraph.mahler`` (Aberth, refinement, validation and fiber coefficients by
 one call per polynomial value, with builtin sum and max), the
 two-variable Mahler grid solved at every node from a cold start with its own
-strip and zero-fiber rule, one-variable
+strip and zero-fiber rule, the mirrored, warm-started grid composed of one
+helper call per step (coefficients, strip, Aberth, Jensen), one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
 the coefficient domain itself, the primitive pseudo-remainder gcd over ZZ and
 GF(p) with no modular gcd or certificate, and the root-of-unity norm of cover
@@ -39,6 +40,7 @@ reversal.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from collections import Counter
@@ -60,7 +62,7 @@ from lapgraph.graphs import (
 )
 from lapgraph.fields import QQ, ZZ, PrimeField, RationalField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.laurent import LaurentPoly, divexact, laurent_gcd, normalize
+from lapgraph.laurent import LaurentPoly, divexact, divides, laurent_gcd, normalize
 from lapgraph.linalg import elementary_divisor, int_det, nullspace, row_space_canonical, sparse_rows, transpose
 from lapgraph.mahler import (
     ABERTH_MAX_ITER,
@@ -851,6 +853,72 @@ def fiber_coeffs_generic(f: LaurentPoly, theta: float) -> list[complex]:
     for (a, b), c in f.coeffs.items():
         out[b - lo] += c * x**a
     return out
+
+
+def strip_complex(coeffs: list[complex], big: float) -> list[complex]:
+    """coeffs with each |c| <= STRIP_REL_TOL * big set to 0 and the zero ends cut off
+    (test oracle: ``mahler``'s strip as a helper of its own, before the fiber pass took it in)."""
+    out = [0 if abs(c) <= STRIP_REL_TOL * big else c for c in coeffs]
+    kept = [k for k, c in enumerate(out) if c != 0]
+    return out[kept[0] : kept[-1] + 1] if kept else []
+
+
+def jensen(coeffs: list[complex], roots: list[complex]) -> float:
+    """log|lead| plus log|root| over the roots outside the unit circle, added one by one (test oracle)."""
+    value = math.log(abs(coeffs[-1]))
+    for z in roots:
+        r = abs(z)
+        if r > 1 + UNIT_CIRCLE_TOL:
+            value += math.log(r)
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(q: int) -> LaurentPoly:
+    """Phi_q(x) = (x^q - 1) / the product of Phi_d over the proper divisors d of q (test oracle)."""
+    phi = LaurentPoly(1, {(q,): 1, (0,): -1})
+    for d in range(1, q):
+        if q % d == 0:
+            phi = divexact(phi, cyclotomic_by_division(d), ZZ)
+    return phi
+
+
+def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, node: bool = True) -> float | None:
+    """m(f(exp(2 pi i num/den), y)) as ``mahler`` took it before its one-pass fiber loop
+    (test oracle): ``fiber_coeffs_generic``, ``strip_complex``, ``aberth_roots_generic``
+    started from warm when the degree matches and ``jensen``, one helper call each.  A zero
+    fiber at a node takes the mean of its neighbours (num -+ 1)/den, halving the offset
+    while either vanishes; off the nodes it gives None."""
+    fiber = fiber_coeffs_generic(f, num / den)
+    big = max(abs(c) for c in fiber)
+    coeffs = strip_complex(fiber, big)
+    vanishes = not coeffs
+    if not vanishes and big <= RESIDUAL_GATE * sum(abs(c) for c in f.coeffs.values()):
+        phi = cyclotomic_by_division(den // int_gcd(num, den))
+        vanishes = divides(LaurentPoly(2, {(a, 0): c for (a,), c in phi.coeffs.items()}), f, QQ)
+    if vanishes:
+        if not node:
+            return None
+        while None in (near := [fiber_measure_by_helpers(f, num + s, den, warm, False) for s in (-1, 1)]):
+            num, den = 2 * num, 2 * den
+        return math.fsum(near) / 2
+    start = warm if len(warm) == len(coeffs) - 1 else None
+    try:
+        roots = aberth_roots_generic(coeffs, start)
+    except RootFindingError:
+        if start is None:
+            raise
+        roots = aberth_roots_generic(coeffs)
+    warm[:] = roots
+    return jensen(coeffs, roots)
+
+
+def grid_average_by_helpers(plan: tuple, n: int) -> float:
+    """The mirrored, warm-started n-node grid of ``mahler._grid_average`` by
+    ``fiber_measure_by_helpers`` (test oracle); it reads only f = plan[0]."""
+    warm: list[complex] = []
+    vals = [fiber_measure_by_helpers(plan[0], 2 * j + 1, 2 * n, warm) for j in range((n + 1) // 2)]
+    return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
 def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[complex]:

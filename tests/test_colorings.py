@@ -75,6 +75,12 @@ def test_based_basis_needs_connected_graph():
         based_vertex_basis(g, QQ, "a")
 
 
+@pytest.mark.parametrize("fld", [GF2, QQ])
+def test_based_basis_rejects_a_base_vertex_not_in_the_graph(fld):
+    with pytest.raises(ValueError, match="base vertex 'nope' is not a vertex of the graph"):
+        based_vertex_basis(example("k4").graph, fld, "nope")
+
+
 def test_edge_from_vertex_k4_residues():
     k4 = example("k4").graph
     assert edge_from_vertex(k4, [0, 1, 1, 0], GF2) == [1, 0, 1, 0, 1, 1]

@@ -13,12 +13,15 @@ import pytest
 from conftest import (
     aberth_roots_generic,
     aberth_sweeps_generic,
+    cyclotomic_by_division,
     example,
     fiber_coeffs_generic,
     fiber_measure_cold,
+    grid_average_by_helpers,
     grid_average_full,
     mahler_1var_exact_refined,
     refine_float_four_steps,
+    strip_complex,
 )
 from lapgraph import verify
 from lapgraph.fields import QQ, ZZ
@@ -27,13 +30,11 @@ from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
     RootFindingError,
     _aberth_roots,
-    _fiber_coeffs,
-    _fiber_measure,
+    _fiber_measures,
     _fiber_plan,
     _poly_deriv,
     _refine_float,
     _squarefree_parts,
-    _strip_complex,
     mahler,
     mahler_1var,
     mahler_2var,
@@ -273,7 +274,7 @@ def test_singular_fiber_is_perturbed():
     # fibers half a step to either side, which are conjugate
     f = poly2("y + x*y + y^-1 + x*y^-1")
     h = 0.125
-    val = _fiber_measure(_fiber_plan(f), 8, 16, [])  # theta = 1/2, neighbours at 1/2 -+ h/2
+    (val,) = _fiber_measures(_fiber_plan(f), [8], 16, [])  # theta = 1/2, neighbours at 1/2 -+ h/2
     assert abs(val - math.log(abs(1 + cmath.exp(1j * math.pi * (1 + h))))) < 1e-12
     res = mahler_2var(f, fibers=64)
     assert math.isfinite(res.value)
@@ -562,16 +563,6 @@ def test_grid_matches_full_grid_on_stalls_and_odd_grids(f, fibers):
     _assert_equals_full_grid(f, fibers, 1e-13)
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_by_division(q):
-    """Phi_q(x) = (x^q - 1) / the product of Phi_d over the proper divisors d of q."""
-    phi = parse_poly(f"x^{q} - 1", 1)
-    for d in range(1, q):
-        if q % d == 0:
-            phi = divexact(phi, _cyclotomic_by_division(d), ZZ)
-    return phi
-
-
 def _x_content(f):
     """The gcd c(x) of f's y-coefficients over the integers, so f = c g with g free of zero fibers."""
     cols = {}
@@ -584,7 +575,7 @@ def _zero_nodes(f, n):
     """Nodes (2j + 1)/2n where every y-coefficient of f vanishes, i.e. Phi_q | c for x of order q."""
     c = _x_content(f)
     nodes = (Fraction(2 * j + 1, 2 * n) for j in range(n))
-    return {t for t in nodes if divides(_cyclotomic_by_division(t.denominator), c, ZZ)}
+    return {t for t in nodes if divides(cyclotomic_by_division(t.denominator), c, ZZ)}
 
 
 def _grid_by_content(f, n):
@@ -597,7 +588,7 @@ def _grid_by_content(f, n):
     g = divexact(f, LaurentPoly(2, {(a, 0): v for (a,), v in c.coeffs.items()}), ZZ)
 
     def fiber(t):
-        if divides(_cyclotomic_by_division(t.denominator), c, ZZ):
+        if divides(cyclotomic_by_division(t.denominator), c, ZZ):
             return None
         x = cmath.exp(2j * math.pi * float(t))
         return math.log(abs(sum(v * x**a for (a,), v in c.coeffs.items()))) + fiber_measure_cold(g, float(t))
@@ -642,18 +633,18 @@ def test_zero_fibers_match_content_oracle(f, fibers):
 def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     built = []
     warm_starts = []
-    fiber_coeffs = mahler_module._fiber_coeffs
+    measures = mahler_module._fiber_measures
     aberth_roots = mahler_module._aberth_roots
 
-    def count_fiber(plan, theta):
-        built.append(theta)
-        return fiber_coeffs(plan, theta)
+    def count_fiber(plan, nums, den, warm, node=True):
+        built.extend(num / den for num in nums)
+        return measures(plan, nums, den, warm, node)
 
     def count_start(coeffs, start=None):
         warm_starts.append(start is not None)
         return aberth_roots(coeffs, start)
 
-    monkeypatch.setattr(mahler_module, "_fiber_coeffs", count_fiber)
+    monkeypatch.setattr(mahler_module, "_fiber_measures", count_fiber)
     monkeypatch.setattr(mahler_module, "_aberth_roots", count_start)
     mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 4096)
     assert len(built) == 2048 + 1024
@@ -703,16 +694,90 @@ def test_a_zero_node_whose_neighbours_vanish_takes_closer_neighbours():
     assert abs(res.error_estimate - abs(res.value - math.log(100))) < 1e-12
 
 
+# -- the one-pass fiber loop against the grid composed of one helper per step ----------
+
+
+def _by_helpers(f, fibers):
+    """float.hex of m(f) and its error estimate as ``mahler_2var`` adds them up over
+    f's squarefree parts, each grid by ``grid_average_by_helpers``, or the
+    RootFindingError message."""
+    value = error = 0.0
+    try:
+        for part in _squarefree_parts(f):
+            plan = _fiber_plan(part)
+            m = grid_average_by_helpers(plan, fibers)
+            value += m
+            error += abs(m - grid_average_by_helpers(plan, fibers // 2))
+    except RootFindingError as e:
+        return str(e)
+    if all(isinstance(c, int) for c in f.coeffs.values()):
+        value = max(0.0, value)
+    return value.hex(), error.hex()
+
+
+# a leading y-coefficient and fiber counts at which it vanishes at a node of the grid or of its half
+DROPPING_LEADS = [
+    ("1 + x", (5, 7, 9, 10, 14, 21, 63)),  # at theta = 1/2
+    ("1 + x^2", (6, 10, 12, 14, 20, 30, 60)),  # at 1/4 and 3/4
+    ("1 - x + x^2", (9, 15, 18, 21, 30, 42, 45)),  # at 1/6 and 5/6
+]
+
+
+def _helper_oracle_cases():
+    """(f, fibers): 200 random two-variable polynomials at 4 to 64 fibers, in turn
+    as they come, times a squared factor, times a factor with a Fraction
+    coefficient, and plus a leading y-coefficient that vanishes at a node, so
+    that the fiber there drops in degree; then the zero-fiber cases and the two
+    polynomials on which a warm start stalls."""
+    rng = random.Random(4700)
+    cases = []
+    for k in range(200):
+        f = _random_poly2(rng)
+        fibers = rng.choice((4, 5, 6, 7, 8, 12, 16, 32, 64))
+        if k % 4 == 1:
+            f = f * _random_factor(rng, 2) ** 2
+        elif k % 4 == 2:
+            f = f * LaurentPoly(2, {(0, 0): Fraction(1, rng.randint(2, 7)), (rng.randint(-1, 1), 1): rng.choice((-2, 1, 3))})
+        elif k % 4 == 3:
+            lead, counts = rng.choice(DROPPING_LEADS)
+            f = f + poly2(lead).shift((0, f.max_exp(1) + 1))
+            fibers = rng.choice(counts)
+        cases.append((f, fibers))
+    stalls = [(poly2("-4x^-2 + 3x^2y^2"), 8), (poly2("2x^-2 - 5y^2"), 8)]
+    return cases + ZERO_FIBER_CASES + [NEAR_ZERO_CASE] + stalls
+
+
+def _assert_keeps_the_helper_bits(f, fibers):
+    want = _by_helpers(f, fibers)
+    try:
+        res = mahler_2var(f, fibers)
+    except RootFindingError as e:
+        assert str(e) == want
+        return
+    assert (res.value.hex(), res.error_estimate.hex()) == want
+    assert mahler_value(f, fibers).hex() == want[0]
+
+
+@pytest.mark.parametrize("f, fibers", _helper_oracle_cases())
+def test_one_pass_grid_keeps_the_bits_of_the_helper_grid(f, fibers):
+    _assert_keeps_the_helper_bits(f, fibers)
+
+
+@pytest.mark.parametrize("quotient", ["grid", "mitsubishi"])
+def test_one_pass_grid_keeps_the_bits_of_the_helper_grid_on_delta0(quotient):
+    _assert_keeps_the_helper_bits(laplacian_determinant_polynomial(example(quotient)), 1024)
+
+
 def _grid_spy(monkeypatch):
     """The denominators 2N of the grid nodes solved (not the zero-fiber neighbours),
     the squarefree parts planned, and the ``mahler_2var`` calls."""
     log = {"nodes": [], "parts": 0, "mahler_2var": 0}
-    measure, plan, full = mahler_module._fiber_measure, mahler_module._fiber_plan, mahler_module.mahler_2var
+    measures, plan, full = mahler_module._fiber_measures, mahler_module._fiber_plan, mahler_module.mahler_2var
 
-    def node(plan, num, den, warm, step=1):
-        if step:
-            log["nodes"].append(den)
-        return measure(plan, num, den, warm, step)
+    def node(plan, nums, den, warm, node=True):
+        if node:
+            log["nodes"].extend(den for _ in nums)
+        return measures(plan, nums, den, warm, node)
 
     def part(f):
         log["parts"] += 1
@@ -722,7 +787,7 @@ def _grid_spy(monkeypatch):
         log["mahler_2var"] += 1
         return full(*args)
 
-    monkeypatch.setattr(mahler_module, "_fiber_measure", node)
+    monkeypatch.setattr(mahler_module, "_fiber_measures", node)
     monkeypatch.setattr(mahler_module, "_fiber_plan", part)
     monkeypatch.setattr(mahler_module, "mahler_2var", estimate)
     return log
@@ -748,11 +813,10 @@ def test_verify_and_growth_solve_one_grid_of_half_the_fibers_per_part(monkeypatc
 
 def _fiber_solves(f, fibers):
     """The stripped, nonconstant fiber polynomials of f at the grid's midpoint nodes."""
-    plan = _fiber_plan(f)
     out = []
     for theta in ((2 * j + 1) / (2 * fibers) for j in range(fibers)):
-        fiber = _fiber_coeffs(plan, theta)
-        coeffs = _strip_complex(fiber, max(map(abs, fiber)))
+        fiber = fiber_coeffs_generic(f, theta)
+        coeffs = strip_complex(fiber, max(map(abs, fiber)))
         if len(coeffs) > 1:
             out.append(coeffs)
     return out
@@ -871,7 +935,8 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("f, fibers", _kernel_cases())
 def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fibers):
-    """Roots, fiber coefficients and measures equal the generic kernel's in every bit.
+    """Roots and measures equal the generic kernel's in every bit (the fiber
+    coefficients are checked by the helper-composed grid oracle below).
 
     Each polynomial, or each grid fiber of a two-variable one, is solved cold
     and warm-started: from the previous fiber's roots, or in one variable
@@ -880,12 +945,10 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
     if fibers is None:
         solves = [[complex(c) for c in f.coefficient_list()]]
     else:
-        plan = _fiber_plan(f)
         solves = []
         for theta in ((2 * j + 1) / (2 * fibers) for j in range(fibers)):
-            fiber = _fiber_coeffs(plan, theta)
-            assert _hexes(fiber) == _hexes(fiber_coeffs_generic(f, theta))
-            solves.append(_strip_complex(fiber, max(map(abs, fiber))))
+            fiber = fiber_coeffs_generic(f, theta)
+            solves.append(strip_complex(fiber, max(map(abs, fiber))))
     warm = []
     for coeffs in solves:
         if not coeffs:
@@ -901,5 +964,4 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
             warm = cold
     got = _measured(f, fibers)
     monkeypatch.setattr(mahler_module, "_aberth_roots", aberth_roots_generic)
-    monkeypatch.setattr(mahler_module, "_fiber_coeffs", lambda plan, theta: fiber_coeffs_generic(plan[0], theta))
     assert got == _measured(f, fibers)
