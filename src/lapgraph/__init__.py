@@ -50,7 +50,6 @@ from .spanning import (
     complexity,
     cover_complexity,
     crsf_coefficients,
-    cyclic_cover_complexity,
     grimmett_bound,
     growth_covers,
     growth_restrictions,

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .colorings import bicycle_basis
-from .fields import ZZ, domain_from_spec
+from .fields import ZZ, domain_from_spec, parse_int
 from .graphio import parse_graph_file
 from .graphs import SublatticeSpec, VoltageGraph, voltage_laplacian
 from .laurent import format_poly, normalize, parse_poly
@@ -106,14 +106,11 @@ def cmd_medial(obj, args) -> tuple[int, dict, str]:
 
 
 def _parse_cover(spec: str, rank: int) -> SublatticeSpec:
-    parts = [p.strip() for p in spec.split(",")]
+    parts = spec.split(",")
     if len(parts) == 1:
-        n = int(parts[0])
-        if rank == 1:
-            return SublatticeSpec.cyclic(n)
-        return SublatticeSpec.lattice2(((n, 0), (0, n)))
+        return SublatticeSpec.scaled(parse_int(spec), rank)
     if len(parts) == 4:
-        a, b, c, d = (int(p) for p in parts)
+        a, b, c, d = map(parse_int, parts)
         return SublatticeSpec.lattice2(((a, b), (c, d)))
     raise ValueError("--cover needs n or a,b,c,d (2x2 row-major)")
 
@@ -227,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help, file_arg=True):
         sp = sub.add_parser(name, help=help)
+        sp.register("type", int, parse_int)  # type=int options read integers as graph files do
         if file_arg:
             sp.add_argument("file", help="graph file (lapgraph v1)")
         sp.add_argument("--json", action="store_true", help="emit JSON")

@@ -6,12 +6,24 @@ integers), callers compute with Python's operators, and ``of`` brings an int
 or Fraction result back into the domain.  Over GF(p) that is the one
 reduction mod p; every reduced element is zero exactly when it is falsy.
 The fields add ``inv``, which raises ZeroDivisionError on zero.  Domains are
-stateless and hashable.
+stateless and hashable.  :func:`parse_int` reads every integer of a graph
+file or a command line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer of a graph file or a command line: an optional sign and ASCII
+    digits, with surrounding whitespace.  int() also takes '١', '６' and '1_0'."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
 
 
 # Miller-Rabin on these bases decides primality exactly below _MR_BOUND
@@ -148,7 +160,7 @@ def domain_from_spec(spec: str) -> Domain:
         return ZZ
     if s.startswith("gf:"):
         try:
-            p = int(s[3:])
+            p = parse_int(s[3:])
         except ValueError:
             raise ValueError(f"bad field spec {spec!r}") from None
         return PrimeField(p)

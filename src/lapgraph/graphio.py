@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import re
 
+from .fields import parse_int
 from .graphs import Edge, FiniteGraph, VoltageGraph
 from .planar import PlaneGraph, parse_dart
 
 
-# ASCII digits only: str.isdigit and int() also take '²', Arabic-Indic digits and '1_0'
+# ASCII digits only, as in parse_int, and no sign
 _RANK = re.compile("[0-9]+")
-_VOLTAGE = re.compile("[+-]?[0-9]+")
 
 
 class GraphParseError(ValueError):
@@ -90,9 +90,10 @@ def parse_graph_file(text: str) -> FiniteGraph | VoltageGraph | PlaneGraph:
             if head not in vseen:
                 raise GraphParseError(line_no, f"unknown vertex {head!r} in edge {name!r}")
             volt_tokens = tokens[4:]
-            if not all(map(_VOLTAGE.fullmatch, volt_tokens)):
-                raise GraphParseError(line_no, f"bad voltage {' '.join(volt_tokens)!r}")
-            volt = tuple(map(int, volt_tokens))
+            try:
+                volt = tuple(map(parse_int, volt_tokens))
+            except ValueError:
+                raise GraphParseError(line_no, f"bad voltage {' '.join(volt_tokens)!r}") from None
             eseen.add(name)
             edges.append((name, tail, head))
             voltages.append(volt)

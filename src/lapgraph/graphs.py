@@ -172,6 +172,12 @@ class SublatticeSpec(NamedTuple):
         return cls((n,))
 
     @classmethod
+    def scaled(cls, n: int, rank: int) -> "SublatticeSpec":
+        """nZ^rank, of index n^rank, under the index rule of :meth:`cyclic`."""
+        lam = cls.cyclic(n)
+        return lam if rank == 1 else cls((n, 0, n))
+
+    @classmethod
     def lattice2(cls, rows: tuple[tuple[int, int], tuple[int, int]]) -> "SublatticeSpec":
         """The integer column span of the 2 x 2 matrix rows.  A column operation
         takes their first row to (a, 0), a = gcd(m00, m01)."""

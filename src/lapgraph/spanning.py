@@ -2,14 +2,14 @@
 and growth-rate experiments over covers and restrictions.
 
 Every cover's complexity is read off Delta_0 by one integer resultant
-(:func:`cyclic_cover_complexity`; a rank-2 sublattice is first folded along
-its Hermite form onto a rank-1 quotient, :func:`cover_complexity`), so no
-cover is built; the 2-part of the cover index goes by Graeffe root
-squaring.  Finite graphs and box restrictions are counted by the
-matrix-tree theorem with one sparse Bareiss elimination per graph, however
-many components it has (:func:`complexity`; :func:`tree_count` and the
-quotient's components in a cover count reuse a component pass already
-made).  The component pass and the Laplacian read the edge ends the graph
+(:func:`cover_complexity`, which first folds a rank-2 sublattice along its
+Hermite form onto a rank-1 quotient), so no cover is built; the 2-part of
+the cover index goes by Graeffe root squaring.  Finite graphs and box
+restrictions are counted by the matrix-tree theorem with one sparse Bareiss
+elimination per graph, however many components it has (:func:`complexity`;
+:func:`tree_count` and the quotient's components in a cover count reuse a
+component pass already made, and a connected quotient is counted on its own
+base graph).  The component pass and the Laplacian read the edge ends the graph
 resolved to vertex indices when it was built.  The reduced Laplacian is
 symmetric, and a nonsingular M-matrix on each component, so
 :func:`~lapgraph.linalg.int_det`, after one pass that checks it, builds its
@@ -357,18 +357,23 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
     return abs(norm)
 
 
-def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = None) -> int:
-    """Complexity of the n-fold cyclic cover of a rank-1 quotient, read off
-    Delta_0 in integer arithmetic without building the cover.
+def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec, d0: LaurentPoly | None = None) -> int:
+    """Complexity of the cover of vg for the sublattice lam, read off Delta_0
+    in integer arithmetic without building the cover.
 
-    Let C be a connected component of the quotient and g the gcd of its cycle
-    voltages.  With c = gcd(n, g) (c = n when g = 0), C lifts to c copies of
-    the connected m = n/c-fold cover of C with every voltage divided by c,
-    whose Delta_0 is Delta_0 of C with every exponent divided by c (det L lies
-    in Z[x^(+-g)]).  Writing that as (x - 1)^2 h, the copy has
-    tau(C) m N(h, m) / |h(1)| spanning trees, with
-    N(h, m) = |prod_{zeta^m = 1} h(zeta)| (Boesch-Prodinger 1986, Lyons
-    2005), and tau(C) when m = 1.  The norm
+    A rank-2 lam with Hermite form (a, b, c) is first folded onto a rank-1
+    quotient: each edge v -> w with voltage (s1, s2) and each i < a give an
+    edge v@i -> w@t with voltage y, (t, y) = lam.fold(i + s1, s2), and the
+    cover is the c-fold cyclic cover of that quotient.
+
+    For the n-fold cyclic cover of a rank-1 quotient, let C be a connected
+    component and g the gcd of its cycle voltages.  With c = gcd(n, g)
+    (c = n when g = 0), C lifts to c copies of the connected m = n/c-fold
+    cover of C with every voltage divided by c, whose Delta_0 is Delta_0 of C
+    with every exponent divided by c (det L lies in Z[x^(+-g)]).  Writing
+    that as (x - 1)^2 h, the copy has tau(C) m N(h, m) / |h(1)| spanning
+    trees, with N(h, m) = |prod_{zeta^m = 1} h(zeta)| (Boesch-Prodinger
+    1986, Lyons 2005), and tau(C) when m = 1.  The norm
     (:func:`_root_of_unity_norm`) takes the 2-part of m by Graeffe root
     squaring, N(h, 2m) = N(g, m) with g(x^2) = (-1)^d h(x) h(-x), so a
     power-of-two index takes no determinant (Householder, Amer. Math.
@@ -378,13 +383,22 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
     copies' counts to the power c.
 
     Voltages are read modulo n, as residues in [-n/2, n/2), so a voltage of
-    10^30 costs no more than one of 1.  d0, the normalized Delta_0 of vg,
-    counts the same cover and is used when vg is connected, so a caller that
-    holds it takes no second determinant of L.
+    10^30 costs no more than one of 1.  A connected quotient is counted on
+    its own base graph; only the components of a disconnected one are built
+    as graphs of their own.  d0, the normalized Delta_0 of vg, counts the
+    same cover and is used when vg is connected and of rank 1, so a caller
+    that holds it takes no second determinant of L.
     """
-    if vg.rank != 1:
-        raise ValueError("cyclic covers need a rank-1 quotient")
-    SublatticeSpec.cyclic(n)  # the index rule: an integer at least 1
+    if lam.rank != vg.rank:
+        raise ValueError("sublattice rank does not match voltage rank")
+    a, n = lam.form[0], lam.form[-1]
+    if lam.rank == 2:
+        edges = []
+        for e, (s1, s2) in zip(vg.base.edges, vg.voltages):
+            for i in range(a):
+                t, y = lam.fold(i + s1, s2)
+                edges.append((f"{e.name}@{i}", f"{e.tail}@{i}", f"{e.head}@{t}", (y,)))
+        vg, d0 = VoltageGraph.build([f"{v}@{i}" for v in vg.base.vertices for i in range(a)], edges, 1), None
     g = vg.base
     volts = [(s + n // 2) % n - n // 2 for (s,) in vg.voltages]
     pot, _, root = bfs_potentials(range(len(g.vertices)), g._ends, volts, ZZ)
@@ -397,13 +411,12 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
         part[2] = math.gcd(part[2], volts[j] + pot[t] - pot[h])  # 0 on tree edges
     total = 1
     for vs, js, cycle_gcd in parts.values():
-        comp = VoltageGraph(
-            FiniteGraph(tuple(vs), tuple(g.edges[j] for j in js)), 1, tuple((volts[j],) for j in js)
-        )
+        base = g if len(parts) == 1 else FiniteGraph(tuple(vs), tuple(g.edges[j] for j in js))
         c = math.gcd(n, cycle_gcd)
         m = n // c
-        t = _complexity(comp.base, [vs])  # one component already: no second pass
+        t = _complexity(base, [vs])  # one component already: no second pass
         if m > 1:
+            comp = VoltageGraph(base, 1, tuple((volts[j],) for j in js))
             dc = d0 if d0 is not None and len(parts) == 1 else laplacian_determinant_polynomial(comp)
             if any(e % c for (e,) in dc.coeffs):
                 raise ArithmeticError("Delta_0 is not a polynomial in x^c")
@@ -414,28 +427,6 @@ def cyclic_cover_complexity(vg: VoltageGraph, n: int, d0: LaurentPoly | None = N
                 raise ArithmeticError("h(1) does not divide the cover's tree count")
         total *= t**c
     return total
-
-
-def cover_complexity(vg: VoltageGraph, lam: SublatticeSpec) -> int:
-    """Complexity of the cover of vg for the sublattice lam, from Delta_0.
-
-    Rank 1 is :func:`cyclic_cover_complexity`.  For rank 2 with Hermite form
-    lam.form = (a, b, c), each edge v -> w with voltage (s1, s2) and each i < a
-    give an edge v@i -> w@t with voltage y, (t, y) = lam.fold(i + s1, s2): the
-    cover is the c-fold cyclic cover of that rank-1 quotient.
-    """
-    if lam.rank != vg.rank:
-        raise ValueError("sublattice rank does not match voltage rank")
-    if lam.rank == 1:
-        return cyclic_cover_complexity(vg, lam.index)
-    a, _, c = lam.form
-    edges = []
-    for e, (s1, s2) in zip(vg.base.edges, vg.voltages):
-        for i in range(a):
-            t, y = lam.fold(i + s1, s2)
-            edges.append((f"{e.name}@{i}", f"{e.tail}@{i}", f"{e.head}@{t}", (y,)))
-    H = VoltageGraph.build([f"{v}@{i}" for v in vg.base.vertices for i in range(a)], edges, 1)
-    return cyclic_cover_complexity(H, c)
 
 
 # -- growth experiments --------------------------------------------------------------
@@ -463,35 +454,22 @@ def _mahler_reference(d0: LaurentPoly, fibers: int) -> float:
     return mahler_value(d0, fibers)
 
 
-def cover_rows(
-    vg: VoltageGraph, schedule: list[int], d0: LaurentPoly | None = None
-) -> tuple[tuple[int, int, float], ...]:
-    """Rows (r, complexity, (1/r) log complexity) of finite covers along a schedule.
-
-    For rank 1 the index n gives the cyclic cover nZ, counted from Delta_0
-    (d0 if given) by :func:`cyclic_cover_complexity`; for rank 2 it gives the
-    square sublattice nZ x nZ (r = n^2 sheets), counted through its rank-1
-    fold (:func:`cover_complexity`), which takes no d0.
-    """
-    rows = []
-    for n in schedule:
-        if vg.rank == 1:
-            r, t = n, cyclic_cover_complexity(vg, n, d0)
-        else:
-            r, t = n * n, cover_complexity(vg, SublatticeSpec.lattice2(((n, 0), (0, n))))
-        rows.append((r, t, math.log(t) / r))
-    return tuple(rows)
-
-
 def growth_covers(
     vg: VoltageGraph, schedule: list[int], fibers: int = 512
 ) -> GrowthReport:
-    """Complexity of finite covers along a schedule (see :func:`cover_rows`),
-    with m(Delta_0) as the reference, taken first so that a bad fibers or
-    Delta_0 = 0 fails before any cover is counted."""
+    """Rows (r, complexity, (1/r) log complexity) of the covers nZ^d for n
+    along a schedule (r = n^d sheets, :meth:`SublatticeSpec.scaled`), each
+    counted by :func:`cover_complexity` from one Delta_0, with m(Delta_0) as
+    the reference, taken first so that a bad fibers or Delta_0 = 0 fails
+    before any cover is counted."""
     d0 = laplacian_determinant_polynomial(vg)
     reference = _mahler_reference(d0, fibers)
-    return GrowthReport("covers", cover_rows(vg, schedule, d0), reference)
+    rows = []
+    for n in schedule:
+        lam = SublatticeSpec.scaled(n, vg.rank)
+        t = cover_complexity(vg, lam, d0)
+        rows.append((lam.index, t, math.log(t) / lam.index))
+    return GrowthReport("covers", tuple(rows), reference)
 
 
 def growth_restrictions(

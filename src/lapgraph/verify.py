@@ -35,11 +35,11 @@ Voltage graphs of rank 1 or 2, plain or with a rotation system:
   ``CRSF_MAX_EDGES`` (16) edges.
 - ``grimmett-bound``: |V| log(2|E|/|V|) >= m(Delta_0).
 - ``growth-vs-mahler``: |(1/r) log T(G_r) - m(Delta_0)| at the largest
-  cover index r up to ``max_cover`` is below max(0.1, 2 log r / r).  T(G_r)
-  is read off Delta_0 of the quotient, or for an n x n cover of its
-  n-sheeted rank-1 fold, by one integer resultant (:func:`cover_complexity`),
-  and FAIL with the error's text when Delta_0 gives no exact count; the
-  Bareiss count of the built cover is its test oracle.
+  cover nZ^d, n in ``GROWTH_SIDES``, of index r up to ``max_cover`` is below
+  max(0.1, 2 log r / r).  T(G_r) is one :func:`cover_complexity` call, one
+  integer resultant on Delta_0 of the quotient or of an n x n cover's
+  n-sheeted rank-1 fold, and FAIL with the error's text when Delta_0 gives
+  no exact count; the Bareiss count of the built cover is its test oracle.
   Both SKIP unless the quotient is connected with Delta_0 nonzero, and the
   growth check also when no cover index fits ``max_cover``; they share one
   value of m(Delta_0), taken on one grid of ``fibers`` nodes by
@@ -80,7 +80,7 @@ from typing import NamedTuple
 
 from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_basis
 from .fields import GF2, QQ, ZZ, PrimeField
-from .graphs import FiniteGraph, VoltageGraph, connected_components, voltage_laplacian
+from .graphs import FiniteGraph, SublatticeSpec, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import divides, normalize
 from .linalg import LaurentEncoding, det_laurent, elementary_divisor, transpose
 from .mahler import _check_int, mahler_value
@@ -97,12 +97,14 @@ from .spanning import (
     CRSF_MAX_EDGES,
     X_MINUS_1_SQ,
     annular_connectivity,
-    cover_rows,
+    cover_complexity,
     crsf_coefficients,
     grimmett_bound,
 )
 
 GF5 = PrimeField(5)
+# growth-vs-mahler counts the largest cover nZ^d of index at most max_cover, n among these
+GROWTH_SIDES = {1: (4, 8, 16, 32, 64), 2: (2, 3, 4, 5, 6)}
 
 
 class CheckResult(NamedTuple):
@@ -209,19 +211,17 @@ def run_verify(
                 bound >= m0 - 1e-9,
                 f"bound {bound:.4f} >= m(Delta_0) {m0:.4f}",
             )
-            schedule = (
-                [n for n in (4, 8, 16, 32, 64) if n <= max_cover]
-                if vg.rank == 1
-                else [n for n in (2, 3, 4, 5, 6) if n * n <= max_cover]
-            )
-            if not schedule:
+            covers = [SublatticeSpec.scaled(side, vg.rank) for side in GROWTH_SIDES[vg.rank]]
+            covers = [lam for lam in covers if lam.index <= max_cover]
+            if not covers:
                 skip("growth-vs-mahler", f"no scheduled cover of index <= {max_cover}")
             else:
                 # The gap behaves like (log r + c)/r, so it need not shrink
                 # monotonically from the first cover; gate the gap at the
                 # largest scheduled index against that rate.
+                r_last = covers[-1].index
                 try:
-                    ((r_last, _, lg_last),) = cover_rows(vg, schedule[-1:], d0)
+                    lg_last = math.log(cover_complexity(vg, covers[-1], d0)) / r_last
                 except ArithmeticError as exc:
                     record("growth-vs-mahler", False, f"no exact cover count from Delta_0: {exc}")
                 else:

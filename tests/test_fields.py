@@ -14,6 +14,7 @@ from lapgraph.fields import (
     RationalField,
     domain_from_spec,
     is_prime,
+    parse_int,
 )
 
 GF5 = PrimeField(5)
@@ -158,8 +159,25 @@ def test_domain_from_spec(spec, want):
         ("gf:x", "bad field spec"),
         ("gf:4", "4 is not prime"),
         ("gf:1", "1 is not prime"),
+        # P follows the graph files' integer rule: int() would read these as 2, 11 and 7
+        ("gf:\u0662", "bad field spec"),
+        ("gf:1_1", "bad field spec"),
+        ("gf:\uff17", "bad field spec"),
     ],
 )
 def test_domain_from_spec_rejects(spec, match):
     with pytest.raises(ValueError, match=match):
         domain_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "text, want", [("0", 0), ("-12", -12), ("+7", 7), (" 3\t", 3), ("007", 7), (str(10**30), 10**30)]
+)
+def test_parse_int_reads_a_sign_and_ascii_digits(text, want):
+    assert parse_int(text) == want
+
+
+@pytest.mark.parametrize("text", ["", "+", "\u0661", "1_0", "\u00b2", "\uff16\uff14", "+-1", "1.0", "0x10", "1 2"])
+def test_parse_int_refuses_what_graph_files_refuse(text):
+    with pytest.raises(ValueError, match="bad integer"):
+        parse_int(text)

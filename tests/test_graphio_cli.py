@@ -22,7 +22,7 @@ from lapgraph import cli, graphs, spanning
 from lapgraph.cli import main
 from lapgraph.fields import domain_from_spec
 from lapgraph.graphio import GraphParseError, format_graph_file, parse_graph_file
-from lapgraph.graphs import FiniteGraph, VoltageGraph, laplacian_finite, voltage_laplacian
+from lapgraph.graphs import FiniteGraph, SublatticeSpec, VoltageGraph, laplacian_finite, voltage_laplacian
 from lapgraph.laurent import LaurentPoly, format_poly, parse_poly
 from lapgraph.planar import PlaneGraph, faces
 from lapgraph.spanning import GrowthReport
@@ -329,7 +329,8 @@ def test_rank1_cyclic_covers_are_counted_without_building_them(graph_dir, capsys
     assert code == 0
     data = json.loads(out)
     assert (data["index"], data["vertices"], data["edges"]) == (1000, 2000, 3000)
-    assert [t for _, t, _ in spanning.cover_rows(example("ladder").graph, [2, 3, 4])] == [12, 75, 384]
+    ladder_vg = example("ladder").graph
+    assert [spanning.cover_complexity(ladder_vg, SublatticeSpec.cyclic(n)) for n in (2, 3, 4)] == [12, 75, 384]
     assert built == []
     # a torus cover is counted through its rank-1 fold, not built either
     assert run_cli(capsys, "trees", "--cover", "2", str(graph_dir / "grid.lapgraph"))[0] == 0
@@ -540,6 +541,57 @@ def test_cli_usage_errors_exit_2_not_the_fail_code(graph_dir, tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "ladder", "--k", "\u0661"],
+        ["growth", "ladder", "--max", "1_6"],
+        ["verify", "ladder", "--fibers", "\uff16\uff14"],
+        ["medial", "k4", "--base-component", "\u0660"],
+        ["mahler", "--poly", "x", "--fibers", "1_024"],
+    ],
+    ids=" ".join,
+)
+def test_cli_integer_options_take_ascii_digits_only(argv, graph_dir, capsys):
+    # the graph files' rule: int() alone would read these as 1, 16, 64, 0 and 1024
+    if argv[0] != "mahler":
+        argv = [argv[0], str(graph_dir / f"{argv[1]}.lapgraph"), *argv[2:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("ladder", ["trees", "--cover", "\u0663"], "bad integer '\u0663'"),
+        ("ladder", ["trees", "--cover", "1_0"], "bad integer '1_0'"),
+        ("grid", ["trees", "--cover", "2,0,1,\u0663"], "bad integer '\u0663'"),
+        ("ladder", ["delta", "--k", "1", "--field", "gf:\u0662"], "bad field spec 'gf:\u0662'"),
+    ],
+)
+def test_cli_cover_and_field_integers_take_ascii_digits_only(name, argv, message, graph_dir, capsys):
+    assert main([argv[0], str(graph_dir / f"{name}.lapgraph"), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_integers_keep_a_sign_and_surrounding_whitespace(graph_dir, capsys):
+    ladder = str(graph_dir / "ladder.lapgraph")
+    assert run_cli(capsys, "trees", ladder, "--cover", " +3 ")[1].endswith("complexity T = 75\n")
+    assert json.loads(run_cli(capsys, "delta", ladder, "--k", "+1", "--json")[1])["k"] == 1
+
+
+@pytest.mark.parametrize("cover", ["-2", "0"])
+def test_cli_refuses_a_bad_cover_index_alike_at_both_ranks(cover, graph_dir, capsys):
+    # one index rule names nZ on the ladder (rank 1) and the n x n lattice on the grid (rank 2)
+    errors = []
+    for name in ("ladder", "grid"):
+        assert main(["trees", str(graph_dir / f"{name}.lapgraph"), f"--cover={cover}"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: sublattice index must be an integer at least 1, got {cover}\n"] * 2
 
 
 @pytest.mark.parametrize("name", ["ladder", "grid"])

@@ -429,6 +429,20 @@ def test_sublattice_fold_moves_by_the_first_column():
             assert lam.reduce((x, y)) == (t, z % c)
 
 
+def test_scaled_sublattice_is_n_times_the_whole_lattice():
+    for n in (1, 2, 3, 7, 64):
+        assert SublatticeSpec.scaled(n, 1) == SublatticeSpec.cyclic(n)
+        assert SublatticeSpec.scaled(n, 2) == SublatticeSpec.lattice2(((n, 0), (0, n)))
+        assert [SublatticeSpec.scaled(n, rank).index for rank in (1, 2)] == [n, n * n]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, "4"])
+def test_scaled_sublattice_takes_the_cyclic_index_rule_at_both_ranks(rank, bad):
+    with pytest.raises(ValueError, match=f"sublattice index must be an integer at least 1, got {bad!r}"):
+        SublatticeSpec.scaled(bad, rank)
+
+
 def test_sublattice_rejects_singular():
     with pytest.raises(ValueError):
         SublatticeSpec.lattice2(((1, 2), (2, 4)))

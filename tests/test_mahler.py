@@ -965,3 +965,41 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
     got = _measured(f, fibers)
     monkeypatch.setattr(mahler_module, "_aberth_roots", aberth_roots_generic)
     assert got == _measured(f, fibers)
+
+
+# -- Aberth's guards and raises, each reached by a start or polynomial made for it --
+
+
+@pytest.mark.parametrize("start", [[0j, 0.5], [2, 1.25]])
+def test_aberth_nudges_a_root_off_a_zero_derivative_or_a_zero_denominator(start):
+    # x^2 - 1: p'(0) = 0 at the first start; at the second, 1 - w * (1/(2 - 1.25)) = 0 for z = 2
+    roots = _aberth_roots([-1, 0, 1], start=start)
+    assert sorted(z.real for z in roots) == [-1.0, 1.0] and all(z.imag == 0 for z in roots)
+
+
+@pytest.mark.parametrize(
+    "coeffs, start, message",
+    [
+        ([2, -3, 1], [1, 1], "root sum disagrees with coefficients"),
+        ([-1, 0, 0, 0, 1], [1, -1, 1, -1], "root product disagrees with coefficients"),
+    ],
+)
+def test_aberth_refuses_roots_that_break_vieta(coeffs, start, message):
+    # a start with coinciding points holds them together: every residual passes, and a
+    # double root 1 of x^2 - 3x + 2 sums to 2, not 3; +-1 twice multiply to 1, not -1
+    with pytest.raises(RootFindingError, match=message):
+        _aberth_roots(coeffs, start=start)
+
+
+def test_a_failed_cold_solve_in_the_grid_is_raised(monkeypatch):
+    # only a warm start that stalls is retried cold; the cold solve's failure propagates
+    starts = []
+
+    def fail(coeffs, start=None):
+        starts.append(start)
+        raise RootFindingError("no roots here")
+
+    monkeypatch.setattr(mahler_module, "_aberth_roots", fail)
+    with pytest.raises(RootFindingError, match="no roots here"):
+        mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 16)
+    assert starts == [None]

@@ -45,9 +45,7 @@ from lapgraph.spanning import (
     annular_connectivity,
     complexity,
     cover_complexity,
-    cover_rows,
     crsf_coefficients,
-    cyclic_cover_complexity,
     grimmett_bound,
     growth_covers,
     growth_restrictions,
@@ -137,17 +135,18 @@ def test_cyclic_cover_complexity_matches_the_built_cover(batch):
             cov = cover_graph(vg, SublatticeSpec.cyclic(n))
             if n > 1 and len(connected_components(cov)) > parts:
                 kinds.add("disconnected cover")
-            assert cyclic_cover_complexity(vg, n) == complexity(cov)
+            assert cover_complexity(vg, SublatticeSpec.cyclic(n)) == complexity(cov)
     assert kinds == {"connected quotient", "disconnected quotient", "disconnected cover"}
 
 
 def test_cyclic_cover_complexity_closed_forms_at_ten_thousand_sheets():
     n = 10**4
-    assert cyclic_cover_complexity(example("ladder").graph, n) == n * _fourth_order(2, 4, n) // 2 - n
+    lam = SublatticeSpec.cyclic(n)
+    assert cover_complexity(example("ladder").graph, lam) == n * _fourth_order(2, 4, n) // 2 - n
     f0, f1 = 0, 1
     for _ in range(n):
         f0, f1 = f1, f0 + f1
-    assert cyclic_cover_complexity(example("circulant12"), n) == n * f0 * f0
+    assert cover_complexity(example("circulant12"), lam) == n * f0 * f0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -169,19 +168,14 @@ def test_cyclic_cover_complexity_of_degenerate_quotients():
         [("x", "a", "b", (0,)), ("y", "b", "c", (0,)), ("z", "c", "a", (0,))],
         rank=1,
     )
-    assert cyclic_cover_complexity(triangle, 5) == 3**5  # g = 0: five triangles
-    assert cyclic_cover_complexity(single_loop_quotient(3), 6) == 2**3  # three 2-cycles
+    assert cover_complexity(triangle, SublatticeSpec.cyclic(5)) == 3**5  # g = 0: five triangles
+    assert cover_complexity(single_loop_quotient(3), SublatticeSpec.cyclic(6)) == 2**3  # three 2-cycles
     lone = VoltageGraph.build(["v"], [], rank=1)
-    assert cyclic_cover_complexity(lone, 7) == 1
-    with pytest.raises(ValueError):
-        cyclic_cover_complexity(example("grid"), 2)
+    assert cover_complexity(lone, SublatticeSpec.cyclic(7)) == 1
+    with pytest.raises(ValueError, match="sublattice rank does not match voltage rank"):
+        cover_complexity(example("grid"), SublatticeSpec.cyclic(2))
     for bad in (0, -3, 2.0, 4.5, "4"):
-        for vg in (lone, example("ladder").graph):
-            with pytest.raises(ValueError, match="sublattice index must be an integer at least 1"):
-                cyclic_cover_complexity(vg, bad)
-        with pytest.raises(ValueError):
-            cover_rows(example("ladder").graph, [bad])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sublattice index must be an integer at least 1"):
             growth_covers(example("ladder").graph, [bad], fibers=16)
 
 
@@ -247,7 +241,7 @@ def test_rank2_cover_complexity_matches_the_built_cover(batch):
 
 def test_cover_counts_of_a_huge_loop_quotient_match_the_built_covers():
     vg = huge_loop_quotient()
-    counts = [cyclic_cover_complexity(vg, n) for n in (2, 3, 7, 10, 12)]
+    counts = [cover_complexity(vg, SublatticeSpec.cyclic(n)) for n in (2, 3, 7, 10, 12)]
     assert counts == [2, 75, 35287, 10, 78336300]
     assert counts == [complexity(cover_graph(vg, SublatticeSpec.cyclic(n))) for n in (2, 3, 7, 10, 12)]
 
@@ -283,14 +277,48 @@ def test_cover_counts_read_huge_voltages_modulo_the_index(batch):
 def test_cover_count_from_an_inconsistent_delta0_raises_arithmetic_error():
     # the loop's cycle voltage is 2, so its Delta_0 must be a polynomial in x^2
     with pytest.raises(ArithmeticError, match=r"Delta_0 is not a polynomial in x\^c"):
-        cyclic_cover_complexity(single_loop_quotient(2), 4, d0=X_MINUS_1_SQ)
+        cover_complexity(single_loop_quotient(2), SublatticeSpec.cyclic(4), d0=X_MINUS_1_SQ)
 
 
 def test_cover_complexity_rejects_a_rank_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sublattice rank does not match voltage rank"):
         cover_complexity(example("ladder").graph, SublatticeSpec.lattice2(((2, 0), (0, 2))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sublattice rank does not match voltage rank"):
         cover_complexity(example("grid"), SublatticeSpec.cyclic(2))
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_a_given_delta0_counts_the_same_cover(monkeypatch, batch):
+    # d0 stands in for the determinant of a connected rank-1 quotient; a
+    # disconnected quotient takes each component's own, and a rank-2 count
+    # its fold's.  Only the components of a disconnected quotient or fold
+    # are built as graphs of their own.
+    rng = random.Random(9700 + batch)
+    dets, built = [], []
+    monkeypatch.setattr(
+        spanning, "laplacian_determinant_polynomial", lambda vg: dets.append(vg) or laplacian_determinant_polynomial(vg)
+    )
+    monkeypatch.setattr(spanning, "FiniteGraph", lambda vs, es: built.append(vs) or FiniteGraph(vs, es))
+    kinds = set()
+    for _ in range(30):
+        rank = rng.choice((1, 2))
+        vg = random_voltage_graph(rng, rank, 5, 8, connected=rng.random() < 0.5)
+        if rank == 1:
+            lam = SublatticeSpec.cyclic(rng.randint(2, 12))
+        else:
+            lam = SublatticeSpec.lattice2(_random_lattice_rows(rng))
+        d0 = laplacian_determinant_polynomial(vg)
+        parts = len(connected_components(vg.base))
+        dets.clear()
+        built.clear()
+        t = cover_complexity(vg, lam, d0)
+        assert len(built) != 1
+        if rank == 1:
+            assert len(built) == (parts if parts > 1 else 0)
+            assert dets == [] or parts > 1
+        kinds.add((rank, parts > 1, len(built) > 1))
+        assert t == cover_complexity(vg, lam) == complexity(cover_graph(vg, lam))
+    assert {(1, False, False), (1, True, True), (2, False, False), (2, True, True)} <= kinds
 
 
 def test_torus_cover_closed_form_at_32_by_32():

@@ -19,7 +19,7 @@ from lapgraph import laurent, linalg, spanning, verify
 from lapgraph.cli import main
 from lapgraph.fields import QQ, ZZ, RationalField
 from lapgraph.graphio import parse_graph_file
-from lapgraph.graphs import VoltageGraph, voltage_laplacian
+from lapgraph.graphs import SublatticeSpec, VoltageGraph, voltage_laplacian
 from lapgraph.laurent import LaurentPoly, normalize, parse_poly
 from lapgraph.planar import PlaneGraph
 
@@ -38,7 +38,7 @@ BREAKERS = {
     "delta-chain": ("ladder", "divides", lambda f, g, dom: False),
     "forman-reconstruction": ("ladder", "det_laurent", lambda M: LaurentPoly.zero(1)),
     "grimmett-bound": ("ladder", "grimmett_bound", lambda vg: -1.0),
-    "growth-vs-mahler": ("ladder", "cover_rows", lambda vg, schedule, d0: ((8, 1, 100.0),)),
+    "growth-vs-mahler": ("ladder", "cover_complexity", lambda vg, lam, d0: 1),
     "medial-crossings": ("ladder", "medial_components", lambda pg: []),
     "medial-gf2-degree": ("ladder", "noncompact_count", lambda comps: -1),
     "degree-connectivity": ("ladder", "annular_connectivity", lambda vg: 99),
@@ -90,6 +90,24 @@ def test_growth_check_fails_when_delta0_gives_no_cover_count(monkeypatch):
     (res,) = [r for r in results if r.name == "growth-vs-mahler"]
     assert res.status == "FAIL"
     assert res.detail == "no exact cover count from Delta_0: inexact polynomial division"
+
+
+@pytest.mark.parametrize(
+    "name, max_cover, form",
+    [("ladder", 8, (8,)), ("ladder", 63, (32,)), ("grid", 8, (2, 0, 2)), ("grid", 64, (6, 0, 6)), ("grid", 3, None)],
+)
+def test_growth_check_counts_one_cover_with_the_quotients_delta0(monkeypatch, name, max_cover, form):
+    # the largest scheduled nZ^d of index <= max_cover, counted once; none fits below index 4
+    real, calls = verify.cover_complexity, []
+    monkeypatch.setattr(verify, "cover_complexity", lambda vg, lam, d0: calls.append((lam, d0)) or real(vg, lam, d0))
+    vg = example(name).quotient
+    results = verify.run_verify(vg, max_cover, 64)
+    (res,) = [r for r in results if r.name == "growth-vs-mahler"]
+    if form is None:
+        assert calls == [] and res.status == "SKIP"
+    else:
+        assert calls == [(SublatticeSpec(form), spanning.laplacian_determinant_polynomial(vg))]
+        assert res.status == "PASS" and f"at cover index {SublatticeSpec(form).index} " in res.detail
 
 
 def test_verify_computes_each_invariant_once(monkeypatch):
