@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("growth", cmd_growth, "tree growth over covers or restrictions")
     sp.add_argument("--mode", choices=("covers", "restrictions"), default="covers")
-    sp.add_argument("--max", type=int, default=64)
+    sp.add_argument(
+        "--max", type=int, default=64, help="largest n: at rank 1 the index or strip length, at rank 2 the side of n x n"
+    )
     sp.add_argument("--fibers", type=int, default=512)
 
     add("crsf", cmd_crsf, "essential CRSF coefficients and reconstruction")
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fibers", type=int, default=1024)
 
     sp = add("verify", cmd_verify, "replay the cross-check identities")
-    sp.add_argument("--max", type=int, default=64, help="largest cover in the growth check")
+    sp.add_argument("--max", type=int, default=64, help="largest cover index in the growth check: n^2 for n x n")
     sp.add_argument("--fibers", type=int, default=512)
 
     # one line: Python 3.13's argparse wraps the generated usage differently

@@ -36,21 +36,26 @@ repeated factor is (x - 1)^2, is one.  Each part is squarefree in v, the
 parts multiply to f, and m is additive, so m(f) is the sum of the parts'
 measures.  One variable splits the primitive integer polynomial p of
 f = c x^a p and adds log|c|; two variables split f itself, so an h free of y,
-such as a content (1 + x)^4, stays in the last part's grid.
+such as a content (1 + x)^4, stays in the last part's grid.  Two variables take
+the integer content c out, adding log|c|, only when the sum of |coefficient|
+passes float range.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
-int 0 as ``sum`` does, so its floats are those of a call per evaluation.  The
-grid reads a fiber plan built once per polynomial instead of rescanning f and
-takes each node in one pass: x, each distinct x^a once, the y-coefficients, the
-strip (skipped when no coefficient is small), Aberth, which validates its roots
-at its end, and Jensen's sum.  Every float comes from the same operations, in
-the same order, as a helper call per step would give.
+int 0 as ``sum`` does, so its floats are those of a call per evaluation.  A
+quadratic, as is every fiber of the grid's Delta_0, takes the sweep loop written
+out, with the loop's bits.  The grid reads a fiber plan built once per
+polynomial instead of rescanning f and takes each node in one pass: x, each
+distinct x^a once, the y-coefficients, the strip (skipped when no coefficient is
+small), Aberth, which validates its roots at its end, and Jensen's sum.  Every
+float comes from the same operations, in the same order, as a helper call per
+step would give.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -113,20 +118,9 @@ def _refine_float(monic: list[complex], deriv: list[complex], roots: list[comple
         roots[k] = z
 
 
-def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
-    """All roots of a polynomial with nonzero first and last coefficient.
-
-    Aberth starts from start, by default a perturbed circle.  Converged roots
-    (a sweep moved each by less than 1e-14, relative) stand as they are; a run
-    cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
-    that did not halve) gets ``_refine_float``.  Every result then passes the
-    residual gate at each root and the root sum and product identities, else
-    RootFindingError.  A k-fold root comes out only to about eps^(1/k), so both
-    measures hand it squarefree parts.
-    """
+def _sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
+    """Aberth's sweeps from start, by default a perturbed circle: the roots and the last shift."""
     s = len(coeffs) - 1
-    if s < 1:
-        return []
     lead = coeffs[-1]
     rmonic = [c / lead for c in reversed(coeffs)]  # highest degree first, as Horner reads them
     rderiv = [k * c for k, c in zip(range(s, 0, -1), rmonic)]
@@ -172,8 +166,75 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
         if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:  # converged, or the shift stopped halving
             break
         last = shift
+    return roots, shift
+
+
+def _quadratic_sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
+    """``_sweeps`` on a quadratic, both root updates written out in the loop's operations and order,
+    down to each 0j * z, int factor and int 0 that can flip the sign of a zero: the same bits."""
+    lead = coeffs[2]
+    r0, r1, r2 = lead / lead, coeffs[1] / lead, coeffs[0] / lead
+    d0, d1 = 2 * r0, 1 * r1
+    if start:
+        z0, z1 = start
+    else:
+        radius = max(1e-3, abs(r2) ** (1.0 / 2))
+        z0, z1 = [radius * cmath.exp(2j * math.pi * (k + 0.35) / 2) * (1 + 0.02 * (k % 5)) for k in range(2)]
+    last = math.inf
+    for _ in range(ABERTH_MAX_ITER):
+        shift = 0.0
+        n0, n1 = z0, z1
+        pv = ((0j * z0 + r0) * z0 + r1) * z0 + r2
+        if pv == 0:
+            pass
+        elif (dv := (0j * z0 + d0) * z0 + d1) == 0:
+            n0, shift = z0 * (1 + 1e-8) + 1e-8, 1.0
+        elif (denom := 1 - (w := pv / dv) * (0 + 1 / (z0 - z1))) == 0:
+            n0, shift = z0 * (1 + 1e-8), 1.0
+        else:
+            n0 = z0 - (corr := w / denom)
+            az = abs(z0)
+            r = abs(corr) / (az if az > 1.0 else 1.0)
+            shift = r if r > shift else shift
+        pv = ((0j * z1 + r0) * z1 + r1) * z1 + r2
+        if pv == 0:
+            pass
+        elif (dv := (0j * z1 + d0) * z1 + d1) == 0:
+            n1, shift = z1 * (1 + 1e-8) + 1e-8, 1.0
+        elif (denom := 1 - (w := pv / dv) * (0 + 1 / (z1 - z0))) == 0:
+            n1, shift = z1 * (1 + 1e-8), 1.0
+        else:
+            n1 = z1 - (corr := w / denom)
+            az = abs(z1)
+            r = abs(corr) / (az if az > 1.0 else 1.0)
+            shift = r if r > shift else shift
+        z0, z1 = n0, n1
+        if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:
+            break
+        last = shift
+    return [z0, z1], shift
+
+
+def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
+    """All roots of a polynomial with nonzero first and last coefficient.
+
+    Aberth starts from start, by default a perturbed circle; a quadratic takes
+    ``_quadratic_sweeps``, the loop of ``_sweeps`` written out with the same
+    operations, and every other degree ``_sweeps``.  Converged roots (a sweep
+    moved each by less than 1e-14, relative) stand as they are; a run cut at
+    ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT`` that
+    did not halve) gets ``_refine_float``.  Every result then passes the
+    residual gate at each root and the root sum and product identities, else
+    RootFindingError.  A k-fold root comes out only to about eps^(1/k), so both
+    measures hand it squarefree parts.
+    """
+    s = len(coeffs) - 1
+    if s < 1:
+        return []
+    roots, shift = (_quadratic_sweeps if s == 2 else _sweeps)(coeffs, start)
+    lead = coeffs[-1]
     if shift >= 1e-14:  # only a run that did not converge is polished
-        monic = rmonic[::-1]
+        monic = [c / lead for c in coeffs]
         _refine_float(monic, _poly_deriv(monic), roots)
     # validation: the residual at each root, then the root sum and product against the coefficients
     gate, rcoeffs, prod = RESIDUAL_GATE * max(map(abs, coeffs)), coeffs[::-1], 1 + 0j
@@ -227,6 +288,14 @@ def _squarefree_parts(f: LaurentPoly):
         f = h
 
 
+def _content(f: LaurentPoly) -> tuple[LaurentPoly, float]:
+    """(p, log|c|) for f = c p times a monomial, p the primitive integer polynomial of ``normalize``;
+    log|c| comes from c's integer numerator and denominator, so it is taken for any size of c."""
+    p = normalize(f, QQ)
+    c = Fraction(f.coeffs[min(f.coeffs)]) / p.coeffs[min(p.coeffs)]
+    return p, math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
 # -- one variable ----------------------------------------------------------------
 
 
@@ -240,9 +309,7 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
         raise ValueError("mahler_1var needs a one-variable polynomial")
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
-    p = normalize(f, QQ)
-    c = Fraction(f.coefficient_list()[0]) / p.coefficient_list()[0]
-    value = math.log(abs(c.numerator)) - math.log(c.denominator)
+    p, value = _content(f)
     for part in _squarefree_parts(p):
         s = part.coefficient_list()
         value += _jensen(s, _aberth_roots([complex(a) for a in s]))
@@ -332,11 +399,21 @@ def _nonnegative_on_integers(f: LaurentPoly, value: float) -> float:
     return max(0.0, value) if all(isinstance(c, int) for c in f.coeffs.values()) else value
 
 
+def _beyond_float(f: LaurentPoly) -> bool:
+    """Whether the sum of |c| over f, which bounds every fiber coefficient, is past float range."""
+    return sum(map(abs, f.coeffs.values())) > sys.float_info.max
+
+
 def _part_measures(f: LaurentPoly, fibers: int):
-    """(fiber plan, grid average on ``fibers`` nodes) of each squarefree part of f in y."""
-    for part in _squarefree_parts(f):
-        plan = _fiber_plan(part)
-        yield plan, _grid_average(plan, fibers)
+    """log|c| and the (fiber plan, grid average on ``fibers`` nodes) of each squarefree part of
+    f / c in y: c is f's content when the sum of |coefficient| is past float range, else 1, so
+    every f within range keeps its bits."""
+    log_c = 0.0
+    if _beyond_float(f):
+        f, log_c = _content(f)
+        if _beyond_float(f):
+            raise OverflowError("coefficients too large for a float, also with the content taken out")
+    return log_c, ((plan, _grid_average(plan, fibers)) for plan in map(_fiber_plan, _squarefree_parts(f)))
 
 
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
@@ -353,8 +430,9 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     if f.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     _check_int("fibers", fibers, 4)
-    value = error = 0.0
-    for plan, m in _part_measures(f, fibers):
+    value, parts = _part_measures(f, fibers)
+    error = 0.0
+    for plan, m in parts:
         value += m
         error += abs(m - _grid_average(plan, fibers // 2))
     value = _nonnegative_on_integers(f, value)
@@ -389,7 +467,7 @@ def mahler_value(f: LaurentPoly, fibers: int = 1024) -> float:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     if f.nvars == 1:
         return mahler_1var(f).value
-    value = 0.0
-    for _, m in _part_measures(f, fibers):  # as mahler_2var adds: sum() compensates since 3.12
+    value, parts = _part_measures(f, fibers)
+    for _, m in parts:  # as mahler_2var adds: sum() compensates since 3.12
         value += m
     return _nonnegative_on_integers(f, value)

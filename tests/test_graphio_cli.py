@@ -646,6 +646,14 @@ def test_cli_reads_and_prints_integers_past_the_digit_limit(tmp_path, capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_cli_takes_a_two_variable_content_past_float_range_out(capsys):
+    sevens = "7" * 400
+    code, out = run_cli(capsys, "mahler", "--poly", f"{sevens}x*y + {sevens}", "--fibers", "8", "--json")
+    assert code == 0 and abs(json.loads(out)["value"] / math.log(int(sevens)) - 1) <= 1e-9
+    assert main(["mahler", "--poly", f"{sevens}x*y + 3", "--fibers", "8"]) == 2
+    assert capsys.readouterr().err == "error: coefficients too large for a float, also with the content taken out\n"
+
+
 def test_cli_verify(graph_dir, capsys):
     code, out = run_cli(
         capsys, "verify", str(graph_dir / "ladder.lapgraph"), "--max", "16"

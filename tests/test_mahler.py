@@ -93,6 +93,28 @@ def test_a_content_too_large_for_a_float_is_measured():
     assert abs(res.value - (math.log(c) + LOG_2_PLUS_SQRT3)) <= res.error_estimate
 
 
+def test_a_two_variable_content_too_large_for_a_float_is_taken_out():
+    c = int("7" * 400)
+    f = c * poly2("x*y + 1")
+    assert abs(mahler_2var(f, 8).value / math.log(c) - 1) <= 1e-9
+    assert mahler_value(f, 8) == mahler_2var(f, 8).value
+    # the content comes out only past float range, and then log|c| is where the sum starts
+    p = poly2("2 + x + y")
+    base = mahler_2var(p, 16)
+    for content in (c, -c, Fraction(c, 3)):
+        log_c = math.log(abs(Fraction(content).numerator)) - math.log(Fraction(content).denominator)
+        res = mahler_2var(content * p, 16)
+        assert (res.value, res.error_estimate) == (log_c + base.value, base.error_estimate)
+        assert mahler_value(content * p, 16) == res.value
+
+
+def test_a_two_variable_polynomial_too_large_for_a_float_without_its_content_is_refused():
+    f = int("7" * 400) * poly2("x*y") + 3
+    for measure in (mahler_2var, mahler_value):
+        with pytest.raises(OverflowError, match="too large for a float, also with the content taken out"):
+            measure(f, 8)
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         mahler_1var(LaurentPoly.zero(1))
@@ -930,6 +952,14 @@ def _kernel_cases():
         cases.append(pytest.param(poly2(text), 8, id=text))
     for k, (f, fibers) in enumerate(ZERO_FIBER_CASES + [NEAR_ZERO_CASE]):
         cases.append(pytest.param(f, fibers, id=f"zero-{k}"))
+    for seed in range(12):  # quadratics with coefficients from 1e-150 to 1e150
+        rng = random.Random(9300 + seed)
+        coeffs = {(a,): rng.choice((-7, -3, -1, 1, 2, 5)) * Fraction(10) ** rng.randint(-150, 150) for a in (0, 1, 2)}
+        cases.append(pytest.param(LaurentPoly(1, coeffs), None, id=f"quadratic-{seed}"))
+    cases.append(pytest.param(poly2("6 - x - x^-1 - y - y^-1 - x*y - x^-1*y^-1"), 16, id="triangular"))
+    square = poly2("25x^-6y^2 + 30x^-2 + 9x^2y^-2")
+    for fibers in (8, 64):  # at 8, one fiber of its part 5x^-3y + 3xy^-1 runs all sweeps, fails, goes cold
+        cases.append(pytest.param(square, fibers, id=f"cycling-square-{fibers}"))
     return cases
 
 
@@ -965,6 +995,20 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
     got = _measured(f, fibers)
     monkeypatch.setattr(mahler_module, "_aberth_roots", aberth_roots_generic)
     assert got == _measured(f, fibers)
+
+
+def test_every_node_of_the_grid_delta0_takes_the_quadratic_sweep(monkeypatch):
+    solved = []
+    quadratic = mahler_module._quadratic_sweeps
+
+    def spy(coeffs, start):
+        solved.append(len(coeffs))
+        return quadratic(coeffs, start)
+
+    monkeypatch.setattr(mahler_module, "_quadratic_sweeps", spy)
+    monkeypatch.setattr(mahler_module, "_sweeps", None)  # the generic loop is not reached
+    mahler_2var(laplacian_determinant_polynomial(example("grid")), 64)
+    assert solved == [3] * (32 + 16)  # the nodes of the 64- and 32-node grids, (2j + 1)/2n for j < n/2
 
 
 # -- Aberth's guards and raises, each reached by a start or polynomial made for it --
