@@ -42,13 +42,13 @@ passes float range.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
 int 0 as ``sum`` does, so its floats are those of a call per evaluation.  A
-quadratic, as is every fiber of the grid's Delta_0, takes the sweep loop written
-out, with the loop's bits.  The grid reads a fiber plan built once per
-polynomial instead of rescanning f and takes each node in one pass: x, each
-distinct x^a once, the y-coefficients, the strip (skipped when no coefficient is
-small), Aberth, which validates its roots at its end, and Jensen's sum.  Every
-float comes from the same operations, in the same order, as a helper call per
-step would give.
+quadratic, as is every fiber of the grid's Delta_0, is solved by one call that
+writes out the sweep loop, the polish and the validation for two roots.  The
+grid reads a fiber plan built once per polynomial instead of rescanning f and
+takes each node in one pass: x, each distinct x^a once, the y-coefficients, the
+strip (skipped when no coefficient is small), Aberth, which validates its roots,
+and Jensen's sum, written out for a quadratic.  Every float comes from the same
+operations, in the same order, as a helper call per step would give.
 """
 
 from __future__ import annotations
@@ -169,11 +169,11 @@ def _sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
     return roots, shift
 
 
-def _quadratic_sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
-    """``_sweeps`` on a quadratic, both root updates written out in the loop's operations and order,
-    down to each 0j * z, int factor and int 0 that can flip the sign of a zero: the same bits."""
-    lead = coeffs[2]
-    r0, r1, r2 = lead / lead, coeffs[1] / lead, coeffs[0] / lead
+def _quadratic_roots(c0, c1, c2, start) -> list[complex]:
+    """``_aberth_roots`` of c0 + c1 y + c2 y^2 written out, with its bits and messages: the loop of
+    ``_sweeps`` down to each 0j * z, int factor and int 0 that can flip the sign of a zero, the
+    polish, and each check of the validation in its order."""
+    r0, r1, r2 = c2 / c2, c1 / c2, c0 / c2
     d0, d1 = 2 * r0, 1 * r1
     if start:
         z0, z1 = start
@@ -212,32 +212,53 @@ def _quadratic_sweeps(coeffs: list[complex], start) -> tuple[list[complex], floa
         if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:
             break
         last = shift
-    return [z0, z1], shift
+    if shift >= 1e-14:
+        roots = [z0, z1]
+        monic = [c0 / c2, c1 / c2, c2 / c2]
+        _refine_float(monic, _poly_deriv(monic), roots)
+        z0, z1 = roots
+    gate = RESIDUAL_GATE * max(abs(c0), abs(c1), abs(c2))
+    m0 = abs(z0)
+    if abs(((0j * z0 + c2) * z0 + c1) * z0 + c0) > gate * (m0 if m0 > 1.0 else 1.0) ** 2 * 3:
+        raise RootFindingError("root residual exceeds tolerance")
+    m1 = abs(z1)
+    if abs(((0j * z1 + c2) * z1 + c1) * z1 + c0) > gate * (m1 if m1 > 1.0 else 1.0) ** 2 * 3:
+        raise RootFindingError("root residual exceeds tolerance")
+    expect = -c1 / c2
+    if abs(0 + z0 + z1 - expect) > 1e-6 * (1 + max(abs(expect), m0 + m1)):
+        raise RootFindingError("root sum disagrees with coefficients")
+    expect = c0 / c2 * 1
+    if abs((1 + 0j) * z0 * z1 - expect) > 1e-6 * (1 + abs(expect)):
+        raise RootFindingError("root product disagrees with coefficients")
+    return [z0, z1]
 
 
 def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    Aberth starts from start, by default a perturbed circle; a quadratic takes
-    ``_quadratic_sweeps``, the loop of ``_sweeps`` written out with the same
-    operations, and every other degree ``_sweeps``.  Converged roots (a sweep
-    moved each by less than 1e-14, relative) stand as they are; a run cut at
-    ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT`` that
-    did not halve) gets ``_refine_float``.  Every result then passes the
-    residual gate at each root and the root sum and product identities, else
-    RootFindingError.  A k-fold root comes out only to about eps^(1/k), so both
-    measures hand it squarefree parts.
+    A quadratic goes to ``_quadratic_roots``, which does what follows written
+    out.  Aberth runs ``_sweeps`` from start, by default a perturbed circle.
+    Converged roots (a sweep moved each by less than 1e-14, relative) stand;
+    a run cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below
+    ``STALL_SHIFT`` that did not halve) gets ``_refine_float``.  Every result
+    then passes the residual gate at each root and the root sum and product
+    identities, else RootFindingError; the sum, which cancels to about eps
+    times the sum of |root|, is held to 1e-6 (1 + max(|sum|, sum of |root|)).
+    A k-fold root comes out only to about eps^(1/k), so both measures hand it
+    squarefree parts.
     """
     s = len(coeffs) - 1
     if s < 1:
         return []
-    roots, shift = (_quadratic_sweeps if s == 2 else _sweeps)(coeffs, start)
+    if s == 2:
+        return _quadratic_roots(*coeffs, start)
+    roots, shift = _sweeps(coeffs, start)
     lead = coeffs[-1]
     if shift >= 1e-14:  # only a run that did not converge is polished
         monic = [c / lead for c in coeffs]
         _refine_float(monic, _poly_deriv(monic), roots)
     # validation: the residual at each root, then the root sum and product against the coefficients
-    gate, rcoeffs, prod = RESIDUAL_GATE * max(map(abs, coeffs)), coeffs[::-1], 1 + 0j
+    gate, rcoeffs, prod, size = RESIDUAL_GATE * max(map(abs, coeffs)), coeffs[::-1], 1 + 0j, 0
     for z in roots:
         r = abs(z)
         pv = 0j
@@ -246,8 +267,9 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
         if abs(pv) > gate * (r if r > 1.0 else 1.0) ** s * (s + 1):
             raise RootFindingError("root residual exceeds tolerance")
         prod *= z
+        size += r
     expect = -coeffs[-2] / lead
-    if abs(sum(roots) - expect) > 1e-6 * (1 + abs(expect)):
+    if abs(sum(roots) - expect) > 1e-6 * (1 + max(abs(expect), size)):
         raise RootFindingError("root sum disagrees with coefficients")
     expect = coeffs[0] / lead * (-1) ** s
     if abs(prod - expect) > 1e-6 * (1 + abs(expect)):
@@ -344,12 +366,13 @@ def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) 
     """m(f(exp(2 pi i num/den), y)) for each num, one pass per fiber: x, the y-coefficients with
     each x^a taken once, each |c| <= STRIP_REL_TOL * max |c| set to 0 and the zero ends cut off,
     Aberth started from warm, the roots solved last, when the degree matches (it leaves these),
-    and Jensen's sum.  A zero fiber at a grid node takes the mean at (num -+ 1)/den, or where
+    and Jensen's sum; a quadratic goes to ``_quadratic_roots`` and is summed here, term by term
+    as ``_jensen`` sums.  A zero fiber at a grid node takes the mean at (num -+ 1)/den, or where
     either of those vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes
     gives None.  The halving ends, as f has finitely many cyclotomic factors in x.  Phi_q | f
     is tested only below RESIDUAL_GATE, far above the rounding a common root leaves."""
     f, width, exps, terms, total = plan
-    out = []
+    out, edge = [], 1 + UNIT_CIRCLE_TOL
     for num in nums:
         x = cmath.exp(2j * math.pi * (num / den))
         powers = [x**a for a in exps]
@@ -372,14 +395,29 @@ def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) 
             out.append(math.fsum(near) / 2)
             continue
         start = warm if len(warm) == len(coeffs) - 1 else None
+        if len(coeffs) != 3:
+            try:
+                roots = _aberth_roots(coeffs, start)
+            except RootFindingError:  # a warm start can stall on a symmetric configuration
+                if start is None:
+                    raise
+                roots = _aberth_roots(coeffs)
+            warm[:] = roots
+            out.append(_jensen(coeffs, roots))
+            continue
+        c0, c1, c2 = coeffs
         try:
-            roots = _aberth_roots(coeffs, start)
-        except RootFindingError:  # a warm start can stall on a symmetric configuration
+            warm[:] = z0, z1 = _quadratic_roots(c0, c1, c2, start)
+        except RootFindingError:
             if start is None:
                 raise
-            roots = _aberth_roots(coeffs)
-        warm[:] = roots
-        out.append(_jensen(coeffs, roots))
+            warm[:] = z0, z1 = _quadratic_roots(c0, c1, c2, None)
+        value = math.log(abs(c2))  # Jensen's sum, as _jensen takes it
+        if (r := abs(z0)) > edge:
+            value += math.log(r)
+        if (r := abs(z1)) > edge:
+            value += math.log(r)
+        out.append(value)
     return out
 
 

@@ -72,6 +72,7 @@ from lapgraph.mahler import (
     UNIT_CIRCLE_TOL,
     RootFindingError,
     _aberth_roots,
+    _fiber_measures,
     _poly_deriv,
 )
 from lapgraph.planar import Dart, Face, MedialComponent, PlaneGraph, faces, parse_dart
@@ -766,7 +767,9 @@ def refine_float_generic(monic: list[complex], deriv: list[complex], roots: list
 
 
 def validate_roots_generic(coeffs: list[complex], roots: list[complex]) -> None:
-    """``mahler._validate_roots`` by ``poly_eval`` calls, ``sum`` and ``max`` (test oracle)."""
+    """The validation that ends ``mahler._aberth_roots``, by ``poly_eval`` calls, ``sum`` and
+    ``max`` (test oracle).  The root sum is held to 1e-6 (1 + max(|expected sum|, sum of |root|)):
+    a float sum of roots that cancel is good only to about eps times the sum of |root|."""
     s = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
     for z in roots:
@@ -775,7 +778,7 @@ def validate_roots_generic(coeffs: list[complex], roots: list[complex]) -> None:
             raise RootFindingError("root residual exceeds tolerance")
     sum_expect = -coeffs[-2] / coeffs[-1]
     sum_got = sum(roots)
-    if abs(sum_got - sum_expect) > 1e-6 * (1 + abs(sum_expect)):
+    if abs(sum_got - sum_expect) > 1e-6 * (1 + max(abs(sum_expect), sum(abs(z) for z in roots))):
         raise RootFindingError("root sum disagrees with coefficients")
     prod_expect = coeffs[0] / coeffs[-1] * (-1) ** s
     prod_got = 1 + 0j
@@ -902,6 +905,13 @@ def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, nod
         while None in (near := [fiber_measure_by_helpers(f, num + s, den, warm, False) for s in (-1, 1)]):
             num, den = 2 * num, 2 * den
         return math.fsum(near) / 2
+    return fiber_solve_generic(coeffs, warm)
+
+
+def fiber_solve_generic(coeffs: list[complex], warm: list) -> float:
+    """The measure of one nonzero stripped fiber as the grid takes it (test oracle):
+    ``aberth_roots_generic`` started from warm when the degree matches, cold if that
+    start fails, and ``jensen``; warm is left holding the roots."""
     start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = aberth_roots_generic(coeffs, start)
@@ -911,6 +921,34 @@ def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, nod
         roots = aberth_roots_generic(coeffs)
     warm[:] = roots
     return jensen(coeffs, roots)
+
+
+def _node_outcome(measure, start) -> tuple:
+    """measure(warm) for warm = a copy of start: its float.hex and the hex of the roots
+    left in warm, or the error's type and message."""
+    warm = list(start or ())
+    try:
+        value = measure(warm)
+    except ArithmeticError as e:
+        return type(e).__name__, str(e)
+    return value.hex(), [(complex(z).real.hex(), complex(z).imag.hex()) for z in warm]
+
+
+def fused_node(coeffs: list, start=None) -> tuple:
+    """One node of ``mahler._fiber_measures`` on the x-free sum of c_b y^b, started from
+    start (test helper): ``_node_outcome`` of its measure.  With coefficients not all 0 and
+    the plan's sum of |c| 0, the zero-fiber rule, the only reader of the plan's f, is never reached."""
+    plan = None, len(coeffs), [0], [(b, 0, c) for b, c in enumerate(coeffs)], 0
+    return _node_outcome(lambda warm: _fiber_measures(plan, [1], 4, warm)[0], start)
+
+
+def fused_node_generic(coeffs: list, start=None) -> tuple:
+    """``fused_node`` by the generic oracle: the node's fiber, 0j + c x^0 at x = exp(2 pi i / 4)
+    for each coefficient, stripped, then ``fiber_solve_generic``."""
+    x = cmath.exp(2j * math.pi * (1 / 4))
+    fiber = [0j + c * x**0 for c in coeffs]
+    fiber = strip_complex(fiber, max(map(abs, fiber)))
+    return _node_outcome(lambda warm: fiber_solve_generic(fiber, warm), start)
 
 
 def grid_average_by_helpers(plan: tuple, n: int) -> float:

@@ -654,6 +654,12 @@ def test_cli_takes_a_two_variable_content_past_float_range_out(capsys):
     assert capsys.readouterr().err == "error: coefficients too large for a float, also with the content taken out\n"
 
 
+def test_cli_measures_a_quadratic_whose_root_sum_cancels(capsys):
+    # 3x^2 + 7x + 10^100: the roots -7/6 +- 5.77e49 i sum, in floats, only to about eps * 1e50
+    code, out = run_cli(capsys, "mahler", "--poly", "3x^2 + 7x + 1" + "0" * 100)
+    assert code == 0 and out.splitlines()[0].endswith(") = 230.2585093")  # 100 log 10
+
+
 def test_cli_verify(graph_dir, capsys):
     code, out = run_cli(
         capsys, "verify", str(graph_dir / "ladder.lapgraph"), "--max", "16"

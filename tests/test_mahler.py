@@ -5,6 +5,7 @@ import functools
 import importlib
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from conftest import (
     example,
     fiber_coeffs_generic,
     fiber_measure_cold,
+    fused_node,
+    fused_node_generic,
     grid_average_by_helpers,
     grid_average_full,
     mahler_1var_exact_refined,
@@ -656,18 +659,19 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     built = []
     warm_starts = []
     measures = mahler_module._fiber_measures
-    aberth_roots = mahler_module._aberth_roots
+    quadratic_roots = mahler_module._quadratic_roots
 
     def count_fiber(plan, nums, den, warm, node=True):
         built.extend(num / den for num in nums)
         return measures(plan, nums, den, warm, node)
 
-    def count_start(coeffs, start=None):
+    def count_start(c0, c1, c2, start):
         warm_starts.append(start is not None)
-        return aberth_roots(coeffs, start)
+        return quadratic_roots(c0, c1, c2, start)
 
     monkeypatch.setattr(mahler_module, "_fiber_measures", count_fiber)
-    monkeypatch.setattr(mahler_module, "_aberth_roots", count_start)
+    monkeypatch.setattr(mahler_module, "_quadratic_roots", count_start)
+    monkeypatch.setattr(mahler_module, "_aberth_roots", None)  # every fiber is a quadratic, solved directly
     mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 4096)
     assert len(built) == 2048 + 1024
     assert len(warm_starts) == 2048 + 1024 and sum(warm_starts) == 2047 + 1023
@@ -899,13 +903,14 @@ def test_no_fiber_of_delta0_runs_aberth_to_its_iteration_cap(monkeypatch, quotie
     # the stalled fibers lie next to theta = 0, where Delta_0(1, 1) = 0 leaves a near-double
     # root and the shift sticks near 2e-14; the exits are read off the bit-identical generic sweeps
     exits = Counter()
-    aberth_roots = mahler_module._aberth_roots
+    quadratic_roots = mahler_module._quadratic_roots
 
-    def record(coeffs, start=None):
-        exits[aberth_sweeps_generic([c / coeffs[-1] for c in coeffs], start)[1]] += 1
-        return aberth_roots(coeffs, start)
+    def record(c0, c1, c2, start):
+        exits[aberth_sweeps_generic([c / c2 for c in (c0, c1, c2)], start)[1]] += 1
+        return quadratic_roots(c0, c1, c2, start)
 
-    monkeypatch.setattr(mahler_module, "_aberth_roots", record)
+    monkeypatch.setattr(mahler_module, "_quadratic_roots", record)
+    monkeypatch.setattr(mahler_module, "_aberth_roots", None)  # every fiber is a quadratic, solved directly
     calls = _polish_calls(monkeypatch)
     mahler_2var(laplacian_determinant_polynomial(example(quotient)), 4096)
     assert exits == {"converged": 2048 + 1024 - stalled, "stalled": stalled}
@@ -993,22 +998,86 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
         if not isinstance(cold, str):
             warm = cold
     got = _measured(f, fibers)
+    # the grid solves a quadratic fiber by a direct call and sums Jensen's terms itself
     monkeypatch.setattr(mahler_module, "_aberth_roots", aberth_roots_generic)
+    monkeypatch.setattr(mahler_module, "_quadratic_roots", lambda c0, c1, c2, start: aberth_roots_generic([c0, c1, c2], start))
     assert got == _measured(f, fibers)
 
 
 def test_every_node_of_the_grid_delta0_takes_the_quadratic_sweep(monkeypatch):
     solved = []
-    quadratic = mahler_module._quadratic_sweeps
+    quadratic = mahler_module._quadratic_roots
 
-    def spy(coeffs, start):
-        solved.append(len(coeffs))
-        return quadratic(coeffs, start)
+    def spy(c0, c1, c2, start):
+        solved.append(start is None)
+        return quadratic(c0, c1, c2, start)
 
-    monkeypatch.setattr(mahler_module, "_quadratic_sweeps", spy)
+    monkeypatch.setattr(mahler_module, "_quadratic_roots", spy)
     monkeypatch.setattr(mahler_module, "_sweeps", None)  # the generic loop is not reached
+    monkeypatch.setattr(mahler_module, "_aberth_roots", None)  # nor the dispatch in front of it
     mahler_2var(laplacian_determinant_polynomial(example("grid")), 64)
-    assert solved == [3] * (32 + 16)  # the nodes of the 64- and 32-node grids, (2j + 1)/2n for j < n/2
+    # the nodes of the 64- and 32-node grids, (2j + 1)/2n for j < n/2, each grid's first one cold
+    assert solved == [True] + [False] * 31 + [True] + [False] * 15
+
+
+def test_one_variable_quadratic_parts_reach_the_quadratic_solve_through_aberth(monkeypatch):
+    calls = []
+    aberth, quadratic = mahler_module._aberth_roots, mahler_module._quadratic_roots
+
+    def spy_aberth(coeffs, start=None):
+        calls.append(("aberth", len(coeffs)))
+        return aberth(coeffs, start)
+
+    def spy_quadratic(c0, c1, c2, start):
+        calls.append(("quadratic", start))
+        return quadratic(c0, c1, c2, start)
+
+    monkeypatch.setattr(mahler_module, "_aberth_roots", spy_aberth)
+    monkeypatch.setattr(mahler_module, "_quadratic_roots", spy_quadratic)
+    assert mahler_1var(poly1("x^2-4x+1") ** 4).value == 4 * mahler_1var(poly1("x^2-4x+1")).value
+    assert calls == [("aberth", 3), ("quadratic", None)] * 4 + [("aberth", 3), ("quadratic", None)]
+
+
+def _random_quadratics(rng, n):
+    """n coefficient lists c0, c1, c2 with c0 and c2 nonzero: complex ones at one scale from
+    1e-150 to 1e150, or each up to 1e6 off that scale, c (y - a)(y - b) with small integer
+    roots, and real values with signed zeros and zero middle terms."""
+    signed = [0.0, -0.0, 0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(1, -0.0), complex(-1, -0.0)]
+    out = []
+    for k in range(n):
+        if k % 4 < 2:
+            scale = 10.0 ** rng.uniform(-150, 150)
+            out.append([complex(rng.gauss(0, 1), rng.gauss(0, 1) if rng.random() < 0.7 else rng.choice((0.0, -0.0)))
+                        * scale * (10.0 ** rng.uniform(-6, 6) if k % 4 else 1) for _ in range(3)])
+        elif k % 4 == 2:
+            a, b, c = rng.randint(-3, 3) or 1, rng.randint(-3, 3), rng.choice((1, 2, -3))
+            out.append([complex(c * a * b or 1), complex(-c * (a + b)), complex(c)])
+        else:
+            out.append([rng.choice((1, -2.0, complex(3, -0.0), complex(-0.0, 2))), rng.choice(signed + [1.5, -1]),
+                        rng.choice((1, 2.0, complex(-1, 0.0), complex(0.0, -1)))])
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_quadratic_node_matches_generic_aberth_and_jensen(monkeypatch, seed, cap):
+    """One grid node on a quadratic, solved and summed in one pass, against the generic oracle's
+    Aberth and Jensen: the same float.hex and roots left behind, or the same error, from a cold
+    start, its own roots nudged, two coinciding points and small integers that may be roots.
+    Cut at 2 sweeps, both polish and many fail validation, warm and cold."""
+    if cap is not None:
+        monkeypatch.setattr(mahler_module, "ABERTH_MAX_ITER", cap)
+        monkeypatch.setattr(sys.modules["conftest"], "ABERTH_MAX_ITER", cap)
+    rng = random.Random(9400 + seed)
+    for coeffs in _random_quadratics(rng, 40):
+        cold = fused_node(coeffs)
+        assert cold == fused_node_generic(coeffs)
+        starts = [[rng.randint(-3, 3), rng.choice((0.0, -0.0, 1, -1j))]]
+        if not isinstance(cold[1], str) and len(cold[1]) == 2:
+            roots = [complex(float.fromhex(re), float.fromhex(im)) for re, im in cold[1]]
+            starts += [[z * (1 + 1e-6 * rng.uniform(-1, 1)) for z in roots], [roots[0], roots[0]]]
+        for start in starts:
+            assert fused_node(coeffs, start) == fused_node_generic(coeffs, start)
 
 
 # -- Aberth's guards and raises, each reached by a start or polynomial made for it --
@@ -1036,14 +1105,18 @@ def test_aberth_refuses_roots_that_break_vieta(coeffs, start, message):
 
 
 def test_a_failed_cold_solve_in_the_grid_is_raised(monkeypatch):
-    # only a warm start that stalls is retried cold; the cold solve's failure propagates
+    # only a warm start that stalls is retried cold; the cold solve's failure propagates, from the
+    # quadratic solve of the grid's fibers and from Aberth on the cubic fibers of the grid times 3 + y
     starts = []
 
-    def fail(coeffs, start=None):
-        starts.append(start)
+    def fail(*coeffs_start):
+        starts.append(coeffs_start[-1])
         raise RootFindingError("no roots here")
 
-    monkeypatch.setattr(mahler_module, "_aberth_roots", fail)
-    with pytest.raises(RootFindingError, match="no roots here"):
-        mahler_2var(poly2("4 - x - x^-1 - y - y^-1"), 16)
-    assert starts == [None]
+    grid = poly2("4 - x - x^-1 - y - y^-1")
+    for solve, f in (("_quadratic_roots", grid), ("_aberth_roots", grid * poly2("3 + y"))):
+        with monkeypatch.context() as m:
+            m.setattr(mahler_module, solve, fail)
+            with pytest.raises(RootFindingError, match="no roots here"):
+                mahler_2var(f, 16)
+    assert starts == [None, None]
