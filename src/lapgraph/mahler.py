@@ -1,14 +1,17 @@
 """Logarithmic Mahler measure of integer Laurent polynomials.
 
 One variable: Jensen's formula, m(f) = log|lead| + sum of log|root| over the
-roots outside the unit circle.  Roots come from an Aberth simultaneous
-iteration started on a perturbed circle (Aberth 1973; Bini 1996).  A run whose
-last sweep moved every root by less than 1e-14, relative, has converged and
-keeps its roots as they are.  Only a run that stops short of that, at
-``ABERTH_MAX_ITER`` sweeps or when a shift below ``STALL_SHIFT`` no longer
-halves per sweep, gets a float Newton polish.  Every root set then passes a
-residual and coefficient-identity validation.  Roots on the unit circle, like
-the double root 1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).
+roots outside the unit circle.  A polynomial of degree at most 2 is measured in
+closed form: one stable complex square root gives its root sizes (Press et al.,
+Numerical Recipes 5.6), with no iteration, start or validation.  Higher degrees
+take their roots from an Aberth simultaneous iteration started on a perturbed
+circle (Aberth 1973; Bini 1996).  A run whose last sweep moved every root by
+less than 1e-14, relative, has converged and keeps its roots as they are.  Only
+a run that stops short of that, at ``ABERTH_MAX_ITER`` sweeps or when a shift
+below ``STALL_SHIFT`` no longer halves per sweep, gets a float Newton polish.
+Every root set then passes a residual and coefficient-identity validation.
+Roots on the unit circle, like the double root 1 of every Delta_0, add 0
+(``UNIT_CIRCLE_TOL``).
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
@@ -18,11 +21,13 @@ error estimate compares the N- and N/2-point grids.  Only ``mahler_2var``,
 and so ``mahler``, pays for the N/2 grid, a third of the fiber solves;
 ``mahler_value``, for callers that read the value alone, solves the N-point
 grid only and returns the same float.  The conjugate fibers at theta and
-1 - theta are solved once, walking theta up with Aberth started from the last
-fiber's roots.  A fiber at x of order q vanishes when Phi_q(x) divides f,
-decided exactly (rounding leaves it tiny, not zero); it takes the mean of the
-fibers half a step to either side, or, where one of those vanishes too, of
-the pair at half that offset, halving until neither vanishes.  An f with
+1 - theta are solved once.  Every fiber of the grid's Delta_0 is a quadratic
+in y and takes the closed form; a fiber of higher degree starts Aberth from the
+roots of the last fiber Aberth solved.  A fiber at x of order q vanishes when
+Phi_q(x) divides f, decided exactly (rounding leaves it tiny, not zero); it
+takes the mean of the fibers half a step to either side, or, where one of
+those vanishes too, of the pair at half that offset, halving until neither
+vanishes.  An f with
 int coefficients measures at least 0, so a grid sum below 0 reads as 0.0.
 
 Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
@@ -41,14 +46,11 @@ the integer content c out, adding log|c|, only when the sum of |coefficient|
 passes float range.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
-int 0 as ``sum`` does, so its floats are those of a call per evaluation.  A
-quadratic, as is every fiber of the grid's Delta_0, is solved by one call that
-writes out the sweep loop, the polish and the validation for two roots.  The
+int 0 as ``sum`` does, so its floats are those of a call per evaluation.  The
 grid reads a fiber plan built once per polynomial instead of rescanning f and
 takes each node in one pass: x, each distinct x^a once, the y-coefficients, the
-strip (skipped when no coefficient is small), Aberth, which validates its roots,
-and Jensen's sum, written out for a quadratic.  Every float comes from the same
-operations, in the same order, as a helper call per step would give.
+strip (skipped when no coefficient is small), then the closed form, or Aberth,
+which validates its roots, and Jensen's sum.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ RESIDUAL_GATE = 1e-9
 ABERTH_MAX_ITER = 400
 STALL_SHIFT = 1e-10  # a sweep shift below this that no longer halves ends Aberth
 STRIP_REL_TOL = 1e-13  # fiber coefficients this small next to the largest are zero
+SAFE_MIN, SAFE_MAX = 2.0**-500, 2.0**500  # ``_closed_form`` scales coefficients outside this range
 
 
 class MahlerResult(NamedTuple):
@@ -169,75 +172,11 @@ def _sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
     return roots, shift
 
 
-def _quadratic_roots(c0, c1, c2, start) -> list[complex]:
-    """``_aberth_roots`` of c0 + c1 y + c2 y^2 written out, with its bits and messages: the loop of
-    ``_sweeps`` down to each 0j * z, int factor and int 0 that can flip the sign of a zero, the
-    polish, and each check of the validation in its order."""
-    r0, r1, r2 = c2 / c2, c1 / c2, c0 / c2
-    d0, d1 = 2 * r0, 1 * r1
-    if start:
-        z0, z1 = start
-    else:
-        radius = max(1e-3, abs(r2) ** (1.0 / 2))
-        z0, z1 = [radius * cmath.exp(2j * math.pi * (k + 0.35) / 2) * (1 + 0.02 * (k % 5)) for k in range(2)]
-    last = math.inf
-    for _ in range(ABERTH_MAX_ITER):
-        shift = 0.0
-        n0, n1 = z0, z1
-        pv = ((0j * z0 + r0) * z0 + r1) * z0 + r2
-        if pv == 0:
-            pass
-        elif (dv := (0j * z0 + d0) * z0 + d1) == 0:
-            n0, shift = z0 * (1 + 1e-8) + 1e-8, 1.0
-        elif (denom := 1 - (w := pv / dv) * (0 + 1 / (z0 - z1))) == 0:
-            n0, shift = z0 * (1 + 1e-8), 1.0
-        else:
-            n0 = z0 - (corr := w / denom)
-            az = abs(z0)
-            r = abs(corr) / (az if az > 1.0 else 1.0)
-            shift = r if r > shift else shift
-        pv = ((0j * z1 + r0) * z1 + r1) * z1 + r2
-        if pv == 0:
-            pass
-        elif (dv := (0j * z1 + d0) * z1 + d1) == 0:
-            n1, shift = z1 * (1 + 1e-8) + 1e-8, 1.0
-        elif (denom := 1 - (w := pv / dv) * (0 + 1 / (z1 - z0))) == 0:
-            n1, shift = z1 * (1 + 1e-8), 1.0
-        else:
-            n1 = z1 - (corr := w / denom)
-            az = abs(z1)
-            r = abs(corr) / (az if az > 1.0 else 1.0)
-            shift = r if r > shift else shift
-        z0, z1 = n0, n1
-        if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:
-            break
-        last = shift
-    if shift >= 1e-14:
-        roots = [z0, z1]
-        monic = [c0 / c2, c1 / c2, c2 / c2]
-        _refine_float(monic, _poly_deriv(monic), roots)
-        z0, z1 = roots
-    gate = RESIDUAL_GATE * max(abs(c0), abs(c1), abs(c2))
-    m0 = abs(z0)
-    if abs(((0j * z0 + c2) * z0 + c1) * z0 + c0) > gate * (m0 if m0 > 1.0 else 1.0) ** 2 * 3:
-        raise RootFindingError("root residual exceeds tolerance")
-    m1 = abs(z1)
-    if abs(((0j * z1 + c2) * z1 + c1) * z1 + c0) > gate * (m1 if m1 > 1.0 else 1.0) ** 2 * 3:
-        raise RootFindingError("root residual exceeds tolerance")
-    expect = -c1 / c2
-    if abs(0 + z0 + z1 - expect) > 1e-6 * (1 + max(abs(expect), m0 + m1)):
-        raise RootFindingError("root sum disagrees with coefficients")
-    expect = c0 / c2 * 1
-    if abs((1 + 0j) * z0 * z1 - expect) > 1e-6 * (1 + abs(expect)):
-        raise RootFindingError("root product disagrees with coefficients")
-    return [z0, z1]
-
-
 def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    A quadratic goes to ``_quadratic_roots``, which does what follows written
-    out.  Aberth runs ``_sweeps`` from start, by default a perturbed circle.
+    Both measures send degree 2 and below to ``_closed_form`` instead.  Aberth
+    runs ``_sweeps`` from start, by default a perturbed circle.
     Converged roots (a sweep moved each by less than 1e-14, relative) stand;
     a run cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below
     ``STALL_SHIFT`` that did not halve) gets ``_refine_float``.  Every result
@@ -250,8 +189,6 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     s = len(coeffs) - 1
     if s < 1:
         return []
-    if s == 2:
-        return _quadratic_roots(*coeffs, start)
     roots, shift = _sweeps(coeffs, start)
     lead = coeffs[-1]
     if shift >= 1e-14:  # only a run that did not converge is polished
@@ -289,6 +226,39 @@ def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
         if r > 1 + UNIT_CIRCLE_TOL:
             value += math.log(r)
     return value
+
+
+def _closed_form(coeffs: list) -> float:
+    """The measure of c0 + c1 y + c2 y^2 of degree at most 2, with nonzero ends, in closed form.
+
+    Jensen's formula, m = log of |lead| times the size of each root outside the unit circle, is
+    taken as one log: of |c0| when every root lies outside, as the roots multiply to c0 / lead,
+    and of |lead| when none does.  A line's root has size |c0|/|c1|.  A quadratic's roots have
+    sizes q/|c2| >= |c0|/q, where d = sqrt(c1^2 - 4 c0 c2) and q = max(|c1 + d|, |c1 - d|)/2
+    takes the larger root with no cancellation (the stable quadratic formula, Numerical Recipes
+    5.6); with only the larger root outside, m = log q.  When a nonzero |c| lies outside
+    [2^-500, 2^500], where c1^2 or c0 c2 may leave float range, every c is divided by the
+    largest |c| first and its log added, as ``_part_measures`` takes out a content; a lead that
+    this leaves below float range, so that the roots are past it, raises OverflowError."""
+    mags = list(map(abs, coeffs))
+    if len(mags) == 1:
+        return math.log(mags[0])
+    scale, big = 0.0, max(mags)
+    if big > SAFE_MAX or min(mags[0], mags[-1]) < SAFE_MIN or 0 < mags[1] < SAFE_MIN:  # a middle c may be 0
+        coeffs = [c / big for c in coeffs]
+        mags = list(map(abs, coeffs))
+        scale = math.log(big)
+        if mags[-1] < sys.float_info.min:
+            raise OverflowError("coefficients too far apart for a float: the roots are past its range")
+    edge = 1 + UNIT_CIRCLE_TOL
+    if len(mags) == 2:
+        return scale + math.log(mags[0] if mags[0] / mags[1] > edge else mags[1])
+    c0, c1, c2 = coeffs
+    d = cmath.sqrt(c1 * c1 - 4 * c0 * c2)
+    q = max(abs(c1 + d), abs(c1 - d)) / 2
+    if q and mags[0] / q > edge:  # q is 0 only if scaling took c0 and c1 to 0: both roots at 0
+        return scale + math.log(mags[0])
+    return scale + math.log(q if q / mags[2] > edge else mags[2])
 
 
 def _squarefree_parts(f: LaurentPoly):
@@ -334,7 +304,7 @@ def mahler_1var(f: LaurentPoly) -> MahlerResult:
     p, value = _content(f)
     for part in _squarefree_parts(p):
         s = part.coefficient_list()
-        value += _jensen(s, _aberth_roots([complex(a) for a in s]))
+        value += _closed_form(s) if len(s) <= 3 else _jensen(s, _aberth_roots([complex(a) for a in s]))
     return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
 
 
@@ -365,14 +335,14 @@ def _cyclotomic(q: int) -> LaurentPoly:
 def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) -> list:
     """m(f(exp(2 pi i num/den), y)) for each num, one pass per fiber: x, the y-coefficients with
     each x^a taken once, each |c| <= STRIP_REL_TOL * max |c| set to 0 and the zero ends cut off,
-    Aberth started from warm, the roots solved last, when the degree matches (it leaves these),
-    and Jensen's sum; a quadratic goes to ``_quadratic_roots`` and is summed here, term by term
-    as ``_jensen`` sums.  A zero fiber at a grid node takes the mean at (num -+ 1)/den, or where
-    either of those vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes
-    gives None.  The halving ends, as f has finitely many cyclotomic factors in x.  Phi_q | f
-    is tested only below RESIDUAL_GATE, far above the rounding a common root leaves."""
+    then ``_closed_form`` up to degree 2, else Aberth started from warm, the roots of the last
+    Aberth fiber, when the degree matches (it leaves these), and Jensen's sum.  A zero fiber at
+    a grid node takes the mean at (num -+ 1)/den, or where either of those vanishes too at
+    (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes gives None.  The halving ends, as
+    f has finitely many cyclotomic factors in x.  Phi_q | f is tested only below RESIDUAL_GATE,
+    far above the rounding a common root leaves."""
     f, width, exps, terms, total = plan
-    out, edge = [], 1 + UNIT_CIRCLE_TOL
+    out = []
     for num in nums:
         x = cmath.exp(2j * math.pi * (num / den))
         powers = [x**a for a in exps]
@@ -394,30 +364,18 @@ def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) 
                 k, d = 2 * k, 2 * d
             out.append(math.fsum(near) / 2)
             continue
-        start = warm if len(warm) == len(coeffs) - 1 else None
-        if len(coeffs) != 3:
-            try:
-                roots = _aberth_roots(coeffs, start)
-            except RootFindingError:  # a warm start can stall on a symmetric configuration
-                if start is None:
-                    raise
-                roots = _aberth_roots(coeffs)
-            warm[:] = roots
-            out.append(_jensen(coeffs, roots))
+        if len(coeffs) <= 3:
+            out.append(_closed_form(coeffs))
             continue
-        c0, c1, c2 = coeffs
+        start = warm if len(warm) == len(coeffs) - 1 else None
         try:
-            warm[:] = z0, z1 = _quadratic_roots(c0, c1, c2, start)
-        except RootFindingError:
+            roots = _aberth_roots(coeffs, start)
+        except (RootFindingError, ZeroDivisionError):  # a warm start can stall, or hold two equal points
             if start is None:
                 raise
-            warm[:] = z0, z1 = _quadratic_roots(c0, c1, c2, None)
-        value = math.log(abs(c2))  # Jensen's sum, as _jensen takes it
-        if (r := abs(z0)) > edge:
-            value += math.log(r)
-        if (r := abs(z1)) > edge:
-            value += math.log(r)
-        out.append(value)
+            roots = _aberth_roots(coeffs)
+        warm[:] = roots
+        out.append(_jensen(coeffs, roots))
     return out
 
 

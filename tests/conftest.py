@@ -18,7 +18,8 @@ faces, medial strands and the kappa = 1 vertex split walked on those names
 one call per polynomial value, with builtin sum and max), the
 two-variable Mahler grid solved at every node from a cold start with its own
 strip and zero-fiber rule, the mirrored, warm-started grid composed of one
-helper call per step (coefficients, strip, Aberth, Jensen), one-variable
+helper call per step (coefficients, strip, the library's closed form up to
+degree 2, else Aberth and Jensen), one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
 the coefficient domain itself, the primitive pseudo-remainder gcd over ZZ and
 GF(p) with no modular gcd or certificate, and the root-of-unity norm of cover
@@ -72,6 +73,7 @@ from lapgraph.mahler import (
     UNIT_CIRCLE_TOL,
     RootFindingError,
     _aberth_roots,
+    _closed_form,
     _fiber_measures,
     _poly_deriv,
 )
@@ -888,8 +890,8 @@ def cyclotomic_by_division(q: int) -> LaurentPoly:
 
 def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, node: bool = True) -> float | None:
     """m(f(exp(2 pi i num/den), y)) as ``mahler`` took it before its one-pass fiber loop
-    (test oracle): ``fiber_coeffs_generic``, ``strip_complex``, ``aberth_roots_generic``
-    started from warm when the degree matches and ``jensen``, one helper call each.  A zero
+    (test oracle): ``fiber_coeffs_generic``, ``strip_complex`` and ``fiber_solve_generic``,
+    one helper call each.  A zero
     fiber at a node takes the mean of its neighbours (num -+ 1)/den, halving the offset
     while either vanishes; off the nodes it gives None."""
     fiber = fiber_coeffs_generic(f, num / den)
@@ -909,13 +911,16 @@ def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, nod
 
 
 def fiber_solve_generic(coeffs: list[complex], warm: list) -> float:
-    """The measure of one nonzero stripped fiber as the grid takes it (test oracle):
-    ``aberth_roots_generic`` started from warm when the degree matches, cold if that
-    start fails, and ``jensen``; warm is left holding the roots."""
+    """The measure of one nonzero stripped fiber as the grid takes it (test oracle): the
+    library's ``_closed_form`` up to degree 2, which leaves warm as it is; else
+    ``aberth_roots_generic`` started from warm when the degree matches, cold if that start
+    fails or divides by zero, and ``jensen``, leaving warm holding the roots."""
+    if len(coeffs) <= 3:
+        return _closed_form(coeffs)
     start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = aberth_roots_generic(coeffs, start)
-    except RootFindingError:
+    except (RootFindingError, ZeroDivisionError):
         if start is None:
             raise
         roots = aberth_roots_generic(coeffs)
@@ -989,7 +994,7 @@ def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[
 
 
 def fiber_measure_cold(f: LaurentPoly, theta: float) -> float | None:
-    """m(f(exp(2 pi i theta), y)) from Aberth's circle start (test oracle).
+    """m(f(exp(2 pi i theta), y)) from Aberth's circle start, at every degree (test oracle).
 
     None when every rounded coefficient is exactly 0.  A fiber that vanishes
     exactly but keeps rounding-size coefficients is measured as it stands.

@@ -639,9 +639,9 @@ def test_cli_reads_and_prints_integers_past_the_digit_limit(tmp_path, capsys):
     path = tmp_path / "loop.lapgraph"
     path.write_text(f"lapgraph v1\nd 1\nvertex v\nedge e v v {HUGE_TEXT}\n")
     assert run_cli(capsys, "kappa", str(path)) == (0, "kappa = 1\n")
-    # parsing is not the binding limit: the float root finder is
-    assert main(["mahler", "--poly", "1" * 5000 + "x + 1"]) == 2
-    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+    # the line's root, about 1e-5000, lies inside the circle: m is the log of the big integer
+    code, out = run_cli(capsys, "mahler", "--poly", "1" * 5000 + "x + 1", "--json")
+    assert code == 0 and json.loads(out)["value"] == math.log((10**5000 - 1) // 9)  # 11...1, 5000 ones
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
 
@@ -652,6 +652,18 @@ def test_cli_takes_a_two_variable_content_past_float_range_out(capsys):
     assert code == 0 and abs(json.loads(out)["value"] / math.log(int(sevens)) - 1) <= 1e-9
     assert main(["mahler", "--poly", f"{sevens}x*y + 3", "--fibers", "8"]) == 2
     assert capsys.readouterr().err == "error: coefficients too large for a float, also with the content taken out\n"
+
+
+def test_cli_refuses_a_quadratic_whose_roots_are_past_float_range(capsys):
+    # the roots of 11...1 + x^2, about 1e2500 in size: the lead over the largest coefficient underflows
+    assert main(["mahler", "--poly", "1" * 5000 + " + x^2"]) == 2
+    assert capsys.readouterr().err == "error: coefficients too far apart for a float: the roots are past its range\n"
+
+
+def test_cli_measures_a_quadratic_whose_roots_are_far_inside_the_circle(capsys):
+    # 11...1 x^2 + 3x + 1, 400 ones: both roots are about 1e-200 in size, so m is the log of the lead
+    code, out = run_cli(capsys, "mahler", "--poly", "1" * 400 + "*x^2 + 3*x + 1", "--json")
+    assert code == 0 and json.loads(out)["value"] == math.log(int("1" * 400))
 
 
 def test_cli_measures_a_quadratic_whose_root_sum_cancels(capsys):
