@@ -1,56 +1,62 @@
 """Logarithmic Mahler measure of integer Laurent polynomials.
 
-One variable: Jensen's formula, m(f) = log|lead| + sum of log|root| over the
-roots outside the unit circle.  A polynomial of degree at most 2 is measured in
-closed form: one stable complex square root gives its root sizes (Press et al.,
-Numerical Recipes 5.6), with no iteration, start or validation.  Higher degrees
-take their roots from an Aberth simultaneous iteration started on a perturbed
-circle (Aberth 1973; Bini 1996).  A run whose last sweep moved every root by
-less than 1e-14, relative, has converged and keeps its roots as they are.  Only
-a run that stops short of that, at ``ABERTH_MAX_ITER`` sweeps or when a shift
-below ``STALL_SHIFT`` no longer halves per sweep, gets a float Newton polish.
-Every root set then passes a residual and coefficient-identity validation.
-Roots on the unit circle, like the double root 1 of every Delta_0, add 0
-(``UNIT_CIRCLE_TOL``).
+One pipeline serves one and two variables (``_measure``).  A nonzero f is
+c x^a p, times y^b in two variables, with p the primitive integer polynomial of
+``normalize``; log|c| comes from c's integer numerator and denominator, so a
+content of any size is measured, and m(c f) = log|c| + m(f).  p is split
+exactly into squarefree parts in its last variable v, x in one variable and y
+in two, with every gcd and division over the integers, since float root
+finders meet a k-fold root only to about eps^(1/k).  The split is the
+repeated-gcd one (Yun 1976): while h = gcd(p, dp/dv) has v in it, p / h is a
+part and the split goes on with h; once h is free of v, p is the last part.  A
+p of degree at most 1 in v is the last part without a gcd, since its h is
+always free of v; x - 1, which ends the split of a rank-1 Delta_0 whose only
+repeated factor is (x - 1)^2, is one.  An h free of y, such as an x-content
+(1 + x)^4, stays in the last part of two variables and so in its grid.  The
+parts multiply to p and m is additive, so m(f) is log|c| plus the parts'
+measures, added in order.  m(p) >= 0 for a nonzero integer p, so a sum that
+rounding takes below log|c| reads as log|c|.
+
+Every one-variable measure, of a part in one variable or of a fiber in two,
+is ``_poly_measure``: Jensen's formula, m = log|lead| + sum of log|root| over
+the roots outside the unit circle.  Roots on the circle, like the double root
+1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).  When a nonzero |coefficient|
+lies outside [2^-500, 2^500] every coefficient is divided by the largest and
+its log added; low coefficients that this takes to 0 are roots at 0 and cut
+off, and a lead that it takes below float range, so that the roots are past
+it, raises OverflowError.  Degree at most 2 is measured in closed form: one
+stable complex square root gives the root sizes (Press et al., Numerical
+Recipes 5.6), with no iteration, start or validation; a part keeps its int
+coefficients into it, so its discriminant is exact.  Higher degrees take their
+roots from an Aberth simultaneous iteration (Aberth 1973; Bini 1996), started
+from the roots of the last Aberth solve when the degree matches, else on a
+perturbed circle, and retried from the circle when a warm start fails.  A run
+whose last sweep moved every root by less than 1e-14, relative, has converged
+and keeps its roots as they are.  Only a run that stops short of that, at
+``ABERTH_MAX_ITER`` sweeps or when a shift below ``STALL_SHIFT`` no longer
+halves per sweep, gets a float Newton polish.  Every root set then passes a
+residual and coefficient-identity validation.
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
-grid the variable x is pinned to exp(2 pi i theta) and the exact one-variable
+grid the variable x is pinned to exp(2 pi i theta) and the one-variable
 measure in y (complex coefficients) is taken; the node average converges to
 the torus integral, with the inner log-singularities absorbed exactly.  The
 error estimate compares the N- and N/2-point grids.  Only ``mahler_2var``,
 and so ``mahler``, pays for the N/2 grid, a third of the fiber solves;
 ``mahler_value``, for callers that read the value alone, solves the N-point
 grid only and returns the same float.  The conjugate fibers at theta and
-1 - theta are solved once.  Every fiber of the grid's Delta_0 is a quadratic
-in y and takes the closed form; a fiber of higher degree starts Aberth from the
-roots of the last fiber Aberth solved.  A fiber at x of order q vanishes when
-Phi_q(x) divides f, decided exactly (rounding leaves it tiny, not zero); it
-takes the mean of the fibers half a step to either side, or, where one of
-those vanishes too, of the pair at half that offset, halving until neither
-vanishes.  An f with
-int coefficients measures at least 0, so a grid sum below 0 reads as 0.0.
-
-Both variable counts measure squarefree parts.  Float Aberth meets a k-fold
-root only to about eps^(1/k), so f is split exactly first in its last
-variable v, x in one variable and y in two (the repeated-gcd squarefree
-split, see Yun 1976): while h = gcd(f, df/dv) has v in it, f / h is a part
-and the split goes on with h; once h is free of v, f is the last part.  An f
-of degree at most 1 in v is the last part without a gcd, since its h is
-always free of v; x - 1, which ends the split of a rank-1 Delta_0 whose only
-repeated factor is (x - 1)^2, is one.  Each part is squarefree in v, the
-parts multiply to f, and m is additive, so m(f) is the sum of the parts'
-measures.  One variable splits the primitive integer polynomial p of
-f = c x^a p and adds log|c|; two variables split f itself, so an h free of y,
-such as a content (1 + x)^4, stays in the last part's grid.  Two variables take
-the integer content c out, adding log|c|, only when the sum of |coefficient|
-passes float range.
+1 - theta are solved once.  Every fiber of the grid's and Mitsubishi's Delta_0
+is a quadratic in y.  A fiber at x of order q vanishes when Phi_q(x) divides
+the part, decided exactly (rounding leaves it tiny, not zero); it takes the
+mean of the fibers half a step to either side, or, where one of those vanishes
+too, of the pair at half that offset, halving until neither vanishes.
 
 The float kernel inlines one Horner loop per polynomial value and sums from the
 int 0 as ``sum`` does, so its floats are those of a call per evaluation.  The
-grid reads a fiber plan built once per polynomial instead of rescanning f and
-takes each node in one pass: x, each distinct x^a once, the y-coefficients, the
-strip (skipped when no coefficient is small), then the closed form, or Aberth,
-which validates its roots, and Jensen's sum.
+grid reads a fiber plan built once per part instead of rescanning it and
+takes each node in one pass: x, each distinct x^a once, the y-coefficients and
+their sizes, the strip (skipped when no coefficient is small), then
+``_poly_measure``.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ RESIDUAL_GATE = 1e-9
 ABERTH_MAX_ITER = 400
 STALL_SHIFT = 1e-10  # a sweep shift below this that no longer halves ends Aberth
 STRIP_REL_TOL = 1e-13  # fiber coefficients this small next to the largest are zero
-SAFE_MIN, SAFE_MAX = 2.0**-500, 2.0**500  # ``_closed_form`` scales coefficients outside this range
+SAFE_MIN, SAFE_MAX = 2.0**-500, 2.0**500  # ``_poly_measure`` scales coefficients outside this range
 
 
 class MahlerResult(NamedTuple):
@@ -83,7 +89,7 @@ class RootFindingError(ArithmeticError):
     pass
 
 
-# -- polynomial helpers (dense complex coefficient lists, low degree first) -----
+# -- one variable: dense coefficient lists, low degree first ----------------------
 
 
 def _poly_deriv(coeffs: list[complex]) -> list[complex]:
@@ -121,9 +127,23 @@ def _refine_float(monic: list[complex], deriv: list[complex], roots: list[comple
         roots[k] = z
 
 
-def _sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
-    """Aberth's sweeps from start, by default a perturbed circle: the roots and the last shift."""
+def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
+    """All roots of a polynomial with nonzero first and last coefficient.
+
+    ``_poly_measure`` sends degree 2 and below to its closed form instead.
+    Aberth's sweeps run from start, by default a perturbed circle.  Converged
+    roots (a sweep moved each by less than 1e-14, relative) stand; a run cut
+    at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
+    that did not halve) gets ``_refine_float``.  Every result then passes the
+    residual gate at each root and the root sum and product identities, else
+    RootFindingError; the sum, which cancels to about eps times the sum of
+    |root|, is held to 1e-6 (1 + max(|sum|, sum of |root|)).  A k-fold root
+    comes out only to about eps^(1/k), so the measures hand it squarefree
+    parts.
+    """
     s = len(coeffs) - 1
+    if s < 1:
+        return []
     lead = coeffs[-1]
     rmonic = [c / lead for c in reversed(coeffs)]  # highest degree first, as Horner reads them
     rderiv = [k * c for k, c in zip(range(s, 0, -1), rmonic)]
@@ -169,28 +189,6 @@ def _sweeps(coeffs: list[complex], start) -> tuple[list[complex], float]:
         if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:  # converged, or the shift stopped halving
             break
         last = shift
-    return roots, shift
-
-
-def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
-    """All roots of a polynomial with nonzero first and last coefficient.
-
-    Both measures send degree 2 and below to ``_closed_form`` instead.  Aberth
-    runs ``_sweeps`` from start, by default a perturbed circle.
-    Converged roots (a sweep moved each by less than 1e-14, relative) stand;
-    a run cut at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below
-    ``STALL_SHIFT`` that did not halve) gets ``_refine_float``.  Every result
-    then passes the residual gate at each root and the root sum and product
-    identities, else RootFindingError; the sum, which cancels to about eps
-    times the sum of |root|, is held to 1e-6 (1 + max(|sum|, sum of |root|)).
-    A k-fold root comes out only to about eps^(1/k), so both measures hand it
-    squarefree parts.
-    """
-    s = len(coeffs) - 1
-    if s < 1:
-        return []
-    roots, shift = _sweeps(coeffs, start)
-    lead = coeffs[-1]
     if shift >= 1e-14:  # only a run that did not converge is polished
         monic = [c / lead for c in coeffs]
         _refine_float(monic, _poly_deriv(monic), roots)
@@ -214,70 +212,54 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     return roots
 
 
-def _jensen(coeffs: list[complex], roots: list[complex]) -> float:
-    """log|lead| plus log|root| over the roots outside the unit circle.
+def _poly_measure(coeffs: list, mags: list, warm: list) -> float:
+    """m(c0 + c1 y + ... + cs y^s), with nonzero ends and mags their sizes |c|.
 
-    Expects a dense list with nonzero ends (monomial factors already stripped;
-    they do not move the measure).
-    """
-    value = math.log(abs(coeffs[-1]))
+    The range rule and the dispatch are the module docstring's.  In closed form, Jensen's
+    formula is one log: of |c0| when every root lies outside the circle, as the roots multiply
+    to c0 / lead, and of |lead| when none does.  A line's root has size |c0|/|c1|.  A
+    quadratic's roots have sizes q/|c2| >= |c0|/q, where d = sqrt(c1^2 - 4 c0 c2) and
+    q = max(|c1 + d|, |c1 - d|)/2 takes the larger root with no cancellation (the stable
+    quadratic formula, Numerical Recipes 5.6); with only the larger root outside, m = log q.
+    From degree 3, Aberth starts from warm when it holds s roots, and warm then holds the
+    roots found; degree 2 and below leave warm alone."""
+    scale, big = 0.0, max(mags)
+    if big > SAFE_MAX or min(mags) < SAFE_MIN and min(filter(None, mags)) < SAFE_MIN:  # a middle 0 is in range
+        coeffs = [c / big for c in coeffs]
+        mags = list(map(abs, coeffs))
+        if mags[-1] < sys.float_info.min:
+            raise OverflowError("coefficients too far apart for a float: the roots are past its range")
+        low = next(k for k, m in enumerate(mags) if m)  # each c that underflowed below it is a root at 0
+        coeffs, mags, scale = coeffs[low:], mags[low:], math.log(big)
+    edge = 1 + UNIT_CIRCLE_TOL
+    s = len(coeffs) - 1
+    if s == 2:
+        c0, c1, c2 = coeffs
+        d = cmath.sqrt(c1 * c1 - 4 * c0 * c2)
+        q = max(abs(c1 + d), abs(c1 - d)) / 2
+        if q and mags[0] / q > edge:  # q is 0 only when c1 is 0 and c0 c2 underflows: both roots near 0
+            return scale + math.log(mags[0])
+        return scale + math.log(q if q / mags[2] > edge else mags[2])
+    if s < 2:  # a constant, or a line whose root lies outside when |c0| / |c1| does
+        return scale + math.log(mags[0] if s and mags[0] / mags[1] > edge else mags[-1])
+    coeffs = list(map(complex, coeffs))
+    start = warm if len(warm) == s else None
+    try:
+        roots = _aberth_roots(coeffs, start)
+    except (RootFindingError, ZeroDivisionError):  # a warm start can stall, or hold two equal points
+        if start is None:
+            raise
+        roots = _aberth_roots(coeffs)
+    warm[:] = roots
+    value = scale + math.log(mags[-1])
     for z in roots:
         r = abs(z)
-        if r > 1 + UNIT_CIRCLE_TOL:
+        if r > edge:
             value += math.log(r)
     return value
 
 
-def _closed_form(coeffs: list) -> float:
-    """The measure of c0 + c1 y + c2 y^2 of degree at most 2, with nonzero ends, in closed form.
-
-    Jensen's formula, m = log of |lead| times the size of each root outside the unit circle, is
-    taken as one log: of |c0| when every root lies outside, as the roots multiply to c0 / lead,
-    and of |lead| when none does.  A line's root has size |c0|/|c1|.  A quadratic's roots have
-    sizes q/|c2| >= |c0|/q, where d = sqrt(c1^2 - 4 c0 c2) and q = max(|c1 + d|, |c1 - d|)/2
-    takes the larger root with no cancellation (the stable quadratic formula, Numerical Recipes
-    5.6); with only the larger root outside, m = log q.  When a nonzero |c| lies outside
-    [2^-500, 2^500], where c1^2 or c0 c2 may leave float range, every c is divided by the
-    largest |c| first and its log added, as ``_part_measures`` takes out a content; a lead that
-    this leaves below float range, so that the roots are past it, raises OverflowError."""
-    mags = list(map(abs, coeffs))
-    if len(mags) == 1:
-        return math.log(mags[0])
-    scale, big = 0.0, max(mags)
-    if big > SAFE_MAX or min(mags[0], mags[-1]) < SAFE_MIN or 0 < mags[1] < SAFE_MIN:  # a middle c may be 0
-        coeffs = [c / big for c in coeffs]
-        mags = list(map(abs, coeffs))
-        scale = math.log(big)
-        if mags[-1] < sys.float_info.min:
-            raise OverflowError("coefficients too far apart for a float: the roots are past its range")
-    edge = 1 + UNIT_CIRCLE_TOL
-    if len(mags) == 2:
-        return scale + math.log(mags[0] if mags[0] / mags[1] > edge else mags[1])
-    c0, c1, c2 = coeffs
-    d = cmath.sqrt(c1 * c1 - 4 * c0 * c2)
-    q = max(abs(c1 + d), abs(c1 - d)) / 2
-    if q and mags[0] / q > edge:  # q is 0 only if scaling took c0 and c1 to 0: both roots at 0
-        return scale + math.log(mags[0])
-    return scale + math.log(q if q / mags[2] > edge else mags[2])
-
-
-def _squarefree_parts(f: LaurentPoly):
-    """The squarefree parts of f in its last variable v, in the module docstring's
-    order; their product is f.  Each gcd runs over QQ if a coefficient of the
-    polynomial it splits is a Fraction, over ZZ otherwise."""
-    v = f.nvars - 1
-    while True:
-        if f.max_exp(v) - f.min_exp(v) <= 1:  # gcd(f, df/dv) is free of v
-            yield f
-            return
-        dom = QQ if any(isinstance(c, Fraction) for c in f.coeffs.values()) else ZZ
-        df = LaurentPoly(f.nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in f.coeffs.items() if e[v]})
-        h = laurent_gcd(f, df, dom)
-        if h.min_exp(v) == h.max_exp(v):
-            yield f
-            return
-        yield divexact(f, h, dom)
-        f = h
+# -- the shared pipeline ------------------------------------------------------------
 
 
 def _content(f: LaurentPoly) -> tuple[LaurentPoly, float]:
@@ -288,37 +270,66 @@ def _content(f: LaurentPoly) -> tuple[LaurentPoly, float]:
     return p, math.log(abs(c.numerator)) - math.log(c.denominator)
 
 
+def _squarefree_parts(p: LaurentPoly):
+    """The squarefree parts of the integer polynomial p in its last variable v, in the module
+    docstring's order; their product is p."""
+    v = p.nvars - 1
+    while True:
+        if p.max_exp(v) - p.min_exp(v) <= 1:  # gcd(p, dp/dv) is free of v
+            yield p
+            return
+        dp = LaurentPoly(p.nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in p.coeffs.items() if e[v]})
+        h = laurent_gcd(p, dp, ZZ)
+        if h.min_exp(v) == h.max_exp(v):
+            yield p
+            return
+        yield divexact(p, h, ZZ)
+        p = h
+
+
+def _measure(f: LaurentPoly, part_value) -> float:
+    """m(f): log|c| plus part_value(part) over the squarefree parts of p, f = c p times a monomial,
+    added one by one (``sum`` compensates since 3.12), and at least log|c|."""
+    if f.is_zero():
+        raise ValueError("Mahler measure of the zero polynomial is undefined")
+    p, log_c = _content(f)
+    value = log_c
+    for part in _squarefree_parts(p):
+        value += part_value(part)
+    return max(value, log_c)
+
+
 # -- one variable ----------------------------------------------------------------
 
 
 def mahler_1var(f: LaurentPoly) -> MahlerResult:
-    """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial.
-
-    f is normalized first, f = c x^a p with p primitive over the integers;
-    log|c| comes from c's integer numerator and denominator, so a content too
-    large for a float is measured, and p is split as in the module docstring."""
+    """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial, by ``_measure``;
+    each squarefree part is measured from its own coefficients, with a cold start."""
     if f.nvars != 1:
         raise ValueError("mahler_1var needs a one-variable polynomial")
-    if f.is_zero():
-        raise ValueError("Mahler measure of the zero polynomial is undefined")
-    p, value = _content(f)
-    for part in _squarefree_parts(p):
+
+    def part_value(part: LaurentPoly) -> float:
         s = part.coefficient_list()
-        value += _closed_form(s) if len(s) <= 3 else _jensen(s, _aberth_roots([complex(a) for a in s]))
-    return MahlerResult(value=value, method="jensen-roots", error_estimate=1e-11)
+        return _poly_measure(s, list(map(abs, s)), [])
+
+    return MahlerResult(value=_measure(f, part_value), method="jensen-roots", error_estimate=1e-11)
 
 
 # -- two variables ----------------------------------------------------------------
 
 
 def _fiber_plan(f: LaurentPoly) -> tuple:
-    """What every fiber of f reads: (f, its width in y, the distinct x-exponents a, the terms
-    c x^a y^b as (b - min b, the index of a, c) in dict order, the sum of |c|)."""
+    """What every fiber of the integer polynomial f reads: (f, its width in y, the distinct
+    x-exponents a, the terms c x^a y^b as (b - min b, the index of a, c) in dict order, the sum
+    of |c|).  That sum bounds every fiber coefficient; past float range it raises OverflowError."""
+    total = sum(map(abs, f.coeffs.values()))
+    if total > sys.float_info.max:
+        raise OverflowError("coefficients too large for a float, also with the content taken out")
     lo = f.min_exp(1)
     exps = list(dict.fromkeys(a for a, _ in f.coeffs))
     at = {a: i for i, a in enumerate(exps)}
     terms = [(b - lo, at[a], c) for (a, b), c in f.coeffs.items()]
-    return f, f.max_exp(1) - lo + 1, exps, terms, sum(map(abs, f.coeffs.values()))
+    return f, f.max_exp(1) - lo + 1, exps, terms, total
 
 
 def _cyclotomic(q: int) -> LaurentPoly:
@@ -328,19 +339,18 @@ def _cyclotomic(q: int) -> LaurentPoly:
     phi, m = LaurentPoly(2, {(0, 0): -1, (1, 0): 1}), 1
     for p in range(2, q + 1):
         if q % p == 0 and math.gcd(p, m) == 1:  # a composite p shares a prime with m
-            phi, m = divexact(up(phi, p), phi, QQ), m * p
+            phi, m = divexact(up(phi, p), phi, ZZ), m * p
     return up(phi, q // m)
 
 
 def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) -> list:
     """m(f(exp(2 pi i num/den), y)) for each num, one pass per fiber: x, the y-coefficients with
-    each x^a taken once, each |c| <= STRIP_REL_TOL * max |c| set to 0 and the zero ends cut off,
-    then ``_closed_form`` up to degree 2, else Aberth started from warm, the roots of the last
-    Aberth fiber, when the degree matches (it leaves these), and Jensen's sum.  A zero fiber at
-    a grid node takes the mean at (num -+ 1)/den, or where either of those vanishes too at
-    (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes gives None.  The halving ends, as
-    f has finitely many cyclotomic factors in x.  Phi_q | f is tested only below RESIDUAL_GATE,
-    far above the rounding a common root leaves."""
+    each x^a taken once and their sizes, each |c| <= STRIP_REL_TOL * max |c| set to 0 and the
+    zero ends cut off, then ``_poly_measure`` with warm, the roots of the last Aberth fiber.  A
+    zero fiber at a grid node takes the mean at (num -+ 1)/den, or where either of those
+    vanishes too at (2 num -+ 1)/2 den, and so on; a zero fiber off the nodes gives None.  The
+    halving ends, as f has finitely many cyclotomic factors in x.  Phi_q | f is tested only
+    below RESIDUAL_GATE, far above the rounding a common root leaves."""
     f, width, exps, terms, total = plan
     out = []
     for num in nums:
@@ -353,9 +363,12 @@ def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) 
         big = max(mags)
         tol = STRIP_REL_TOL * big
         if min(mags) <= tol:
-            kept = [k for k, m in enumerate(mags) if m > tol]
-            coeffs = [c if m > tol else 0 for c, m in zip(coeffs, mags)][kept[0] : kept[-1] + 1] if kept else []
-        if not coeffs or big <= RESIDUAL_GATE * total and divides(_cyclotomic(den // math.gcd(num, den)), f, QQ):
+            mags = [m if m > tol else 0 for m in mags]
+            kept = [k for k, m in enumerate(mags) if m]
+            cut = slice(kept[0], kept[-1] + 1) if kept else slice(0)
+            coeffs = [c if m else 0 for c, m in zip(coeffs[cut], mags[cut])]
+            mags = mags[cut]
+        if not coeffs or big <= RESIDUAL_GATE * total and divides(_cyclotomic(den // math.gcd(num, den)), f, ZZ):
             if not node:
                 out.append(None)
                 continue
@@ -364,18 +377,7 @@ def _fiber_measures(plan: tuple, nums, den: int, warm: list, node: bool = True) 
                 k, d = 2 * k, 2 * d
             out.append(math.fsum(near) / 2)
             continue
-        if len(coeffs) <= 3:
-            out.append(_closed_form(coeffs))
-            continue
-        start = warm if len(warm) == len(coeffs) - 1 else None
-        try:
-            roots = _aberth_roots(coeffs, start)
-        except (RootFindingError, ZeroDivisionError):  # a warm start can stall, or hold two equal points
-            if start is None:
-                raise
-            roots = _aberth_roots(coeffs)
-        warm[:] = roots
-        out.append(_jensen(coeffs, roots))
+        out.append(_poly_measure(coeffs, mags, warm))
     return out
 
 
@@ -390,48 +392,28 @@ def _check_int(name: str, v, least: int) -> None:
         raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
 
 
-def _nonnegative_on_integers(f: LaurentPoly, value: float) -> float:
-    """value, or 0.0 where it is negative and every coefficient of f is an int."""
-    return max(0.0, value) if all(isinstance(c, int) for c in f.coeffs.values()) else value
-
-
-def _beyond_float(f: LaurentPoly) -> bool:
-    """Whether the sum of |c| over f, which bounds every fiber coefficient, is past float range."""
-    return sum(map(abs, f.coeffs.values())) > sys.float_info.max
-
-
-def _part_measures(f: LaurentPoly, fibers: int):
-    """log|c| and the (fiber plan, grid average on ``fibers`` nodes) of each squarefree part of
-    f / c in y: c is f's content when the sum of |coefficient| is past float range, else 1, so
-    every f within range keeps its bits."""
-    log_c = 0.0
-    if _beyond_float(f):
-        f, log_c = _content(f)
-        if _beyond_float(f):
-            raise OverflowError("coefficients too large for a float, also with the content taken out")
-    return log_c, ((plan, _grid_average(plan, fibers)) for plan in map(_fiber_plan, _squarefree_parts(f)))
-
-
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
-    """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial.
+    """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial, by ``_measure``.
 
     The error estimate is the difference against the half-resolution grid,
-    summed over f's squarefree parts in y.  That grid costs a third of the
+    summed over the squarefree parts in y.  That grid costs a third of the
     fiber solves and is run here only, for callers that read the estimate;
     :func:`mahler_value` skips it.  Conjugate fibers are solved once,
     warm-started; the module docstring has the zero rule.
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")
-    if f.is_zero():
-        raise ValueError("Mahler measure of the zero polynomial is undefined")
     _check_int("fibers", fibers, 4)
-    value, parts = _part_measures(f, fibers)
     error = 0.0
-    for plan, m in parts:
-        value += m
+
+    def part_value(part: LaurentPoly) -> float:
+        nonlocal error
+        plan = _fiber_plan(part)
+        m = _grid_average(plan, fibers)
         error += abs(m - _grid_average(plan, fibers // 2))
-    value = _nonnegative_on_integers(f, value)
+        return m
+
+    value = _measure(f, part_value)
     return MahlerResult(value=value, method="fiberwise", error_estimate=error, samples=fibers)
 
 
@@ -459,11 +441,6 @@ def mahler_value(f: LaurentPoly, fibers: int = 1024) -> float:
     """``mahler(f, fibers).value``, the same float, without the half-resolution
     grid that only the error estimate reads."""
     _check_int("fibers", fibers, 4)
-    if f.is_zero():
-        raise ValueError("Mahler measure of the zero polynomial is undefined")
     if f.nvars == 1:
         return mahler_1var(f).value
-    value, parts = _part_measures(f, fibers)
-    for _, m in parts:  # as mahler_2var adds: sum() compensates since 3.12
-        value += m
-    return _nonnegative_on_integers(f, value)
+    return _measure(f, lambda part: _grid_average(_fiber_plan(part), fibers))

@@ -73,9 +73,9 @@ from lapgraph.mahler import (
     UNIT_CIRCLE_TOL,
     RootFindingError,
     _aberth_roots,
-    _closed_form,
     _fiber_measures,
     _poly_deriv,
+    _poly_measure,
 )
 from lapgraph.planar import Dart, Face, MedialComponent, PlaneGraph, faces, parse_dart
 
@@ -878,6 +878,21 @@ def jensen(coeffs: list[complex], roots: list[complex]) -> float:
     return value
 
 
+def primitive_part(f: LaurentPoly) -> tuple[LaurentPoly, float]:
+    """(p, log|c|) with f = c p times a monomial: p has integer coefficients with gcd 1, least
+    exponent 0 in each variable and a positive coefficient at its lexicographically least
+    exponent; log|c| is taken from c's numerator and denominator (test oracle: the content of
+    the Fractions is the gcd of their numerators over the lcm of their denominators)."""
+    cs = {e: Fraction(v) for e, v in f.coeffs.items()}
+    c = Fraction(math.gcd(*(v.numerator for v in cs.values())), math.lcm(*(v.denominator for v in cs.values())))
+    c = c if cs[min(cs)] > 0 else -c
+    low = [min(e[k] for e in cs) for k in range(f.nvars)]
+    terms = {tuple(a - b for a, b in zip(e, low)): v / c for e, v in cs.items()}
+    assert all(v.denominator == 1 for v in terms.values())
+    p = LaurentPoly(f.nvars, {e: v.numerator for e, v in terms.items()})
+    return p, math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_by_division(q: int) -> LaurentPoly:
     """Phi_q(x) = (x^q - 1) / the product of Phi_d over the proper divisors d of q (test oracle)."""
@@ -912,11 +927,11 @@ def fiber_measure_by_helpers(f: LaurentPoly, num: int, den: int, warm: list, nod
 
 def fiber_solve_generic(coeffs: list[complex], warm: list) -> float:
     """The measure of one nonzero stripped fiber as the grid takes it (test oracle): the
-    library's ``_closed_form`` up to degree 2, which leaves warm as it is; else
-    ``aberth_roots_generic`` started from warm when the degree matches, cold if that start
-    fails or divides by zero, and ``jensen``, leaving warm holding the roots."""
+    library's ``_poly_measure`` up to degree 2, its closed form, which leaves warm as it is;
+    else ``aberth_roots_generic`` started from warm when the degree matches, cold if that
+    start fails or divides by zero, and ``jensen``, leaving warm holding the roots."""
     if len(coeffs) <= 3:
-        return _closed_form(coeffs)
+        return _poly_measure(coeffs, [abs(c) for c in coeffs], warm)
     start = warm if len(warm) == len(coeffs) - 1 else None
     try:
         roots = aberth_roots_generic(coeffs, start)

@@ -1,6 +1,6 @@
 """A 60-digit reference for the Mahler measure of polynomials of degree at most 2, on ``decimal`` alone.
 
-Test oracle for ``lapgraph.mahler._closed_form``.  Every coefficient, an int,
+Test oracle for the closed form of ``lapgraph.mahler._poly_measure``.  Every coefficient, an int,
 a float, a Fraction or a complex number, is taken exactly as a pair of
 Decimals (real, imaginary), so the reference measures the very polynomial the
 float code was given.  The roots come from the quadratic formula in complex

@@ -666,6 +666,21 @@ def test_cli_measures_a_quadratic_whose_roots_are_far_inside_the_circle(capsys):
     assert code == 0 and json.loads(out)["value"] == math.log(int("1" * 400))
 
 
+def test_cli_measures_a_cubic_whose_roots_are_far_inside_the_circle(capsys):
+    # 11...1 x^3 + 1, 400 ones: every root is about 1e-133 in size, so m is the log of the lead;
+    # the constant over the lead underflows to 0 and is cut off as a root at 0
+    code, out = run_cli(capsys, "mahler", "--poly", "1" * 400 + "*x^3 + 1")
+    assert code == 0 and out.splitlines()[0].endswith(") = 918.8368126")
+    code, out = run_cli(capsys, "mahler", "--poly", "1" * 400 + "*x^3 + 1", "--json")
+    assert code == 0 and json.loads(out)["value"] == math.log((10**400 - 1) // 9)
+
+
+def test_cli_refuses_a_cubic_whose_roots_are_past_float_range(capsys):
+    # the roots of 11...1 + x^3, about 1e1667 in size: the lead over the largest coefficient underflows
+    assert main(["mahler", "--poly", "1" * 5000 + " + x^3"]) == 2
+    assert capsys.readouterr().err == "error: coefficients too far apart for a float: the roots are past its range\n"
+
+
 def test_cli_measures_a_quadratic_whose_root_sum_cancels(capsys):
     # 3x^2 + 7x + 10^100: the roots -7/6 +- 5.77e49 i sum, in floats, only to about eps * 1e50
     code, out = run_cli(capsys, "mahler", "--poly", "3x^2 + 7x + 1" + "0" * 100)

@@ -24,6 +24,7 @@ from conftest import (
     grid_average_full,
     jensen,
     mahler_1var_exact_refined,
+    primitive_part,
     refine_float_four_steps,
     strip_complex,
 )
@@ -34,10 +35,11 @@ from lapgraph.linalg import det_laurent
 from lapgraph.mahler import (
     RootFindingError,
     _aberth_roots,
-    _closed_form,
+    _content,
     _fiber_measures,
     _fiber_plan,
     _poly_deriv,
+    _poly_measure,
     _refine_float,
     _squarefree_parts,
     mahler,
@@ -103,7 +105,7 @@ def test_a_two_variable_content_too_large_for_a_float_is_taken_out():
     f = c * poly2("x*y + 1")
     assert abs(mahler_2var(f, 8).value / math.log(c) - 1) <= 1e-9
     assert mahler_value(f, 8) == mahler_2var(f, 8).value
-    # the content comes out only past float range, and then log|c| is where the sum starts
+    # the content always comes out, and log|c| is where the sum starts
     p = poly2("2 + x + y")
     base = mahler_2var(p, 16)
     for content in (c, -c, Fraction(c, 3)):
@@ -111,6 +113,19 @@ def test_a_two_variable_content_too_large_for_a_float_is_taken_out():
         res = mahler_2var(content * p, 16)
         assert (res.value, res.error_estimate) == (log_c + base.value, base.error_estimate)
         assert mahler_value(content * p, 16) == res.value
+
+
+CONTENT_CASES = [poly2("4 - x - x^-1 - y - y^-1"), poly2("3 + x + y + x*y^2")]
+
+
+@pytest.mark.parametrize("c", [3, 6, Fraction(1, 3), Fraction(5, 7)], ids=str)
+@pytest.mark.parametrize(
+    "f", CONTENT_CASES + [CONTENT_CASES[0] * CONTENT_CASES[1]], ids=["grid", "3+x+y+xy^2", "product"]
+)
+def test_a_content_adds_its_log_bit_for_bit(f, c):
+    # m(c f) = log|c| + m(f): both measure the same primitive part, from log|c| and from 0
+    log_c = math.log(Fraction(c).numerator) - math.log(Fraction(c).denominator)
+    assert mahler_2var(c * f, 64).value == log_c + mahler_2var(f, 64).value
 
 
 def test_a_two_variable_polynomial_too_large_for_a_float_without_its_content_is_refused():
@@ -417,7 +432,7 @@ def test_a_repeated_factor_in_y_is_split_off_and_an_x_content_is_not(monkeypatch
     measured.clear()
     f = poly2("1 + x") ** 4 * poly2("y - 3")
     mahler_2var(f, 16)
-    assert measured == [f]
+    assert measured == [-f]  # the content -1 comes out, and (1 + x)^4 stays in the one part
 
 
 def test_the_squarefree_part_takes_no_gcd_of_its_own(monkeypatch):
@@ -432,6 +447,7 @@ def test_the_squarefree_part_takes_no_gcd_of_its_own(monkeypatch):
 
 
 def test_fraction_coefficients_split_over_the_rationals():
+    # the content, 1/3 and then 1/2, comes out first, so the split runs over the integers
     third = (poly2("4 - x - x^-1 - y - y^-1") ** 2).map_coefficients(lambda c: Fraction(c, 3))
     res = mahler_2var(third, 64)
     assert abs(res.value - 2 * FOUR_CATALAN_OVER_PI + math.log(3)) <= res.error_estimate
@@ -460,14 +476,15 @@ def test_squarefree_parts_are_squarefree_and_multiply_to_the_input(seed):
     f = LaurentPoly(nvars, {(0,) * nvars: 1})
     for _ in range(rng.randint(1, 3 if nvars == 1 else 2)):
         f = f * _random_factor(rng, nvars) ** rng.randint(1, 3)
-    parts = list(_squarefree_parts(f))
+    p, _ = _content(f)
+    parts = list(_squarefree_parts(p))
     product = LaurentPoly(nvars, {(0,) * nvars: 1})
-    for p in parts:
-        dp = LaurentPoly(nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in p.coeffs.items() if e[v]})
-        h = laurent_gcd(p, dp, QQ)
+    for part in parts:
+        dp = LaurentPoly(nvars, {e[:v] + (e[v] - 1,): e[v] * c for e, c in part.coeffs.items() if e[v]})
+        h = laurent_gcd(part, dp, QQ)
         assert h.min_exp(v) == h.max_exp(v)
-        product = product * p
-    assert product == f
+        product = product * part
+    assert product == p
 
 
 def test_dispatch_helper():
@@ -524,8 +541,11 @@ def _fibers_simple(f, fibers):
 
 
 def _assert_equals_full_grid(f, fibers, rel):
-    value = grid_average_full(f, fibers)
-    error = abs(value - grid_average_full(f, fibers // 2))
+    # log|c| plus the full grids of f's primitive part p, f = c p times a monomial
+    p, log_c = primitive_part(f)
+    m = grid_average_full(p, fibers)
+    value = log_c + m
+    error = abs(m - grid_average_full(p, fibers // 2))
     res = mahler_2var(f, fibers)
     tol = rel * max(1.0, abs(value))
     assert abs(res.value - value) <= tol
@@ -562,10 +582,10 @@ DELTA0_BITS = {
     ("grid", 512): ("0x1.2a8f129114553p+0", "0x1.9220d6abc0000p-18"),
     ("grid", 1024): ("0x1.2a8ef96f147b5p+0", "0x1.921ffd9e00000p-20"),
     ("grid", 4096): ("0x1.2a8ef19475a43p+0", "0x1.921fb9c000000p-24"),
-    ("mitsubishi", 64): ("0x1.b41f206e0782fp+1", "0x1.5c3fe93258000p-12"),
+    ("mitsubishi", 64): ("0x1.b41f206e0782ep+1", "0x1.5c3fe93259000p-12"),
     ("mitsubishi", 512): ("0x1.b41b8e465fdffp+1", "0x1.5c3fddc980000p-18"),
     ("mitsubishi", 1024): ("0x1.b41b836460f1ap+1", "0x1.5c3fddca00000p-20"),
-    ("mitsubishi", 4096): ("0x1.b41b7ffdc1473p+1", "0x1.5c3fddc000000p-24"),
+    ("mitsubishi", 4096): ("0x1.b41b7ffdc1472p+1", "0x1.5c3fddc000000p-24"),
 }
 
 
@@ -726,21 +746,20 @@ def test_a_zero_node_whose_neighbours_vanish_takes_closer_neighbours():
 
 
 def _by_helpers(f, fibers):
-    """float.hex of m(f) and its error estimate as ``mahler_2var`` adds them up over
-    f's squarefree parts, each grid by ``grid_average_by_helpers``, or the
-    RootFindingError message."""
-    value = error = 0.0
+    """float.hex of m(f) and its error estimate as ``mahler_2var`` adds them up: from log|c|,
+    f = c p times a monomial by ``primitive_part``, over p's squarefree parts, each grid by
+    ``grid_average_by_helpers``, the value floored at log|c|; or the RootFindingError message."""
+    p, log_c = primitive_part(f)
+    value, error = log_c, 0.0
     try:
-        for part in _squarefree_parts(f):
+        for part in _squarefree_parts(p):
             plan = _fiber_plan(part)
             m = grid_average_by_helpers(plan, fibers)
             value += m
             error += abs(m - grid_average_by_helpers(plan, fibers // 2))
     except RootFindingError as e:
         return str(e)
-    if all(isinstance(c, int) for c in f.coeffs.values()):
-        value = max(0.0, value)
-    return value.hex(), error.hex()
+    return max(value, log_c).hex(), error.hex()
 
 
 # a leading y-coefficient and fiber counts at which it vanishes at a node of the grid or of its half
@@ -987,37 +1006,38 @@ def test_float_kernel_is_bit_identical_to_the_generic_oracle(monkeypatch, f, fib
 
 def test_every_node_of_the_grid_delta0_takes_the_closed_form(monkeypatch):
     measured = []
-    closed = mahler_module._closed_form
+    measure = mahler_module._poly_measure
 
-    def spy(coeffs):
+    def spy(coeffs, mags, warm):
         measured.append(len(coeffs))
-        return closed(coeffs)
+        return measure(coeffs, mags, warm)
 
-    monkeypatch.setattr(mahler_module, "_closed_form", spy)
-    for name in ("_aberth_roots", "_sweeps", "_refine_float", "_jensen"):  # no fiber reaches Aberth
+    monkeypatch.setattr(mahler_module, "_poly_measure", spy)
+    for name in ("_aberth_roots", "_refine_float"):  # no fiber reaches Aberth
         monkeypatch.setattr(mahler_module, name, None)
     mahler_2var(laplacian_determinant_polynomial(example("grid")), 64)
     # the nodes (2j + 1)/2n, j < n/2, of the 64- and 32-node grids, each a quadratic in y
     assert measured == [3] * (32 + 16)
 
 
-@pytest.mark.parametrize("quotient, stalled", [("grid", 1), ("mitsubishi", 2)])
+@pytest.mark.parametrize("quotient, stalled", [("grid", 1), ("mitsubishi", 3)])
 def test_no_fiber_of_delta0_runs_aberth_to_its_iteration_cap(monkeypatch, quotient, stalled):
     # no fiber runs Aberth at all: each is a quadratic in y, measured in closed form.  The fibers
     # next to theta = 0, where Delta_0(1, 1) = 0 leaves a near-double root, stalled the warm-started
     # sweep that the closed form replaced (read off the generic sweeps, each grid's chain started
-    # cold).  Those roots straddle the circle, so log q carries the rounding of c1^2 - 4 c0 c2,
-    # up to 117 eps at theta = 1/8192: every fiber lies within a few eps of the 60-digit
-    # reference times the condition number of its roots
+    # cold, on the fibers of the primitive part: Mitsubishi's Delta_0 has content 6, and its
+    # fibers before that came out stalled only twice).  Those roots straddle the circle, so
+    # log q carries the rounding of c1^2 - 4 c0 c2, up to 117 eps at theta = 1/8192: every fiber
+    # lies within a few eps of the 60-digit reference times the condition number of its roots
     fibers = []
-    closed = mahler_module._closed_form
+    measure = mahler_module._poly_measure
 
-    def record(coeffs):
+    def record(coeffs, mags, warm):
         fibers.append(coeffs)
-        return closed(coeffs)
+        return measure(coeffs, mags, warm)
 
-    monkeypatch.setattr(mahler_module, "_closed_form", record)
-    for name in ("_aberth_roots", "_sweeps", "_refine_float", "_jensen"):
+    monkeypatch.setattr(mahler_module, "_poly_measure", record)
+    for name in ("_aberth_roots", "_refine_float"):
         monkeypatch.setattr(mahler_module, name, None)
     mahler_2var(laplacian_determinant_polynomial(example(quotient)), 4096)
     assert [len(c) for c in fibers] == [3] * (2048 + 1024)
@@ -1029,7 +1049,7 @@ def test_no_fiber_of_delta0_runs_aberth_to_its_iteration_cap(monkeypatch, quotie
         start = aberth_roots_generic(coeffs, start)
     assert len(stalls) == stalled
     for coeffs in fibers:
-        err = highprec.error_in_eps(closed(coeffs), coeffs)
+        err = highprec.error_in_eps(_cold_measure(coeffs), coeffs)
         assert err <= CLOSED_FORM_EPS * highprec.condition(coeffs), (coeffs, err)
 
 
@@ -1037,13 +1057,13 @@ def test_one_variable_parts_of_degree_at_most_2_take_the_closed_form(monkeypatch
     # (x^2 - 4x + 1)^4 splits into four copies of x^2 - 4x + 1, 2x - 6 into its content -2 and 3 - x,
     # and 7x^3 into 7 x^3 and the constant part 1
     measured = []
-    closed = mahler_module._closed_form
+    measure = mahler_module._poly_measure
 
-    def spy(coeffs):
+    def spy(coeffs, mags, warm):
         measured.append(coeffs)
-        return closed(coeffs)
+        return measure(coeffs, mags, warm)
 
-    monkeypatch.setattr(mahler_module, "_closed_form", spy)
+    monkeypatch.setattr(mahler_module, "_poly_measure", spy)
     monkeypatch.setattr(mahler_module, "_aberth_roots", None)
     assert mahler_1var(poly1("x^2-4x+1") ** 4).value == 4 * mahler_1var(poly1("x^2-4x+1")).value
     assert mahler_1var(poly1("2x - 6")).value == math.log(2) + math.log(3)
@@ -1057,6 +1077,11 @@ def test_one_variable_parts_of_degree_at_most_2_take_the_closed_form(monkeypatch
 # or |lead|, each good to a few eps, plus the log of the largest |c| when it scales; one variable
 # adds the log of the content, from its numerator and denominator
 CLOSED_FORM_EPS = 4
+
+
+def _cold_measure(coeffs):
+    """``_poly_measure`` of a coefficient list, from a cold start."""
+    return _poly_measure(coeffs, [abs(c) for c in coeffs], [])
 
 
 def _assert_matches_reference(got, coeffs):
@@ -1113,7 +1138,7 @@ def test_closed_form_matches_the_high_precision_reference(seed):
     quadratics = _random_quadratics(rng, 40) + _placed_quadratics(rng, 40)
     lines = [c[:2] for c in quadratics[::3] if c[1]] + [c[1:] for c in quadratics[1::3] if c[1]]
     for coeffs in quadratics + lines + [c[:1] for c in quadratics[::5]]:
-        _assert_matches_reference(_closed_form(coeffs), coeffs)
+        _assert_matches_reference(_cold_measure(coeffs), coeffs)
 
 
 @pytest.mark.parametrize("cap", [None, 2])
@@ -1159,23 +1184,24 @@ def test_one_variable_quadratics_match_the_high_precision_reference(f):
 
 def test_a_closed_form_past_float_range_is_measured_or_refused():
     huge = int("1" * 400)
-    # roots of size about 1e-200 lie inside the circle: m = log of the lead
-    assert _closed_form([1, 3, huge]) == math.log(huge)
-    assert _closed_form([1, huge]) == math.log(huge)
+    # roots of size about 1e-200 or 1e-133 lie inside the circle: the low coefficients over the
+    # largest underflow to 0, are cut off as roots at 0, and m = log of the lead, at every degree
+    for coeffs in ([1, 3, huge], [1, huge], [1, 0, 0, huge], [1, 2, 0, 5, huge]):
+        assert _cold_measure(coeffs) == math.log(huge)
     # a root past float range: the lead over the largest coefficient underflows
-    for coeffs in ([huge, 0, 1], [huge, 1], [1.0, 0.0, 1e-320]):
+    for coeffs in ([huge, 0, 1], [huge, 1], [1.0, 0.0, 1e-320], [huge, 0, 0, 1]):
         with pytest.raises(OverflowError, match="coefficients too far apart"):
-            _closed_form(coeffs)
+            _cold_measure(coeffs)
     # the scaled case keeps its accuracy: 1e300 (y - 2)(y - 1/3) and 1e-300 (y - 5)(y + 7)
     for coeffs in ([1e300 * 2 / 3, -1e300 * 7 / 3, 1e300], [-35e-300, 2e-300, 1e-300]):
-        _assert_matches_reference(_closed_form(coeffs), coeffs)
+        _assert_matches_reference(_cold_measure(coeffs), coeffs)
 
 
 def test_constant_fibers_take_the_closed_form():
     # every fiber of (1 - x)^2 is a constant, and the grid keeps the float it gave before the
     # closed form (the strict xfail test_x_only_factor_on_the_circle_measures_zero wants 0)
     assert mahler_value(poly2("1 - 2x + x^2"), 64).hex() == "0x1.62e42fefa39b8p-6"  # 0.0217
-    assert _closed_form([4 + 0j]) == math.log(4)
+    assert _cold_measure([4 + 0j]) == math.log(4)
 
 
 def test_a_warm_start_with_two_equal_points_is_retried_cold():
