@@ -3,11 +3,11 @@
 A domain is a reduction map, not an arithmetic: elements are plain Python
 values (ints in range(p) for GF(p), Fraction for the rationals, int for the
 integers), callers compute with Python's operators, and ``of`` brings an int
-or Fraction result back into the domain.  Over GF(p) that is the one
-reduction mod p; every reduced element is zero exactly when it is falsy.
-The fields add ``inv``, which raises ZeroDivisionError on zero.  Domains are
-stateless and hashable.  :func:`parse_int` reads every integer of a graph
-file or a command line.
+or Fraction result back into the domain (ValueError on anything else).  Over
+GF(p) that is the one reduction mod p; every reduced element is zero exactly
+when it is falsy.  The fields add ``inv``, which raises ZeroDivisionError on
+zero.  Domains are stateless and hashable.  :func:`parse_int` reads every
+integer of a graph file or a command line.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ class PrimeField:
         self.one = 1
 
     def of(self, n) -> int:
-        if isinstance(n, Fraction):
-            if n.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return n.numerator * pow(n.denominator, -1, self.p) % self.p
-        return n % self.p
+        if isinstance(n, int):
+            return n % self.p
+        if not isinstance(n, Fraction):
+            raise ValueError(f"{n!r} is not an int or a Fraction")
+        if n.denominator % self.p == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return n.numerator * pow(n.denominator, -1, self.p) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -104,7 +106,9 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, n) -> Fraction:
-        return Fraction(n)
+        if isinstance(n, (int, Fraction)):
+            return Fraction(n)
+        raise ValueError(f"{n!r} is not an int or a Fraction")
 
     def inv(self, a):
         return 1 / Fraction(a)
@@ -128,11 +132,13 @@ class IntegerRing:
     one = 1
 
     def of(self, n) -> int:
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                raise ValueError(f"{n} is not an integer")
-            return n.numerator
-        return int(n)
+        if isinstance(n, int):
+            return n
+        if not isinstance(n, Fraction):
+            raise ValueError(f"{n!r} is not an int or a Fraction")
+        if n.denominator != 1:
+            raise ValueError(f"{n} is not an integer")
+        return n.numerator
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)

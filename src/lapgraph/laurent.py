@@ -23,18 +23,20 @@ units are monomials).  In one variable the division runs on dense
 coefficient lists, lowest degree first (``_list_divmod``), the kernel that
 the gcds and the cover norm of :mod:`lapgraph.spanning` share.
 
-The gcd is the gcd of the contents in x times a primitive part, and it is
-normalized.  One variable runs on dense lists to the end: Euclid over GF(p),
-and over the integers gcds modulo the primes below 2^61, largest first,
-joined by the Chinese remainder theorem until the lift divides both inputs.
-Only two-variable gcds take a primitive pseudo-remainder sequence in x (by
-the long division above): over GF(p), and over the integers unless
-evaluation mod 2^61 - 1 proves the gcd free of x and y.  ``gcd_many`` folds
-the gcd lazily over any iterable and stops reading at the first input after
-which the gcd is the unit 1.  Over the rationals the inputs are cleared to
-primitive integer polynomials and the gcd is taken over the integers (Gauss's
-lemma).  Zero is its own unit class: ``normalize`` returns it unchanged, so
-it needs no guard.
+Every gcd is one fold, ``gcd_many``, over any iterable (``laurent_gcd`` is
+that of a pair).  Each input is reduced into the domain once, inputs that
+vanish there are skipped, the first nonzero one is normalized, ``_gcd``
+folds in the rest, and reading stops at the first input after which the gcd
+is the unit 1.  Over the rationals the inputs are cleared to primitive
+integer polynomials and the gcd is taken over the integers (Gauss's lemma).
+``_gcd`` is the gcd of the contents in x times a primitive part.  One
+variable runs on dense lists to the end: Euclid over GF(p), and over the
+integers gcds modulo the primes below 2^61, largest first, joined by the
+Chinese remainder theorem until the lift divides both inputs.  Only
+two-variable gcds take a primitive pseudo-remainder sequence in x (by the
+long division above), whose contents in x are folds again: over GF(p), and
+over the integers unless evaluation mod 2^61 - 1 proves the gcd free of x
+and y.  Zero is its own unit class: ``normalize`` returns it unchanged.
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -257,7 +259,8 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     scale: over the integers the sign is chosen so the coefficient of the
     lexicographically least exponent is positive (content preserved); over the
     rationals denominators are cleared and content divided out, giving a
-    primitive integer polynomial with that coefficient positive; over GF(p)
+    primitive integer polynomial with that coefficient positive (ValueError on
+    a coefficient that is not an int or a Fraction); over GF(p)
     f is reduced first, and that coefficient of its image is scaled to 1.
     """
     if isinstance(dom, PrimeField):
@@ -272,6 +275,9 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
         inv = dom.inv(c0)
         return g if inv == 1 else g.map_coefficients(lambda c: c * inv % dom.p)
     if isinstance(dom, RationalField):
+        for c in g.coeffs.values():
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"{c!r} is not an int or a Fraction")
         denom_lcm = int_lcm(*(c.denominator for c in g.coeffs.values()))
         ints = {e: c.numerator * (denom_lcm // c.denominator) for e, c in g.coeffs.items()}
         content = int_gcd(*ints.values())
@@ -436,16 +442,12 @@ def _x_lead(f: LaurentPoly) -> tuple[int, LaurentPoly]:
 
 def _content(dom: Domain, *polys: LaurentPoly) -> LaurentPoly:
     """gcd of the coefficients in x of nonzero two-variable polynomials, free
-    of x: ``_gcd`` in one variable of their x-slices, a polynomial in y."""
+    of x: ``gcd_many`` in one variable of their x-slices, a polynomial in y."""
     slices: dict[tuple[int, int], dict[Exponent, object]] = {}
     for i, f in enumerate(polys):
         for (a, b), c in f.coeffs.items():
             slices.setdefault((i, a), {})[(b,)] = c
-    cont: LaurentPoly | None = None
-    for s in slices.values():
-        cont = LaurentPoly(1, s) if cont is None else _gcd(cont, LaurentPoly(1, s), dom)
-        if cont == 1:
-            break
+    cont = gcd_many((LaurentPoly(1, s) for s in slices.values()), dom)
     return LaurentPoly(2, {(0, b): c for (b,), c in cont.coeffs.items()})
 
 
@@ -563,7 +565,7 @@ def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
 
 
 def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd of nonzero polynomials over ZZ or GF(p), normalized.
+    """gcd of nonzero polynomials reduced into ZZ or GF(p), normalized.
 
     One variable runs on dense lists to the end: Euclid over GF(p), and over
     ZZ the modular gcd of ``_zz_gcd_1var``.  Two variables are shifted to
@@ -586,34 +588,16 @@ def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 
 
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
-    """gcd in the Laurent ring over the domain, in normalized form (zero if both vanish in it).
-
-    Over ZZ and GF(p), in one or two variables, by ``_gcd``: in one variable
-    dense lists and over ZZ gcds modulo the primes below 2^61; in two a unit
-    certificate mod 2^61 - 1 over ZZ, and the primitive pseudo-remainder
-    sequence where it proves nothing.  Over QQ it goes through ``gcd_many``,
-    which takes it over ZZ (Gauss's lemma).
-    """
-    if isinstance(dom, RationalField):
-        return gcd_many((f, g), dom)
-    f = f.reduce_to(dom)
-    g = g.reduce_to(dom)
-    if not (f and g):
-        return normalize(f or g, dom)
-    return _gcd(f, g, dom)
+    """gcd in the Laurent ring over the domain, in normalized form (zero if both
+    vanish in it): the fold ``gcd_many((f, g), dom)``."""
+    return gcd_many((f, g), dom)
 
 
 def gcd_many(polys, dom: Domain) -> LaurentPoly:
-    """gcd of an iterable of Laurent polynomials (zero if all vanish in the domain).
-
-    One lazy fold that reads the iterable in order and stores none of it; it
-    stops reading at the first input after which the running gcd is the unit
-    1, since no later input can change it.  Over ZZ and GF(p) it folds
-    ``laurent_gcd``, which reduces each input into the domain.  Over QQ each
-    input is cleared to a primitive integer polynomial (``normalize``); by
-    Gauss's lemma their gcd over ZZ is the gcd over QQ, so no rational
-    arithmetic runs.  An empty iterable raises ValueError.
-    """
+    """gcd of an iterable of Laurent polynomials in the domain, normalized (zero
+    if all vanish in it): the module docstring's fold, the one caller of
+    ``_gcd``.  It reads the iterable in order, stores none of it, and raises
+    ValueError on an empty one."""
     polys = iter(polys)
     first = next(polys, None)
     if first is None:
@@ -621,11 +605,13 @@ def gcd_many(polys, dom: Domain) -> LaurentPoly:
     polys = chain((first,), polys)
     if isinstance(dom, RationalField):
         return normalize(gcd_many((normalize(p, dom) for p in polys), ZZ), dom)
-    acc, one = LaurentPoly.zero(first.nvars), LaurentPoly.constant(1, first.nvars)
+    acc = LaurentPoly.zero(first.nvars)
     for p in polys:
-        acc = laurent_gcd(acc, p, dom)
-        if acc == one:
-            break
+        p = p.reduce_to(dom)
+        if p:
+            acc = _gcd(acc, p, dom) if acc else normalize(p, dom)
+            if acc == 1:
+                break
     return acc
 
 

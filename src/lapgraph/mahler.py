@@ -92,15 +92,12 @@ class RootFindingError(ArithmeticError):
 # -- one variable: dense coefficient lists, low degree first ----------------------
 
 
-def _poly_deriv(coeffs: list[complex]) -> list[complex]:
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _refine_float(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
+def _refine_float(rmonic: list[complex], rderiv: list[complex], roots: list[complex]) -> None:
     """Up to 4 float Newton steps on u = p/p' per root, in place, ending early at a fixed point.
 
-    ``_aberth_roots`` calls it only on a run that did not converge."""
-    rmonic, rderiv, rsecond = monic[::-1], deriv[::-1], _poly_deriv(deriv)[::-1]
+    rmonic and rderiv are the monic p and p', highest degree first, as ``_aberth_roots``
+    builds them for its sweeps; it calls this only on a run that did not converge."""
+    rsecond = [k * c for k, c in zip(range(len(rderiv) - 1, 0, -1), rderiv)]
     for k, z in enumerate(roots):
         for _ in range(4):
             pv = 0j
@@ -190,8 +187,7 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
             break
         last = shift
     if shift >= 1e-14:  # only a run that did not converge is polished
-        monic = [c / lead for c in coeffs]
-        _refine_float(monic, _poly_deriv(monic), roots)
+        _refine_float(rmonic, rderiv, roots)
     # validation: the residual at each root, then the root sum and product against the coefficients
     gate, rcoeffs, prod, size = RESIDUAL_GATE * max(map(abs, coeffs)), coeffs[::-1], 1 + 0j, 0
     for z in roots:

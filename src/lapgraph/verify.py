@@ -15,8 +15,9 @@ count-divisibility and delta-chain, (x - 1)^2 and Delta_k over the rationals,
 are primitive integer polynomials, so by Gauss's lemma both checks divide
 over the integers, and no Fraction is built between L and any Laurent check.
 
-``fibers`` must be an integer at least 4 on every input, checked before any
-work.  The voltage checks read the input's quotient ``obj.quotient``.
+``max_cover`` must be an integer at least 1 and ``fibers`` one at least 4 on
+every input, both checked before any work.  The voltage checks read the
+input's quotient ``obj.quotient``.
 
 Voltage graphs of rank 1 or 2, plain or with a rotation system:
 
@@ -122,6 +123,7 @@ def run_verify(
     max_cover: int = 64,
     fibers: int = 512,
 ) -> list[CheckResult]:
+    _check_int("max_cover", max_cover, 1)  # before any work, whether or not a cover is counted
     _check_int("fibers", fibers, 4)  # before any work, whether or not a measure is taken
     vg, base = obj.quotient, obj.base
 

@@ -74,7 +74,6 @@ from lapgraph.mahler import (
     RootFindingError,
     _aberth_roots,
     _fiber_measures,
-    _poly_deriv,
     _poly_measure,
 )
 from lapgraph.planar import Dart, Face, MedialComponent, PlaneGraph, faces, parse_dart
@@ -739,6 +738,10 @@ def mahler_1var_exact_refined(f: LaurentPoly) -> float:
 # coefficients and measures must equal these bit for bit.
 
 
+def poly_deriv(coeffs: list[complex]) -> list[complex]:
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
 def poly_eval(coeffs: list[complex], z: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
@@ -748,7 +751,7 @@ def poly_eval(coeffs: list[complex], z: complex) -> complex:
 
 def refine_float_generic(monic: list[complex], deriv: list[complex], roots: list[complex]) -> None:
     """``mahler._refine_float`` by ``poly_eval`` calls (test oracle)."""
-    second = _poly_deriv(deriv)
+    second = poly_deriv(deriv)
     for k, z in enumerate(roots):
         for _ in range(4):
             pv = poly_eval(monic, z)
@@ -795,7 +798,7 @@ def aberth_sweeps_generic(monic: list[complex], start=None) -> tuple[list[comple
     (test oracle): the roots, unpolished, and the exit taken, "converged", "stalled" or "cut"
     (at ``ABERTH_MAX_ITER``)."""
     s = len(monic) - 1
-    deriv = _poly_deriv(monic)
+    deriv = poly_deriv(monic)
     radius = max(1e-3, abs(monic[0]) ** (1.0 / s))
     roots = list(start) if start else [
         radius * cmath.exp(2j * math.pi * (k + 0.35) / s) * (1 + 0.02 * (k % 5))
@@ -844,7 +847,7 @@ def aberth_roots_generic(coeffs: list[complex], start=None) -> list[complex]:
     monic = [c / coeffs[-1] for c in coeffs]
     roots, exit_taken = aberth_sweeps_generic(monic, start)
     if exit_taken != "converged":
-        refine_float_generic(monic, _poly_deriv(monic), roots)
+        refine_float_generic(monic, poly_deriv(monic), roots)
     validate_roots_generic(coeffs, roots)
     return roots
 
@@ -985,8 +988,8 @@ def refine_float_four_steps(monic: list[complex], roots: list[complex]) -> list[
     ``mahler._refine_float`` without its fixed-point exit: only the other
     early exits stop a root before its fourth step.
     """
-    deriv = _poly_deriv(monic)
-    second = _poly_deriv(deriv)
+    deriv = poly_deriv(monic)
+    second = poly_deriv(deriv)
     out = []
     for z in roots:
         for _ in range(4):

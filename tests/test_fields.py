@@ -64,6 +64,14 @@ def test_integers_of_rejects_a_proper_fraction():
         ZZ.of(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, GF5])
+@pytest.mark.parametrize("n", [2.7, 2.5, 2.0, "1/2", complex(1, 0)])
+def test_of_rejects_a_value_that_is_neither_an_int_nor_a_fraction(dom, n):
+    # a float used to be truncated over ZZ (2.7 -> 2) and kept over GF(5) (2.5)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        dom.of(n)
+
+
 @pytest.mark.parametrize("dom", [GF2, GF5, GF7])
 def test_prime_field_inv(dom):
     for a in range(1, dom.p):

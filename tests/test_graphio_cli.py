@@ -603,6 +603,15 @@ def test_cli_fibers_below_4_exit_2_for_one_and_two_variables(name, graph_dir, ca
         assert "fibers must be an integer at least 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["-3", "0"])
+def test_cli_verify_max_below_1_exits_2_before_any_work(bad, graph_dir, capsys):
+    # --max -3 used to run every check and print a SKIP for the growth check
+    for name in ("ladder", "k4"):
+        assert main(["verify", str(graph_dir / f"{name}.lapgraph"), "--max", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: max_cover must be an integer at least 1, got {bad}\n"
+
+
 def test_cli_delta_of_a_finite_graph_reads_its_zero_voltage_quotient(tmp_path, capsys):
     """A finite graph is the trivial action: its zero-voltage rank-1 quotient
     has the integer Laplacian, and delta prints the gcds of its minors."""

@@ -401,12 +401,16 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom, monkeypatch):
     for nvars, oracle in ((1, laurent_gcd_euclid), (2, laurent_gcd_pseudo_rem)):
         for kind in ("plain", "integer content", "content in y", "free of x", "unit"):
             a, b = _gcd_case(rng, nvars, dom, kind)
-            if a.reduce_to(dom).is_zero() or b.reduce_to(dom).is_zero():
-                continue
-            got = laurent_gcd(a, b, dom)
-            for want in (oracle(a, b, dom), laurent_gcd_prs(a, b, dom)):
-                assert got.coeffs == want.coeffs, (dom, kind, a, b)
-                assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
+            zero = LaurentPoly.zero(nvars)
+            # also inputs that are zero or vanish mod 2 and 5, against the sequence alone
+            for f, g in ((a, b), (zero, b), (a, zero), (zero, zero), (10 * a, b), (10 * a, 10 * b)):
+                got = laurent_gcd(f, g, dom)
+                wants = [laurent_gcd_prs(f, g, dom)]
+                if f.reduce_to(dom) and g.reduce_to(dom):
+                    wants.append(oracle(f, g, dom))
+                for want in wants:
+                    assert got.coeffs == want.coeffs, (dom, kind, f, g)
+                    assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
     assert 1 not in calls  # one-variable gcds never take the pseudo-remainder sequence
 
 
@@ -518,9 +522,11 @@ def _fold_cases(rng):
 @pytest.mark.parametrize("dom", [ZZ, QQ, GF2, GF5], ids=repr)
 def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
     """A generator gives the list's gcd, coefficient types included; the
-    inputs are read in order, each is folded before the next one is read (no
-    list of inputs), and reading stops right after the first input that
-    brings the full fold's gcd to 1."""
+    inputs are read in order, each is reduced into the domain once, right
+    after it is read, and folded before the next one is read (no list of
+    inputs): ``_gcd`` gets each image that does not vanish there, after the
+    first, and reading stops right after the first input that brings the full
+    fold's gcd to 1."""
     for polys in _fold_cases(random.Random(2024)):
         if dom == ZZ and any(isinstance(c, Fraction) for p in polys for c in p.coeffs.values()):
             continue
@@ -531,21 +537,43 @@ def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
         assert want == prefixes[-1], (dom, polys)
         assert [type(c) for c in want.coeffs.values()] == [type(c) for c in prefixes[-1].coeffs.values()]
         stop = prefixes.index(1) + 1 if want == 1 else len(polys)
+        order, seen = [], False  # seen: a nonzero image came before
+        for p in polys[:stop]:
+            image = normalize(p, QQ) if dom == QQ else p.reduce_to(dom)
+            order += [("read", None), ("reduce", None)]
+            if image and seen:
+                order.append(("gcd", image))
+            seen = seen or bool(image)
 
-        folds, reads = [], []
-        fold = laurent_module.laurent_gcd
-        monkeypatch.setattr(laurent_module, "laurent_gcd", lambda f, g, d: folds.append(g) or fold(f, g, d))
+        # the fold's own calls, not those made inside _gcd or normalize (which reduces over GF(p))
+        events, inside = [], []
+
+        def spy(name, call):
+            def spied(*args):
+                if not inside:
+                    events.append((name, args[1] if name == "gcd" else None))
+                inside.append(name)
+                try:
+                    return call(*args)
+                finally:
+                    inside.pop()
+
+            return spied
+
+        monkeypatch.setattr(laurent_module, "_gcd", spy("gcd", laurent_module._gcd))
+        monkeypatch.setattr(laurent_module, "normalize", spy("normalize", normalize))
+        monkeypatch.setattr(LaurentPoly, "reduce_to", spy("reduce", LaurentPoly.reduce_to))
 
         def one_shot():
             for p in polys:
-                reads.append(len(folds))
+                events.append(("read", None))
                 yield p
 
         got = gcd_many(one_shot(), dom)
         monkeypatch.undo()
         assert got == want, (dom, polys)
         assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
-        assert reads == list(range(stop)) and len(folds) == stop, (dom, polys)
+        assert [e for e in events if e[0] != "normalize"] == order, (dom, polys)
     with pytest.raises(ValueError):
         gcd_many(iter(()), dom)
 
@@ -555,6 +583,15 @@ def test_gcd_of_inputs_that_vanish_in_the_domain_is_zero():
     assert laurent_gcd(f, g, GF2).is_zero()
     assert gcd_many([f, g], GF2).is_zero()
     assert gcd_many([poly2("3x*y - 6"), poly2("9y^-1")], PrimeField(3)) == LaurentPoly.zero(2)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF2, GF5], ids=repr)
+def test_gcd_refuses_a_float_coefficient(dom):
+    # over ZZ the gcd of 2.5 + x and 1 + x used to come out as 1 (2.5 truncated to 2),
+    # over QQ it died on 'float' object has no attribute 'denominator'
+    f = LaurentPoly(1, {(0,): 2.5, (1,): 1})
+    with pytest.raises(ValueError, match="2.5 is not an int or a Fraction"):
+        laurent_gcd(f, poly1("1 + x"), dom)
 
 
 def test_rational_gcd_runs_no_rational_division(monkeypatch):

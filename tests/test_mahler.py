@@ -24,6 +24,7 @@ from conftest import (
     grid_average_full,
     jensen,
     mahler_1var_exact_refined,
+    poly_deriv,
     primitive_part,
     refine_float_four_steps,
     strip_complex,
@@ -38,7 +39,6 @@ from lapgraph.mahler import (
     _content,
     _fiber_measures,
     _fiber_plan,
-    _poly_deriv,
     _poly_measure,
     _refine_float,
     _squarefree_parts,
@@ -143,6 +143,15 @@ def test_zero_polynomial_rejected():
     for nvars in (1, 2):
         with pytest.raises(ValueError, match="Mahler measure of the zero polynomial is undefined"):
             mahler_value(LaurentPoly.zero(nvars))
+
+
+@pytest.mark.parametrize("c", [2.5, 2.0, complex(2, 0)])
+def test_a_coefficient_that_is_not_exact_is_refused(c):
+    # a float used to die in the content split on 'float' object has no attribute 'denominator'
+    for f in (LaurentPoly(1, {(0,): c, (1,): 1}), LaurentPoly(2, {(0, 0): c, (1, 1): 1, (0, 1): 3})):
+        for measure in (mahler, mahler_value, mahler_1var if f.nvars == 1 else mahler_2var):
+            with pytest.raises(ValueError, match="is not an int or a Fraction"):
+                measure(f)
 
 
 @pytest.mark.parametrize("bad", [1024.0, Fraction(1024), "1024"])
@@ -881,18 +890,22 @@ def test_float_refinement_matches_four_step_oracle(monkeypatch, seed):
     fed = []
     with monkeypatch.context() as m:
         m.setattr(mahler_module, "ABERTH_MAX_ITER", 3)
-        m.setattr(mahler_module, "_refine_float", lambda monic, deriv, roots: fed.append((monic, list(roots))))
+        # the reversed monic and derivative lists as Aberth's sweeps built them
+        m.setattr(
+            mahler_module, "_refine_float", lambda rmonic, rderiv, roots: fed.append((rmonic, rderiv, list(roots)))
+        )
         for coeffs in solves:
             _solved(_aberth_roots, coeffs)  # the unpolished roots may fail validation
     for coeffs in solves:
         roots = _solved(_aberth_roots, coeffs)
         if not isinstance(roots, str):
-            fed.append(([c / coeffs[-1] for c in coeffs], [z * (1 + 1e-6) for z in roots]))
+            monic = [c / coeffs[-1] for c in coeffs]
+            fed.append((monic[::-1], poly_deriv(monic)[::-1], [z * (1 + 1e-6) for z in roots]))
     assert fed or f.max_exp(1) == f.min_exp(1)  # constant in y: nothing to refine
-    for monic, roots in fed:
+    for rmonic, rderiv, roots in fed:
         got = list(roots)
-        _refine_float(monic, _poly_deriv(monic), got)
-        assert _hexes(got) == _hexes(refine_float_four_steps(monic, roots))
+        _refine_float(rmonic, rderiv, got)
+        assert _hexes(got) == _hexes(refine_float_four_steps(rmonic[::-1], roots))
 
 
 def _polish_calls(monkeypatch):
@@ -900,9 +913,9 @@ def _polish_calls(monkeypatch):
     calls = []
     refine = mahler_module._refine_float
 
-    def spy(monic, deriv, roots):
+    def spy(rmonic, rderiv, roots):
         calls.append(len(roots))
-        refine(monic, deriv, roots)
+        refine(rmonic, rderiv, roots)
 
     monkeypatch.setattr(mahler_module, "_refine_float", spy)
     return calls
