@@ -187,12 +187,13 @@ def cmd_kappa(obj, args) -> tuple[int, dict, str]:
 
 
 def cmd_mahler(obj, args) -> tuple[int, dict, str]:
+    """obj is None: mahler has no file argument, and it loads --from-graph here."""
     if (args.poly is None) == (args.from_graph is None):
         raise ValueError("give exactly one of --poly or --from-graph")
-    if obj is None:
+    if args.poly is not None:
         f = parse_poly(args.poly)
     else:
-        f = laplacian_determinant_polynomial(_voltage_of(obj))
+        f = laplacian_determinant_polynomial(_voltage_of(_load(args.from_graph)))
         if f.is_zero():
             raise ValueError("Delta_0 is zero; Mahler measure undefined")
     result = mahler(f, args.fibers)
@@ -280,12 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        # mahler reads --from-graph unless --poly is given too, which cmd_mahler rejects
-        if "file" in args:
-            path = args.file
-        else:
-            path = args.from_graph if args.poly is None else None
-        code, payload, text = args.func(None if path is None else _load(path), args)
+        code, payload, text = args.func(_load(args.file) if "file" in args else None, args)
         print(json.dumps(payload) if args.json else text)
         return code
     except (ValueError, ArithmeticError, OSError) as exc:

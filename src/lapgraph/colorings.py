@@ -22,7 +22,7 @@ FAILS_CYCLE = "fails-cycle"
 FAILS_KIRCHHOFF = "fails-kirchhoff"
 
 
-def _check_length(coloring: list, n: int, kind: str) -> None:
+def check_length(coloring: list, n: int, kind: str) -> None:
     if len(coloring) != n:
         raise ValueError(f"{kind} coloring needs {n} entries, one per {kind}, got {len(coloring)}")
 
@@ -49,7 +49,7 @@ def based_vertex_basis(g: FiniteGraph, fld: Domain, base_vertex: str) -> list[li
 def edge_from_vertex(g: FiniteGraph, alpha: list, fld: Domain) -> list:
     """The cut-space edge coloring Q^T alpha: each edge gets head minus tail
     color.  alpha needs one entry per vertex, else ValueError."""
-    _check_length(alpha, len(g.vertices), "vertex")
+    check_length(alpha, len(g.vertices), "vertex")
     alpha = [fld.of(a) for a in alpha]
     return [fld.of(alpha[h] - alpha[t]) for t, h in g._ends]
 
@@ -63,7 +63,7 @@ def is_conservative_edge(g: FiniteGraph, beta: list, fld: Domain) -> str:
     forest edge's does.  The Kirchhoff condition is Q beta = 0.  beta needs
     one entry per edge, else ValueError.
     """
-    _check_length(beta, len(g.edges), "edge")
+    check_length(beta, len(g.edges), "edge")
     beta = [fld.of(b) for b in beta]
     pot, _, _ = bfs_potentials(range(len(g.vertices)), g._ends, beta, fld)
     if any(fld.of(b + pot[t] - pot[h]) for (t, h), b in zip(g._ends, beta)):

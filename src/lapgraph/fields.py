@@ -7,7 +7,8 @@ or Fraction result back into the domain (ValueError on anything else).  Over
 GF(p) that is the one reduction mod p; every reduced element is zero exactly
 when it is falsy.  The fields add ``inv``, which raises ZeroDivisionError on
 zero.  Domains are stateless and hashable.  :func:`parse_int` reads every
-integer of a graph file or a command line.
+integer of a graph file or a command line; :func:`check_int` checks an integer
+argument against its least value (a sublattice index, a fiber count).
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ def parse_int(text: str) -> int:
     if not _INTEGER.fullmatch(text.strip()):
         raise ValueError(f"bad integer {text!r}")
     return int(text)
+
+
+def check_int(name: str, v, least: int) -> None:
+    """Raise ValueError unless v is an int at least ``least``."""
+    if not isinstance(v, int) or v < least:
+        raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
 
 
 # Miller-Rabin on these bases decides primality exactly below _MR_BOUND

@@ -13,7 +13,7 @@ from collections import deque
 from itertools import product
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .fields import Domain
+from .fields import Domain, check_int
 from .laurent import LaurentPoly
 
 
@@ -167,8 +167,7 @@ class SublatticeSpec(NamedTuple):
 
     @classmethod
     def cyclic(cls, n: int) -> "SublatticeSpec":
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"sublattice index must be an integer at least 1, got {n!r}")
+        check_int("sublattice index", n, 1)
         return cls((n,))
 
     @classmethod

@@ -13,15 +13,17 @@ build their coefficient maps freely and let the constructor discard zeros
 (long division also pops them from its working remainder, whose leading term
 it reads).
 
-Division has one rule.  Both polynomials are shifted to ordinary
-polynomials, and f is divided by g's leading term in lex order (the largest
-exponent tuple) until the leading term of the remainder is not divisible by
-it (over the integers, also when the leading coefficients do not divide).  A
-single polynomial is a Groebner basis of the ideal it generates, so the
-remainder is zero exactly when g divides f (in the Laurent ring too, whose
-units are monomials).  In one variable the division runs on dense
-coefficient lists, lowest degree first (``_list_divmod``), the kernel that
-the gcds and the cover norm of :mod:`lapgraph.spanning` share.
+Division has one rule and one entry, ``try_divexact`` (``divexact`` raises
+where it returns None, and ``divides`` reads it).  Both polynomials are
+shifted to ordinary polynomials, and f is divided by g's leading term in lex
+order (the largest exponent tuple) until the leading term of the remainder
+is not divisible by it (over the integers, also when the leading
+coefficients do not divide).  A single polynomial is a Groebner basis of the
+ideal it generates, so the remainder is zero exactly when g divides f (in
+the Laurent ring too, whose units are monomials).  In one variable the
+division runs on dense coefficient lists, lowest degree first, by
+``list_divmod``: the shared kernel of the division, the gcds and the cover
+norm of :mod:`lapgraph.spanning`.
 
 Every gcd is one fold, ``gcd_many``, over any iterable (``laurent_gcd`` is
 that of a pair).  Each input is reduced into the domain once, inputs that
@@ -340,12 +342,6 @@ def try_divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | N
     g = g.reduce_to(dom)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    return _try_divexact_reduced(f, g, dom)
-
-
-def _try_divexact_reduced(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
-    """``try_divexact`` of f and a nonzero g that lie in the domain; one
-    variable divides dense lists (``_list_divmod``)."""
     if f.is_zero():
         return LaurentPoly.zero(f.nvars)
     f._check_compat(g)
@@ -353,7 +349,7 @@ def _try_divexact_reduced(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> Lauren
     foffs = tuple(f.min_exp(v) for v in range(f.nvars))
     goffs = tuple(g.min_exp(v) for v in range(g.nvars))
     if f.nvars == 1:
-        qr = _list_divmod(f.coefficient_list(), g.coefficient_list(), dom)
+        qr = list_divmod(f.coefficient_list(), g.coefficient_list(), dom)
         if qr is None or qr[1]:
             return None
         return LaurentPoly(1, {(i + foffs[0] - goffs[0],): c for i, c in enumerate(qr[0])})
@@ -378,20 +374,16 @@ def divides(g: LaurentPoly, f: LaurentPoly, dom: Domain) -> bool:
     Both are reduced into the domain before the zero tests: zero divides only
     zero, and everything divides zero.
     """
-    f = f.reduce_to(dom)
-    g = g.reduce_to(dom)
-    if f.is_zero():
-        return True
-    if g.is_zero():
-        return False
-    return _try_divexact_reduced(f, g, dom) is not None
+    if g.reduce_to(dom).is_zero():
+        return f.reduce_to(dom).is_zero()
+    return try_divexact(f, g, dom) is not None
 
 
 # -- dense one-variable kernel --------------------------------------------------
 # Coefficient lists, lowest degree first, whose last entry is nonzero ([] is 0).
 
 
-def _list_divmod(a: list, b: list, dom: Domain) -> tuple[list, list] | None:
+def list_divmod(a: list, b: list, dom: Domain) -> tuple[list, list] | None:
     """(q, r) with a = q*b + r and r shorter than b, over ZZ, QQ or GF(p).
 
     Over ZZ it returns None at the first step whose quotient coefficient is not
@@ -427,7 +419,7 @@ def _list_divmod(a: list, b: list, dom: Domain) -> tuple[list, list] | None:
 def _list_gcd(a: list, b: list, dom: PrimeField) -> list:
     """A gcd in GF(p)[x] of reduced lists, by Euclid (not made monic)."""
     while b:
-        a, b = b, _list_divmod(a, b, dom)[1]
+        a, b = b, list_divmod(a, b, dom)[1]
     return a
 
 
@@ -535,7 +527,7 @@ def _zz_gcd_1var(a: list, b: list) -> LaurentPoly:
         h = [(x + m // 2) % m - m // 2 for x in g]  # symmetric residues
         ch = int_gcd(*h) if h[0] > 0 else -int_gcd(*h)
         h = [x // ch for x in h]
-        if all((qr := _list_divmod(x, h, ZZ)) and not qr[1] for x in (a, b)):
+        if all((qr := list_divmod(x, h, ZZ)) and not qr[1] for x in (a, b)):
             return LaurentPoly(1, {(i,): c * x for i, x in enumerate(h)})
 
 

@@ -67,7 +67,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fields import QQ, ZZ
+from .fields import QQ, ZZ, check_int
 from .laurent import LaurentPoly, divexact, divides, laurent_gcd, normalize
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
@@ -383,11 +383,6 @@ def _grid_average(plan: tuple, n: int) -> float:
     return math.fsum(vals[: n // 2] * 2 + vals[n // 2 :]) / n
 
 
-def _check_int(name: str, v, least: int) -> None:
-    if not isinstance(v, int) or v < least:
-        raise ValueError(f"{name} must be an integer at least {least}, got {v!r}")
-
-
 def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Fiberwise-Jensen Mahler measure of a nonzero two-variable polynomial, by ``_measure``.
 
@@ -399,7 +394,7 @@ def mahler_2var(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """
     if f.nvars != 2:
         raise ValueError("mahler_2var needs a two-variable polynomial")
-    _check_int("fibers", fibers, 4)
+    check_int("fibers", fibers, 4)
     error = 0.0
 
     def part_value(part: LaurentPoly) -> float:
@@ -419,15 +414,15 @@ def mahler_limit_check(
     """Compare m(f(x, x^s)) with m(f(x, y)); they converge as s grows."""
     if f.nvars != 2:
         raise ValueError("mahler_limit_check needs a two-variable polynomial")
-    _check_int("substitution exponent", s, 1)
-    _check_int("fibers", fibers, 4)
+    check_int("substitution exponent", s, 1)
+    check_int("fibers", fibers, 4)
     g = f.substitute_power(s)
     return mahler_1var(g), mahler_2var(f, fibers)
 
 
 def mahler(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
     """Dispatch on the variable count; fibers is checked for both."""
-    _check_int("fibers", fibers, 4)
+    check_int("fibers", fibers, 4)
     if f.nvars == 1:
         return mahler_1var(f)
     return mahler_2var(f, fibers)
@@ -436,7 +431,7 @@ def mahler(f: LaurentPoly, fibers: int = 1024) -> MahlerResult:
 def mahler_value(f: LaurentPoly, fibers: int = 1024) -> float:
     """``mahler(f, fibers).value``, the same float, without the half-resolution
     grid that only the error estimate reads."""
-    _check_int("fibers", fibers, 4)
+    check_int("fibers", fibers, 4)
     if f.nvars == 1:
         return mahler_1var(f).value
     return _measure(f, lambda part: _grid_average(_fiber_plan(part), fibers))

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .colorings import _check_length, bicycle_basis
+from .colorings import bicycle_basis, check_length
 from .fields import GF2, Domain
 from .graphs import (
     FiniteGraph,
@@ -191,7 +191,7 @@ def dehn_extend(pg: PlaneGraph, alpha: list, base_face: int, fld: Domain) -> Deh
     per vertex, it raises ValueError.
     """
     g = pg.base
-    _check_length(alpha, len(g.vertices), "vertex")
+    check_length(alpha, len(g.vertices), "vertex")
     alpha = [fld.of(a) for a in alpha]
     if any(fld.of(sum(v * alpha[j] for j, v in row.items())) for row in laplacian_finite(g)):
         raise ValueError("vertex coloring is not conservative; integration would be path dependent")

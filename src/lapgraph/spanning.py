@@ -38,7 +38,7 @@ from .graphs import (
     restriction_subgraph,
     voltage_laplacian,
 )
-from .laurent import LaurentPoly, _list_divmod, divexact, normalize
+from .laurent import LaurentPoly, divexact, list_divmod, normalize
 from .linalg import det_laurent, int_det
 from .mahler import mahler_value
 
@@ -319,7 +319,7 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
     |N(x^m - lc^m)| / |lc|^(m(d-1)), where N(q) is the determinant of
     multiplication by q on Z[x]/(H): one d x d integer determinant of the
     remainders of q x^j mod H, with x^m mod H taken by repeated squaring, all
-    on dense lists (``laurent._list_divmod``).
+    on dense lists (``laurent.list_divmod``).
     """
     while m % 2 == 0 and len(h) > 1:
         g = [0] * len(h)
@@ -338,7 +338,7 @@ def _root_of_unity_norm(h: list[int], m: int) -> int:
     H = [c * lc ** (d - 1 - i) for i, c in enumerate(h[:d])] + [1]
 
     def mod(f: list[int]) -> list[int]:
-        return _list_divmod(f, H, ZZ)[1]
+        return list_divmod(f, H, ZZ)[1]
 
     r = [1]
     for bit in bin(m)[2:]:

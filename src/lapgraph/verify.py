@@ -80,11 +80,11 @@ import math
 from typing import NamedTuple
 
 from .colorings import bicycle_basis, bicycle_basis_meet, conservative_vertex_basis
-from .fields import GF2, QQ, ZZ, PrimeField
+from .fields import GF2, QQ, ZZ, PrimeField, check_int
 from .graphs import FiniteGraph, SublatticeSpec, VoltageGraph, connected_components, voltage_laplacian
 from .laurent import divides, normalize
 from .linalg import LaurentEncoding, det_laurent, elementary_divisor, transpose
-from .mahler import _check_int, mahler_value
+from .mahler import mahler_value
 from .planar import (
     PlaneGraph,
     compact_orbit_count,
@@ -123,8 +123,8 @@ def run_verify(
     max_cover: int = 64,
     fibers: int = 512,
 ) -> list[CheckResult]:
-    _check_int("max_cover", max_cover, 1)  # before any work, whether or not a cover is counted
-    _check_int("fibers", fibers, 4)  # before any work, whether or not a measure is taken
+    check_int("max_cover", max_cover, 1)  # before any work, whether or not a cover is counted
+    check_int("fibers", fibers, 4)  # before any work, whether or not a measure is taken
     vg, base = obj.quotient, obj.base
 
     out: list[CheckResult] = []

@@ -602,7 +602,7 @@ def test_rational_gcd_runs_no_rational_division(monkeypatch):
         return lambda f, g, dom: domains.append(dom) or divide(f, g, dom)
 
     monkeypatch.setattr(laurent_module, "_divmod", spy(_divmod))
-    monkeypatch.setattr(laurent_module, "_list_divmod", spy(laurent_module._list_divmod))
+    monkeypatch.setattr(laurent_module, "list_divmod", spy(laurent_module.list_divmod))
     h = poly1("2x - 1").map_coefficients(lambda c: Fraction(c, 3))
     for f, g in (
         (h * poly1("3x + 1"), h * poly1("x^2 + 5")),

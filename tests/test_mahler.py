@@ -708,6 +708,19 @@ def test_grid_solves_each_conjugate_pair_once_and_starts_warm(monkeypatch):
     assert len(warm_starts) == 2048 + 1024 and sum(warm_starts) == 2047 + 1023
 
 
+@pytest.mark.parametrize("fibers", [8, 16, 64, 256])
+def test_symmetric_quadratic_fibers_take_the_closed_form(fibers, monkeypatch):
+    # a warm start once cycled on a fiber y^2 = c of this square's part 5x^-3y + 3xy^-1;
+    # every fiber of the part is quadratic in y now, so no fiber reaches Aberth
+    def no_aberth(coeffs, start=None):
+        raise AssertionError("a quadratic fiber reached Aberth")
+
+    monkeypatch.setattr(mahler_module, "_aberth_roots", no_aberth)
+    result = mahler_2var(poly2("25x^-6y^2 + 30x^-2 + 9x^2y^-2"), fibers)
+    assert result.value == 2 * math.log(5)
+    assert result.error_estimate == 0
+
+
 # -- the value alone: one grid, the same float ----------------------------------------
 
 

@@ -92,6 +92,19 @@ def test_growth_check_fails_when_delta0_gives_no_cover_count(monkeypatch):
     assert res.detail == "no exact cover count from Delta_0: inexact polynomial division"
 
 
+def test_delta_chain_fails_when_delta_k_vanishes_after_a_nonzero_one(monkeypatch, capsys):
+    # Delta_1 over QQ is zero; the GF(2) search for the first nonzero divisor reads the real ones
+    real = verify.elementary_divisor
+
+    def fake(A, k, dom):
+        return LaurentPoly.zero(1) if (k, dom) == (1, QQ) else real(A, k, dom)
+
+    monkeypatch.setattr(verify, "elementary_divisor", fake)
+    assert main(["verify", graph_file("ladder"), "--max", "8", "--fibers", "64"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL delta-chain: Delta_1 = 0 after nonzero Delta_0\n" in out
+
+
 @pytest.mark.parametrize(
     "name, max_cover, form",
     [("ladder", 8, (8,)), ("ladder", 63, (32,)), ("grid", 8, (2, 0, 2)), ("grid", 64, (6, 0, 6)), ("grid", 3, None)],
@@ -232,7 +245,7 @@ def test_verify_divides_no_rational_polynomial(monkeypatch):
 
     # both long divisions: on LaurentPoly (two variables) and on dense lists
     monkeypatch.setattr(laurent, "_divmod", spy(laurent._divmod))
-    monkeypatch.setattr(laurent, "_list_divmod", spy(laurent._list_divmod))
+    monkeypatch.setattr(laurent, "list_divmod", spy(laurent.list_divmod))
     rng = random.Random(7100)
     objs = [example("ladder"), example("mitsubishi"), random_annulus_quotient(rng, 8)]
     objs += [random_voltage_graph(rng, 1, 5, 8) for _ in range(4)]
