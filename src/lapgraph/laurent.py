@@ -13,8 +13,10 @@ build their coefficient maps freely and let the constructor discard zeros
 (long division also pops them from its working remainder, whose leading term
 it reads).
 
-Division has one rule and one entry, ``try_divexact`` (``divexact`` raises
-where it returns None, and ``divides`` reads it).  Both polynomials are
+Division has one rule, ``_quotient``, on operands already reduced into the
+domain.  ``try_divexact`` reduces both and refuses a zero g, ``divexact``
+raises where it returns None, and ``divides`` reduces each operand once for
+its zero tests and then reads ``_quotient``.  Both polynomials are
 shifted to ordinary polynomials, and f is divided by g's leading term in lex
 order (the largest exponent tuple) until the leading term of the remainder
 is not divisible by it (over the integers, also when the leading
@@ -265,8 +267,11 @@ def normalize(f: LaurentPoly, dom: Domain) -> LaurentPoly:
     a coefficient that is not an int or a Fraction); over GF(p)
     f is reduced first, and that coefficient of its image is scaled to 1.
     """
-    if isinstance(dom, PrimeField):
-        f = f.reduce_to(dom)
+    return _normal_form(f.reduce_to(dom) if isinstance(dom, PrimeField) else f, dom)
+
+
+def _normal_form(f: LaurentPoly, dom: Domain) -> LaurentPoly:
+    """``normalize`` without its reduction: over a prime field, f is already reduced into it."""
     if f.is_zero():
         return f
     offs = tuple(-f.min_exp(v) for v in range(f.nvars))
@@ -342,6 +347,11 @@ def try_divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | N
     g = g.reduce_to(dom)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    return _quotient(f, g, dom)
+
+
+def _quotient(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly | None:
+    """``try_divexact`` of f and a nonzero g, both already reduced into the domain."""
     if f.is_zero():
         return LaurentPoly.zero(f.nvars)
     f._check_compat(g)
@@ -371,12 +381,13 @@ def divexact(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
 def divides(g: LaurentPoly, f: LaurentPoly, dom: Domain) -> bool:
     """Whether g divides f in the Laurent ring over the domain (units ignored).
 
-    Both are reduced into the domain before the zero tests: zero divides only
-    zero, and everything divides zero.
+    Both are reduced into the domain once, before the zero tests: zero divides
+    only zero, and everything divides zero.
     """
-    if g.reduce_to(dom).is_zero():
-        return f.reduce_to(dom).is_zero()
-    return try_divexact(f, g, dom) is not None
+    g, f = g.reduce_to(dom), f.reduce_to(dom)
+    if g.is_zero():
+        return f.is_zero()
+    return _quotient(f, g, dom) is not None
 
 
 # -- dense one-variable kernel --------------------------------------------------
@@ -601,7 +612,7 @@ def gcd_many(polys, dom: Domain) -> LaurentPoly:
     for p in polys:
         p = p.reduce_to(dom)
         if p:
-            acc = _gcd(acc, p, dom) if acc else normalize(p, dom)
+            acc = _gcd(acc, p, dom) if acc else _normal_form(p, dom)
             if acc == 1:
                 break
     return acc

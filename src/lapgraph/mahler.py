@@ -18,8 +18,9 @@ measures, added in order.  m(p) >= 0 for a nonzero integer p, so a sum that
 rounding takes below log|c| reads as log|c|.
 
 Every one-variable measure, of a part in one variable or of a fiber in two,
-is ``_poly_measure``: Jensen's formula, m = log|lead| + sum of log|root| over
-the roots outside the unit circle.  Roots on the circle, like the double root
+that the half-degree rule below leaves is ``_poly_measure``: Jensen's
+formula, m = log|lead| + sum of log|root| over the roots outside the unit
+circle.  Roots on the circle, like the double root
 1 of every Delta_0, add 0 (``UNIT_CIRCLE_TOL``).  When a nonzero |coefficient|
 lies outside [2^-500, 2^500] every coefficient is divided by the largest and
 its log added; low coefficients that this takes to 0 are roots at 0 and cut
@@ -36,6 +37,19 @@ and keeps its roots as they are.  Only a run that stops short of that, at
 ``ABERTH_MAX_ITER`` sweeps or when a shift below ``STALL_SHIFT`` no longer
 halves per sweep, gets a float Newton polish.  Every root set then passes a
 residual and coefficient-identity validation.
+
+A one-variable part is first tried at half its degree (``mahler_1var``).  Its
+exact factors x - 1 and x + 1, whose roots add 0, are divided out by
+``list_divmod``.  When what is left, h, is palindromic of degree 2d, then
+x^-d h(x) = Q(x + 1/x) with Q = a_0 + sum a_k D_k(z) in the Dickson basis
+D_0 = 2, D_1 = z, D_(k+1) = z D_k - D_(k-1), since D_k(x + 1/x) = x^k + x^-k;
+the a_k are h's coefficients c_d .. c_2d.  Every rank-1 Delta_0 is reciprocal,
+as L(1/x) = L(x)^T, so its parts are.  For d <= 1, h takes the closed form.
+Otherwise ``_dickson_measure`` runs Aberth on Q's d roots, with Q and Q' by
+Clenshaw's recurrence on the a_k (no monomial coefficients are formed), and
+each root z stands for the pair x, 1/x.  A z run that stalls or fails its
+own checks leaves the part to the x path on its own coefficients, as does a
+part that is not reciprocal; so does every fiber in two variables.
 
 Two variables: fiberwise Jensen.  For each midpoint node theta of an N-point
 grid the variable x is pinned to exp(2 pi i theta) and the one-variable
@@ -68,7 +82,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fields import QQ, ZZ, check_int
-from .laurent import LaurentPoly, divexact, divides, laurent_gcd, normalize
+from .laurent import LaurentPoly, divexact, divides, laurent_gcd, list_divmod, normalize
 
 UNIT_CIRCLE_TOL = 1e-10  # |root| this close to 1 counts as on the circle
 RESIDUAL_GATE = 1e-9
@@ -127,7 +141,10 @@ def _refine_float(rmonic: list[complex], rderiv: list[complex], roots: list[comp
 def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     """All roots of a polynomial with nonzero first and last coefficient.
 
-    ``_poly_measure`` sends degree 2 and below to its closed form instead.
+    ``_poly_measure`` sends degree 2 and below to its closed form instead, and
+    ``mahler_1var`` sends a reciprocal part to ``_dickson_measure`` first, the
+    same sweeps at half the degree in z = x + 1/x, on the Dickson basis by
+    Clenshaw's recurrence, whose stall or failed check falls back to this path.
     Aberth's sweeps run from start, by default a perturbed circle.  Converged
     roots (a sweep moved each by less than 1e-14, relative) stand; a run cut
     at ``ABERTH_MAX_ITER`` sweeps or stagnated (a shift below ``STALL_SHIFT``
@@ -206,6 +223,76 @@ def _aberth_roots(coeffs: list[complex], start=None) -> list[complex]:
     if abs(prod - expect) > 1e-6 * (1 + abs(expect)):
         raise RootFindingError("root product disagrees with coefficients")
     return roots
+
+
+def _dickson_measure(a: list) -> float:
+    """m(h) for a palindromic integer h of degree 2d >= 4 with no root at 1 or -1, from the
+    coefficients a_0 .. a_d of x^-d h(x) = Q(x + 1/x) = a_0 + sum a_k D_k(z) (a_k = c_(d+k)).
+
+    Aberth's sweeps run on Q's d roots from the image of the circle |x| = 1.1, with Q and Q'
+    by Clenshaw's recurrence b_k = a_k + z b_(k+1) - b_(k+2), Q = a_0 + z b_1 - 2 b_2, and
+    ``_aberth_roots``' stop rule; a run that does not converge raises RootFindingError.  Each
+    root z stands for x and 1/x, the larger of size R = max(|z + w|, |z - w|)/2, w = sqrt(z^2 - 4),
+    and adds log R when R > 1 + ``UNIT_CIRCLE_TOL``.  The residual gate reads
+    |D_k(z)| = |x^k + x^-k| <= 2 R^k, so |Q(z)| <= 2 (d + 1) max|a_k| R^d; the root sum
+    -a_(d-1)/a_d and product (-1)^d Q(0)/a_d, Q(0) = a_0 + sum 2 (-1)^(k/2) a_k over even
+    k >= 2, are checked as in ``_aberth_roots``.  Every check also fails on a NaN."""
+    d, lead = len(a) - 1, a[-1]
+    top, m0 = [c / lead for c in a[:0:-1]], a[0] / lead  # monic a_d .. a_1, then a_0
+    roots = []
+    for k in range(d):
+        x = 1.1 * (1 + 0.02 * (k % 5)) * cmath.exp(2j * math.pi * (k + 0.35) / d)
+        roots.append(x + 1 / x)
+    last = math.inf
+    for _ in range(ABERTH_MAX_ITER):
+        shift = 0.0
+        new_roots = list(roots)
+        for k, z in enumerate(roots):
+            b1 = b2 = db1 = db2 = 0j
+            for c in top:
+                db1, db2 = b1 + z * db1 - db2, db1
+                b1, b2 = c + z * b1 - b2, b1
+            pv = m0 + z * b1 - 2 * b2
+            if pv == 0:
+                continue
+            w = pv / (b1 + z * db1 - 2 * db2)
+            rep = 0
+            for zj in roots[:k]:
+                rep = rep + 1 / (z - zj)
+            for zj in roots[k + 1 :]:
+                rep = rep + 1 / (z - zj)
+            corr = w / (1 - w * rep)
+            new_roots[k] = z - corr
+            az = abs(z)
+            r = abs(corr) / (az if az > 1.0 else 1.0)
+            shift = r if r > shift else shift
+        roots = new_roots
+        if shift < 1e-14 or STALL_SHIFT > shift > 0.5 * last:
+            break
+        last = shift
+    if not shift < 1e-14:
+        raise RootFindingError("Aberth in z = x + 1/x did not converge")
+    edge, gate = 1 + UNIT_CIRCLE_TOL, RESIDUAL_GATE * 2 * (d + 1) * max(map(abs, [m0, *top]))
+    value, prod, size = math.log(abs(lead)), 1 + 0j, 0
+    for z in roots:
+        b1 = b2 = 0j
+        for c in top:
+            b1, b2 = c + z * b1 - b2, b1
+        w = cmath.sqrt(z * z - 4)
+        r = max(abs(z + w), abs(z - w)) / 2
+        if not abs(m0 + z * b1 - 2 * b2) <= gate * r**d:
+            raise RootFindingError("root residual exceeds tolerance")
+        if r > edge:
+            value += math.log(r)
+        prod *= z
+        size += abs(z)
+    expect = -a[-2] / lead
+    if not abs(sum(roots) - expect) <= 1e-6 * (1 + max(abs(expect), size)):
+        raise RootFindingError("root sum disagrees with coefficients")
+    expect = (-1) ** d * (a[0] + 2 * sum(a[k] * (-1) ** (k // 2) for k in range(2, d + 1, 2))) / lead
+    if not abs(prod - expect) <= 1e-6 * (1 + abs(expect)):
+        raise RootFindingError("root product disagrees with coefficients")
+    return value
 
 
 def _poly_measure(coeffs: list, mags: list, warm: list) -> float:
@@ -300,12 +387,24 @@ def _measure(f: LaurentPoly, part_value) -> float:
 
 def mahler_1var(f: LaurentPoly) -> MahlerResult:
     """Logarithmic Mahler measure of a nonzero one-variable Laurent polynomial, by ``_measure``;
-    each squarefree part is measured from its own coefficients, with a cold start."""
+    each squarefree part takes the module docstring's half-degree rule, else ``_poly_measure`` on
+    its own coefficients, with a cold start."""
     if f.nvars != 1:
         raise ValueError("mahler_1var needs a one-variable polynomial")
 
     def part_value(part: LaurentPoly) -> float:
-        s = part.coefficient_list()
+        s = h = part.coefficient_list()
+        for b in ([-1, 1], [1, 1]):  # x - 1 and x + 1, whose roots add 0
+            q, r = list_divmod(h, b, ZZ)
+            if not r:
+                h = q
+        if h == h[::-1]:
+            if len(h) <= 3:
+                return _poly_measure(h, list(map(abs, h)), [])
+            try:
+                return _dickson_measure(h[len(h) // 2 :])
+            except ArithmeticError:  # a stall, a failed check, a zero division or an overflow: the x path
+                pass
         return _poly_measure(s, list(map(abs, s)), [])
 
     return MahlerResult(value=_measure(f, part_value), method="jensen-roots", error_estimate=1e-11)

@@ -198,6 +198,25 @@ def test_divides_examples():
     assert q * (X - 1) ** 2 == lad
 
 
+def _reduce_calls(monkeypatch):
+    """The list of polynomials that ``LaurentPoly.reduce_to`` is called on from here on."""
+    calls, reduce_to = [], LaurentPoly.reduce_to
+
+    def spy(self, dom):
+        calls.append(self)
+        return reduce_to(self, dom)
+
+    monkeypatch.setattr(LaurentPoly, "reduce_to", spy)
+    return calls
+
+
+def test_divides_maps_each_operand_into_the_domain_once(monkeypatch):
+    lad = (X - 1) ** 2 * poly1("x^2 - 4x + 1")  # Delta_0 of the ladder
+    calls = _reduce_calls(monkeypatch)
+    assert divides((X - 1) ** 2, lad, ZZ)
+    assert calls == [(X - 1) ** 2, lad]
+
+
 @pytest.mark.parametrize("nvars", [1, 2])
 def test_divides_tests_zero_after_reducing_into_the_domain(nvars):
     two_x, four_x, x = (LaurentPoly.monomial(c, (1,) * nvars) for c in (2, 4, 1))
@@ -576,6 +595,14 @@ def test_gcd_many_folds_a_one_shot_generator(dom, monkeypatch):
         assert [e for e in events if e[0] != "normalize"] == order, (dom, polys)
     with pytest.raises(ValueError):
         gcd_many(iter(()), dom)
+
+
+def test_gcd_many_over_a_prime_field_maps_each_input_once(monkeypatch):
+    polys = [poly1("7x + 14"), poly1("x^2 + 3x + 2")]
+    want = gcd_many(polys, GF5)
+    calls = _reduce_calls(monkeypatch)
+    assert gcd_many(polys, GF5) == want == poly1("3x + 1")  # x + 2, scaled to constant term 1
+    assert calls == polys
 
 
 def test_gcd_of_inputs_that_vanish_in_the_domain_is_zero():

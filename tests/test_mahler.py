@@ -1279,3 +1279,117 @@ def test_a_failed_cold_solve_in_the_grid_is_raised(monkeypatch):
     with pytest.raises(RootFindingError, match="no roots here"):
         mahler_2var(poly2("4 - x - x^-1 - y - y^-1") * poly2("3 + y"), 16)
     assert starts == [None]
+
+
+# -- reciprocal parts at half degree: Aberth in z = x + 1/x ----------------------------------
+
+
+def _x_path(f):
+    """m(f) with every squarefree part on ``_poly_measure`` of its own coefficients: the path of
+    a part that is not reciprocal and of a failed z run."""
+
+    def part_value(part):
+        s = part.coefficient_list()
+        return _poly_measure(s, [abs(c) for c in s], [])
+
+    return mahler_module._measure(f, part_value)
+
+
+def _z_runs(monkeypatch):
+    """The degrees d of the z runs that return a measure, from here on."""
+    runs, dickson = [], mahler_module._dickson_measure
+
+    def spy(a):
+        value = dickson(a)
+        runs.append(len(a) - 1)
+        return value
+
+    monkeypatch.setattr(mahler_module, "_dickson_measure", spy)
+    return runs
+
+
+def _reciprocal_corpus(rng, count):
+    """count products of 1 to 3 palindromic factors of degree 2 to 32 with coefficients in
+    [-5, 5], times (x - 1)^a (x + 1)^b with a, b <= 2."""
+    x = poly1("x")
+    for _ in range(count):
+        f = (x - 1) ** rng.randint(0, 2) * (x + 1) ** rng.randint(0, 2)
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(2, 32)
+            half = [rng.choice((-1, 1)) * rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(n // 2)]
+            c = half + half[: (n + 1) // 2][::-1]
+            f = f * LaurentPoly(1, {(k,): v for k, v in enumerate(c) if v})
+        yield f
+
+
+def test_half_degree_path_matches_the_x_path_on_a_random_reciprocal_corpus(monkeypatch):
+    # every squarefree part against _poly_measure on the same part, x -+ 1 not divided out; a
+    # case counts as deep when a z run of degree d >= 8 measured one of its parts, and as
+    # stripping x + 1 when a z run measured a part with the root -1
+    runs = _z_runs(monkeypatch)
+    deep = plus = 0
+    for f in _reciprocal_corpus(random.Random(55), 300):
+        is_deep = has_plus = False
+        for part in _squarefree_parts(_content(f)[0]):
+            s = part.coefficient_list()
+            want = _poly_measure(s, [abs(c) for c in s], [])
+            before = len(runs)
+            assert abs(mahler_1var(part).value - want) <= 1e-12 * (1 + abs(want)), part
+            if len(runs) > before:
+                is_deep = is_deep or runs[-1] >= 8
+                has_plus = has_plus or sum(c * (-1) ** k for k, c in enumerate(s)) == 0
+        deep += is_deep
+        plus += has_plus
+    assert deep >= 200 and plus >= 200, (deep, plus)
+
+
+@pytest.mark.parametrize("s", list(SUBSTITUTED_GRID))
+def test_half_degree_path_meets_the_substituted_grid_references(monkeypatch, s):
+    # f(x, x^s) = (x - 1)^2 h with h palindromic of degree 2s - 2: one z run of degree s - 1
+    runs = _z_runs(monkeypatch)
+    m = SUBSTITUTED_GRID[s]
+    assert abs(mahler_1var(poly2("4 - x - x^-1 - y - y^-1").substitute_power(s)).value - m) <= 1e-12 * (1 + m)
+    assert runs == [s - 1]
+
+
+@pytest.mark.parametrize("name, value", [("RESIDUAL_GATE", -1.0), ("ABERTH_MAX_ITER", 1)], ids=["check", "stall"])
+def test_a_failed_z_run_returns_the_x_path_bit_for_bit(monkeypatch, name, value):
+    # a negative gate fails every residual check, and one sweep leaves a run short of convergence;
+    # the constant is changed inside the z run only, so the x path runs as it always does
+    failed, dickson = [], mahler_module._dickson_measure
+
+    def failing(a):
+        saved = getattr(mahler_module, name)
+        setattr(mahler_module, name, value)
+        try:
+            return dickson(a)
+        except RootFindingError:
+            failed.append(len(a) - 1)
+            raise
+        finally:
+            setattr(mahler_module, name, saved)
+
+    monkeypatch.setattr(mahler_module, "_dickson_measure", failing)
+    cases = [
+        poly2("4 - x - x^-1 - y - y^-1").substitute_power(16),
+        poly1("x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1"),
+        poly1("x + 1") * poly1("x^128 - 3x^64 + 1"),
+    ]
+    for f in cases:
+        assert mahler_1var(f).value.hex() == _x_path(f).hex()
+    assert failed == [15, 5, 64]
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [(poly1("x^256 - 2"), "0x1.62e42fefa3a45p-1"), (poly1("x - 1") * poly1("x^5 + 3x + 2"), None)],
+    ids=["x^256-2", "x-1-times-non-palindromic"],
+)
+def test_a_part_that_is_not_reciprocal_keeps_the_x_path(monkeypatch, f, want):
+    # x^256 - 2 keeps the float it had before the z path; the second part's quotient by x - 1 is not
+    # palindromic, so it is measured undivided
+    runs = _z_runs(monkeypatch)
+    got = mahler_1var(f).value.hex()
+    assert got == _x_path(f).hex()
+    assert want is None or got == want
+    assert runs == []
