@@ -33,14 +33,14 @@ vanish there are skipped, the first nonzero one is normalized, ``_gcd``
 folds in the rest, and reading stops at the first input after which the gcd
 is the unit 1.  Over the rationals the inputs are cleared to primitive
 integer polynomials and the gcd is taken over the integers (Gauss's lemma).
-``_gcd`` is the gcd of the contents in x times a primitive part.  One
-variable runs on dense lists to the end: Euclid over GF(p), and over the
-integers gcds modulo the primes below 2^61, largest first, joined by the
-Chinese remainder theorem until the lift divides both inputs.  Only
-two-variable gcds take a primitive pseudo-remainder sequence in x (by the
-long division above), whose contents in x are folds again: over GF(p), and
-over the integers unless evaluation mod 2^61 - 1 proves the gcd free of x
-and y.  Zero is its own unit class: ``normalize`` returns it unchanged.
+Over GF(p), ``_gcd`` is Euclid on dense lists in one variable and a
+primitive pseudo-remainder sequence in x (by the long division above) in
+two.  Over the integers it is the heuristic gcd of Char, Geddes and Gonnet:
+y and then x are set to powers of two, and the balanced digits
+(``balanced_digits``, which also decodes :mod:`lapgraph.linalg`'s minors) of
+one integer gcd give a candidate, the gcd if it divides both inputs; after
+a few larger powers, the sequence takes over.  Zero is its own unit class:
+``normalize`` returns it unchanged.
 
 Polynomials are immutable by convention: no public method mutates ``coeffs``.
 """
@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from .fields import ZZ, Domain, PrimeField, RationalField, is_prime
+from .fields import ZZ, Domain, PrimeField, RationalField
 
 Exponent = tuple[int, ...]
 
@@ -488,106 +488,111 @@ def _prs_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
         a, b = b, _primitive(r, dom)[1]
 
 
-# The primes below 2^61 found so far, largest first, with their fields; and
-# the fixed points (y, then x) at which the two-variable certificate evaluates.
-_PRIMES = [PrimeField(2**61 - 1)]
-_POINTS = (1_000_000_007, 998_244_353)
+_HEU_TRIES = 6  # powers of two the heuristic gcd tries before it gives up
 
 
-def _word_primes():
-    """The fields of the primes below 2^61, largest first, each found once."""
-    for i in count():
-        if i == len(_PRIMES):
-            n = next(n for n in range(_PRIMES[-1].p - 2, 2, -2) if is_prime(n))
-            _PRIMES.append(PrimeField(n))
-        yield _PRIMES[i]
+def balanced_digits(v: int, b: int) -> dict[int, int]:
+    """The nonzero balanced base-2^b digits of v by place, lowest first: the
+    d_i in (-2^(b-1), 2^(b-1)] with v = sum d_i 2^(b i), for b >= 2.
+
+    With h = 2^(b-1) - 1 and o the integer whose digits are all h, each
+    digit plus h is a plain b-bit field of v + o; in (v + o) XOR o that
+    field is (d + h) XOR h, zero exactly when d is, so a string search over
+    its binary form skips the zero digits.
+    """
+    n = v.bit_length() // b + 2  # digits enough for v and for o
+    h = (1 << (b - 1)) - 1
+    o = ((1 << (b * n)) - 1) // ((1 << b) - 1) * h
+    marks = format((v + o) ^ o, f"0{b * n}b")
+    digits = {}
+    i = marks.rfind("1")  # lowest digits first, at the end of the string
+    while i >= 0:
+        start = i - i % b  # the field that holds character i
+        digits[n - 1 - start // b] = (int(marks[start : start + b], 2) ^ h) - h
+        i = marks.rfind("1", 0, start)
+    return digits
 
 
-def _zz_gcd_1var(a: list, b: list) -> LaurentPoly:
-    """gcd over ZZ of integer lists with nonzero constant terms, normalized.
+def _heu_list_gcd(a: list, b: list) -> list | None:
+    """gcd over ZZ of nonzero integer lists, content included and up to sign,
+    or None if the heuristic gives up.
 
-    With c the gcd of the contents and a, b made primitive with gcd G: if a
-    prime p divides neither leading coefficient, G divides h = gcd(a, b) mod
-    p and deg h >= deg G.  A constant h proves the gcd is c.  Otherwise h is
-    scaled to l = gcd(lc a, lc b), and the images of least degree are joined
-    by the Chinese remainder theorem (a lower one shows the others unlucky).
-    If the primitive part H of their symmetric lift divides a and b, then H
-    divides G, so H = +-G by degree.  Finitely many primes are unlucky, and
-    the lift of (l / lc G) * G is exact once the modulus passes twice its
-    coefficients, so the loop ends.
+    With the contents divided out, a and b are packed at x = 2^s >= 2 min(|a|,
+    |b|) + 2 (|.| the largest absolute coefficient), and the balanced
+    base-2^s digits of the integer gcd, made primitive, are a candidate H.
+    If H divides a and b, it is their gcd (Char, Geddes and Gonnet);
+    otherwise s grows and the packing is retried.
     """
     ca, cb = int_gcd(*a), int_gcd(*b)
-    a, b, c = [x // ca for x in a], [x // cb for x in b], int_gcd(ca, cb)
-    g, m = [], 1  # the kept images joined: residues mod m
-    for fld in _word_primes():
-        p = fld.p
-        if not (a[-1] % p and b[-1] % p):
-            continue
-        h = _list_gcd([x % p for x in a], [x % p for x in b], fld)
-        if len(h) == 1:
-            return LaurentPoly.constant(c, 1)
-        if g and len(h) > len(g):
-            continue  # unlucky
-        scale = int_gcd(a[-1], b[-1]) * pow(h[-1], -1, p) % p
-        h = [x * scale % p for x in h]
-        if len(h) == len(g):
-            t = pow(m, -1, p)
-            g, m = [x + m * ((y - x) * t % p) for x, y in zip(g, h)], m * p
-        else:
-            g, m = h, p
-        h = [(x + m // 2) % m - m // 2 for x in g]  # symmetric residues
-        ch = int_gcd(*h) if h[0] > 0 else -int_gcd(*h)
-        h = [x // ch for x in h]
-        if all((qr := list_divmod(x, h, ZZ)) and not qr[1] for x in (a, b)):
-            return LaurentPoly(1, {(i,): c * x for i, x in enumerate(h)})
+    c = int_gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:  # a constant: the gcd is that of the contents
+        return [c]
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    s = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    for _ in range(_HEU_TRIES):
+        h = balanced_digits(int_gcd(*(sum(x << (s * i) for i, x in enumerate(p)) for p in (a, b))), s)
+        ch = int_gcd(*h.values())
+        h = [h.get(i, 0) // ch for i in range(max(h) + 1)]
+        if len(h) == 1 or all((qr := list_divmod(p, h, ZZ)) and not qr[1] for p in (a, b)):
+            return [c * x for x in h]
+        s += s // 2 + 1
+    return None
 
 
-def _coprime_mod_p(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """A certificate that nonzero ordinary polynomials over ZZ in x and y have
-    a gcd free of both variables.
+def _heu_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
+    """gcd over ZZ of nonzero ordinary two-variable polynomials, normalized,
+    or None if the heuristic gives up.
 
-    For each variable v in turn, the other is set to its point in ``_POINTS``
-    mod P, the first of ``_PRIMES``.  If f and g keep their v-leading
-    coefficients there and their gcd mod P is a constant, the true gcd has
-    v-degree 0: its v-leading coefficient divides f's and so does not vanish
-    there either.
+    With the contents divided out, y is set to 2^s >= 2 min(|f|, |g|) + 2;
+    the gcd of the images in x, content included (it is the content in y),
+    has balanced base-2^s digits that are the coefficients in y of a
+    candidate H.  H made primitive is the gcd if it divides f and g;
+    otherwise s grows.
     """
-    for v, point in enumerate(_POINTS):
-        lists = []
-        for p in (f, g):
-            out = [0] * (p.max_exp(v) + 1)
-            for e, c in p.coeffs.items():
-                out[e[v]] += c * pow(point, e[1 - v], _PRIMES[0].p)
-            out = [x % _PRIMES[0].p for x in out]
-            if not out[-1]:
-                return False
-            lists.append(out)
-        if len(_list_gcd(*lists, _PRIMES[0])) > 1:
-            return False
-    return True
+    cf, cg = int_gcd(*f.coeffs.values()), int_gcd(*g.coeffs.values())
+    f, g = f.map_coefficients(lambda x: x // cf), g.map_coefficients(lambda x: x // cg)
+    s = (2 * min(max(map(abs, f.coeffs.values())), max(map(abs, g.coeffs.values()))) + 1).bit_length()
+    for _ in range(_HEU_TRIES):
+        images = [[0] * (p.max_exp(0) + 1) for p in (f, g)]
+        for image, p in zip(images, (f, g)):
+            for (i, j), c in p.coeffs.items():
+                image[i] += c << (s * j)
+        # a point where an x-leading coefficient vanishes is passed over
+        if images[0][-1] and images[1][-1] and (gamma := _heu_list_gcd(*images)):
+            h = {(i, j): d for i, x in enumerate(gamma) for j, d in balanced_digits(x, s).items()}
+            ch = int_gcd(*h.values())
+            h = LaurentPoly(2, {e: x // ch for e, x in h.items()})
+            if list(h.coeffs) == [(0, 0)] or not (_divmod(f, h, ZZ)[1] or _divmod(g, h, ZZ)[1]):
+                return _normal_form(h * int_gcd(cf, cg), ZZ)
+        s += s // 2 + 1
+    return None
 
 
 def _gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:
     """gcd of nonzero polynomials reduced into ZZ or GF(p), normalized.
 
-    One variable runs on dense lists to the end: Euclid over GF(p), and over
-    ZZ the modular gcd of ``_zz_gcd_1var``.  Two variables are shifted to
-    ordinary polynomials; over ZZ the gcd of the integer contents is returned
-    when ``_coprime_mod_p`` certifies it, and every other two-variable gcd
-    takes the primitive pseudo-remainder sequence ``_prs_gcd`` (over GF(p)
-    always: small fields have too few evaluation points).
+    One variable runs on dense lists: Euclid over GF(p), and over ZZ the
+    heuristic gcd ``_heu_list_gcd``.  Two variables are shifted to ordinary
+    polynomials and take ``_heu_gcd`` over ZZ.  The primitive
+    pseudo-remainder sequence ``_prs_gcd`` takes every two-variable gcd over
+    GF(p) and every gcd over ZZ that the heuristic gives up on, a
+    one-variable pair entered as two variables with y free.
     """
-    if f.nvars == 1 and not dom.is_field:
-        return _zz_gcd_1var(f.coefficient_list(), g.coefficient_list())
     if f.nvars == 1:
-        h = _list_gcd(f.coefficient_list(), g.coefficient_list(), dom)
-        inv = dom.inv(h[0])
-        return LaurentPoly(1, {(i,): x * inv % dom.p for i, x in enumerate(h)})
+        a, b = f.coefficient_list(), g.coefficient_list()
+        if dom.is_field:
+            h = _list_gcd(a, b, dom)
+            inv = dom.inv(h[0])
+            return LaurentPoly(1, {(i,): x * inv % dom.p for i, x in enumerate(h)})
+        h = _heu_list_gcd(a, b)
+        if h is not None:
+            return LaurentPoly(1, {(i,): x if h[0] > 0 else -x for i, x in enumerate(h)})
+        h = _prs_gcd(*(LaurentPoly(2, {(i, 0): c for i, c in enumerate(p)}) for p in (a, b)), dom)
+        return LaurentPoly(1, {e[:1]: c for e, c in h.coeffs.items()})
     f = f.shift(tuple(-f.min_exp(v) for v in range(2)))
     g = g.shift(tuple(-g.min_exp(v) for v in range(2)))
-    if not dom.is_field and _coprime_mod_p(f, g):
-        return LaurentPoly.constant(int_gcd(*f.coeffs.values(), *g.coeffs.values()), 2)
-    return _prs_gcd(f, g, dom)
+    h = None if dom.is_field else _heu_gcd(f, g)
+    return h if h is not None else _prs_gcd(f, g, dom)
 
 
 def laurent_gcd(f: LaurentPoly, g: LaurentPoly, dom: Domain) -> LaurentPoly:

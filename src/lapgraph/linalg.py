@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 from .fields import Domain, PrimeField
-from .laurent import LaurentPoly, gcd_many
+from .laurent import LaurentPoly, balanced_digits, gcd_many
 
 Matrix = list[list]
 
@@ -429,8 +429,9 @@ def _laurent_minors(A: LaurentEncoding, size: int):
     """The size x size minors of an encoded matrix, lazily, in rows-major order.
 
     A minor's value is :func:`_bareiss` of its integer sub-rows, whose
-    balanced base-2^b digits are its coefficients, about b K (Dy + 1) bits,
-    Dy the sum of the ``size`` largest y-spans.  A minor inherits A's order:
+    balanced base-2^b digits (``laurent.balanced_digits``) are its
+    coefficients, about b K (Dy + 1) bits, Dy the sum of the ``size``
+    largest y-spans.  A minor inherits A's order:
     its t-th row and column are paired, and the pairs sorted by the column's
     place in that order, so rows and columns move alike and the value stays.
     A size above the one A was encoded for raises ValueError.
@@ -444,16 +445,8 @@ def _laurent_minors(A: LaurentEncoding, size: int):
             pairs = sorted(zip(rs, cs), key=lambda rc: where[rc[1]])
             col = {j: t for t, (_, j) in enumerate(pairs)}
             det = _bareiss([{col[j]: v for j, v in rows[i].items() if j in col} for i, _ in pairs])
-            coeffs, todo = {}, [(det, 0, det.bit_length() // b + 1)]
-            while todo:  # halve blocks of digits, from the lowest, down to single digits
-                v, first, count = todo.pop()
-                m = count // 2
-                if v and not m:
-                    coeffs[tuple(d + s for d, s in zip((first % K, first // K), shift))] = v
-                elif v:
-                    hi = (v + (1 << (b * m - 1))) >> (b * m)  # v - hi 2^(bm): the m low digits
-                    todo += [(hi, first + m, count - m), (v - (hi << (b * m)), first, m)]
-            yield LaurentPoly(nvars, coeffs)
+            coeffs = balanced_digits(det, b).items()
+            yield LaurentPoly(nvars, {tuple(d + s for d, s in zip((i % K, i // K), shift)): c for i, c in coeffs})
 
 
 def det_laurent(M: Matrix | LaurentEncoding) -> LaurentPoly:

@@ -22,7 +22,7 @@ helper call per step (coefficients, strip, the library's closed form up to
 degree 2, else Aberth and Jensen), one-variable
 gcds by Euclid and two-variable gcds by a pseudo-remainder sequence, both over
 the coefficient domain itself, the primitive pseudo-remainder gcd over ZZ and
-GF(p) with no modular gcd or certificate, and the root-of-unity norm of cover
+GF(p) with no heuristic integer gcd, and the root-of-unity norm of cover
 counts by LaurentPoly long division.  Small helpers that only tests need (matrix
 product, edge reversal, wrapping-edge count, degree certificate, the scan
 for the first nonzero elementary divisor, rotation strings, Euler

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _long_divmod, gcd_fold_prefixes, laurent_gcd_euclid, laurent_gcd_prs, laurent_gcd_pseudo_rem
-from lapgraph import fields as fields_module
 from lapgraph import laurent as laurent_module
 from lapgraph.fields import GF2, QQ, ZZ, IntegerRing, PrimeField, RationalField
 from lapgraph.laurent import (
     LaurentPoly,
     PolyParseError,
     _divmod,
+    balanced_digits,
     divexact,
     divides,
     format_poly,
@@ -430,58 +430,86 @@ def test_gcd_matches_the_oracle_over_the_domain_itself(seed, dom, monkeypatch):
                 for want in wants:
                     assert got.coeffs == want.coeffs, (dom, kind, f, g)
                     assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
-    assert 1 not in calls  # one-variable gcds never take the pseudo-remainder sequence
+    # over ZZ and QQ no gcd takes the pseudo-remainder sequence, over GF(p) no one-variable gcd
+    assert 1 not in calls if isinstance(dom, PrimeField) else not calls
 
 
-_A, _B = laurent_module._POINTS  # the certificate's points y = _A and x = _B
+_A, _B = 1_000_000_007, 998_244_353
 _P61 = GF_P61.p
-_BELOW = LaurentPoly(1, {(0,): 2**59, (1,): 2})  # lifts correctly
-_ABOVE = LaurentPoly(1, {(0,): 2**61, (1,): 1})  # x + 1 mod P, which divides neither input
+_BELOW = LaurentPoly(1, {(0,): 2**59, (1,): 2})
+_ABOVE = LaurentPoly(1, {(0,): 2**61, (1,): 1})  # x + 1 mod 2^61 - 1
 _P61_2 = 2**61 - 31
-# (x - B)(y - A) + 1 is 1 at y = A and at x = B, so only the leading-coefficient test
-# keeps a common factor of it from passing for a unit
+# (x - B)(y - A) + 1 is 1 at y = A and at x = B
 _ONE_AT_BOTH = LaurentPoly(2, {(1, 1): 1, (1, 0): -_A, (0, 1): -_B, (0, 0): _A * _B + 1})
-# (name, f, g, whether the pseudo-remainder sequence runs on the pair itself);
-# a one-variable gcd never does, and the primes after P are _P61_2 and 2^61 - 45
+# degree 64, coefficients past 2^64: the packed integers run past a machine word
+_WIDE = LaurentPoly(1, {(i,): (-1) ** i * (2**65 + 3**i) for i in range(65)})
+# (name, f, g): pairs with coefficients at and past 2^61 and leading
+# coefficients that vanish at fixed points, as stress inputs
 CERTIFICATE_CASES = [
-    ("1var unit", poly1("x + 2") * poly1("3x - 1"), poly1("x - 5") * 7, False),
-    ("1var lifted gcd", poly1("6x - 4") * poly1("x + 3"), poly1("2x^2 + 3") * poly1("3x - 2"), False),
-    ("1var gcd below 2^60", _BELOW * poly1("x + 3"), _BELOW * poly1("3x - 5"), False),
-    ("1var lc divisible by P", (_P61 * X + 1) * poly1("x + 2"), poly1("x + 2") * poly1("x - 3"), False),
-    ("1var lift wrong above 2^60", _ABOVE * poly1("x + 3"), _ABOVE * poly1("x - 5"), False),
-    ("1var unlucky first prime", poly1("x - 1") * poly1("x + 5"), poly1("x - 1") * (X + 5 + _P61), False),
-    ("1var unlucky second prime", _ABOVE * poly1("x + 5"), _ABOVE * (X + 5 + _P61_2), False),
-    ("2var unit", poly2("x + y + 1") * 6, poly2("x*y - 2") * 4, False),
-    ("2var x-lead vanishes at y = A", poly2("x*y + 1") - _A * poly2("x"), poly2("x + y"), True),
-    ("2var y-lead vanishes at x = B", poly2("x*y + 1") - _B * poly2("y"), poly2("x + y"), True),
-    ("2var gcd not a unit", poly2("x + y") * poly2("x - 2"), poly2("x + y") * poly2("y + 3"), True),
-    ("2var common factor 1 at both points", _ONE_AT_BOTH * poly2("x + 2"), _ONE_AT_BOTH * poly2("y + 3"), True),
+    ("1var unit", poly1("x + 2") * poly1("3x - 1"), poly1("x - 5") * 7),
+    ("1var lifted gcd", poly1("6x - 4") * poly1("x + 3"), poly1("2x^2 + 3") * poly1("3x - 2")),
+    ("1var gcd below 2^60", _BELOW * poly1("x + 3"), _BELOW * poly1("3x - 5")),
+    ("1var lc divisible by P", (_P61 * X + 1) * poly1("x + 2"), poly1("x + 2") * poly1("x - 3")),
+    ("1var lift wrong above 2^60", _ABOVE * poly1("x + 3"), _ABOVE * poly1("x - 5")),
+    ("1var unlucky first prime", poly1("x - 1") * poly1("x + 5"), poly1("x - 1") * (X + 5 + _P61)),
+    ("1var unlucky second prime", _ABOVE * poly1("x + 5"), _ABOVE * (X + 5 + _P61_2)),
+    ("1var gcd of degree 64 past 2^64", _WIDE * poly1("x + 3"), _WIDE * poly1("3x - 5")),
+    ("2var unit", poly2("x + y + 1") * 6, poly2("x*y - 2") * 4),
+    ("2var x-lead vanishes at y = A", poly2("x*y + 1") - _A * poly2("x"), poly2("x + y")),
+    ("2var y-lead vanishes at x = B", poly2("x*y + 1") - _B * poly2("y"), poly2("x + y")),
+    ("2var gcd not a unit", poly2("x + y") * poly2("x - 2"), poly2("x + y") * poly2("y + 3")),
+    ("2var common factor 1 at both points", _ONE_AT_BOTH * poly2("x + 2"), _ONE_AT_BOTH * poly2("y + 3")),
 ]
 
 
-@pytest.mark.parametrize("name, f, g, fallback", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES])
-def test_each_certificate_that_proves_nothing_falls_back_to_pseudo_remainders(
-    name, f, g, fallback, monkeypatch
-):
+@pytest.mark.parametrize("name, f, g", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES])
+def test_each_certificate_that_proves_nothing_falls_back_to_pseudo_remainders(name, f, g, monkeypatch):
+    """Each stress pair, swapped and shifted, has the gcd of the oracles, with
+    int coefficients: by the heuristic alone, and by the pseudo-remainder
+    sequence when no division check is let prove a candidate."""
     calls = _spy_prs_gcd(monkeypatch)
-    for a, b in ((f, g), (g, f), (f.shift((-3,) * f.nvars), g.shift((1,) * g.nvars))):
+    for tries in (laurent_module._HEU_TRIES, 0):
+        monkeypatch.setattr(laurent_module, "_HEU_TRIES", tries)
         calls.clear()
-        got = laurent_gcd(a, b, ZZ)
-        for oracle in (laurent_gcd_prs, laurent_gcd_euclid) if f.nvars == 1 else (laurent_gcd_prs,):
-            want = oracle(a, b, ZZ)
-            assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), name
-        assert (f.nvars in calls) == fallback, name
+        for a, b in ((f, g), (g, f), (f.shift((-3,) * f.nvars), g.shift((1,) * g.nvars))):
+            got = laurent_gcd(a, b, ZZ)
+            for oracle in (laurent_gcd_prs, laurent_gcd_euclid) if f.nvars == 1 else (laurent_gcd_prs,):
+                want = oracle(a, b, ZZ)
+                assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), name
+        assert bool(calls) == (tries == 0), name
 
 
-def test_the_primes_of_the_modular_gcd_are_found_once(monkeypatch):
-    f, g, want = _ABOVE * poly1("x + 5"), _ABOVE * (X + 5 + _P61_2), _ABOVE
-    assert laurent_gcd(f, g, ZZ) == want  # finds the first three primes, if nothing has yet
-    tests, is_prime = [], fields_module.is_prime
-    for module in (fields_module, laurent_module):
-        monkeypatch.setattr(module, "is_prime", lambda n: tests.append(n) or is_prime(n))
-    assert laurent_gcd(f, g, ZZ) == want
-    assert not tests
-    assert [fld.p - 2**61 for fld in laurent_module._PRIMES[:3]] == [-1, -31, -45]
+@pytest.mark.parametrize("dom", [ZZ, QQ], ids=repr)
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_a_heuristic_gcd_that_gives_up_falls_back_to_pseudo_remainders(nvars, dom, monkeypatch):
+    rng = random.Random(56)
+    monkeypatch.setattr(laurent_module, "_HEU_TRIES", 0)
+    calls = _spy_prs_gcd(monkeypatch)
+    for kind in ("plain", "integer content", "content in y", "free of x", "unit"):
+        a, b = _gcd_case(rng, nvars, dom, kind)
+        got = laurent_gcd(a, b, dom)
+        want = laurent_gcd_prs(a, b, dom)
+        assert got.coeffs == want.coeffs and all(type(c) is int for c in got.coeffs.values()), kind
+    # a one-variable pair enters the sequence as two variables
+    assert calls and set(calls) == {2}
+
+
+@pytest.mark.parametrize("b", [2, 3, 8, 61, 64])
+def test_balanced_digits_round_trip(b):
+    rng = random.Random(b)
+    half = 1 << (b - 1)
+    assert balanced_digits(0, b) == {}
+    values = [1, -1, half, -half, half + 1, -half - 1, 2**200, -(2**200) + 1, 1 - (1 << (b * 10**5))]
+    values += [rng.randint(-(2**300), 2**300) for _ in range(50)]
+    for v in values:
+        digits = balanced_digits(v, b)
+        assert sum(d << (b * i) for i, d in digits.items()) == v and list(digits) == sorted(digits)
+        assert all(-half < d <= half and d for d in digits.values())
+    # and every digit map, extremes included, is read back as it is
+    for _ in range(50):
+        places = rng.sample(range(40), rng.randint(1, 12))
+        digits = {i: rng.choice([half, -half + 1, rng.randint(-half + 1, half) or 1]) for i in places}
+        assert balanced_digits(sum(d << (b * i) for i, d in digits.items()), b) == digits
 
 
 def _fold_cases(rng):
